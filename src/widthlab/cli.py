@@ -6,34 +6,31 @@ loads the same schema with explicit flags taking precedence. Real grids use
 "a:b:step", integer level ranges "a..b", thresholds either a comma list or
 "pow2:a..b" for 2^-a .. 2^-b, and the literal "inf" is accepted for p or q.
 
-Exit codes: 0 success, 1 validation/solver failure, 2 resource cap,
-64 usage error, 66 unreadable input file.
+The header line of every output hashes the effective configuration: the
+config-file values merged under the flags, the version and the measure.
+Runs are self-contained: nothing is cached on disk, and nothing runs in
+parallel. Exit codes: 0 success, 1 validation/solver failure or malformed
+value (flag or config file), 2 resource cap, 64 usage error, 66 unreadable
+input file.
 """
 from __future__ import annotations
 
 import argparse
-import hashlib
+import contextlib
+import dataclasses
 import json
 import math
-import os
-import pickle
 import sys
 from fractions import Fraction
 
 from . import __version__, reports
 from .coarse import coarse_profile, default_alpha_grid
 from .empirical import decay_experiment, packing_probe
-from .errors import ParseError, ResourceLimitError, SolverError, ValidationError
+from .errors import ParseError, ResourceLimitError, SolverError, ValidationError, WidthlabError
 from .functions import catalog
-from .measures import (
-    DEFAULT_MAX_CUBES,
-    IfsMeasure,
-    MeasureModel,
-    ingest_points,
-    load_measure,
-)
-from .orders import EmbeddingParams, dual_exponent, geometric_bounds, lower_order, upper_order
-from .partition import DEFAULT_MAX_CELLS, build_partition, entropy_slope
+from .measures import DEFAULT_MAX_CUBES, ingest_points, load_measure
+from .orders import EmbeddingParams, geometric_bounds, lower_order
+from .partition import DEFAULT_MAX_CELLS, build_partition, fit_entropy_slope
 from .spectrum import beta_n, closed_form_spectrum, empirical_spectrum, minkowski
 
 EX_OK = 0
@@ -41,13 +38,6 @@ EX_FAIL = 1
 EX_RESOURCE = 2
 EX_USAGE = 64
 EX_NOINPUT = 66
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(EX_USAGE)
 
 
 def parse_extended(text: str) -> float:
@@ -71,311 +61,216 @@ def parse_grid(text: str) -> list[float]:
         a, b, step = (Fraction(tok) for tok in text.split(":"))
         if step <= 0:
             raise ParseError("grid step must be positive")
-        out = []
-        x = a
-        while x <= b:
-            out.append(float(x))
-            x += step
-        return out
+        return [float(a + k * step) for k in range(math.floor((b - a) / step) + 1)]
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
 def parse_thresholds(text: str) -> list[float]:
     text = str(text).strip()
     if text.startswith("pow2:"):
-        lo, hi = text[5:].split("..")
-        return [2.0 ** (-k) for k in range(int(lo), int(hi) + 1)]
-    if ":" in text:
-        return parse_grid(text)
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [2.0 ** (-k) for k in parse_levels(text[5:])]
+    return parse_grid(text)
 
 
-def _load_model(path: str, weight_column=None) -> MeasureModel:
+# key: (converter, default, help). Integer and real flags are typed by argparse
+# too; the rest stay text until `Run.get`, like config-file values.
+OPTIONS = {
+    "config": (None, None, "JSON config file; flags override its keys"),
+    "measure": (None, None, "measure spec (.json) or point cloud (.csv)"),
+    "weight_column": (None, None, "CSV weight column (name or 0-based index)"),
+    "max_cubes": (int, DEFAULT_MAX_CUBES, "cap on enumerated cubes / multiset size"),
+    "out": (None, None, "output file (default: stdout)"),
+    "m": (int, None, "dimension (checked against the measure)"),
+    "sigma": (int, None, "smoothness order"),
+    "p": (parse_extended, None, "source integrability in [1, inf]"),
+    "q": (parse_extended, None, "target integrability in [1, inf]"),
+    "rho": (float, None, "partition exponent; defaults to q*(sigma - m/p)"),
+    "levels": (parse_levels, "4..10", 'level range "a..b"'),
+    "t_grid": (parse_grid, "0:1.5:0.05", 'moment grid "a:b:step"'),
+    "thresholds": (parse_thresholds, None, 'comma list, "a:b:step", or "pow2:a..b"'),
+    "cells_out": (None, None, "optional cell dump CSV"),
+    "max_cells": (int, DEFAULT_MAX_CELLS, "cap on partition cells"),
+    "alpha_grid": (parse_grid, None, 'grid "a:b:step"'),
+    "summary": (None, None, "summary JSON path"),
+    "p_grid": (parse_grid, None, "sweep mode: grid for p"),
+    "q_grid": (parse_grid, None, "sweep mode: grid for q"),
+    "function": (None, "sin", "catalog function: sin, linear, bump, constant"),
+    "depth_offset": (int, 3, "quadrature depth below the finest cell"),
+    "verdict": (None, None, "verdict JSON path"),
+    "n": (int, None, "level of the probed family"),
+    "alpha": (float, None, "goodness exponent"),
+    "seed": (int, 0, "seed for random span elements"),
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _read(path: str, what: str) -> bytes:
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            return fh.read()
     except OSError as exc:
-        raise FileNotFoundError(f"cannot read measure spec {path}: {exc}") from exc
-    if path.endswith(".csv"):
-        return ingest_points(data.decode(), weight_column)
-    return load_measure(data)
+        raise FileNotFoundError(f"cannot read {what}: {exc}") from exc
 
 
-def _cache_path(model: MeasureModel) -> str | None:
-    cache_dir = os.environ.get("WIDTHLAB_CACHE_DIR")
-    if not cache_dir or not isinstance(model, IfsMeasure):
-        return None
-    key = hashlib.sha256(
-        json.dumps(model.to_spec(), sort_keys=True).encode()
-    ).hexdigest()[:24]
-    return os.path.join(cache_dir, f"mass-memo-{key}.pkl")
+class Run:
+    """One invocation: its options (explicit flags over config-file keys),
+    its measure, and where its results go. A value that the option's
+    converter rejects is a ParseError, whichever source it came from.
+    """
 
-
-def _load_cache(model: MeasureModel) -> None:
-    path = _cache_path(model)
-    if path and os.path.exists(path):
+    def __init__(self, args: argparse.Namespace) -> None:
         try:
-            with open(path, "rb") as fh:
-                model._memo.update(pickle.load(fh))
-        except Exception:
-            pass  # cache is best-effort
+            config = json.loads(_read(args.config, "config")) if args.config else {}
+        except ValueError as exc:
+            raise ParseError(f"bad config JSON: {exc}") from exc
+        if not isinstance(config, dict):
+            raise ParseError("bad config JSON: expected an object of option keys")
+        self.values = {**config, **{k: v for k, v in vars(args).items() if v is not None}}
+        path = self.need("measure")
+        data = _read(path, f"measure spec {path}")
+        if path.endswith(".csv"):
+            self.model = ingest_points(data.decode(), self.get("weight_column"))
+        else:
+            self.model = load_measure(data)
+        provenance = {"tool_version": __version__, "measure_spec": self.model.to_spec()}
+        self.config = {**self.values, **provenance}
 
-
-def _save_cache(model: MeasureModel) -> None:
-    path = _cache_path(model)
-    if path:
+    def get(self, key: str):
+        convert, default, _ = OPTIONS[key]
+        value = self.values.get(key)
+        value = default if value is None else value
+        if value is None or convert is None:
+            return value
         try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            with open(path, "wb") as fh:
-                pickle.dump(model._memo, fh)
-        except Exception:
-            pass
+            return convert(value)
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise ParseError(f"malformed {_flag(key)} value {value!r}: {exc}") from exc
 
-
-def _merged(args, config: dict, key: str, default=None):
-    value = getattr(args, key, None)
-    if value is not None:
+    def need(self, key: str):
+        value = self.get(key)
+        if value is None:
+            raise ValidationError(f"missing required option {_flag(key)}")
         return value
-    return config.get(key, default)
+
+    def emit(self, key: str, columns: list[str] | None, data) -> None:
+        """Write CSV rows, or a JSON payload if `columns` is None, to the file
+        named by option `key`; if it is unset, the main result ("out") goes to
+        stdout under the header line, a JSON side result to one stdout line."""
+        path = self.get(key)
+        if path is not None and columns is None:
+            reports.write_json(path, data, self.config)
+        elif path is not None:
+            reports.write_csv(path, columns, data, self.config)
+        elif key != "out":
+            print(json.dumps(data, sort_keys=True))
+        else:
+            print(reports.header_line(self.config))
+            if columns is None:
+                print(json.dumps(data, sort_keys=True, indent=2, default=str))
+                return
+            for row in [columns, *data]:
+                print(",".join(reports._fmt(v) for v in row))
 
 
-def _require(value, name: str):
-    if value is None:
-        raise ValidationError(f"missing required option --{name.replace('_', '-')}")
-    return value
+def _embedding(run: Run) -> EmbeddingParams:
+    m = run.model.m
+    if run.get("m") not in (None, m):
+        raise ValidationError(f"--m {run.get('m')} does not match measure dimension {m}")
+    return EmbeddingParams(m=m, sigma=run.need("sigma"), p=run.need("p"), q=run.need("q"))
 
 
-def _emit_csv(out, columns, rows, config):
-    if out is None:
-        print(reports.header_line(config))
-        print(",".join(columns))
-        for row in rows:
-            print(",".join(reports._fmt(v) for v in row))
-    else:
-        reports.write_csv(out, columns, rows, config)
+def _rho(run: Run) -> float:
+    rho = run.get("rho")
+    if rho is None:
+        rho = _embedding(run).rho
+        if math.isinf(rho):
+            raise ValidationError("q = inf has no finite rho; pass --rho directly")
+    elif rho <= 0:
+        raise ValidationError("--rho must be positive")
+    return rho
 
 
-def _emit_json(out, payload, config):
-    if out is None:
-        print(reports.header_line(config))
-        print(json.dumps(payload, sort_keys=True, indent=2, default=str))
-    else:
-        reports.write_json(out, payload, config)
-
-
-def _embedding(args, config, model) -> EmbeddingParams:
-    m = _merged(args, config, "m", model.m)
-    if int(m) != model.m:
-        raise ValidationError(f"--m {m} does not match measure dimension {model.m}")
-    sigma = int(_require(_merged(args, config, "sigma"), "sigma"))
-    p = parse_extended(_require(_merged(args, config, "p"), "p"))
-    q = parse_extended(_require(_merged(args, config, "q"), "q"))
-    return EmbeddingParams(m=model.m, sigma=sigma, p=p, q=q)
-
-
-def _rho(args, config, model) -> float:
-    rho = _merged(args, config, "rho")
-    if rho is not None:
-        rho = float(rho)
-        if rho <= 0:
-            raise ValidationError("--rho must be positive")
-        return rho
-    params = _embedding(args, config, model)
-    if math.isinf(params.q):
-        raise ValidationError("q = inf has no finite rho; pass --rho directly")
-    return params.rho
-
-
-def _config_dict(args, model) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if v is not None and k != "func"}
-    cfg["tool_version"] = __version__
-    cfg["measure_spec"] = model.to_spec()
-    return cfg
-
-
-# -- subcommand implementations ----------------------------------------------
-
-
-def cmd_spectrum(args, config):
-    model = _load_model(_require(_merged(args, config, "measure"), "measure"),
-                        _merged(args, config, "weight_column"))
-    _load_cache(model)
-    levels = parse_levels(_merged(args, config, "levels", "4..10"))
-    t_grid = parse_grid(_merged(args, config, "t_grid", "0:1.5:0.05"))
-    max_cubes = int(_merged(args, config, "max_cubes", DEFAULT_MAX_CUBES))
-    cfg = _config_dict(args, model)
-    rows = [
-        (n, t, beta_n(model, n, t, max_cubes)) for n in levels for t in t_grid
-    ]
-    _emit_csv(_merged(args, config, "out"), ["n", "t", "beta_n"], rows, cfg)
-    curve = closed_form_spectrum(model)
-    if curve is not None and _merged(args, config, "out") is not None:
+def _spectrum(run: Run) -> None:
+    levels, t_grid, max_cubes = run.get("levels"), run.get("t_grid"), run.get("max_cubes")
+    rows = [(n, t, beta_n(run.model, n, t, max_cubes)) for n in levels for t in t_grid]
+    run.emit("out", ["n", "t", "beta_n"], rows)
+    curve = closed_form_spectrum(run.model)
+    if curve is not None and run.get("out") is not None:
         print(f"closed form available: {curve.label}")
-    _save_cache(model)
-    return EX_OK
 
 
-def cmd_dims(args, config):
-    model = _load_model(_require(_merged(args, config, "measure"), "measure"),
-                        _merged(args, config, "weight_column"))
-    _load_cache(model)
-    levels = parse_levels(_merged(args, config, "levels", "4..10"))
-    max_cubes = int(_merged(args, config, "max_cubes", DEFAULT_MAX_CUBES))
-    est = minkowski(model, levels, max_cubes)
-    cfg = _config_dict(args, model)
-    rows = list(zip(est.levels, est.values))
-    _emit_csv(_merged(args, config, "out"), ["n", "boxdim"], rows, cfg)
-    _save_cache(model)
-    return EX_OK
+def _dims(run: Run) -> None:
+    est = minkowski(run.model, run.get("levels"), run.get("max_cubes"))
+    run.emit("out", ["n", "boxdim"], list(zip(est.levels, est.values)))
 
 
-def cmd_partition(args, config):
-    model = _load_model(_require(_merged(args, config, "measure"), "measure"),
-                        _merged(args, config, "weight_column"))
-    _load_cache(model)
-    rho = _rho(args, config, model)
-    thresholds = parse_thresholds(
-        _require(_merged(args, config, "thresholds"), "thresholds")
-    )
-    max_cells = int(_merged(args, config, "max_cells", DEFAULT_MAX_CELLS))
-    cfg = _config_dict(args, model)
-    rows = []
-    cell_rows = []
-    for t in thresholds:
-        part = build_partition(model, rho, t, max_cells)
-        rows.append((t, part.card, part.min_level, part.max_level, part.max_j))
-        cell_rows.extend((t, str(cell)) for cell in part.cells)
-    _emit_csv(
-        _merged(args, config, "out"),
-        ["t", "card", "min_level", "max_level", "max_j"],
-        rows,
-        cfg,
-    )
-    cells_out = _merged(args, config, "cells_out")
-    if cells_out:
-        reports.write_csv(cells_out, ["t", "cell"], cell_rows, cfg)
+def _partition(run: Run) -> None:
+    rho, thresholds = _rho(run), run.need("thresholds")
+    parts = [build_partition(run.model, rho, t, run.get("max_cells")) for t in thresholds]
+    rows = [(p.t, p.card, p.min_level, p.max_level, p.max_j) for p in parts]
+    run.emit("out", ["t", "card", "min_level", "max_level", "max_j"], rows)
+    if run.get("cells_out"):
+        run.emit("cells_out", ["t", "cell"], [(p.t, str(c)) for p in parts for c in p.cells])
     if len(thresholds) >= 3:
-        try:
-            fit = entropy_slope(model, rho, thresholds, max_cells)
-            print(f"entropy slope estimate: {fit.slope!r}")
-        except SolverError:
-            pass
-    _save_cache(model)
-    return EX_OK
+        with contextlib.suppress(SolverError):
+            print(f"entropy slope estimate: {fit_entropy_slope(parts).slope!r}")
 
 
-def cmd_coarse(args, config):
-    model = _load_model(_require(_merged(args, config, "measure"), "measure"),
-                        _merged(args, config, "weight_column"))
-    _load_cache(model)
-    rho = _rho(args, config, model)
-    levels = parse_levels(_merged(args, config, "levels", "4..10"))
-    alpha_opt = _merged(args, config, "alpha_grid")
-    alpha_grid = parse_grid(alpha_opt) if alpha_opt else default_alpha_grid(model.m, rho)
-    max_cubes = int(_merged(args, config, "max_cubes", DEFAULT_MAX_CUBES))
-    prof = coarse_profile(model, levels, rho, alpha_grid, max_cubes)
-    cfg = _config_dict(args, model)
-    rows = []
-    for i, n in enumerate(prof.levels):
-        for j, alpha in enumerate(prof.alpha_grid):
-            count = prof.counts[i][j]
-            f_est = math.log2(max(count, 1)) / n
-            rows.append((n, alpha, count, f_est))
-    _emit_csv(_merged(args, config, "out"), ["n", "alpha", "count", "F_est"], rows, cfg)
-    summary_out = _merged(args, config, "summary")
-    _emit_json(summary_out, prof.summary(), cfg) if summary_out else print(
-        json.dumps(prof.summary(), sort_keys=True)
-    )
-    _save_cache(model)
-    return EX_OK
+def _coarse(run: Run) -> None:
+    rho, levels = _rho(run), run.get("levels")
+    alpha_grid = run.get("alpha_grid") or default_alpha_grid(run.model.m, rho)
+    prof = coarse_profile(run.model, levels, rho, alpha_grid, run.get("max_cubes"))
+    rows = [(n, alpha, c, math.log2(max(c, 1)) / n)
+            for n, row in zip(prof.levels, prof.counts) for alpha, c in zip(prof.alpha_grid, row)]
+    run.emit("out", ["n", "alpha", "count", "F_est"], rows)
+    run.emit("summary", None, prof.summary())
 
 
-def _order_report(model, params, levels, max_cubes, with_lower=True):
-    curve = closed_form_spectrum(model)
-    if curve is None:
-        curve = empirical_spectrum(model, max(levels), max_cubes=max_cubes)
+def _order(run: Run) -> None:
+    model, levels, max_cubes = run.model, run.get("levels"), run.get("max_cubes")
+    sweep = run.get("p_grid") or run.get("q_grid")
+    if sweep:
+        sigma = run.need("sigma")
+        ps = run.get("p_grid") or [run.need("p")]
+        qs = run.get("q_grid") or [run.need("q")]
+        grid = [EmbeddingParams(m=model.m, sigma=sigma, p=p, q=q) for p in ps for q in qs]
+    else:
+        grid = [_embedding(run)]
+    # the curve and the dimensions do not depend on (p, q); the counts do, via rho
+    curve = closed_form_spectrum(model) or empirical_spectrum(model, max(levels), max_cubes=max_cubes)
     dims = minkowski(model, levels, max_cubes)
-    if not with_lower:
-        return upper_order(params, curve, dims), curve, dims
-    if math.isinf(params.q):
-        return lower_order(params, curve, dims), curve, dims
-    prof = coarse_profile(model, levels, params.rho, max_cubes=max_cubes)
-    return lower_order(params, curve, dims, prof), curve, dims
-
-
-def cmd_order(args, config):
-    model = _load_model(_require(_merged(args, config, "measure"), "measure"),
-                        _merged(args, config, "weight_column"))
-    _load_cache(model)
-    levels = parse_levels(_merged(args, config, "levels", "4..10"))
-    max_cubes = int(_merged(args, config, "max_cubes", DEFAULT_MAX_CUBES))
-    cfg = _config_dict(args, model)
-    p_grid = _merged(args, config, "p_grid")
-    q_grid = _merged(args, config, "q_grid")
-    if p_grid or q_grid:
-        sigma = int(_require(_merged(args, config, "sigma"), "sigma"))
-        ps = parse_grid(p_grid) if p_grid else [parse_extended(_require(_merged(args, config, "p"), "p"))]
-        qs = parse_grid(q_grid) if q_grid else [parse_extended(_require(_merged(args, config, "q"), "q"))]
-        rows = []
-        for p in ps:
-            for q in qs:
-                params = EmbeddingParams(m=model.m, sigma=sigma, p=p, q=q)
-                rep, _, _ = _order_report(model, params, levels, max_cubes)
-                lo, hi = rep.lower["K"]
-                rows.append(
-                    (p, q, rep.upper["K"], rep.upper["G"], rep.upper["L"], lo, hi, rep.case)
-                )
-        _emit_csv(
-            _merged(args, config, "out"),
-            ["p", "q", "uAO_K", "uAO_G", "uAO_L", "lAO_lo", "lAO_hi", "case"],
-            rows,
-            cfg,
-        )
-        _save_cache(model)
-        return EX_OK
-
-    params = _embedding(args, config, model)
-    rep, curve, dims = _order_report(model, params, levels, max_cubes)
-    payload = rep.to_dict()
+    reps = []
+    for params in grid:
+        prof = None
+        if not math.isinf(params.q):
+            prof = coarse_profile(model, levels, params.rho, max_cubes=max_cubes)
+        reps.append(lower_order(params, curve, dims, prof))
+    if sweep:
+        rows = [(r.params.p, r.params.q, *(r.upper[s] for s in "KGL"), *r.lower["K"], r.case)
+                for r in reps]
+        run.emit("out", ["p", "q", "uAO_K", "uAO_G", "uAO_L", "lAO_lo", "lAO_hi", "case"], rows)
+        return
+    payload = reps[0].to_dict()
     if model.finite_support:
-        payload["finite_support_warning"] = (
-            "measure has finite support; asymptotic formulas degenerate"
-        )
-    if not math.isinf(params.q):
-        payload["geometric_bounds"] = list(geometric_bounds(params, curve, dims))
-    _emit_json(_merged(args, config, "out"), payload, cfg)
-    _save_cache(model)
-    return EX_OK
+        payload["finite_support_warning"] = "measure has finite support; asymptotic formulas degenerate"
+    if not math.isinf(grid[0].q):
+        payload["geometric_bounds"] = list(geometric_bounds(grid[0], curve, dims))
+    run.emit("out", None, payload)
 
 
-def cmd_empirical(args, config):
-    model = _load_model(_require(_merged(args, config, "measure"), "measure"),
-                        _merged(args, config, "weight_column"))
-    _load_cache(model)
-    params = _embedding(args, config, model)
-    fname = _merged(args, config, "function", "sin")
-    f = catalog(fname, model.m)
-    thresholds = parse_thresholds(
-        _require(_merged(args, config, "thresholds"), "thresholds")
-    )
-    depth_offset = int(_merged(args, config, "depth_offset", 3))
-    max_cells = int(_merged(args, config, "max_cells", DEFAULT_MAX_CELLS))
-    max_cubes = int(_merged(args, config, "max_cubes", DEFAULT_MAX_CUBES))
+def _empirical(run: Run) -> None:
+    params, fname = _embedding(run), run.get("function")
     result = decay_experiment(
-        f, model, params, thresholds,
-        depth_offset=depth_offset, max_cells=max_cells, max_cubes=max_cubes,
+        catalog(fname, run.model.m), run.model, params, run.need("thresholds"),
+        depth_offset=run.get("depth_offset"), max_cells=run.get("max_cells"),
+        max_cubes=run.get("max_cubes"),
     )
-    cfg = _config_dict(args, model)
-    rows = [
-        (t, card, err, math.log(card), math.log(err) if err > 0 else -math.inf)
-        for t, card, err in result.rows
-    ]
-    _emit_csv(
-        _merged(args, config, "out"),
-        ["t", "card", "error", "logcard", "logerror"],
-        rows,
-        cfg,
-    )
+    rows = [(t, card, err, math.log(card), math.log(err) if err > 0 else -math.inf)
+            for t, card, err in result.rows]
+    run.emit("out", ["t", "card", "error", "logcard", "logerror"], rows)
     verdict = {
         "function": fname,
         "slope": result.slope,
@@ -383,168 +278,72 @@ def cmd_empirical(args, config):
         "pass": result.upper_bound_ok,
         "degenerate": result.degenerate,
     }
-    verdict_out = _merged(args, config, "verdict")
-    _emit_json(verdict_out, verdict, cfg) if verdict_out else print(
-        json.dumps(verdict, sort_keys=True)
+    run.emit("verdict", None, verdict)
+
+
+def _probe(run: Run) -> None:
+    result = packing_probe(
+        run.model, run.need("n"), run.need("alpha"), _embedding(run),
+        seed=run.get("seed"), max_cubes=run.get("max_cubes"),
     )
-    _save_cache(model)
-    return EX_OK
+    payload = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    payload["family"] = [str(c) for c in result.family]
+    payload["family_size"] = len(result.family)
+    run.emit("out", None, payload)
 
 
-def cmd_probe(args, config):
-    model = _load_model(_require(_merged(args, config, "measure"), "measure"),
-                        _merged(args, config, "weight_column"))
-    _load_cache(model)
-    params = _embedding(args, config, model)
-    n = int(_require(_merged(args, config, "n"), "n"))
-    alpha = float(_require(_merged(args, config, "alpha"), "alpha"))
-    seed = int(_merged(args, config, "seed", 0))
-    max_cubes = int(_merged(args, config, "max_cubes", DEFAULT_MAX_CUBES))
-    result = packing_probe(model, n, alpha, params, seed=seed, max_cubes=max_cubes)
-    cfg = _config_dict(args, model)
-    payload = {
-        "n": result.n,
-        "alpha": result.alpha,
-        "family": [str(c) for c in result.family],
-        "family_size": len(result.family),
-        "ratio": result.ratio,
-        "normalized_ratio": result.normalized_ratio,
-        "sobolev_norm": result.sobolev_norm,
-        "lq_norm": result.lq_norm,
-        "operator_checks": [list(c) for c in result.operator_checks],
-        "operator_bound_ok": result.operator_bound_ok,
-    }
-    _emit_json(_merged(args, config, "out"), payload, cfg)
-    _save_cache(model)
-    return EX_OK
+def _validate(run: Run) -> None:
+    print(f"ok: {run.get('measure')} is a valid {type(run.model).__name__} with m={run.model.m}")
 
 
-def cmd_validate(args, config):
-    path = _require(_merged(args, config, "measure"), "measure")
-    model = _load_model(path, _merged(args, config, "weight_column"))
-    print(f"ok: {path} is a valid {type(model).__name__} with m={model.m}")
-    return EX_OK
+COMMON = "config measure weight_column max_cubes out"
+EMBEDDING = "m sigma p q"
+# name: (help, option keys beyond COMMON, compute)
+SUBCOMMANDS = {
+    "spectrum": ("finite-level L^q-spectrum table", "levels t_grid", _spectrum),
+    "dims": ("box-counting dimension estimates", "levels", _dims),
+    "partition": ("adaptive threshold partitions",
+                  f"{EMBEDDING} rho thresholds cells_out max_cells", _partition),
+    "coarse": ("coarse multifractal counts and optimized dims",
+               f"{EMBEDDING} rho levels alpha_grid summary", _coarse),
+    "order": ("approximation-order report", f"{EMBEDDING} levels p_grid q_grid", _order),
+    "empirical": ("projection decay experiment",
+                  f"{EMBEDDING} function thresholds depth_offset max_cells verdict", _empirical),
+    "probe": ("packing lower-bound probe", f"{EMBEDDING} n alpha seed", _probe),
+    "validate": ("validate a measure spec", "", _validate),
+}
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="widthlab", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="widthlab", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"widthlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
-        sp.add_argument("--config", help="JSON config file; flags override its keys")
-        sp.add_argument("--measure", help="measure spec (.json) or point cloud (.csv)")
-        sp.add_argument("--weight-column", dest="weight_column",
-                        help="CSV weight column (name or index)")
-        sp.add_argument("--max-cubes", dest="max_cubes", type=int,
-                        help="cap on enumerated cubes / multiset size")
-        sp.add_argument("--threads", type=int,
-                        help="worker cap (accepted for config parity; "
-                             "the exact-arithmetic kernels run serially)")
-        sp.add_argument("--out", help="output file (default: stdout)")
-
-    def add_embedding(sp, need_rho=False):
-        sp.add_argument("--m", type=int, help="dimension (checked against the measure)")
-        sp.add_argument("--sigma", type=int, help="smoothness order")
-        sp.add_argument("--p", help="source integrability in [1, inf]")
-        sp.add_argument("--q", help="target integrability in [1, inf]")
-        if need_rho:
-            sp.add_argument("--rho", type=float,
-                            help="partition exponent; defaults to q*(sigma - m/p)")
-
-    sp = sub.add_parser("spectrum", help="finite-level L^q-spectrum table")
-    add_common(sp)
-    sp.add_argument("--levels", help='level range "a..b"')
-    sp.add_argument("--t-grid", dest="t_grid", help='moment grid "a:b:step"')
-    sp.set_defaults(func=cmd_spectrum)
-
-    sp = sub.add_parser("dims", help="box-counting dimension estimates")
-    add_common(sp)
-    sp.add_argument("--levels", help='level range "a..b"')
-    sp.set_defaults(func=cmd_dims)
-
-    sp = sub.add_parser("partition", help="adaptive threshold partitions")
-    add_common(sp)
-    add_embedding(sp, need_rho=True)
-    sp.add_argument("--thresholds", help='comma list, "a:b:step", or "pow2:a..b"')
-    sp.add_argument("--cells-out", dest="cells_out", help="optional cell dump CSV")
-    sp.add_argument("--max-cells", dest="max_cells", type=int)
-    sp.set_defaults(func=cmd_partition)
-
-    sp = sub.add_parser("coarse", help="coarse multifractal counts and optimized dims")
-    add_common(sp)
-    add_embedding(sp, need_rho=True)
-    sp.add_argument("--levels", help='level range "a..b"')
-    sp.add_argument("--alpha-grid", dest="alpha_grid", help='grid "a:b:step"')
-    sp.add_argument("--summary", help="summary JSON path")
-    sp.set_defaults(func=cmd_coarse)
-
-    sp = sub.add_parser("order", help="approximation-order report")
-    add_common(sp)
-    add_embedding(sp)
-    sp.add_argument("--levels", help="levels for dimension/coarse estimates")
-    sp.add_argument("--p-grid", dest="p_grid", help="sweep mode: grid for p")
-    sp.add_argument("--q-grid", dest="q_grid", help="sweep mode: grid for q")
-    sp.set_defaults(func=cmd_order)
-
-    sp = sub.add_parser("empirical", help="projection decay experiment")
-    add_common(sp)
-    add_embedding(sp)
-    sp.add_argument("--function", help="catalog function: sin, linear, bump, constant")
-    sp.add_argument("--thresholds", help='comma list, "a:b:step", or "pow2:a..b"')
-    sp.add_argument("--depth-offset", dest="depth_offset", type=int)
-    sp.add_argument("--max-cells", dest="max_cells", type=int)
-    sp.add_argument("--verdict", help="verdict JSON path")
-    sp.set_defaults(func=cmd_empirical)
-
-    sp = sub.add_parser("probe", help="packing lower-bound probe")
-    add_common(sp)
-    add_embedding(sp)
-    sp.add_argument("--n", type=int, help="level of the probed family")
-    sp.add_argument("--alpha", type=float, help="goodness exponent")
-    sp.add_argument("--seed", type=int, help="seed for random span elements")
-    sp.set_defaults(func=cmd_probe)
-
-    sp = sub.add_parser("validate", help="validate a measure spec")
-    add_common(sp)
-    sp.set_defaults(func=cmd_validate)
-
+    for name, (help_text, keys, _) in SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for key in f"{COMMON} {keys}".split():
+            convert, _, help_text = OPTIONS[key]
+            typed = convert if convert in (int, float) else None
+            sp.add_argument(_flag(key), type=typed, help=help_text)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else EX_USAGE
-    config = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                config = json.load(fh)
-        except OSError as exc:
-            sys.stderr.write(f"widthlab: cannot read config: {exc}\n")
-            return EX_NOINPUT
-        except json.JSONDecodeError as exc:
-            sys.stderr.write(f"widthlab: bad config JSON: {exc}\n")
-            return EX_FAIL
-    threads = getattr(args, "threads", None) or config.get("threads")
-    if threads is not None and int(threads) < 1:
-        sys.stderr.write("widthlab: --threads must be >= 1\n")
-        return EX_USAGE
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EX_USAGE if exc.code == 2 else exc.code
     try:
-        return args.func(args, config)
+        SUBCOMMANDS[args.command][2](Run(args))
+        return EX_OK
     except FileNotFoundError as exc:
-        sys.stderr.write(f"widthlab: {exc}\n")
-        return EX_NOINPUT
+        message, code = str(exc), EX_NOINPUT
     except ResourceLimitError as exc:
-        sys.stderr.write(f"widthlab: resource cap: {exc}\n")
-        return EX_RESOURCE
-    except (ValidationError, ParseError, SolverError) as exc:
-        sys.stderr.write(f"widthlab: {exc}\n")
-        return EX_FAIL
+        message, code = f"resource cap: {exc}", EX_RESOURCE
+    except WidthlabError as exc:
+        message, code = str(exc), EX_FAIL
+    sys.stderr.write(f"widthlab: {message}\n")
+    return code
 
 
 if __name__ == "__main__":

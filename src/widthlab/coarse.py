@@ -45,12 +45,18 @@ def count_alpha_good(
         raise ValidationError("alpha must be positive")
     if n < 1:
         raise ValidationError("count needs level n >= 1")
-    threshold = (rho - alpha) * n  # log2(mass) >= (rho - alpha) * n
-    return sum(
-        count
-        for mass, count in model.level_masses(n, max_cubes).items()
-        if frac_log2(mass) >= threshold
-    )
+    return _count_good(_log_masses(model, n, max_cubes), n, rho, alpha)
+
+
+def _log_masses(model: MeasureModel, n: int, max_cubes: int) -> list[tuple[float, int]]:
+    """(log2 mass, count) over the level-n mass multiset."""
+    return [(frac_log2(mass), count) for mass, count in model.level_masses(n, max_cubes).items()]
+
+
+def _count_good(log_masses, n: int, rho: float, alpha: float) -> int:
+    """Cubes with J_rho(Q) >= 2^(-alpha*n), i.e. log2(mass) >= (rho - alpha) * n."""
+    threshold = (rho - alpha) * n
+    return sum(count for log_mass, count in log_masses if log_mass >= threshold)
 
 
 def default_alpha_grid(m: int, rho: float, step: Fraction = Fraction(1, 20)):
@@ -115,18 +121,11 @@ def coarse_profile(
     if not alpha_grid:
         raise ValidationError("coarse profile needs a nonempty alpha grid")
 
-    multisets = {n: model.level_masses(n, max_cubes) for n in levels}
-    log_masses = {
-        n: [(frac_log2(mass), count) for mass, count in ms.items()]
-        for n, ms in multisets.items()
-    }
-    counts = []
-    for n in levels:
-        row = []
-        for alpha in alpha_grid:
-            threshold = (rho - alpha) * n
-            row.append(sum(c for lm, c in log_masses[n] if lm >= threshold))
-        counts.append(tuple(row))
+    log_masses = {n: _log_masses(model, n, max_cubes) for n in levels}
+    counts = [
+        tuple(_count_good(log_masses[n], n, rho, alpha) for alpha in alpha_grid)
+        for n in levels
+    ]
 
     f_upper, f_lower = [], []
     for j in range(len(alpha_grid)):

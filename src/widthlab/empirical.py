@@ -22,12 +22,13 @@ from .functions import (
     MappedBump,
     TestFunction,
     finite_difference_partial,
+    monomials,
     multi_indices,
 )
 from .measures import DEFAULT_MAX_CUBES, MeasureModel
 from .orders import EmbeddingParams, upper_order
 from .partition import DEFAULT_MAX_CELLS, PartitionResult, build_partition
-from .quadrature import composite_unit_integral, composite_unit_nodes, unit_rule
+from .quadrature import composite_unit_norm, unit_rule
 from .spectrum import closed_form_spectrum, empirical_spectrum
 
 logger = logging.getLogger(__name__)
@@ -40,21 +41,6 @@ def polynomial_space_dim(m: int, sigma: int) -> int:
 
 def _default_npts(degree: int) -> int:
     return max(2 * (degree + 1), 8)
-
-
-def _eval_monomials(exps: np.ndarray, coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Evaluate sum_j coeffs[j] * y^exps[j] at unit-cell points y (N, m)."""
-    y = np.atleast_2d(y)
-    out = np.zeros(y.shape[0])
-    for k, c in zip(exps, coeffs):
-        if c == 0.0:
-            continue
-        term = np.full(y.shape[0], c)
-        for i, e in enumerate(k):
-            if e:
-                term = term * y[:, i] ** e
-        out += term
-    return out
 
 
 def moment_project(
@@ -86,13 +72,7 @@ def moment_project(
     fvals = np.asarray(f(lower + side * pts), dtype=float)
     if not np.all(np.isfinite(fvals)):
         raise SolverError(f"non-finite function values on cube {cube}")
-    rhs = np.empty(kdim)
-    for a in range(kdim):
-        mono = np.ones(len(pts))
-        for i, e in enumerate(exps[a]):
-            if e:
-                mono = mono * pts[:, i] ** e
-        rhs[a] = float(np.dot(wts, mono * fvals))
+    rhs = monomials(exps, pts).T @ (wts * fvals)
 
     cond = np.linalg.cond(gram)
     logger.debug("moment gram: m=%d degree=%d cond=%.3e", m, degree, cond)
@@ -140,7 +120,7 @@ class PiecewisePolynomial:
                     side = float(cell.side)
                     lower = np.array([float(v) for v in cell.lower()])
                     y = (x - lower) / side
-                    out[j] = _eval_monomials(self.exponents, self.coeffs[row], y)[0]
+                    out[j] = (monomials(self.exponents, y) @ self.coeffs[row])[0]
                     break
         return out
 
@@ -189,7 +169,7 @@ def lq_error(
         side = float(cell.side)
         lower = np.array([float(v) for v in cell.lower()])
         y = (centers[idxs] - lower) / side
-        avals[idxs] = _eval_monomials(approx.exponents, approx.coeffs[row], y)
+        avals[idxs] = monomials(approx.exponents, y) @ approx.coeffs[row]
 
     diff = np.abs(fvals - avals)
     if math.isinf(q):
@@ -301,13 +281,7 @@ def sobolev_seminorm(
         raise ValidationError("dimension m required for plain callables")
     npts = npts or _default_npts(sigma)
     grad = _gradient_magnitude(u, sigma, m, fd_step=0.5**resolution)
-    if math.isinf(p):
-        nodes = composite_unit_nodes(m, resolution, npts)
-        return float(np.max(grad(nodes)))
-    integral = composite_unit_integral(
-        lambda pts: grad(pts) ** p, m, resolution, npts
-    )
-    return float(integral ** (1.0 / p))
+    return composite_unit_norm(grad, m, resolution, npts, p)
 
 
 def scaling_check(
@@ -324,24 +298,12 @@ def scaling_check(
     """
     m = cube.m
     side = float(cube.side)
-    lower = np.array([float(x) for x in cube.lower()])
     npts = _default_npts(sigma)
     grad = _gradient_magnitude(u, sigma, m, fd_step=0.5 ** (resolution + 4))
-
-    def grad_uq(pts):  # |grad_sigma (u o phi^{-1})|(x) = side^-sigma |grad_sigma u|(y)
-        y = (np.atleast_2d(pts) - lower) / side
-        return side ** (-sigma) * grad(y)
-
-    if math.isinf(p):
-        nodes_q = lower + side * composite_unit_nodes(m, resolution, npts)
-        lhs = float(np.max(grad_uq(nodes_q)))
-        rhs_norm = sobolev_seminorm(u, sigma, p, resolution + 1, npts + 3, m=m)
-    else:
-        integral = composite_unit_integral(
-            lambda y: (side ** (-sigma) * grad(y)) ** p, m, resolution, npts
-        ) * side**m
-        lhs = float(integral ** (1.0 / p))
-        rhs_norm = sobolev_seminorm(u, sigma, p, resolution + 1, npts + 3, m=m)
+    # |grad_sigma (u o phi^{-1})|(x) = side^-sigma |grad_sigma u|(y) on x = phi(y),
+    # and dx = side^m dy (m/p = 0 for p = inf)
+    lhs = side ** (m / p - sigma) * composite_unit_norm(grad, m, resolution, npts, p)
+    rhs_norm = sobolev_seminorm(u, sigma, p, resolution + 1, npts + 3, m=m)
     rho_hat = sigma - (0.0 if math.isinf(p) else m / p)
     rhs = float(cube.volume) ** (-rho_hat / m) * rhs_norm
     return lhs / rhs

@@ -50,15 +50,7 @@ class Polynomial(TestFunction):
         self.name = name or f"poly(deg={self.poly_degree})"
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.zeros(pts.shape[0])
-        for k, c in self.coeffs.items():
-            term = np.full(pts.shape[0], c)
-            for i, e in enumerate(k):
-                if e:
-                    term = term * pts[:, i] ** e
-            out += term
-        return out
+        return monomials(list(self.coeffs), pts) @ np.array(list(self.coeffs.values()))
 
     def partial(self, multi_index):
         new: dict[tuple[int, ...], float] = {}
@@ -284,6 +276,12 @@ def multi_indices(m: int, max_total: int) -> list[tuple[int, ...]]:
     ]
     out.sort(key=lambda k: (sum(k), k))
     return out
+
+
+def monomials(exponents, pts) -> np.ndarray:
+    """The (N, K) matrix of pts^k for points (N, m) and exponent rows k (K, m)."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    return np.prod(pts[:, None, :] ** np.asarray(exponents)[None, :, :], axis=2)
 
 
 def finite_difference_partial(f, multi_index, step: float):

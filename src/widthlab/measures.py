@@ -138,12 +138,6 @@ class AtomicMeasure(MeasureModel):
             agg[cube] = agg.get(cube, Fraction(0)) + w
         return sorted(agg.items(), key=lambda cm: cm[0].index)
 
-    def level_masses(self, n, max_cubes=DEFAULT_MAX_CUBES):
-        out: dict[Mass, int] = {}
-        for _, mu in self.enumerate_positive(n, max_cubes):
-            out[mu] = out.get(mu, 0) + 1
-        return out
-
     def to_spec(self) -> dict:
         return {
             "type": "atomic",
@@ -495,8 +489,11 @@ def _looks_numeric(token: str) -> bool:
 def ingest_points(rows, weight_column=None) -> AtomicMeasure:
     """Build an atomic model from CSV rows of coordinates in (0,1).
 
-    `weight_column` may be a header name or a 0-based column index; without
-    it every point gets weight 1/N. Weights are normalized to total mass 1.
+    `weight_column` may be a header name or a 0-based column index, given as
+    an int or as a string of digits that names no header column (so headerless
+    input can carry weights too); without it every point gets weight 1/N.
+    Weights are normalized to total mass 1. An index beyond a row's last field
+    is a ParseError.
     """
     if isinstance(rows, (str, bytes)):
         rows = io.StringIO(rows.decode() if isinstance(rows, bytes) else rows)
@@ -514,15 +511,19 @@ def ingest_points(rows, weight_column=None) -> AtomicMeasure:
 
     widx = None
     if weight_column is not None:
-        if isinstance(weight_column, str):
-            if header is None or weight_column not in header:
-                raise ParseError(f"weight column {weight_column!r} not found in header")
+        if header is not None and weight_column in header:
             widx = header.index(weight_column)
-        else:
+        elif str(weight_column).strip().isdecimal():
             widx = int(weight_column)
+        else:
+            raise ParseError(f"weight column {weight_column!r} not found in header")
 
     points, weights = [], []
     for lineno, row in enumerate(records, start=1):
+        if widx is not None and widx >= len(row):
+            raise ParseError(
+                f"weight column {widx} is beyond the {len(row)} fields of CSV row {lineno}"
+            )
         coords = []
         for j, tok in enumerate(row):
             if not _looks_numeric(tok):

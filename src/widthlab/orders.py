@@ -148,6 +148,16 @@ def upper_S(
     cross_check: bool = True,
 ) -> float:
     """S_upper: 1/(q*s_rho) for finite q, rho_hat/upper-dim for q = inf."""
+    return _solve_S(curve, dims, params, cross_check)[1]
+
+
+def _solve_S(
+    curve: SpectrumCurve,
+    dims: Optional[DimensionEstimate],
+    params: EmbeddingParams,
+    cross_check: bool,
+) -> tuple[Optional[float], float]:
+    """(s_rho, S_upper), solving for s_rho once; s_rho is None for q = inf."""
     if math.isinf(params.q):
         if dims is None:
             raise ValidationError("q = inf needs a dimension estimate")
@@ -155,7 +165,7 @@ def upper_S(
             raise SolverError(
                 "upper box dimension estimate is 0 (degenerate finite-support measure)"
             )
-        return params.rho_hat / dims.window_max
+        return None, params.rho_hat / dims.window_max
     s = s_b_solve(curve, params.rho)
     if s <= 0:
         raise SolverError(
@@ -176,7 +186,7 @@ def upper_S(
             raise SolverError(
                 f"S_upper cross-check failed: 1/S={1.0 / value} vs {t_star}"
             )
-    return value
+    return s, value
 
 
 @dataclass
@@ -221,8 +231,7 @@ def upper_order(
 ) -> OrderReport:
     """Upper approximation orders -S_upper + e_star for all three widths."""
     p, q = params.p, params.q
-    s_rho = None if math.isinf(params.q) else s_b_solve(curve, params.rho)
-    S = upper_S(curve, dims, params)
+    s_rho, S = _solve_S(curve, dims, params, cross_check=True)
     exps = {star: width_exponent(star, p, q) for star in STARS}
     if abs(exps["L"] - max(exps["K"], exps["G"])) > _TABLE_TOL:
         raise SolverError("linear exponent is not the max of K and G exponents")

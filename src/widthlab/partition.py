@@ -106,25 +106,30 @@ def entropy_slope(
 ) -> EntropySlopeResult:
     """Least-squares slope of log card(P_t) against -log t.
 
+    Builds the partition of every threshold and fits them with
+    `fit_entropy_slope`.
+    """
+    return fit_entropy_slope(
+        [build_partition(model, rho, float(t), max_cells) for t in t_sequence]
+    )
+
+
+def fit_entropy_slope(partitions) -> EntropySlopeResult:
+    """Least-squares slope of log card(P_t) against -log t over built partitions.
+
     Degenerate partitions are excluded; at least three usable thresholds
     spanning at least three decades are required.
     """
-    rows = []
-    fit_ts, xs, ys = [], [], []
-    for t in t_sequence:
-        part = build_partition(model, rho, float(t), max_cells)
-        rows.append((float(t), part.card, part.min_level, part.max_level, part.max_j))
-        if part.degenerate:
-            continue
-        fit_ts.append(float(t))
-        xs.append(-math.log(float(t)))
-        ys.append(math.log(part.card))
-    if len(fit_ts) < 3:
+    rows = tuple((p.t, p.card, p.min_level, p.max_level, p.max_j) for p in partitions)
+    usable = [p for p in partitions if not p.degenerate]
+    if len(usable) < 3:
         raise SolverError("entropy slope needs >= 3 non-degenerate thresholds")
-    span = max(fit_ts) / min(fit_ts)
+    span = max(p.t for p in usable) / min(p.t for p in usable)
     if span < 1e3:
         raise SolverError(
             f"usable thresholds span a factor {span:.3g} < 1e3 (three decades required)"
         )
+    xs = [-math.log(p.t) for p in usable]
+    ys = [math.log(p.card) for p in usable]
     slope = float(np.polyfit(xs, ys, 1)[0])
-    return EntropySlopeResult(slope=slope, rows=tuple(rows))
+    return EntropySlopeResult(slope=slope, rows=rows)

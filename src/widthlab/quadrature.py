@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -36,25 +37,20 @@ def integrate_on_cell(f, cube: DyadicCube, npts: int) -> float:
     return side**cube.m * float(np.dot(wts, vals))
 
 
-def composite_unit_integral(f, m: int, subdivisions: int, npts: int) -> float:
-    """Integral over the unit cube, composite over a 2^subdivisions grid."""
+def composite_unit_norm(f, m: int, subdivisions: int, npts: int, p: float) -> float:
+    """L^p norm of f over the unit cube, composite over a 2^subdivisions grid.
+
+    For p = inf it is the maximum of |f| over the composite-rule nodes. The
+    cells are visited one at a time, so no array holds every node at once.
+    """
     pts, wts = unit_rule(m, npts)
     side = 0.5**subdivisions
-    total = 0.0
-    cells = itertools.product(range(1 << subdivisions), repeat=m)
-    for idx in cells:
-        lower = np.array(idx, dtype=float) * side
-        vals = np.asarray(f(lower + side * pts), dtype=float)
-        total += float(np.dot(wts, vals))
-    return total * side**m
-
-
-def composite_unit_nodes(m: int, subdivisions: int, npts: int) -> np.ndarray:
-    """All composite-rule nodes, for max-norm style evaluations."""
-    pts, _ = unit_rule(m, npts)
-    side = 0.5**subdivisions
-    blocks = []
+    acc = 0.0
     for idx in itertools.product(range(1 << subdivisions), repeat=m):
         lower = np.array(idx, dtype=float) * side
-        blocks.append(lower + side * pts)
-    return np.vstack(blocks)
+        vals = np.abs(np.asarray(f(lower + side * pts), dtype=float))
+        if math.isinf(p):
+            acc = max(acc, float(vals.max()))
+        else:
+            acc += float(np.dot(wts, vals**p))
+    return acc if math.isinf(p) else float((acc * side**m) ** (1.0 / p))
