@@ -31,7 +31,7 @@ from .functions import catalog
 from .measures import DEFAULT_MAX_CUBES, ingest_points, load_measure
 from .orders import EmbeddingParams, geometric_bounds, lower_order
 from .partition import DEFAULT_MAX_CELLS, build_partition, fit_entropy_slope
-from .spectrum import beta_n, closed_form_spectrum, empirical_spectrum, minkowski
+from .spectrum import beta_row, closed_form_spectrum, empirical_spectrum, minkowski
 
 EX_OK = 0
 EX_FAIL = 1
@@ -195,7 +195,8 @@ def _rho(run: Run) -> float:
 
 def _spectrum(run: Run) -> None:
     levels, t_grid, max_cubes = run.get("levels"), run.get("t_grid"), run.get("max_cubes")
-    rows = [(n, t, beta_n(run.model, n, t, max_cubes)) for n in levels for t in t_grid]
+    rows = [(n, t, value) for n in levels
+            for t, value in zip(t_grid, beta_row(run.model, n, t_grid, max_cubes))]
     run.emit("out", ["n", "t", "beta_n"], rows)
     curve = closed_form_spectrum(run.model)
     if curve is not None and run.get("out") is not None:
@@ -257,7 +258,7 @@ def _order(run: Run) -> None:
     if model.finite_support:
         payload["finite_support_warning"] = "measure has finite support; asymptotic formulas degenerate"
     if not math.isinf(grid[0].q):
-        payload["geometric_bounds"] = list(geometric_bounds(grid[0], curve, dims))
+        payload["geometric_bounds"] = list(geometric_bounds(grid[0], reps[0].S_upper, dims))
     run.emit("out", None, payload)
 
 

@@ -1,9 +1,9 @@
 """Coarse multifractal counts, optimized dimensions, and separated families.
 
 The partition function J_rho(Q) = nu(Q) * vol(Q)^(rho/m) drives both the
-alpha-good counts N_{rho,n}(alpha) and the adaptive partition. Counts come
-from the exact per-level mass multiset, so levels far beyond what full
-enumeration could reach stay cheap.
+alpha-good counts N_{rho,n}(alpha) and the adaptive partition. Counts read
+the level view `spectrum.level_log_masses` of the exact mass multiset, so
+levels far beyond what full enumeration could reach stay cheap.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from fractions import Fraction
 from .cubes import DyadicCube, neighbors
 from .errors import ValidationError
 from .measures import DEFAULT_MAX_CUBES, MeasureModel
-from .spectrum import frac_log2
+from .spectrum import frac_log2, level_log_masses
 
 
 def j_log2(model: MeasureModel, cube: DyadicCube, rho: float) -> float:
@@ -45,12 +45,7 @@ def count_alpha_good(
         raise ValidationError("alpha must be positive")
     if n < 1:
         raise ValidationError("count needs level n >= 1")
-    return _count_good(_log_masses(model, n, max_cubes), n, rho, alpha)
-
-
-def _log_masses(model: MeasureModel, n: int, max_cubes: int) -> list[tuple[float, int]]:
-    """(log2 mass, count) over the level-n mass multiset."""
-    return [(frac_log2(mass), count) for mass, count in model.level_masses(n, max_cubes).items()]
+    return _count_good(level_log_masses(model, n, max_cubes), n, rho, alpha)
 
 
 def _count_good(log_masses, n: int, rho: float, alpha: float) -> int:
@@ -121,7 +116,7 @@ def coarse_profile(
     if not alpha_grid:
         raise ValidationError("coarse profile needs a nonempty alpha grid")
 
-    log_masses = {n: _log_masses(model, n, max_cubes) for n in levels}
+    log_masses = {n: level_log_masses(model, n, max_cubes) for n in levels}
     counts = [
         tuple(_count_good(log_masses[n], n, rho, alpha) for alpha in alpha_grid)
         for n in levels

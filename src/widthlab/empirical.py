@@ -4,6 +4,12 @@ Lebesgue integrals use tensor Gauss-Legendre of order max(2*sigma, 8) per
 cell; integrals against the measure use cube-mass times center-value at a
 configurable depth, the only generic rule consistent with singular measures
 (masses are exact; no density exists).
+
+Its nodes are the positive cubes at depth D, kept as integer indices l, with
+centres (2l + 1) 2^-(D+1) rounded to float once. A node lies in the cell of
+level L and index l >> (D - L), so `PiecewisePolynomial.locate` is exact at
+every depth, where float centres fail once D >= 53; one batched
+evaluation serves both the nodes and the caller points of `evaluate`.
 """
 from __future__ import annotations
 
@@ -90,39 +96,57 @@ class PiecewisePolynomial:
 
     def __post_init__(self):
         self.exponents = np.array(multi_indices(self.m, self.degree), dtype=int)
-        self._by_key = {
-            (c.level, c.index): i for i, c in enumerate(self.cells)
-        }
-        self.min_level = min(c.level for c in self.cells)
-        self.max_level = max(c.level for c in self.cells)
+        self._by_key = {(c.level, c.index): i for i, c in enumerate(self.cells)}
+        self.levels = sorted({c.level for c in self.cells})
+        self.min_level, self.max_level = self.levels[0], self.levels[-1]
+        self._lower = np.array([[float(x) for x in c.lower()] for c in self.cells])
+        self._side = np.array([float(c.side) for c in self.cells])
 
-    def cell_row(self, cube: DyadicCube) -> Optional[int]:
-        """Row of the cell containing `cube` (by ancestor lookup), if any."""
-        for level in range(self.min_level, min(cube.level, self.max_level) + 1):
-            row = self._by_key.get((level, cube.ancestor(level).index))
-            if row is not None:
-                return row
-        return None
+    def locate(self, depth: int, index: np.ndarray) -> np.ndarray:
+        """Row of the cell holding each level-`depth` cube of integer `index`
+        (N, m), or -1: the level-L cell of index `index >> (depth - L)`,
+        coarsest level first, in exact integer arithmetic."""
+        rows = np.full(len(index), -1)
+        for level in self.levels:
+            keys = (index >> (depth - level)).tolist()
+            found = np.array([self._by_key.get((level, tuple(k)), -1) for k in keys], dtype=int)
+            rows = np.where(rows < 0, found, rows)
+        return rows
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        """Pointwise values; zero outside the union of cells (half-open)."""
+        """Pointwise values; zero outside the union of cells (half-open).
+
+        A point is located through its exact level-max_level index
+        ceil(x * 2^L) - 1."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        index = np.frompyfunc(int, 1, 1)(np.ceil(pts * 2.0**self.max_level)) - 1
+        return self._values(pts, self.locate(self.max_level, index))
+
+    def _values(self, pts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Values at points already located to `rows` (-1: outside every cell)."""
         out = np.zeros(pts.shape[0])
-        for j, x in enumerate(pts):
-            for level in range(self.min_level, self.max_level + 1):
-                scale = 1 << level
-                idx = tuple(int(np.ceil(v * scale)) - 1 for v in x)
-                if any(i < 0 or i >= scale for i in idx):
-                    continue
-                row = self._by_key.get((level, idx))
-                if row is not None:
-                    cell = self.cells[row]
-                    side = float(cell.side)
-                    lower = np.array([float(v) for v in cell.lower()])
-                    y = (x - lower) / side
-                    out[j] = (monomials(self.exponents, y) @ self.coeffs[row])[0]
-                    break
+        hit = rows >= 0
+        r = rows[hit]
+        y = (pts[hit] - self._lower[r]) / self._side[r, None]
+        out[hit] = np.einsum("nk,nk->n", monomials(self.exponents, y), self.coeffs[r])
         return out
+
+
+def _nodes(model: MeasureModel, depth: int, max_cubes: int):
+    """Python-int indices (N, m), float centres (2 index + 1) 2^-(depth+1)
+    and float masses of the positive level-`depth` cubes."""
+    positive = model.enumerate_positive(depth, max_cubes)
+    index = np.array([c.index for c, _ in positive], dtype=object).reshape(len(positive), model.m)
+    centers = ((2 * index + 1) * 2.0 ** -(depth + 1)).astype(float)
+    return index, centers, np.array([float(mu) for _, mu in positive])
+
+
+def _lq_norm(masses: np.ndarray, values: np.ndarray, q: float) -> float:
+    """L^q_nu norm of values at the nodes of `masses` (the max |value| for q = inf)."""
+    diff = np.abs(values)
+    if math.isinf(q):
+        return float(diff.max())
+    return float(np.dot(masses, diff**q) ** (1.0 / q))
 
 
 def piecewise_project(
@@ -150,32 +174,11 @@ def lq_error(
         raise ValidationError(
             f"quadrature depth {depth} below max cell level + 2 = {approx.max_level + 2}"
         )
-    positive = model.enumerate_positive(depth, max_cubes)
-    if not positive:
+    index, centers, masses = _nodes(model, depth, max_cubes)
+    if not len(masses):
         raise SolverError("measure has no positive cubes at quadrature depth")
-    centers = np.array(
-        [[float(x) for x in cube.center()] for cube, _ in positive], dtype=float
-    )
     fvals = np.asarray(f(centers), dtype=float)
-
-    avals = np.zeros(len(positive))
-    rows: dict[int, list[int]] = {}
-    for j, (cube, _) in enumerate(positive):
-        row = approx.cell_row(cube)
-        if row is not None:
-            rows.setdefault(row, []).append(j)
-    for row, idxs in rows.items():
-        cell = approx.cells[row]
-        side = float(cell.side)
-        lower = np.array([float(v) for v in cell.lower()])
-        y = (centers[idxs] - lower) / side
-        avals[idxs] = monomials(approx.exponents, y) @ approx.coeffs[row]
-
-    diff = np.abs(fvals - avals)
-    if math.isinf(q):
-        return float(diff.max())
-    masses = np.array([float(mu) for _, mu in positive])
-    return float(np.dot(masses, diff**q) ** (1.0 / q))
+    return _lq_norm(masses, fvals - approx._values(centers, approx.locate(depth, index)), q)
 
 
 @dataclass(frozen=True)
@@ -376,18 +379,8 @@ def packing_probe(
     ]
     norm_u = sobolev_seminorm(bump, sigma, p, resolution=5)
 
-    depth = n + depth_offset
-    positive = model.enumerate_positive(depth, max_cubes)
-    centers = np.array(
-        [[float(x) for x in cube.center()] for cube, _ in positive], dtype=float
-    )
-    masses = np.array([float(mu) for _, mu in positive])
+    _, centers, masses = _nodes(model, n + depth_offset, max_cubes)
     bump_vals = np.vstack([b(centers) for b in bumps])  # (family, ncubes)
-
-    def lq_norm_of(values: np.ndarray) -> float:
-        if math.isinf(q):
-            return float(np.max(np.abs(values)))
-        return float(np.dot(masses, np.abs(values) ** q) ** (1.0 / q))
 
     def sobolev_norm_of(a: np.ndarray) -> float:
         scale = (3.0 * float(family[0].side)) ** (-params.rho_hat)
@@ -397,7 +390,7 @@ def packing_probe(
 
     ones = np.ones(len(family))
     g_vals = ones @ bump_vals
-    lq_g = lq_norm_of(g_vals)
+    lq_g = _lq_norm(masses, g_vals, q)
     sob_g = sobolev_norm_of(ones)
     ratio = lq_g / sob_g
     normalized = ratio * 2.0 ** (alpha * n / q)
@@ -419,8 +412,8 @@ def packing_probe(
     bound = 3.0**m
     for a in [ones] + [rng.standard_normal(len(family)) for _ in range(n_random)]:
         vals = a @ bump_vals
-        lhs = lq_norm_of(apply_averaging(vals))
-        rhs = bound * lq_norm_of(vals)
+        lhs = _lq_norm(masses, apply_averaging(vals), q)
+        rhs = bound * _lq_norm(masses, vals, q)
         checks.append((lhs, rhs))
         if lhs > rhs * (1.0 + 1e-9):
             all_ok = False

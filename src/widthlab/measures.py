@@ -6,8 +6,13 @@ self-similar (IFS) measures, and products of lower-dimensional models.
 Masses are kept as `fractions.Fraction` throughout; probabilities written as
 decimals in spec files parse exactly, so no floating-point fallback is needed.
 
+An IFS level-n multiset {mass: count} needs no tree walk, n = 0 included:
+the images are disjoint, so a positive level-n cube either lies in an image of
+level k <= n, with mass p times a mass of the level-(n - k) multiset, or holds
+deeper images only, with mass the sum of their p (Cawley & Mauldin 1992).
+
 Models are immutable after construction. Mass evaluation is pure; the IFS
-memo table is a plain dict guarded by the GIL, safe for concurrent readers.
+memo tables are plain dicts guarded by the GIL, safe for concurrent readers.
 """
 from __future__ import annotations
 
@@ -250,7 +255,6 @@ class IfsMeasure(MeasureModel):
         self._images = tuple(images)
         self._memo: dict[tuple[int, tuple[int, ...]], Fraction] = {}
         self._multisets: dict[int, dict[Mass, int]] = {}
-        self._max_k = max(mp.ratio_log2 for mp in maps)
 
     @property
     def common_ratio_log2(self) -> int | None:
@@ -294,54 +298,32 @@ class IfsMeasure(MeasureModel):
         return Fraction(0)
 
     def level_masses(self, n, max_cubes=DEFAULT_MAX_CUBES):
-        shift = self.embed_shift
-        if shift is not None:
-            if n <= shift.ratio_log2:
-                return {Fraction(1): 1}
-            n = n - shift.ratio_log2
-        return dict(self._level_masses_base(n, max_cubes))
+        k = 0 if self.embed_shift is None else self.embed_shift.ratio_log2
+        return {Fraction(1): 1} if n < k else dict(self._level_masses_base(n - k, max_cubes))
 
     def _level_masses_base(self, n, max_cubes):
-        # For n >= max ratio_log2, every positive cube sits inside exactly one
-        # image cube, so the multiset telescopes; shallower levels are walked.
-        cached = self._multisets.get(n)
-        if cached is not None:
-            return cached
-        if n < self._max_k:
-            out: dict[Mass, int] = {}
-            for _, mu in self._enumerate_base(n, max_cubes):
-                out[mu] = out.get(mu, 0) + 1
-        else:
+        # the IFS multiset rule of the module docstring
+        out = self._multisets.get(n)
+        if out is None:
             out = {}
+            holders: dict[DyadicCube, Fraction] = {}
             for p, image in zip(self.probs, self._images):
-                sub = self._level_masses_base(n - image.level, max_cubes)
-                for mu, cnt in sub.items():
+                if image.level > n:
+                    holder = image.ancestor(n)
+                    holders[holder] = holders.get(holder, Fraction(0)) + p
+                    continue
+                for mu, cnt in self._level_masses_base(n - image.level, max_cubes).items():
                     key = p * mu
                     out[key] = out.get(key, 0) + cnt
-        # the multiset is the resource here, not the cube count it compresses
+            for mu in holders.values():
+                out[mu] = out.get(mu, 0) + 1
+            self._multisets[n] = out
+        # the multiset is the resource here (cached or not), not the cube count
         if len(out) > max_cubes:
             raise ResourceLimitError(
                 f"more than {max_cubes} distinct masses at level {n}"
             )
-        self._multisets[n] = out
         return out
-
-    def _enumerate_base(self, n, max_cubes):
-        """Enumerate positive cubes of the unshifted measure."""
-        frontier = [(root(self.m), Fraction(1))]
-        for _ in range(n):
-            nxt = []
-            for cube, _ in frontier:
-                for child in children(cube):
-                    mu = self._mass_base(child)
-                    if mu > 0:
-                        nxt.append((child, mu))
-                if len(nxt) > max_cubes:
-                    raise ResourceLimitError(
-                        f"more than {max_cubes} positive cubes at level {n}"
-                    )
-            frontier = nxt
-        return frontier
 
     def to_spec(self) -> dict:
         spec = {

@@ -352,13 +352,12 @@ def hilbert_check(params: EmbeddingParams, curve: SpectrumCurve) -> dict:
 
 def geometric_bounds(
     params: EmbeddingParams,
-    curve: SpectrumCurve,
+    S: float,
     dims: DimensionEstimate,
 ) -> tuple[float, float, float]:
-    """The chain -S_upper <= -rho_hat/dim_upper - 1/q <= -rho_hat/m - 1/q."""
+    """The chain -S <= -rho_hat/dim_upper - 1/q <= -rho_hat/m - 1/q, S = S_upper."""
     if math.isinf(params.q):
         raise ValidationError("geometric bounds are stated for finite q")
-    S = upper_S(curve, dims, params)
     iq = _inv(params.q)
     middle = -params.rho_hat / dims.window_max - iq
     right = -params.rho_hat / params.m - iq

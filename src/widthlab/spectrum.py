@@ -4,6 +4,10 @@ The finite-level spectrum at level n is log(sum over positive level-n cubes
 of mass^t) normalized by log(2^n). Sums run in the log2 domain (stable
 log-sum-exp), with exact logs for dyadic masses, so deep levels neither
 underflow nor drift.
+
+One level view, `level_log_masses` ((log2 mass, count) over the level-n
+multiset), serves a whole t-grid in `beta_row` (hence `beta_n`,
+`empirical_spectrum`, the CLI table) and the coarse counts.
 """
 from __future__ import annotations
 
@@ -34,6 +38,33 @@ def _log2sum(terms: list[float]) -> float:
     return top + math.log2(math.fsum(2.0 ** (x - top) for x in terms))
 
 
+def level_log_masses(
+    model: MeasureModel, n: int, max_cubes: int = DEFAULT_MAX_CUBES
+) -> list[tuple[float, int]]:
+    """The level view: (log2 mass, count) over the level-n mass multiset."""
+    return [(frac_log2(mass), count) for mass, count in model.level_masses(n, max_cubes).items()]
+
+
+def beta_row(
+    model: MeasureModel,
+    n: int,
+    t_grid,
+    max_cubes: int = DEFAULT_MAX_CUBES,
+) -> list[float]:
+    """beta_n(model, n, t) for each t of the grid, from one level view built
+    at the first t other than 1 (beta_n(1) = 0: masses sum to one exactly)."""
+    view, out = None, []
+    for t in t_grid:
+        if n < 1:
+            raise ValidationError("beta_n needs level n >= 1")
+        if t < 0:
+            raise ValidationError("beta_n needs t >= 0")
+        if t != 1 and view is None:
+            view = level_log_masses(model, n, max_cubes)
+        out.append(0.0 if t == 1 else _log2sum([t * lm + math.log2(c) for lm, c in view]) / n)
+    return out
+
+
 def beta_n(
     model: MeasureModel,
     n: int,
@@ -41,15 +72,7 @@ def beta_n(
     max_cubes: int = DEFAULT_MAX_CUBES,
 ) -> float:
     """Finite-level spectrum value at level n and moment t >= 0."""
-    if n < 1:
-        raise ValidationError("beta_n needs level n >= 1")
-    if t < 0:
-        raise ValidationError("beta_n needs t >= 0")
-    if t == 1:
-        return 0.0  # masses sum to one exactly
-    multiset = model.level_masses(n, max_cubes)
-    terms = [t * frac_log2(mass) + math.log2(count) for mass, count in multiset.items()]
-    return _log2sum(terms) / n
+    return beta_row(model, n, (t,), max_cubes)[0]
 
 
 class SpectrumCurve:
@@ -115,7 +138,7 @@ def empirical_spectrum(
     t_grid=DEFAULT_T_GRID,
     max_cubes: int = DEFAULT_MAX_CUBES,
 ) -> EmpiricalSpectrum:
-    return EmpiricalSpectrum(n, t_grid, [beta_n(model, n, t, max_cubes) for t in t_grid])
+    return EmpiricalSpectrum(n, t_grid, beta_row(model, n, t_grid, max_cubes))
 
 
 def ahlfors_spectrum(s: float) -> ClosedFormSpectrum:

@@ -2,7 +2,9 @@
 
 `golden/cli.json` holds, for each case below, the exit code, the header line
 and the output bodies the command line produced before its dispatcher was
-rewritten. The file is data: nothing here rewrites it. Bodies are compared
+rewritten; the two `spectrum-t-one-cap`/`spectrum-unsorted-grid` cases were
+captured from the release before the t-grid began to share one level view.
+The file is data: nothing here rewrites it. Bodies are compared
 with the benchmark's reference check (text exactly, numbers to relative
 1e-9); header lines, whose hash covers the effective configuration, are
 compared exactly for runs without `--config`.
@@ -115,6 +117,12 @@ CASES = {
     "fail-missing-option": ["partition", "--measure", "tet.json"],
     "resource-cap": ["spectrum", "--measure", "tet.json", "--levels", "4..4",
                      "--max-cubes", "3"],
+    # t = 1 builds no multiset, so the cap above does not trip
+    "spectrum-t-one-cap": ["spectrum", "--measure", "tet.json", "--levels", "4..4",
+                           "--t-grid", "1", "--max-cubes", "3"],
+    # a grid that an EmpiricalSpectrum would reject: unsorted, t = 1 first
+    "spectrum-unsorted-grid": ["spectrum", "--measure", "tet.json", "--levels", "2..3",
+                               "--t-grid", "1,0.5,2"],
     "usage-subcommand": ["frobnicate"],
     "noinput-measure": ["dims", "--measure", "missing.json"],
     "noinput-config": ["dims", "--config", "missing.json"],

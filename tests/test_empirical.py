@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 
 from widthlab import (
+    AtomicMeasure,
     Bump,
     DyadicCube,
     EmbeddingParams,
+    IfsMap,
+    IfsMeasure,
     Polynomial,
     SinProduct,
     UniformMeasure,
     ValidationError,
+    build_partition,
     coordinate,
     decay_experiment,
     lebesgue,
@@ -264,3 +268,178 @@ def test_packing_probe_empty_family(leb1):
     params = EmbeddingParams(m=1, sigma=1, p=2.0, q=2.0)
     with pytest.raises(ValidationError):
         packing_probe(leb1, 5, 1.5, params)  # no alpha-good cubes at alpha=1.5
+
+
+# -- reference oracles for cell location --------------------------------------
+# The per-cube ancestor walk and the per-point, per-level loop that cell
+# location used to run, kept as exact oracles for `locate`, `evaluate` and
+# `lq_error`.
+
+
+def oracle_cell_row(approx, cube):
+    by_key = {(c.level, c.index): i for i, c in enumerate(approx.cells)}
+    for level in range(approx.min_level, min(cube.level, approx.max_level) + 1):
+        row = by_key.get((level, cube.ancestor(level).index))
+        if row is not None:
+            return row
+    return None
+
+
+def oracle_evaluate(approx, pts):
+    by_key = {(c.level, c.index): i for i, c in enumerate(approx.cells)}
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    out = np.zeros(pts.shape[0])
+    for j, x in enumerate(pts):
+        for level in range(approx.min_level, approx.max_level + 1):
+            scale = 1 << level
+            idx = tuple(int(np.ceil(v * scale)) - 1 for v in x)
+            if any(i < 0 or i >= scale for i in idx):
+                continue
+            row = by_key.get((level, idx))
+            if row is not None:
+                cell = approx.cells[row]
+                lower = np.array([float(v) for v in cell.lower()])
+                y = (x - lower) / float(cell.side)
+                out[j] = (monomials(approx.exponents, y) @ approx.coeffs[row])[0]
+                break
+    return out
+
+
+def oracle_lq_error(f, approx, model, q, depth):
+    positive = model.enumerate_positive(depth)
+    centers = np.array([[float(x) for x in cube.center()] for cube, _ in positive])
+    avals = np.zeros(len(positive))
+    for j, (cube, _) in enumerate(positive):
+        row = oracle_cell_row(approx, cube)
+        if row is not None:
+            cell = approx.cells[row]
+            lower = np.array([float(v) for v in cell.lower()])
+            y = (centers[j] - lower) / float(cell.side)
+            avals[j] = (monomials(approx.exponents, y[None, :]) @ approx.coeffs[row])[0]
+    diff = np.abs(np.asarray(f(centers)) - avals)
+    masses = np.array([float(mu) for _, mu in positive])
+    return float(np.dot(masses, diff**q) ** (1.0 / q))
+
+
+def _gapped_1d():
+    # ratios 2^-1 and 2^-3, with the gap (1/2, 3/4] outside the support
+    return IfsMeasure(
+        [IfsMap(1, (0,)), IfsMap(3, (6,)), IfsMap(3, (7,))],
+        [Fraction(3, 5), Fraction(3, 10), Fraction(1, 10)],
+    )
+
+
+def _mixed_2d():
+    # ratios 2^-1 and 2^-2; the two small images share their level-1 ancestor
+    return IfsMeasure(
+        [IfsMap(1, (0, 0)), IfsMap(2, (3, 2)), IfsMap(2, (2, 3))],
+        [Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)],
+    )
+
+
+def _deep_atomic():
+    # two atoms 2^-59 apart next to 1/2, where floats are 2^-53 apart: the
+    # partition cells lie at level 60, and float cube centres at the
+    # quadrature depth would round onto cell boundaries
+    half, tiny = Fraction(1, 2), Fraction(1, 2**60)
+    return AtomicMeasure(
+        [(half + tiny, Fraction(1, 3)), (half + 3 * tiny, Fraction(1, 3)),
+         (Fraction(1, 8), Fraction(7, 8))],
+        [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)],
+    )
+
+
+def _boundary_points(m, levels, rng):
+    """Random points, dyadic boundary points of the given levels, and points
+    outside the unit cube (0 itself, negative, beyond 1)."""
+    pts = [rng.uniform(0, 1, m) for _ in range(40)]
+    for level in levels:
+        for _ in range(20):
+            pts.append(rng.integers(0, (1 << level) + 1, m) / float(1 << level))
+    pts += [np.zeros(m), np.full(m, -0.25), np.full(m, 1.5), np.full(m, 1.0)]
+    out = np.array(pts)
+    out[-5, 0] = 1.0 + 2.0**-40  # just beyond the upper face
+    return out
+
+
+@pytest.fixture(scope="module")
+def located_partitions(binomial_cascade, tetrahedron):
+    """(model, partition) pairs with cells on several levels, m = 1, 2, 3,
+    and the deep atomic one."""
+    cases = [
+        (binomial_cascade, build_partition(binomial_cascade, 1.0, 2.0**-7)),
+        (_gapped_1d(), build_partition(_gapped_1d(), 1.0, 2.0**-9)),
+        (_mixed_2d(), build_partition(_mixed_2d(), 2.0, 2.0**-9)),
+        (tetrahedron, build_partition(tetrahedron, 2.5, 2.0**-10)),
+        (_deep_atomic(), build_partition(_deep_atomic(), 1.0, 2.0**-62)),
+    ]
+    for _, part in cases:
+        assert part.min_level < part.max_level or part.min_level > 53
+    return cases
+
+
+def test_deep_atomic_partition_is_below_level_53(located_partitions):
+    _, part = located_partitions[-1]
+    assert part.min_level > 53 and part.card == 3
+
+
+def test_locate_matches_ancestor_walk(located_partitions):
+    for model, part in located_partitions:
+        approx = piecewise_project(SinProduct(model.m), part, 0)
+        for depth in (part.max_level, part.max_level + 2):
+            # Lebesgue cubes reach outside every cell of a singular measure
+            for source in (model, lebesgue(model.m)):
+                if source is not model and depth * model.m > 12:
+                    continue
+                positive = source.enumerate_positive(depth)
+                index = np.array([c.index for c, _ in positive], dtype=object)
+                rows = approx.locate(depth, index.reshape(len(positive), model.m))
+                want = [oracle_cell_row(approx, c) for c, _ in positive]
+                assert rows.tolist() == [-1 if r is None else r for r in want]
+
+
+def test_evaluate_matches_per_point_loop(located_partitions):
+    rng = np.random.default_rng(5)
+    for model, part in located_partitions:
+        m = model.m
+        pts = _boundary_points(m, sorted({c.level for c in part.cells}), rng)
+        # also the cells' own corners, and points just inside them
+        for cell in part.cells:
+            lower = np.array([float(x) for x in cell.lower()])
+            upper = np.array([float(x) for x in cell.upper()])
+            pts = np.vstack([pts, lower, upper, np.nextafter(upper, -1.0)])
+        # degree 0 with coefficient row + 1: the value names the row exactly
+        rowwise = piecewise_project(SinProduct(m), part, 0)
+        rowwise.coeffs = np.arange(1.0, part.card + 1.0)[:, None]
+        assert rowwise.evaluate(pts).tolist() == oracle_evaluate(rowwise, pts).tolist()
+        approx = piecewise_project(SinProduct(m), part, 1)
+        np.testing.assert_allclose(
+            approx.evaluate(pts), oracle_evaluate(approx, pts), rtol=1e-13, atol=1e-15
+        )
+
+
+def test_lq_error_matches_oracle(located_partitions):
+    for model, part in located_partitions:
+        f = SinProduct(model.m)
+        approx = piecewise_project(f, part, 1)
+        for depth in (part.max_level + 2, part.max_level + 3):
+            got = lq_error(f, approx, model, 2.0, depth)
+            assert got == pytest.approx(oracle_lq_error(f, approx, model, 2.0, depth), rel=1e-12)
+
+
+def test_lq_error_exact_below_level_53(located_partitions):
+    model, part = located_partitions[-1]
+    # one coefficient per cell, distinct: each node's error reveals its cell
+    approx = piecewise_project(SinProduct(2), part, 0)
+    approx.coeffs = np.array([[10.0], [20.0], [40.0]])
+    f = lambda pts: np.zeros(np.atleast_2d(pts).shape[0])  # noqa: E731
+    depth = part.max_level + 4
+    err = lq_error(f, approx, model, 1.0, depth)
+    # every atom's node lies in the atom's own cell: sum of mass * |coefficient|
+    cells = {c: i for i, c in enumerate(part.cells)}
+    want = 0.0
+    for point, weight in zip(model.points, model.weights):
+        row = cells[next(c for c in part.cells if c.contains(point))]
+        want += float(weight) * approx.coeffs[row, 0]
+    assert err == want
+    assert err == oracle_lq_error(f, approx, model, 1.0, depth)

@@ -71,8 +71,16 @@ def test_enumerate_cap():
 
 
 def test_level_masses_matches_enumeration(tetrahedron, quarter_cantor):
-    for model in (tetrahedron, quarter_cantor, lebesgue(2)):
-        for n in (1, 2, 3, 4):
+    # two ratios, 2^-1 and 2^-3: at levels 1 and 2 one cube holds both deep images
+    mixed = IfsMeasure(
+        [IfsMap(1, (0,)), IfsMap(3, (6,)), IfsMap(3, (7,))],
+        [Fraction(3, 5), Fraction(3, 10), Fraction(1, 10)],
+    )
+    shifted = IfsMeasure(mixed.maps, mixed.probs, embed_shift=IfsMap(2, (1,)))
+    cases = [(model, (1, 2, 3, 4)) for model in (tetrahedron, quarter_cantor, lebesgue(2))]
+    cases += [(mixed, range(6)), (shifted, range(6))]
+    for model, levels in cases:
+        for n in levels:
             grouped = {}
             for _, mu in model.enumerate_positive(n):
                 grouped[mu] = grouped.get(mu, 0) + 1

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from widthlab import (
     EmbeddingParams,
@@ -201,17 +201,16 @@ def test_hilbert_cases(tetrahedron):
 def test_geometric_bounds_examples(tetrahedron):
     curve = closed_form_spectrum(tetrahedron)
     dims = minkowski(tetrahedron, range(2, 9))
-    chain = geometric_bounds(EmbeddingParams(m=3, sigma=2, p=2.0, q=2.0), curve, dims)
+    params = EmbeddingParams(m=3, sigma=2, p=2.0, q=2.0)
+    chain = geometric_bounds(params, upper_order(params, curve, dims).S_upper, dims)
     assert chain[0] == pytest.approx(-0.847819596311944, abs=1e-9)
     assert chain[1] == pytest.approx(-0.75, abs=1e-12)
     assert chain[2] == pytest.approx(-2 / 3, abs=1e-12)
 
     leb3 = lebesgue(3)
-    chain_l = geometric_bounds(
-        EmbeddingParams(m=3, sigma=2, p=2.0, q=2.0),
-        closed_form_spectrum(leb3),
-        minkowski(leb3, range(2, 5)),
-    )
+    dims_l = minkowski(leb3, range(2, 5))
+    S_l = upper_order(params, closed_form_spectrum(leb3), dims_l).S_upper
+    chain_l = geometric_bounds(params, S_l, dims_l)
     assert chain_l[1] == pytest.approx(chain_l[2], abs=1e-12)
 
 
@@ -221,7 +220,8 @@ def test_geometric_bounds_ahlfors_tight():
     from widthlab.spectrum import DimensionEstimate
 
     dims = DimensionEstimate((2, 4), (0.5, 0.5), 0.5, 0.5)
-    chain = geometric_bounds(EmbeddingParams(m=1, sigma=1, p=2.0, q=2.0), curve, dims)
+    params = EmbeddingParams(m=1, sigma=1, p=2.0, q=2.0)
+    chain = geometric_bounds(params, upper_order(params, curve, dims).S_upper, dims)
     assert chain[0] == pytest.approx(-1.5, abs=1e-9)
     assert chain[1] == pytest.approx(-1.5, abs=1e-12)
     assert chain[2] == pytest.approx(-1.0, abs=1e-12)
@@ -290,3 +290,41 @@ def test_boundary_continuity_two_sided(tetrahedron):
             EmbeddingParams(m=3, sigma=2, p=2.0 + eps, q=3.0), curve
         ).upper[star]
         assert abs(left - right) < 1e-6
+
+
+# -- order invariants over random (p, q) on the tetrahedron ------------------
+
+ORDER_TOL = 1e-12  # fixed beforehand: float rounding of -S + table exponent
+
+
+@pytest.fixture(scope="module")
+def tetra_inputs(tetrahedron):
+    """Spectrum curve and Minkowski window of the tetrahedron, built once."""
+    return closed_form_spectrum(tetrahedron), minkowski(tetrahedron, range(2, 6))
+
+
+@given(exponent_values, exponent_values, st.integers(2, 4))
+@settings(max_examples=60, deadline=None)
+def test_lower_order_below_upper(tetrahedron, tetra_inputs, p, q, sigma):
+    assume(sigma > 3 / p)  # rho_hat > 0
+    curve, dims = tetra_inputs
+    params = EmbeddingParams(m=3, sigma=sigma, p=p, q=q)
+    prof = None
+    if not math.isinf(q):
+        prof = coarse_profile(tetrahedron, (3, 4, 5), params.rho)
+    rep = lower_order(params, curve, dims, prof)
+    for star in "KGL":
+        lo, hi = rep.lower[star]
+        assert lo <= hi <= rep.upper[star] + ORDER_TOL
+
+
+@given(exponent_values, exponent_values)
+@settings(max_examples=100, deadline=None)
+def test_upper_orders_nonincreasing_in_sigma(tetra_inputs, p, q):
+    curve, dims = tetra_inputs
+    sigmas = [s for s in range(1, 7) if s > 3 / p]  # rho_hat > 0
+    reports = [upper_order(EmbeddingParams(m=3, sigma=s, p=p, q=q), curve, dims)
+               for s in sigmas]
+    for coarser, smoother in zip(reports, reports[1:]):
+        for star in "KGL":
+            assert smoother.upper[star] <= coarser.upper[star] + ORDER_TOL

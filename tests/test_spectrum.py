@@ -6,8 +6,10 @@ import pytest
 from widthlab import (
     AtomicMeasure,
     DyadicCube,
+    ResourceLimitError,
     SolverError,
     UniformMeasure,
+    ValidationError,
     ahlfors_spectrum,
     beta_n,
     closed_form_spectrum,
@@ -16,6 +18,7 @@ from widthlab import (
     minkowski,
     s_b_solve,
 )
+from widthlab.spectrum import beta_row, frac_log2
 
 
 def scan_crossing(beta, b, lo, hi, steps=200_000):
@@ -181,3 +184,34 @@ def test_minkowski_atomic_decays():
     est = minkowski(model, [4, 8, 16])
     assert est.values[0] > est.values[-1]
     assert est.values[-1] == pytest.approx(math.log2(5) / 16, abs=1e-12)
+
+
+def _beta_oracle(model, n, t):
+    """The per-t formula: log-sum over the level-n multiset, rebuilt for t."""
+    if t == 1:
+        return 0.0
+    terms = [t * frac_log2(mu) + math.log2(c) for mu, c in model.level_masses(n).items()]
+    top = max(terms)
+    return (top + math.log2(math.fsum(2.0 ** (x - top) for x in terms))) / n
+
+
+def test_beta_row_equals_per_t_beta_n(tetrahedron, binomial_cascade):
+    grid = [0.0, 0.25, 1.0, 0.5, 1.5, 1.0, 3.0]  # unsorted, t = 1 twice
+    for model in (tetrahedron, binomial_cascade, lebesgue(2)):
+        for n in (1, 3, 5):
+            row = beta_row(model, n, grid)
+            assert row == [beta_n(model, n, t) for t in grid]
+            assert row == [_beta_oracle(model, n, t) for t in grid]
+    ts = [0.0, 0.5, 1.0, 1.5]
+    assert empirical_spectrum(tetrahedron, 4, ts).values == tuple(beta_row(tetrahedron, 4, ts))
+
+
+def test_beta_row_t_one_builds_no_multiset(tetrahedron):
+    # level 4 has more than 3 distinct masses: only t != 1 reaches the cap
+    assert beta_row(tetrahedron, 4, [1.0, 1.0], max_cubes=3) == [0.0, 0.0]
+    with pytest.raises(ResourceLimitError):
+        beta_row(tetrahedron, 4, [1.0, 0.5], max_cubes=3)
+    with pytest.raises(ValidationError):
+        beta_row(tetrahedron, 0, [1.0])
+    with pytest.raises(ValidationError):
+        beta_row(tetrahedron, 2, [1.0, -0.5])
