@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, reports
-from .coarse import coarse_profile, default_alpha_grid
+from .coarse import coarse_profile, count_view, default_alpha_grid
 from .empirical import decay_experiment, packing_probe
 from .errors import ParseError, ResourceLimitError, SolverError, ValidationError, WidthlabError
 from .functions import catalog
@@ -240,14 +240,16 @@ def _order(run: Run) -> None:
         grid = [EmbeddingParams(m=model.m, sigma=sigma, p=p, q=q) for p in ps for q in qs]
     else:
         grid = [_embedding(run)]
-    # the curve and the dimensions do not depend on (p, q); the counts do, via rho
+    # the curve, the dimensions and the count views do not depend on (p, q);
+    # the counts do, via rho
     curve = closed_form_spectrum(model) or empirical_spectrum(model, max(levels), max_cubes=max_cubes)
     dims = minkowski(model, levels, max_cubes)
-    reps = []
+    views, reps = None, []
     for params in grid:
         prof = None
         if not math.isinf(params.q):
-            prof = coarse_profile(model, levels, params.rho, max_cubes=max_cubes)
+            views = views or {n: count_view(model, n, max_cubes) for n in levels}
+            prof = coarse_profile(model, levels, params.rho, max_cubes=max_cubes, views=views)
         reps.append(lower_order(params, curve, dims, prof))
     if sweep:
         rows = [(r.params.p, r.params.q, *(r.upper[s] for s in "KGL"), *r.lower["K"], r.case)

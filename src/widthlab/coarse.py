@@ -3,10 +3,14 @@
 The partition function J_rho(Q) = nu(Q) * vol(Q)^(rho/m) drives both the
 alpha-good counts N_{rho,n}(alpha) and the adaptive partition. Counts read
 the level view `spectrum.level_log_masses` of the exact mass multiset, so
-levels far beyond what full enumeration could reach stay cheap.
+levels far beyond what full enumeration could reach stay cheap; sorted once
+per level (`count_view`), it gives every count by one bisection, and a sweep
+over rho shares the views of its levels.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,13 +49,24 @@ def count_alpha_good(
         raise ValidationError("alpha must be positive")
     if n < 1:
         raise ValidationError("count needs level n >= 1")
-    return _count_good(level_log_masses(model, n, max_cubes), n, rho, alpha)
+    return _count_good(count_view(model, n, max_cubes), n, rho, alpha)
 
 
-def _count_good(log_masses, n: int, rho: float, alpha: float) -> int:
+def count_view(
+    model: MeasureModel, n: int, max_cubes: int = DEFAULT_MAX_CUBES
+) -> tuple[list[float], list[int]]:
+    """The level view sorted for counting: the log2 masses in increasing
+    order, and for position i the number of cubes at positions i and above
+    (one more entry, 0, for none)."""
+    view = sorted(level_log_masses(model, n, max_cubes))
+    at_or_above = list(itertools.accumulate(count for _, count in reversed(view)))
+    return [log_mass for log_mass, _ in view], at_or_above[::-1] + [0]
+
+
+def _count_good(view, n: int, rho: float, alpha: float) -> int:
     """Cubes with J_rho(Q) >= 2^(-alpha*n), i.e. log2(mass) >= (rho - alpha) * n."""
-    threshold = (rho - alpha) * n
-    return sum(count for log_mass, count in log_masses if log_mass >= threshold)
+    log_masses, at_or_above = view
+    return at_or_above[bisect.bisect_left(log_masses, (rho - alpha) * n)]
 
 
 def default_alpha_grid(m: int, rho: float, step: Fraction = Fraction(1, 20)):
@@ -105,8 +120,13 @@ def coarse_profile(
     rho: float,
     alpha_grid=None,
     max_cubes: int = DEFAULT_MAX_CUBES,
+    views=None,
 ) -> CoarseProfile:
-    """Fill the count matrix over levels x alpha grid and optimize."""
+    """Fill the count matrix over levels x alpha grid and optimize.
+
+    `views` maps each level to its `count_view`, for a caller that sweeps
+    rho over one model; without it the views are built here.
+    """
     levels = tuple(int(n) for n in levels)
     if not levels:
         raise ValidationError("coarse profile needs a nonempty level list")
@@ -116,9 +136,10 @@ def coarse_profile(
     if not alpha_grid:
         raise ValidationError("coarse profile needs a nonempty alpha grid")
 
-    log_masses = {n: level_log_masses(model, n, max_cubes) for n in levels}
+    if views is None:
+        views = {n: count_view(model, n, max_cubes) for n in levels}
     counts = [
-        tuple(_count_good(log_masses[n], n, rho, alpha) for alpha in alpha_grid)
+        tuple(_count_good(views[n], n, rho, alpha) for alpha in alpha_grid)
         for n in levels
     ]
 

@@ -5,11 +5,14 @@ cell; integrals against the measure use cube-mass times center-value at a
 configurable depth, the only generic rule consistent with singular measures
 (masses are exact; no density exists).
 
-Its nodes are the positive cubes at depth D, kept as integer indices l, with
-centres (2l + 1) 2^-(D+1) rounded to float once. A node lies in the cell of
-level L and index l >> (D - L), so `PiecewisePolynomial.locate` is exact at
-every depth, where float centres fail once D >= 53; one batched
-evaluation serves both the nodes and the caller points of `evaluate`.
+Its nodes are the positive cubes at depth D, read from the model's node
+table (`MeasureModel.level_nodes`; an IFS builds each level once, in bulk, so
+repeated depths cost nothing): integer indices l, with centres
+(2l + 1) 2^-(D+1) rounded to float once, and masses rounded to float once per
+distinct exact mass. A node lies in the cell of level L and index
+l >> (D - L), so `PiecewisePolynomial.locate` is exact at every depth, where
+float centres fail once D >= 53; one batched evaluation serves both the nodes
+and the caller points of `evaluate`.
 """
 from __future__ import annotations
 
@@ -133,12 +136,12 @@ class PiecewisePolynomial:
 
 
 def _nodes(model: MeasureModel, depth: int, max_cubes: int):
-    """Python-int indices (N, m), float centres (2 index + 1) 2^-(depth+1)
-    and float masses of the positive level-`depth` cubes."""
-    positive = model.enumerate_positive(depth, max_cubes)
-    index = np.array([c.index for c, _ in positive], dtype=object).reshape(len(positive), model.m)
+    """Indices (N, m), float centres (2 index + 1) 2^-(depth+1) and float
+    masses of the positive level-`depth` cubes, from the model's node table;
+    each distinct exact mass is rounded to float once."""
+    index, mass_id, masses = model.level_nodes(depth, max_cubes)
     centers = ((2 * index + 1) * 2.0 ** -(depth + 1)).astype(float)
-    return index, centers, np.array([float(mu) for _, mu in positive])
+    return index, centers, np.array([float(mu) for mu in masses])[mass_id]
 
 
 def _lq_norm(masses: np.ndarray, values: np.ndarray, q: float) -> float:
@@ -169,7 +172,11 @@ def lq_error(
     depth: int,
     max_cubes: int = DEFAULT_MAX_CUBES,
 ) -> float:
-    """||f - approx|| in L^q_nu by depth-cube masses at cube centers."""
+    """||f - approx|| in L^q_nu by depth-cube masses at cube centers.
+
+    The nodes are the positive level-`depth` cubes of the model's node table
+    (`max_cubes` caps their number), each located in its cell exactly from
+    its integer index."""
     if depth < approx.max_level + 2:
         raise ValidationError(
             f"quadrature depth {depth} below max cell level + 2 = {approx.max_level + 2}"

@@ -11,6 +11,19 @@ the images are disjoint, so a positive level-n cube either lies in an image of
 level k <= n, with mass p times a mass of the level-(n - k) multiset, or holds
 deeper images only, with mass the sum of their p (Cawley & Mauldin 1992).
 
+The same rule builds the cubes themselves, in bulk: an IFS level's node table
+(`LevelNodes`, built once per level and cached) holds the indices of its
+positive cubes in lexicographic order and, for each, an id into the level's
+distinct exact masses. An image of level k <= n contributes the level-(n - k)
+table translated into the image, with its mass ids remapped through p * mu; no
+cube is built and no mass is queried. Before a table is built, the level's
+cube count (the sum of its multiset counts, counted in integers by the same
+rule) is checked against `max_cubes`, cached level or not, with the message of
+the cube-by-cube descent; the two caps agree because level counts never
+decrease, and an oversized level builds no multiset. Indices are int64 up to
+level 62 and Python ints from level 63 on (INT64_LEVELS), so they, and the
+centres (2 l + 1) 2^-(n+1) computed from them, stay exact at every level.
+
 Models are immutable after construction. Mass evaluation is pure; the IFS
 memo tables are plain dicts guarded by the GIL, safe for concurrent readers.
 """
@@ -22,13 +35,40 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
+
+import numpy as np
 
 from .cubes import DyadicCube, children, parse_cube, root
 from .errors import ParseError, ResourceLimitError, ValidationError
 
 DEFAULT_MAX_CUBES = 1 << 21
+# int64 holds a level-n index l, and 2 l + 1, only below this level
+INT64_LEVELS = 63
 
 Mass = Fraction
+
+
+class LevelNodes(NamedTuple):
+    """The positive level-n cubes in lexicographic index order: their integer
+    indices (N, m), int64 below level INT64_LEVELS and Python ints from it on,
+    and for each cube an id into `masses`, the distinct exact masses."""
+
+    index: np.ndarray
+    mass_id: np.ndarray
+    masses: tuple[Mass, ...]
+
+
+def _index_array(rows, n: int, m: int) -> np.ndarray:
+    """(N, m) array of level-n indices, exact at every level."""
+    dtype = np.int64 if n < INT64_LEVELS else object
+    return np.array(rows, dtype=dtype).reshape(len(rows), m)
+
+
+def _translate(index: np.ndarray, offset, shift: int, n: int) -> np.ndarray:
+    """Level-n indices index + (offset << shift), exact at every level."""
+    delta = _index_array([[o << shift for o in offset]], n, len(offset))
+    return index.astype(delta.dtype) + delta
 
 
 def _ceil_frac(x: Fraction) -> int:
@@ -77,6 +117,15 @@ class MeasureModel:
             frontier = nxt
         frontier.sort(key=lambda cm: cm[0].index)
         return frontier
+
+    def level_nodes(self, n: int, max_cubes: int = DEFAULT_MAX_CUBES) -> LevelNodes:
+        """The node table of the level-n positive cubes; the default groups
+        the masses of `enumerate_positive`."""
+        positive = self.enumerate_positive(n, max_cubes)
+        ids: dict[Mass, int] = {}
+        mass_id = np.array([ids.setdefault(mu, len(ids)) for _, mu in positive], dtype=np.intp)
+        index = _index_array([cube.index for cube, _ in positive], n, self.m)
+        return LevelNodes(index, mass_id, tuple(ids))
 
     def level_masses(self, n: int, max_cubes: int = DEFAULT_MAX_CUBES) -> dict[Mass, int]:
         """Multiset {mass: count} over the level-n positive cubes.
@@ -255,6 +304,7 @@ class IfsMeasure(MeasureModel):
         self._images = tuple(images)
         self._memo: dict[tuple[int, tuple[int, ...]], Fraction] = {}
         self._multisets: dict[int, dict[Mass, int]] = {}
+        self._tables: dict[int, LevelNodes] = {}
 
     @property
     def common_ratio_log2(self) -> int | None:
@@ -297,33 +347,117 @@ class IfsMeasure(MeasureModel):
             return self._mass_base(self._pullback(cube, img))
         return Fraction(0)
 
-    def level_masses(self, n, max_cubes=DEFAULT_MAX_CUBES):
-        k = 0 if self.embed_shift is None else self.embed_shift.ratio_log2
-        return {Fraction(1): 1} if n < k else dict(self._level_masses_base(n - k, max_cubes))
+    def _shift_level(self) -> int:
+        return 0 if self.embed_shift is None else self.embed_shift.ratio_log2
 
-    def _level_masses_base(self, n, max_cubes):
-        # the IFS multiset rule of the module docstring
-        out = self._multisets.get(n)
-        if out is None:
-            out = {}
-            holders: dict[DyadicCube, Fraction] = {}
-            for p, image in zip(self.probs, self._images):
-                if image.level > n:
-                    holder = image.ancestor(n)
-                    holders[holder] = holders.get(holder, Fraction(0)) + p
-                    continue
-                for mu, cnt in self._level_masses_base(n - image.level, max_cubes).items():
-                    key = p * mu
-                    out[key] = out.get(key, 0) + cnt
-            for mu in holders.values():
-                out[mu] = out.get(mu, 0) + 1
-            self._multisets[n] = out
+    def level_masses(self, n, max_cubes=DEFAULT_MAX_CUBES):
+        k = self._shift_level()
+        if n < k:
+            return {Fraction(1): 1}
+        out = self._level_masses_base(n - k)
         # the multiset is the resource here (cached or not), not the cube count
         if len(out) > max_cubes:
-            raise ResourceLimitError(
-                f"more than {max_cubes} distinct masses at level {n}"
-            )
+            raise ResourceLimitError(f"more than {max_cubes} distinct masses at level {n}")
+        return dict(out)
+
+    def _holders(self, n) -> dict[tuple[int, ...], Fraction]:
+        """{index: mass} of the level-n cubes that hold images deeper than n."""
+        holders: dict[tuple[int, ...], Fraction] = {}
+        for p, mp in zip(self.probs, self.maps):
+            if mp.ratio_log2 > n:
+                index = tuple(o >> (mp.ratio_log2 - n) for o in mp.offset)
+                holders[index] = holders.get(index, Fraction(0)) + p
+        return holders
+
+    def _cached_level(self, n, cache: dict, build):
+        """cache[n], building first every missing level it reads through the
+        images, coarsest first, so no recursion grows with the level."""
+        missing, todo = set(), [n]
+        while todo:
+            j = todo.pop()
+            if j not in cache and j not in missing:
+                missing.add(j)
+                todo.extend(j - mp.ratio_log2 for mp in self.maps if mp.ratio_log2 <= j)
+        for j in sorted(missing):
+            cache[j] = build(j)
+        return cache[n]
+
+    def _level_masses_base(self, n):
+        return self._cached_level(n, self._multisets, self._build_multiset)
+
+    def _build_multiset(self, n):
+        # the IFS multiset rule of the module docstring
+        out = {}
+        for p, mp in zip(self.probs, self.maps):
+            if mp.ratio_log2 <= n:
+                for mu, cnt in self._multisets[n - mp.ratio_log2].items():
+                    out[p * mu] = out.get(p * mu, 0) + cnt
+        for mu in self._holders(n).values():
+            out[mu] = out.get(mu, 0) + 1
         return out
+
+    def level_nodes(self, n, max_cubes=DEFAULT_MAX_CUBES):
+        if n < 0:
+            raise ValidationError("level must be >= 0")
+        k = self._shift_level()
+        count = 1 if n < k else self._count_base(n - k, max_cubes)
+        if n > 0 and count > max_cubes:
+            raise ResourceLimitError(f"more than {max_cubes} positive cubes at level {n}")
+        shift = self.embed_shift
+        if shift is None:
+            return self._base_nodes(n)
+        if n < k:
+            holder = _index_array([[o >> (k - n) for o in shift.offset]], n, self.m)
+            return LevelNodes(holder, np.zeros(1, dtype=np.intp), (Fraction(1),))
+        base = self._base_nodes(n - k)
+        return base._replace(index=_translate(base.index, shift.offset, n - k, n))
+
+    def _count_base(self, n, max_cubes) -> int:
+        """The level-n cube count of the multiset rule, in integers, level by
+        level; a coarser level past max_cubes ends the count early (counts
+        never decrease), so a cap trips before any multiset is built."""
+        counts: list[int] = []
+        for j in range(n + 1):
+            inner = sum(counts[j - mp.ratio_log2] for mp in self.maps if mp.ratio_log2 <= j)
+            counts.append(inner + len(self._holders(j)))
+            if counts[j] > max_cubes:
+                break
+        return counts[-1]
+
+    def _base_nodes(self, n) -> LevelNodes:
+        return self._cached_level(n, self._tables, self._build_nodes)
+
+    def _build_nodes(self, n) -> LevelNodes:
+        # the multiset rule again, on (index, mass id) tables: an image of
+        # level k <= n is the level-(n - k) table translated into the image,
+        # its mass ids remapped through p * mu (one lookup per distinct mass),
+        # and each holder cube adds one node
+        masses = tuple(self._level_masses_base(n))
+        ids = {mu: i for i, mu in enumerate(masses)}
+        index, mass_id = [], []
+        for p, mp in zip(self.probs, self.maps):
+            k = mp.ratio_log2
+            if k <= n:
+                sub = self._tables[n - k]
+                index.append(_translate(sub.index, mp.offset, n - k, n))
+                remap = np.array([ids[p * mu] for mu in sub.masses], dtype=np.intp)
+                mass_id.append(remap[sub.mass_id])
+        holders = self._holders(n)
+        if holders:
+            index.append(_index_array(list(holders), n, self.m))
+            mass_id.append(np.array([ids[mu] for mu in holders.values()], dtype=np.intp))
+        index, mass_id = np.concatenate(index), np.concatenate(mass_id)
+        order = np.lexsort(index.T[::-1])
+        index, mass_id = index[order], mass_id[order]
+        index.flags.writeable = mass_id.flags.writeable = False  # cached, shared
+        return LevelNodes(index, mass_id, masses)
+
+    def enumerate_positive(self, n, max_cubes=DEFAULT_MAX_CUBES):
+        index, mass_id, masses = self.level_nodes(n, max_cubes)
+        return [
+            (DyadicCube(n, tuple(row)), masses[j])
+            for row, j in zip(index.tolist(), mass_id.tolist())
+        ]
 
     def to_spec(self) -> dict:
         spec = {

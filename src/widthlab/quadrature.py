@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 
@@ -10,6 +11,9 @@ from numpy.polynomial.legendre import leggauss
 from scipy.optimize import minimize_scalar
 
 from .cubes import DyadicCube
+
+# cells whose best node composite_unit_norm refines for p = inf
+REFINED_CELLS = 4
 
 
 @functools.lru_cache(maxsize=64)
@@ -42,27 +46,34 @@ def composite_unit_norm(f, m: int, subdivisions: int, npts: int, p: float) -> fl
     """L^p norm of f over the unit cube, composite over a 2^subdivisions grid.
 
     For p = inf the largest |f| over the composite-rule nodes only bounds the
-    sup norm from below, so the best node is then refined: a bounded scalar
-    search along each coordinate in turn, within one cell side of the node
-    and inside the unit cube, keeps every improvement. The cells are visited
-    one at a time, so no array holds every node at once.
+    sup norm from below, so the best node of each of the REFINED_CELLS best
+    cells is refined, and the largest refined value is the result: a bounded
+    scalar search along each coordinate in turn, within one node spacing
+    (side / npts) of the node and inside the unit cube, keeps every
+    improvement. Several cells, because symmetric or near-equal peaks may put
+    the best node on the lower one; one node spacing, because a wider
+    interval spans several local maxima of a high-order derivative and the
+    search may settle on a lower one. The cells are visited one at a time,
+    so no array holds every node at once.
     """
     pts, wts = unit_rule(m, npts)
     side = 0.5**subdivisions
     acc = 0.0
-    best = None
-    for idx in itertools.product(range(1 << subdivisions), repeat=m):
+    best: list[tuple[float, int, np.ndarray]] = []  # min-heap of the best cells
+    for cell, idx in enumerate(itertools.product(range(1 << subdivisions), repeat=m)):
         nodes = np.array(idx, dtype=float) * side + side * pts
         vals = np.abs(np.asarray(f(nodes), dtype=float))
         if math.isinf(p):
             i = int(vals.argmax())
-            if vals[i] > acc:
-                acc, best = float(vals[i]), nodes[i]
+            if vals[i] > 0:
+                heapq.heappush(best, (float(vals[i]), cell, nodes[i]))
+                if len(best) > REFINED_CELLS:
+                    heapq.heappop(best)
         else:
             acc += float(np.dot(wts, vals**p))
     if not math.isinf(p):
         return float((acc * side**m) ** (1.0 / p))
-    return acc if best is None else _refine_max(f, best, side, acc)
+    return max((_refine_max(f, x, side / npts, v) for v, _, x in best), default=0.0)
 
 
 def _refine_max(f, x: np.ndarray, radius: float, value: float) -> float:

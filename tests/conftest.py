@@ -38,3 +38,12 @@ def binomial_cascade():
     return IfsMeasure(
         [IfsMap(1, (0,)), IfsMap(1, (1,))], [Fraction(3, 10), Fraction(7, 10)]
     )
+
+
+@pytest.fixture(scope="session")
+def deep_ifs():
+    """Two maps of ratio 2^-40 at the ends of the unit interval: its positive
+    cubes reach level 63, where indices outgrow int64, and beyond."""
+    return IfsMeasure(
+        [IfsMap(40, (0,)), IfsMap(40, ((1 << 40) - 1,))], [Fraction(1, 3), Fraction(2, 3)]
+    )

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from widthlab import (
     sobolev_seminorm,
 )
 from widthlab.functions import monomials, multi_indices
+from widthlab.measures import MeasureModel
 from widthlab.quadrature import integrate_on_cell
 
 
@@ -443,3 +445,65 @@ def test_lq_error_exact_below_level_53(located_partitions):
         want += float(weight) * approx.coeffs[row, 0]
     assert err == want
     assert err == oracle_lq_error(f, approx, model, 1.0, depth)
+
+
+def test_lq_error_beyond_int64_matches_oracle(deep_ifs, monkeypatch):
+    # cells at levels 59..61, quadrature nodes at levels 63 and 64
+    part = build_partition(deep_ifs, 1.0, 2.0**-62)
+    f = SinProduct(1)
+    approx = piecewise_project(f, part, 1)
+    got = [lq_error(f, approx, deep_ifs, 2.0, d) for d in (63, 64)]
+    # the oracle reads the cubes from the generic descent, not the node table
+    descent = functools.partial(MeasureModel.enumerate_positive, deep_ifs)
+    monkeypatch.setattr(deep_ifs, "enumerate_positive", descent)
+    want = [oracle_lq_error(f, approx, deep_ifs, 2.0, d) for d in (63, 64)]
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+# (t, card, error) of the tetrahedron decay run below, as computed by the
+# cube-by-cube descent that the node table replaced
+TETRAHEDRON_DECAY_ROWS = [
+    (1.0, 4, 0.1794581584609719),
+    (0.5, 4, 0.1794581584609719),
+    (0.25, 4, 0.1794581584609719),
+    (0.125, 4, 0.1794581584609719),
+    (0.0625, 7, 0.1985415170966562),
+    (0.03125, 10, 0.19665521290665763),
+    (0.015625, 13, 0.1960224111697517),
+    (0.0078125, 16, 0.1763519392658507),
+    (0.00390625, 22, 0.12242480523237785),
+    (0.001953125, 25, 0.102339993234629),
+    (0.0009765625, 34, 0.07473535938810022),
+]
+
+
+def test_decay_experiment_builds_each_depth_once(tetrahedron, monkeypatch):
+    model = IfsMeasure(tetrahedron.maps, tetrahedron.probs)  # no cached levels
+    depths, builds = [], []
+    level_nodes, build_nodes = IfsMeasure.level_nodes, IfsMeasure._build_nodes
+
+    def counted_level_nodes(self, n, *args):
+        depths.append(n)
+        return level_nodes(self, n, *args)
+
+    def counted_build(self, n):
+        builds.append(n)
+        return build_nodes(self, n)
+
+    monkeypatch.setattr(IfsMeasure, "level_nodes", counted_level_nodes)
+    monkeypatch.setattr(IfsMeasure, "_build_nodes", counted_build)
+    params = EmbeddingParams(m=3, sigma=2, p=4.0, q=2.0)
+    result = decay_experiment(SinProduct(3), model, params, [2.0**-k for k in range(11)])
+    assert list(result.rows) == TETRAHEDRON_DECAY_ROWS
+    assert depths == [4, 4, 4, 4, 5, 5, 5, 6, 6, 6, 7]
+    # one build per distinct quadrature depth, and one per coarser level
+    # that the image rule reads; none repeats
+    assert [n for n in builds if n in depths] == [4, 5, 6, 7]
+    assert sorted(builds) == list(range(8))
+
+
+def test_sup_norm_does_not_depend_on_resolution():
+    # the finite-difference path (Bump has no exact partials of order 5): a
+    # single refined node settled on a lower local maximum at resolution 4
+    values = [sobolev_seminorm(Bump(1), 5, math.inf, resolution=r) for r in range(3, 7)]
+    assert max(values) == pytest.approx(min(values), rel=1e-6)

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +21,7 @@ from widthlab import (
     load_measure,
     root,
 )
+from widthlab.measures import MeasureModel
 
 
 def test_atomic_mass_membership():
@@ -85,6 +87,84 @@ def test_level_masses_matches_enumeration(tetrahedron, quarter_cantor):
             for _, mu in model.enumerate_positive(n):
                 grouped[mu] = grouped.get(mu, 0) + 1
             assert model.level_masses(n) == grouped
+
+
+# -- the IFS node table against the generic descent ----------------------------
+
+
+def _mixed_2d():
+    # ratios 2^-1, 2^-2 and 2^-3: at level 1 one cube holds the three deep
+    # images, at level 2 one cube holds the two of ratio 2^-3
+    return IfsMeasure(
+        [IfsMap(1, (0, 0)), IfsMap(2, (2, 3)), IfsMap(3, (6, 4)), IfsMap(3, (7, 5))],
+        [Fraction(2, 5), Fraction(3, 10), Fraction(1, 5), Fraction(1, 10)],
+    )
+
+
+def _node_models(tetrahedron):
+    mixed = _mixed_2d()
+    shifted = IfsMeasure(mixed.maps, mixed.probs, embed_shift=IfsMap(2, (1, 2)))
+    return {"tetrahedron": tetrahedron, "mixed": mixed, "shifted": shifted}
+
+
+@pytest.mark.parametrize("name", ["tetrahedron", "mixed", "shifted"])
+def test_node_table_matches_descent(name, tetrahedron):
+    model = _node_models(tetrahedron)[name]
+    if name == "mixed":  # one holder cube for three deep images
+        assert model.enumerate_positive(1) == [
+            (DyadicCube(1, (0, 0)), Fraction(2, 5)), (DyadicCube(1, (1, 1)), Fraction(3, 5))
+        ]
+    for n in range(8):
+        want = MeasureModel.enumerate_positive(model, n)
+        assert model.enumerate_positive(n) == want
+        index, mass_id, masses = model.level_nodes(n)
+        assert index.dtype == np.int64 and index.shape == (len(want), model.m)
+        assert [masses[j] for j in mass_id] == [mu for _, mu in want]
+        assert len(set(masses)) == len(masses)
+
+
+def _outcome(call):
+    try:
+        call()
+    except ResourceLimitError as exc:
+        return str(exc)
+    return "ok"
+
+
+@pytest.mark.parametrize("name", ["tetrahedron", "mixed", "shifted"])
+def test_node_table_cap_matches_descent(name, tetrahedron):
+    model = _node_models(tetrahedron)[name]
+    for n in range(6):
+        for cap in (0, 1, 2, 3, 5, 8, 13, 40, 64, 300, 1024):
+            want = _outcome(lambda: MeasureModel.enumerate_positive(model, n, cap))
+            fresh = IfsMeasure(model.maps, model.probs, model.embed_shift)
+            assert _outcome(lambda: fresh.level_nodes(n, cap)) == want
+            model.level_nodes(n)  # the level is now cached
+            assert _outcome(lambda: model.level_nodes(n, cap)) == want
+            assert _outcome(lambda: model.enumerate_positive(n, cap)) == want
+    assert _outcome(lambda: model.level_nodes(5, 3)) == "more than 3 positive cubes at level 5"
+    deep = IfsMeasure(model.maps, model.probs, model.embed_shift)
+    with pytest.raises(ResourceLimitError, match="cubes at level 200$"):
+        deep.enumerate_positive(200)
+    assert not deep._multisets  # the cap tripped before any multiset was built
+
+
+def test_node_table_exact_beyond_int64(deep_ifs):
+    for n in (39, 40, 41, 62, 63, 64, 79, 80, 81):
+        want = MeasureModel.enumerate_positive(deep_ifs, n)
+        index, mass_id, masses = deep_ifs.level_nodes(n)
+        assert index.dtype == (np.int64 if n < 63 else object)
+        assert [tuple(row) for row in index.tolist()] == [c.index for c, _ in want]
+        assert [masses[j] for j in mass_id] == [mu for _, mu in want]
+    assert max(index[:, 0]) == (1 << 81) - 1
+
+
+def test_levels_deeper_than_the_recursion_limit():
+    # one map: all mass in the first cube of every level, each level built
+    # from the one above it, 3000 levels deep
+    point = IfsMeasure([IfsMap(1, (0,))], [Fraction(1)])
+    assert point.level_masses(3000) == {1: 1}
+    assert point.enumerate_positive(3000) == MeasureModel.enumerate_positive(point, 3000)
 
 
 def test_level_masses_deep_tetrahedron(tetrahedron):
