@@ -41,7 +41,13 @@ from .coarse import (
     j_value,
     well_separated,
 )
-from .partition import PartitionResult, build_partition, entropy_slope
+from .partition import (
+    PartitionResult,
+    PartitionRow,
+    build_partition,
+    entropy_slope,
+    partition_row,
+)
 from .orders import (
     EmbeddingParams,
     OrderReport,

@@ -30,7 +30,7 @@ from .errors import ParseError, ResourceLimitError, SolverError, ValidationError
 from .functions import catalog
 from .measures import DEFAULT_MAX_CUBES, ingest_points, load_measure
 from .orders import EmbeddingParams, geometric_bounds, lower_order
-from .partition import DEFAULT_MAX_CELLS, build_partition, fit_entropy_slope
+from .partition import DEFAULT_MAX_CELLS, build_partition, fit_entropy_slope, partition_row
 from .spectrum import beta_row, closed_form_spectrum, empirical_spectrum, minkowski
 
 EX_OK = 0
@@ -210,7 +210,9 @@ def _dims(run: Run) -> None:
 
 def _partition(run: Run) -> None:
     rho, thresholds = _rho(run), run.need("thresholds")
-    parts = [build_partition(run.model, rho, t, run.get("max_cells")) for t in thresholds]
+    # a cell dump takes its rows and cells from the one descent
+    build = build_partition if run.get("cells_out") else partition_row
+    parts = [build(run.model, rho, t, run.get("max_cells")) for t in thresholds]
     rows = [(p.t, p.card, p.min_level, p.max_level, p.max_j) for p in parts]
     run.emit("out", ["t", "card", "min_level", "max_level", "max_j"], rows)
     if run.get("cells_out"):

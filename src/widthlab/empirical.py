@@ -384,9 +384,9 @@ def packing_probe(
         MappedBump(bump, box.lower(), 3.0 * float(cube.side))
         for cube, box in zip(family, boxes)
     ]
-    norm_u = sobolev_seminorm(bump, sigma, p, resolution=5)
-
+    # the node table's max_cubes check is cheap; the seminorm is not (m = 3)
     _, centers, masses = _nodes(model, n + depth_offset, max_cubes)
+    norm_u = sobolev_seminorm(bump, sigma, p, resolution=5)
     bump_vals = np.vstack([b(centers) for b in bumps])  # (family, ncubes)
 
     def sobolev_norm_of(a: np.ndarray) -> float:

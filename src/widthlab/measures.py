@@ -24,6 +24,10 @@ decrease, and an oversized level builds no multiset. Indices are int64 up to
 level 62 and Python ints from level 63 on (INT64_LEVELS), so they, and the
 centres (2 l + 1) 2^-(n+1) computed from them, stay exact at every level.
 
+The disjoint images also give each IFS a finite template
+(`IfsMeasure.template`): every positive cube is a copy of one of its nodes,
+scaled in mass, which `partition.partition_row` recurses over.
+
 Models are immutable after construction. Mass evaluation is pure; the IFS
 memo tables are plain dicts guarded by the GIL, safe for concurrent readers.
 """
@@ -57,6 +61,15 @@ class LevelNodes(NamedTuple):
     index: np.ndarray
     mass_id: np.ndarray
     masses: tuple[Mass, ...]
+
+
+class TemplateNode(NamedTuple):
+    """A node of an IFS template: the mass mu of its cube, and its positive
+    children in index order as (node, factor) pairs: the child cube's
+    subtree is that node's, with every mass times the factor."""
+
+    mu: Mass  # not `mass`: perfbench/spans.py wraps every `mass` of this module's classes
+    children: tuple[tuple[int, Mass], ...]
 
 
 def _index_array(rows, n: int, m: int) -> np.ndarray:
@@ -368,6 +381,31 @@ class IfsMeasure(MeasureModel):
                 index = tuple(o >> (mp.ratio_log2 - n) for o in mp.offset)
                 holders[index] = holders.get(index, Fraction(0)) + p
         return holders
+
+    def template(self) -> tuple[TemplateNode, ...]:
+        """The finite template of the positive cube tree; node 0 is the unit cube.
+
+        Its nodes are, with embed_shift, the ancestors of the shift image at
+        levels 0 .. k - 1 (mass 1, one child each), then the unshifted root
+        and the holder cubes of `_holders` at levels 1 .. max k_i - 1. Every
+        positive cube is a node h mapped by a composition S_w of the maps, of
+        mass p_w * mass(h); its children are the images of h's children, an
+        image of map i becoming the unshifted root at factor p_i.
+        """
+        shift = self._shift_level()
+        base = {(0, (0,) * self.m): Fraction(1)}
+        for n in range(1, max(mp.ratio_log2 for mp in self.maps)):
+            base.update(((n, index), mu) for index, mu in self._holders(n).items())
+        node_id = {key: shift + i for i, key in enumerate(base)}
+        nodes = [TemplateNode(Fraction(1), ((j + 1, Fraction(1)),)) for j in range(shift)]
+        for (n, index), mu in base.items():
+            kids = [(mp.offset, shift, p) for p, mp in zip(self.probs, self.maps)
+                    if mp.ratio_log2 == n + 1 and tuple(o >> 1 for o in mp.offset) == index]
+            kids += [(sub, j, Fraction(1)) for (level, sub), j in node_id.items()
+                     if level == n + 1 and tuple(o >> 1 for o in sub) == index]
+            kids.sort(key=lambda kid: kid[0])
+            nodes.append(TemplateNode(mu, tuple((j, f) for _, j, f in kids)))
+        return tuple(nodes)
 
     def _cached_level(self, n, cache: dict, build):
         """cache[n], building first every missing level it reads through the

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from widthlab import ParseError, cli
+from widthlab import ParseError, cli, empirical
 from widthlab.measures import ingest_points
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -246,3 +246,17 @@ def test_weight_column_index_on_headerless_csv():
 def test_weight_column_out_of_range_or_unknown(column):
     with pytest.raises(ParseError):
         ingest_points(FILES["pts.csv"], column)
+
+
+def test_probe_trips_node_cap_before_the_seminorm(tmp_path, monkeypatch, capsys):
+    # level 5 + 6 of the tetrahedron holds more than 2^21 positive cubes; the
+    # bump seminorm, on 2^15 composite cells in m = 3, would take minutes
+    def seminorm(*args, **kwargs):
+        raise AssertionError("sobolev_seminorm ran before the node-table cap")
+
+    monkeypatch.setattr(empirical, "sobolev_seminorm", seminorm)
+    monkeypatch.chdir(tmp_path)
+    argv = ["probe", *_TET22, "--n", "5", "--alpha", "3"]
+    assert run_cli(argv, tmp_path)["code"] == cli.EX_RESOURCE
+    err = capsys.readouterr().err
+    assert err == "widthlab: resource cap: more than 2097152 positive cubes at level 11\n"

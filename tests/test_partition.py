@@ -6,13 +6,31 @@ from hypothesis import given, settings, strategies as st
 
 from widthlab import (
     DyadicCube,
+    ResourceLimitError,
     SolverError,
     build_partition,
     entropy_slope,
     lebesgue,
+    partition_row,
 )
 from widthlab.coarse import j_log2
 from widthlab.measures import AtomicMeasure, IfsMap, IfsMeasure
+
+# the 7-map mixed-ratio IFS of the benchmark (perfbench/inputs.py): its deep
+# images merge into shared holder cubes
+IFS7_MAPS = [
+    (1, (1, 1), "0.31"),
+    (1, (0, 0), "0.23"),
+    (2, (3, 0), "0.17"),
+    (2, (0, 3), "0.11"),
+    (3, (5, 2), "0.07"),
+    (3, (4, 3), "0.06"),
+    (3, (2, 5), "0.05"),
+]
+
+
+def _ifs(maps, shift=None):
+    return IfsMeasure([IfsMap(k, o) for k, o, _ in maps], [Fraction(p) for *_, p in maps], shift)
 
 
 def naive_partition(model, rho, t, max_level=16):
@@ -128,9 +146,31 @@ def test_entropy_slope_quarter_cantor(quarter_cantor):
 def test_entropy_slope_tetrahedron(tetrahedron):
     from widthlab import closed_form_spectrum, s_b_solve
 
-    fit = entropy_slope(tetrahedron, 2.0, [2.0**-(3 * k) for k in range(2, 9)])
+    fit = entropy_slope(tetrahedron, 2.0, [2.0**-k for k in range(40, 91, 5)], max_cells=1 << 80)
+    assert max(row[3] for row in fit.rows) <= 64
     target = s_b_solve(closed_form_spectrum(tetrahedron), 2.0)
-    assert fit.slope == pytest.approx(target, abs=0.05)
+    assert fit.slope == pytest.approx(target, abs=5e-4)
+
+
+def _moran_root(factors) -> float:
+    """The s with sum_i factors_i^s = 1 (factors in (0, 1)), by bisection."""
+    lo, hi = 0.0, 1.0
+    while sum(f**hi for f in factors) > 1:
+        hi *= 2
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if sum(f**mid for f in factors) > 1 else (lo, mid)
+    return (lo + hi) / 2
+
+
+def test_entropy_slope_mixed_ratio_ifs():
+    # renewal count: card(P_t) ~ t^-s with sum_i (p_i 2^(-k_i rho))^s = 1
+    rho = 1.0
+    fit = entropy_slope(_ifs(IFS7_MAPS), rho, [2.0**-k for k in range(10, 31, 2)],
+                        max_cells=1 << 60)
+    assert max(row[3] for row in fit.rows) <= 64
+    target = _moran_root([float(p) * 2.0 ** (-k * rho) for k, _, p in IFS7_MAPS])
+    assert fit.slope == pytest.approx(target, abs=2e-3)
 
 
 def test_entropy_slope_needs_enough_points(leb1):
@@ -140,11 +180,101 @@ def test_entropy_slope_needs_enough_points(leb1):
         entropy_slope(leb1, 1.0, [0.5, 0.25, 0.125])  # under three decades
 
 
+def _row(part):
+    return (part.t, part.rho, part.card, part.max_j, part.min_level, part.max_level,
+            part.degenerate)
+
+
+def _naive_row(model, rho, t):
+    cells = naive_partition(model, rho, t)
+    return (t, rho, len(cells), 2.0 ** max(j_log2(model, c, rho) for c in cells),
+            min(c.level for c in cells), max(c.level for c in cells), False)
+
+
+def _assert_rows_agree(model, rho, t):
+    """State row == descent row == the row of the naive oracle's cells."""
+    part = build_partition(model, rho, t)
+    assert part.cells == tuple(naive_partition(model, rho, t))
+    assert _row(partition_row(model, rho, t)) == _row(part) == _naive_row(model, rho, t)
+
+
+def test_state_rows_match_descent_and_oracle(tetrahedron):
+    shifted = _ifs(IFS7_MAPS, IfsMap(2, (1, 2)))
+    cases = [(tetrahedron, 1.0, 12), (tetrahedron, 2.0, 16), (_ifs(IFS7_MAPS), 1.0, 12),
+             (_ifs(IFS7_MAPS), 0.5, 7), (shifted, 1.0, 14)]
+    for model, rho, deepest in cases:
+        for k in range(deepest + 1):
+            _assert_rows_agree(model, rho, 2.0**-k)
+
+
+def test_state_row_degenerate_threshold(tetrahedron):
+    for t in (2.0, 1.5):
+        row = partition_row(tetrahedron, 1.0, t)
+        assert _row(row) == _row(build_partition(tetrahedron, 1.0, t))
+        assert row.degenerate and (row.card, row.min_level, row.max_level) == (1, 0, 0)
+    assert not partition_row(tetrahedron, 1.0, 1.0).degenerate
+
+
+def _outcome(build, model, rho, t, cap):
+    try:
+        return _row(build(model, rho, t, cap))
+    except ResourceLimitError as exc:
+        return str(exc)
+
+
+def test_state_rows_trip_caps_as_the_descent(tetrahedron, deep_ifs):
+    # lopsided: the heavy left chain passes level 64 while light right
+    # branches emit cells first, in the descent's depth-first order, so
+    # max_cells trips first for a small cap and the level guard for a large
+    # one; its maps are listed right first, the descent's children left first
+    eps = Fraction(1, 1 << 60)
+    lopsided = IfsMeasure([IfsMap(1, (1,)), IfsMap(1, (0,))], [eps, 1 - eps])
+    card = build_partition(tetrahedron, 1.0, 2.0**-12).card
+    cases = {
+        "tetrahedron": (tetrahedron, 2.0**-12, [0, 1, card - 1, card]),
+        "lopsided": (lopsided, 2.0**-70, [0, *range(110, 125), 1 << 40]),
+        "deep": (deep_ifs, 2.0**-200, [0, 1 << 40]),
+    }
+    kinds = {}
+    for name, (model, t, caps) in cases.items():
+        for cap in caps:
+            want = _outcome(build_partition, model, 1.0, t, cap)
+            assert _outcome(partition_row, model, 1.0, t, cap) == want
+            kind = "guard" if "level 64" in want else "cap" if isinstance(want, str) else "row"
+            kinds.setdefault(name, set()).add(kind)
+    assert kinds == {"tetrahedron": {"row", "cap"}, "lopsided": {"cap", "guard"},
+                     "deep": {"guard"}}
+
+
 @given(st.integers(1, 9), st.integers(2, 10))
 @settings(max_examples=25, deadline=None)
 def test_partition_oracle_randomized(num, k):
     a = Fraction(num, 10)
     model = IfsMeasure([IfsMap(1, (0,)), IfsMap(1, (1,))], [a, 1 - a])
-    t = 2.0**-k
-    part = build_partition(model, 1.0, t)
-    assert part.cells == tuple(naive_partition(model, 1.0, t))
+    _assert_rows_agree(model, 1.0, 2.0**-k)
+
+
+@st.composite
+def dyadic_ifs(draw):
+    """A random IFS in 1 or 2 dimensions: disjoint images of levels 1..3,
+    integer weights, and an optional embed_shift."""
+    m = draw(st.integers(1, 2))
+    images = []
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(1, 3))
+        cube = DyadicCube(k, tuple(draw(st.integers(0, (1 << k) - 1)) for _ in range(m)))
+        if all(cube.ancestor(min(k, c.level)) != c.ancestor(min(k, c.level)) for c in images):
+            images.append(cube)
+    weights = [draw(st.integers(1, 9)) for _ in images]
+    shift = None
+    if draw(st.booleans()):
+        ks = draw(st.integers(1, 2))
+        shift = IfsMap(ks, tuple(draw(st.integers(0, (1 << ks) - 1)) for _ in range(m)))
+    return IfsMeasure([IfsMap(c.level, c.index) for c in images],
+                      [Fraction(w, sum(weights)) for w in weights], shift)
+
+
+@given(dyadic_ifs(), st.sampled_from([1.0, 1.5, 2.0]), st.integers(0, 8))
+@settings(max_examples=40, deadline=None)
+def test_state_rows_oracle_random_dyadic_ifs(model, rho, k):
+    _assert_rows_agree(model, rho, 2.0**-k)
