@@ -5,17 +5,32 @@ cell; integrals against the measure use cube-mass times center-value at a
 configurable depth, the only generic rule consistent with singular measures
 (masses are exact; no density exists).
 
-Its nodes are the positive cubes at depth D, read from the model's node
-table (`MeasureModel.level_nodes`; an IFS builds each level once, in bulk, so
-repeated depths cost nothing): integer indices l, with centres
+A projection works on the rescaled unit cell, where the Gram matrix of the
+monomials is the exact tensor-Hilbert matrix: it depends on (m, degree) only,
+so it is built, and its condition number logged, once per process
+(`_hilbert_gram`). `piecewise_project` maps the quadrature points of all its
+cells at once and calls f once per block of PROJECT_BLOCK_POINTS points (so
+max_cells cells never stack into one array), then checks the whole block for
+non-finite values. Each cell keeps its own matrix-vector right-hand side and
+its own `np.linalg.solve`: a matrix-matrix right-hand side or one solve with
+many right-hand sides changes the BLAS/LAPACK summation order and moves the
+coefficients in the last bit, and the decay rows are pinned exactly.
+
+Quadrature nodes are the positive cubes at depth D, read from the model's
+node table (`MeasureModel.level_nodes`; an IFS builds each level once, in
+bulk, so repeated depths cost nothing): integer indices l, with centres
 (2l + 1) 2^-(D+1) rounded to float once, and masses rounded to float once per
 distinct exact mass. A node lies in the cell of level L and index
-l >> (D - L), so `PiecewisePolynomial.locate` is exact at every depth, where
-float centres fail once D >= 53; one batched evaluation serves both the nodes
-and the caller points of `evaluate`.
+l >> (D - L). `PiecewisePolynomial.locate` matches these keys with array
+operations only: per cell level, each key's coordinates are packed into one
+exact integer (int64 while L * m <= 62, Python ints beyond), a key with a
+coordinate outside [0, 2^L) packs to -1, and a binary search in the level's
+sorted cell keys finds its cell. It is exact at every depth, where float
+centres fail once D >= 53; `evaluate` and `lq_error` both go through it.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -34,7 +49,7 @@ from .functions import (
     monomials,
     multi_indices,
 )
-from .measures import DEFAULT_MAX_CUBES, MeasureModel
+from .measures import DEFAULT_MAX_CUBES, INT64_LEVELS, MeasureModel
 from .orders import EmbeddingParams, upper_order
 from .partition import DEFAULT_MAX_CELLS, PartitionResult, build_partition
 from .quadrature import composite_unit_norm, unit_rule
@@ -52,40 +67,95 @@ def _default_npts(degree: int) -> int:
     return max(2 * (degree + 1), 8)
 
 
+# quadrature points per call of f in a batched projection
+PROJECT_BLOCK_POINTS = 1 << 15
+# packed cell keys are int64 while level * m stays within this many bits
+PACKED_KEY_BITS = INT64_LEVELS - 1
+
+
+@functools.lru_cache(maxsize=32)
+def _hilbert_gram(m: int, degree: int) -> np.ndarray:
+    """The exact Gram matrix of the degree <= `degree` monomials on the unit
+    cell, prod_i 1 / (a_i + b_i + 1); its condition number is logged here."""
+    exps = multi_indices(m, degree)
+    gram = np.array(
+        [[math.prod(1.0 / (a + b + 1) for a, b in zip(ea, eb)) for eb in exps] for ea in exps]
+    )
+    logger.debug("moment gram: m=%d degree=%d cond=%.3e", m, degree, np.linalg.cond(gram))
+    gram.flags.writeable = False
+    return gram
+
+
+@functools.lru_cache(maxsize=32)
+def _moment_basis(m: int, degree: int, npts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unit rule (points, weights) and the (K, P) monomial matrix at its points."""
+    pts, wts = unit_rule(m, npts)
+    basis = monomials(np.array(multi_indices(m, degree), dtype=int), pts).T
+    basis.flags.writeable = False
+    return pts, wts, basis
+
+
+def _cell_frames(cells) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Levels, integer indices (exact at every level), float lower corners
+    and float sides of the cells; corners and sides are rounded once each,
+    as float(Fraction) would round them."""
+    levels = np.array([c.level for c in cells])
+    dtype = np.int64 if levels.max() < INT64_LEVELS else object
+    index = np.array([c.index for c in cells], dtype=dtype)
+    return levels, index, np.ldexp(index.astype(float), -levels[:, None]), np.ldexp(1.0, -levels)
+
+
+def _project_cells(f, cells, degree: int, npts: Optional[int]) -> np.ndarray:
+    """(card, K) moment-projection coefficients of f on each cell, in order."""
+    if degree < 0:
+        raise ValidationError("projection degree must be >= 0")
+    _, _, lower, side = _cell_frames(cells)
+    m = lower.shape[1]
+    gram = _hilbert_gram(m, degree)
+    pts, wts, basis = _moment_basis(m, degree, npts or _default_npts(degree))
+    coeffs = np.empty((len(cells), gram.shape[0]))
+    block = max(1, PROJECT_BLOCK_POINTS // len(pts))
+    for start in range(0, len(cells), block):
+        mapped = lower[start:start + block, None, :] + side[start:start + block, None, None] * pts
+        fvals = np.asarray(f(mapped.reshape(-1, m)), dtype=float).reshape(len(mapped), -1)
+        bad = ~np.isfinite(fvals).all(axis=1)
+        if bad.any():
+            raise SolverError(
+                f"non-finite function values on cube {cells[start + int(bad.argmax())]}"
+            )
+        for row, weighted in enumerate(wts * fvals, start):
+            coeffs[row] = np.linalg.solve(gram, basis @ weighted)
+    return coeffs
+
+
 def moment_project(
     f, cube: DyadicCube, degree: int, npts: Optional[int] = None
 ) -> np.ndarray:
     """Coefficients of the unique degree <= `degree` moment match on a cube.
 
-    The Gram system is assembled on the affinely rescaled unit cell (exact
-    tensor-Hilbert entries), which keeps it well conditioned; the solution is
-    simultaneously the L2(cube)-orthogonal projection of f.
+    The system is assembled on the affinely rescaled unit cell, where the Gram
+    matrix is the exact tensor-Hilbert matrix of the monomials (built once per
+    (m, degree)), which keeps it well conditioned; the right-hand side is one
+    Gauss-rule matrix-vector product. The solution is simultaneously the
+    L2(cube)-orthogonal projection of f. This is the one-cell case of
+    `piecewise_project`, with bit-identical coefficients.
     """
-    if degree < 0:
-        raise ValidationError("projection degree must be >= 0")
-    m = cube.m
-    npts = npts or _default_npts(degree)
-    exps = np.array(multi_indices(m, degree), dtype=int)
-    kdim = exps.shape[0]
+    return _project_cells(f, (cube,), degree, npts)[0]
 
-    gram = np.empty((kdim, kdim))
-    for a in range(kdim):
-        for b in range(kdim):
-            gram[a, b] = math.prod(
-                1.0 / (int(exps[a, i]) + int(exps[b, i]) + 1) for i in range(m)
-            )
 
-    pts, wts = unit_rule(m, npts)
-    side = float(cube.side)
-    lower = np.array([float(x) for x in cube.lower()])
-    fvals = np.asarray(f(lower + side * pts), dtype=float)
-    if not np.all(np.isfinite(fvals)):
-        raise SolverError(f"non-finite function values on cube {cube}")
-    rhs = monomials(exps, pts).T @ (wts * fvals)
-
-    cond = np.linalg.cond(gram)
-    logger.debug("moment gram: m=%d degree=%d cond=%.3e", m, degree, cond)
-    return np.linalg.solve(gram, rhs)
+def _packed_keys(index: np.ndarray, level: int) -> np.ndarray:
+    """One exact integer per row of level-`level` indices (N, m): the
+    coordinates side by side, `level` bits each, as int64 while
+    level * m <= PACKED_KEY_BITS and as Python ints beyond. A row with a
+    coordinate outside [0, 2^level) packs to -1, which no cell's key equals."""
+    inside = ((index >= 0) & (index < (1 << level))).all(axis=1)
+    wide = level * index.shape[1] > PACKED_KEY_BITS
+    coords = np.where(inside[:, None], index, 0).astype(object if wide else np.int64)
+    keys = coords[:, 0]
+    for column in coords.T[1:]:
+        keys = (keys << level) | column
+    keys[~inside] = -1
+    return keys
 
 
 @dataclass
@@ -99,30 +169,42 @@ class PiecewisePolynomial:
 
     def __post_init__(self):
         self.exponents = np.array(multi_indices(self.m, self.degree), dtype=int)
-        self._by_key = {(c.level, c.index): i for i, c in enumerate(self.cells)}
-        self.levels = sorted({c.level for c in self.cells})
+        levels, index, self._lower, self._side = _cell_frames(self.cells)
+        self.levels = sorted(set(levels.tolist()))
         self.min_level, self.max_level = self.levels[0], self.levels[-1]
-        self._lower = np.array([[float(x) for x in c.lower()] for c in self.cells])
-        self._side = np.array([float(c.side) for c in self.cells])
+        # per cell level: (level, sorted packed cell keys, their rows)
+        self._keys = []
+        for level in self.levels:
+            rows = np.flatnonzero(levels == level)
+            keys = _packed_keys(index[rows], level)
+            order = np.argsort(keys, kind="stable")
+            self._keys.append((level, keys[order], rows[order]))
 
     def locate(self, depth: int, index: np.ndarray) -> np.ndarray:
         """Row of the cell holding each level-`depth` cube of integer `index`
         (N, m), or -1: the level-L cell of index `index >> (depth - L)`,
         coarsest level first, in exact integer arithmetic."""
         rows = np.full(len(index), -1)
-        for level in self.levels:
-            keys = (index >> (depth - level)).tolist()
-            found = np.array([self._by_key.get((level, tuple(k)), -1) for k in keys], dtype=int)
-            rows = np.where(rows < 0, found, rows)
+        for level, keys, cell_rows in self._keys:
+            wanted = _packed_keys(index >> (depth - level), level)
+            pos = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
+            hit = (keys[pos] == wanted) & (rows < 0)
+            rows[hit] = cell_rows[pos[hit]]
         return rows
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         """Pointwise values; zero outside the union of cells (half-open).
 
-        A point is located through its exact level-max_level index
-        ceil(x * 2^L) - 1."""
+        A point of (0, 1]^m is located through its exact level-max_level
+        index ceil(x * 2^L) - 1; any other point, non-finite ones included,
+        lies outside every cell."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        index = np.frompyfunc(int, 1, 1)(np.ceil(pts * 2.0**self.max_level)) - 1
+        inside = ((pts > 0) & (pts <= 1)).all(axis=1)
+        top = np.ceil(np.where(inside[:, None], pts, 0.0) * 2.0**self.max_level)
+        if self.max_level < INT64_LEVELS:
+            index = top.astype(np.int64) - 1
+        else:
+            index = np.frompyfunc(int, 1, 1)(top) - 1
         return self._values(pts, self.locate(self.max_level, index))
 
     def _values(self, pts: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -155,13 +237,12 @@ def _lq_norm(masses: np.ndarray, values: np.ndarray, q: float) -> float:
 def piecewise_project(
     f, partition, degree: int, npts: Optional[int] = None
 ) -> PiecewisePolynomial:
-    """Apply the moment projection cell by cell (linear in f)."""
+    """Apply the moment projection to every cell at once (linear in f)."""
     cells = tuple(partition.cells if isinstance(partition, PartitionResult) else partition)
     if not cells:
         raise ValidationError("piecewise projection needs at least one cell")
-    m = cells[0].m
-    coeffs = np.vstack([moment_project(f, cell, degree, npts) for cell in cells])
-    return PiecewisePolynomial(cells=cells, coeffs=coeffs, degree=degree, m=m)
+    coeffs = _project_cells(f, cells, degree, npts)
+    return PiecewisePolynomial(cells=cells, coeffs=coeffs, degree=degree, m=cells[0].m)
 
 
 def lq_error(
@@ -221,7 +302,6 @@ def decay_experiment(
     predicted = upper_order(params, curve).upper["K"]
 
     rows = []
-    xs, ys = [], []
     scale = 1.0
     for t in t_sequence:
         part = build_partition(model, params.rho, float(t), max_cells)

@@ -317,6 +317,8 @@ class IfsMeasure(MeasureModel):
         self._images = tuple(images)
         self._memo: dict[tuple[int, tuple[int, ...]], Fraction] = {}
         self._multisets: dict[int, dict[Mass, int]] = {}
+        # per level: the level's mass ids of what each image adds, then the holders'
+        self._mass_ids: dict[int, list[list[int]]] = {}
         self._tables: dict[int, LevelNodes] = {}
 
     @property
@@ -424,15 +426,25 @@ class IfsMeasure(MeasureModel):
         return self._cached_level(n, self._multisets, self._build_multiset)
 
     def _build_multiset(self, n):
-        # the IFS multiset rule of the module docstring
-        out = {}
-        for p, mp in zip(self.probs, self.maps):
-            if mp.ratio_log2 <= n:
-                for mu, cnt in self._multisets[n - mp.ratio_log2].items():
-                    out[p * mu] = out.get(p * mu, 0) + cnt
-        for mu in self._holders(n).values():
-            out[mu] = out.get(mu, 0) + 1
-        return out
+        # the IFS multiset rule of the module docstring; each product p * mu
+        # is made and hashed once, and its id (its position among the
+        # level's distinct masses) is kept in _mass_ids for `_build_nodes`
+        ids: dict[Mass, int] = {}
+        counts: list[int] = []
+
+        def add(mu, cnt):
+            j = ids.setdefault(mu, len(counts))
+            if j == len(counts):
+                counts.append(0)
+            counts[j] += cnt
+            return j
+
+        self._mass_ids[n] = [
+            [add(p * mu, cnt) for mu, cnt in self._multisets[n - mp.ratio_log2].items()]
+            for p, mp in zip(self.probs, self.maps)
+            if mp.ratio_log2 <= n
+        ] + [[add(mu, 1) for mu in self._holders(n).values()]]
+        return dict(zip(ids, counts))
 
     def level_nodes(self, n, max_cubes=DEFAULT_MAX_CUBES):
         if n < 0:
@@ -468,22 +480,19 @@ class IfsMeasure(MeasureModel):
     def _build_nodes(self, n) -> LevelNodes:
         # the multiset rule again, on (index, mass id) tables: an image of
         # level k <= n is the level-(n - k) table translated into the image,
-        # its mass ids remapped through p * mu (one lookup per distinct mass),
-        # and each holder cube adds one node
+        # its mass ids remapped to those of p * mu that the level's multiset
+        # recorded, and each holder cube adds one node
         masses = tuple(self._level_masses_base(n))
-        ids = {mu: i for i, mu in enumerate(masses)}
+        *image_ids, holder_ids = self._mass_ids[n]
+        images = [mp for mp in self.maps if mp.ratio_log2 <= n]
         index, mass_id = [], []
-        for p, mp in zip(self.probs, self.maps):
-            k = mp.ratio_log2
-            if k <= n:
-                sub = self._tables[n - k]
-                index.append(_translate(sub.index, mp.offset, n - k, n))
-                remap = np.array([ids[p * mu] for mu in sub.masses], dtype=np.intp)
-                mass_id.append(remap[sub.mass_id])
-        holders = self._holders(n)
-        if holders:
-            index.append(_index_array(list(holders), n, self.m))
-            mass_id.append(np.array([ids[mu] for mu in holders.values()], dtype=np.intp))
+        for mp, remap in zip(images, image_ids):
+            sub = self._tables[n - mp.ratio_log2]
+            index.append(_translate(sub.index, mp.offset, n - mp.ratio_log2, n))
+            mass_id.append(np.array(remap, dtype=np.intp)[sub.mass_id])
+        if holder_ids:
+            index.append(_index_array(list(self._holders(n)), n, self.m))
+            mass_id.append(np.array(holder_ids, dtype=np.intp))
         index, mass_id = np.concatenate(index), np.concatenate(mass_id)
         order = np.lexsort(index.T[::-1])
         index, mass_id = index[order], mass_id[order]

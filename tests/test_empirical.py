@@ -1,5 +1,7 @@
 import functools
+import logging
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +16,7 @@ from widthlab import (
     IfsMeasure,
     Polynomial,
     SinProduct,
+    SolverError,
     UniformMeasure,
     ValidationError,
     build_partition,
@@ -29,9 +32,10 @@ from widthlab import (
     scaling_check,
     sobolev_seminorm,
 )
+from widthlab import empirical
 from widthlab.functions import monomials, multi_indices
 from widthlab.measures import MeasureModel
-from widthlab.quadrature import integrate_on_cell
+from widthlab.quadrature import integrate_on_cell, unit_rule
 
 
 def test_polynomial_space_dim():
@@ -127,6 +131,85 @@ def test_piecewise_cell_means():
         coordinate(1), [DyadicCube(1, (0,)), DyadicCube(1, (1,))], 0
     )
     assert approx.coeffs.ravel() == pytest.approx([0.25, 0.75], abs=1e-12)
+
+
+def oracle_moment_project(f, cube, degree, npts=None):
+    # the per-cell body that the batched projection replaced: Gram matrix,
+    # mapped points and f call for one cube at a time
+    m = cube.m
+    npts = npts or max(2 * (degree + 1), 8)
+    exps = np.array(multi_indices(m, degree), dtype=int)
+    kdim = exps.shape[0]
+    gram = np.empty((kdim, kdim))
+    for a in range(kdim):
+        for b in range(kdim):
+            gram[a, b] = math.prod(
+                1.0 / (int(exps[a, i]) + int(exps[b, i]) + 1) for i in range(m)
+            )
+    pts, wts = unit_rule(m, npts)
+    side = float(cube.side)
+    lower = np.array([float(x) for x in cube.lower()])
+    fvals = np.asarray(f(lower + side * pts), dtype=float)
+    rhs = monomials(exps, pts).T @ (wts * fvals)
+    return np.linalg.solve(gram, rhs)
+
+
+def _mixed_cells(m):
+    """Cells on levels 1 .. 6, over the bump's slopes and plateau."""
+    return [
+        DyadicCube(level, tuple((j * ((1 << level) - 1)) // (m + 1) + (level % 2) * (j % 2)
+                                for j in range(1, m + 1)))
+        for level in (1, 3, 2, 6, 4, 5)
+    ]
+
+
+def _projection_functions(m):
+    rng = np.random.default_rng(m)
+    poly = {k: float(c) for k, c in zip(multi_indices(m, 4), rng.uniform(-2, 2, 100))}
+    return [SinProduct(m, [1.0 + i for i in range(m)]), Polynomial(m, poly), Bump(m)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_batched_projection_matches_per_cell_body(m, degree, monkeypatch):
+    cells = _mixed_cells(m)
+    assert len({c.level for c in cells}) == len(cells)
+    for f in _projection_functions(m):
+        want = np.vstack([oracle_moment_project(f, c, degree) for c in cells])
+        assert np.array_equal(piecewise_project(f, cells, degree).coeffs, want)
+        assert np.array_equal(moment_project(f, cells[2], degree), want[2])
+        # blocks of one and of two cells per call of f
+        for block in (1, 2 * len(empirical.unit_rule(m, max(2 * (degree + 1), 8))[0])):
+            monkeypatch.setattr(empirical, "PROJECT_BLOCK_POINTS", block)
+            assert np.array_equal(piecewise_project(f, cells, degree).coeffs, want)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("block", [None, 1, 16])
+def test_projection_names_first_non_finite_cube(block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(empirical, "PROJECT_BLOCK_POINTS", block)
+    cells = [DyadicCube(2, (0,)), DyadicCube(2, (2,)), DyadicCube(3, (7,)), DyadicCube(1, (0,))]
+    f = lambda pts: np.where(np.atleast_2d(pts)[:, 0] > 0.5, np.nan, 1.0)  # noqa: E731
+    with pytest.raises(SolverError, match=r"^non-finite function values on cube 2:2$"):
+        piecewise_project(f, cells, 1)
+    with pytest.raises(SolverError, match=r"^non-finite function values on cube 3:7$"):
+        moment_project(f, cells[2], 0)
+
+
+def test_gram_built_once_per_dimension_and_degree(caplog):
+    empirical._hilbert_gram.cache_clear()
+    caplog.set_level(logging.DEBUG, logger="widthlab.empirical")
+    cells = [DyadicCube(2, (i, j)) for i in range(4) for j in range(4)]
+    for _ in range(2):
+        piecewise_project(SinProduct(2), cells, 1)
+        piecewise_project(SinProduct(2), cells, 1, npts=12)
+        moment_project(SinProduct(2), cells[5], 1)
+    piecewise_project(SinProduct(2), cells, 2)
+    logged = [r.getMessage() for r in caplog.records if "moment gram" in r.getMessage()]
+    assert [msg.split(" cond=")[0] for msg in logged] == [
+        "moment gram: m=2 degree=1", "moment gram: m=2 degree=2"
+    ]
 
 
 def test_piecewise_refinement_converges_pointwise():
@@ -287,6 +370,17 @@ def oracle_cell_row(approx, cube):
     return None
 
 
+def oracle_locate(approx, depth, index):
+    # one dict lookup on a tuple key per node per cell level
+    by_key = {(c.level, c.index): i for i, c in enumerate(approx.cells)}
+    rows = np.full(len(index), -1)
+    for level in sorted({c.level for c in approx.cells}):
+        keys = (index >> (depth - level)).tolist()
+        found = np.array([by_key.get((level, tuple(k)), -1) for k in keys], dtype=int)
+        rows = np.where(rows < 0, found, rows)
+    return rows
+
+
 def oracle_evaluate(approx, pts):
     by_key = {(c.level, c.index): i for i, c in enumerate(approx.cells)}
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -339,6 +433,18 @@ def _mixed_2d():
     )
 
 
+def _wide_atomic(m, exponent, weight):
+    # two atoms 2^-exponent apart and a light third one: cells on two levels,
+    # the finer with level * m > 62 while the quadrature depth stays below 63
+    half, tiny = Fraction(1, 2), Fraction(1, 2**exponent)
+    rest = (Fraction(1, 3),) * (m - 1)
+    return AtomicMeasure(
+        [(half + tiny,) + rest, (half + 3 * tiny,) + rest,
+         (Fraction(1, 8),) + (Fraction(7, 8),) * (m - 1)],
+        [(1 - weight) / 2, (1 - weight) / 2, weight],
+    )
+
+
 def _deep_atomic():
     # two atoms 2^-59 apart next to 1/2, where floats are 2^-53 apart: the
     # partition cells lie at level 60, and float cube centres at the
@@ -353,11 +459,18 @@ def _deep_atomic():
 
 def _boundary_points(m, levels, rng):
     """Random points, dyadic boundary points of the given levels, and points
-    outside the unit cube (0 itself, negative, beyond 1)."""
+    outside the unit cube (0 itself, negative, beyond 1), also with a single
+    coordinate, leading or not, outside and the others inside."""
     pts = [rng.uniform(0, 1, m) for _ in range(40)]
     for level in levels:
         for _ in range(20):
             pts.append(rng.integers(0, (1 << level) + 1, m) / float(1 << level))
+    for axis in range(m):
+        for value in (0.0, -0.25, 1.5, 1.0 + 2.0**-40):
+            for inside in (0.3, rng.uniform(0, 1)):
+                point = np.full(m, inside)
+                point[axis] = value
+                pts.append(point)
     pts += [np.zeros(m), np.full(m, -0.25), np.full(m, 1.5), np.full(m, 1.0)]
     out = np.array(pts)
     out[-5, 0] = 1.0 + 2.0**-40  # just beyond the upper face
@@ -373,6 +486,10 @@ def located_partitions(binomial_cascade, tetrahedron):
         (_gapped_1d(), build_partition(_gapped_1d(), 1.0, 2.0**-9)),
         (_mixed_2d(), build_partition(_mixed_2d(), 2.0, 2.0**-9)),
         (tetrahedron, build_partition(tetrahedron, 2.5, 2.0**-10)),
+        (_wide_atomic(2, 34, Fraction(1, 2**16)),
+         build_partition(_wide_atomic(2, 34, Fraction(1, 2**16)), 1.0, 2.0**-36)),
+        (_wide_atomic(3, 24, Fraction(1, 2**10)),
+         build_partition(_wide_atomic(3, 24, Fraction(1, 2**10)), 1.0, 2.0**-26)),
         (_deep_atomic(), build_partition(_deep_atomic(), 1.0, 2.0**-62)),
     ]
     for _, part in cases:
@@ -398,6 +515,110 @@ def test_locate_matches_ancestor_walk(located_partitions):
                 rows = approx.locate(depth, index.reshape(len(positive), model.m))
                 want = [oracle_cell_row(approx, c) for c, _ in positive]
                 assert rows.tolist() == [-1 if r is None else r for r in want]
+
+
+def test_wide_keys_below_int64_depth(located_partitions):
+    # cell keys wider than int64 (level * m > 62) on int64 node indices, next
+    # to a narrow cell level, in m = 2 and m = 3
+    wide = [part for model, part in located_partitions
+            if model.m > 1 and part.max_level * model.m > 62 and part.max_level + 3 < 63]
+    assert len(wide) == 2
+    for part in wide:
+        assert min(c.level for c in part.cells) * part.cells[0].m <= 62
+
+
+def _perturbed_indices(positive, depth, m):
+    """The indices of `positive`, and each pushed out of [0, 2^depth) in one
+    coordinate at a time: by +2^depth, which a key packed without a range
+    check would carry into the coordinate before, and to -1 - index."""
+    rows = [list(c.index) for c, _ in positive]
+    out = list(rows)
+    for axis in range(m):
+        for row in rows:
+            for value in (row[axis] + (1 << depth), -1 - row[axis]):
+                out.append(row[:axis] + [value] + row[axis + 1:])
+    return np.array(out, dtype=np.int64 if depth < 63 else object)
+
+
+def test_locate_matches_per_node_dict(located_partitions):
+    for model, part in located_partitions:
+        approx = piecewise_project(SinProduct(model.m), part, 0)
+        for depth in (part.max_level, part.max_level + 2):
+            index = _perturbed_indices(model.enumerate_positive(depth), depth, model.m)
+            rows = approx.locate(depth, index)
+            assert rows.tolist() == oracle_locate(approx, depth, index).tolist()
+            assert (rows[: len(index) // (2 * model.m + 1)] >= 0).all()
+
+
+def test_locate_wide_keys_do_not_wrap(located_partitions):
+    # moving the leading coordinate of a level-L cell by 2^(64 - L (m - 1))
+    # leaves a key packed into 64 wrapping bits unchanged
+    cases = 0
+    for model, part in located_partitions:
+        m, depth = model.m, part.max_level + 2
+        approx = piecewise_project(SinProduct(m), part, 0)
+        rows = []
+        for cell in part.cells:
+            step = 1 << (64 - cell.level * (m - 1))
+            if cell.level * m <= 64 or step >= 1 << cell.level:
+                continue
+            lead = cell.index[0] + (step if cell.index[0] < step else -step)
+            rows.append([(v << (depth - cell.level)) for v in (lead,) + cell.index[1:]])
+        if rows:
+            cases += 1
+            index = np.array(rows, dtype=np.int64 if depth < 63 else object)
+            got = approx.locate(depth, index)
+            assert got.tolist() == oracle_locate(approx, depth, index).tolist() == [-1] * len(rows)
+    assert cases >= 2
+
+
+def test_locate_far_outside_at_object_depth(deep_ifs):
+    # Python-int indices far outside [0, 2^depth), on int64-wide cell levels
+    part = build_partition(deep_ifs, 1.0, 2.0**-62)
+    approx = piecewise_project(SinProduct(1), part, 0)
+    index = np.array([[1 << 200], [-(1 << 200)], [(1 << 64) - 1], [0]], dtype=object)
+    rows = approx.locate(64, index)
+    assert rows.tolist() == oracle_locate(approx, 64, index).tolist()
+    assert rows.tolist()[:2] == [-1, -1] and min(rows.tolist()[2:]) >= 0
+
+
+def test_evaluate_non_finite_and_far_points_are_outside(located_partitions):
+    for model, part in (located_partitions[0], located_partitions[-1]):
+        m = model.m
+        approx = piecewise_project(SinProduct(m), part, 1)
+        pts = np.array([[v] + [0.3] * (m - 1) for v in (np.nan, np.inf, -np.inf, 1e300)]
+                       + [[0.3] * (m - 1) + [np.nan]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert approx.evaluate(pts).tolist() == [0.0] * len(pts)
+
+
+def test_overlapping_cells_coarsest_first():
+    cells = [DyadicCube(3, (1,)), DyadicCube(1, (0,)), DyadicCube(2, (0,)), DyadicCube(2, (3,))]
+    approx = piecewise_project(SinProduct(1), cells, 0)
+    approx.coeffs = np.arange(1.0, 5.0)[:, None]
+    index = np.arange(16)[:, None]
+    assert approx.locate(4, index).tolist() == oracle_locate(approx, 4, index).tolist()
+    pts = np.array([[0.1], [0.2], [0.4], [0.6], [0.9]])
+    assert approx.evaluate(pts).tolist() == oracle_evaluate(approx, pts).tolist() == [
+        2.0, 2.0, 2.0, 0.0, 4.0
+    ]
+
+
+@pytest.mark.parametrize("m,level", [(2, 2), (3, 2), (2, 33), (3, 21)])
+def test_evaluate_outside_in_a_trailing_coordinate(m, level):
+    # a constant projection on the level grid of the uniform measure is 1
+    # inside (0, 1]^m and 0 wherever any coordinate leaves it
+    cells = [DyadicCube(level, (0,) * (m - 1) + (i,)) for i in range(4)]
+    cells += [DyadicCube(level, (1,) + (0,) * (m - 2) + (i,)) for i in range(4)]
+    approx = piecewise_project(Polynomial(m, {(0,) * m: 1.0}), cells, 0)
+    side = 2.0**-level
+    inner = [side / 2] * (m - 1)
+    pts = np.array([inner + [v] for v in (side / 2, 3.5 * side, 1.5, -0.25, 4 * side + 1.0)])
+    pts = np.vstack([pts, [[0.3, 1.5] + [side / 2] * (m - 2)], [[0.3, -0.25] + [side / 2] * (m - 2)]])
+    want = [1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    assert approx.evaluate(pts).tolist() == want
+    assert oracle_evaluate(approx, pts).tolist() == want
 
 
 def test_evaluate_matches_per_point_loop(located_partitions):
