@@ -2,7 +2,7 @@
 
 Uses the partitions of perfbench's `empirical-ifs` workload (thresholds
 2^0 .. 2^-10 at rho = 2.5, `sin`, degree 1) and times, against the kernels
-they replaced, kept here as baselines:
+they replaced, kept as baselines in `tests/oracles.py`:
 
 - `PiecewisePolynomial.locate` against one dict lookup on a tuple key per
   node per cell level, on each partition's quadrature nodes (depth max
@@ -19,15 +19,14 @@ The suite lies outside tier-1, whose `testpaths` is `tests`.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from widthlab import IfsMap, IfsMeasure, SinProduct, build_partition, piecewise_project
-from widthlab.functions import monomials, multi_indices
-from widthlab.quadrature import unit_rule
+
+from tests.oracles import oracle_locate, oracle_moment_project
 
 RHO = 2.5
 THRESHOLDS = [2.0**-k for k in range(11)]
@@ -49,21 +48,11 @@ def partitions():
     return model, [build_partition(model, RHO, t) for t in THRESHOLDS]
 
 
-def dict_locate(approx, depth, index):
-    by_key = {(c.level, c.index): i for i, c in enumerate(approx.cells)}
-    rows = np.full(len(index), -1)
-    for level in sorted({c.level for c in approx.cells}):
-        keys = (index >> (depth - level)).tolist()
-        found = np.array([by_key.get((level, tuple(k)), -1) for k in keys], dtype=int)
-        rows = np.where(rows < 0, found, rows)
-    return rows
-
-
 def array_locate(approx, depth, index):
     return approx.locate(depth, index)
 
 
-@pytest.mark.parametrize("locate", [dict_locate, array_locate], ids=["dict", "arrays"])
+@pytest.mark.parametrize("locate", [oracle_locate, array_locate], ids=["dict", "arrays"])
 def test_l4_locate(benchmark, locate, partitions):
     model, parts = partitions
     cases = []
@@ -73,27 +62,12 @@ def test_l4_locate(benchmark, locate, partitions):
     got = benchmark.pedantic(
         lambda: [locate(approx, depth, index) for approx, depth, index in cases], rounds=5
     )
-    want = [dict_locate(approx, depth, index) for approx, depth, index in cases]
+    want = [oracle_locate(approx, depth, index) for approx, depth, index in cases]
     assert [rows.tolist() for rows in got] == [rows.tolist() for rows in want]
 
 
 def per_cell_project(f, cells, degree):
-    npts = max(2 * (degree + 1), 8)
-    out = []
-    for cube in cells:
-        m = cube.m
-        exps = np.array(multi_indices(m, degree), dtype=int)
-        gram = np.empty((len(exps), len(exps)))
-        for a in range(len(exps)):
-            for b in range(len(exps)):
-                gram[a, b] = math.prod(
-                    1.0 / (int(exps[a, i]) + int(exps[b, i]) + 1) for i in range(m)
-                )
-        pts, wts = unit_rule(m, npts)
-        lower = np.array([float(x) for x in cube.lower()])
-        fvals = np.asarray(f(lower + float(cube.side) * pts), dtype=float)
-        out.append(np.linalg.solve(gram, monomials(exps, pts).T @ (wts * fvals)))
-    return np.vstack(out)
+    return np.vstack([oracle_moment_project(f, cube, degree) for cube in cells])
 
 
 def batched_project(f, cells, degree):

@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Optional
 
 import numpy as np
@@ -86,15 +86,6 @@ def _hilbert_gram(m: int, degree: int) -> np.ndarray:
     return gram
 
 
-@functools.lru_cache(maxsize=32)
-def _moment_basis(m: int, degree: int, npts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The unit rule (points, weights) and the (K, P) monomial matrix at its points."""
-    pts, wts = unit_rule(m, npts)
-    basis = monomials(np.array(multi_indices(m, degree), dtype=int), pts).T
-    basis.flags.writeable = False
-    return pts, wts, basis
-
-
 def _cell_frames(cells) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Levels, integer indices (exact at every level), float lower corners
     and float sides of the cells; corners and sides are rounded once each,
@@ -105,14 +96,15 @@ def _cell_frames(cells) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     return levels, index, np.ldexp(index.astype(float), -levels[:, None]), np.ldexp(1.0, -levels)
 
 
-def _project_cells(f, cells, degree: int, npts: Optional[int]) -> np.ndarray:
-    """(card, K) moment-projection coefficients of f on each cell, in order."""
+def _project_cells(f, cells, lower, side, degree: int, npts: Optional[int]) -> np.ndarray:
+    """(card, K) moment-projection coefficients of f on each cell, in order,
+    from the cells' float lower corners and sides (`_cell_frames`)."""
     if degree < 0:
         raise ValidationError("projection degree must be >= 0")
-    _, _, lower, side = _cell_frames(cells)
     m = lower.shape[1]
     gram = _hilbert_gram(m, degree)
-    pts, wts, basis = _moment_basis(m, degree, npts or _default_npts(degree))
+    pts, wts = unit_rule(m, npts or _default_npts(degree))
+    basis = monomials(np.array(multi_indices(m, degree), dtype=int), pts).T
     coeffs = np.empty((len(cells), gram.shape[0]))
     block = max(1, PROJECT_BLOCK_POINTS // len(pts))
     for start in range(0, len(cells), block):
@@ -140,7 +132,8 @@ def moment_project(
     L2(cube)-orthogonal projection of f. This is the one-cell case of
     `piecewise_project`, with bit-identical coefficients.
     """
-    return _project_cells(f, (cube,), degree, npts)[0]
+    _, _, lower, side = _cell_frames((cube,))
+    return _project_cells(f, (cube,), lower, side, degree, npts)[0]
 
 
 def _packed_keys(index: np.ndarray, level: int) -> np.ndarray:
@@ -166,10 +159,11 @@ class PiecewisePolynomial:
     coeffs: np.ndarray  # (card, kdim)
     degree: int
     m: int
+    frames: InitVar[Optional[tuple]] = None  # `_cell_frames(cells)`, if already built
 
-    def __post_init__(self):
+    def __post_init__(self, frames):
         self.exponents = np.array(multi_indices(self.m, self.degree), dtype=int)
-        levels, index, self._lower, self._side = _cell_frames(self.cells)
+        levels, index, self._lower, self._side = frames or _cell_frames(self.cells)
         self.levels = sorted(set(levels.tolist()))
         self.min_level, self.max_level = self.levels[0], self.levels[-1]
         # per cell level: (level, sorted packed cell keys, their rows)
@@ -201,10 +195,7 @@ class PiecewisePolynomial:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         inside = ((pts > 0) & (pts <= 1)).all(axis=1)
         top = np.ceil(np.where(inside[:, None], pts, 0.0) * 2.0**self.max_level)
-        if self.max_level < INT64_LEVELS:
-            index = top.astype(np.int64) - 1
-        else:
-            index = np.frompyfunc(int, 1, 1)(top) - 1
+        index = np.frompyfunc(int, 1, 1)(top) - 1
         return self._values(pts, self.locate(self.max_level, index))
 
     def _values(self, pts: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -241,8 +232,11 @@ def piecewise_project(
     cells = tuple(partition.cells if isinstance(partition, PartitionResult) else partition)
     if not cells:
         raise ValidationError("piecewise projection needs at least one cell")
-    coeffs = _project_cells(f, cells, degree, npts)
-    return PiecewisePolynomial(cells=cells, coeffs=coeffs, degree=degree, m=cells[0].m)
+    frames = _cell_frames(cells)
+    coeffs = _project_cells(f, cells, frames[2], frames[3], degree, npts)
+    return PiecewisePolynomial(
+        cells=cells, coeffs=coeffs, degree=degree, m=cells[0].m, frames=frames
+    )
 
 
 def lq_error(

@@ -35,7 +35,9 @@ from widthlab import (
 from widthlab import empirical
 from widthlab.functions import monomials, multi_indices
 from widthlab.measures import MeasureModel
-from widthlab.quadrature import integrate_on_cell, unit_rule
+from widthlab.quadrature import integrate_on_cell
+
+from oracles import oracle_locate, oracle_moment_project
 
 
 def test_polynomial_space_dim():
@@ -131,27 +133,6 @@ def test_piecewise_cell_means():
         coordinate(1), [DyadicCube(1, (0,)), DyadicCube(1, (1,))], 0
     )
     assert approx.coeffs.ravel() == pytest.approx([0.25, 0.75], abs=1e-12)
-
-
-def oracle_moment_project(f, cube, degree, npts=None):
-    # the per-cell body that the batched projection replaced: Gram matrix,
-    # mapped points and f call for one cube at a time
-    m = cube.m
-    npts = npts or max(2 * (degree + 1), 8)
-    exps = np.array(multi_indices(m, degree), dtype=int)
-    kdim = exps.shape[0]
-    gram = np.empty((kdim, kdim))
-    for a in range(kdim):
-        for b in range(kdim):
-            gram[a, b] = math.prod(
-                1.0 / (int(exps[a, i]) + int(exps[b, i]) + 1) for i in range(m)
-            )
-    pts, wts = unit_rule(m, npts)
-    side = float(cube.side)
-    lower = np.array([float(x) for x in cube.lower()])
-    fvals = np.asarray(f(lower + side * pts), dtype=float)
-    rhs = monomials(exps, pts).T @ (wts * fvals)
-    return np.linalg.solve(gram, rhs)
 
 
 def _mixed_cells(m):
@@ -370,17 +351,6 @@ def oracle_cell_row(approx, cube):
     return None
 
 
-def oracle_locate(approx, depth, index):
-    # one dict lookup on a tuple key per node per cell level
-    by_key = {(c.level, c.index): i for i, c in enumerate(approx.cells)}
-    rows = np.full(len(index), -1)
-    for level in sorted({c.level for c in approx.cells}):
-        keys = (index >> (depth - level)).tolist()
-        found = np.array([by_key.get((level, tuple(k)), -1) for k in keys], dtype=int)
-        rows = np.where(rows < 0, found, rows)
-    return rows
-
-
 def oracle_evaluate(approx, pts):
     by_key = {(c.level, c.index): i for i, c in enumerate(approx.cells)}
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -465,16 +435,17 @@ def _boundary_points(m, levels, rng):
     for level in levels:
         for _ in range(20):
             pts.append(rng.integers(0, (1 << level) + 1, m) / float(1 << level))
-    for axis in range(m):
-        for value in (0.0, -0.25, 1.5, 1.0 + 2.0**-40):
-            for inside in (0.3, rng.uniform(0, 1)):
-                point = np.full(m, inside)
-                point[axis] = value
-                pts.append(point)
     pts += [np.zeros(m), np.full(m, -0.25), np.full(m, 1.5), np.full(m, 1.0)]
     out = np.array(pts)
     out[-5, 0] = 1.0 + 2.0**-40  # just beyond the upper face
-    return out
+    single = []
+    for axis in range(m):
+        for value in (0.0, -0.25, 1.5, 1.0 + 2.0**-40):
+            for inside in (0.3, 0.71):
+                point = np.full(m, inside)
+                point[axis] = value
+                single.append(point)
+    return np.vstack([out] + single)
 
 
 @pytest.fixture(scope="module")
@@ -494,6 +465,13 @@ def located_partitions(binomial_cascade, tetrahedron):
     ]
     for _, part in cases:
         assert part.min_level < part.max_level or part.min_level > 53
+    # cell keys wider than int64 (level * m > 62) on int64 node indices, next
+    # to a narrow cell level, in m = 2 and m = 3
+    wide = [part for model, part in cases
+            if model.m > 1 and part.max_level * model.m > 62 and part.max_level + 3 < 63]
+    assert len(wide) == 2
+    for part in wide:
+        assert part.min_level * part.cells[0].m <= 62
     return cases
 
 
@@ -515,16 +493,6 @@ def test_locate_matches_ancestor_walk(located_partitions):
                 rows = approx.locate(depth, index.reshape(len(positive), model.m))
                 want = [oracle_cell_row(approx, c) for c, _ in positive]
                 assert rows.tolist() == [-1 if r is None else r for r in want]
-
-
-def test_wide_keys_below_int64_depth(located_partitions):
-    # cell keys wider than int64 (level * m > 62) on int64 node indices, next
-    # to a narrow cell level, in m = 2 and m = 3
-    wide = [part for model, part in located_partitions
-            if model.m > 1 and part.max_level * model.m > 62 and part.max_level + 3 < 63]
-    assert len(wide) == 2
-    for part in wide:
-        assert min(c.level for c in part.cells) * part.cells[0].m <= 62
 
 
 def _perturbed_indices(positive, depth, m):
