@@ -130,6 +130,8 @@ def coarse_profile(
     levels = tuple(int(n) for n in levels)
     if not levels:
         raise ValidationError("coarse profile needs a nonempty level list")
+    if min(levels) < 1:
+        raise ValidationError("coarse profile needs levels n >= 1")
     if alpha_grid is None:
         alpha_grid = default_alpha_grid(model.m, rho)
     alpha_grid = tuple(float(a) for a in alpha_grid)

@@ -17,8 +17,8 @@ many right-hand sides changes the BLAS/LAPACK summation order and moves the
 coefficients in the last bit, and the decay rows are pinned exactly.
 
 Quadrature nodes are the positive cubes at depth D, read from the model's
-node table (`MeasureModel.level_nodes`; an IFS builds each level once, in
-bulk, so repeated depths cost nothing): integer indices l, with centres
+node table (`MeasureModel.level_nodes`, built in bulk; an IFS caches each
+level, so repeated depths cost nothing): integer indices l, with centres
 (2l + 1) 2^-(D+1) rounded to float once, and masses rounded to float once per
 distinct exact mass. A node lies in the cell of level L and index
 l >> (D - L). `PiecewisePolynomial.locate` matches these keys with array

@@ -6,23 +6,29 @@ self-similar (IFS) measures, and products of lower-dimensional models.
 Masses are kept as `fractions.Fraction` throughout; probabilities written as
 decimals in spec files parse exactly, so no floating-point fallback is needed.
 
+Each family builds a level's positive cubes in bulk, without the mass
+oracle, as a node table (`LevelNodes`): their indices in lexicographic order
+and, for each, an id into the level's distinct exact masses. The table is the
+only enumeration; `enumerate_positive` and the default `level_masses` read it.
+Atomic tables group the atoms by their exact indices ceil(x 2^n) - 1, uniform
+ones are an index grid, and a product pairs every row of each factor's table
+with every row of the others', its mass ids remapped through the products.
+
 An IFS level-n multiset {mass: count} needs no tree walk, n = 0 included:
 the images are disjoint, so a positive level-n cube either lies in an image of
 level k <= n, with mass p times a mass of the level-(n - k) multiset, or holds
-deeper images only, with mass the sum of their p (Cawley & Mauldin 1992).
+deeper images only, with mass the sum of their p (Cawley & Mauldin 1992). The
+same rule builds the IFS table, once per level and cached: an image of level
+k <= n adds the level-(n - k) table translated into the image, its mass ids
+remapped through p * mu.
 
-The same rule builds the cubes themselves, in bulk: an IFS level's node table
-(`LevelNodes`, built once per level and cached) holds the indices of its
-positive cubes in lexicographic order and, for each, an id into the level's
-distinct exact masses. An image of level k <= n contributes the level-(n - k)
-table translated into the image, with its mass ids remapped through p * mu; no
-cube is built and no mass is queried. Before a table is built, the level's
-cube count (the sum of its multiset counts, counted in integers by the same
-rule) is checked against `max_cubes`, cached level or not, with the message of
-the cube-by-cube descent; the two caps agree because level counts never
-decrease, and an oversized level builds no multiset. Indices are int64 up to
-level 62 and Python ints from level 63 on (INT64_LEVELS), so they, and the
-centres (2 l + 1) 2^-(n+1) computed from them, stay exact at every level.
+`_check_level` checks a level's cube count against `max_cubes` before its
+table is built (an IFS counts in integers by the multiset rule, so an
+oversized level builds no multiset). It trips where the cube-by-cube descent
+through the mass oracle, the tests' reference, does: counts never decrease
+with the level, and level 0 is never capped. Indices are int64 up to level 62
+and Python ints from level 63 on (INT64_LEVELS), so they, and the centres
+(2 l + 1) 2^-(n+1) computed from them, stay exact at every level.
 
 The disjoint images also give each IFS a finite template
 (`IfsMeasure.template`): every positive cube is a copy of one of its nodes,
@@ -37,6 +43,7 @@ import csv
 import io
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -84,19 +91,19 @@ def _translate(index: np.ndarray, offset, shift: int, n: int) -> np.ndarray:
     return index.astype(delta.dtype) + delta
 
 
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def cube_of_point(point, n: int) -> DyadicCube:
-    """The level-n cube containing a point of the half-open unit cube."""
-    scale = 1 << n
-    index = tuple(_ceil_frac(Fraction(x) * scale) - 1 for x in point)
-    return DyadicCube(n, index)
+def _check_level(n: int, count: int = 1, max_cubes: int = DEFAULT_MAX_CUBES) -> None:
+    """Reject a negative level, and a level n >= 1 of more than `max_cubes`
+    positive cubes (`count` of them), as the cube-by-cube descent does."""
+    if n < 0:
+        raise ValidationError("level must be >= 0")
+    if n > 0 and count > max_cubes:
+        raise ResourceLimitError(f"more than {max_cubes} positive cubes at level {n}")
 
 
 class MeasureModel:
-    """Common interface: exact mass of dyadic cubes plus pruned enumeration."""
+    """Common interface: exact masses of dyadic cubes, and each level's
+    positive cubes as a node table (`level_nodes`), which every family
+    builds in bulk without the mass oracle."""
 
     m: int
     finite_support = False
@@ -112,44 +119,28 @@ class MeasureModel:
                 out.append((child, mu))
         return out
 
+    def level_nodes(self, n: int, max_cubes: int = DEFAULT_MAX_CUBES) -> LevelNodes:
+        """The node table of the level-n positive cubes."""
+        raise NotImplementedError
+
     def enumerate_positive(
         self, n: int, max_cubes: int = DEFAULT_MAX_CUBES
     ) -> list[tuple[DyadicCube, Mass]]:
-        """All level-n cubes of positive mass, by pruned tree descent."""
-        if n < 0:
-            raise ValidationError("level must be >= 0")
-        frontier = [(root(self.m), Fraction(1))]
-        for _ in range(n):
-            nxt = []
-            for cube, _ in frontier:
-                nxt.extend(self.positive_children(cube))
-                if len(nxt) > max_cubes:
-                    raise ResourceLimitError(
-                        f"more than {max_cubes} positive cubes at level {n}"
-                    )
-            frontier = nxt
-        frontier.sort(key=lambda cm: cm[0].index)
-        return frontier
-
-    def level_nodes(self, n: int, max_cubes: int = DEFAULT_MAX_CUBES) -> LevelNodes:
-        """The node table of the level-n positive cubes; the default groups
-        the masses of `enumerate_positive`."""
-        positive = self.enumerate_positive(n, max_cubes)
-        ids: dict[Mass, int] = {}
-        mass_id = np.array([ids.setdefault(mu, len(ids)) for _, mu in positive], dtype=np.intp)
-        index = _index_array([cube.index for cube, _ in positive], n, self.m)
-        return LevelNodes(index, mass_id, tuple(ids))
+        """All level-n cubes of positive mass, in index order, with their masses."""
+        index, mass_id, masses = self.level_nodes(n, max_cubes)
+        return [
+            (DyadicCube(n, tuple(row)), masses[j])
+            for row, j in zip(index.tolist(), mass_id.tolist())
+        ]
 
     def level_masses(self, n: int, max_cubes: int = DEFAULT_MAX_CUBES) -> dict[Mass, int]:
         """Multiset {mass: count} over the level-n positive cubes.
 
-        Subclasses override this with closed forms where the tree would be
-        too large to walk; the default just groups the enumeration.
+        Subclasses override this with closed forms where the level would be
+        too large to tabulate; the default counts the node table's mass ids.
         """
-        out: dict[Mass, int] = {}
-        for _, mu in self.enumerate_positive(n, max_cubes):
-            out[mu] = out.get(mu, 0) + 1
-        return out
+        _, mass_id, masses = self.level_nodes(n, max_cubes)
+        return dict(zip(masses, np.bincount(mass_id, minlength=len(masses)).tolist()))
 
     def card_positive(self, n: int, max_cubes: int = DEFAULT_MAX_CUBES) -> int:
         return sum(self.level_masses(n, max_cubes).values())
@@ -198,12 +189,19 @@ class AtomicMeasure(MeasureModel):
             Fraction(0),
         )
 
-    def enumerate_positive(self, n, max_cubes=DEFAULT_MAX_CUBES):
-        agg: dict[DyadicCube, Fraction] = {}
+    def level_nodes(self, n, max_cubes=DEFAULT_MAX_CUBES):
+        _check_level(n)
+        # x in (0, 1) lies in the level-n cube of index ceil(x 2^n) - 1, exactly
+        scale = 1 << n
+        groups: dict[tuple[int, ...], Mass] = {}
         for p, w in zip(self.points, self.weights):
-            cube = cube_of_point(p, n)
-            agg[cube] = agg.get(cube, Fraction(0)) + w
-        return sorted(agg.items(), key=lambda cm: cm[0].index)
+            key = tuple(-(-x.numerator * scale // x.denominator) - 1 for x in p)
+            groups[key] = groups.get(key, 0) + w
+        _check_level(n, len(groups), max_cubes)
+        keys = sorted(groups)
+        ids: dict[Mass, int] = {}
+        mass_id = np.array([ids.setdefault(groups[k], len(ids)) for k in keys], dtype=np.intp)
+        return LevelNodes(_index_array(keys, n, self.m), mass_id, tuple(ids))
 
     def to_spec(self) -> dict:
         return {
@@ -232,24 +230,18 @@ class UniformMeasure(MeasureModel):
         return Fraction(0)
 
     def level_masses(self, n, max_cubes=DEFAULT_MAX_CUBES):
-        s = self.support
-        if n <= s.level:
-            return {Fraction(1): 1}
-        k = (n - s.level) * self.m
+        _check_level(n)
+        k = max(n - self.support.level, 0) * self.m
         return {Fraction(1, 1 << k): 1 << k}
 
-    def enumerate_positive(self, n, max_cubes=DEFAULT_MAX_CUBES):
+    def level_nodes(self, n, max_cubes=DEFAULT_MAX_CUBES):
         s = self.support
-        if n <= s.level:
-            return [(s.ancestor(n), Fraction(1))]
-        if (1 << ((n - s.level) * self.m)) > max_cubes:
-            raise ResourceLimitError(
-                f"more than {max_cubes} positive cubes at level {n}"
-            )
-        shift = n - s.level
+        shift = max(n - s.level, 0)
+        _check_level(n, 1 << (shift * self.m), max_cubes)
+        grid = np.indices((1 << shift,) * self.m).reshape(self.m, -1).T
+        index = _translate(grid, s.ancestor(min(n, s.level)).index, shift, n)
         mu = Fraction(1, 1 << (shift * self.m))
-        ranges = [range(l << shift, (l + 1) << shift) for l in s.index]
-        return [(DyadicCube(n, idx), mu) for idx in itertools.product(*ranges)]
+        return LevelNodes(index, np.zeros(len(index), dtype=np.intp), (mu,))
 
     def to_spec(self) -> dict:
         return {"type": "uniform", "m": self.m, "support": str(self.support)}
@@ -366,6 +358,7 @@ class IfsMeasure(MeasureModel):
         return 0 if self.embed_shift is None else self.embed_shift.ratio_log2
 
     def level_masses(self, n, max_cubes=DEFAULT_MAX_CUBES):
+        _check_level(n)
         k = self._shift_level()
         if n < k:
             return {Fraction(1): 1}
@@ -447,12 +440,8 @@ class IfsMeasure(MeasureModel):
         return dict(zip(ids, counts))
 
     def level_nodes(self, n, max_cubes=DEFAULT_MAX_CUBES):
-        if n < 0:
-            raise ValidationError("level must be >= 0")
         k = self._shift_level()
-        count = 1 if n < k else self._count_base(n - k, max_cubes)
-        if n > 0 and count > max_cubes:
-            raise ResourceLimitError(f"more than {max_cubes} positive cubes at level {n}")
+        _check_level(n, 1 if n < k else self._count_base(n - k, max_cubes), max_cubes)
         shift = self.embed_shift
         if shift is None:
             return self._base_nodes(n)
@@ -499,13 +488,6 @@ class IfsMeasure(MeasureModel):
         index.flags.writeable = mass_id.flags.writeable = False  # cached, shared
         return LevelNodes(index, mass_id, masses)
 
-    def enumerate_positive(self, n, max_cubes=DEFAULT_MAX_CUBES):
-        index, mass_id, masses = self.level_nodes(n, max_cubes)
-        return [
-            (DyadicCube(n, tuple(row)), masses[j])
-            for row, j in zip(index.tolist(), mass_id.tolist())
-        ]
-
     def to_spec(self) -> dict:
         spec = {
             "type": "ifs",
@@ -548,6 +530,20 @@ class ProductMeasure(MeasureModel):
             if total == 0:
                 return Fraction(0)
         return total
+
+    def level_nodes(self, n, max_cubes=DEFAULT_MAX_CUBES):
+        # a factor's count exceeds max_cubes only if the product's does
+        tables = [f.level_nodes(n, max_cubes) for f in self.factors]
+        _check_level(n, math.prod(len(t.index) for t in tables), max_cubes)
+        # product row r is row rows[i][r] of factor i; rows run in index order
+        rows = np.indices([len(t.index) for t in tables]).reshape(len(tables), -1)
+        ids: dict[Mass, int] = {}
+        remap = [ids.setdefault(math.prod(mus), len(ids))
+                 for mus in itertools.product(*(t.masses for t in tables))]
+        combo = np.ravel_multi_index([t.mass_id[r] for t, r in zip(tables, rows)],
+                                     [len(t.masses) for t in tables])
+        index = np.hstack([t.index[r] for t, r in zip(tables, rows)])
+        return LevelNodes(index, np.array(remap, dtype=np.intp)[combo], tuple(ids))
 
     def level_masses(self, n, max_cubes=DEFAULT_MAX_CUBES):
         out = {Fraction(1): 1}

@@ -21,6 +21,8 @@ from .spectrum import DimensionEstimate, SpectrumCurve, s_b_solve
 INF = math.inf
 STARS = ("K", "G", "L")
 _TABLE_TOL = 1e-12
+# optimized (or box) dimension estimates this close mark the measure regular
+REGULARITY_TOL = 0.05
 
 
 def _inv(r: float) -> float:
@@ -158,19 +160,18 @@ def upper_S(
     curve: SpectrumCurve,
     dims: Optional[DimensionEstimate],
     params: EmbeddingParams,
-    cross_check: bool = True,
 ) -> float:
     """S_upper: 1/(q*s_rho) for finite q, rho_hat/upper-dim for q = inf."""
-    return _solve_S(curve, dims, params, cross_check)[1]
+    return _solve_S(curve, dims, params)[1]
 
 
 def _solve_S(
     curve: SpectrumCurve,
     dims: Optional[DimensionEstimate],
     params: EmbeddingParams,
-    cross_check: bool,
 ) -> tuple[Optional[float], float]:
-    """(s_rho, S_upper), solving for s_rho once; s_rho is None for q = inf."""
+    """(s_rho, S_upper), solving for s_rho once; s_rho is None for q = inf.
+    A closed-form curve is cross-checked against a second closed form."""
     if math.isinf(params.q):
         if dims is None:
             raise ValidationError("q = inf needs a dimension estimate")
@@ -185,7 +186,7 @@ def _solve_S(
             "s_rho = 0 (degenerate spectrum); approximation orders are -inf"
         )
     value = 1.0 / (params.q * s)
-    if cross_check and curve.kind == "closed-form":
+    if curve.kind == "closed-form":
         # alternative closed form: 1/S = inf{t > 0 : beta(t/q) - t*rho_hat <= 0};
         # beta(1) = 0 puts the crossing at or below t = q
         class _Sub(SpectrumCurve):
@@ -244,7 +245,7 @@ def upper_order(
 ) -> OrderReport:
     """Upper approximation orders -S_upper + e_star for all three widths."""
     p, q = params.p, params.q
-    s_rho, S = _solve_S(curve, dims, params, cross_check=True)
+    s_rho, S = _solve_S(curve, dims, params)
     exps = {star: width_exponent(star, p, q) for star in STARS}
     if abs(exps["L"] - max(exps["K"], exps["G"])) > _TABLE_TOL:
         raise SolverError("linear exponent is not the max of K and G exponents")
@@ -268,14 +269,13 @@ def lower_order(
     curve: SpectrumCurve,
     dims: Optional[DimensionEstimate] = None,
     coarse: Optional[CoarseProfile] = None,
-    regularity_tol: float = 0.05,
 ) -> OrderReport:
     """Lower approximation orders.
 
     Finite q: sandwich intervals [uAO - (S_lower_est - S_upper), uAO] with
     S_lower_est from the coarse profile's optimized lower dimension; the
     regularity flag is set when the optimized upper and lower estimates
-    coincide within tolerance (then the order exists and the interval is
+    coincide within REGULARITY_TOL (then the order exists and the interval is
     reported as collapsed onto the upper order).
 
     q = inf: exact values from the lower box dimension estimate.
@@ -299,7 +299,7 @@ def lower_order(
             }
         report.lower = {star: (v, v) for star, v in lower_exact.items()}
         report.S_lower_est = params.rho_hat / dim_lo
-        report.regularity_flag = abs(dims.window_max - dim_lo) <= regularity_tol
+        report.regularity_flag = abs(dims.window_max - dim_lo) <= REGULARITY_TOL
         return report
 
     if coarse is None:
@@ -313,7 +313,7 @@ def lower_order(
     width = max(0.0, S_lower_est - report.S_upper)
     report.S_lower_est = S_lower_est
     report.regularity_flag = (
-        abs(coarse.optimized_lower - coarse.optimized_upper) <= regularity_tol
+        abs(coarse.optimized_lower - coarse.optimized_upper) <= REGULARITY_TOL
     )
     if report.regularity_flag:
         report.lower = {star: (v, v) for star, v in report.upper.items()}

@@ -1,14 +1,36 @@
-"""The per-node and per-cell L4 kernels that the array locator and the
-batched projection replaced, kept as exact oracles for the tests and as
-baselines for `benchmarks/test_l4_quadrature.py`."""
+"""Kernels that the program replaced, kept as exact oracles for the tests
+and as baselines for the benchmarks in `benchmarks/`: the cube-by-cube
+descent that the node tables replaced, and the per-node and per-cell L4
+kernels that the array locator and the batched projection replaced."""
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
+from widthlab import ResourceLimitError, ValidationError, root
 from widthlab.functions import monomials, multi_indices
+from widthlab.measures import DEFAULT_MAX_CUBES
 from widthlab.quadrature import unit_rule
+
+
+def descent_positive(model, n, max_cubes=DEFAULT_MAX_CUBES):
+    # all level-n cubes of positive mass with their masses, in index order,
+    # by pruned descent through the mass oracle, capped on the cubes of each
+    # level as they are found
+    if n < 0:
+        raise ValidationError("level must be >= 0")
+    frontier = [(root(model.m), Fraction(1))]
+    for _ in range(n):
+        nxt = []
+        for cube, _ in frontier:
+            nxt.extend(model.positive_children(cube))
+            if len(nxt) > max_cubes:
+                raise ResourceLimitError(f"more than {max_cubes} positive cubes at level {n}")
+        frontier = nxt
+    frontier.sort(key=lambda cm: cm[0].index)
+    return frontier
 
 
 def oracle_locate(approx, depth, index):

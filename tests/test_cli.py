@@ -213,6 +213,22 @@ def test_malformed_values_exit_1(argv, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("widthlab: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coarse", *_TET22, "--levels", "0..3"],
+        ["coarse", *_TET22, "--levels=-2..-1"],
+        ["coarse", "--measure", "pts.csv", "--weight-column", "w", "--rho", "1",
+         "--levels=-1..2"],
+    ],
+    ids=["level-0", "negative-ifs", "negative-cloud"],
+)
+def test_coarse_levels_below_one_exit_1(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv, tmp_path)["code"] == cli.EX_FAIL
+    assert capsys.readouterr().err == "widthlab: coarse profile needs levels n >= 1\n"
+
+
 def test_header_hash_covers_config_file_values(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     headers = []

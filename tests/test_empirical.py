@@ -34,10 +34,9 @@ from widthlab import (
 )
 from widthlab import empirical
 from widthlab.functions import monomials, multi_indices
-from widthlab.measures import MeasureModel
 from widthlab.quadrature import integrate_on_cell
 
-from oracles import oracle_locate, oracle_moment_project
+from oracles import descent_positive, oracle_locate, oracle_moment_project
 
 
 def test_polynomial_space_dim():
@@ -642,8 +641,8 @@ def test_lq_error_beyond_int64_matches_oracle(deep_ifs, monkeypatch):
     f = SinProduct(1)
     approx = piecewise_project(f, part, 1)
     got = [lq_error(f, approx, deep_ifs, 2.0, d) for d in (63, 64)]
-    # the oracle reads the cubes from the generic descent, not the node table
-    descent = functools.partial(MeasureModel.enumerate_positive, deep_ifs)
+    # the oracle reads the cubes from the descent, not the node table
+    descent = functools.partial(descent_positive, deep_ifs)
     monkeypatch.setattr(deep_ifs, "enumerate_positive", descent)
     want = [oracle_lq_error(f, approx, deep_ifs, 2.0, d) for d in (63, 64)]
     assert got == pytest.approx(want, rel=1e-12)

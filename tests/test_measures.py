@@ -21,7 +21,8 @@ from widthlab import (
     load_measure,
     root,
 )
-from widthlab.measures import MeasureModel
+
+from oracles import descent_positive
 
 
 def test_atomic_mass_membership():
@@ -89,7 +90,7 @@ def test_level_masses_matches_enumeration(tetrahedron, quarter_cantor):
             assert model.level_masses(n) == grouped
 
 
-# -- the IFS node table against the generic descent ----------------------------
+# -- node tables against the cube-by-cube descent ------------------------------
 
 
 def _mixed_2d():
@@ -104,10 +105,34 @@ def _mixed_2d():
 def _node_models(tetrahedron):
     mixed = _mixed_2d()
     shifted = IfsMeasure(mixed.maps, mixed.probs, embed_shift=IfsMap(2, (1, 2)))
-    return {"tetrahedron": tetrahedron, "mixed": mixed, "shifted": shifted}
+    # dyadic atoms, which lie in the cube their coordinates close, and atoms
+    # 10^-6 to either side of a dyadic boundary
+    eps = Fraction(1, 10**6)
+    atomic = AtomicMeasure(
+        [(Fraction(1, 2), Fraction(1, 4)), (Fraction(1, 2) + eps, Fraction(1, 4) - eps),
+         (Fraction(1, 4) - eps, Fraction(3, 4) + eps), (eps, 1 - eps)],
+        [Fraction(1, 10), Fraction(2, 10), Fraction(3, 10), Fraction(4, 10)],
+    )
+    ifs_1d = IfsMeasure([IfsMap(2, (0,)), IfsMap(2, (3,))], [Fraction(1, 3), Fraction(2, 3)])
+    atomic_1d = AtomicMeasure(
+        [(Fraction(1, 2),), (Fraction(1, 2) + eps,), (Fraction(1, 8),)],
+        [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)],
+    )
+    return {
+        "tetrahedron": tetrahedron,
+        "mixed": mixed,
+        "shifted": shifted,
+        "atomic": atomic,
+        "uniform": UniformMeasure(DyadicCube(2, (1, 2))),
+        "product": ProductMeasure([ifs_1d, atomic_1d, lebesgue(1)]),
+    }
 
 
-@pytest.mark.parametrize("name", ["tetrahedron", "mixed", "shifted"])
+NODE_MODELS = ["tetrahedron", "mixed", "shifted", "atomic", "uniform", "product"]
+CAPS = (0, 1, 2, 3, 5, 8, 13, 40, 64, 300, 1024)
+
+
+@pytest.mark.parametrize("name", NODE_MODELS)
 def test_node_table_matches_descent(name, tetrahedron):
     model = _node_models(tetrahedron)[name]
     if name == "mixed":  # one holder cube for three deep images
@@ -115,12 +140,55 @@ def test_node_table_matches_descent(name, tetrahedron):
             (DyadicCube(1, (0, 0)), Fraction(2, 5)), (DyadicCube(1, (1, 1)), Fraction(3, 5))
         ]
     for n in range(8):
-        want = MeasureModel.enumerate_positive(model, n)
+        want = descent_positive(model, n)
         assert model.enumerate_positive(n) == want
         index, mass_id, masses = model.level_nodes(n)
         assert index.dtype == np.int64 and index.shape == (len(want), model.m)
         assert [masses[j] for j in mass_id] == [mu for _, mu in want]
         assert len(set(masses)) == len(masses)
+        for cap in CAPS:
+            want = _outcome(lambda: descent_positive(model, n, cap))
+            assert _outcome(lambda: model.level_nodes(n, cap)) == want
+            assert _outcome(lambda: model.enumerate_positive(n, cap)) == want
+
+
+def test_atomic_table_obeys_the_cap():
+    # four atoms in four level-2 cubes: three fit, as the descent finds
+    model = AtomicMeasure([(Fraction(2 * k + 1, 8),) for k in range(4)], [Fraction(1, 4)] * 4)
+    assert len(model.level_nodes(2, 4).index) == len(descent_positive(model, 2, 4)) == 4
+    for enumerate_ in (descent_positive, AtomicMeasure.level_nodes, AtomicMeasure.enumerate_positive):
+        with pytest.raises(ResourceLimitError, match="more than 3 positive cubes at level 2$"):
+            enumerate_(model, 2, 3)
+
+
+@pytest.mark.parametrize("name", NODE_MODELS)
+def test_negative_level_rejected(name, tetrahedron):
+    model = _node_models(tetrahedron)[name]
+    for call in (model.level_nodes, model.level_masses, model.enumerate_positive, model.card_positive):
+        with pytest.raises(ValidationError, match="level must be >= 0"):
+            call(-1)
+
+
+_coords = st.one_of(
+    st.integers(1, 63).map(lambda a: Fraction(a, 64)),
+    st.integers(1, 10**6 - 1).map(lambda a: Fraction(a, 10**6)),
+)
+
+
+@given(st.lists(st.tuples(_coords, _coords, st.integers(1, 5)), min_size=1, max_size=6),
+       st.integers(0, 70))
+@settings(max_examples=60, deadline=None)
+def test_atomic_table_holds_every_atom(atoms, n):
+    total = sum(w for *_, w in atoms)
+    model = AtomicMeasure([(x, y) for x, y, _ in atoms], [Fraction(w, total) for *_, w in atoms])
+    index, mass_id, masses = model.level_nodes(n)
+    cubes = [DyadicCube(n, tuple(row)) for row in index.tolist()]
+    node_masses = [masses[j] for j in mass_id]
+    assert sum(node_masses) == 1
+    for point in model.points:
+        assert sum(cube.contains(point) for cube in cubes) == 1
+    for cube, mu in zip(cubes, node_masses):
+        assert mu == sum(w for p, w in zip(model.points, model.weights) if cube.contains(p))
 
 
 def _outcome(call):
@@ -135,8 +203,8 @@ def _outcome(call):
 def test_node_table_cap_matches_descent(name, tetrahedron):
     model = _node_models(tetrahedron)[name]
     for n in range(6):
-        for cap in (0, 1, 2, 3, 5, 8, 13, 40, 64, 300, 1024):
-            want = _outcome(lambda: MeasureModel.enumerate_positive(model, n, cap))
+        for cap in CAPS:
+            want = _outcome(lambda: descent_positive(model, n, cap))
             fresh = IfsMeasure(model.maps, model.probs, model.embed_shift)
             assert _outcome(lambda: fresh.level_nodes(n, cap)) == want
             model.level_nodes(n)  # the level is now cached
@@ -151,7 +219,7 @@ def test_node_table_cap_matches_descent(name, tetrahedron):
 
 def test_node_table_exact_beyond_int64(deep_ifs):
     for n in (39, 40, 41, 62, 63, 64, 79, 80, 81):
-        want = MeasureModel.enumerate_positive(deep_ifs, n)
+        want = descent_positive(deep_ifs, n)
         index, mass_id, masses = deep_ifs.level_nodes(n)
         assert index.dtype == (np.int64 if n < 63 else object)
         assert [tuple(row) for row in index.tolist()] == [c.index for c, _ in want]
@@ -164,7 +232,7 @@ def test_levels_deeper_than_the_recursion_limit():
     # from the one above it, 3000 levels deep
     point = IfsMeasure([IfsMap(1, (0,))], [Fraction(1)])
     assert point.level_masses(3000) == {1: 1}
-    assert point.enumerate_positive(3000) == MeasureModel.enumerate_positive(point, 3000)
+    assert point.enumerate_positive(3000) == descent_positive(point, 3000)
 
 
 def test_level_masses_deep_tetrahedron(tetrahedron):
