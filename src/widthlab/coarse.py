@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .cubes import DyadicCube, neighbors
 from .errors import ValidationError
 from .measures import DEFAULT_MAX_CUBES, MeasureModel
@@ -69,16 +71,10 @@ def _count_good(view, n: int, rho: float, alpha: float) -> int:
     return at_or_above[bisect.bisect_left(log_masses, (rho - alpha) * n)]
 
 
-def default_alpha_grid(m: int, rho: float, step: Fraction = Fraction(1, 20)):
+def default_alpha_grid(m: int, rho: float) -> list[float]:
     """Grid 0.1 .. m + rho + 2 in exact decimal steps of 0.05."""
-    lo = Fraction(1, 10)
-    hi = Fraction(m) + Fraction(rho).limit_denominator(10**6) + 2
-    grid = []
-    a = lo
-    while a <= hi:
-        grid.append(float(a))
-        a += step
-    return grid
+    hi = m + Fraction(rho).limit_denominator(10**6) + 2
+    return [k / 20 for k in range(2, math.floor(20 * hi) + 1)]
 
 
 @dataclass(frozen=True)
@@ -171,13 +167,12 @@ def alpha_good_cubes(
     alpha: float,
     max_cubes: int = DEFAULT_MAX_CUBES,
 ) -> list[DyadicCube]:
-    """The alpha-good cubes themselves (identities, not just the count)."""
+    """The alpha-good cubes themselves (identities, not just the count), in
+    index order; each distinct mass of the level is tested once."""
     threshold = (rho - alpha) * n
-    return [
-        cube
-        for cube, mass in model.enumerate_positive(n, max_cubes)
-        if frac_log2(mass) >= threshold
-    ]
+    index, mass_id, masses = model.level_nodes(n, max_cubes)
+    good = np.array([frac_log2(mu) >= threshold for mu in masses], dtype=bool)
+    return [DyadicCube(n, tuple(row)) for row in index[good[mass_id]].tolist()]
 
 
 def _conflict(a: DyadicCube, b: DyadicCube) -> bool:
@@ -223,13 +218,12 @@ def well_separated(
 
     if validate_threshold:
         # O(card D_n) check of sup_{outside} mass <= inf_{inside} mass
-        inside = set(cubes)
+        inside = {c.index for c in cubes}
         inf_in = min(model.mass(c) for c in cubes)
-        for cube, mass in model.enumerate_positive(level):
-            if cube not in inside and mass > inf_in:
-                raise ValidationError(
-                    "threshold property violated: outside cube outweighs input"
-                )
+        index, mass_id, masses = model.level_nodes(level)
+        heavier = np.array([mu > inf_in for mu in masses], dtype=bool)[mass_id]
+        if any(tuple(row) not in inside for row in index[heavier].tolist()):
+            raise ValidationError("threshold property violated: outside cube outweighs input")
 
     candidates = dominant_cubes(cubes, model) if require_dominant else cubes
     order = sorted(candidates, key=lambda c: (-model.mass(c), c.index))

@@ -14,28 +14,25 @@ Atomic tables group the atoms by their exact indices ceil(x 2^n) - 1, uniform
 ones are an index grid, and a product pairs every row of each factor's table
 with every row of the others', its mass ids remapped through the products.
 
-An IFS level-n multiset {mass: count} needs no tree walk, n = 0 included:
-the images are disjoint, so a positive level-n cube either lies in an image of
-level k <= n, with mass p times a mass of the level-(n - k) multiset, or holds
-deeper images only, with mass the sum of their p (Cawley & Mauldin 1992). The
-same rule builds the IFS table, once per level and cached: an image of level
-k <= n adds the level-(n - k) table translated into the image, its mass ids
-remapped through p * mu.
+An IFS is encoded once, by its finite template (`IfsMeasure.template`, the
+state classes of Cawley & Mauldin 1992): the images are disjoint, so every
+positive cube is a copy of a template node, and its state (node, exact mass)
+fixes its whole subtree. Each template edge gives a child's node, its mass
+ratio to the parent and its branch bits, so every IFS quantity pushes states
+down the levels: `mass` walks one edge per level from the deepest memoized
+cube, a level's multiset and node table expand the cached states of the
+level above, and the cube count pushes integers per node.
 
 `_check_level` checks a level's cube count against `max_cubes` before its
-table is built (an IFS counts in integers by the multiset rule, so an
-oversized level builds no multiset). It trips where the cube-by-cube descent
-through the mass oracle, the tests' reference, does: counts never decrease
-with the level, and level 0 is never capped. Indices are int64 up to level 62
-and Python ints from level 63 on (INT64_LEVELS), so they, and the centres
+table is built (an IFS pushes the count in integers, so an oversized level
+pushes no state). It trips where the cube-by-cube descent through the mass
+oracle, the tests' reference, does: counts never decrease with the level,
+and level 0 is never capped. Indices are int64 up to level 62 and Python
+ints from level 63 on (INT64_LEVELS), so they, and the centres
 (2 l + 1) 2^-(n+1) computed from them, stay exact at every level.
 
-The disjoint images also give each IFS a finite template
-(`IfsMeasure.template`): every positive cube is a copy of one of its nodes,
-scaled in mass, which `partition.partition_row` recurses over.
-
 Models are immutable after construction. Mass evaluation is pure; the IFS
-memo tables are plain dicts guarded by the GIL, safe for concurrent readers.
+memo and level caches are plain dicts and lists guarded by the GIL.
 """
 from __future__ import annotations
 
@@ -71,12 +68,24 @@ class LevelNodes(NamedTuple):
 
 
 class TemplateNode(NamedTuple):
-    """A node of an IFS template: the mass mu of its cube, and its positive
-    children in index order as (node, factor) pairs: the child cube's
-    subtree is that node's, with every mass times the factor."""
+    """A node of an IFS template: its positive children in index order as
+    (node, ratio, branch) edges. The child cube is the parent's child
+    `branch` (one bit per coordinate, its index 2 index + branch), its
+    subtree is that node's, and its mass is the parent's times ratio."""
 
-    mu: Mass  # not `mass`: perfbench/spans.py wraps every `mass` of this module's classes
-    children: tuple[tuple[int, Mass], ...]
+    children: tuple[tuple[int, Mass, tuple[int, ...]], ...]
+
+
+class _Level(NamedTuple):
+    """The states of an IFS level in id order, as (template node, id among
+    the level's distinct masses), with their cube counts; the multiset
+    {mass: count}, its masses in id order; and, per state of the level
+    above, its children's state ids in edge order."""
+
+    states: list[tuple[int, int]]
+    counts: list[int]
+    multiset: dict[Mass, int]
+    edges: list[list[int]]
 
 
 def _index_array(rows, n: int, m: int) -> np.ndarray:
@@ -270,9 +279,10 @@ def _dyadic_disjoint(a: DyadicCube, b: DyadicCube) -> bool:
 class IfsMeasure(MeasureModel):
     """Self-similar measure for dyadically aligned maps with disjoint images.
 
-    nu = sum_i p_i * nu o S_i^{-1}; masses follow by finite recursion on the
-    cube level, memoized. An optional embed_shift conjugates the attractor
-    into a dyadic subcube so that it avoids the boundary of the unit cube.
+    nu = sum_i p_i * nu o S_i^{-1}. An optional embed_shift conjugates the
+    attractor into a dyadic subcube so that it avoids the boundary of the
+    unit cube. Masses, multisets, node tables and counts all push states
+    (template node, cube mass) through `template`, one level at a time.
     """
 
     def __init__(self, maps, probs, embed_shift: IfsMap | None = None) -> None:
@@ -306,187 +316,154 @@ class IfsMeasure(MeasureModel):
         self.maps = maps
         self.probs = probs
         self.embed_shift = embed_shift
-        self._images = tuple(images)
-        self._memo: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-        self._multisets: dict[int, dict[Mass, int]] = {}
-        # per level: the level's mass ids of what each image adds, then the holders'
-        self._mass_ids: dict[int, list[list[int]]] = {}
-        self._tables: dict[int, LevelNodes] = {}
+        self._template: tuple[TemplateNode, ...] | None = None
+        # (level, index) -> the cube's state (node, mass), None for a null cube
+        self._memo: dict[tuple[int, tuple[int, ...]], tuple[int, Mass] | None] = {
+            (0, (0,) * m): (0, Fraction(1))
+        }
+        self._levels = [_Level([(0, 0)], [1], {Fraction(1): 1}, [])]
+        self._tables: list[tuple[LevelNodes, np.ndarray]] = []
 
     @property
     def common_ratio_log2(self) -> int | None:
         ks = {mp.ratio_log2 for mp in self.maps}
         return ks.pop() if len(ks) == 1 else None
 
-    def _pullback(self, cube: DyadicCube, image: DyadicCube) -> DyadicCube:
-        shift = cube.level - image.level
-        return DyadicCube(
-            cube.level - image.level,
-            tuple(l - (o << shift) for l, o in zip(cube.index, image.index)),
-        )
+    def template(self) -> tuple[TemplateNode, ...]:
+        """The finite template of the positive cube tree; node 0 is the unit cube.
 
-    def _mass_base(self, cube: DyadicCube) -> Fraction:
-        """Mass of the unshifted self-similar measure."""
-        if cube.level == 0:
-            return Fraction(1)
-        key = (cube.level, cube.index)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        total = Fraction(0)
-        for p, image in zip(self.probs, self._images):
-            if cube.level <= image.level:
-                if image.ancestor(cube.level) == cube:
-                    total += p
-            elif cube.ancestor(image.level) == image:
-                total += p * self._mass_base(self._pullback(cube, image))
-        self._memo[key] = total
-        return total
+        Its nodes are, with embed_shift of level k, the ancestors of the
+        shift image at levels 0 .. k - 1 (one edge each, ratio 1), then the
+        unshifted root and every cube of the unshifted measure at levels
+        1 .. max k_i - 1 that holds images deeper than its level (its mass
+        the sum of their p). Every positive cube is a node h mapped by a
+        composition S_w of the maps; its children are the images of h's
+        children, an image of map i becoming the unshifted root.
+        """
+        if self._template is not None:
+            return self._template
+        shift = self.embed_shift
+        k = 0 if shift is None else shift.ratio_log2
+        nodes = [TemplateNode(((j + 1, Fraction(1), tuple(o >> (k - 1 - j) & 1 for o in shift.offset)),))
+                 for j in range(k)]
+        base = {(0, (0,) * self.m): Fraction(1)}
+        for p, mp in zip(self.probs, self.maps):
+            for n in range(1, mp.ratio_log2):
+                key = (n, tuple(o >> (mp.ratio_log2 - n) for o in mp.offset))
+                base[key] = base.get(key, 0) + p
+        node_id = {key: k + i for i, key in enumerate(sorted(base))}
+        # per base cube, its children as (node, mass, index)
+        kids: dict[tuple[int, tuple[int, ...]], list] = {key: [] for key in base}
+        for p, mp in zip(self.probs, self.maps):
+            kids[mp.ratio_log2 - 1, tuple(o >> 1 for o in mp.offset)].append((k, p, mp.offset))
+        for (n, index), mu in base.items():
+            if n:
+                kids[n - 1, tuple(o >> 1 for o in index)].append((node_id[n, index], mu, index))
+        for key in node_id:
+            nodes.append(TemplateNode(tuple(
+                (j, mu / base[key], tuple(o & 1 for o in index))
+                for j, mu, index in sorted(kids[key], key=lambda kid: kid[2])
+            )))
+        self._template = tuple(nodes)
+        return self._template
 
     def mass(self, cube: DyadicCube) -> Mass:
-        shift = self.embed_shift
-        if shift is None:
-            return self._mass_base(cube)
-        img = shift.image()
-        if cube.level <= img.level:
-            return Fraction(1) if img.ancestor(cube.level) == cube else Fraction(0)
-        if cube.ancestor(img.level) == img:
-            return self._mass_base(self._pullback(cube, img))
-        return Fraction(0)
+        # walk down from the deepest memoized ancestor, memoizing every cube
+        # on the way, so a descent costs one edge per child; a cube of another
+        # dimension has no memoized ancestor, not even at level 0, and mass 0
+        key, path = (cube.level, cube.index), []
+        while key[0] and key not in self._memo:
+            path.append(key)
+            key = (key[0] - 1, tuple(l >> 1 for l in key[1]))
+        state = self._memo.get(key)
+        nodes = self.template()
+        for key in reversed(path):
+            if state is not None:
+                node, mu = state
+                branch = tuple(l & 1 for l in key[1])
+                state = next(((child, mu * ratio) for child, ratio, bits in nodes[node].children
+                              if bits == branch), None)
+            self._memo[key] = state
+        return Fraction(0) if state is None else state[1]
 
-    def _shift_level(self) -> int:
-        return 0 if self.embed_shift is None else self.embed_shift.ratio_log2
+    def _level(self, n) -> _Level:
+        """The level-n states, pushed level by level from the root and cached."""
+        levels, nodes = self._levels, self.template()
+        while len(levels) <= n:
+            above = levels[-1]
+            masses = tuple(above.multiset)
+            mass_id: dict[Mass, int] = {}
+            state_id: dict[tuple[int, int], int] = {}
+            counts, edges = [], []
+            for (node, j), count in zip(above.states, above.counts):
+                mu, row = masses[j], []
+                for child, ratio, _ in nodes[node].children:
+                    s = state_id.setdefault((child, mass_id.setdefault(mu * ratio, len(mass_id))),
+                                            len(counts))
+                    if s == len(counts):
+                        counts.append(0)
+                    counts[s] += count
+                    row.append(s)
+                edges.append(row)
+            multiset = [0] * len(mass_id)
+            for (_, j), count in zip(state_id, counts):
+                multiset[j] += count
+            levels.append(_Level(list(state_id), counts, dict(zip(mass_id, multiset)), edges))
+        return levels[n]
 
     def level_masses(self, n, max_cubes=DEFAULT_MAX_CUBES):
         _check_level(n)
-        k = self._shift_level()
-        if n < k:
-            return {Fraction(1): 1}
-        out = self._level_masses_base(n - k)
+        out = self._level(n).multiset
         # the multiset is the resource here (cached or not), not the cube count
         if len(out) > max_cubes:
             raise ResourceLimitError(f"more than {max_cubes} distinct masses at level {n}")
         return dict(out)
 
-    def _holders(self, n) -> dict[tuple[int, ...], Fraction]:
-        """{index: mass} of the level-n cubes that hold images deeper than n."""
-        holders: dict[tuple[int, ...], Fraction] = {}
-        for p, mp in zip(self.probs, self.maps):
-            if mp.ratio_log2 > n:
-                index = tuple(o >> (mp.ratio_log2 - n) for o in mp.offset)
-                holders[index] = holders.get(index, Fraction(0)) + p
-        return holders
-
-    def template(self) -> tuple[TemplateNode, ...]:
-        """The finite template of the positive cube tree; node 0 is the unit cube.
-
-        Its nodes are, with embed_shift, the ancestors of the shift image at
-        levels 0 .. k - 1 (mass 1, one child each), then the unshifted root
-        and the holder cubes of `_holders` at levels 1 .. max k_i - 1. Every
-        positive cube is a node h mapped by a composition S_w of the maps, of
-        mass p_w * mass(h); its children are the images of h's children, an
-        image of map i becoming the unshifted root at factor p_i.
-        """
-        shift = self._shift_level()
-        base = {(0, (0,) * self.m): Fraction(1)}
-        for n in range(1, max(mp.ratio_log2 for mp in self.maps)):
-            base.update(((n, index), mu) for index, mu in self._holders(n).items())
-        node_id = {key: shift + i for i, key in enumerate(base)}
-        nodes = [TemplateNode(Fraction(1), ((j + 1, Fraction(1)),)) for j in range(shift)]
-        for (n, index), mu in base.items():
-            kids = [(mp.offset, shift, p) for p, mp in zip(self.probs, self.maps)
-                    if mp.ratio_log2 == n + 1 and tuple(o >> 1 for o in mp.offset) == index]
-            kids += [(sub, j, Fraction(1)) for (level, sub), j in node_id.items()
-                     if level == n + 1 and tuple(o >> 1 for o in sub) == index]
-            kids.sort(key=lambda kid: kid[0])
-            nodes.append(TemplateNode(mu, tuple((j, f) for _, j, f in kids)))
-        return tuple(nodes)
-
-    def _cached_level(self, n, cache: dict, build):
-        """cache[n], building first every missing level it reads through the
-        images, coarsest first, so no recursion grows with the level."""
-        missing, todo = set(), [n]
-        while todo:
-            j = todo.pop()
-            if j not in cache and j not in missing:
-                missing.add(j)
-                todo.extend(j - mp.ratio_log2 for mp in self.maps if mp.ratio_log2 <= j)
-        for j in sorted(missing):
-            cache[j] = build(j)
-        return cache[n]
-
-    def _level_masses_base(self, n):
-        return self._cached_level(n, self._multisets, self._build_multiset)
-
-    def _build_multiset(self, n):
-        # the IFS multiset rule of the module docstring; each product p * mu
-        # is made and hashed once, and its id (its position among the
-        # level's distinct masses) is kept in _mass_ids for `_build_nodes`
-        ids: dict[Mass, int] = {}
-        counts: list[int] = []
-
-        def add(mu, cnt):
-            j = ids.setdefault(mu, len(counts))
-            if j == len(counts):
-                counts.append(0)
-            counts[j] += cnt
-            return j
-
-        self._mass_ids[n] = [
-            [add(p * mu, cnt) for mu, cnt in self._multisets[n - mp.ratio_log2].items()]
-            for p, mp in zip(self.probs, self.maps)
-            if mp.ratio_log2 <= n
-        ] + [[add(mu, 1) for mu in self._holders(n).values()]]
-        return dict(zip(ids, counts))
+    def _count(self, n, max_cubes) -> int:
+        """The level-n cube count, pushed in integers per template node; a
+        coarser level past max_cubes ends the push early (counts never
+        decrease), so a cap trips before any level is pushed."""
+        nodes, counts = self.template(), {0: 1}
+        for _ in range(n):
+            if sum(counts.values()) > max_cubes:
+                break
+            pushed: dict[int, int] = {}
+            for node, count in counts.items():
+                for child, _, _ in nodes[node].children:
+                    pushed[child] = pushed.get(child, 0) + count
+            counts = pushed
+        return sum(counts.values())
 
     def level_nodes(self, n, max_cubes=DEFAULT_MAX_CUBES):
-        k = self._shift_level()
-        _check_level(n, 1 if n < k else self._count_base(n - k, max_cubes), max_cubes)
-        shift = self.embed_shift
-        if shift is None:
-            return self._base_nodes(n)
-        if n < k:
-            holder = _index_array([[o >> (k - n) for o in shift.offset]], n, self.m)
-            return LevelNodes(holder, np.zeros(1, dtype=np.intp), (Fraction(1),))
-        base = self._base_nodes(n - k)
-        return base._replace(index=_translate(base.index, shift.offset, n - k, n))
+        _check_level(n, self._count(n, max_cubes), max_cubes)
+        while len(self._tables) <= n:
+            self._tables.append(self._build_nodes(len(self._tables)))
+        return self._tables[n][0]
 
-    def _count_base(self, n, max_cubes) -> int:
-        """The level-n cube count of the multiset rule, in integers, level by
-        level; a coarser level past max_cubes ends the count early (counts
-        never decrease), so a cap trips before any multiset is built."""
-        counts: list[int] = []
-        for j in range(n + 1):
-            inner = sum(counts[j - mp.ratio_log2] for mp in self.maps if mp.ratio_log2 <= j)
-            counts.append(inner + len(self._holders(j)))
-            if counts[j] > max_cubes:
-                break
-        return counts[-1]
-
-    def _base_nodes(self, n) -> LevelNodes:
-        return self._cached_level(n, self._tables, self._build_nodes)
-
-    def _build_nodes(self, n) -> LevelNodes:
-        # the multiset rule again, on (index, mass id) tables: an image of
-        # level k <= n is the level-(n - k) table translated into the image,
-        # its mass ids remapped to those of p * mu that the level's multiset
-        # recorded, and each holder cube adds one node
-        masses = tuple(self._level_masses_base(n))
-        *image_ids, holder_ids = self._mass_ids[n]
-        images = [mp for mp in self.maps if mp.ratio_log2 <= n]
-        index, mass_id = [], []
-        for mp, remap in zip(images, image_ids):
-            sub = self._tables[n - mp.ratio_log2]
-            index.append(_translate(sub.index, mp.offset, n - mp.ratio_log2, n))
-            mass_id.append(np.array(remap, dtype=np.intp)[sub.mass_id])
-        if holder_ids:
-            index.append(_index_array(list(self._holders(n)), n, self.m))
-            mass_id.append(np.array(holder_ids, dtype=np.intp))
-        index, mass_id = np.concatenate(index), np.concatenate(mass_id)
-        order = np.lexsort(index.T[::-1])
-        index, mass_id = index[order], mass_id[order]
+    def _build_nodes(self, n) -> tuple[LevelNodes, np.ndarray]:
+        """The level-n table and each row's state: every row of level n - 1
+        expands to its state's children, at indices 2 index + branch."""
+        level = self._level(n)
+        if n == 0:
+            index, state = _index_array([(0,) * self.m], 0, self.m), np.zeros(1, dtype=np.intp)
+        else:
+            above, rows = self._tables[n - 1]
+            nodes = self.template()
+            kid = np.array([s for row in level.edges for s in row], dtype=np.intp)
+            branch = _index_array([bits for node, _ in self._levels[n - 1].states
+                                   for _, _, bits in nodes[node].children], n, self.m)
+            first = np.cumsum([0] + [len(row) for row in level.edges])
+            width = np.diff(first)[rows]
+            start = np.cumsum(width) - width
+            edge = np.arange(width.sum()) - np.repeat(start - first[rows], width)
+            index = np.repeat(above.index, width, axis=0).astype(branch.dtype, copy=False) * 2
+            index += branch[edge]
+            state = kid[edge]
+            order = np.lexsort(index.T[::-1])
+            index, state = index[order], state[order]
+        mass_id = np.array([j for _, j in level.states], dtype=np.intp)[state]
         index.flags.writeable = mass_id.flags.writeable = False  # cached, shared
-        return LevelNodes(index, mass_id, masses)
+        return LevelNodes(index, mass_id, tuple(level.multiset)), state
 
     def to_spec(self) -> dict:
         spec = {

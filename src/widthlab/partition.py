@@ -11,25 +11,25 @@ and every caller that needs the cells. `partition_row` returns the summary
 row alone (card, min_level, max_level, max_j); for an IFS it builds no cube
 and queries no mass, by a recursion over exact self-similar states.
 
-A state. Every positive cube of an IFS measure is a node h of the finite
-template `IfsMeasure.template` (the unit cube, the holder cubes above images
-deeper than their level, and with embed_shift the ancestors of the shift
-image) mapped by a composition S_w of the maps, so its mass is P * mass(h)
-with P = p_w, and its positive children are the images of h's children. The
-state of the cube is (level L, scale P, node h).
+A state. Every positive cube of an IFS measure is a copy of a node h of the
+finite template `IfsMeasure.template` (the unit cube, the cubes that hold
+images deeper than their level, and with embed_shift the ancestors of the
+shift image): its positive children are copies of h's children, each of
+mass M times its edge's ratio, M the cube's mass. The state of the cube is
+(level L, mass M, node h).
 
-Why J depends only on the state. Every cube below the cube is the image of a
-cube below h, so its level is L plus its depth below h and its mass P times a
-mass of h's subtree. J = mass * 2^(-level * rho) of every cube below, hence
-whether each one is a cell, and the card, level range and largest J of the
-cells below, are functions of the state. The recursion computes them once
-per state (one memo per threshold: 136 states at t = 2^-20 on the bench
-tetrahedron) and adds cards and takes extremes up the tree; this is the
-renewal count of Lalley (1988) over the multinomial state classes of Cawley
-and Mauldin (1992).
+Why J depends only on the state. Every cube below the cube is a copy of a
+cube below h, so its level is L plus its depth below h and its mass M times
+the product of the edge ratios on its path down from h. J = mass *
+2^(-level * rho) of every cube below, hence whether each one is a cell, and
+the card, level range and largest J of the cells below, are functions of
+the state. The recursion computes them once per state (one memo per
+threshold: 136 states at t = 2^-20 on the bench tetrahedron) and adds cards
+and takes extremes up the tree; this is the renewal count of Lalley (1988)
+over the multinomial state classes of Cawley and Mauldin (1992).
 
 Why the rows stay bit-identical. Each decision is the descent's own test
-frac_log2(P * mass(h)) - L * rho < log2 t, on the same reduced Fraction, so
+frac_log2(M) - L * rho < log2 t, on the same reduced Fraction M, so
 every J value is the same float and the card, level range and max_j are
 those of the descent. Cards are integers, so max_cells costs no memory. The
 caps trip as in the descent, with its messages: the recursion visits states
@@ -166,28 +166,28 @@ def partition_row(
     nodes = model.template()
     memo: dict[tuple[int, Fraction, int], tuple[int, int, int, float]] = {}
 
-    def expand(level: int, scale: Fraction, node: int) -> tuple[int, int, int, float]:
+    def expand(level: int, mass: Fraction, node: int) -> tuple[int, int, int, float]:
         # (card, min level, max level, max log2 J) of the cells below an
         # expanded cube, its children taken in the descent's order: the cells
         # among them first, then the deeper children last to first
-        key = (level, scale, node)
+        key = (level, mass, node)
         row = memo.get(key)
         if row is not None:
             return row
         if level > _LEVEL_GUARD:
             raise _GuardTrip(0)
         js, deeper = [], []
-        for child, factor in nodes[node].children:
-            p = scale * factor
-            j = frac_log2(p * nodes[child].mu) - (level + 1) * rho
+        for child, ratio, _ in nodes[node].children:
+            mu = mass * ratio
+            j = frac_log2(mu) - (level + 1) * rho
             if j < log2_t:
                 js.append(j)
             else:
-                deeper.append((p, child))
+                deeper.append((mu, child))
         rows = [(len(js), level + 1, level + 1, max(js))] if js else []
-        for p, child in reversed(deeper):
+        for mu, child in reversed(deeper):
             try:
-                rows.append(expand(level + 1, p, child))
+                rows.append(expand(level + 1, mu, child))
             except _GuardTrip as trip:
                 raise _GuardTrip(sum(r[0] for r in rows) + trip.before) from None
         cards, lows, highs, tops = zip(*rows)

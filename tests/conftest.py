@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
-from widthlab import IfsMap, IfsMeasure, lebesgue
+from widthlab import DyadicCube, IfsMap, IfsMeasure, lebesgue
 
 
 @pytest.fixture(scope="session")
@@ -47,3 +48,23 @@ def deep_ifs():
     return IfsMeasure(
         [IfsMap(40, (0,)), IfsMap(40, ((1 << 40) - 1,))], [Fraction(1, 3), Fraction(2, 3)]
     )
+
+
+@st.composite
+def dyadic_ifs(draw):
+    """A random IFS in 1 or 2 dimensions: disjoint images of levels 1..3,
+    integer weights, and an optional embed_shift."""
+    m = draw(st.integers(1, 2))
+    images = []
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(1, 3))
+        cube = DyadicCube(k, tuple(draw(st.integers(0, (1 << k) - 1)) for _ in range(m)))
+        if all(cube.ancestor(min(k, c.level)) != c.ancestor(min(k, c.level)) for c in images):
+            images.append(cube)
+    weights = [draw(st.integers(1, 9)) for _ in images]
+    shift = None
+    if draw(st.booleans()):
+        ks = draw(st.integers(1, 2))
+        shift = IfsMap(ks, tuple(draw(st.integers(0, (1 << ks) - 1)) for _ in range(m)))
+    return IfsMeasure([IfsMap(c.level, c.index) for c in images],
+                      [Fraction(w, sum(weights)) for w in weights], shift)

@@ -18,8 +18,9 @@ from widthlab import (
     scaled_box,
     well_separated,
 )
-from widthlab.coarse import dominant_cubes
+from widthlab.coarse import default_alpha_grid, dominant_cubes
 from widthlab.measures import IfsMap, IfsMeasure
+from widthlab.spectrum import frac_log2
 
 
 def test_j_value_lebesgue():
@@ -186,6 +187,23 @@ def test_greedy_defect_on_increasing_chain_documented():
 
 
 def test_alpha_good_cubes_match_count(tetrahedron):
-    for alpha in (2.5, 3.5):
-        cubes = alpha_good_cubes(tetrahedron, 4, 2.0, alpha)
-        assert len(cubes) == count_alpha_good(tetrahedron, 4, 2.0, alpha)
+    for n, alpha in [(4, 2.5), (4, 3.5), (6, 2.0), (6, 3.0), (6, 4.5), (6, 9.0), (6, 0.1)]:
+        cubes = alpha_good_cubes(tetrahedron, n, 2.0, alpha)
+        assert len(cubes) == count_alpha_good(tetrahedron, n, 2.0, alpha)
+        # the per-cube filter over the enumeration, cube by cube
+        threshold = (2.0 - alpha) * n
+        assert cubes == [cube for cube, mass in tetrahedron.enumerate_positive(n)
+                         if frac_log2(mass) >= threshold]
+
+
+@given(st.integers(1, 6), st.one_of(st.floats(0.01, 12.0), st.fractions(Fraction(1, 100), 12)
+                                    .map(float), st.integers(1, 12).map(float)))
+@settings(max_examples=200, deadline=None)
+def test_default_alpha_grid_steps_exact_decimals(m, rho):
+    # the grid of the exact Fraction walk 0.1, 0.15, ... up to m + rho + 2
+    hi = Fraction(m) + Fraction(rho).limit_denominator(10**6) + 2
+    want, a = [], Fraction(1, 10)
+    while a <= hi:
+        want.append(float(a))
+        a += Fraction(1, 20)
+    assert default_alpha_grid(m, rho) == want

@@ -22,7 +22,8 @@ from widthlab import (
     root,
 )
 
-from oracles import descent_positive
+from conftest import dyadic_ifs
+from oracles import descent_positive, oracle_mass
 
 
 def test_atomic_mass_membership():
@@ -45,6 +46,8 @@ def test_ifs_one_step_recursion(quarter_cantor):
     # one more level: the sub-copy splits again
     assert quarter_cantor.mass(DyadicCube(3, (0,))) == Fraction(1, 4)
     assert quarter_cantor.mass(DyadicCube(4, (0,))) == Fraction(1, 4)
+    # a cube of another dimension lies outside the model
+    assert quarter_cantor.mass(DyadicCube(4, (0, 0))) == 0
 
 
 def test_enumerate_uniform_m1():
@@ -214,7 +217,8 @@ def test_node_table_cap_matches_descent(name, tetrahedron):
     deep = IfsMeasure(model.maps, model.probs, model.embed_shift)
     with pytest.raises(ResourceLimitError, match="cubes at level 200$"):
         deep.enumerate_positive(200)
-    assert not deep._multisets  # the cap tripped before any multiset was built
+    # the cap tripped before any level was pushed past the root or tabulated
+    assert len(deep._levels) == 1 and not deep._tables
 
 
 def test_node_table_exact_beyond_int64(deep_ifs):
@@ -233,6 +237,31 @@ def test_levels_deeper_than_the_recursion_limit():
     point = IfsMeasure([IfsMap(1, (0,))], [Fraction(1)])
     assert point.level_masses(3000) == {1: 1}
     assert point.enumerate_positive(3000) == descent_positive(point, 3000)
+
+
+def test_cold_mass_deeper_than_the_recursion_limit():
+    # no level cached and no cube memoized: the walk from the root is a loop
+    point = IfsMeasure([IfsMap(1, (0,))], [Fraction(1)])
+    assert point.mass(DyadicCube(5000, (0,))) == 1
+    assert point.mass(DyadicCube(5000, (1,))) == 0
+
+
+@given(dyadic_ifs(), st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+def test_template_matches_the_pullback_oracle(model, n):
+    want = descent_positive(model, n)
+    # every child of every positive cube, the first walked from the root
+    for cube, _ in want:
+        for child in children(cube):
+            assert model.mass(child) == oracle_mass(model, child)
+    index, mass_id, masses = model.level_nodes(n)
+    assert [(DyadicCube(n, tuple(row)), masses[j])
+            for row, j in zip(index.tolist(), mass_id.tolist())] == want
+    grouped = {}
+    for _, mu in want:
+        grouped[mu] = grouped.get(mu, 0) + 1
+    assert model.level_masses(n) == grouped
+    assert model.card_positive(n) == len(want)
 
 
 def test_level_masses_deep_tetrahedron(tetrahedron):

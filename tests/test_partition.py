@@ -15,6 +15,10 @@ from widthlab import (
 )
 from widthlab.coarse import j_log2
 from widthlab.measures import AtomicMeasure, IfsMap, IfsMeasure
+from widthlab.spectrum import frac_log2
+
+from conftest import dyadic_ifs
+from oracles import oracle_children, oracle_mass
 
 # the 7-map mixed-ratio IFS of the benchmark (perfbench/inputs.py): its deep
 # images merge into shared holder cubes
@@ -34,7 +38,8 @@ def _ifs(maps, shift=None):
 
 
 def naive_partition(model, rho, t, max_level=16):
-    """Independent oracle: level-filter construction straight from the rule."""
+    """Independent oracle: level-filter construction straight from the rule,
+    with masses from the pullback oracle."""
     out = []
     frontier = [(DyadicCube(0, (0,) * model.m), Fraction(1))]
     if math.log2(t) > 0:
@@ -42,10 +47,10 @@ def naive_partition(model, rho, t, max_level=16):
     for _ in range(max_level + 1):
         nxt = []
         for cube, mass in frontier:
-            for child in [c for c in _children_with_mass(model, cube)]:
+            for child in oracle_children(model, cube):
                 cc, mu = child
-                if j_log2(model, cc, rho) < math.log2(t):
-                    if j_log2(model, cube, rho) >= math.log2(t):
+                if oracle_j_log2(model, cc, rho) < math.log2(t):
+                    if oracle_j_log2(model, cube, rho) >= math.log2(t):
                         out.append(cc)
                 else:
                     nxt.append(child)
@@ -56,8 +61,8 @@ def naive_partition(model, rho, t, max_level=16):
     return sorted(out, key=lambda c: (c.level, c.index))
 
 
-def _children_with_mass(model, cube):
-    return model.positive_children(cube)
+def oracle_j_log2(model, cube, rho):
+    return frac_log2(oracle_mass(model, cube)) - cube.level * rho
 
 
 def test_lebesgue_partition_example(leb1):
@@ -187,7 +192,7 @@ def _row(part):
 
 def _naive_row(model, rho, t):
     cells = naive_partition(model, rho, t)
-    return (t, rho, len(cells), 2.0 ** max(j_log2(model, c, rho) for c in cells),
+    return (t, rho, len(cells), 2.0 ** max(oracle_j_log2(model, c, rho) for c in cells),
             min(c.level for c in cells), max(c.level for c in cells), False)
 
 
@@ -252,26 +257,6 @@ def test_partition_oracle_randomized(num, k):
     a = Fraction(num, 10)
     model = IfsMeasure([IfsMap(1, (0,)), IfsMap(1, (1,))], [a, 1 - a])
     _assert_rows_agree(model, 1.0, 2.0**-k)
-
-
-@st.composite
-def dyadic_ifs(draw):
-    """A random IFS in 1 or 2 dimensions: disjoint images of levels 1..3,
-    integer weights, and an optional embed_shift."""
-    m = draw(st.integers(1, 2))
-    images = []
-    for _ in range(draw(st.integers(1, 4))):
-        k = draw(st.integers(1, 3))
-        cube = DyadicCube(k, tuple(draw(st.integers(0, (1 << k) - 1)) for _ in range(m)))
-        if all(cube.ancestor(min(k, c.level)) != c.ancestor(min(k, c.level)) for c in images):
-            images.append(cube)
-    weights = [draw(st.integers(1, 9)) for _ in images]
-    shift = None
-    if draw(st.booleans()):
-        ks = draw(st.integers(1, 2))
-        shift = IfsMap(ks, tuple(draw(st.integers(0, (1 << ks) - 1)) for _ in range(m)))
-    return IfsMeasure([IfsMap(c.level, c.index) for c in images],
-                      [Fraction(w, sum(weights)) for w in weights], shift)
 
 
 @given(dyadic_ifs(), st.sampled_from([1.0, 1.5, 2.0]), st.integers(0, 8))
