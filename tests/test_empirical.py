@@ -685,7 +685,7 @@ def test_decay_experiment_builds_each_depth_once(tetrahedron, monkeypatch):
     assert list(result.rows) == TETRAHEDRON_DECAY_ROWS
     assert depths == [4, 4, 4, 4, 5, 5, 5, 6, 6, 6, 7]
     # one build per distinct quadrature depth, and one per coarser level
-    # that the image rule reads; none repeats
+    # that its expansion reads; none repeats
     assert [n for n in builds if n in depths] == [4, 5, 6, 7]
     assert sorted(builds) == list(range(8))
 
