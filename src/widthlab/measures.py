@@ -322,7 +322,8 @@ class IfsMeasure(MeasureModel):
             (0, (0,) * m): (0, Fraction(1))
         }
         self._levels = [_Level([(0, 0)], [1], {Fraction(1): 1}, [])]
-        self._tables: list[tuple[LevelNodes, np.ndarray]] = []
+        self._tables: list[LevelNodes] = []
+        self._rows: np.ndarray | None = None  # the state of each row of the deepest table
 
     @property
     def common_ratio_log2(self) -> int | None:
@@ -438,16 +439,16 @@ class IfsMeasure(MeasureModel):
         _check_level(n, self._count(n, max_cubes), max_cubes)
         while len(self._tables) <= n:
             self._tables.append(self._build_nodes(len(self._tables)))
-        return self._tables[n][0]
+        return self._tables[n]
 
-    def _build_nodes(self, n) -> tuple[LevelNodes, np.ndarray]:
-        """The level-n table and each row's state: every row of level n - 1
-        expands to its state's children, at indices 2 index + branch."""
+    def _build_nodes(self, n) -> LevelNodes:
+        """The level-n table, built after level n - 1: every row of level
+        n - 1 expands to its state's children, at indices 2 index + branch."""
         level = self._level(n)
         if n == 0:
             index, state = _index_array([(0,) * self.m], 0, self.m), np.zeros(1, dtype=np.intp)
         else:
-            above, rows = self._tables[n - 1]
+            above, rows = self._tables[n - 1], self._rows
             nodes = self.template()
             kid = np.array([s for row in level.edges for s in row], dtype=np.intp)
             branch = _index_array([bits for node, _ in self._levels[n - 1].states
@@ -461,9 +462,10 @@ class IfsMeasure(MeasureModel):
             state = kid[edge]
             order = np.lexsort(index.T[::-1])
             index, state = index[order], state[order]
+        self._rows = state
         mass_id = np.array([j for _, j in level.states], dtype=np.intp)[state]
         index.flags.writeable = mass_id.flags.writeable = False  # cached, shared
-        return LevelNodes(index, mass_id, tuple(level.multiset)), state
+        return LevelNodes(index, mass_id, tuple(level.multiset))
 
     def to_spec(self) -> dict:
         spec = {
