@@ -1,18 +1,17 @@
 """L1 benchmark: the IFS mass oracle, template walk against pullback recursion.
 
-Times `IfsMeasure.mass`, which walks one template edge per level from the
-deepest memoized cube, against the pullback recursion nu = sum_i p_i
-nu o S_i^-1 that it replaced, kept as `oracle_mass` in `tests/oracles.py`.
-Each side queries the mass of every child of every positive cube, level by
-level, as the J_rho partition descent does, on:
+Times `IfsMeasure.mass`, which walks one template edge per level down from
+the root, against the pullback recursion nu = sum_i p_i nu o S_i^-1 that it
+replaced, kept as `oracle_mass` in `tests/oracles.py`. Each side queries the
+mass of every child of every positive cube, level by level, on:
 
 - the benchmark tetrahedron (perfbench's `tetrahedron.json`) to level 7;
 - the 7-map mixed-ratio IFS (perfbench's `ifs7.json`) embedded by a level-2
   shift, to level 8.
 
-Each round gets fresh models, so no memo carries over. Both sides must give
-the same exact masses. Run from the root of the repository
-(pytest-benchmark required):
+Each round gets fresh models, so no template or pullback memo carries over.
+Both sides must give the same exact masses. Run from the root of the
+repository (pytest-benchmark required):
 
     PYTHONPATH=src python -m pytest benchmarks -q
 

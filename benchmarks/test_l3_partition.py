@@ -1,10 +1,12 @@
 """L3 benchmark: the J_rho partition rows of the benchmark tetrahedron.
 
-Times the cube-by-cube descent (`build_partition`) against the state
-recursion (`partition_row`) on the thresholds 2^-4 .. 2^-20 at rho = 1, the
-rows of perfbench's `partition-ifs` workload. Each round gets a fresh model,
-as a command-line run does, so no mass memo carries over. Run from the root
-of the repository (pytest-benchmark required):
+Times the cells walk (`build_partition`) against the row recursion
+(`partition_row`), both over the template edges, on the thresholds
+2^-4 .. 2^-20 at rho = 1, the rows of perfbench's `partition-ifs` workload.
+Each round gets a fresh model, as a command-line run does, so no template
+carries over. Both must give the rows of the level-filter oracle
+`naive_partition` in `tests/oracles.py`. Run from the root of the
+repository (pytest-benchmark required):
 
     PYTHONPATH=src python -m pytest benchmarks -q
 
@@ -17,6 +19,8 @@ from fractions import Fraction
 import pytest
 
 from widthlab import IfsMap, IfsMeasure, build_partition, partition_row
+
+from tests.oracles import naive_partition, oracle_j_log2
 
 RHO = 1.0
 THRESHOLDS = [2.0**-k for k in range(4, 21)]
@@ -37,11 +41,17 @@ def rows(build, model):
 
 
 @pytest.fixture(scope="module")
-def descent_rows():
-    return rows(build_partition, tetrahedron())
+def oracle_rows():
+    model, out = tetrahedron(), []
+    for t in THRESHOLDS:
+        cells = naive_partition(model, RHO, t)
+        levels = [c.level for c in cells]
+        top = max(oracle_j_log2(model, c, RHO) for c in cells)
+        out.append((t, len(cells), min(levels), max(levels), 2.0**top))
+    return out
 
 
-@pytest.mark.parametrize("build", [build_partition, partition_row], ids=["descent", "states"])
-def test_l3_partition_rows(benchmark, build, descent_rows):
+@pytest.mark.parametrize("build", [build_partition, partition_row], ids=["cells", "rows"])
+def test_l3_partition_rows(benchmark, build, oracle_rows):
     got = benchmark.pedantic(rows, setup=lambda: ((build, tetrahedron()), {}), rounds=5)
-    assert got == descent_rows
+    assert got == oracle_rows

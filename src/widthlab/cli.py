@@ -210,7 +210,7 @@ def _dims(run: Run) -> None:
 
 def _partition(run: Run) -> None:
     rho, thresholds = _rho(run), run.need("thresholds")
-    # a cell dump takes its rows and cells from the one descent
+    # a cell dump takes its rows and cells from the one cells walk
     build = build_partition if run.get("cells_out") else partition_row
     parts = [build(run.model, rho, t, run.get("max_cells")) for t in thresholds]
     rows = [(p.t, p.card, p.min_level, p.max_level, p.max_j) for p in parts]

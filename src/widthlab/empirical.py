@@ -49,7 +49,7 @@ from .functions import (
     monomials,
     multi_indices,
 )
-from .measures import DEFAULT_MAX_CUBES, INT64_LEVELS, MeasureModel
+from .measures import DEFAULT_MAX_CUBES, INT64_LEVELS, MeasureModel, packed_keys
 from .orders import EmbeddingParams, upper_order
 from .partition import DEFAULT_MAX_CELLS, PartitionResult, build_partition
 from .quadrature import composite_unit_norm, unit_rule
@@ -69,8 +69,6 @@ def _default_npts(degree: int) -> int:
 
 # quadrature points per call of f in a batched projection
 PROJECT_BLOCK_POINTS = 1 << 15
-# packed cell keys are int64 while level * m stays within this many bits
-PACKED_KEY_BITS = INT64_LEVELS - 1
 
 
 @functools.lru_cache(maxsize=32)
@@ -136,21 +134,6 @@ def moment_project(
     return _project_cells(f, (cube,), lower, side, degree, npts)[0]
 
 
-def _packed_keys(index: np.ndarray, level: int) -> np.ndarray:
-    """One exact integer per row of level-`level` indices (N, m): the
-    coordinates side by side, `level` bits each, as int64 while
-    level * m <= PACKED_KEY_BITS and as Python ints beyond. A row with a
-    coordinate outside [0, 2^level) packs to -1, which no cell's key equals."""
-    inside = ((index >= 0) & (index < (1 << level))).all(axis=1)
-    wide = level * index.shape[1] > PACKED_KEY_BITS
-    coords = np.where(inside[:, None], index, 0).astype(object if wide else np.int64)
-    keys = coords[:, 0]
-    for column in coords.T[1:]:
-        keys = (keys << level) | column
-    keys[~inside] = -1
-    return keys
-
-
 @dataclass
 class PiecewisePolynomial:
     """Per-cell polynomials over the rescaled-cell monomial basis."""
@@ -170,7 +153,7 @@ class PiecewisePolynomial:
         self._keys = []
         for level in self.levels:
             rows = np.flatnonzero(levels == level)
-            keys = _packed_keys(index[rows], level)
+            keys = packed_keys(index[rows], level)
             order = np.argsort(keys, kind="stable")
             self._keys.append((level, keys[order], rows[order]))
 
@@ -180,7 +163,7 @@ class PiecewisePolynomial:
         coarsest level first, in exact integer arithmetic."""
         rows = np.full(len(index), -1)
         for level, keys, cell_rows in self._keys:
-            wanted = _packed_keys(index >> (depth - level), level)
+            wanted = packed_keys(index >> (depth - level), level)
             pos = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
             hit = (keys[pos] == wanted) & (rows < 0)
             rows[hit] = cell_rows[pos[hit]]

@@ -14,14 +14,15 @@ Atomic tables group the atoms by their exact indices ceil(x 2^n) - 1, uniform
 ones are an index grid, and a product pairs every row of each factor's table
 with every row of the others', its mass ids remapped through the products.
 
-An IFS is encoded once, by its finite template (`IfsMeasure.template`, the
-state classes of Cawley & Mauldin 1992): the images are disjoint, so every
-positive cube is a copy of a template node, and its state (node, exact mass)
-fixes its whole subtree. Each template edge gives a child's node, its mass
-ratio to the parent and its branch bits, so every IFS quantity pushes states
-down the levels: `mass` walks one edge per level from the deepest memoized
-cube, a level's multiset and node table expand the cached states of the
-level above, and the cube count pushes integers per node.
+Every model is a tree of positive cubes (`root_node`, `edges`), which the
+J_rho partitions walk. An IFS is encoded once, by its finite template
+(`IfsMeasure.template`, the state classes of Cawley & Mauldin 1992): the
+images are disjoint, so every positive cube is a copy of a template node,
+and its state (node, exact mass) fixes its whole subtree. Each template edge
+gives a child's node, its mass ratio to the parent and its branch bits, so
+every IFS quantity pushes states down the levels: `mass` walks one edge per
+level from the root, a level's multiset and node table expand the cached
+states of the level above, and the cube count pushes integers per node.
 
 `_check_level` checks a level's cube count against `max_cubes` before its
 table is built (an IFS pushes the count in integers, so an oversized level
@@ -31,8 +32,9 @@ and level 0 is never capped. Indices are int64 up to level 62 and Python
 ints from level 63 on (INT64_LEVELS), so they, and the centres
 (2 l + 1) 2^-(n+1) computed from them, stay exact at every level.
 
-Models are immutable after construction. Mass evaluation is pure; the IFS
-memo and level caches are plain dicts and lists guarded by the GIL.
+Models are immutable after construction, an IFS's template built with it.
+Mass evaluation is pure; the IFS level caches are plain lists guarded by the
+GIL.
 """
 from __future__ import annotations
 
@@ -53,6 +55,8 @@ from .errors import ParseError, ResourceLimitError, ValidationError
 DEFAULT_MAX_CUBES = 1 << 21
 # int64 holds a level-n index l, and 2 l + 1, only below this level
 INT64_LEVELS = 63
+# packed level keys are int64 while level * m stays within this many bits
+PACKED_KEY_BITS = INT64_LEVELS - 1
 
 Mass = Fraction
 
@@ -100,6 +104,22 @@ def _translate(index: np.ndarray, offset, shift: int, n: int) -> np.ndarray:
     return index.astype(delta.dtype) + delta
 
 
+def packed_keys(index: np.ndarray, level: int) -> np.ndarray:
+    """One exact integer per row of level-`level` indices (N, m): the
+    coordinates side by side, `level` bits each, as int64 while
+    level * m <= PACKED_KEY_BITS and as Python ints beyond, so keys order
+    rows lexicographically. A row with a coordinate outside [0, 2^level)
+    packs to -1, the key of no cube."""
+    inside = ((index >= 0) & (index < (1 << level))).all(axis=1)
+    wide = level * index.shape[1] > PACKED_KEY_BITS
+    coords = np.where(inside[:, None], index, 0).astype(object if wide else np.int64)
+    keys = coords[:, 0]
+    for column in coords.T[1:]:
+        keys = (keys << level) | column
+    keys[~inside] = -1
+    return keys
+
+
 def _check_level(n: int, count: int = 1, max_cubes: int = DEFAULT_MAX_CUBES) -> None:
     """Reject a negative level, and a level n >= 1 of more than `max_cubes`
     positive cubes (`count` of them), as the cube-by-cube descent does."""
@@ -110,9 +130,10 @@ def _check_level(n: int, count: int = 1, max_cubes: int = DEFAULT_MAX_CUBES) -> 
 
 
 class MeasureModel:
-    """Common interface: exact masses of dyadic cubes, and each level's
-    positive cubes as a node table (`level_nodes`), which every family
-    builds in bulk without the mass oracle."""
+    """Common interface: exact masses of dyadic cubes, the tree of positive
+    cubes (`root_node`, `edges`), and each level's positive cubes as a node
+    table (`level_nodes`), which every family builds in bulk without the
+    mass oracle."""
 
     m: int
     finite_support = False
@@ -120,13 +141,17 @@ class MeasureModel:
     def mass(self, cube: DyadicCube) -> Mass:
         raise NotImplementedError
 
-    def positive_children(self, cube: DyadicCube) -> list[tuple[DyadicCube, Mass]]:
-        out = []
-        for child in children(cube):
-            mu = self.mass(child)
-            if mu > 0:
-                out.append((child, mu))
-        return out
+    def root_node(self):
+        """The node of the unit cube; by default each cube is its own node."""
+        return root(self.m)
+
+    def edges(self, node) -> list[tuple[object, Mass, tuple[int, ...]]]:
+        """A node's positive children in index order as (node, mass ratio
+        child/parent, branch bits), the format of `TemplateNode.children`;
+        by default the parent's mass is the sum of its children's."""
+        masses = [(child, self.mass(child)) for child in children(node)]
+        total = sum(mu for _, mu in masses)
+        return [(child, mu / total, tuple(l & 1 for l in child.index)) for child, mu in masses if mu]
 
     def level_nodes(self, n: int, max_cubes: int = DEFAULT_MAX_CUBES) -> LevelNodes:
         """The node table of the level-n positive cubes."""
@@ -281,8 +306,9 @@ class IfsMeasure(MeasureModel):
 
     nu = sum_i p_i * nu o S_i^{-1}. An optional embed_shift conjugates the
     attractor into a dyadic subcube so that it avoids the boundary of the
-    unit cube. Masses, multisets, node tables and counts all push states
-    (template node, cube mass) through `template`, one level at a time.
+    unit cube. Masses, multisets, node tables, counts and the tree edges all
+    read `template`: they push states (template node, cube mass) through it,
+    one level at a time, and keep no per-cube memo.
     """
 
     def __init__(self, maps, probs, embed_shift: IfsMap | None = None) -> None:
@@ -316,11 +342,7 @@ class IfsMeasure(MeasureModel):
         self.maps = maps
         self.probs = probs
         self.embed_shift = embed_shift
-        self._template: tuple[TemplateNode, ...] | None = None
-        # (level, index) -> the cube's state (node, mass), None for a null cube
-        self._memo: dict[tuple[int, tuple[int, ...]], tuple[int, Mass] | None] = {
-            (0, (0,) * m): (0, Fraction(1))
-        }
+        self.template = self._build_template()
         self._levels = [_Level([(0, 0)], [1], {Fraction(1): 1}, [])]
         self._tables: list[LevelNodes] = []
         self._rows: np.ndarray | None = None  # the state of each row of the deepest table
@@ -330,7 +352,7 @@ class IfsMeasure(MeasureModel):
         ks = {mp.ratio_log2 for mp in self.maps}
         return ks.pop() if len(ks) == 1 else None
 
-    def template(self) -> tuple[TemplateNode, ...]:
+    def _build_template(self) -> tuple[TemplateNode, ...]:
         """The finite template of the positive cube tree; node 0 is the unit cube.
 
         Its nodes are, with embed_shift of level k, the ancestors of the
@@ -341,8 +363,6 @@ class IfsMeasure(MeasureModel):
         composition S_w of the maps; its children are the images of h's
         children, an image of map i becoming the unshifted root.
         """
-        if self._template is not None:
-            return self._template
         shift = self.embed_shift
         k = 0 if shift is None else shift.ratio_log2
         nodes = [TemplateNode(((j + 1, Fraction(1), tuple(o >> (k - 1 - j) & 1 for o in shift.offset)),))
@@ -365,31 +385,29 @@ class IfsMeasure(MeasureModel):
                 (j, mu / base[key], tuple(o & 1 for o in index))
                 for j, mu, index in sorted(kids[key], key=lambda kid: kid[2])
             )))
-        self._template = tuple(nodes)
-        return self._template
+        return tuple(nodes)
+
+    def root_node(self) -> int:
+        return 0
+
+    def edges(self, node: int) -> tuple[tuple[int, Mass, tuple[int, ...]], ...]:
+        return self.template[node].children
 
     def mass(self, cube: DyadicCube) -> Mass:
-        # walk down from the deepest memoized ancestor, memoizing every cube
-        # on the way, so a descent costs one edge per child; a cube of another
-        # dimension has no memoized ancestor, not even at level 0, and mass 0
-        key, path = (cube.level, cube.index), []
-        while key[0] and key not in self._memo:
-            path.append(key)
-            key = (key[0] - 1, tuple(l >> 1 for l in key[1]))
-        state = self._memo.get(key)
-        nodes = self.template()
-        for key in reversed(path):
-            if state is not None:
-                node, mu = state
-                branch = tuple(l & 1 for l in key[1])
-                state = next(((child, mu * ratio) for child, ratio, bits in nodes[node].children
-                              if bits == branch), None)
-            self._memo[key] = state
-        return Fraction(0) if state is None else state[1]
+        # one template edge per level down from the root; a cube of another
+        # dimension lies outside the model
+        node, mu = 0, Fraction(cube.m == self.m)
+        for shift in range(cube.level - 1, -1, -1):
+            branch = tuple(l >> shift & 1 for l in cube.index)
+            edge = next((e for e in self.edges(node) if e[2] == branch), None)
+            if edge is None:
+                return Fraction(0)
+            node, mu = edge[0], mu * edge[1]
+        return mu
 
     def _level(self, n) -> _Level:
         """The level-n states, pushed level by level from the root and cached."""
-        levels, nodes = self._levels, self.template()
+        levels, nodes = self._levels, self.template
         while len(levels) <= n:
             above = levels[-1]
             masses = tuple(above.multiset)
@@ -424,7 +442,7 @@ class IfsMeasure(MeasureModel):
         """The level-n cube count, pushed in integers per template node; a
         coarser level past max_cubes ends the push early (counts never
         decrease), so a cap trips before any level is pushed."""
-        nodes, counts = self.template(), {0: 1}
+        nodes, counts = self.template, {0: 1}
         for _ in range(n):
             if sum(counts.values()) > max_cubes:
                 break
@@ -449,7 +467,7 @@ class IfsMeasure(MeasureModel):
             index, state = _index_array([(0,) * self.m], 0, self.m), np.zeros(1, dtype=np.intp)
         else:
             above, rows = self._tables[n - 1], self._rows
-            nodes = self.template()
+            nodes = self.template
             kid = np.array([s for row in level.edges for s in row], dtype=np.intp)
             branch = _index_array([bits for node, _ in self._levels[n - 1].states
                                    for _, _, bits in nodes[node].children], n, self.m)
@@ -460,7 +478,7 @@ class IfsMeasure(MeasureModel):
             index = np.repeat(above.index, width, axis=0).astype(branch.dtype, copy=False) * 2
             index += branch[edge]
             state = kid[edge]
-            order = np.lexsort(index.T[::-1])
+            order = np.argsort(packed_keys(index, n), kind="stable")
             index, state = index[order], state[order]
         self._rows = state
         mass_id = np.array([j for _, j in level.states], dtype=np.intp)[state]
@@ -509,6 +527,15 @@ class ProductMeasure(MeasureModel):
             if total == 0:
                 return Fraction(0)
         return total
+
+    def root_node(self) -> tuple:
+        return tuple(f.root_node() for f in self.factors)
+
+    def edges(self, node: tuple) -> list[tuple[tuple, Mass, tuple[int, ...]]]:
+        # the factors' trees side by side: one edge per tuple of factor edges
+        return [(tuple(e[0] for e in combo), math.prod(e[1] for e in combo),
+                 sum((e[2] for e in combo), ()))
+                for combo in itertools.product(*(f.edges(v) for f, v in zip(self.factors, node)))]
 
     def level_nodes(self, n, max_cubes=DEFAULT_MAX_CUBES):
         # a factor's count exceeds max_cubes only if the product's does

@@ -5,37 +5,32 @@ below t while the parent still meets t. Since J(child) <= J(parent) along
 refinement, the rule is well formed, and J(Q) <= 2^(-level*rho) forces
 termination no deeper than ceil(log2(1/t)/rho).
 
-Two constructions give the same partition. `build_partition` descends cube
-by cube through the mass oracle and returns the cells; it serves every model
-and every caller that needs the cells. `partition_row` returns the summary
-row alone (card, min_level, max_level, max_j); for an IFS it builds no cube
-and queries no mass, by a recursion over exact self-similar states.
-
-A state. Every positive cube of an IFS measure is a copy of a node h of the
-finite template `IfsMeasure.template` (the unit cube, the cubes that hold
-images deeper than their level, and with embed_shift the ancestors of the
-shift image): its positive children are copies of h's children, each of
-mass M times its edge's ratio, M the cube's mass. The state of the cube is
-(level L, mass M, node h).
+Both functions walk the model's cube tree (`MeasureModel.root_node`,
+`MeasureModel.edges`): for an IFS its finite template `IfsMeasure.template`,
+whose nodes every positive cube copies, and for a model without one the
+cubes themselves. A cube's state is (level L, mass M, node h); a child's is
+(L + 1, M times its edge's ratio, its edge's node). `build_partition` walks
+the states depth first and returns the cells; `partition_row` returns the
+row alone (card, min_level, max_level, max_j) by a recursion memoized on
+the states, and builds no cube.
 
 Why J depends only on the state. Every cube below the cube is a copy of a
 cube below h, so its level is L plus its depth below h and its mass M times
 the product of the edge ratios on its path down from h. J = mass *
 2^(-level * rho) of every cube below, hence whether each one is a cell, and
 the card, level range and largest J of the cells below, are functions of
-the state. The recursion computes them once per state (one memo per
-threshold: 136 states at t = 2^-20 on the bench tetrahedron) and adds cards
-and takes extremes up the tree; this is the renewal count of Lalley (1988)
-over the multinomial state classes of Cawley and Mauldin (1992).
+the state. The recursion computes them once per state (136 states at
+t = 2^-20 on the bench tetrahedron) and adds cards and takes extremes up the
+tree; for an IFS this is the renewal count of Lalley (1988) over the
+multinomial state classes of Cawley and Mauldin (1992).
 
-Why the rows stay bit-identical. Each decision is the descent's own test
-frac_log2(M) - L * rho < log2 t, on the same reduced Fraction M, so
-every J value is the same float and the card, level range and max_j are
-those of the descent. Cards are integers, so max_cells costs no memory. The
-caps trip as in the descent, with its messages: the recursion visits states
-in the descent's depth-first order and counts the cells the descent would
-have emitted before its level guard trips, so whichever of max_cells and the
-level guard the descent meets first is the one raised.
+Why the rows agree bit for bit. Each decision of either walk is the test
+frac_log2(M) - L * rho < log2 t on the same reduced Fraction M, the cube's
+exact mass, so every J value is the same float. Cards are integers, so
+max_cells costs no memory. The caps trip as in the cells walk, with its
+messages: the recursion visits the states in the walk's depth-first order,
+counting the cells emitted so far (a memoized state adds its whole card,
+below which the walk met no guard), so it raises what the walk raises first.
 """
 from __future__ import annotations
 
@@ -47,7 +42,7 @@ import numpy as np
 
 from .cubes import DyadicCube
 from .errors import ResourceLimitError, SolverError, ValidationError
-from .measures import IfsMeasure, MeasureModel
+from .measures import MeasureModel
 from .spectrum import frac_log2
 
 DEFAULT_MAX_CELLS = 1 << 20
@@ -97,55 +92,48 @@ def build_partition(
     t: float,
     max_cells: int = DEFAULT_MAX_CELLS,
 ) -> PartitionResult:
-    """Descend from the root, emitting the first cubes with J_rho < t.
+    """Walk down from the root, emitting the first cubes with J_rho < t.
 
     Children of zero-mass cubes are never visited, so the cells partition the
     support of the measure up to null sets. If the root itself already falls
     below t, the single root cell is returned and flagged degenerate.
     """
     log2_t = _log2_threshold(rho, t)
-    root_cube = DyadicCube(0, (0,) * model.m)
     if 0.0 < log2_t:  # J(root) = 1 < t
         return PartitionResult(
-            t=t, rho=rho, card=1, cells=(root_cube,), max_j=1.0,
+            t=t, rho=rho, card=1, cells=(DyadicCube(0, (0,) * model.m),), max_j=1.0,
             min_level=0, max_level=0, degenerate=True,
         )
 
-    cells: list[tuple[DyadicCube, float]] = []
-    stack = [root_cube]
+    cells: list[tuple[int, tuple[int, ...], float]] = []  # (level, index, log2 J)
+    stack = [(0, (0,) * model.m, Fraction(1), model.root_node())]
     while stack:
-        cube = stack.pop()
-        if cube.level > _LEVEL_GUARD:
+        level, index, mass, node = stack.pop()
+        if level > _LEVEL_GUARD:
             raise _guard_error()
-        for child, mass in model.positive_children(cube):
-            j = frac_log2(mass) - child.level * rho
+        for child, ratio, branch in model.edges(node):
+            mu = mass * ratio
+            j = frac_log2(mu) - (level + 1) * rho
+            kid = tuple(2 * l + b for l, b in zip(index, branch))
             if j < log2_t:
-                cells.append((child, j))
+                cells.append((level + 1, kid, j))
                 if len(cells) > max_cells:
                     raise _cap_error(t, max_cells)
             else:
-                stack.append(child)
+                stack.append((level + 1, kid, mu, child))
 
-    cells.sort(key=lambda cj: (cj[0].level, cj[0].index))
-    levels = [c.level for c, _ in cells]
+    cells.sort()
+    levels = [level for level, _, _ in cells]
     return PartitionResult(
         t=t,
         rho=rho,
         card=len(cells),
-        cells=tuple(c for c, _ in cells),
-        max_j=2.0 ** max(j for _, j in cells),
-        min_level=min(levels),
-        max_level=max(levels),
+        cells=tuple(DyadicCube(level, index) for level, index, _ in cells),
+        max_j=2.0 ** max(j for _, _, j in cells),
+        min_level=levels[0],
+        max_level=levels[-1],
         degenerate=False,
     )
-
-
-class _GuardTrip(Exception):
-    """The descent would expand a cube past the level guard after emitting
-    `before` cells."""
-
-    def __init__(self, before: int) -> None:
-        self.before = before
 
 
 def partition_row(
@@ -156,50 +144,49 @@ def partition_row(
 ) -> PartitionRow:
     """The row of `build_partition(model, rho, t, max_cells)` without its cells.
 
-    For an IFS it comes from the state recursion of the module docstring;
-    other models, and the degenerate t > 1, take the descent. Errors and
-    their messages are the descent's.
+    It comes from the state recursion of the module docstring; the
+    degenerate t > 1 takes the cells walk. Errors and their messages are the
+    cells walk's.
     """
     log2_t = _log2_threshold(rho, t)
-    if 0.0 < log2_t or not isinstance(model, IfsMeasure):
+    if 0.0 < log2_t:
         return build_partition(model, rho, t, max_cells)
-    nodes = model.template()
-    memo: dict[tuple[int, Fraction, int], tuple[int, int, int, float]] = {}
+    edges = model.edges
+    memo: dict[tuple[int, Fraction, object], tuple[int, int, int, float]] = {}
+    emitted = 0  # cells the cells walk has emitted so far
 
-    def expand(level: int, mass: Fraction, node: int) -> tuple[int, int, int, float]:
+    def expand(level: int, mass: Fraction, node) -> tuple[int, int, int, float]:
         # (card, min level, max level, max log2 J) of the cells below an
-        # expanded cube, its children taken in the descent's order: the cells
-        # among them first, then the deeper children last to first
+        # expanded cube, its children taken in the cells walk's order: the
+        # cells among them first, then the deeper children last to first
+        nonlocal emitted
         key = (level, mass, node)
         row = memo.get(key)
+        if row is None:
+            if level > _LEVEL_GUARD:
+                raise _guard_error()
+            js, deeper = [], []
+            for child, ratio, _ in edges(node):
+                mu = mass * ratio
+                j = frac_log2(mu) - (level + 1) * rho
+                if j < log2_t:
+                    js.append(j)
+                else:
+                    deeper.append((mu, child))
+        # a memoized state adds its whole card, an expanded one its own cells
+        emitted += len(js) if row is None else row[0]
+        if emitted > max_cells:
+            raise _cap_error(t, max_cells)
         if row is not None:
             return row
-        if level > _LEVEL_GUARD:
-            raise _GuardTrip(0)
-        js, deeper = [], []
-        for child, ratio, _ in nodes[node].children:
-            mu = mass * ratio
-            j = frac_log2(mu) - (level + 1) * rho
-            if j < log2_t:
-                js.append(j)
-            else:
-                deeper.append((mu, child))
         rows = [(len(js), level + 1, level + 1, max(js))] if js else []
         for mu, child in reversed(deeper):
-            try:
-                rows.append(expand(level + 1, mu, child))
-            except _GuardTrip as trip:
-                raise _GuardTrip(sum(r[0] for r in rows) + trip.before) from None
+            rows.append(expand(level + 1, mu, child))
         cards, lows, highs, tops = zip(*rows)
         memo[key] = row = (sum(cards), min(lows), max(highs), max(tops))
         return row
 
-    try:
-        card, min_level, max_level, top = expand(0, Fraction(1), 0)
-    except _GuardTrip as trip:
-        raise (_cap_error(t, max_cells) if trip.before > max_cells else _guard_error()) from None
-    if card > max_cells:
-        raise _cap_error(t, max_cells)
+    card, min_level, max_level, top = expand(0, Fraction(1), model.root_node())
     return PartitionRow(
         t=t, rho=rho, card=card, max_j=2.0**top,
         min_level=min_level, max_level=max_level, degenerate=False,

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from widthlab import DyadicCube, IfsMap, IfsMeasure, lebesgue
+from widthlab import AtomicMeasure, DyadicCube, IfsMap, IfsMeasure, ProductMeasure, lebesgue
 
 
 @pytest.fixture(scope="session")
@@ -48,6 +48,30 @@ def deep_ifs():
     return IfsMeasure(
         [IfsMap(40, (0,)), IfsMap(40, ((1 << 40) - 1,))], [Fraction(1, 3), Fraction(2, 3)]
     )
+
+
+EPS = Fraction(1, 10**6)
+
+
+def boundary_atomic():
+    """Four atoms in 2-d: dyadic ones, which lie in the cube their coordinates
+    close, and ones 10^-6 to either side of a dyadic boundary."""
+    return AtomicMeasure(
+        [(Fraction(1, 2), Fraction(1, 4)), (Fraction(1, 2) + EPS, Fraction(1, 4) - EPS),
+         (Fraction(1, 4) - EPS, Fraction(3, 4) + EPS), (EPS, 1 - EPS)],
+        [Fraction(1, 10), Fraction(2, 10), Fraction(3, 10), Fraction(4, 10)],
+    )
+
+
+def ifs_atomic_lebesgue():
+    """The 3-d product of a 1-d IFS, 1-d atoms (one 10^-6 past 1/2) and
+    1-d Lebesgue measure."""
+    ifs_1d = IfsMeasure([IfsMap(2, (0,)), IfsMap(2, (3,))], [Fraction(1, 3), Fraction(2, 3)])
+    atomic_1d = AtomicMeasure(
+        [(Fraction(1, 2),), (Fraction(1, 2) + EPS,), (Fraction(1, 8),)],
+        [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)],
+    )
+    return ProductMeasure([ifs_1d, atomic_1d, lebesgue(1)])
 
 
 @st.composite

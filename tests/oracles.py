@@ -1,8 +1,9 @@
 """Kernels that the program replaced, kept as exact oracles for the tests
 and as baselines for the benchmarks in `benchmarks/`: the IFS pullback
 recursion that the template walk replaced, the cube-by-cube descent that the
-node tables replaced, and the per-node and per-cell L4 kernels that the
-array locator and the batched projection replaced."""
+node tables replaced, the J_rho partition taken level by level straight from
+its rule, and the per-node and per-cell L4 kernels that the array locator
+and the batched projection replaced."""
 from __future__ import annotations
 
 import math
@@ -16,6 +17,7 @@ from widthlab.cubes import children
 from widthlab.functions import monomials, multi_indices
 from widthlab.measures import DEFAULT_MAX_CUBES
 from widthlab.quadrature import unit_rule
+from widthlab.spectrum import frac_log2
 
 # per IFS model: (level, index) -> mass of the unshifted measure
 _PULLBACK_MEMOS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -69,6 +71,34 @@ def _unshifted_mass(model, cube, memo):
 def oracle_children(model, cube):
     # the positive children of a cube, in index order, with their oracle masses
     return [(child, mu) for child in children(cube) if (mu := oracle_mass(model, child)) > 0]
+
+
+def naive_partition(model, rho, t, max_level=16):
+    """Independent oracle: level-filter construction straight from the rule,
+    with masses from the pullback oracle; its cells in (level, index) order."""
+    out = []
+    frontier = [(DyadicCube(0, (0,) * model.m), Fraction(1))]
+    if math.log2(t) > 0:
+        return [DyadicCube(0, (0,) * model.m)]
+    for _ in range(max_level + 1):
+        nxt = []
+        for cube, mass in frontier:
+            for child in oracle_children(model, cube):
+                cc, mu = child
+                if oracle_j_log2(model, cc, rho) < math.log2(t):
+                    if oracle_j_log2(model, cube, rho) >= math.log2(t):
+                        out.append(cc)
+                else:
+                    nxt.append(child)
+        frontier = nxt
+        if not frontier:
+            break
+    assert not frontier, "oracle ran past max_level"
+    return sorted(out, key=lambda c: (c.level, c.index))
+
+
+def oracle_j_log2(model, cube, rho):
+    return frac_log2(oracle_mass(model, cube)) - cube.level * rho
 
 
 def descent_positive(model, n, max_cubes=DEFAULT_MAX_CUBES):

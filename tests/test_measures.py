@@ -22,7 +22,7 @@ from widthlab import (
     root,
 )
 
-from conftest import dyadic_ifs
+from conftest import boundary_atomic, dyadic_ifs, ifs_atomic_lebesgue
 from oracles import descent_positive, oracle_mass
 
 
@@ -108,26 +108,13 @@ def _mixed_2d():
 def _node_models(tetrahedron):
     mixed = _mixed_2d()
     shifted = IfsMeasure(mixed.maps, mixed.probs, embed_shift=IfsMap(2, (1, 2)))
-    # dyadic atoms, which lie in the cube their coordinates close, and atoms
-    # 10^-6 to either side of a dyadic boundary
-    eps = Fraction(1, 10**6)
-    atomic = AtomicMeasure(
-        [(Fraction(1, 2), Fraction(1, 4)), (Fraction(1, 2) + eps, Fraction(1, 4) - eps),
-         (Fraction(1, 4) - eps, Fraction(3, 4) + eps), (eps, 1 - eps)],
-        [Fraction(1, 10), Fraction(2, 10), Fraction(3, 10), Fraction(4, 10)],
-    )
-    ifs_1d = IfsMeasure([IfsMap(2, (0,)), IfsMap(2, (3,))], [Fraction(1, 3), Fraction(2, 3)])
-    atomic_1d = AtomicMeasure(
-        [(Fraction(1, 2),), (Fraction(1, 2) + eps,), (Fraction(1, 8),)],
-        [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)],
-    )
     return {
         "tetrahedron": tetrahedron,
         "mixed": mixed,
         "shifted": shifted,
-        "atomic": atomic,
+        "atomic": boundary_atomic(),
         "uniform": UniformMeasure(DyadicCube(2, (1, 2))),
-        "product": ProductMeasure([ifs_1d, atomic_1d, lebesgue(1)]),
+        "product": ifs_atomic_lebesgue(),
     }
 
 
@@ -240,7 +227,7 @@ def test_levels_deeper_than_the_recursion_limit():
 
 
 def test_cold_mass_deeper_than_the_recursion_limit():
-    # no level cached and no cube memoized: the walk from the root is a loop
+    # no level cached: the walk from the root is a loop, one edge per level
     point = IfsMeasure([IfsMap(1, (0,))], [Fraction(1)])
     assert point.mass(DyadicCube(5000, (0,))) == 1
     assert point.mass(DyadicCube(5000, (1,))) == 0

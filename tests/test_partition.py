@@ -14,11 +14,10 @@ from widthlab import (
     partition_row,
 )
 from widthlab.coarse import j_log2
-from widthlab.measures import AtomicMeasure, IfsMap, IfsMeasure
-from widthlab.spectrum import frac_log2
+from widthlab.measures import IfsMap, IfsMeasure, UniformMeasure
 
-from conftest import dyadic_ifs
-from oracles import oracle_children, oracle_mass
+from conftest import boundary_atomic, dyadic_ifs, ifs_atomic_lebesgue
+from oracles import naive_partition, oracle_j_log2
 
 # the 7-map mixed-ratio IFS of the benchmark (perfbench/inputs.py): its deep
 # images merge into shared holder cubes
@@ -35,34 +34,6 @@ IFS7_MAPS = [
 
 def _ifs(maps, shift=None):
     return IfsMeasure([IfsMap(k, o) for k, o, _ in maps], [Fraction(p) for *_, p in maps], shift)
-
-
-def naive_partition(model, rho, t, max_level=16):
-    """Independent oracle: level-filter construction straight from the rule,
-    with masses from the pullback oracle."""
-    out = []
-    frontier = [(DyadicCube(0, (0,) * model.m), Fraction(1))]
-    if math.log2(t) > 0:
-        return [DyadicCube(0, (0,) * model.m)]
-    for _ in range(max_level + 1):
-        nxt = []
-        for cube, mass in frontier:
-            for child in oracle_children(model, cube):
-                cc, mu = child
-                if oracle_j_log2(model, cc, rho) < math.log2(t):
-                    if oracle_j_log2(model, cube, rho) >= math.log2(t):
-                        out.append(cc)
-                else:
-                    nxt.append(child)
-        frontier = nxt
-        if not frontier:
-            break
-    assert not frontier, "oracle ran past max_level"
-    return sorted(out, key=lambda c: (c.level, c.index))
-
-
-def oracle_j_log2(model, cube, rho):
-    return frac_log2(oracle_mass(model, cube)) - cube.level * rho
 
 
 def test_lebesgue_partition_example(leb1):
@@ -197,7 +168,8 @@ def _naive_row(model, rho, t):
 
 
 def _assert_rows_agree(model, rho, t):
-    """State row == descent row == the row of the naive oracle's cells."""
+    """Cells walk == naive oracle, and the rows of the recursion, of the
+    cells walk and of the oracle's cells are equal."""
     part = build_partition(model, rho, t)
     assert part.cells == tuple(naive_partition(model, rho, t))
     assert _row(partition_row(model, rho, t)) == _row(part) == _naive_row(model, rho, t)
@@ -205,8 +177,11 @@ def _assert_rows_agree(model, rho, t):
 
 def test_state_rows_match_descent_and_oracle(tetrahedron):
     shifted = _ifs(IFS7_MAPS, IfsMap(2, (1, 2)))
+    # the last three are not IFS: atomic and uniform models are their own
+    # cube trees, and the product pairs an IFS template with two such trees
     cases = [(tetrahedron, 1.0, 12), (tetrahedron, 2.0, 16), (_ifs(IFS7_MAPS), 1.0, 12),
-             (_ifs(IFS7_MAPS), 0.5, 7), (shifted, 1.0, 14)]
+             (_ifs(IFS7_MAPS), 0.5, 7), (shifted, 1.0, 14), (boundary_atomic(), 1.0, 14),
+             (UniformMeasure(DyadicCube(2, (1, 2))), 1.0, 14), (ifs_atomic_lebesgue(), 1.0, 12)]
     for model, rho, deepest in cases:
         for k in range(deepest + 1):
             _assert_rows_agree(model, rho, 2.0**-k)
@@ -229,14 +204,17 @@ def _outcome(build, model, rho, t, cap):
 
 def test_state_rows_trip_caps_as_the_descent(tetrahedron, deep_ifs):
     # lopsided: the heavy left chain passes level 64 while light right
-    # branches emit cells first, in the descent's depth-first order, so
+    # branches emit cells first, in the cells walk's depth-first order, so
     # max_cells trips first for a small cap and the level guard for a large
-    # one; its maps are listed right first, the descent's children left first
+    # one; its maps are listed right first, the walk's edges left first
     eps = Fraction(1, 1 << 60)
     lopsided = IfsMeasure([IfsMap(1, (1,)), IfsMap(1, (0,))], [eps, 1 - eps])
+    uniform = UniformMeasure(DyadicCube(2, (1, 2)))
     card = build_partition(tetrahedron, 1.0, 2.0**-12).card
+    flat = build_partition(uniform, 1.0, 2.0**-12).card
     cases = {
         "tetrahedron": (tetrahedron, 2.0**-12, [0, 1, card - 1, card]),
+        "uniform": (uniform, 2.0**-12, [0, 1, flat - 1, flat]),
         "lopsided": (lopsided, 2.0**-70, [0, *range(110, 125), 1 << 40]),
         "deep": (deep_ifs, 2.0**-200, [0, 1 << 40]),
     }
@@ -247,8 +225,25 @@ def test_state_rows_trip_caps_as_the_descent(tetrahedron, deep_ifs):
             assert _outcome(partition_row, model, 1.0, t, cap) == want
             kind = "guard" if "level 64" in want else "cap" if isinstance(want, str) else "row"
             kinds.setdefault(name, set()).add(kind)
-    assert kinds == {"tetrahedron": {"row", "cap"}, "lopsided": {"cap", "guard"},
-                     "deep": {"guard"}}
+    assert kinds == {"tetrahedron": {"row", "cap"}, "uniform": {"row", "cap"},
+                     "lopsided": {"cap", "guard"}, "deep": {"guard"}}
+
+
+def test_partitions_never_query_the_ifs_mass_oracle(tetrahedron, monkeypatch):
+    # both walks take every child's mass from the template edges
+    shifted = _ifs(IFS7_MAPS, IfsMap(2, (1, 2)))
+    cases = [(tetrahedron, 1.0, k) for k in range(13)] + [(shifted, 1.0, k) for k in range(15)]
+    want = [(naive_partition(model, rho, 2.0**-k), _naive_row(model, rho, 2.0**-k))
+            for model, rho, k in cases]
+
+    def no_mass(self, cube):
+        raise AssertionError(f"mass oracle queried for {cube}")
+
+    monkeypatch.setattr(IfsMeasure, "mass", no_mass)
+    for (model, rho, k), (cells, row) in zip(cases, want):
+        part = build_partition(model, rho, 2.0**-k)
+        assert part.cells == tuple(cells)
+        assert _row(part) == _row(partition_row(model, rho, 2.0**-k)) == row
 
 
 @given(st.integers(1, 9), st.integers(2, 10))
