@@ -1,6 +1,15 @@
 """Multifractal spectra, adaptive dyadic partitions, and approximation orders."""
 
+import os
+
 __version__ = "0.1.0"
+
+# OpenBLAS reads this when numpy loads it, so it is set before any submodule
+# imports numpy. By default an idle BLAS worker busy-waits for 2^28 cycles
+# (about 80 ms here) before it sleeps, burning a core while a short run does
+# its Python work; with 4 it sleeps after 2^4 cycles. A value the user set
+# wins, and the line does nothing when numpy was loaded before widthlab.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 from .cubes import Box, DyadicCube, children, neighbors, parse_cube, root, scaled_box
 from .errors import (

@@ -319,12 +319,22 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser. If `command` names a subcommand, only its
+    subparser is built, since building all eight costs more than parsing
+    one command line; otherwise (help, usage errors) all of them are. The
+    usage line lists every subcommand either way."""
     parser = argparse.ArgumentParser(prog="widthlab", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"widthlab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, keys, _) in SUBCOMMANDS.items():
+    names, metavar = list(SUBCOMMANDS), None
+    if command in SUBCOMMANDS:
+        # the usage line names the subparsers built, so name all of them; the
+        # usage errors that would print the metavar for "command" cannot occur
+        names, metavar = [command], "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, keys, _ = SUBCOMMANDS[name]
         sp = sub.add_parser(name, help=help_text)
         for key in f"{COMMON} {keys}".split():
             convert, _, help_text = OPTIONS[key]
@@ -334,8 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EX_USAGE if exc.code == 2 else exc.code
     try:

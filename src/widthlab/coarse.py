@@ -19,7 +19,7 @@ import numpy as np
 
 from .cubes import DyadicCube, neighbors
 from .errors import ValidationError
-from .measures import DEFAULT_MAX_CUBES, MeasureModel
+from .measures import DEFAULT_MAX_CUBES, INT64_LEVELS, MeasureModel, packed_keys
 from .spectrum import frac_log2, level_log_masses
 
 
@@ -180,14 +180,34 @@ def _conflict(a: DyadicCube, b: DyadicCube) -> bool:
     return all(abs(x - y) <= 2 for x, y in zip(a.index, b.index))
 
 
-def dominant_cubes(cubes, model: MeasureModel) -> list[DyadicCube]:
-    """Members whose mass is >= the mass of every same-level neighbor."""
-    out = []
-    for cube in cubes:
-        mu = model.mass(cube)
-        if all(model.mass(nb) <= mu for nb in neighbors(cube)):
-            out.append(cube)
-    return out
+def _table_masses(model: MeasureModel, n: int, rows, max_cubes: int) -> list[Fraction]:
+    """Exact masses of the level-n cubes of the given index rows, looked up
+    by packed key in the level's node table; a cube absent from it has mass 0."""
+    index, mass_id, masses = model.level_nodes(n, max_cubes)
+    keys = packed_keys(index, n)  # increasing: the table is in index order
+    dtype = np.int64 if n < INT64_LEVELS else object
+    query = packed_keys(np.array(rows, dtype=dtype).reshape(len(rows), model.m), n)
+    pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    found = keys[pos] == query
+    return [masses[j] if hit else Fraction(0)
+            for j, hit in zip(mass_id[pos].tolist(), found.tolist())]
+
+
+def dominant_cubes(cubes, model: MeasureModel,
+                   max_cubes: int = DEFAULT_MAX_CUBES) -> list[DyadicCube]:
+    """Members whose mass is >= the mass of every same-level neighbor, the
+    masses of each level read from its node table, not the mass oracle."""
+    cubes = list(cubes)
+    dominant = set()
+    for n in {cube.level for cube in cubes}:
+        members = [cube for cube in cubes if cube.level == n]
+        groups = [neighbors(cube) for cube in members]
+        masses = iter(_table_masses(model, n, [nb.index for g in groups for nb in g], max_cubes))
+        for cube, group in zip(members, groups):
+            group_masses = [next(masses) for _ in group]
+            if max(group_masses) <= group_masses[group.index(cube)]:
+                dominant.add(cube)
+    return [cube for cube in cubes if cube in dominant]
 
 
 def well_separated(
@@ -195,6 +215,7 @@ def well_separated(
     model: MeasureModel,
     require_dominant: bool = False,
     validate_threshold: bool = False,
+    max_cubes: int = DEFAULT_MAX_CUBES,
 ) -> list[DyadicCube]:
     """Greedy extraction of a 3-fold-separated subfamily.
 
@@ -207,7 +228,8 @@ def well_separated(
     caller's threshold property AND a mass profile without strictly
     increasing adjacent runs; `require_dominant=True` restricts candidates to
     neighbor-dominant cubes so that the property holds unconditionally (at
-    the price of the cardinality bound on adversarial inputs).
+    the price of the cardinality bound on adversarial inputs). Both read the
+    level's node table, under the cap `max_cubes`.
     """
     cubes = list(cubes)
     if not cubes:
@@ -220,12 +242,12 @@ def well_separated(
         # O(card D_n) check of sup_{outside} mass <= inf_{inside} mass
         inside = {c.index for c in cubes}
         inf_in = min(model.mass(c) for c in cubes)
-        index, mass_id, masses = model.level_nodes(level)
+        index, mass_id, masses = model.level_nodes(level, max_cubes)
         heavier = np.array([mu > inf_in for mu in masses], dtype=bool)[mass_id]
         if any(tuple(row) not in inside for row in index[heavier].tolist()):
             raise ValidationError("threshold property violated: outside cube outweighs input")
 
-    candidates = dominant_cubes(cubes, model) if require_dominant else cubes
+    candidates = dominant_cubes(cubes, model, max_cubes) if require_dominant else cubes
     order = sorted(candidates, key=lambda c: (-model.mass(c), c.index))
     kept: list[DyadicCube] = []
     for cube in order:

@@ -422,7 +422,7 @@ def packing_probe(
     good = alpha_good_cubes(model, n, params.rho, alpha, max_cubes)
     if not good:
         raise ValidationError(f"no alpha-good cubes at level {n}, alpha={alpha}")
-    family = well_separated(good, model, require_dominant=True)
+    family = well_separated(good, model, require_dominant=True, max_cubes=max_cubes)
     family = [c for c in family if scaled_box(c, 3).inside_unit_cube()]
     if not family:
         raise ValidationError(

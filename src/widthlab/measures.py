@@ -193,8 +193,8 @@ class AtomicMeasure(MeasureModel):
     finite_support = True
 
     def __init__(self, points, weights) -> None:
-        pts = [tuple(Fraction(x) for x in p) for p in points]
-        wts = [Fraction(w) for w in weights]
+        pts = [tuple(x if isinstance(x, Fraction) else Fraction(x) for x in p) for p in points]
+        wts = [w if isinstance(w, Fraction) else Fraction(w) for w in weights]
         if not pts:
             raise ValidationError("atomic measure needs at least one point")
         if len(pts) != len(wts):
@@ -691,9 +691,10 @@ def ingest_points(rows, weight_column=None) -> AtomicMeasure:
             )
         coords = []
         for j, tok in enumerate(row):
-            if not _looks_numeric(tok):
-                raise ParseError(f"non-numeric field {tok!r} in CSV row {lineno}")
-            value = Fraction(tok.strip())
+            try:
+                value = Fraction(tok.strip())
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"non-numeric field {tok!r} in CSV row {lineno}") from None
             if j == widx:
                 if value <= 0:
                     raise ValidationError(f"non-positive weight in CSV row {lineno}")

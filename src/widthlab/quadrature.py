@@ -8,8 +8,8 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import minimize_scalar
 
+from ._brent import fminbound
 from .cubes import DyadicCube
 
 # cells whose best node composite_unit_norm refines for p = inf
@@ -77,7 +77,8 @@ def composite_unit_norm(f, m: int, subdivisions: int, npts: int, p: float) -> fl
 
 
 def _refine_max(f, x: np.ndarray, radius: float, value: float) -> float:
-    """Coordinate-wise bounded search for a larger |f| within radius of x."""
+    """Coordinate-wise bounded search for a larger |f| within radius of x,
+    by Brent's bounded minimizer (Brent 1973, ch. 5) on -|f|."""
     x = x.copy()
     for axis in range(x.size):
 
@@ -86,8 +87,8 @@ def _refine_max(f, x: np.ndarray, radius: float, value: float) -> float:
             y[axis] = t
             return -abs(float(np.asarray(f(y[None, :]), dtype=float)[0]))
 
-        bounds = (max(0.0, x[axis] - radius), min(1.0, x[axis] + radius))
-        res = minimize_scalar(neg_abs, bounds=bounds, method="bounded")
-        if -res.fun > value:
-            value, x[axis] = -float(res.fun), float(res.x)
+        t, neg = fminbound(neg_abs, max(0.0, float(x[axis]) - radius),
+                           min(1.0, float(x[axis]) + radius))
+        if -neg > value:
+            value, x[axis] = -neg, t
     return value

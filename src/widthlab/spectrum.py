@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._brent import brentq
 from .errors import SolverError, ValidationError
 from .measures import DEFAULT_MAX_CUBES, IfsMeasure, MeasureModel, ProductMeasure, UniformMeasure
 
@@ -181,8 +181,9 @@ def s_b_solve(curve: SpectrumCurve, b: float, t_max: float = 1.5) -> float:
     """Critical exponent inf{t > 0 : beta(t) - b*t <= 0}.
 
     Convexity of beta makes t -> beta(t) - b*t cross zero at most once from
-    above; the crossing is bracketed (doubling t_max up to 64) and refined to
-    near machine precision, comfortably inside the 1e-10 contract.
+    above; the crossing is bracketed (doubling t_max up to 64) and refined by
+    Brent's root finder (Brent 1973, ch. 4) to near machine precision,
+    comfortably inside the 1e-10 contract.
     """
     if b <= 0:
         raise ValidationError("s_b needs b > 0")
@@ -213,7 +214,7 @@ def s_b_solve(curve: SpectrumCurve, b: float, t_max: float = 1.5) -> float:
         hi *= 2.0
         if hi > 64.0:
             raise SolverError(f"no crossing of beta(t) - {b}*t below t = 64")
-    return float(brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200))
+    return brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,24 @@ def ifs_atomic_lebesgue():
     return ProductMeasure([ifs_1d, atomic_1d, lebesgue(1)])
 
 
+# the 7-map mixed-ratio IFS of the benchmark (perfbench/inputs.py): its deep
+# images merge into shared holder cubes
+IFS7_MAPS = [
+    (1, (1, 1), "0.31"),
+    (1, (0, 0), "0.23"),
+    (2, (3, 0), "0.17"),
+    (2, (0, 3), "0.11"),
+    (3, (5, 2), "0.07"),
+    (3, (4, 3), "0.06"),
+    (3, (2, 5), "0.05"),
+]
+
+
+def ifs7(shift=None):
+    return IfsMeasure([IfsMap(k, o) for k, o, _ in IFS7_MAPS],
+                      [Fraction(p) for *_, p in IFS7_MAPS], shift)
+
+
 @st.composite
 def dyadic_ifs(draw):
     """A random IFS in 1 or 2 dimensions: disjoint images of levels 1..3,

@@ -17,6 +17,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -276,3 +278,20 @@ def test_probe_trips_node_cap_before_the_seminorm(tmp_path, monkeypatch, capsys)
     assert run_cli(argv, tmp_path)["code"] == cli.EX_RESOURCE
     err = capsys.readouterr().err
     assert err == "widthlab: resource cap: more than 2097152 positive cubes at level 11\n"
+
+
+@pytest.mark.parametrize("preset, want", [(None, "4"), ("7", "7")])
+def test_import_loads_no_scipy_and_keeps_blas_workers_from_spinning(preset, want):
+    """A fresh `import widthlab.cli` loads no SciPy module, and sets OpenBLAS's
+    idle-thread timeout before numpy loads unless the user set it."""
+    probe = ("import os, sys, widthlab.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
+             "print(os.environ['OPENBLAS_THREAD_TIMEOUT'])")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                         env.get("PYTHONPATH", "")])
+    if preset is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.split("\n")[:2] == ["[]", want]

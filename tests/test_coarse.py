@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -19,8 +20,11 @@ from widthlab import (
     well_separated,
 )
 from widthlab.coarse import default_alpha_grid, dominant_cubes
+from widthlab.cubes import neighbors
 from widthlab.measures import IfsMap, IfsMeasure
 from widthlab.spectrum import frac_log2
+
+from conftest import boundary_atomic, ifs7
 
 
 def test_j_value_lebesgue():
@@ -155,8 +159,6 @@ def test_well_separated_separation_and_cardinality(level, data):
 
 def test_well_separated_dominance_on_plateau_families(leb1, quarter_cantor):
     # equal masses (ties) and separated supports: all three conclusions hold
-    from widthlab.cubes import neighbors
-
     for model, n in ((leb1, 4), (quarter_cantor, 6)):
         cubes = [c for c, _ in model.enumerate_positive(n)]
         out = well_separated(cubes, model)
@@ -184,6 +186,25 @@ def test_greedy_defect_on_increasing_chain_documented():
     filtered = well_separated(cubes, model, require_dominant=True)
     assert filtered == dominant_cubes(filtered, model)
     assert len(filtered) < 10 // 5 + 1  # the cardinality bound is lost here
+
+
+def test_dominant_cubes_match_the_mass_oracle(tetrahedron, deep_ifs):
+    """Masses read from the node table select exactly the cubes whose `mass`
+    dominates their neighbours', zero-mass cubes and mixed levels included."""
+    def every_cube(n, m):
+        return [DyadicCube(n, idx) for idx in itertools.product(range(1 << n), repeat=m)]
+
+    deep = [c for c, _ in deep_ifs.enumerate_positive(64)]
+    cases = [
+        (tetrahedron, every_cube(3, 3) + [c for c, _ in tetrahedron.enumerate_positive(4)]),
+        (ifs7(IfsMap(2, (1, 2))), every_cube(5, 2)),
+        (boundary_atomic(), every_cube(5, 2)[::-1]),
+        (deep_ifs, deep + [DyadicCube(64, (c.index[0] ^ 1,)) for c in deep]),
+    ]
+    for model, cubes in cases:
+        want = [c for c in cubes if all(model.mass(nb) <= model.mass(c) for nb in neighbors(c))]
+        assert 0 < len(want) < len(cubes)
+        assert dominant_cubes(cubes, model) == want
 
 
 def test_alpha_good_cubes_match_count(tetrahedron):

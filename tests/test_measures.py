@@ -362,6 +362,16 @@ def test_ingest_points_non_numeric_names_row():
         ingest_points("0.5\nabc\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0.5\nabc\n", "non-numeric field 'abc' in CSV row 2"),
+    ("x,y\n0.5,0.5\n0.25, 1/0\n", "non-numeric field ' 1/0' in CSV row 2"),
+])
+def test_ingest_points_unparsable_field_message(text, message):
+    with pytest.raises(ParseError) as info:
+        ingest_points(text)
+    assert str(info.value) == message
+
+
 # -- property tests -----------------------------------------------------------
 
 

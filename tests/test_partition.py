@@ -16,25 +16,8 @@ from widthlab import (
 from widthlab.coarse import j_log2
 from widthlab.measures import IfsMap, IfsMeasure, UniformMeasure
 
-from conftest import boundary_atomic, dyadic_ifs, ifs_atomic_lebesgue
+from conftest import IFS7_MAPS, boundary_atomic, dyadic_ifs, ifs7, ifs_atomic_lebesgue
 from oracles import naive_partition, oracle_j_log2
-
-# the 7-map mixed-ratio IFS of the benchmark (perfbench/inputs.py): its deep
-# images merge into shared holder cubes
-IFS7_MAPS = [
-    (1, (1, 1), "0.31"),
-    (1, (0, 0), "0.23"),
-    (2, (3, 0), "0.17"),
-    (2, (0, 3), "0.11"),
-    (3, (5, 2), "0.07"),
-    (3, (4, 3), "0.06"),
-    (3, (2, 5), "0.05"),
-]
-
-
-def _ifs(maps, shift=None):
-    return IfsMeasure([IfsMap(k, o) for k, o, _ in maps], [Fraction(p) for *_, p in maps], shift)
-
 
 def test_lebesgue_partition_example(leb1):
     part = build_partition(leb1, 1.0, 2.0**-6)
@@ -142,7 +125,7 @@ def _moran_root(factors) -> float:
 def test_entropy_slope_mixed_ratio_ifs():
     # renewal count: card(P_t) ~ t^-s with sum_i (p_i 2^(-k_i rho))^s = 1
     rho = 1.0
-    fit = entropy_slope(_ifs(IFS7_MAPS), rho, [2.0**-k for k in range(10, 31, 2)],
+    fit = entropy_slope(ifs7(), rho, [2.0**-k for k in range(10, 31, 2)],
                         max_cells=1 << 60)
     assert max(row[3] for row in fit.rows) <= 64
     target = _moran_root([float(p) * 2.0 ** (-k * rho) for k, _, p in IFS7_MAPS])
@@ -176,11 +159,11 @@ def _assert_rows_agree(model, rho, t):
 
 
 def test_state_rows_match_descent_and_oracle(tetrahedron):
-    shifted = _ifs(IFS7_MAPS, IfsMap(2, (1, 2)))
+    shifted = ifs7(IfsMap(2, (1, 2)))
     # the last three are not IFS: atomic and uniform models are their own
     # cube trees, and the product pairs an IFS template with two such trees
-    cases = [(tetrahedron, 1.0, 12), (tetrahedron, 2.0, 16), (_ifs(IFS7_MAPS), 1.0, 12),
-             (_ifs(IFS7_MAPS), 0.5, 7), (shifted, 1.0, 14), (boundary_atomic(), 1.0, 14),
+    cases = [(tetrahedron, 1.0, 12), (tetrahedron, 2.0, 16), (ifs7(), 1.0, 12),
+             (ifs7(), 0.5, 7), (shifted, 1.0, 14), (boundary_atomic(), 1.0, 14),
              (UniformMeasure(DyadicCube(2, (1, 2))), 1.0, 14), (ifs_atomic_lebesgue(), 1.0, 12)]
     for model, rho, deepest in cases:
         for k in range(deepest + 1):
@@ -231,7 +214,7 @@ def test_state_rows_trip_caps_as_the_descent(tetrahedron, deep_ifs):
 
 def test_partitions_never_query_the_ifs_mass_oracle(tetrahedron, monkeypatch):
     # both walks take every child's mass from the template edges
-    shifted = _ifs(IFS7_MAPS, IfsMap(2, (1, 2)))
+    shifted = ifs7(IfsMap(2, (1, 2)))
     cases = [(tetrahedron, 1.0, k) for k in range(13)] + [(shifted, 1.0, k) for k in range(15)]
     want = [(naive_partition(model, rho, 2.0**-k), _naive_row(model, rho, 2.0**-k))
             for model, rho, k in cases]

@@ -5,6 +5,7 @@ import pytest
 
 from widthlab import (
     AtomicMeasure,
+    ClosedFormSpectrum,
     DyadicCube,
     ResourceLimitError,
     SolverError,
@@ -111,6 +112,13 @@ def test_s_b_tetrahedron_b2_vs_scan(tetrahedron):
 def test_s_b_ahlfors_half():
     curve = ahlfors_spectrum(0.5)
     assert s_b_solve(curve, 1.0) == pytest.approx(1 / 3, abs=1e-12)
+
+
+def test_s_b_nan_spectrum_is_a_solver_error():
+    # a WidthlabError, so the command line reports it and exits 1
+    curve = ClosedFormSpectrum(lambda t: math.nan, "nan")
+    with pytest.raises(SolverError, match="NaN"):
+        s_b_solve(curve, 2.0)
 
 
 def test_s_b_degenerate_zero_spectrum():
