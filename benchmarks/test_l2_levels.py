@@ -12,7 +12,7 @@ kept as `descent_positive` in `tests/oracles.py`, on:
 
 Each round gets fresh models, so no IFS level is cached. Both sides must
 give the same cubes with the same exact masses. The descent queries every
-atom for every child cube: its one round on the cloud takes about 25 s on a
+atom for every child cube: its one round on the cloud takes about 22 s on a
 2-core VM, so the suite runs one round per side. Run from the root of the
 repository (pytest-benchmark required):
 

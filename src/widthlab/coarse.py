@@ -228,8 +228,8 @@ def well_separated(
     caller's threshold property AND a mass profile without strictly
     increasing adjacent runs; `require_dominant=True` restricts candidates to
     neighbor-dominant cubes so that the property holds unconditionally (at
-    the price of the cardinality bound on adversarial inputs). Both read the
-    level's node table, under the cap `max_cubes`.
+    the price of the cardinality bound on adversarial inputs). Every mass is
+    read from the level's node table, under the cap `max_cubes`.
     """
     cubes = list(cubes)
     if not cubes:
@@ -238,17 +238,18 @@ def well_separated(
     if any(c.level != level for c in cubes):
         raise ValidationError("well_separated input cubes must share one level")
 
+    mass_of = dict(zip(cubes, _table_masses(model, level, [c.index for c in cubes], max_cubes)))
     if validate_threshold:
         # O(card D_n) check of sup_{outside} mass <= inf_{inside} mass
         inside = {c.index for c in cubes}
-        inf_in = min(model.mass(c) for c in cubes)
+        inf_in = min(mass_of.values())
         index, mass_id, masses = model.level_nodes(level, max_cubes)
         heavier = np.array([mu > inf_in for mu in masses], dtype=bool)[mass_id]
         if any(tuple(row) not in inside for row in index[heavier].tolist()):
             raise ValidationError("threshold property violated: outside cube outweighs input")
 
     candidates = dominant_cubes(cubes, model, max_cubes) if require_dominant else cubes
-    order = sorted(candidates, key=lambda c: (-model.mass(c), c.index))
+    order = sorted(candidates, key=lambda c: (-mass_of[c], c.index))
     kept: list[DyadicCube] = []
     for cube in order:
         if all(not _conflict(cube, k) for k in kept):

@@ -14,15 +14,19 @@ Atomic tables group the atoms by their exact indices ceil(x 2^n) - 1, uniform
 ones are an index grid, and a product pairs every row of each factor's table
 with every row of the others', its mass ids remapped through the products.
 
-Every model is a tree of positive cubes (`root_node`, `edges`), which the
-J_rho partitions walk. An IFS is encoded once, by its finite template
-(`IfsMeasure.template`, the state classes of Cawley & Mauldin 1992): the
-images are disjoint, so every positive cube is a copy of a template node,
-and its state (node, exact mass) fixes its whole subtree. Each template edge
-gives a child's node, its mass ratio to the parent and its branch bits, so
-every IFS quantity pushes states down the levels: `mass` walks one edge per
-level from the root, a level's multiset and node table expand the cached
-states of the level above, and the cube count pushes integers per node.
+Every model answers the tree of its positive cubes natively (`root_node`,
+`edges`): each edge gives a child's node, its mass ratio to the parent and
+its branch bits. `mass` is one walk of that tree, one edge per level down
+from the root, and the J_rho partitions walk it too. An IFS is encoded once,
+by its finite template (`IfsMeasure.template`, the state classes of Cawley &
+Mauldin 1992): the images are disjoint, so every positive cube is a copy of
+a template node, and its state (node, exact mass) fixes its whole subtree;
+a level's multiset and node table expand the cached states of the level
+above, and the cube count pushes integers per node. A uniform measure is
+the simplest such template: a chain down to its support, then one node
+whose 2^m children are itself. An atomic node is a level and the atoms in
+its cube, split among the children by the rule of its node table, and a
+product pairs the factors' trees.
 
 `_check_level` checks a level's cube count against `max_cubes` before its
 table is built (an IFS pushes the count in integers, so an oversized level
@@ -32,7 +36,7 @@ and level 0 is never capped. Indices are int64 up to level 62 and Python
 ints from level 63 on (INT64_LEVELS), so they, and the centres
 (2 l + 1) 2^-(n+1) computed from them, stay exact at every level.
 
-Models are immutable after construction, an IFS's template built with it.
+Models are immutable after construction, a template built with its model.
 Mass evaluation is pure; the IFS level caches are plain lists guarded by the
 GIL.
 """
@@ -49,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cubes import DyadicCube, children, parse_cube, root
+from .cubes import DyadicCube, parse_cube, root
 from .errors import ParseError, ResourceLimitError, ValidationError
 
 DEFAULT_MAX_CUBES = 1 << 21
@@ -72,9 +76,9 @@ class LevelNodes(NamedTuple):
 
 
 class TemplateNode(NamedTuple):
-    """A node of an IFS template: its positive children in index order as
-    (node, ratio, branch) edges. The child cube is the parent's child
-    `branch` (one bit per coordinate, its index 2 index + branch), its
+    """A node of an IFS or uniform template: its positive children in index
+    order as (node, ratio, branch) edges. The child cube is the parent's
+    child `branch` (one bit per coordinate, its index 2 index + branch), its
     subtree is that node's, and its mass is the parent's times ratio."""
 
     children: tuple[tuple[int, Mass, tuple[int, ...]], ...]
@@ -129,29 +133,41 @@ def _check_level(n: int, count: int = 1, max_cubes: int = DEFAULT_MAX_CUBES) -> 
         raise ResourceLimitError(f"more than {max_cubes} positive cubes at level {n}")
 
 
+def _check_masses(n: int, count: int, max_cubes: int) -> None:
+    """Reject a level-n multiset of more than `max_cubes` distinct masses."""
+    if count > max_cubes:
+        raise ResourceLimitError(f"more than {max_cubes} distinct masses at level {n}")
+
+
 class MeasureModel:
-    """Common interface: exact masses of dyadic cubes, the tree of positive
-    cubes (`root_node`, `edges`), and each level's positive cubes as a node
-    table (`level_nodes`), which every family builds in bulk without the
-    mass oracle."""
+    """Common interface: the tree of positive cubes (`root_node`, `edges`),
+    exact masses of dyadic cubes by one walk of it (`mass`), and each
+    level's positive cubes as a node table (`level_nodes`), which every
+    family builds in bulk without the mass oracle."""
 
     m: int
     finite_support = False
 
     def mass(self, cube: DyadicCube) -> Mass:
-        raise NotImplementedError
+        # one edge per level down from the root; a cube of another dimension
+        # lies outside the model
+        node, mu = self.root_node(), Fraction(cube.m == self.m)
+        for shift in range(cube.level - 1, -1, -1):
+            branch = tuple(l >> shift & 1 for l in cube.index)
+            edge = next((e for e in self.edges(node) if e[2] == branch), None)
+            if edge is None:
+                return Fraction(0)
+            node, mu = edge[0], mu * edge[1]
+        return mu
 
     def root_node(self):
-        """The node of the unit cube; by default each cube is its own node."""
-        return root(self.m)
+        """The node of the unit cube; by default node 0 of `template`."""
+        return 0
 
-    def edges(self, node) -> list[tuple[object, Mass, tuple[int, ...]]]:
+    def edges(self, node) -> tuple[tuple[object, Mass, tuple[int, ...]], ...]:
         """A node's positive children in index order as (node, mass ratio
-        child/parent, branch bits), the format of `TemplateNode.children`;
-        by default the parent's mass is the sum of its children's."""
-        masses = [(child, self.mass(child)) for child in children(node)]
-        total = sum(mu for _, mu in masses)
-        return [(child, mu / total, tuple(l & 1 for l in child.index)) for child, mu in masses if mu]
+        child/parent, branch bits); by default its `template` node's."""
+        return self.template[node].children
 
     def level_nodes(self, n: int, max_cubes: int = DEFAULT_MAX_CUBES) -> LevelNodes:
         """The node table of the level-n positive cubes."""
@@ -217,11 +233,22 @@ class AtomicMeasure(MeasureModel):
         self.points = tuple(pts)
         self.weights = tuple(wts)
 
-    def mass(self, cube: DyadicCube) -> Mass:
-        return sum(
-            (w for p, w in zip(self.points, self.weights) if cube.contains(p)),
-            Fraction(0),
-        )
+    def root_node(self) -> tuple[int, tuple[int, ...]]:
+        return 0, tuple(range(len(self.points)))
+
+    def edges(self, node):
+        # a node is (level L, ids of its atoms); an atom goes to the child of
+        # bits ceil(x 2^(L+1)) - 1 & 1, the rule of level_nodes
+        level, ids = node
+        scale = 1 << (level + 1)
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for i in ids:
+            bits = tuple((-(-x.numerator * scale // x.denominator) - 1) & 1 for x in self.points[i])
+            groups.setdefault(bits, []).append(i)
+        kids = [(bits, tuple(group), sum(self.weights[i] for i in group))
+                for bits, group in sorted(groups.items())]
+        total = sum(w for _, _, w in kids)
+        return [((level + 1, group), w / total, bits) for bits, group, w in kids]
 
     def level_nodes(self, n, max_cubes=DEFAULT_MAX_CUBES):
         _check_level(n)
@@ -252,16 +279,10 @@ class UniformMeasure(MeasureModel):
     def __init__(self, support: DyadicCube) -> None:
         self.support = support
         self.m = support.m
-
-    def mass(self, cube: DyadicCube) -> Mass:
-        s = self.support
-        if cube.level >= s.level:
-            if cube.ancestor(s.level) == s:
-                return Fraction(1, 1 << ((cube.level - s.level) * self.m))
-            return Fraction(0)
-        if s.ancestor(cube.level) == cube:
-            return Fraction(1)
-        return Fraction(0)
+        # the chain down to the support, then its node, whose 2^m children are itself
+        ratio = Fraction(1, 1 << self.m)
+        self.template = (*_chain(support), TemplateNode(tuple(
+            (support.level, ratio, bits) for bits in itertools.product((0, 1), repeat=self.m))))
 
     def level_masses(self, n, max_cubes=DEFAULT_MAX_CUBES):
         _check_level(n)
@@ -294,6 +315,14 @@ class IfsMap:
 
     def image(self) -> DyadicCube:
         return DyadicCube(self.ratio_log2, self.offset)
+
+
+def _chain(cube: DyadicCube) -> list[TemplateNode]:
+    """Template nodes 0 .. cube.level - 1: the ancestors of `cube`, node j
+    with one edge of ratio 1 to node j + 1, the last to node cube.level."""
+    k = cube.level
+    return [TemplateNode(((j + 1, Fraction(1), tuple(l >> (k - 1 - j) & 1 for l in cube.index)),))
+            for j in range(k)]
 
 
 def _dyadic_disjoint(a: DyadicCube, b: DyadicCube) -> bool:
@@ -365,8 +394,7 @@ class IfsMeasure(MeasureModel):
         """
         shift = self.embed_shift
         k = 0 if shift is None else shift.ratio_log2
-        nodes = [TemplateNode(((j + 1, Fraction(1), tuple(o >> (k - 1 - j) & 1 for o in shift.offset)),))
-                 for j in range(k)]
+        nodes = [] if shift is None else _chain(shift.image())
         base = {(0, (0,) * self.m): Fraction(1)}
         for p, mp in zip(self.probs, self.maps):
             for n in range(1, mp.ratio_log2):
@@ -387,26 +415,11 @@ class IfsMeasure(MeasureModel):
             )))
         return tuple(nodes)
 
-    def root_node(self) -> int:
-        return 0
-
-    def edges(self, node: int) -> tuple[tuple[int, Mass, tuple[int, ...]], ...]:
-        return self.template[node].children
-
-    def mass(self, cube: DyadicCube) -> Mass:
-        # one template edge per level down from the root; a cube of another
-        # dimension lies outside the model
-        node, mu = 0, Fraction(cube.m == self.m)
-        for shift in range(cube.level - 1, -1, -1):
-            branch = tuple(l >> shift & 1 for l in cube.index)
-            edge = next((e for e in self.edges(node) if e[2] == branch), None)
-            if edge is None:
-                return Fraction(0)
-            node, mu = edge[0], mu * edge[1]
-        return mu
-
-    def _level(self, n) -> _Level:
-        """The level-n states, pushed level by level from the root and cached."""
+    def _level(self, n, max_masses=math.inf) -> _Level:
+        """The level-n states, pushed level by level from the root and cached.
+        Pushing level n itself stops as soon as it has more than `max_masses`
+        distinct masses; a coarser level may have more (the counts are not
+        monotone in the level)."""
         levels, nodes = self._levels, self.template
         while len(levels) <= n:
             above = levels[-1]
@@ -424,6 +437,8 @@ class IfsMeasure(MeasureModel):
                     counts[s] += count
                     row.append(s)
                 edges.append(row)
+                if len(levels) == n:
+                    _check_masses(n, len(mass_id), max_masses)
             multiset = [0] * len(mass_id)
             for (_, j), count in zip(state_id, counts):
                 multiset[j] += count
@@ -432,10 +447,9 @@ class IfsMeasure(MeasureModel):
 
     def level_masses(self, n, max_cubes=DEFAULT_MAX_CUBES):
         _check_level(n)
-        out = self._level(n).multiset
+        out = self._level(n, max_cubes).multiset
         # the multiset is the resource here (cached or not), not the cube count
-        if len(out) > max_cubes:
-            raise ResourceLimitError(f"more than {max_cubes} distinct masses at level {n}")
+        _check_masses(n, len(out), max_cubes)
         return dict(out)
 
     def _count(self, n, max_cubes) -> int:
@@ -514,20 +528,6 @@ class ProductMeasure(MeasureModel):
         self.m = sum(f.m for f in factors)
         self.finite_support = all(f.finite_support for f in factors)
 
-    def _split(self, index: tuple[int, ...]):
-        pos = 0
-        for f in self.factors:
-            yield f, index[pos : pos + f.m]
-            pos += f.m
-
-    def mass(self, cube: DyadicCube) -> Mass:
-        total = Fraction(1)
-        for f, idx in self._split(cube.index):
-            total *= f.mass(DyadicCube(cube.level, idx))
-            if total == 0:
-                return Fraction(0)
-        return total
-
     def root_node(self) -> tuple:
         return tuple(f.root_node() for f in self.factors)
 
@@ -561,10 +561,7 @@ class ProductMeasure(MeasureModel):
                     key = a * b
                     nxt[key] = nxt.get(key, 0) + ca * cb
             out = nxt
-            if len(out) > max_cubes:
-                raise ResourceLimitError(
-                    f"more than {max_cubes} distinct masses at level {n}"
-                )
+            _check_masses(n, len(out), max_cubes)
         return out
 
     def to_spec(self) -> dict:

@@ -6,13 +6,14 @@ refinement, the rule is well formed, and J(Q) <= 2^(-level*rho) forces
 termination no deeper than ceil(log2(1/t)/rho).
 
 Both functions walk the model's cube tree (`MeasureModel.root_node`,
-`MeasureModel.edges`): for an IFS its finite template `IfsMeasure.template`,
-whose nodes every positive cube copies, and for a model without one the
-cubes themselves. A cube's state is (level L, mass M, node h); a child's is
-(L + 1, M times its edge's ratio, its edge's node). `build_partition` walks
-the states depth first and returns the cells; `partition_row` returns the
-row alone (card, min_level, max_level, max_j) by a recursion memoized on
-the states, and builds no cube.
+`MeasureModel.edges`), which every family answers natively: for an IFS or a
+uniform model its finite template, whose nodes every positive cube copies,
+for an atomic model a level and the atoms of the cube, and for a product
+the tuple of its factors' nodes. A cube's state is (level L, mass M,
+node h); a child's is (L + 1, M times its edge's ratio, its edge's node).
+`build_partition` walks the states depth first and returns the cells;
+`partition_row` returns the row alone (card, min_level, max_level, max_j)
+by a recursion memoized on the states, and builds no cube.
 
 Why J depends only on the state. Every cube below the cube is a copy of a
 cube below h, so its level is L plus its depth below h and its mass M times

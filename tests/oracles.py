@@ -1,6 +1,7 @@
 """Kernels that the program replaced, kept as exact oracles for the tests
-and as baselines for the benchmarks in `benchmarks/`: the IFS pullback
-recursion that the template walk replaced, the cube-by-cube descent that the
+and as baselines for the benchmarks in `benchmarks/`: each family's mass
+from its definition, which the walk of the cube tree replaced (the IFS
+pullback recursion among them), the cube-by-cube descent that the
 node tables replaced, the J_rho partition taken level by level straight from
 its rule, and the per-node and per-cell L4 kernels that the array locator
 and the batched projection replaced."""
@@ -12,7 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from widthlab import DyadicCube, IfsMeasure, ProductMeasure, ResourceLimitError, ValidationError, root
+from widthlab import (AtomicMeasure, DyadicCube, ProductMeasure, ResourceLimitError,
+                      UniformMeasure, ValidationError, root)
 from widthlab.cubes import children
 from widthlab.functions import monomials, multi_indices
 from widthlab.measures import DEFAULT_MAX_CUBES
@@ -24,14 +26,26 @@ _PULLBACK_MEMOS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def oracle_mass(model, cube):
-    # an IFS mass from its definition nu = sum_i p_i nu o S_i^-1, conjugated
-    # by embed_shift, independent of the template; a product multiplies its
-    # factors' oracle masses, and the other families answer themselves
+    # a mass from its family's definition, independent of the cube tree: a
+    # product multiplies its factors' masses, an atomic model sums the atoms
+    # in the cube, a uniform one takes the cube's share of its support, and
+    # an IFS is nu = sum_i p_i nu o S_i^-1, conjugated by embed_shift
     if isinstance(model, ProductMeasure):
         return math.prod(oracle_mass(f, DyadicCube(cube.level, idx))
-                         for f, idx in model._split(cube.index))
-    if not isinstance(model, IfsMeasure):
-        return model.mass(cube)
+                         for f, idx in _split(model, cube.index))
+    if isinstance(model, AtomicMeasure):
+        # x = a / b lies in the half-open (l 2^-n, (l + 1) 2^-n] iff l b < a 2^n <= (l + 1) b
+        n = cube.level
+        return sum((w for p, w in zip(model.points, model.weights)
+                    if all(l * x.denominator < x.numerator << n <= (l + 1) * x.denominator
+                           for l, x in zip(cube.index, p))), Fraction(0))
+    if isinstance(model, UniformMeasure):
+        s = model.support
+        if cube.level >= s.level:
+            if cube.ancestor(s.level) == s:
+                return Fraction(1, 1 << ((cube.level - s.level) * model.m))
+            return Fraction(0)
+        return Fraction(s.ancestor(cube.level) == cube)
     memo = _PULLBACK_MEMOS.setdefault(model, {})
     shift = model.embed_shift
     if shift is None:
@@ -42,6 +56,14 @@ def oracle_mass(model, cube):
     if cube.ancestor(image.level) == image:
         return _unshifted_mass(model, _pullback(cube, image), memo)
     return Fraction(0)
+
+
+def _split(model, index):
+    # a product's factors, each with its coordinates of the index
+    pos = 0
+    for f in model.factors:
+        yield f, index[pos : pos + f.m]
+        pos += f.m
 
 
 def _pullback(cube, image):

@@ -21,10 +21,11 @@ from widthlab import (
 )
 from widthlab.coarse import default_alpha_grid, dominant_cubes
 from widthlab.cubes import neighbors
-from widthlab.measures import IfsMap, IfsMeasure
+from widthlab.measures import IfsMap, IfsMeasure, MeasureModel
 from widthlab.spectrum import frac_log2
 
-from conftest import boundary_atomic, ifs7
+from conftest import boundary_atomic, ifs7, ifs_atomic_lebesgue
+from oracles import oracle_mass
 
 
 def test_j_value_lebesgue():
@@ -205,6 +206,45 @@ def test_dominant_cubes_match_the_mass_oracle(tetrahedron, deep_ifs):
         want = [c for c in cubes if all(model.mass(nb) <= model.mass(c) for nb in neighbors(c))]
         assert 0 < len(want) < len(cubes)
         assert dominant_cubes(cubes, model) == want
+
+
+def _greedy(model, cubes, require_dominant=False):
+    # the greedy of well_separated over oracle masses, cube by cube
+    def mass(cube):
+        return oracle_mass(model, cube)
+    if require_dominant:
+        cubes = [c for c in cubes if all(mass(nb) <= mass(c) for nb in neighbors(c))]
+    kept = []
+    for cube in sorted(cubes, key=lambda c: (-mass(c), c.index)):
+        if all(max(abs(a - b) for a, b in zip(cube.index, k.index)) > 2 for k in kept):
+            kept.append(cube)
+    return sorted(kept, key=lambda c: c.index)
+
+
+def test_well_separated_never_queries_mass(tetrahedron, monkeypatch):
+    """The sort key, the dominance filter and the threshold check read the
+    level's node table: with `mass` unavailable the output is the greedy's
+    over oracle masses, zero-mass inputs included."""
+    atomic, product = boundary_atomic(), ifs_atomic_lebesgue()
+    light = min(atomic.enumerate_positive(5), key=lambda cm: cm[1])[0]
+    cases = [
+        (tetrahedron, alpha_good_cubes(tetrahedron, 8, 2.0, 3.5), True, False),
+        (atomic, [DyadicCube(3, idx) for idx in itertools.product(range(8), repeat=2)], False, False),
+        (atomic, [c for c, _ in atomic.enumerate_positive(5)], True, True),
+        (product, [c for c, _ in product.enumerate_positive(3)], False, True),
+    ]
+    want = [_greedy(model, cubes, dominant) for model, cubes, dominant, _ in cases]
+
+    def no_mass(self, cube):
+        raise AssertionError(f"mass oracle queried for {cube}")
+
+    for cls in (MeasureModel, *MeasureModel.__subclasses__()):
+        monkeypatch.setattr(cls, "mass", no_mass)
+    for (model, cubes, dominant, validate), expected in zip(cases, want):
+        got = well_separated(cubes, model, require_dominant=dominant, validate_threshold=validate)
+        assert got == expected
+    with pytest.raises(ValidationError, match="threshold"):
+        well_separated([light], atomic, validate_threshold=True)
 
 
 def test_alpha_good_cubes_match_count(tetrahedron):

@@ -152,6 +152,24 @@ def test_atomic_table_obeys_the_cap():
 
 
 @pytest.mark.parametrize("name", NODE_MODELS)
+def test_edges_list_the_positive_children_in_index_order(name, tetrahedron):
+    # to level 6, every node's edges: branches strictly increasing, the
+    # ratios positive and summing to 1, as the tables and the walks assume
+    model = _node_models(tetrahedron)[name]
+    frontier = [model.root_node()]
+    for _ in range(6):
+        below = []
+        for node in frontier:
+            edges = model.edges(node)
+            branches = [branch for _, _, branch in edges]
+            assert branches == sorted(set(branches))
+            assert all(ratio > 0 for _, ratio, _ in edges)
+            assert sum(ratio for _, ratio, _ in edges) == 1
+            below += [child for child, _, _ in edges]
+        frontier = below
+
+
+@pytest.mark.parametrize("name", NODE_MODELS)
 def test_negative_level_rejected(name, tetrahedron):
     model = _node_models(tetrahedron)[name]
     for call in (model.level_nodes, model.level_masses, model.enumerate_positive, model.card_positive):
@@ -231,6 +249,10 @@ def test_cold_mass_deeper_than_the_recursion_limit():
     point = IfsMeasure([IfsMap(1, (0,))], [Fraction(1)])
     assert point.mass(DyadicCube(5000, (0,))) == 1
     assert point.mass(DyadicCube(5000, (1,))) == 0
+    assert lebesgue(1).mass(DyadicCube(5000, (0,))) == Fraction(1, 1 << 5000)
+    atom = AtomicMeasure([(Fraction(1, 3),)], [Fraction(1)])
+    assert atom.mass(DyadicCube(5000, ((1 << 5000) // 3,))) == 1
+    assert atom.mass(DyadicCube(5000, ((1 << 5000) // 3 + 1,))) == 0
 
 
 @given(dyadic_ifs(), st.integers(0, 6))
@@ -249,6 +271,23 @@ def test_template_matches_the_pullback_oracle(model, n):
         grouped[mu] = grouped.get(mu, 0) + 1
     assert model.level_masses(n) == grouped
     assert model.card_positive(n) == len(want)
+
+
+def test_ifs_mass_cap_trips_at_the_requested_level_only():
+    # distinct-mass counts 1, 2, 1, 2, 1, 2 at levels 0 .. 5: level 1's two
+    # masses do not trip a cap of one at level 2
+    model = IfsMeasure([IfsMap(2, o) for o in ((0, 0), (1, 1), (2, 0), (0, 2))],
+                       [Fraction(1, 4)] * 4)
+    assert [len(model.level_masses(n)) for n in range(6)] == [1, 2, 1, 2, 1, 2]
+    fresh = IfsMeasure(model.maps, model.probs)
+    assert fresh.level_masses(2, max_cubes=1) == {Fraction(1, 4): 4}
+    message = "more than 1 distinct masses at level 3$"
+    with pytest.raises(ResourceLimitError, match=message):
+        fresh.level_masses(3, max_cubes=1)
+    # the push stopped inside level 3, which is not cached
+    assert len(fresh._levels) == 3
+    with pytest.raises(ResourceLimitError, match=message):
+        model.level_masses(3, max_cubes=1)  # cached
 
 
 def test_level_masses_deep_tetrahedron(tetrahedron):
@@ -407,6 +446,15 @@ def test_additivity_and_total_mass(model, n):
         assert mu <= model.mass(cube.parent()) if cube.level > 0 else True
         total += mu
     assert total == 1
+
+
+@given(st.one_of(random_models(), st.builds(ifs_atomic_lebesgue)), st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_tree_walk_matches_the_oracle(model, n):
+    # every child of every positive cube, each walked from the root
+    for cube, _ in descent_positive(model, n):
+        for child in children(cube):
+            assert model.mass(child) == oracle_mass(model, child)
 
 
 @given(st.integers(1, 9), st.integers(1, 5))

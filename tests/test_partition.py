@@ -14,7 +14,7 @@ from widthlab import (
     partition_row,
 )
 from widthlab.coarse import j_log2
-from widthlab.measures import IfsMap, IfsMeasure, UniformMeasure
+from widthlab.measures import IfsMap, IfsMeasure, MeasureModel, UniformMeasure
 
 from conftest import IFS7_MAPS, boundary_atomic, dyadic_ifs, ifs7, ifs_atomic_lebesgue
 from oracles import naive_partition, oracle_j_log2
@@ -24,6 +24,9 @@ def test_lebesgue_partition_example(leb1):
     assert part.card == 16
     assert part.min_level == part.max_level == 4
     assert not part.degenerate
+    # the classical case in 2-d: J = 4^-n 2^-n drops below 2^-24 at level 9
+    row = partition_row(lebesgue(2), 1.0, 2.0**-24)
+    assert (row.card, row.min_level, row.max_level, row.max_j) == (4**9, 9, 9, 2.0**-27)
 
 
 def test_degenerate_threshold(leb1):
@@ -160,8 +163,10 @@ def _assert_rows_agree(model, rho, t):
 
 def test_state_rows_match_descent_and_oracle(tetrahedron):
     shifted = ifs7(IfsMap(2, (1, 2)))
-    # the last three are not IFS: atomic and uniform models are their own
-    # cube trees, and the product pairs an IFS template with two such trees
+    # the last three are not IFS: an atomic model's tree splits its atoms
+    # among the children, a uniform model's template is a chain down to its
+    # support and one node of 2^m self-edges, and the product pairs an IFS
+    # template with those two trees
     cases = [(tetrahedron, 1.0, 12), (tetrahedron, 2.0, 16), (ifs7(), 1.0, 12),
              (ifs7(), 0.5, 7), (shifted, 1.0, 14), (boundary_atomic(), 1.0, 14),
              (UniformMeasure(DyadicCube(2, (1, 2))), 1.0, 14), (ifs_atomic_lebesgue(), 1.0, 12)]
@@ -213,16 +218,20 @@ def test_state_rows_trip_caps_as_the_descent(tetrahedron, deep_ifs):
 
 
 def test_partitions_never_query_the_ifs_mass_oracle(tetrahedron, monkeypatch):
-    # both walks take every child's mass from the template edges
+    # both walks take every child's mass from the edges of the model's tree,
+    # whatever its family
     shifted = ifs7(IfsMap(2, (1, 2)))
+    others = [boundary_atomic(), UniformMeasure(DyadicCube(2, (1, 2))), ifs_atomic_lebesgue()]
     cases = [(tetrahedron, 1.0, k) for k in range(13)] + [(shifted, 1.0, k) for k in range(15)]
+    cases += [(model, 1.0, k) for model in others for k in range(12)]
     want = [(naive_partition(model, rho, 2.0**-k), _naive_row(model, rho, 2.0**-k))
             for model, rho, k in cases]
 
     def no_mass(self, cube):
         raise AssertionError(f"mass oracle queried for {cube}")
 
-    monkeypatch.setattr(IfsMeasure, "mass", no_mass)
+    for cls in (MeasureModel, *MeasureModel.__subclasses__()):
+        monkeypatch.setattr(cls, "mass", no_mass)
     for (model, rho, k), (cells, row) in zip(cases, want):
         part = build_partition(model, rho, 2.0**-k)
         assert part.cells == tuple(cells)
