@@ -12,10 +12,12 @@ Times the cells walk (`build_partition`) against the row recursion
 - cloud: a seeded 600-point cloud (6-digit decimals) at rho = 2 on the
   thresholds 2^-4 .. 2^-12, checked against `naive_partition`.
 
-Each round gets a fresh model, as a command-line run does, so no template
-carries over. The cells walk builds the 4^9 cells of lebesgue at 2^-24 one
-by one, about 7.5 s a round on a 2-core VM. Run from the root of the
-repository (pytest-benchmark required):
+Each round gets a fresh model, as a command-line run does, so no state
+graph (the states each model interns for both walks) carries over from one
+round to the next; within a round, the later thresholds reuse the states
+the earlier ones expanded. The cells walk still builds the 4^9 cells of
+lebesgue at 2^-24 one by one, about 4.3 s a round on a 2-core VM. Run from
+the root of the repository (pytest-benchmark required):
 
     PYTHONPATH=src python -m pytest benchmarks -q
 

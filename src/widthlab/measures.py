@@ -10,7 +10,8 @@ Each family builds a level's positive cubes in bulk, without the mass
 oracle, as a node table (`LevelNodes`): their indices in lexicographic order
 and, for each, an id into the level's distinct exact masses. The table is the
 only enumeration; `enumerate_positive` and the default `level_masses` read it.
-Atomic tables group the atoms by their exact indices ceil(x 2^n) - 1, uniform
+Atomic tables group the atoms by their exact indices ceil(x 2^n) - 1 and sum
+their weights as integers over one common denominator, uniform
 ones are an index grid, and a product pairs every row of each factor's table
 with every row of the others', its mass ids remapped through the products.
 
@@ -232,6 +233,10 @@ class AtomicMeasure(MeasureModel):
         self.m = m
         self.points = tuple(pts)
         self.weights = tuple(wts)
+        # the weights as integer units over their common denominator, so
+        # grouping atoms sums ints and builds one Fraction per distinct mass
+        self._den = math.lcm(*(w.denominator for w in wts))
+        self._units = tuple(w.numerator * (self._den // w.denominator) for w in wts)
 
     def root_node(self) -> tuple[int, tuple[int, ...]]:
         return 0, tuple(range(len(self.points)))
@@ -245,24 +250,26 @@ class AtomicMeasure(MeasureModel):
         for i in ids:
             bits = tuple((-(-x.numerator * scale // x.denominator) - 1) & 1 for x in self.points[i])
             groups.setdefault(bits, []).append(i)
-        kids = [(bits, tuple(group), sum(self.weights[i] for i in group))
+        units = self._units
+        kids = [(bits, tuple(group), sum(units[i] for i in group))
                 for bits, group in sorted(groups.items())]
-        total = sum(w for _, _, w in kids)
-        return [((level + 1, group), w / total, bits) for bits, group, w in kids]
+        total = sum(u for _, _, u in kids)
+        return [((level + 1, group), Fraction(u, total), bits) for bits, group, u in kids]
 
     def level_nodes(self, n, max_cubes=DEFAULT_MAX_CUBES):
         _check_level(n)
         # x in (0, 1) lies in the level-n cube of index ceil(x 2^n) - 1, exactly
         scale = 1 << n
-        groups: dict[tuple[int, ...], Mass] = {}
-        for p, w in zip(self.points, self.weights):
+        groups: dict[tuple[int, ...], int] = {}  # index -> mass in units
+        for p, u in zip(self.points, self._units):
             key = tuple(-(-x.numerator * scale // x.denominator) - 1 for x in p)
-            groups[key] = groups.get(key, 0) + w
+            groups[key] = groups.get(key, 0) + u
         _check_level(n, len(groups), max_cubes)
         keys = sorted(groups)
-        ids: dict[Mass, int] = {}
+        ids: dict[int, int] = {}
         mass_id = np.array([ids.setdefault(groups[k], len(ids)) for k in keys], dtype=np.intp)
-        return LevelNodes(_index_array(keys, n, self.m), mass_id, tuple(ids))
+        return LevelNodes(_index_array(keys, n, self.m), mass_id,
+                          tuple(Fraction(u, self._den) for u in ids))
 
     def to_spec(self) -> dict:
         return {

@@ -15,6 +15,16 @@ node h); a child's is (L + 1, M times its edge's ratio, its edge's node).
 `partition_row` returns the row alone (card, min_level, max_level, max_j)
 by a recursion memoized on the states, and builds no cube.
 
+State ids, shared across thresholds. Neither (M, h) nor its children depend
+on rho or t, so each model interns them once (`_StateGraph`, kept on the
+model): a state gets an int id and the frac_log2 of its mass when a walk
+first meets it, and is expanded once into its children as (child id, its
+log2 mass, branch). The walks then run on ints and cached floats: the cells
+walk's stack holds (level, index, id) and the recursion memoizes on
+(level, id). An exact `Fraction` product and hash is paid once per edge of
+the state graph and a logarithm once per state, not per cube, threshold or
+rho.
+
 Why J depends only on the state. Every cube below the cube is a copy of a
 cube below h, so its level is L plus its depth below h and its mass M times
 the product of the edge ratios on its path down from h. J = mass *
@@ -27,15 +37,17 @@ multinomial state classes of Cawley and Mauldin (1992).
 
 Why the rows agree bit for bit. Each decision of either walk is the test
 frac_log2(M) - L * rho < log2 t on the same reduced Fraction M, the cube's
-exact mass, so every J value is the same float. Cards are integers, so
-max_cells costs no memory. The caps trip as in the cells walk, with its
-messages: the recursion visits the states in the walk's depth-first order,
-counting the cells emitted so far (a memoized state adds its whole card,
-below which the walk met no guard), so it raises what the walk raises first.
+exact mass, so every J value is the same float, whether the graph was cold
+or left warm by other thresholds. Cards are integers, so max_cells costs no
+memory. The caps trip as in the cells walk, with its messages: the
+recursion visits the states in the walk's depth-first order, counting the
+cells emitted so far (a memoized state adds its whole card, below which the
+walk met no guard), so it raises what the walk raises first.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,6 +60,7 @@ from .spectrum import frac_log2
 
 DEFAULT_MAX_CELLS = 1 << 20
 _LEVEL_GUARD = 64
+_ROOT = 0  # the root state's id: a state graph interns it first
 
 
 @dataclass(frozen=True)
@@ -69,6 +82,61 @@ class PartitionResult(PartitionRow):
     """Cells of the threshold partition, canonically sorted, with their row."""
 
     cells: tuple[DyadicCube, ...]
+
+
+class _StateGraph:
+    """The states (mass, node) of a model's cube tree, interned as ints.
+
+    A state gets its id, and frac_log2 of its exact mass, when a walk first
+    meets it, and is expanded once, into its children in `edges` order as
+    (child id, its log2 mass, branch). Neither depends on rho or t, so every
+    walk on the model shares them. Expansions take a lock, so walks in
+    several threads may share a model.
+    """
+
+    def __init__(self, model: MeasureModel) -> None:
+        self._edges = model.edges
+        self._lock = threading.Lock()
+        self._ids: dict[tuple[int, int, object], int] = {}
+        self._states: list[tuple[Fraction, object]] = []
+        self._log2: list[float] = []  # frac_log2 of each state's mass
+        self._children: list[tuple[tuple[int, float, tuple[int, ...]], ...] | None] = []
+        self._intern(Fraction(1), model.root_node())
+
+    def _intern(self, mass: Fraction, node) -> int:
+        # a reduced Fraction is its (numerator, denominator) pair, which
+        # hashes without the modular inverse of Fraction.__hash__
+        key = (mass.numerator, mass.denominator, node)
+        state = self._ids.get(key)
+        if state is None:
+            state = self._ids[key] = len(self._states)
+            self._states.append((mass, node))
+            self._log2.append(frac_log2(mass))
+            self._children.append(None)
+        return state
+
+    def children(self, state: int) -> tuple[tuple[int, float, tuple[int, ...]], ...]:
+        kids = self._children[state]
+        if kids is None:
+            with self._lock:
+                kids = self._children[state]
+                if kids is None:
+                    mass, node = self._states[state]
+                    kids = []
+                    for child, ratio, branch in self._edges(node):
+                        kid = self._intern(mass * ratio, child)
+                        kids.append((kid, self._log2[kid], branch))
+                    self._children[state] = kids = tuple(kids)
+        return kids
+
+
+def _state_graph(model: MeasureModel) -> _StateGraph:
+    """The model's state graph, built on first use and kept on the model,
+    which never changes after construction."""
+    graph = getattr(model, "_state_graph", None)
+    if graph is None:
+        graph = model._state_graph = _StateGraph(model)
+    return graph
 
 
 def _log2_threshold(rho: float, t: float) -> float:
@@ -106,22 +174,23 @@ def build_partition(
             min_level=0, max_level=0, degenerate=True,
         )
 
+    children = _state_graph(model).children
     cells: list[tuple[int, tuple[int, ...], float]] = []  # (level, index, log2 J)
-    stack = [(0, (0,) * model.m, Fraction(1), model.root_node())]
+    stack = [(0, (0,) * model.m, _ROOT)]
     while stack:
-        level, index, mass, node = stack.pop()
+        level, index, state = stack.pop()
         if level > _LEVEL_GUARD:
             raise _guard_error()
-        for child, ratio, branch in model.edges(node):
-            mu = mass * ratio
-            j = frac_log2(mu) - (level + 1) * rho
-            kid = tuple(2 * l + b for l, b in zip(index, branch))
+        below = (level + 1) * rho
+        for kid, log2_mu, branch in children(state):
+            j = log2_mu - below
+            child = tuple(2 * l + b for l, b in zip(index, branch))
             if j < log2_t:
-                cells.append((level + 1, kid, j))
+                cells.append((level + 1, child, j))
                 if len(cells) > max_cells:
                     raise _cap_error(t, max_cells)
             else:
-                stack.append((level + 1, kid, mu, child))
+                stack.append((level + 1, child, kid))
 
     cells.sort()
     levels = [level for level, _, _ in cells]
@@ -152,28 +221,28 @@ def partition_row(
     log2_t = _log2_threshold(rho, t)
     if 0.0 < log2_t:
         return build_partition(model, rho, t, max_cells)
-    edges = model.edges
-    memo: dict[tuple[int, Fraction, object], tuple[int, int, int, float]] = {}
+    children = _state_graph(model).children
+    memo: dict[tuple[int, int], tuple[int, int, int, float]] = {}
     emitted = 0  # cells the cells walk has emitted so far
 
-    def expand(level: int, mass: Fraction, node) -> tuple[int, int, int, float]:
+    def expand(level: int, state: int) -> tuple[int, int, int, float]:
         # (card, min level, max level, max log2 J) of the cells below an
         # expanded cube, its children taken in the cells walk's order: the
         # cells among them first, then the deeper children last to first
         nonlocal emitted
-        key = (level, mass, node)
+        key = (level, state)
         row = memo.get(key)
         if row is None:
             if level > _LEVEL_GUARD:
                 raise _guard_error()
             js, deeper = [], []
-            for child, ratio, _ in edges(node):
-                mu = mass * ratio
-                j = frac_log2(mu) - (level + 1) * rho
+            below = (level + 1) * rho
+            for kid, log2_mu, _ in children(state):
+                j = log2_mu - below
                 if j < log2_t:
                     js.append(j)
                 else:
-                    deeper.append((mu, child))
+                    deeper.append(kid)
         # a memoized state adds its whole card, an expanded one its own cells
         emitted += len(js) if row is None else row[0]
         if emitted > max_cells:
@@ -181,13 +250,13 @@ def partition_row(
         if row is not None:
             return row
         rows = [(len(js), level + 1, level + 1, max(js))] if js else []
-        for mu, child in reversed(deeper):
-            rows.append(expand(level + 1, mu, child))
+        for kid in reversed(deeper):
+            rows.append(expand(level + 1, kid))
         cards, lows, highs, tops = zip(*rows)
         memo[key] = row = (sum(cards), min(lows), max(highs), max(tops))
         return row
 
-    card, min_level, max_level, top = expand(0, Fraction(1), model.root_node())
+    card, min_level, max_level, top = expand(0, _ROOT)
     return PartitionRow(
         t=t, rho=rho, card=card, max_j=2.0**top,
         min_level=min_level, max_level=max_level, degenerate=False,

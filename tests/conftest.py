@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from widthlab import AtomicMeasure, DyadicCube, IfsMap, IfsMeasure, ProductMeasure, lebesgue
 
 
-@pytest.fixture(scope="session")
-def tetrahedron():
+def new_tetrahedron():
     """Sierpinski-tetrahedron style model: m=3, four half-ratio maps."""
     return IfsMeasure(
         [
@@ -18,6 +17,11 @@ def tetrahedron():
         ],
         [Fraction("0.599"), Fraction("0.3"), Fraction("0.001"), Fraction("0.1")],
     )
+
+
+@pytest.fixture(scope="session")
+def tetrahedron():
+    return new_tetrahedron()
 
 
 @pytest.fixture(scope="session")
@@ -41,13 +45,17 @@ def binomial_cascade():
     )
 
 
-@pytest.fixture(scope="session")
-def deep_ifs():
+def new_deep_ifs():
     """Two maps of ratio 2^-40 at the ends of the unit interval: its positive
     cubes reach level 63, where indices outgrow int64, and beyond."""
     return IfsMeasure(
         [IfsMap(40, (0,)), IfsMap(40, ((1 << 40) - 1,))], [Fraction(1, 3), Fraction(2, 3)]
     )
+
+
+@pytest.fixture(scope="session")
+def deep_ifs():
+    return new_deep_ifs()
 
 
 EPS = Fraction(1, 10**6)

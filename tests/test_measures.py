@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -197,6 +198,51 @@ def test_atomic_table_holds_every_atom(atoms, n):
         assert sum(cube.contains(point) for cube in cubes) == 1
     for cube, mu in zip(cubes, node_masses):
         assert mu == sum(w for p, w in zip(model.points, model.weights) if cube.contains(p))
+
+
+# primes above 2 * 8, so weights a/q with a < q/8 over distinct ones have
+# coprime denominators and sum below 1; the last three multiply past 2^64
+_PRIMES = [17, 19, 23, 29, 31, 97, 65537, 1000003, 2**31 - 1, 2**61 - 1, 2**89 - 1]
+
+
+def _check_atomic_units(model, depth):
+    # node-table masses and edge ratios against the Fraction sums of the atoms
+    for n in range(depth + 1):
+        index, mass_id, masses = model.level_nodes(n)
+        assert all(type(mu) is Fraction for mu in masses)
+        for row, j in zip(index.tolist(), mass_id.tolist()):
+            assert masses[j] == oracle_mass(model, DyadicCube(n, tuple(row)))
+    frontier = [(root(model.m), model.root_node(), Fraction(1))]
+    for _ in range(depth):
+        below = []
+        for cube, node, mu in frontier:
+            for child, ratio, branch in model.edges(node):
+                kid = cube.child(branch)
+                assert mu * ratio == oracle_mass(model, kid)
+                below.append((kid, child, mu * ratio))
+        frontier = below
+
+
+@given(st.lists(st.tuples(_coords, _coords), min_size=2, max_size=8),
+       st.lists(st.sampled_from(_PRIMES), min_size=7, max_size=7, unique=True),
+       st.data(), st.integers(0, 12))
+@settings(max_examples=40, deadline=None)
+def test_atomic_units_match_the_fraction_sums(points, primes, data, depth):
+    # all weights but the last are a/q over distinct primes q; the last
+    # closes the sum to 1
+    weights = [Fraction(data.draw(st.integers(1, q // 8)), q) for q in primes[: len(points) - 1]]
+    model = AtomicMeasure(points, [*weights, 1 - sum(weights)])
+    _check_atomic_units(model, depth)
+
+
+def test_atomic_units_beyond_64_bits():
+    primes = _PRIMES[-3:]
+    weights = [Fraction(q // 9, q) for q in primes]
+    points = [(Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 3) + Fraction(1, 10**6), Fraction(2, 3)),
+              (Fraction(5, 7), Fraction(1, 64)), (Fraction(1, 2), Fraction(1, 2))]
+    model = AtomicMeasure(points, [*weights, 1 - sum(weights)])
+    assert math.lcm(*(w.denominator for w in model.weights)) > 2**64
+    _check_atomic_units(model, 24)
 
 
 def _outcome(call):

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,8 @@ from widthlab import (
 from widthlab.coarse import j_log2
 from widthlab.measures import IfsMap, IfsMeasure, MeasureModel, UniformMeasure
 
-from conftest import IFS7_MAPS, boundary_atomic, dyadic_ifs, ifs7, ifs_atomic_lebesgue
+from conftest import (IFS7_MAPS, boundary_atomic, dyadic_ifs, ifs7, ifs_atomic_lebesgue,
+                      new_deep_ifs, new_tetrahedron)
 from oracles import naive_partition, oracle_j_log2
 
 def test_lebesgue_partition_example(leb1):
@@ -190,31 +193,58 @@ def _outcome(build, model, rho, t, cap):
         return str(exc)
 
 
-def test_state_rows_trip_caps_as_the_descent(tetrahedron, deep_ifs):
-    # lopsided: the heavy left chain passes level 64 while light right
-    # branches emit cells first, in the cells walk's depth-first order, so
-    # max_cells trips first for a small cap and the level guard for a large
-    # one; its maps are listed right first, the walk's edges left first
+def _cap_cases():
+    # name: (model builder, t, caps); lopsided: the heavy left chain passes
+    # level 64 while light right branches emit cells first, in the cells
+    # walk's depth-first order, so max_cells trips first for a small cap and
+    # the level guard for a large one; its maps are listed right first, the
+    # walk's edges left first
     eps = Fraction(1, 1 << 60)
-    lopsided = IfsMeasure([IfsMap(1, (1,)), IfsMap(1, (0,))], [eps, 1 - eps])
-    uniform = UniformMeasure(DyadicCube(2, (1, 2)))
-    card = build_partition(tetrahedron, 1.0, 2.0**-12).card
-    flat = build_partition(uniform, 1.0, 2.0**-12).card
-    cases = {
-        "tetrahedron": (tetrahedron, 2.0**-12, [0, 1, card - 1, card]),
+    uniform = lambda: UniformMeasure(DyadicCube(2, (1, 2)))
+    card = build_partition(new_tetrahedron(), 1.0, 2.0**-12).card
+    flat = build_partition(uniform(), 1.0, 2.0**-12).card
+    return {
+        "tetrahedron": (new_tetrahedron, 2.0**-12, [0, 1, card - 1, card]),
         "uniform": (uniform, 2.0**-12, [0, 1, flat - 1, flat]),
-        "lopsided": (lopsided, 2.0**-70, [0, *range(110, 125), 1 << 40]),
-        "deep": (deep_ifs, 2.0**-200, [0, 1 << 40]),
+        "lopsided": (lambda: IfsMeasure([IfsMap(1, (1,)), IfsMap(1, (0,))], [eps, 1 - eps]),
+                     2.0**-70, [0, *range(110, 125), 1 << 40]),
+        "deep": (new_deep_ifs, 2.0**-200, [0, 1 << 40]),
     }
-    kinds = {}
-    for name, (model, t, caps) in cases.items():
+
+
+def _cold_cap_outcomes(cases):
+    # (name, cap) -> the cells walk's row or message, each on a fresh model;
+    # the recursion's, on another fresh model, must be the same
+    want = {}
+    for name, (make, t, caps) in cases.items():
         for cap in caps:
-            want = _outcome(build_partition, model, 1.0, t, cap)
-            assert _outcome(partition_row, model, 1.0, t, cap) == want
-            kind = "guard" if "level 64" in want else "cap" if isinstance(want, str) else "row"
-            kinds.setdefault(name, set()).add(kind)
+            want[name, cap] = _outcome(build_partition, make(), 1.0, t, cap)
+            assert _outcome(partition_row, make(), 1.0, t, cap) == want[name, cap]
+    return want
+
+
+def test_state_rows_trip_caps_as_the_descent():
+    want = _cold_cap_outcomes(_cap_cases())
+    kinds = {}
+    for (name, _), outcome in want.items():
+        kind = "guard" if "level 64" in outcome else "cap" if isinstance(outcome, str) else "row"
+        kinds.setdefault(name, set()).add(kind)
     assert kinds == {"tetrahedron": {"row", "cap"}, "uniform": {"row", "cap"},
                      "lopsided": {"cap", "guard"}, "deep": {"guard"}}
+
+
+def test_caps_trip_alike_on_warm_models():
+    # the same cases on one model each, left warm by both walks at every
+    # cap and by rows at coarser thresholds, in both orders of the caps
+    cases = _cap_cases()
+    want = _cold_cap_outcomes(cases)
+    for name, (make, t, caps) in cases.items():
+        model = make()
+        for k in range(0, 12, 3):
+            partition_row(model, 1.0, 2.0**-k)
+        for cap in [*caps, *reversed(caps)]:
+            for build in (build_partition, partition_row):
+                assert _outcome(build, model, 1.0, t, cap) == want[name, cap]
 
 
 def test_partitions_never_query_the_ifs_mass_oracle(tetrahedron, monkeypatch):
@@ -236,6 +266,74 @@ def test_partitions_never_query_the_ifs_mass_oracle(tetrahedron, monkeypatch):
         part = build_partition(model, rho, 2.0**-k)
         assert part.cells == tuple(cells)
         assert _row(part) == _row(partition_row(model, rho, 2.0**-k)) == row
+
+
+def test_a_second_sweep_makes_no_edges_calls():
+    # every state the bench sweep meets is expanded once per model, whatever
+    # the threshold, the walk or the order of the calls
+    model = new_tetrahedron()
+    calls = []
+    edges = model.edges
+    model.edges = lambda node: calls.append(node) or edges(node)
+    thresholds = [2.0**-k for k in range(4, 21)]
+
+    def sweep():
+        return [(_row(partition_row(model, 1.0, t)), build_partition(model, 1.0, t))
+                for t in thresholds]
+
+    first = sweep()
+    expanded = len(calls)
+    assert expanded > 0
+    assert sweep() == first
+    assert len(calls) == expanded
+
+
+def test_warm_models_match_cold_models_and_the_oracle():
+    # one model per family swept ascending, descending, then at a second
+    # rho: each partition equals a fresh model's and the oracle's
+    makers = [new_tetrahedron, lambda: ifs7(IfsMap(2, (1, 2))), boundary_atomic,
+              lambda: UniformMeasure(DyadicCube(2, (1, 2))), ifs_atomic_lebesgue]
+    ks = range(0, 11)
+    sweeps = [(1.0, k) for k in ks] + [(1.0, k) for k in reversed(ks)] + [(2.0, k) for k in ks]
+    for make in makers:
+        model = make()
+        oracle = {}
+        for rho, k in sweeps:
+            t = 2.0**-k
+            if (rho, k) not in oracle:
+                oracle[rho, k] = (tuple(naive_partition(model, rho, t)), _naive_row(model, rho, t))
+            cells, row = oracle[rho, k]
+            part = build_partition(model, rho, t)
+            assert part == build_partition(make(), rho, t)
+            assert part.cells == cells
+            assert _row(partition_row(model, rho, t)) == _row(partition_row(make(), rho, t))
+            assert _row(partition_row(model, rho, t)) == _row(part) == row
+
+
+def test_threads_sharing_a_cold_model_agree():
+    # eight threads sweep one fresh model at once, each from another
+    # threshold and switching every microsecond, so their first expansions
+    # race; each must get the rows of a single-threaded sweep
+    thresholds = [2.0**-k for k in range(4, 21)]
+    want = {t: _row(partition_row(new_tetrahedron(), 1.0, t)) for t in thresholds}
+    model, results = new_tetrahedron(), [None] * 8
+
+    def sweep(i):
+        order = thresholds[2 * i:] + thresholds[:2 * i]
+        results[i] = {t: _row(partition_row(model, 1.0, t)) for t in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [want] * len(results)
 
 
 @given(st.integers(1, 9), st.integers(2, 10))
