@@ -12,9 +12,16 @@ kept as `descent_positive` in `tests/oracles.py`, on:
 
 Each round gets fresh models, so no IFS level is cached. Both sides must
 give the same cubes with the same exact masses. The descent queries every
-atom for every child cube: its one round on the cloud takes about 22 s on a
-2-core VM, so the suite runs one round per side. Run from the root of the
-repository (pytest-benchmark required):
+atom for every child cube: its one round takes about 24 s on a 2-core VM,
+against 8-10 ms for all seven tables (the atomic ones from integer arrays),
+so the suite runs one round per side.
+
+A third case times `ingest_points` on the same cloud written as CSV text,
+as perfbench's `cloud.csv` is, and checks its `to_spec()` against the model
+built from `Fraction`s: a median of 12-14 ms over 20 rounds on the same VM,
+most of it the `Fraction` parse of the 1200 fields.
+
+Run from the root of the repository (pytest-benchmark required):
 
     PYTHONPATH=src python -m pytest benchmarks -q
 
@@ -27,7 +34,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from widthlab import AtomicMeasure, DyadicCube, IfsMap, IfsMeasure, ProductMeasure, lebesgue
+from widthlab import (AtomicMeasure, DyadicCube, IfsMap, IfsMeasure, ProductMeasure, ingest_points,
+                      lebesgue)
 
 from tests.oracles import descent_positive
 
@@ -35,11 +43,13 @@ SEED = 0
 CLOUD_POINTS = 600
 
 
+def cloud_coords():
+    return np.random.default_rng(SEED).integers(1, 10**6, size=(CLOUD_POINTS, 2)).tolist()
+
+
 def cases():
-    rng = np.random.default_rng(SEED)
-    coords = rng.integers(1, 10**6, size=(CLOUD_POINTS, 2)).tolist()
     cloud = AtomicMeasure(
-        [[Fraction(c, 10**6) for c in row] for row in coords],
+        [[Fraction(c, 10**6) for c in row] for row in cloud_coords()],
         [Fraction(1, CLOUD_POINTS)] * CLOUD_POINTS,
     )
     product = ProductMeasure([
@@ -76,3 +86,10 @@ def test_l2_levels(benchmark, enumerate_, descent):
     if enumerate_ is table_positive:
         got = [as_cubes(n, table) for (_, n), table in zip(cases(), got)]
     assert got == descent
+
+
+def test_l2_ingest(benchmark):
+    # the cloud as perfbench's cloud.csv writes it, against the Fraction route
+    text = "x,y\n" + "".join(f"0.{a:06d},0.{b:06d}\n" for a, b in cloud_coords())
+    got = benchmark.pedantic(ingest_points, args=(text,), rounds=20)
+    assert got.to_spec() == cases()[0][0].to_spec()

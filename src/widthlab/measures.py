@@ -10,10 +10,13 @@ Each family builds a level's positive cubes in bulk, without the mass
 oracle, as a node table (`LevelNodes`): their indices in lexicographic order
 and, for each, an id into the level's distinct exact masses. The table is the
 only enumeration; `enumerate_positive` and the default `level_masses` read it.
-Atomic tables group the atoms by their exact indices ceil(x 2^n) - 1 and sum
-their weights as integers over one common denominator, uniform
-ones are an index grid, and a product pairs every row of each factor's table
-with every row of the others', its mass ids remapped through the products.
+An atomic model holds its coordinates and weights as integer arrays over
+two common denominators (int64 where they fit, Python ints beyond): its
+table takes the exact indices ceil(x 2^n) - 1 = (c 2^n - 1) // pden of all
+atoms in one array operation, then sums the integer weights per cube and
+builds one `Fraction` per distinct mass. Uniform tables are an index grid,
+and a product pairs every row of each factor's table with every row of the
+others', its mass ids remapped through the products.
 
 Every model answers the tree of its positive cubes natively (`root_node`,
 `edges`): each edge gives a child's node, its mass ratio to the parent and
@@ -101,6 +104,12 @@ def _index_array(rows, n: int, m: int) -> np.ndarray:
     """(N, m) array of level-n indices, exact at every level."""
     dtype = np.int64 if n < INT64_LEVELS else object
     return np.array(rows, dtype=dtype).reshape(len(rows), m)
+
+
+def _int_array(values, bound: int) -> np.ndarray:
+    """Integers of at most `bound`, as int64 when the bound fits in it and
+    as Python ints when it does not."""
+    return np.array(values, dtype=np.int64 if bound.bit_length() < 64 else object)
 
 
 def _translate(index: np.ndarray, offset, shift: int, n: int) -> np.ndarray:
@@ -203,6 +212,15 @@ class MeasureModel:
 class AtomicMeasure(MeasureModel):
     """Finitely many atoms in the open unit cube.
 
+    The public `points` and `weights` are tuples of `Fraction`s. Alongside,
+    the model holds them as integers over two common denominators: `_coords`
+    (N, m), the coordinate numerators over `_pden`, the lcm of the coordinate
+    denominators, and `_units` (N,), the weight numerators over `_den`, the
+    lcm of the weight denominators. Each array is int64 when its denominator
+    fits in int64 and holds Python ints otherwise, so every cube index and
+    every mass is exact. Tables and edges take the cube indices of all their
+    atoms in one array operation and make no `Fraction` arithmetic per atom.
+
     Finite support makes the asymptotic quantities degenerate (all box
     dimensions are 0); reports downstream flag this.
     """
@@ -210,7 +228,7 @@ class AtomicMeasure(MeasureModel):
     finite_support = True
 
     def __init__(self, points, weights) -> None:
-        pts = [tuple(x if isinstance(x, Fraction) else Fraction(x) for x in p) for p in points]
+        pts = [tuple([x if isinstance(x, Fraction) else Fraction(x) for x in p]) for p in points]
         wts = [w if isinstance(w, Fraction) else Fraction(w) for w in weights]
         if not pts:
             raise ValidationError("atomic measure needs at least one point")
@@ -220,23 +238,36 @@ class AtomicMeasure(MeasureModel):
         for p in pts:
             if len(p) != m:
                 raise ValidationError("inconsistent point dimensions")
-            if not all(0 < x < 1 for x in p):
-                raise ValidationError(
-                    f"atomic point {tuple(map(str, p))} not in the open unit cube"
-                )
-        if any(w <= 0 for w in wts):
+            for x in p:
+                # x = a / b with b > 0 lies in (0, 1) iff 0 < a < b
+                if not 0 < x.numerator < x.denominator:
+                    raise ValidationError(
+                        f"atomic point {tuple(map(str, p))} not in the open unit cube"
+                    )
+        if any(w.numerator <= 0 for w in wts):
             raise ValidationError("atomic weights must be positive")
-        if sum(wts) != 1:
+        den = math.lcm(*(w.denominator for w in wts))
+        units = [w.numerator * (den // w.denominator) for w in wts]
+        if sum(units) != den:
             raise ValidationError(
-                f"atomic weights sum to {sum(wts)}, not a probability measure"
+                f"atomic weights sum to {Fraction(sum(units), den)}, not a probability measure"
             )
+        pairs = [(x.numerator, x.denominator) for p in pts for x in p]
+        pden = math.lcm(*[b for _, b in pairs])
         self.m = m
         self.points = tuple(pts)
         self.weights = tuple(wts)
-        # the weights as integer units over their common denominator, so
-        # grouping atoms sums ints and builds one Fraction per distinct mass
-        self._den = math.lcm(*(w.denominator for w in wts))
-        self._units = tuple(w.numerator * (self._den // w.denominator) for w in wts)
+        self._den, self._units = den, _int_array(units, den)
+        self._pden = pden
+        self._coords = _int_array([a * (pden // b) for a, b in pairs], pden).reshape(len(pts), m)
+
+    def _indices(self, n: int, rows=...) -> np.ndarray:
+        # x = c / pden in (0, 1) lies in the level-n cube of index
+        # ceil(x 2^n) - 1 = (c 2^n - 1) // pden, in int64 while c 2^n fits
+        coords = self._coords[rows]
+        if self._pden.bit_length() + n > 63:
+            coords = coords.astype(object)
+        return ((coords << n) - 1) // self._pden
 
     def root_node(self) -> tuple[int, tuple[int, ...]]:
         return 0, tuple(range(len(self.points)))
@@ -245,24 +276,25 @@ class AtomicMeasure(MeasureModel):
         # a node is (level L, ids of its atoms); an atom goes to the child of
         # bits ceil(x 2^(L+1)) - 1 & 1, the rule of level_nodes
         level, ids = node
-        scale = 1 << (level + 1)
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for i in ids:
-            bits = tuple((-(-x.numerator * scale // x.denominator) - 1) & 1 for x in self.points[i])
-            groups.setdefault(bits, []).append(i)
-        units = self._units
-        kids = [(bits, tuple(group), sum(units[i] for i in group))
-                for bits, group in sorted(groups.items())]
-        total = sum(u for _, _, u in kids)
-        return [((level + 1, group), Fraction(u, total), bits) for bits, group, u in kids]
+        rows = np.array(ids, dtype=np.intp)
+        bits = (self._indices(level + 1, rows) & 1).tolist()
+        groups: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+        for i, u, branch in zip(ids, self._units[rows].tolist(), map(tuple, bits)):
+            members, units = groups.setdefault(branch, ([], []))
+            members.append(i)
+            units.append(u)
+        kids = [(branch, tuple(members), sum(units))
+                for branch, (members, units) in sorted(groups.items())]
+        total = sum(u for *_, u in kids)
+        return [((level + 1, members), Fraction(u, total), branch) for branch, members, u in kids]
 
     def level_nodes(self, n, max_cubes=DEFAULT_MAX_CUBES):
         _check_level(n)
-        # x in (0, 1) lies in the level-n cube of index ceil(x 2^n) - 1, exactly
-        scale = 1 << n
+        # the indices come in one array operation; grouping them in a dict
+        # costs less peak memory than numpy's sort and reduceat, whose code
+        # would be paged in for this one table
         groups: dict[tuple[int, ...], int] = {}  # index -> mass in units
-        for p, u in zip(self.points, self._units):
-            key = tuple(-(-x.numerator * scale // x.denominator) - 1 for x in p)
+        for key, u in zip(map(tuple, self._indices(n).tolist()), self._units.tolist()):
             groups[key] = groups.get(key, 0) + u
         _check_level(n, len(groups), max_cubes)
         keys = sorted(groups)
@@ -647,12 +679,12 @@ def load_measure(source) -> MeasureModel:
     return model
 
 
-def _looks_numeric(token: str) -> bool:
+def _parse_field(token: str) -> Fraction | None:
+    """A CSV field as an exact rational, or None if it is not a number."""
     try:
-        Fraction(token.strip())
-        return True
+        return Fraction(token.strip())
     except (ValueError, ZeroDivisionError):
-        return False
+        return None
 
 
 def ingest_points(rows, weight_column=None) -> AtomicMeasure:
@@ -666,17 +698,19 @@ def ingest_points(rows, weight_column=None) -> AtomicMeasure:
     """
     if isinstance(rows, (str, bytes)):
         rows = io.StringIO(rows.decode() if isinstance(rows, bytes) else rows)
-    reader = csv.reader(rows)
-    records = [row for row in reader if any(tok.strip() for tok in row)]
-    if not records:
+    # rows are read one at a time, and the first data row is parsed once
+    records = (row for row in csv.reader(rows) if any(tok.strip() for tok in row))
+    row = next(records, None)
+    if row is None:
         raise ParseError("no data rows in CSV input")
-
+    first = [_parse_field(tok) for tok in row]
     header = None
-    if not all(_looks_numeric(tok) for tok in records[0]):
-        header = [tok.strip() for tok in records[0]]
-        records = records[1:]
-        if not records:
+    if any(value is None for value in first):
+        header = [tok.strip() for tok in row]
+        row = next(records, None)
+        if row is None:
             raise ParseError("CSV input has a header but no data rows")
+        first = [_parse_field(tok) for tok in row]
 
     widx = None
     if weight_column is not None:
@@ -688,34 +722,30 @@ def ingest_points(rows, weight_column=None) -> AtomicMeasure:
             raise ParseError(f"weight column {weight_column!r} not found in header")
 
     points, weights = [], []
-    for lineno, row in enumerate(records, start=1):
+    for lineno, row in enumerate(itertools.chain([row], records), start=1):
         if widx is not None and widx >= len(row):
             raise ParseError(
                 f"weight column {widx} is beyond the {len(row)} fields of CSV row {lineno}"
             )
-        coords = []
-        for j, tok in enumerate(row):
-            try:
-                value = Fraction(tok.strip())
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"non-numeric field {tok!r} in CSV row {lineno}") from None
-            if j == widx:
-                if value <= 0:
-                    raise ValidationError(f"non-positive weight in CSV row {lineno}")
-                weights.append(value)
-            else:
-                coords.append(value)
+        coords = first if lineno == 1 else [_parse_field(tok) for tok in row]
+        for j, (tok, value) in enumerate(zip(row, coords)):
+            if value is None:
+                raise ParseError(f"non-numeric field {tok!r} in CSV row {lineno}")
+            if j == widx and value.numerator <= 0:
+                raise ValidationError(f"non-positive weight in CSV row {lineno}")
+        if widx is not None:
+            weights.append(coords.pop(widx))
         for x in coords:
-            if not 0 < x < 1:
+            if not 0 < x.numerator < x.denominator:
                 raise ValidationError(
                     f"coordinate {x} in CSV row {lineno} not inside the open unit cube"
                 )
         points.append(coords)
     if widx is None:
-        n = len(points)
-        weights = [Fraction(1, n)] * n
-    if len(weights) != len(points):
-        raise ParseError("weight column missing in some CSV rows")
-    total = sum(weights)
-    weights = [w / total for w in weights]
-    return AtomicMeasure(points, weights)
+        # the weights 1/N sum to 1 exactly, so they need no normalizing
+        return AtomicMeasure(points, [Fraction(1, len(points))] * len(points))
+    # normalize over one common denominator: w_i / sum(w) = u_i / sum(u)
+    den = math.lcm(*(w.denominator for w in weights))
+    units = [w.numerator * (den // w.denominator) for w in weights]
+    total = sum(units)
+    return AtomicMeasure(points, [Fraction(u, total) for u in units])

@@ -245,6 +245,67 @@ def test_atomic_units_beyond_64_bits():
     _check_atomic_units(model, 24)
 
 
+@st.composite
+def _boundary_coordinates(draw):
+    # a dyadic boundary k / 2^j, 10^-9 to one side of one, or a coordinate
+    # over a large prime denominator
+    kind = draw(st.sampled_from(["dyadic", "beside", "prime"]))
+    if kind == "prime":
+        q = draw(st.sampled_from(_PRIMES[-3:]))
+        return Fraction(draw(st.integers(1, q - 1)), q)
+    j = draw(st.integers(1, 64))
+    x = Fraction(draw(st.integers(1, (1 << j) - 1)), 1 << j)
+    if kind == "dyadic":
+        return x
+    eps = Fraction(1, 10**9)
+    return draw(st.sampled_from([y for y in (x - eps, x + eps) if 0 < y < 1]))
+
+
+# one atom over the coprime denominators 2^61 - 1 and 2^89 - 1: their lcm
+# passes 2^64, so the coordinates are held as Python ints
+_WIDE_ATOM = (Fraction(1, 2**61 - 1), Fraction(2**88, 2**89 - 1))
+
+
+@given(st.lists(st.tuples(_boundary_coordinates(), _boundary_coordinates()), min_size=1, max_size=4),
+       st.booleans(), st.lists(st.integers(1, 5), min_size=5, max_size=5))
+@settings(max_examples=25, deadline=None)
+def test_atomic_integer_tables_match_the_descent(points, wide, raw):
+    if wide:
+        points = [*points, _WIDE_ATOM]
+    raw = raw[: len(points)]
+    model = AtomicMeasure(points, [Fraction(w, sum(raw)) for w in raw])
+    if wide:
+        assert model._coords.dtype == object
+    for n in (0, 1, 2, 62, 63, 64):  # the index dtype switches at 63
+        want = descent_positive(model, n)
+        index, mass_id, masses = model.level_nodes(n)
+        assert index.dtype == (np.int64 if n < 63 else object)
+        assert [tuple(row) for row in index.tolist()] == [c.index for c, _ in want]
+        assert [masses[j] for j in mass_id] == [mu for _, mu in want]
+        multiset: dict[Fraction, int] = {}
+        for _, mu in want:
+            multiset[mu] = multiset.get(mu, 0) + 1
+        assert model.level_masses(n) == multiset
+        for cap in CAPS[:5]:
+            assert (_outcome(lambda: model.level_nodes(n, cap))
+                    == _outcome(lambda: descent_positive(model, n, cap)))
+    # the walk of the edges reaches every level-64 cube with its mass
+    assert [model.mass(cube) for cube, _ in want] == [mu for _, mu in want]
+
+
+@pytest.mark.parametrize("q", [3, 5, 10**9, 2**31 - 1, 2**61 - 1, 2**62 + 1, 2**63 + 1])
+def test_atomic_indices_where_int64_runs_out(q):
+    # (q - 1) 2^n passes 2^63 at a level set by q's bit length, where the
+    # indices must leave int64; a q above 2^63 is held in Python ints
+    x = Fraction(q - 1, q)
+    model = AtomicMeasure([(x, Fraction(1, q))], [1])
+    for n in range(72):
+        want = (math.ceil(x * 2**n) - 1, math.ceil(Fraction(1, q) * 2**n) - 1)
+        index, _, masses = model.level_nodes(n)
+        assert index.tolist() == [list(want)] and masses == (1,)
+        assert model.mass(DyadicCube(n, want)) == 1
+
+
 def _outcome(call):
     try:
         call()
@@ -435,6 +496,18 @@ def test_ingest_points_weight_column():
     model = ingest_points("x,w\n0.25,0.3\n0.75,0.7\n", weight_column="w")
     assert model.points == ((Fraction(1, 4),), (Fraction(3, 4),))
     assert model.weights == (Fraction(3, 10), Fraction(7, 10))
+    # weights that do not sum to 1 are normalized
+    model = ingest_points("x,w\n0.25,0.5\n0.5,1/3\n0.75,2\n", "w")
+    assert model.weights == (Fraction(3, 17), Fraction(2, 17), Fraction(12, 17))
+
+
+def test_atomic_points_without_coordinates():
+    # a row of weights only makes a model of dimension 0: one cube per level
+    model = ingest_points("w\n1\n3\n", "w")
+    assert model.m == 0 and model.weights == (Fraction(1, 4), Fraction(3, 4))
+    index, mass_id, masses = model.level_nodes(5)
+    assert index.shape == (1, 0) and masses == (1,)
+    assert model.edges(model.root_node()) == [((1, (0, 1)), 1, ())]
 
 
 def test_ingest_points_boundary_rejected():
@@ -455,6 +528,50 @@ def test_ingest_points_unparsable_field_message(text, message):
     with pytest.raises(ParseError) as info:
         ingest_points(text)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ingest_points("0.5,0.5\n0.25,0\n"),
+     "coordinate 0 in CSV row 2 not inside the open unit cube"),
+    (lambda: ingest_points("x,y\n1.0,0.5\n"),
+     "coordinate 1 in CSV row 1 not inside the open unit cube"),
+    (lambda: ingest_points("x,w\n0.5,0.0\n", "w"), "non-positive weight in CSV row 1"),
+    (lambda: ingest_points("x,w\n0.5,1\n0.25,-2\n", "w"), "non-positive weight in CSV row 2"),
+    (lambda: AtomicMeasure([(Fraction(1, 2), Fraction(3, 2))], [1]),
+     "atomic point ('1/2', '3/2') not in the open unit cube"),
+    (lambda: AtomicMeasure([(Fraction(1, 2),), (Fraction(0),)], [Fraction(1, 2)] * 2),
+     "atomic point ('0',) not in the open unit cube"),
+    (lambda: AtomicMeasure([(Fraction(1, 4), 1)], [1]), "atomic point ('1/4', '1') not in the open unit cube"),
+    (lambda: AtomicMeasure([(Fraction(1, 2),), (Fraction(1, 4),)], [Fraction(3, 2), Fraction(-1, 2)]),
+     "atomic weights must be positive"),
+    (lambda: AtomicMeasure([(Fraction(1, 2),), (Fraction(1, 4),)], [Fraction(1, 2), Fraction(2, 5)]),
+     "atomic weights sum to 9/10, not a probability measure"),
+    (lambda: AtomicMeasure([(Fraction(1, 2),), (Fraction(1, 4),)], [1, 1]),
+     "atomic weights sum to 2, not a probability measure"),
+])
+def test_atomic_validation_messages(build, message):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert type(info.value) is ValidationError and str(info.value) == message
+
+
+def _six_digit_cloud(weighted):
+    # perfbench's cloud.csv style: 6-digit decimals strictly inside (0, 1)
+    rng = np.random.default_rng(7)
+    coords = rng.integers(1, 10**6, size=(300, 2)).tolist()
+    raw = rng.integers(1, 10, size=300).tolist()
+    lines = [f"0.{a:06d},0.{b:06d}" + (f",{w}" if weighted else "") for (a, b), w in zip(coords, raw)]
+    text = "\n".join(["x,y,w" if weighted else "x,y", *lines]) + "\n"
+    points = [[Fraction(c, 10**6) for c in row] for row in coords]
+    weights = [Fraction(w, sum(raw)) for w in raw] if weighted else [Fraction(1, 300)] * 300
+    return text, AtomicMeasure(points, weights)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_ingest_points_spec_matches_the_fraction_construction(weighted):
+    text, want = _six_digit_cloud(weighted)
+    got = ingest_points(text, "w" if weighted else None)
+    assert got.to_spec() == want.to_spec()
 
 
 # -- property tests -----------------------------------------------------------
