@@ -3,17 +3,21 @@
 The partition function J_rho(Q) = nu(Q) * vol(Q)^(rho/m) drives both the
 alpha-good counts N_{rho,n}(alpha) and the adaptive partition. Counts read
 the level view `spectrum.level_log_masses` of the exact mass multiset, so
-levels far beyond what full enumeration could reach stay cheap; sorted once
-per level (`count_view`), it gives every count by one bisection, and a sweep
-over rho shares the views of its levels.
+levels far beyond what full enumeration could reach stay cheap. Sorted once
+per level (`count_view`), a view is an array of increasing log2 masses with,
+per position, the number of cubes at or above it and that count's estimate
+log2(count)/n; a profile then reads the counts of a whole alpha grid at one
+level with one array search, and a sweep over rho shares the views of its
+levels.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
+from operator import truediv
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,29 +50,36 @@ def count_alpha_good(
     alpha: float,
     max_cubes: int = DEFAULT_MAX_CUBES,
 ) -> int:
-    """Number of level-n cubes with J_rho(Q) >= 2^(-alpha*n)."""
-    if alpha <= 0:
+    """Number of level-n cubes with J_rho(Q) >= 2^(-alpha*n), i.e. with
+    log2(mass) >= (rho - alpha) * n."""
+    if not alpha > 0:
         raise ValidationError("alpha must be positive")
     if n < 1:
         raise ValidationError("count needs level n >= 1")
-    return _count_good(count_view(model, n, max_cubes), n, rho, alpha)
+    view = count_view(model, n, max_cubes)
+    return view.at_or_above[int(np.searchsorted(view.log_masses, (rho - alpha) * n))]
 
 
-def count_view(
-    model: MeasureModel, n: int, max_cubes: int = DEFAULT_MAX_CUBES
-) -> tuple[list[float], list[int]]:
-    """The level view sorted for counting: the log2 masses in increasing
-    order, and for position i the number of cubes at positions i and above
-    (one more entry, 0, for none)."""
+class CountView(NamedTuple):
+    """One level sorted for counting: the log2 masses in increasing order;
+    for position i the number of cubes at positions i and above, with one
+    more entry, 0, for none (Python ints: deep levels pass 2^63 cubes); and
+    the estimate log2(max(count, 1)) / n of each of those counts."""
+
+    log_masses: np.ndarray
+    at_or_above: list[int]
+    estimates: np.ndarray
+
+
+def count_view(model: MeasureModel, n: int, max_cubes: int = DEFAULT_MAX_CUBES) -> CountView:
+    """The level-n `CountView` of the model, under the cap `max_cubes`."""
     view = sorted(level_log_masses(model, n, max_cubes))
-    at_or_above = list(itertools.accumulate(count for _, count in reversed(view)))
-    return [log_mass for log_mass, _ in view], at_or_above[::-1] + [0]
-
-
-def _count_good(view, n: int, rho: float, alpha: float) -> int:
-    """Cubes with J_rho(Q) >= 2^(-alpha*n), i.e. log2(mass) >= (rho - alpha) * n."""
-    log_masses, at_or_above = view
-    return at_or_above[bisect.bisect_left(log_masses, (rho - alpha) * n)]
+    at_or_above = list(itertools.accumulate(count for _, count in reversed(view)))[::-1] + [0]
+    return CountView(
+        np.array([log_mass for log_mass, _ in view], dtype=float),
+        at_or_above,
+        np.array([math.log2(max(c, 1)) / n for c in at_or_above]),
+    )
 
 
 def default_alpha_grid(m: int, rho: float) -> list[float]:
@@ -130,24 +141,26 @@ def coarse_profile(
         raise ValidationError("coarse profile needs levels n >= 1")
     if alpha_grid is None:
         alpha_grid = default_alpha_grid(model.m, rho)
-    alpha_grid = tuple(float(a) for a in alpha_grid)
+    alpha_grid = tuple(map(float, alpha_grid))
     if not alpha_grid:
         raise ValidationError("coarse profile needs a nonempty alpha grid")
 
+    if not all(alpha > 0 for alpha in alpha_grid):
+        raise ValidationError("alpha must be positive")
+
     if views is None:
         views = {n: count_view(model, n, max_cubes) for n in levels}
-    counts = [
-        tuple(_count_good(views[n], n, rho, alpha) for alpha in alpha_grid)
-        for n in levels
-    ]
-
-    f_upper, f_lower = [], []
-    for j in range(len(alpha_grid)):
-        ests = [math.log2(max(counts[i][j], 1)) / n for i, n in enumerate(levels)]
-        f_upper.append(max(ests))
-        f_lower.append(min(ests))
-    optimized_upper = max(f / a for f, a in zip(f_upper, alpha_grid))
-    optimized_lower = max(f / a for f, a in zip(f_lower, alpha_grid))
+    # the alpha-good cubes of level n have log2(mass) >= (rho - alpha) * n:
+    # they sit at and above the first such position of the sorted view. The
+    # thresholds and the ratios f / alpha stay Python floats: numpy arithmetic
+    # would page in one more block of its kernels (64 KB of peak RSS) for
+    # about 1 ms a sweep
+    positions = [np.searchsorted(views[n].log_masses, [(rho - alpha) * n for alpha in alpha_grid])
+                 for n in levels]
+    counts = [tuple(map(views[n].at_or_above.__getitem__, pos.tolist()))
+              for n, pos in zip(levels, positions)]
+    ests = np.stack([views[n].estimates[pos] for n, pos in zip(levels, positions)])
+    f_upper, f_lower = ests.max(axis=0).tolist(), ests.min(axis=0).tolist()
     return CoarseProfile(
         rho=float(rho),
         levels=levels,
@@ -155,8 +168,8 @@ def coarse_profile(
         counts=tuple(counts),
         f_upper=tuple(f_upper),
         f_lower=tuple(f_lower),
-        optimized_upper=optimized_upper,
-        optimized_lower=optimized_lower,
+        optimized_upper=max(map(truediv, f_upper, alpha_grid)),
+        optimized_lower=max(map(truediv, f_lower, alpha_grid)),
     )
 
 

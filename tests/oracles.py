@@ -3,10 +3,13 @@ and as baselines for the benchmarks in `benchmarks/`: each family's mass
 from its definition, which the walk of the cube tree replaced (the IFS
 pullback recursion among them), the cube-by-cube descent that the
 node tables replaced, the J_rho partition taken level by level straight from
-its rule, and the per-node and per-cell L4 kernels that the array locator
-and the batched projection replaced."""
+its rule, the per-node and per-cell L4 kernels that the array locator
+and the batched projection replaced, and the coarse profile counted one
+alpha at a time by bisection, which the per-level array search replaced."""
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import weakref
 from fractions import Fraction
@@ -15,11 +18,12 @@ import numpy as np
 
 from widthlab import (AtomicMeasure, DyadicCube, ProductMeasure, ResourceLimitError,
                       UniformMeasure, ValidationError, root)
+from widthlab.coarse import CoarseProfile, default_alpha_grid
 from widthlab.cubes import children
 from widthlab.functions import monomials, multi_indices
 from widthlab.measures import DEFAULT_MAX_CUBES
 from widthlab.quadrature import unit_rule
-from widthlab.spectrum import frac_log2
+from widthlab.spectrum import frac_log2, level_log_masses
 
 # per IFS model: (level, index) -> mass of the unshifted measure
 _PULLBACK_MEMOS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -171,3 +175,52 @@ def oracle_moment_project(f, cube, degree, npts=None):
     fvals = np.asarray(f(lower + side * pts), dtype=float)
     rhs = monomials(exps, pts).T @ (wts * fvals)
     return np.linalg.solve(gram, rhs)
+
+
+def oracle_count_view(model, n, max_cubes=DEFAULT_MAX_CUBES):
+    # the level view sorted for counting, as lists: the log2 masses in
+    # increasing order, and for position i the number of cubes at positions
+    # i and above (one more entry, 0, for none)
+    view = sorted(level_log_masses(model, n, max_cubes))
+    at_or_above = list(itertools.accumulate(count for _, count in reversed(view)))
+    return [log_mass for log_mass, _ in view], at_or_above[::-1] + [0]
+
+
+def _count_good(view, n, rho, alpha):
+    # cubes with J_rho(Q) >= 2^(-alpha*n), i.e. log2(mass) >= (rho - alpha) * n
+    log_masses, at_or_above = view
+    return at_or_above[bisect.bisect_left(log_masses, (rho - alpha) * n)]
+
+
+def oracle_coarse_profile(model, levels, rho, alpha_grid=None, max_cubes=DEFAULT_MAX_CUBES,
+                          views=None):
+    # one bisection per (level, alpha) and one log2 per count; `views` maps
+    # each level to its `oracle_count_view`
+    levels = tuple(int(n) for n in levels)
+    if alpha_grid is None:
+        alpha_grid = default_alpha_grid(model.m, rho)
+    alpha_grid = tuple(float(a) for a in alpha_grid)
+    if views is None:
+        views = {n: oracle_count_view(model, n, max_cubes) for n in levels}
+    counts = [
+        tuple(_count_good(views[n], n, rho, alpha) for alpha in alpha_grid)
+        for n in levels
+    ]
+
+    f_upper, f_lower = [], []
+    for j in range(len(alpha_grid)):
+        ests = [math.log2(max(counts[i][j], 1)) / n for i, n in enumerate(levels)]
+        f_upper.append(max(ests))
+        f_lower.append(min(ests))
+    optimized_upper = max(f / a for f, a in zip(f_upper, alpha_grid))
+    optimized_lower = max(f / a for f, a in zip(f_lower, alpha_grid))
+    return CoarseProfile(
+        rho=float(rho),
+        levels=levels,
+        alpha_grid=alpha_grid,
+        counts=tuple(counts),
+        f_upper=tuple(f_upper),
+        f_lower=tuple(f_lower),
+        optimized_upper=optimized_upper,
+        optimized_lower=optimized_lower,
+    )

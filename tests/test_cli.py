@@ -231,6 +231,21 @@ def test_coarse_levels_below_one_exit_1(argv, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "widthlab: coarse profile needs levels n >= 1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coarse", *_TET22, "--levels", "3..4", "--alpha-grid", "0:1:0.5"],
+        ["coarse", *_TET22, "--levels", "3..4", "--alpha-grid=-1,0.5"],
+        ["coarse", *_TET22, "--levels", "3..4", "--alpha-grid", "1,nan"],
+    ],
+    ids=["zero", "negative", "nan"],
+)
+def test_coarse_nonpositive_alpha_exit_1(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv, tmp_path)["code"] == cli.EX_FAIL
+    assert capsys.readouterr().err == "widthlab: alpha must be positive\n"
+
+
 def test_header_hash_covers_config_file_values(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     headers = []
@@ -295,3 +310,13 @@ def test_import_loads_no_scipy_and_keeps_blas_workers_from_spinning(preset, want
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
     assert out.split("\n")[:2] == ["[]", want]
+
+
+def test_python_m_widthlab_runs_the_command_line(tmp_path):
+    (tmp_path / "tet.json").write_text(FILES["tet.json"])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                         env.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-m", "widthlab", "validate", "--measure", "tet.json"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == cli.EX_OK, done.stderr

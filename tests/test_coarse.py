@@ -19,13 +19,14 @@ from widthlab import (
     scaled_box,
     well_separated,
 )
-from widthlab.coarse import default_alpha_grid, dominant_cubes
+from widthlab import coarse
+from widthlab.coarse import count_view, default_alpha_grid, dominant_cubes
 from widthlab.cubes import neighbors
 from widthlab.measures import IfsMap, IfsMeasure, MeasureModel
 from widthlab.spectrum import frac_log2
 
-from conftest import boundary_atomic, ifs7, ifs_atomic_lebesgue
-from oracles import oracle_mass
+from conftest import boundary_atomic, ifs7, ifs_atomic_lebesgue, new_tetrahedron
+from oracles import oracle_coarse_profile, oracle_count_view, oracle_mass
 
 
 def test_j_value_lebesgue():
@@ -268,3 +269,83 @@ def test_default_alpha_grid_steps_exact_decimals(m, rho):
         want.append(float(a))
         a += Fraction(1, 20)
     assert default_alpha_grid(m, rho) == want
+
+
+# one instance each, so their level multisets are built once per session
+PROFILE_MODELS = {
+    "tetrahedron": new_tetrahedron(),
+    "ifs7": ifs7(),
+    "boundary_atomic": boundary_atomic(),
+    "product": ifs_atomic_lebesgue(),
+}
+
+
+def assert_same_profile(got, want):
+    # equal fields, the same float bits (repr tells -0.0 and numpy scalars
+    # apart) and Python ints for every count
+    assert got == want
+    assert repr(got) == repr(want)
+    assert all(type(c) is int for row in got.counts for c in row)
+    assert all(type(x) is float for x in (*got.f_upper, *got.f_lower,
+                                          got.optimized_upper, got.optimized_lower))
+
+
+@given(st.sampled_from(sorted(PROFILE_MODELS)),
+       st.lists(st.integers(1, 6), min_size=1, max_size=4),
+       st.floats(0.05, 8.0),
+       st.lists(st.floats(0.01, 15.0), max_size=12),
+       st.lists(st.tuples(st.integers(0, 5), st.integers(0, 10**6)), max_size=6),
+       st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_profile_matches_the_bisection_oracle(name, levels, rho, alphas, edges, shared):
+    """The per-level array search gives the per-alpha bisection's profile bit
+    for bit, on unsorted grids with alphas that put (rho - alpha) * n on a
+    log mass of the level, with the views built inside or passed in."""
+    model = PROFILE_MODELS[name]
+    for k, pick in edges:  # alpha = rho - log2(mass) / n, for a mass of level n
+        n = levels[k % len(levels)]
+        log_masses, _ = oracle_count_view(model, n)
+        alpha = rho - log_masses[pick % len(log_masses)] / n
+        if alpha > 0:
+            alphas.append(alpha)
+    grid = alphas or None
+    views = {n: count_view(model, n) for n in levels} if shared else None
+    got = coarse_profile(model, levels, rho, grid, views=views)
+    assert_same_profile(got, oracle_coarse_profile(model, levels, rho, grid))
+    n, alpha = levels[0], got.alpha_grid[-1]
+    count = count_alpha_good(model, n, rho, alpha)
+    assert type(count) is int and count == got.counts[0][-1]
+
+
+def test_profile_exact_on_threshold_equality_and_a_single_level(leb1):
+    # Lebesgue: every level-5 log mass is -5 = (1 - 2) * 5, which counts
+    grid = [2.0, 1.5, 2.5, 0.5, 2.0]
+    for levels in ([5], [3, 5, 4]):
+        got = coarse_profile(leb1, levels, 1.0, grid)
+        assert_same_profile(got, oracle_coarse_profile(leb1, levels, 1.0, grid))
+    assert coarse_profile(leb1, [5], 1.0, grid).counts == ((32, 0, 32, 0, 32),)
+
+
+def test_profile_exact_past_int64_counts(binomial_cascade):
+    """At levels 64 and 65 the saturated counts are 2^64 and 2^65 cubes."""
+    grid = [0.5, 3.0, 1.0, 2.0, 1.6]
+    got = coarse_profile(binomial_cascade, [64, 65], 1.0, grid)
+    assert_same_profile(got, oracle_coarse_profile(binomial_cascade, [64, 65], 1.0, grid))
+    assert got.counts[0][1] == 1 << 64 and got.counts[1][1] == 1 << 65
+    assert max(got.counts[1]) > (1 << 63) > got.counts[1][-1] > 0
+
+
+@pytest.mark.parametrize("grid", [[0.0, 0.5, 1.0], [-1.0, 0.5], [1.0, math.nan], [-math.inf]])
+def test_profile_rejects_nonpositive_alpha_before_counting(grid, tetrahedron, monkeypatch):
+    def no_view(*args, **kwargs):
+        raise AssertionError("a count view was built")
+
+    monkeypatch.setattr(coarse, "count_view", no_view)
+    with pytest.raises(ValidationError, match="alpha must be positive"):
+        coarse_profile(tetrahedron, [3, 4], 2.0, grid)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.5, math.nan, -math.inf])
+def test_count_rejects_nonpositive_alpha(alpha, tetrahedron):
+    with pytest.raises(ValidationError, match="alpha must be positive"):
+        count_alpha_good(tetrahedron, 5, 1.0, alpha)
