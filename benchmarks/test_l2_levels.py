@@ -17,9 +17,12 @@ against 8-10 ms for all seven tables (the atomic ones from integer arrays),
 so the suite runs one round per side.
 
 A third case times `ingest_points` on the same cloud written as CSV text,
-as perfbench's `cloud.csv` is, and checks its `to_spec()` against the model
-built from `Fraction`s: a median of 12-14 ms over 20 rounds on the same VM,
-most of it the `Fraction` parse of the 1200 fields.
+as perfbench's `cloud.csv` is, and checks its integer state and `to_spec()`
+against the model built from `Fraction`s: a median of 3.1-3.8 ms over 20
+rounds on the same VM, against 13.1-13.4 ms when every field was parsed by
+`Fraction`. A fourth times the provenance of a run on that cloud,
+`to_spec()` and its `config_hash`: a median of 1.9-2.1 ms, the same as when
+the spec strings were `str()` of `Fraction`s that the ingest had built.
 
 Run from the root of the repository (pytest-benchmark required):
 
@@ -36,6 +39,7 @@ import pytest
 
 from widthlab import (AtomicMeasure, DyadicCube, IfsMap, IfsMeasure, ProductMeasure, ingest_points,
                       lebesgue)
+from widthlab.reports import config_hash
 
 from tests.oracles import descent_positive
 
@@ -88,8 +92,26 @@ def test_l2_levels(benchmark, enumerate_, descent):
     assert got == descent
 
 
+def integer_state(model):
+    return (model.m, model._pden, model._den, model._coords.dtype, model._units.dtype,
+            model._coords.tolist(), model._units.tolist())
+
+
+def cloud_text():
+    # the cloud as perfbench's cloud.csv writes it
+    return "x,y\n" + "".join(f"0.{a:06d},0.{b:06d}\n" for a, b in cloud_coords())
+
+
 def test_l2_ingest(benchmark):
-    # the cloud as perfbench's cloud.csv writes it, against the Fraction route
-    text = "x,y\n" + "".join(f"0.{a:06d},0.{b:06d}\n" for a, b in cloud_coords())
-    got = benchmark.pedantic(ingest_points, args=(text,), rounds=20)
-    assert got.to_spec() == cases()[0][0].to_spec()
+    got = benchmark.pedantic(ingest_points, args=(cloud_text(),), rounds=20)
+    want = cases()[0][0]  # the Fraction route
+    assert integer_state(got) == integer_state(want)
+    assert got.to_spec() == want.to_spec()
+
+
+def test_l2_provenance(benchmark):
+    model = ingest_points(cloud_text())
+    got = benchmark.pedantic(lambda: config_hash({"measure_spec": model.to_spec()}), rounds=20)
+    spec = cases()[0][0].to_spec()
+    assert spec["points"][0] == [str(Fraction(c, 10**6)) for c in cloud_coords()[0]]
+    assert got == config_hash({"measure_spec": spec})

@@ -132,9 +132,9 @@ class Run:
         path = self.need("measure")
         data = _read(path, f"measure spec {path}")
         if path.endswith(".csv"):
-            self.model = ingest_points(data.decode(), self.get("weight_column"))
+            self.model = ingest_points(data, self.get("weight_column"), name=path)
         else:
-            self.model = load_measure(data)
+            self.model = load_measure(data, name=path)
         provenance = {"tool_version": __version__, "measure_spec": self.model.to_spec()}
         self.config = {**self.values, **provenance}
 

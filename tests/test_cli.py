@@ -3,7 +3,9 @@
 `golden/cli.json` holds, for each case below, the exit code, the header line
 and the output bodies the command line produced before its dispatcher was
 rewritten; the two `spectrum-t-one-cap`/`spectrum-unsorted-grid` cases were
-captured from the release before the t-grid began to share one level view.
+captured from the release before the t-grid began to share one level view,
+and `spectrum-cloud-unweighted` from the release before a CSV cloud was
+parsed straight to integers.
 The file is data: nothing here rewrites it. Bodies are compared
 with the benchmark's reference check (text exactly, numbers to relative
 1e-9); header lines, whose hash covers the effective configuration, are
@@ -62,13 +64,17 @@ _MIXED_RATIOS = {
 
 # Input files of every case, written into its working directory: the
 # tetrahedron and quarter-Cantor models of conftest.py, Lebesgue measure on
-# [0, 1), a two-ratio IFS and a weighted three-point cloud.
+# [0, 1), a two-ratio IFS, a weighted three-point cloud and an unweighted
+# six-point cloud whose fields take the plain-decimal, 20-digit and exponent
+# routes of the parser.
 FILES = {
     "tet.json": json.dumps(_TETRAHEDRON),
     "qc.json": json.dumps(_QUARTER_CANTOR),
     "mix.json": json.dumps(_MIXED_RATIOS),
     "leb1.json": json.dumps({"type": "uniform", "m": 1, "support": "0:0"}),
     "pts.csv": "x,y,w\n0.25,0.5,1\n0.75,0.125,2\n0.5,0.875,1\n",
+    "cloud.csv": "x,y\n0.500000,0.250000\n0.123456,0.654321\n0.75,0.000001\n0.999999,0.5\n"
+                 "0.1,0.3\n0.12345678901234567891,5e-1\n",
     "cfg.json": json.dumps(
         {"measure": "tet.json", "sigma": 2, "p": "2", "q": "2", "levels": "3..5"}
     ),
@@ -82,6 +88,9 @@ CASES = {
                         "--t-grid", "0:1.5:0.25"],
     "spectrum-cloud": ["spectrum", "--measure", "pts.csv", "--weight-column", "w",
                        "--levels", "1..3", "--t-grid", "0:1:0.5", "--out", "out.csv"],
+    # the 1/N weights of the benchmark's cloud, to stdout under its header
+    "spectrum-cloud-unweighted": ["spectrum", "--measure", "cloud.csv", "--levels", "1..3",
+                                  "--t-grid", "0:2:0.5"],
     "spectrum-closed-form": ["spectrum", "--measure", "leb1.json", "--levels", "1..2",
                              "--t-grid", "0:1:0.5", "--out", "out.csv"],
     "dims": ["dims", "--measure", "tet.json", "--levels", "2..5"],
@@ -279,6 +288,43 @@ def test_weight_column_index_on_headerless_csv():
 def test_weight_column_out_of_range_or_unknown(column):
     with pytest.raises(ParseError):
         ingest_points(FILES["pts.csv"], column)
+
+
+_BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("name, data, argv, want", [
+    # headerless: the mark must not turn the first row into a header
+    ("bom.csv", _BOM + b"0.25,0.25\n0.75,0.75\n",
+     ["spectrum", "--levels", "1", "--t-grid", "0"], "n,t,beta_n\n1,0.0,1.0\n"),
+    # the header's first column stays reachable by name
+    ("bomw.csv", _BOM + b"w,x\n1,0.25\n3,0.75\n", ["validate", "--weight-column", "w"],
+     "ok: bomw.csv is a valid AtomicMeasure with m=1\n"),
+    ("bom.json", _BOM + FILES["leb1.json"].encode(), ["validate"],
+     "ok: bom.json is a valid UniformMeasure with m=1\n"),
+])
+def test_measure_file_with_a_byte_order_mark(name, data, argv, want, tmp_path, monkeypatch,
+                                            capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_bytes(data)
+    assert cli.main([argv[0], "--measure", name, *argv[1:]]) == cli.EX_OK
+    out = capsys.readouterr().out
+    if out.startswith("# widthlab "):
+        out = out.partition("\n")[2]
+    assert out == want
+
+
+@pytest.mark.parametrize("name, data, offset", [
+    ("bad.csv", b"x,y\n0.25,0.\xff5\n", 11),
+    ("bad.json", b'{"type": "uniform", "m": 1, "support": "0:\xff"}', 42),
+    # offsets count the byte-order mark
+    ("badbom.csv", _BOM + b"0.5\n\xff\n", 7),
+])
+def test_measure_file_not_utf8_exits_1(name, data, offset, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_bytes(data)
+    assert cli.main(["validate", "--measure", name]) == cli.EX_FAIL
+    assert capsys.readouterr().err == f"widthlab: {name} is not valid UTF-8: byte 0xff at offset {offset}\n"
 
 
 def test_probe_trips_node_cap_before_the_seminorm(tmp_path, monkeypatch, capsys):

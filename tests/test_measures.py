@@ -23,6 +23,9 @@ from widthlab import (
     root,
 )
 
+from widthlab.measures import _parse_field
+from widthlab.reports import config_hash
+
 from conftest import boundary_atomic, dyadic_ifs, ifs_atomic_lebesgue
 from oracles import descent_positive, oracle_mass
 
@@ -293,6 +296,19 @@ def test_atomic_integer_tables_match_the_descent(points, wide, raw):
     assert [model.mass(cube) for cube, _ in want] == [mu for _, mu in want]
 
 
+@given(st.lists(st.tuples(_boundary_coordinates(), _boundary_coordinates()), min_size=1, max_size=4),
+       st.booleans(), st.lists(st.integers(1, 5), min_size=5, max_size=5))
+@settings(max_examples=25, deadline=None)
+def test_atomic_spec_strings_are_the_fraction_strings(points, wide, raw):
+    # to_spec formats the integer state; int64 and Python-int arrays alike
+    if wide:
+        points = [*points, _WIDE_ATOM]
+    weights = [Fraction(w, sum(raw[: len(points)])) for w in raw[: len(points)]]
+    spec = AtomicMeasure(points, weights).to_spec()
+    assert spec["points"] == [[str(x) for x in p] for p in points]
+    assert spec["weights"] == [str(w) for w in weights]
+
+
 @pytest.mark.parametrize("q", [3, 5, 10**9, 2**31 - 1, 2**61 - 1, 2**62 + 1, 2**63 + 1])
 def test_atomic_indices_where_int64_runs_out(q):
     # (q - 1) 2^n passes 2^63 at a level set by q's bit length, where the
@@ -537,6 +553,12 @@ def test_ingest_points_unparsable_field_message(text, message):
      "coordinate 1 in CSV row 1 not inside the open unit cube"),
     (lambda: ingest_points("x,w\n0.5,0.0\n", "w"), "non-positive weight in CSV row 1"),
     (lambda: ingest_points("x,w\n0.5,1\n0.25,-2\n", "w"), "non-positive weight in CSV row 2"),
+    # a ragged row is reported where it is met, before a bad coordinate below it
+    (lambda: ingest_points("x,y\n0.5,0.5\n0.25\n2,0.5\n"), "CSV row 2 has 1 coordinates, row 1 has 2"),
+    (lambda: ingest_points("x,y,w\n0.5,0.5,1\n0.25,0.5,0.75,2\n", "w"),
+     "CSV row 2 has 3 coordinates, row 1 has 2"),
+    (lambda: AtomicMeasure([(Fraction(1, 2),), (Fraction(1, 4), Fraction(1, 4))], [Fraction(1, 2)] * 2),
+     "inconsistent point dimensions"),
     (lambda: AtomicMeasure([(Fraction(1, 2), Fraction(3, 2))], [1]),
      "atomic point ('1/2', '3/2') not in the open unit cube"),
     (lambda: AtomicMeasure([(Fraction(1, 2),), (Fraction(0),)], [Fraction(1, 2)] * 2),
@@ -567,11 +589,80 @@ def _six_digit_cloud(weighted):
     return text, AtomicMeasure(points, weights)
 
 
+def _integer_state(model):
+    return (model.m, model._pden, model._den, model._coords.dtype, model._units.dtype,
+            model._coords.tolist(), model._units.tolist())
+
+
 @pytest.mark.parametrize("weighted", [False, True])
 def test_ingest_points_spec_matches_the_fraction_construction(weighted):
-    text, want = _six_digit_cloud(weighted)
-    got = ingest_points(text, "w" if weighted else None)
+    text, _ = _six_digit_cloud(weighted)
+    # a 20-digit field over 10^20 reduces to the cloud's 10^6, back in int64
+    text += "0.12345600000000000000,0.5" + (",0.50000000000000000000\n" if weighted else "\n")
+    rows = [[Fraction(tok) for tok in line.split(",")] for line in text.splitlines()[1:]]
+    raw = [row.pop() for row in rows] if weighted else [1] * len(rows)
+    want = AtomicMeasure(rows, [Fraction(w) / sum(raw) for w in raw])
+    got = ingest_points(text.encode(), "w" if weighted else None)
+    assert want._coords.dtype == want._units.dtype == np.int64
+    assert _integer_state(got) == _integer_state(want)
     assert got.to_spec() == want.to_spec()
+    assert (got.points, got.weights) == (want.points, want.weights)
+
+
+def test_ingest_points_builds_no_fraction_on_plain_decimals(monkeypatch):
+    # a bench-style cloud (header, 6-digit decimals, weights 1/N), parsed and
+    # hashed for provenance; the public points and weights are built on read
+    text, want = _six_digit_cloud(weighted=False)
+    calls = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    model = ingest_points(text.encode())
+    digest = config_hash({"measure_spec": model.to_spec()})
+    assert calls == [] and "points" not in vars(model) and "weights" not in vars(model)
+    monkeypatch.undo()
+    assert digest == config_hash({"measure_spec": want.to_spec()})
+    assert (model.points, model.weights) == (want.points, want.weights)
+
+
+_DIGITS = st.text("0123456789", max_size=4)
+_FIELDS = st.one_of(
+    # plain decimals, with "5.", ".5", "." and "" among them
+    st.tuples(_DIGITS, st.sampled_from(["", "."]), _DIGITS),
+    # signs, exponents, a/b and underscores
+    st.tuples(st.sampled_from(["", "+", "-"]), _DIGITS,
+              st.sampled_from(["", "e3", "E-2", "e+1", ".5e1", "/4", "/0", "/3_0", "_5", "__5", "_"])),
+    # other digits and symbols, mixed
+    st.lists(st.sampled_from(list("0123456789.+-_/eE") + ["\u0663", "\u06f5", "\u00b2", "\u00b3"]),
+             max_size=6),
+    st.tuples(st.sampled_from(["nan", "inf", "-inf", "Infinity", "NaN", "x", "1e", "0x1"])),
+).map("".join)
+
+
+@given(st.tuples(st.sampled_from(["", " ", "\t", "\u00a0", "\u2003"]), _FIELDS,
+                 st.sampled_from(["", " ", "\n", "\u3000"])).map("".join))
+@settings(max_examples=400, deadline=None)
+def test_parse_field_accepts_what_fraction_accepts(token):
+    try:
+        want = Fraction(token.strip())
+    except (ValueError, ZeroDivisionError):
+        want = None
+    got = _parse_field(token)
+    if want is None:
+        assert got is None
+    else:
+        assert got[1] > 0 and Fraction(*got) == want
+
+
+def test_parse_field_past_the_int_digit_limit():
+    # each part of the decimal is within int()'s default 4300-digit limit,
+    # the digits together are not
+    token = "0" * 3000 + "1." + "0" * 2999 + "1"
+    assert Fraction(*_parse_field(token)) == Fraction(token)
 
 
 # -- property tests -----------------------------------------------------------
