@@ -24,6 +24,16 @@ rounds on the same VM, against 13.1-13.4 ms when every field was parsed by
 `to_spec()` and its `config_hash`: a median of 1.9-2.1 ms, the same as when
 the spec strings were `str()` of `Fraction`s that the ingest had built.
 
+A fifth case pushes two IFS multisets deep, on fresh models each round:
+perfbench's `ifs7` (7 maps, mixed ratios) to level 24 (47 728 distinct
+masses) and the tetrahedron to level 32 (6545 distinct masses). The
+`level_masses` push keys each state by the integer numerator of its mass
+over D^n; `oracle_level_masses` in `tests/oracles.py` is the `Fraction`
+push it replaced, one `Fraction` product and hash per (state, edge). Both
+must give the same multisets in the same order. On the same VM the two
+pushes take a median of 1.65 s over 5 rounds (in one process: `ifs7` 1.40
+s, tetrahedron 0.32 s), against 9.66 s for one round of the `Fraction` push.
+
 Run from the root of the repository (pytest-benchmark required):
 
     PYTHONPATH=src python -m pytest benchmarks -q
@@ -41,7 +51,8 @@ from widthlab import (AtomicMeasure, DyadicCube, IfsMap, IfsMeasure, ProductMeas
                       lebesgue)
 from widthlab.reports import config_hash
 
-from tests.oracles import descent_positive
+from tests.conftest import ifs7, new_tetrahedron
+from tests.oracles import descent_positive, oracle_level_masses
 
 SEED = 0
 CLOUD_POINTS = 600
@@ -115,3 +126,26 @@ def test_l2_provenance(benchmark):
     spec = cases()[0][0].to_spec()
     assert spec["points"][0] == [str(Fraction(c, 10**6)) for c in cloud_coords()[0]]
     assert got == config_hash({"measure_spec": spec})
+
+
+def deep_cases():
+    return [(ifs7(), 24), (new_tetrahedron(), 32)]
+
+
+@pytest.fixture(scope="module")
+def deep_multisets():
+    return [list(oracle_level_masses(model, n).items()) for model, n in deep_cases()]
+
+
+def integer_push(model, n):
+    return model.level_masses(n)
+
+
+@pytest.mark.parametrize("push", [oracle_level_masses, integer_push], ids=["fraction", "integer"])
+def test_l2_deep_levels(benchmark, push, deep_multisets):
+    got = benchmark.pedantic(
+        lambda todo: [push(model, n) for model, n in todo],
+        setup=lambda: ((deep_cases(),), {}),
+        rounds=1 if push is oracle_level_masses else 5,
+    )
+    assert [list(multiset.items()) for multiset in got] == deep_multisets

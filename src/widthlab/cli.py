@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -138,6 +139,11 @@ class Run:
         provenance = {"tool_version": __version__, "measure_spec": self.model.to_spec()}
         self.config = {**self.values, **provenance}
 
+    @functools.cached_property
+    def header(self) -> str:
+        """The header line of every output, its config hashed once per run."""
+        return reports.header_line(self.config)
+
     def get(self, key: str):
         convert, default, _ = OPTIONS[key]
         value = self.values.get(key)
@@ -161,13 +167,13 @@ class Run:
         stdout under the header line, a JSON side result to one stdout line."""
         path = self.get(key)
         if path is not None and columns is None:
-            reports.write_json(path, data, self.config)
+            reports.write_json(path, data, self.header)
         elif path is not None:
-            reports.write_csv(path, columns, data, self.config)
+            reports.write_csv(path, columns, data, self.header)
         elif key != "out":
             print(json.dumps(data, sort_keys=True))
         else:
-            print(reports.header_line(self.config))
+            print(self.header)
             if columns is None:
                 print(json.dumps(data, sort_keys=True, indent=2, default=str))
                 return

@@ -281,7 +281,12 @@ def multi_indices(m: int, max_total: int) -> list[tuple[int, ...]]:
 def monomials(exponents, pts) -> np.ndarray:
     """The (N, K) matrix of pts^k for points (N, m) and exponent rows k (K, m)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    return np.prod(pts[:, None, :] ** np.asarray(exponents)[None, :, :], axis=2)
+    powers = pts[:, None, :] ** np.asarray(exponents)[None, :, :]
+    # the product over the short last axis, left to right as np.prod takes it
+    out = np.ones(powers.shape[:2])
+    for i in range(powers.shape[2]):
+        out *= powers[:, :, i]
+    return out
 
 
 def finite_difference_partial(f, multi_index):

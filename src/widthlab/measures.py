@@ -29,9 +29,13 @@ its branch bits. `mass` is one walk of that tree, one edge per level down
 from the root, and the J_rho partitions walk it too. An IFS is encoded once,
 by its finite template (`IfsMeasure.template`, the state classes of Cawley &
 Mauldin 1992): the images are disjoint, so every positive cube is a copy of
-a template node, and its state (node, exact mass) fixes its whole subtree;
-a level's multiset and node table expand the cached states of the level
-above, and the cube count pushes integers per node. A uniform measure is
+a template node, and its state (node, exact mass) fixes its whole subtree.
+Every edge ratio is a / D over one common denominator D, so a level-n mass
+is N / D^n with N the product of its path's numerators, and at one level
+two masses are equal exactly when their N are. So a level's states
+(node, N) expand the cached states of the level above in integers, its
+multiset and node table build one `Fraction` per distinct mass when first
+read, and the cube count pushes integers per node. A uniform measure is
 the simplest such template: a chain down to its support, then one node
 whose 2^m children are itself. An atomic node is a level and the atoms in
 its cube, split among the children by the rule of its node table, and a
@@ -94,16 +98,27 @@ class TemplateNode(NamedTuple):
     children: tuple[tuple[int, Mass, tuple[int, ...]], ...]
 
 
-class _Level(NamedTuple):
-    """The states of an IFS level in id order, as (template node, id among
-    the level's distinct masses), with their cube counts; the multiset
-    {mass: count}, its masses in id order; and, per state of the level
-    above, its children's state ids in edge order."""
+@dataclass
+class _Level:
+    """The states of an IFS level n in id order, as (template node, id among
+    the level's distinct masses), with their cube counts; the numerators N
+    of the distinct masses N / den in id order, den = D^n; and, per state of
+    the level above, its children's state ids in edge order. The multiset is
+    built when first read, so a push through a level makes no `Fraction`."""
 
     states: list[tuple[int, int]]
     counts: list[int]
-    multiset: dict[Mass, int]
+    nums: list[int]
+    den: int
     edges: list[list[int]]
+
+    @functools.cached_property
+    def multiset(self) -> dict[Mass, int]:
+        """{mass: count}, its masses in id order."""
+        sizes = [0] * len(self.nums)
+        for (_, j), count in zip(self.states, self.counts):
+            sizes[j] += count
+        return dict(zip((Fraction(num, self.den) for num in self.nums), sizes))
 
 
 def _index_array(rows, n: int, m: int) -> np.ndarray:
@@ -151,12 +166,17 @@ def packed_keys(index: np.ndarray, level: int) -> np.ndarray:
     level * m <= PACKED_KEY_BITS and as Python ints beyond, so keys order
     rows lexicographically. A row with a coordinate outside [0, 2^level)
     packs to -1, the key of no cube."""
-    inside = ((index >= 0) & (index < (1 << level))).all(axis=1)
-    wide = level * index.shape[1] > PACKED_KEY_BITS
-    coords = np.where(inside[:, None], index, 0).astype(object if wide else np.int64)
-    keys = coords[:, 0]
-    for column in coords.T[1:]:
-        keys = (keys << level) | column
+    # column by column: a coordinate lies in [0, 2^level) iff c >> level == 0
+    columns = index.T
+    outside = columns[0] >> level
+    for column in columns[1:]:
+        outside |= column >> level
+    inside = outside == 0
+    dtype = object if level * index.shape[1] > PACKED_KEY_BITS else np.int64
+    keys = np.where(inside, columns[0], 0).astype(dtype)
+    for column in columns[1:]:
+        keys <<= level
+        keys |= np.where(inside, column, 0).astype(dtype)
     keys[~inside] = -1
     return keys
 
@@ -436,8 +456,14 @@ class IfsMeasure(MeasureModel):
     nu = sum_i p_i * nu o S_i^{-1}. An optional embed_shift conjugates the
     attractor into a dyadic subcube so that it avoids the boundary of the
     unit cube. Masses, multisets, node tables, counts and the tree edges all
-    read `template`: they push states (template node, cube mass) through it,
-    one level at a time, and keep no per-cube memo.
+    read `template`: they push states through it, one level at a time, and
+    keep no per-cube memo. The multisets and node tables key a level-n state
+    by (template node, N), its mass being N / D^n: `_pushes` holds each
+    edge's ratio as its numerator a over the common denominator `_den` = D,
+    the lcm of the reduced ratio denominators (a = D on a ratio-1 chain
+    edge). A push multiplies N by a; masses of one level share the
+    denominator D^n, so their N are equal exactly when they are, and the
+    states, their id order and the counts are those of the exact masses.
     """
 
     def __init__(self, maps, probs, embed_shift: IfsMap | None = None) -> None:
@@ -472,7 +498,12 @@ class IfsMeasure(MeasureModel):
         self.probs = probs
         self.embed_shift = embed_shift
         self.template = self._build_template()
-        self._levels = [_Level([(0, 0)], [1], {Fraction(1): 1}, [])]
+        nums, self._den = _common([ratio.as_integer_ratio() for node in self.template
+                                   for _, ratio, _ in node.children])
+        nums = iter(nums)
+        self._pushes = tuple(tuple((child, next(nums)) for child, _, _ in node.children)
+                             for node in self.template)
+        self._levels = [_Level([(0, 0)], [1], [1], 1, [])]
         self._tables: list[LevelNodes] = []
         self._rows: np.ndarray | None = None  # the state of each row of the deepest table
 
@@ -520,17 +551,16 @@ class IfsMeasure(MeasureModel):
         Pushing level n itself stops as soon as it has more than `max_masses`
         distinct masses; a coarser level may have more (the counts are not
         monotone in the level)."""
-        levels, nodes = self._levels, self.template
+        levels, pushes = self._levels, self._pushes
         while len(levels) <= n:
             above = levels[-1]
-            masses = tuple(above.multiset)
-            mass_id: dict[Mass, int] = {}
+            mass_id: dict[int, int] = {}  # numerator N of N / D^n -> id
             state_id: dict[tuple[int, int], int] = {}
             counts, edges = [], []
             for (node, j), count in zip(above.states, above.counts):
-                mu, row = masses[j], []
-                for child, ratio, _ in nodes[node].children:
-                    s = state_id.setdefault((child, mass_id.setdefault(mu * ratio, len(mass_id))),
+                num, row = above.nums[j], []
+                for child, a in pushes[node]:
+                    s = state_id.setdefault((child, mass_id.setdefault(num * a, len(mass_id))),
                                             len(counts))
                     if s == len(counts):
                         counts.append(0)
@@ -539,10 +569,8 @@ class IfsMeasure(MeasureModel):
                 edges.append(row)
                 if len(levels) == n:
                     _check_masses(n, len(mass_id), max_masses)
-            multiset = [0] * len(mass_id)
-            for (_, j), count in zip(state_id, counts):
-                multiset[j] += count
-            levels.append(_Level(list(state_id), counts, dict(zip(mass_id, multiset)), edges))
+            levels.append(_Level(list(state_id), counts, list(mass_id),
+                                 self._den ** len(levels), edges))
         return levels[n]
 
     def level_masses(self, n, max_cubes=DEFAULT_MAX_CUBES):
@@ -717,6 +745,9 @@ def _model_from_dict(doc: dict) -> MeasureModel:
     raise ParseError(f"unknown measure type {kind!r}")
 
 
+BOM = "\ufeff"
+
+
 def _decode(data: bytes, name: str) -> str:
     """UTF-8 text, after a byte-order mark if there is one."""
     try:
@@ -734,12 +765,15 @@ def load_measure(source, name: str = "measure spec") -> MeasureModel:
 
     Accepts bytes, str, or a readable file object. Bytes are UTF-8, with or
     without a byte-order mark; bytes that are not are a ParseError naming
-    `name` and the offset. Decimal numbers parse as exact rationals.
+    `name` and the offset. Text may start with a byte-order mark too. Decimal
+    numbers parse as exact rationals.
     """
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
         source = _decode(source, name)
+    elif isinstance(source, str):
+        source = source.removeprefix(BOM)
     try:
         doc = json.loads(source, parse_float=Fraction, parse_int=int)
     except json.JSONDecodeError as exc:
@@ -781,8 +815,9 @@ def ingest_points(rows, weight_column=None, name: str = "CSV input") -> AtomicMe
 
     `rows` is bytes (UTF-8, with or without a byte-order mark; bytes that
     are not are a ParseError naming `name` and the offset), text, or an
-    iterable of lines. A field is a number if `Fraction` accepts it after
-    `strip()`; a first row with a field that is not is a header. Plain
+    iterable of lines such as a text file; text and the first line may start
+    with a byte-order mark too. A field is a number if `Fraction` accepts it
+    after `strip()`; a first row with a field that is not is a header. Plain
     decimals, the common case, are read straight to integers, and the model
     is built by the integer core of `AtomicMeasure` without a `Fraction`
     per field.
@@ -795,6 +830,11 @@ def ingest_points(rows, weight_column=None, name: str = "CSV input") -> AtomicMe
     """
     if isinstance(rows, bytes):
         rows = _decode(rows, name)
+    elif isinstance(rows, str):
+        rows = rows.removeprefix(BOM)
+    else:  # an iterable of lines: a text file keeps the mark on its first
+        lines = iter(rows)
+        rows = itertools.chain([next(lines, "").removeprefix(BOM)], lines)
     if isinstance(rows, str):
         rows = io.StringIO(rows)
     # rows are read one at a time, and the first data row is parsed once

@@ -35,17 +35,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, columns, rows, config: dict) -> None:
+def write_csv(path, columns, rows, header: str) -> None:
+    """CSV rows under `header`, the run's `header_line`."""
     with open(path, "w", newline="") as fh:
-        fh.write(header_line(config) + "\n")
+        fh.write(header + "\n")
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
 
 
-def write_json(path, payload, config: dict) -> None:
+def write_json(path, payload, header: str) -> None:
+    """A JSON payload under `header`, the run's `header_line`."""
     with open(path, "w") as fh:
-        fh.write(header_line(config) + "\n")
+        fh.write(header + "\n")
         json.dump(payload, fh, sort_keys=True, indent=2, default=str)
         fh.write("\n")

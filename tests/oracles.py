@@ -4,8 +4,11 @@ from its definition, which the walk of the cube tree replaced (the IFS
 pullback recursion among them), the cube-by-cube descent that the
 node tables replaced, the J_rho partition taken level by level straight from
 its rule, the per-node and per-cell L4 kernels that the array locator
-and the batched projection replaced, and the coarse profile counted one
-alpha at a time by bisection, which the per-level array search replaced."""
+and the batched projection replaced, the coarse profile counted one
+alpha at a time by bisection, which the per-level array search replaced,
+the IFS level push in exact `Fraction` masses, which the push of integer
+numerators over D^n replaced, and the row-wise `packed_keys` and `np.prod`
+`monomials` that the column-by-column kernels replaced."""
 from __future__ import annotations
 
 import bisect
@@ -21,7 +24,7 @@ from widthlab import (AtomicMeasure, DyadicCube, ProductMeasure, ResourceLimitEr
 from widthlab.coarse import CoarseProfile, default_alpha_grid
 from widthlab.cubes import children
 from widthlab.functions import monomials, multi_indices
-from widthlab.measures import DEFAULT_MAX_CUBES
+from widthlab.measures import DEFAULT_MAX_CUBES, PACKED_KEY_BITS, _check_level, _check_masses
 from widthlab.quadrature import unit_rule
 from widthlab.spectrum import frac_log2, level_log_masses
 
@@ -224,3 +227,62 @@ def oracle_coarse_profile(model, levels, rho, alpha_grid=None, max_cubes=DEFAULT
         optimized_upper=optimized_upper,
         optimized_lower=optimized_lower,
     )
+
+
+def oracle_levels(model, n, max_masses=math.inf):
+    """Levels 0 .. n of an IFS model pushed through its template in exact
+    `Fraction` masses, each (states, counts, multiset, edges) as `_Level`
+    holds them: states (node, mass id) and their cube counts in id order,
+    {mass: count} in mass-id order, and per state of the level above its
+    children's state ids. Pushing level n stops as soon as it has more than
+    `max_masses` distinct masses."""
+    levels = [([(0, 0)], [1], {Fraction(1): 1}, [])]
+    while len(levels) <= n:
+        states, counts_above, multiset_above, _ = levels[-1]
+        masses = tuple(multiset_above)
+        mass_id, state_id = {}, {}
+        counts, edges = [], []
+        for (node, j), count in zip(states, counts_above):
+            mu, row = masses[j], []
+            for child, ratio, _ in model.template[node].children:
+                s = state_id.setdefault((child, mass_id.setdefault(mu * ratio, len(mass_id))),
+                                        len(counts))
+                if s == len(counts):
+                    counts.append(0)
+                counts[s] += count
+                row.append(s)
+            edges.append(row)
+            if len(levels) == n:
+                _check_masses(n, len(mass_id), max_masses)
+        multiset = [0] * len(mass_id)
+        for (_, j), count in zip(state_id, counts):
+            multiset[j] += count
+        levels.append((list(state_id), counts, dict(zip(mass_id, multiset)), edges))
+    return levels
+
+
+def oracle_level_masses(model, n, max_cubes=DEFAULT_MAX_CUBES):
+    # `IfsMeasure.level_masses` on a fresh model, by the Fraction push
+    _check_level(n)
+    out = oracle_levels(model, n, max_cubes)[n][2]
+    _check_masses(n, len(out), max_cubes)
+    return dict(out)
+
+
+def oracle_packed_keys(index, level):
+    # the row-wise form: an all() over each row's short axis, then the rows
+    # copied through np.where
+    inside = ((index >= 0) & (index < (1 << level))).all(axis=1)
+    wide = level * index.shape[1] > PACKED_KEY_BITS
+    coords = np.where(inside[:, None], index, 0).astype(object if wide else np.int64)
+    keys = coords[:, 0]
+    for column in coords.T[1:]:
+        keys = (keys << level) | column
+    keys[~inside] = -1
+    return keys
+
+
+def oracle_monomials(exponents, pts):
+    # np.prod over the short last axis of the (N, K, m) powers
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    return np.prod(pts[:, None, :] ** np.asarray(exponents)[None, :, :], axis=2)

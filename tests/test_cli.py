@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from widthlab import ParseError, cli, empirical
+from widthlab import ParseError, cli, empirical, reports
 from widthlab.measures import ingest_points
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -266,6 +266,23 @@ def test_header_hash_covers_config_file_values(tmp_path, monkeypatch):
         assert result["code"] == cli.EX_OK
         headers.append(result["header"])
     assert headers[0] != headers[1]
+
+
+def test_header_hashed_once_per_run(tmp_path, monkeypatch):
+    # two output files, one config hash, the same header on both
+    monkeypatch.chdir(tmp_path)
+    hashes = []
+    config_hash = reports.config_hash
+
+    def counted(config):
+        hashes.append(config_hash(config))
+        return hashes[-1]
+
+    monkeypatch.setattr(reports, "config_hash", counted)
+    result = run_cli(CASES["coarse-summary"], tmp_path)
+    assert result["code"] == cli.EX_OK and len(hashes) == 1
+    assert (tmp_path / "summary.json").read_text().partition("\n")[0] == result["header"]
+    assert result["header"].endswith(f"config={hashes[0]}")
 
 
 def test_weight_column_index_matches_name(tmp_path, monkeypatch):

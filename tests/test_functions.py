@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from widthlab import Bump, Polynomial, SinProduct, ValidationError, catalog, coordinate
+from widthlab.functions import monomials, multi_indices
+
+from oracles import oracle_monomials
 
 
 def test_bump_bounds_and_plateau():
@@ -105,3 +108,19 @@ def test_catalog_names():
     assert catalog("constant", 2).poly_degree == 0
     with pytest.raises(ValidationError):
         catalog("mystery", 1)
+
+
+@pytest.mark.parametrize("m", range(4))
+@pytest.mark.parametrize("degree", range(5))
+def test_monomials_match_the_axis_product(m, degree):
+    rng = np.random.default_rng(10 * m + degree)
+    pts = np.vstack([rng.uniform(-2.0, 2.0, (40, m)), np.zeros((1, m)),
+                     np.full((1, m), -0.0), np.full((1, m), 1e200)])
+    exps = multi_indices(m, degree)
+    exps = np.array(exps, dtype=int).reshape(len(exps), m)
+    with np.errstate(over="ignore"):  # 1e200 ** 2 is inf on both sides
+        got, want = monomials(exps, pts), oracle_monomials(exps, pts)
+    assert got.shape == (len(pts), len(exps)) and got.flags.c_contiguous
+    # the same bits, inf, -0.0 and all
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(monomials(exps, pts[0]), oracle_monomials(exps, pts[0]))

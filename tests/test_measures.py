@@ -23,11 +23,12 @@ from widthlab import (
     root,
 )
 
-from widthlab.measures import _parse_field
+from widthlab.measures import INT64_LEVELS, PACKED_KEY_BITS, _parse_field, packed_keys
 from widthlab.reports import config_hash
 
-from conftest import boundary_atomic, dyadic_ifs, ifs_atomic_lebesgue
-from oracles import descent_positive, oracle_mass
+from conftest import boundary_atomic, dyadic_ifs, ifs_atomic_lebesgue, new_tetrahedron
+from oracles import (descent_positive, oracle_level_masses, oracle_levels, oracle_mass,
+                     oracle_packed_keys)
 
 
 def test_atomic_mass_membership():
@@ -413,6 +414,94 @@ def test_ifs_mass_cap_trips_at_the_requested_level_only():
         model.level_masses(3, max_cubes=1)  # cached
 
 
+def _fresh(model):
+    return IfsMeasure(model.maps, model.probs, model.embed_shift)
+
+
+@given(dyadic_ifs(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_integer_push_matches_the_fraction_push(model, with_shift):
+    # dyadic_ifs mixes image levels 1..3 and draws an embed_shift half the
+    # time; the other half runs the same maps without one
+    if not with_shift:
+        model = IfsMeasure(model.maps, model.probs)
+    want = oracle_levels(model, 10)
+    for n in range(11):
+        states, counts, multiset, edges = want[n]
+        level = model._level(n)
+        assert (level.states, level.counts, level.edges) == (states, counts, edges)
+        # the same masses, in the same id order, with the same counts
+        assert list(level.multiset.items()) == list(multiset.items())
+        assert list(model.level_masses(n).items()) == list(multiset.items())
+        if sum(counts) <= 1 << 12:
+            _, mass_id, masses = model.level_nodes(n)
+            assert masses == tuple(multiset)
+            assert np.bincount(mass_id, minlength=len(masses)).tolist() == list(multiset.values())
+
+
+@given(dyadic_ifs(), st.integers(0, 10), st.integers(1, 40))
+@settings(max_examples=60, deadline=None)
+def test_integer_push_cap_trips_as_the_fraction_push(model, n, cap):
+    def outcome(level_masses):
+        try:
+            return list(level_masses(n, cap).items())
+        except ResourceLimitError as exc:
+            return str(exc)
+
+    want = outcome(lambda n, cap: oracle_level_masses(_fresh(model), n, cap))
+    assert outcome(_fresh(model).level_masses) == want
+    assert isinstance(want, list) or want == f"more than {cap} distinct masses at level {n}"
+
+
+def test_push_makes_no_fraction_arithmetic(monkeypatch):
+    model = new_tetrahedron()
+    calls = {"new": 0, "mul": 0, "hash": 0}
+    new, mul, hash_ = Fraction.__new__, Fraction.__mul__, Fraction.__hash__
+
+    def counting(key, method):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return method(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting("new", new)))
+    monkeypatch.setattr(Fraction, "__mul__", counting("mul", mul))
+    monkeypatch.setattr(Fraction, "__hash__", counting("hash", hash_))
+    model.level_masses(10)
+    monkeypatch.undo()
+    distinct = sum(len(model._level(n).multiset) for n in range(1, 11))
+    assert distinct == 1000
+    # at most one Fraction, and one hash for its multiset key, per distinct mass
+    assert calls["mul"] == 0
+    assert calls["new"] <= distinct and calls["hash"] <= distinct
+
+
+def _packed_rows():
+    # a level where packed keys change width (level * m = 62 / 63) or where
+    # indices are Python ints (level >= 63), and rows in and out of range
+    @st.composite
+    def rows(draw):
+        m, level = draw(st.sampled_from([(1, 62), (1, 63), (2, 31), (2, 32), (3, 20), (3, 21),
+                                         (1, 64), (2, 63), (3, 70), (2, 5)]))
+        wide = level >= INT64_LEVELS or draw(st.booleans())
+        lo, hi = (-(1 << (level + 2)), 1 << (level + 2)) if wide else (-(1 << 63), (1 << 63) - 1)
+        coordinate = st.one_of(st.integers(0, (1 << level) - 1), st.integers(lo, hi),
+                               st.sampled_from([-1, 1 << level, (1 << level) - 1]))
+        index = draw(st.lists(st.lists(coordinate, min_size=m, max_size=m), max_size=12))
+        return level, np.array(index, dtype=object if wide else np.int64).reshape(len(index), m)
+    return rows()
+
+
+@given(_packed_rows())
+@settings(max_examples=200, deadline=None)
+def test_packed_keys_match_the_row_wise_form(case):
+    level, index = case
+    got, want = packed_keys(index, level), oracle_packed_keys(index, level)
+    assert got.dtype == want.dtype
+    assert got.dtype == (object if level * index.shape[1] > PACKED_KEY_BITS else np.int64)
+    assert got.tolist() == want.tolist()
+
+
 def test_level_masses_deep_tetrahedron(tetrahedron):
     ms = tetrahedron.level_masses(12)
     assert sum(ms.values()) == 4**12
@@ -524,6 +613,28 @@ def test_atomic_points_without_coordinates():
     index, mass_id, masses = model.level_nodes(5)
     assert index.shape == (1, 0) and masses == (1,)
     assert model.edges(model.root_node()) == [((1, (0, 1)), 1, ())]
+
+
+@pytest.mark.parametrize("source", ["text", "file"])
+def test_text_with_a_byte_order_mark(source, tmp_path):
+    # a mark left on text, or on a file read as utf-8, is dropped as the
+    # bytes path drops it: the first row stays a data row
+    def read(name, text):
+        if source == "text":
+            return text
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        return path.open(encoding="utf-8")
+
+    cloud = read("bom.csv", "\ufeff0.25,0.25\n0.75,0.75\n")
+    assert ingest_points(cloud).points == ingest_points("0.25,0.25\n0.75,0.75\n").points
+    weighted = read("bomw.csv", "\ufeffw,x\n1,0.25\n3,0.75\n")
+    assert ingest_points(weighted, "w").weights == (Fraction(1, 4), Fraction(3, 4))
+    spec = read("bom.json", '\ufeff{"type": "uniform", "m": 1, "support": "2:1"}')
+    assert load_measure(spec).support == DyadicCube(2, (1,))
+    for handle in (cloud, weighted, spec):
+        if source == "file":
+            handle.close()
 
 
 def test_ingest_points_boundary_rejected():
