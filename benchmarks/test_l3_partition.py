@@ -1,7 +1,8 @@
 """L3 benchmark: J_rho partition rows, on IFS and non-IFS cube trees.
 
-Times the cells walk (`build_partition`) against the row recursion
-(`partition_row`), both over the edges of the model's cube tree, on:
+Times the two builds of the one J_rho walk over the edges of the model's
+cube tree: with its cells (`build_partition`, which visits every cube) and
+its rows alone (`partition_row`, memoized on the states), on:
 
 - tetrahedron: the benchmark tetrahedron at rho = 1 on the thresholds
   2^-4 .. 2^-20, the rows of perfbench's `partition-ifs` workload, checked
@@ -13,11 +14,26 @@ Times the cells walk (`build_partition`) against the row recursion
   thresholds 2^-4 .. 2^-12, checked against `naive_partition`.
 
 Each round gets a fresh model, as a command-line run does, so no state
-graph (the states each model interns for both walks) carries over from one
+graph (the states each model interns for the walk) carries over from one
 round to the next; within a round, the later thresholds reuse the states
-the earlier ones expanded. The cells walk still builds the 4^9 cells of
-lebesgue at 2^-24 one by one, about 4.3 s a round on a 2-core VM. Run from
-the root of the repository (pytest-benchmark required):
+the earlier ones expanded. The cells build still makes the 4^9 cells of
+lebesgue at 2^-24 one by one. Before and after the explicit-stack cells
+walk was folded into the row recursion, on a 2-core x86-64 VM shared with
+other tenants (Python 3.11), pytest-benchmark medians of 5 rounds, two runs
+a side, alternating:
+
+    case         cells build                  rows build
+    tetrahedron  182, 197 -> 207, 144 ms      6.2, 5.4 -> 7.9, 8.2 ms
+    lebesgue     3.42, 3.42 -> 3.53, 3.61 s   0.40, 0.63 -> 0.40, 0.70 ms
+    cloud        7.3, 6.3 -> 7.1, 7.0 ms      5.0, 3.5 -> 4.4, 5.3 ms
+
+The spread between runs on that machine is as large as these differences.
+Alternating fresh processes on the two sweeps the change could slow read:
+lebesgue cells, 8 rounds a side, median 3.53 -> 3.44 s; tetrahedron rows,
+the median of 30 rounds in each of 4 processes a side, 8.1, 7.1, 5.0, 8.5
+-> 7.8, 6.1, 4.6, 8.2 ms.
+
+Run from the root of the repository (pytest-benchmark required):
 
     PYTHONPATH=src python -m pytest benchmarks -q
 

@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, reports
-from .coarse import coarse_profile, count_view, default_alpha_grid
+from .coarse import coarse_profile, count_view
 from .empirical import decay_experiment, packing_probe
 from .errors import ParseError, ResourceLimitError, SolverError, ValidationError, WidthlabError
 from .functions import catalog
@@ -162,23 +162,19 @@ class Run:
         return value
 
     def emit(self, key: str, columns: list[str] | None, data) -> None:
-        """Write CSV rows, or a JSON payload if `columns` is None, to the file
-        named by option `key`; if it is unset, the main result ("out") goes to
-        stdout under the header line, a JSON side result to one stdout line."""
+        """Write CSV rows, or a JSON payload if `columns` is None, under the
+        header line to the file named by option `key`; if it is unset, the
+        main result ("out") goes to stdout the same way, a JSON side result to
+        one stdout line."""
         path = self.get(key)
-        if path is not None and columns is None:
-            reports.write_json(path, data, self.header)
-        elif path is not None:
-            reports.write_csv(path, columns, data, self.header)
-        elif key != "out":
+        if path is None and key != "out":
             print(json.dumps(data, sort_keys=True))
-        else:
-            print(self.header)
+            return
+        with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
             if columns is None:
-                print(json.dumps(data, sort_keys=True, indent=2, default=str))
-                return
-            for row in [columns, *data]:
-                print(",".join(reports._fmt(v) for v in row))
+                reports.write_json(fh, data, self.header)
+            else:
+                reports.write_csv(fh, columns, data, self.header)
 
 
 def _embedding(run: Run) -> EmbeddingParams:
@@ -194,7 +190,7 @@ def _rho(run: Run) -> float:
         rho = _embedding(run).rho
         if math.isinf(rho):
             raise ValidationError("q = inf has no finite rho; pass --rho directly")
-    elif rho <= 0:
+    elif not rho > 0:  # NaN too
         raise ValidationError("--rho must be positive")
     return rho
 
@@ -230,8 +226,8 @@ def _partition(run: Run) -> None:
 
 def _coarse(run: Run) -> None:
     rho, levels = _rho(run), run.get("levels")
-    alpha_grid = run.get("alpha_grid") or default_alpha_grid(run.model.m, rho)
-    prof = coarse_profile(run.model, levels, rho, alpha_grid, run.get("max_cubes"))
+    prof = coarse_profile(run.model, levels, rho, run.get("alpha_grid") or None,
+                          run.get("max_cubes"))
     rows = [(n, alpha, c, math.log2(max(c, 1)) / n)
             for n, row in zip(prof.levels, prof.counts) for alpha, c in zip(prof.alpha_grid, row)]
     run.emit("out", ["n", "alpha", "count", "F_est"], rows)

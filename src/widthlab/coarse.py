@@ -29,7 +29,7 @@ from .spectrum import frac_log2, level_log_masses
 
 def j_log2(model: MeasureModel, cube: DyadicCube, rho: float) -> float:
     """log2 of J_rho(Q); -inf for zero-mass cubes."""
-    if rho <= 0:
+    if not rho > 0:
         raise ValidationError("rho must be positive")
     mass = model.mass(cube)
     if mass == 0:
@@ -139,6 +139,8 @@ def coarse_profile(
         raise ValidationError("coarse profile needs a nonempty level list")
     if min(levels) < 1:
         raise ValidationError("coarse profile needs levels n >= 1")
+    if not 0 < rho < math.inf:
+        raise ValidationError("rho must be positive and finite")
     if alpha_grid is None:
         alpha_grid = default_alpha_grid(model.m, rho)
     alpha_grid = tuple(map(float, alpha_grid))

@@ -55,6 +55,7 @@ GIL.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -701,47 +702,72 @@ def lebesgue(m: int) -> UniformMeasure:
     return UniformMeasure(root(m))
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise ParseError(f"expected a number, got {value!r}")
-    if isinstance(value, int):
+def _typed(value, kind: type, field: str):
+    if not isinstance(value, kind):
+        raise ParseError(f"measure spec field {field}: expected a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _field(doc, key: str, path: str, kind: type = object):
+    """doc[key], which must be a `kind`; a missing or mistyped field is a
+    ParseError naming it by its path in the spec."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ParseError(f"measure spec field {path}{key} is missing")
+    return _typed(doc[key], kind, path + key)
+
+
+def _number(value, field: str) -> Fraction:
+    """A spec number (a Fraction or an int, as `load_measure` parses them) or
+    numeric string, exactly. JSON reads NaN and the infinities as floats:
+    they, like any other value, are a ParseError naming the field."""
+    if isinstance(value, (Fraction, int)) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, float):
-        # json parse hook normally yields Fractions; floats only appear when a
-        # model is built programmatically, where exactness is the caller's call.
-        return Fraction(value).limit_denominator(10**15)
-    raise ParseError(f"expected a number, got {value!r}")
+        with contextlib.suppress(ValueError, ZeroDivisionError):
+            return Fraction(value)
+    raise ParseError(f"measure spec field {field}: expected a number, got {value!r}")
 
 
-def _model_from_dict(doc: dict) -> MeasureModel:
+def _integer(value, field: str) -> int:
+    number = _number(value, field)
+    if number.denominator != 1:
+        raise ParseError(f"measure spec field {field}: expected an integer, got {number}")
+    return int(number)
+
+
+def _numbers(values, field: str) -> list[Fraction]:
+    return [_number(x, f"{field}[{i}]") for i, x in enumerate(_typed(values, list, field))]
+
+
+def _ifs_map(doc, path: str) -> IfsMap:
+    offset = _field(doc, "offset", path, list)
+    return IfsMap(_integer(_field(doc, "ratio_log2", path), f"{path}ratio_log2"),
+                  tuple(_integer(o, f"{path}offset[{k}]") for k, o in enumerate(offset)))
+
+
+def _model_from_dict(doc: dict, path: str = "") -> MeasureModel:
     if not isinstance(doc, dict) or "type" not in doc:
         raise ParseError("measure spec must be an object with a 'type' field")
     kind = doc["type"]
     if kind == "atomic":
+        points = _field(doc, "points", path, list)
         return AtomicMeasure(
-            [[_as_fraction(x) for x in p] for p in doc["points"]],
-            [_as_fraction(w) for w in doc["weights"]],
+            [_numbers(p, f"{path}points[{i}]") for i, p in enumerate(points)],
+            _numbers(_field(doc, "weights", path), f"{path}weights"),
         )
     if kind == "uniform":
-        support = doc["support"]
-        cube = parse_cube(support) if isinstance(support, str) else support
-        return UniformMeasure(cube)
+        return UniformMeasure(parse_cube(_field(doc, "support", path, str)))
     if kind == "ifs":
-        maps = [
-            IfsMap(int(mp["ratio_log2"]), tuple(int(o) for o in mp["offset"]))
-            for mp in doc["maps"]
-        ]
+        maps = [_ifs_map(mp, f"{path}maps[{i}].")
+                for i, mp in enumerate(_field(doc, "maps", path, list))]
         shift = None
         if doc.get("embed_shift") is not None:
-            es = doc["embed_shift"]
-            shift = IfsMap(int(es["ratio_log2"]), tuple(int(o) for o in es["offset"]))
-        return IfsMeasure(maps, [_as_fraction(p) for p in doc["probs"]], shift)
+            shift = _ifs_map(doc["embed_shift"], f"{path}embed_shift.")
+        return IfsMeasure(maps, _numbers(_field(doc, "probs", path), f"{path}probs"), shift)
     if kind == "product":
-        return ProductMeasure([_model_from_dict(f) for f in doc["factors"]])
+        factors = _field(doc, "factors", path, list)
+        return ProductMeasure([_model_from_dict(f, f"{path}factors[{i}].")
+                               for i, f in enumerate(factors)])
     raise ParseError(f"unknown measure type {kind!r}")
 
 
@@ -780,7 +806,7 @@ def load_measure(source, name: str = "measure spec") -> MeasureModel:
         raise ParseError(f"invalid JSON in measure spec: {exc}") from exc
     model = _model_from_dict(doc)
     m_declared = doc.get("m")
-    if m_declared is not None and int(m_declared) != model.m:
+    if m_declared is not None and _integer(m_declared, "m") != model.m:
         raise ParseError(
             f"declared dimension m={m_declared} does not match model dimension {model.m}"
         )

@@ -5,44 +5,34 @@ below t while the parent still meets t. Since J(child) <= J(parent) along
 refinement, the rule is well formed, and J(Q) <= 2^(-level*rho) forces
 termination no deeper than ceil(log2(1/t)/rho).
 
-Both functions walk the model's cube tree (`MeasureModel.root_node`,
-`MeasureModel.edges`), which every family answers natively: for an IFS or a
-uniform model its finite template, whose nodes every positive cube copies,
-for an atomic model a level and the atoms of the cube, and for a product
-the tuple of its factors' nodes. A cube's state is (level L, mass M,
-node h); a child's is (L + 1, M times its edge's ratio, its edge's node).
-`build_partition` walks the states depth first and returns the cells;
-`partition_row` returns the row alone (card, min_level, max_level, max_j)
-by a recursion memoized on the states, and builds no cube.
+One walk serves both functions. It descends the model's cube tree
+(`MeasureModel.root_node`, `MeasureModel.edges`), which every family answers
+natively: for an IFS or a uniform model its finite template, whose nodes
+every positive cube copies, for an atomic model a level and the atoms of the
+cube, and for a product the tuple of its factors' nodes. A cube's state is
+(level L, mass M, node h); a child's is (L + 1, M times its edge's ratio,
+its edge's node).
 
 State ids, shared across thresholds. Neither (M, h) nor its children depend
 on rho or t, so each model interns them once (`_StateGraph`, kept on the
-model): a state gets an int id and the frac_log2 of its mass when a walk
+model): a state gets an int id and the frac_log2 of its mass when the walk
 first meets it, and is expanded once into its children as (child id, its
-log2 mass, branch). The walks then run on ints and cached floats: the cells
-walk's stack holds (level, index, id) and the recursion memoizes on
-(level, id). An exact `Fraction` product and hash is paid once per edge of
-the state graph and a logarithm once per state, not per cube, threshold or
-rho.
+log2 mass, branch). An exact `Fraction` product and hash is paid once per
+edge of the state graph and a logarithm once per state, not per cube,
+threshold or rho, and each J is the same float on a cold or a warm graph.
 
 Why J depends only on the state. Every cube below the cube is a copy of a
 cube below h, so its level is L plus its depth below h and its mass M times
-the product of the edge ratios on its path down from h. J = mass *
-2^(-level * rho) of every cube below, hence whether each one is a cell, and
-the card, level range and largest J of the cells below, are functions of
-the state. The recursion computes them once per state (136 states at
-t = 2^-20 on the bench tetrahedron) and adds cards and takes extremes up the
-tree; for an IFS this is the renewal count of Lalley (1988) over the
-multinomial state classes of Cawley and Mauldin (1992).
-
-Why the rows agree bit for bit. Each decision of either walk is the test
-frac_log2(M) - L * rho < log2 t on the same reduced Fraction M, the cube's
-exact mass, so every J value is the same float, whether the graph was cold
-or left warm by other thresholds. Cards are integers, so max_cells costs no
-memory. The caps trip as in the cells walk, with its messages: the
-recursion visits the states in the walk's depth-first order, counting the
-cells emitted so far (a memoized state adds its whole card, below which the
-walk met no guard), so it raises what the walk raises first.
+the product of the edge ratios on its path down from h. Whether each cube
+below is a cell, and the card, level range and largest J of the cells
+below, are functions of (L, state). `partition_row` memoizes them on (L,
+state id), so it computes each once (136 states at t = 2^-20 on the bench
+tetrahedron) and adds cards and takes extremes up the tree; for an IFS this
+is the renewal count of Lalley (1988) over the multinomial state classes of
+Cawley and Mauldin (1992). `build_partition` needs the index of each cell,
+so it visits every cube. The walk counts the cells met so far in the same
+depth-first order either way, a memoized state adding its whole card, so
+`max_cells` and the level guard trip alike with or without the cells.
 """
 from __future__ import annotations
 
@@ -50,6 +40,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 
@@ -139,20 +130,67 @@ def _state_graph(model: MeasureModel) -> _StateGraph:
     return graph
 
 
-def _log2_threshold(rho: float, t: float) -> float:
-    if t <= 0:
+def _walk(model: MeasureModel, rho: float, t: float, max_cells: int,
+          cells: list | None) -> PartitionRow:
+    """The row of the partition for threshold t, by the recursion of the
+    module docstring; if `cells` is a list, the (level, index, log2 J) of
+    each cell are appended to it in the order they are met."""
+    if not t > 0:
         raise ValidationError("partition threshold t must be positive")
-    if rho <= 0:
+    if not rho > 0:
         raise ValidationError("rho must be positive")
-    return math.log2(t)
+    log2_t = math.log2(t)
+    if 0.0 < log2_t:  # J(root) = 1 < t: the root is the one cell
+        if cells is not None:
+            cells.append((0, (0,) * model.m, 0.0))
+        return PartitionRow(t=t, rho=rho, card=1, max_j=1.0, min_level=0, max_level=0,
+                            degenerate=True)
+    children = _state_graph(model).children
+    memo = {} if cells is None else None  # (level, state id) -> row
+    emitted = 0  # cells met so far
 
+    def expand(level: int, state: int, index: tuple[int, ...]) -> tuple[int, int, int, float]:
+        # (card, min level, max level, max log2 J) of the cells below an
+        # expanded cube, its children taken in depth-first order: the cells
+        # among them first, then the deeper children last to first; the
+        # index of a cube is carried down only when the cells are wanted
+        nonlocal emitted
+        row = None if memo is None else memo.get((level, state))
+        if row is None:
+            if level > _LEVEL_GUARD:
+                raise ResourceLimitError(f"partition descent exceeded level {_LEVEL_GUARD}")
+            js, deeper = [], []
+            below = (level + 1) * rho
+            doubled = None if cells is None else tuple(l << 1 for l in index)
+            for kid, log2_mu, branch in children(state):
+                j = log2_mu - below
+                child = None if doubled is None else tuple(map(add, doubled, branch))
+                if j < log2_t:
+                    js.append(j)
+                    if cells is not None:
+                        cells.append((level + 1, child, j))
+                else:
+                    deeper.append((kid, child))
+        # a memoized state adds its whole card, below which no guard tripped
+        emitted += len(js) if row is None else row[0]
+        if emitted > max_cells:
+            raise ResourceLimitError(f"partition for t={t} exceeded {max_cells} cells")
+        if row is not None:
+            return row
+        rows = [(len(js), level + 1, level + 1, max(js))] if js else []
+        for kid, child in reversed(deeper):
+            rows.append(expand(level + 1, kid, child))
+        row = rows[0]
+        if len(rows) > 1:
+            cards, lows, highs, tops = zip(*rows)
+            row = (sum(cards), min(lows), max(highs), max(tops))
+        if memo is not None:
+            memo[level, state] = row
+        return row
 
-def _cap_error(t: float, max_cells: int) -> ResourceLimitError:
-    return ResourceLimitError(f"partition for t={t} exceeded {max_cells} cells")
-
-
-def _guard_error() -> ResourceLimitError:
-    return ResourceLimitError(f"partition descent exceeded level {_LEVEL_GUARD}")
+    card, min_level, max_level, top = expand(0, _ROOT, (0,) * model.m)
+    return PartitionRow(t=t, rho=rho, card=card, max_j=2.0**top, min_level=min_level,
+                        max_level=max_level, degenerate=False)
 
 
 def build_partition(
@@ -167,43 +205,11 @@ def build_partition(
     support of the measure up to null sets. If the root itself already falls
     below t, the single root cell is returned and flagged degenerate.
     """
-    log2_t = _log2_threshold(rho, t)
-    if 0.0 < log2_t:  # J(root) = 1 < t
-        return PartitionResult(
-            t=t, rho=rho, card=1, cells=(DyadicCube(0, (0,) * model.m),), max_j=1.0,
-            min_level=0, max_level=0, degenerate=True,
-        )
-
-    children = _state_graph(model).children
-    cells: list[tuple[int, tuple[int, ...], float]] = []  # (level, index, log2 J)
-    stack = [(0, (0,) * model.m, _ROOT)]
-    while stack:
-        level, index, state = stack.pop()
-        if level > _LEVEL_GUARD:
-            raise _guard_error()
-        below = (level + 1) * rho
-        for kid, log2_mu, branch in children(state):
-            j = log2_mu - below
-            child = tuple(2 * l + b for l, b in zip(index, branch))
-            if j < log2_t:
-                cells.append((level + 1, child, j))
-                if len(cells) > max_cells:
-                    raise _cap_error(t, max_cells)
-            else:
-                stack.append((level + 1, child, kid))
-
+    cells: list[tuple[int, tuple[int, ...], float]] = []
+    row = _walk(model, rho, t, max_cells, cells)
     cells.sort()
-    levels = [level for level, _, _ in cells]
-    return PartitionResult(
-        t=t,
-        rho=rho,
-        card=len(cells),
-        cells=tuple(DyadicCube(level, index) for level, index, _ in cells),
-        max_j=2.0 ** max(j for _, _, j in cells),
-        min_level=levels[0],
-        max_level=levels[-1],
-        degenerate=False,
-    )
+    return PartitionResult(**vars(row),
+                           cells=tuple(DyadicCube(level, index) for level, index, _ in cells))
 
 
 def partition_row(
@@ -212,55 +218,9 @@ def partition_row(
     t: float,
     max_cells: int = DEFAULT_MAX_CELLS,
 ) -> PartitionRow:
-    """The row of `build_partition(model, rho, t, max_cells)` without its cells.
-
-    It comes from the state recursion of the module docstring; the
-    degenerate t > 1 takes the cells walk. Errors and their messages are the
-    cells walk's.
-    """
-    log2_t = _log2_threshold(rho, t)
-    if 0.0 < log2_t:
-        return build_partition(model, rho, t, max_cells)
-    children = _state_graph(model).children
-    memo: dict[tuple[int, int], tuple[int, int, int, float]] = {}
-    emitted = 0  # cells the cells walk has emitted so far
-
-    def expand(level: int, state: int) -> tuple[int, int, int, float]:
-        # (card, min level, max level, max log2 J) of the cells below an
-        # expanded cube, its children taken in the cells walk's order: the
-        # cells among them first, then the deeper children last to first
-        nonlocal emitted
-        key = (level, state)
-        row = memo.get(key)
-        if row is None:
-            if level > _LEVEL_GUARD:
-                raise _guard_error()
-            js, deeper = [], []
-            below = (level + 1) * rho
-            for kid, log2_mu, _ in children(state):
-                j = log2_mu - below
-                if j < log2_t:
-                    js.append(j)
-                else:
-                    deeper.append(kid)
-        # a memoized state adds its whole card, an expanded one its own cells
-        emitted += len(js) if row is None else row[0]
-        if emitted > max_cells:
-            raise _cap_error(t, max_cells)
-        if row is not None:
-            return row
-        rows = [(len(js), level + 1, level + 1, max(js))] if js else []
-        for kid in reversed(deeper):
-            rows.append(expand(level + 1, kid))
-        cards, lows, highs, tops = zip(*rows)
-        memo[key] = row = (sum(cards), min(lows), max(highs), max(tops))
-        return row
-
-    card, min_level, max_level, top = expand(0, _ROOT)
-    return PartitionRow(
-        t=t, rho=rho, card=card, max_j=2.0**top,
-        min_level=min_level, max_level=max_level, degenerate=False,
-    )
+    """The row of `build_partition(model, rho, t, max_cells)` without its
+    cells, and with its errors; no cube is built."""
+    return _walk(model, rho, t, max_cells, None)
 
 
 @dataclass(frozen=True)

@@ -35,19 +35,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, columns, rows, header: str) -> None:
-    """CSV rows under `header`, the run's `header_line`."""
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+def write_csv(out, columns, rows, header: str) -> None:
+    """CSV rows under `header`, the run's `header_line`, to the text stream
+    `out`; every line ends in LF."""
+    out.write(header + "\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
-def write_json(path, payload, header: str) -> None:
-    """A JSON payload under `header`, the run's `header_line`."""
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        json.dump(payload, fh, sort_keys=True, indent=2, default=str)
-        fh.write("\n")
+def write_json(out, payload, header: str) -> None:
+    """A JSON payload under `header`, the run's `header_line`, to the text
+    stream `out`."""
+    out.write(header + "\n")
+    json.dump(payload, out, sort_keys=True, indent=2, default=str)
+    out.write("\n")

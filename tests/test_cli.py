@@ -255,6 +255,45 @@ def test_coarse_nonpositive_alpha_exit_1(argv, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "widthlab: alpha must be positive\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["partition", *_TET22, "--thresholds", "0.5,nan"], "partition threshold t must be positive"),
+        (["partition", "--measure", "qc.json", "--rho", "1", "--thresholds", "nan",
+          "--cells-out", "cells.csv"], "partition threshold t must be positive"),
+        (["partition", "--measure", "tet.json", "--rho", "nan", "--thresholds", "0.5"],
+         "--rho must be positive"),
+        (["coarse", "--measure", "tet.json", "--rho", "nan", "--levels", "2..3"],
+         "--rho must be positive"),
+        (["coarse", "--measure", "tet.json", "--rho", "inf", "--levels", "2..3"],
+         "rho must be positive and finite"),
+    ],
+    ids=["threshold", "threshold-cells", "partition-rho", "coarse-rho", "coarse-rho-inf"],
+)
+def test_nan_threshold_or_rho_exit_1(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv, tmp_path)["code"] == cli.EX_FAIL
+    assert capsys.readouterr().err == f"widthlab: {message}\n"
+
+
+@pytest.mark.parametrize("name", ["partition", "order-sweep", "order-qinf"])
+def test_out_file_is_stdout_with_lf_line_ends(name, tmp_path, monkeypatch, capsys):
+    # below the header, whose hash covers "out", an --out file holds what
+    # stdout would, with every line ending in LF
+    monkeypatch.chdir(tmp_path)
+    for file_name, text in FILES.items():
+        (tmp_path / file_name).write_text(text)
+    argv = CASES[name]
+    at = argv.index("--out")
+    assert cli.main(argv) == cli.EX_OK
+    printed = capsys.readouterr().out
+    data = (tmp_path / argv[at + 1]).read_bytes()
+    assert b"\r" not in data
+    assert cli.main(argv[:at] + argv[at + 2:]) == cli.EX_OK
+    stdout = capsys.readouterr().out
+    assert stdout.partition("\n")[2] == data.decode().partition("\n")[2] + printed
+
+
 def test_header_hash_covers_config_file_values(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     headers = []

@@ -345,6 +345,18 @@ def test_profile_rejects_nonpositive_alpha_before_counting(grid, tetrahedron, mo
         coarse_profile(tetrahedron, [3, 4], 2.0, grid)
 
 
+@pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf])
+def test_profile_rejects_rho_not_positive_and_finite(rho, tetrahedron, monkeypatch):
+    def no_view(*args, **kwargs):
+        raise AssertionError("a count view was built")
+
+    monkeypatch.setattr(coarse, "count_view", no_view)
+    with pytest.raises(ValidationError, match="rho must be positive and finite"):
+        coarse_profile(tetrahedron, [3, 4], rho)
+    with pytest.raises(ValidationError, match="rho must be positive and finite"):
+        coarse_profile(tetrahedron, [3, 4], rho, [1.0, 2.0])
+
+
 @pytest.mark.parametrize("alpha", [0.0, -0.5, math.nan, -math.inf])
 def test_count_rejects_nonpositive_alpha(alpha, tetrahedron):
     with pytest.raises(ValidationError, match="alpha must be positive"):

@@ -592,6 +592,34 @@ def test_load_measure_other_variants():
         load_measure('{"type":"mystery"}')
 
 
+_TWO_MAPS = '"maps":[{"ratio_log2":1,"offset":[0]},{"ratio_log2":1,"offset":[1]}]'
+
+
+@pytest.mark.parametrize("spec, message", [
+    ('{"type":"ifs",%s,"probs":[NaN,0.5]}' % _TWO_MAPS,
+     "field probs[0]: expected a number, got nan"),
+    ('{"type":"atomic","points":[[Infinity]],"weights":[1]}',
+     "field points[0][0]: expected a number, got inf"),
+    ('{"type":"atomic","points":[[0.5]],"weights":["1/0"]}',
+     "field weights[0]: expected a number, got '1/0'"),
+    ('{"type":"ifs","maps":[{"ratio_log2":1}],"probs":[1]}', "field maps[0].offset is missing"),
+    ('{"type":"atomic","points":[[0.5]]}', "field weights is missing"),
+    ('{"type":"ifs","maps":[{"ratio_log2":1.5,"offset":[0]}],"probs":[1]}',
+     "field maps[0].ratio_log2: expected an integer, got 3/2"),
+    ('{"type":"ifs","maps":[{"ratio_log2":1,"offset":[0.5]}],"probs":[1]}',
+     "field maps[0].offset[0]: expected an integer, got 1/2"),
+    ('{"type":"product","factors":[{"type":"atomic","points":[0.5],"weights":[1]}]}',
+     "field factors[0].points[0]: expected a list, got Fraction(1, 2)"),
+    ('{"type":"uniform","support":5}', "field support: expected a str, got 5"),
+    ('{"type":"ifs",%s,"probs":[0.5,0.5],"m":NaN}' % _TWO_MAPS,
+     "field m: expected a number, got nan"),
+])
+def test_malformed_spec_fields_are_parse_errors(spec, message):
+    with pytest.raises(ParseError) as info:
+        load_measure(spec)
+    assert str(info.value) == "measure spec " + message
+
+
 def test_ingest_points_uniform_weights():
     model = ingest_points("0.1\n0.2\n0.3\n")
     assert model.weights == (Fraction(1, 3),) * 3

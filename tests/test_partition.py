@@ -10,6 +10,7 @@ from widthlab import (
     DyadicCube,
     ResourceLimitError,
     SolverError,
+    ValidationError,
     build_partition,
     entropy_slope,
     lebesgue,
@@ -96,6 +97,21 @@ def test_level_spread_bounded_for_single_ratio(quarter_cantor):
         for k in range(3, 16)
     ]
     assert max(spreads) <= 2
+
+
+@pytest.mark.parametrize("rho, t, message", [
+    (1.0, 0.0, "partition threshold t must be positive"),
+    (1.0, -0.5, "partition threshold t must be positive"),
+    (1.0, math.nan, "partition threshold t must be positive"),
+    (0.0, 0.5, "rho must be positive"),
+    (-1.0, 0.5, "rho must be positive"),
+    (math.nan, 0.5, "rho must be positive"),
+    (math.nan, 2.0, "rho must be positive"),
+])
+def test_threshold_and_rho_must_be_positive(rho, t, message, tetrahedron):
+    for build in (build_partition, partition_row):
+        with pytest.raises(ValidationError, match=message):
+            build(tetrahedron, rho, t)
 
 
 def test_entropy_slope_lebesgue(leb1):
@@ -194,57 +210,51 @@ def _outcome(build, model, rho, t, cap):
 
 
 def _cap_cases():
-    # name: (model builder, t, caps); lopsided: the heavy left chain passes
-    # level 64 while light right branches emit cells first, in the cells
-    # walk's depth-first order, so max_cells trips first for a small cap and
-    # the level guard for a large one; its maps are listed right first, the
-    # walk's edges left first
+    # name: (model builder, t, {cap: row or message}). The outcomes are
+    # literals, measured on the explicit-stack cells walk that the shared
+    # recursion replaced, so both public functions are held to fixed values
+    # rather than to each other. lopsided: the heavy left chain passes level
+    # 64 while light right branches emit cells first, in depth-first order,
+    # so max_cells trips first for a small cap and the level guard for a
+    # large one; its maps are listed right first, the walk's edges left first
     eps = Fraction(1, 1 << 60)
-    uniform = lambda: UniformMeasure(DyadicCube(2, (1, 2)))
-    card = build_partition(new_tetrahedron(), 1.0, 2.0**-12).card
-    flat = build_partition(uniform(), 1.0, 2.0**-12).card
+    t12, t70 = 2.0**-12, 2.0**-70
+    guard = "partition descent exceeded level 64"
+
+    def tripped(t, caps):
+        return {cap: f"partition for t={t} exceeded {cap} cells" for cap in caps}
+
     return {
-        "tetrahedron": (new_tetrahedron, 2.0**-12, [0, 1, card - 1, card]),
-        "uniform": (uniform, 2.0**-12, [0, 1, flat - 1, flat]),
+        "tetrahedron": (new_tetrahedron, t12, {
+            **tripped(t12, [0, 1, 366]),
+            367: (t12, 1.0, 367, 0.00022425062500000022, 2, 7, False)}),
+        "uniform": (lambda: UniformMeasure(DyadicCube(2, (1, 2))), t12, {
+            **tripped(t12, [0, 1, 255]), 256: (t12, 1.0, 256, 2.0**-14, 6, 6, False)}),
         "lopsided": (lambda: IfsMeasure([IfsMap(1, (1,)), IfsMap(1, (0,))], [eps, 1 - eps]),
-                     2.0**-70, [0, *range(110, 125), 1 << 40]),
-        "deep": (new_deep_ifs, 2.0**-200, [0, 1 << 40]),
+                     t70, {**tripped(t70, [0, *range(110, 120)]),
+                           **dict.fromkeys([*range(120, 125), 1 << 40], guard)}),
+        "deep": (new_deep_ifs, 2.0**-200, dict.fromkeys([0, 1 << 40], guard)),
     }
 
 
-def _cold_cap_outcomes(cases):
-    # (name, cap) -> the cells walk's row or message, each on a fresh model;
-    # the recursion's, on another fresh model, must be the same
-    want = {}
-    for name, (make, t, caps) in cases.items():
-        for cap in caps:
-            want[name, cap] = _outcome(build_partition, make(), 1.0, t, cap)
-            assert _outcome(partition_row, make(), 1.0, t, cap) == want[name, cap]
-    return want
-
-
 def test_state_rows_trip_caps_as_the_descent():
-    want = _cold_cap_outcomes(_cap_cases())
-    kinds = {}
-    for (name, _), outcome in want.items():
-        kind = "guard" if "level 64" in outcome else "cap" if isinstance(outcome, str) else "row"
-        kinds.setdefault(name, set()).add(kind)
-    assert kinds == {"tetrahedron": {"row", "cap"}, "uniform": {"row", "cap"},
-                     "lopsided": {"cap", "guard"}, "deep": {"guard"}}
+    # each public function, each cap on a fresh model
+    for name, (make, t, want) in _cap_cases().items():
+        for cap, outcome in want.items():
+            for build in (build_partition, partition_row):
+                assert _outcome(build, make(), 1.0, t, cap) == outcome, (name, cap, build)
 
 
 def test_caps_trip_alike_on_warm_models():
-    # the same cases on one model each, left warm by both walks at every
+    # the same cases on one model each, left warm by both functions at every
     # cap and by rows at coarser thresholds, in both orders of the caps
-    cases = _cap_cases()
-    want = _cold_cap_outcomes(cases)
-    for name, (make, t, caps) in cases.items():
+    for name, (make, t, want) in _cap_cases().items():
         model = make()
         for k in range(0, 12, 3):
             partition_row(model, 1.0, 2.0**-k)
-        for cap in [*caps, *reversed(caps)]:
+        for cap in [*want, *reversed(want)]:
             for build in (build_partition, partition_row):
-                assert _outcome(build, model, 1.0, t, cap) == want[name, cap]
+                assert _outcome(build, model, 1.0, t, cap) == want[cap], (name, cap, build)
 
 
 def test_partitions_never_query_the_ifs_mass_oracle(tetrahedron, monkeypatch):
