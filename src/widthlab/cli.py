@@ -119,7 +119,8 @@ def _read(path: str, what: str) -> bytes:
 class Run:
     """One invocation: its options (explicit flags over config-file keys),
     its measure, and where its results go. A value that the option's
-    converter rejects is a ParseError, whichever source it came from.
+    converter rejects, or a cap below 1, is a ParseError, whichever source
+    it came from.
     """
 
     def __init__(self, args: argparse.Namespace) -> None:
@@ -151,9 +152,12 @@ class Run:
         if value is None or convert is None:
             return value
         try:
-            return convert(value)
+            converted = convert(value)
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise ParseError(f"malformed {_flag(key)} value {value!r}: {exc}") from exc
+        if key in ("max_cubes", "max_cells") and converted < 1:  # not a cap that trips
+            raise ParseError(f"malformed {_flag(key)} value {value!r}: a cap must be >= 1")
+        return converted
 
     def need(self, key: str):
         value = self.get(key)

@@ -184,6 +184,8 @@ def alpha_good_cubes(
 ) -> list[DyadicCube]:
     """The alpha-good cubes themselves (identities, not just the count), in
     index order; each distinct mass of the level is tested once."""
+    if not alpha > 0:
+        raise ValidationError("alpha must be positive")
     threshold = (rho - alpha) * n
     index, mass_id, masses = model.level_nodes(n, max_cubes)
     good = np.array([frac_log2(mu) >= threshold for mu in masses], dtype=bool)

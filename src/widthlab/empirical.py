@@ -27,6 +27,11 @@ exact integer (int64 while L * m <= 62, Python ints beyond), a key with a
 coordinate outside [0, 2^L) packs to -1, and a binary search in the level's
 sorted cell keys finds its cell. It is exact at every depth, where float
 centres fail once D >= 53; `evaluate` and `lq_error` both go through it.
+
+A decay experiment projects each distinct cell of its partitions once,
+reuses the error of a partition equal to the last one, and holds the nodes
+and f-values of the current quadrature depth only; its rows are those of
+`piecewise_project` and `lq_error`, threshold by threshold, bit for bit.
 """
 from __future__ import annotations
 
@@ -79,7 +84,8 @@ def _hilbert_gram(m: int, degree: int) -> np.ndarray:
     gram = np.array(
         [[math.prod(1.0 / (a + b + 1) for a, b in zip(ea, eb)) for eb in exps] for ea in exps]
     )
-    logger.debug("moment gram: m=%d degree=%d cond=%.3e", m, degree, np.linalg.cond(gram))
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug("moment gram: m=%d degree=%d cond=%.3e", m, degree, np.linalg.cond(gram))
     gram.flags.writeable = False
     return gram
 
@@ -200,6 +206,20 @@ def _nodes(model: MeasureModel, depth: int, max_cubes: int):
     return index, centers, np.array([float(mu) for mu in masses])[mass_id]
 
 
+def _quadrature(f, model: MeasureModel, depth: int, max_cubes: int):
+    """The depth-`depth` nodes of `_nodes`, at least one, with f at their centres."""
+    index, centers, masses = _nodes(model, depth, max_cubes)
+    if not len(masses):
+        raise SolverError("measure has no positive cubes at quadrature depth")
+    return depth, index, centers, masses, np.asarray(f(centers), dtype=float)
+
+
+def _quadrature_error(approx: PiecewisePolynomial, nodes, q: float) -> float:
+    """||f - approx|| in L^q_nu at the nodes of `_quadrature`."""
+    depth, index, centers, masses, fvals = nodes
+    return _lq_norm(masses, fvals - approx._values(centers, approx.locate(depth, index)), q)
+
+
 def _lq_norm(masses: np.ndarray, values: np.ndarray, q: float) -> float:
     """L^q_nu norm of values at the nodes of `masses` (the max |value| for q = inf)."""
     diff = np.abs(values)
@@ -239,11 +259,7 @@ def lq_error(
         raise ValidationError(
             f"quadrature depth {depth} below max cell level + 2 = {approx.max_level + 2}"
         )
-    index, centers, masses = _nodes(model, depth, max_cubes)
-    if not len(masses):
-        raise SolverError("measure has no positive cubes at quadrature depth")
-    fvals = np.asarray(f(centers), dtype=float)
-    return _lq_norm(masses, fvals - approx._values(centers, approx.locate(depth, index)), q)
+    return _quadrature_error(approx, _quadrature(f, model, depth, max_cubes), q)
 
 
 @dataclass(frozen=True)
@@ -253,6 +269,37 @@ class DecayResult:
     upper_bound_ok: Optional[bool]
     rows: tuple[tuple[float, int, float], ...]  # (t, card, error)
     degenerate: bool
+
+
+def _decay_rows(
+    f, model: MeasureModel, params: EmbeddingParams, t_sequence, depth_offset: int,
+    max_cells: int, max_cubes: int,
+) -> list[tuple[float, int, float]]:
+    """(t, card, error) per non-degenerate threshold, shared as the module
+    docstring says: a cell's solve does not depend on the other cells, and
+    the depth grows with the cells, so an earlier one is rarely needed again."""
+    degree = params.sigma - 1
+    coeffs = {}  # cell -> its projection coefficients
+    nodes = last = None  # `_quadrature` of the current depth; (cells, error)
+    rows = []
+    for t in t_sequence:
+        part = build_partition(model, params.rho, float(t), max_cells)
+        if part.degenerate:
+            continue
+        if last is None or last[0] != part.cells:
+            new = [c for c in part.cells if c not in coeffs]
+            if new:
+                _, _, lower, side = _cell_frames(new)
+                coeffs.update(zip(new, _project_cells(f, new, lower, side, degree, None)))
+            approx = PiecewisePolynomial(
+                part.cells, np.array([coeffs[c] for c in part.cells]), degree, model.m
+            )
+            depth = part.max_level + depth_offset
+            if nodes is None or nodes[0] != depth:
+                nodes = _quadrature(f, model, depth, max_cubes)
+            last = part.cells, _quadrature_error(approx, nodes, params.q)
+        rows.append((float(t), part.card, last[1]))
+    return rows
 
 
 def decay_experiment(
@@ -268,8 +315,11 @@ def decay_experiment(
     """Fit the decay of the projection error against partition cardinality.
 
     For each threshold the adaptive partition is built, f is projected at
-    degree sigma-1, and the L^q_nu error is measured; the fitted log-log
-    slope is compared against the predicted upper Kolmogorov order.
+    degree sigma-1, and the L^q_nu error is measured at depth max level +
+    `depth_offset` (`_decay_rows`, which shares cells, errors and nodes
+    across thresholds); the fitted log-log slope is compared against the
+    predicted upper Kolmogorov order. The fit needs three rows of non-zero
+    error and two distinct cardinalities among them.
     """
     if math.isinf(params.q):
         raise ValidationError("decay experiments need finite q")
@@ -278,18 +328,8 @@ def decay_experiment(
     curve = closed_form_spectrum(model) or empirical_spectrum(model, 10)
     predicted = upper_order(params, curve).upper["K"]
 
-    rows = []
-    scale = 1.0
-    for t in t_sequence:
-        part = build_partition(model, params.rho, float(t), max_cells)
-        if part.degenerate:
-            continue
-        approx = piecewise_project(f, part, params.sigma - 1)
-        err = lq_error(
-            f, approx, model, params.q, part.max_level + depth_offset, max_cubes
-        )
-        rows.append((float(t), part.card, err))
-        scale = max(scale, err)
+    rows = _decay_rows(f, model, params, t_sequence, depth_offset, max_cells, max_cubes)
+    scale = max([1.0] + [e for _, _, e in rows])
     valid = [(c, e) for _, c, e in rows if e > 1e-13 * scale]
     if not valid:
         return DecayResult(
@@ -298,6 +338,8 @@ def decay_experiment(
         )
     if len(valid) < 3:
         raise SolverError("decay fit needs >= 3 non-degenerate thresholds")
+    if len({c for c, _ in valid}) < 2:
+        raise SolverError("decay fit needs >= 2 distinct partition cardinalities")
     xs = [math.log(c) for c, _ in valid]
     ys = [math.log(e) for _, e in valid]
     slope = float(np.polyfit(xs, ys, 1)[0])

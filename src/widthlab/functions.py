@@ -281,11 +281,15 @@ def multi_indices(m: int, max_total: int) -> list[tuple[int, ...]]:
 def monomials(exponents, pts) -> np.ndarray:
     """The (N, K) matrix of pts^k for points (N, m) and exponent rows k (K, m)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    powers = pts[:, None, :] ** np.asarray(exponents)[None, :, :]
-    # the product over the short last axis, left to right as np.prod takes it
-    out = np.ones(powers.shape[:2])
-    for i in range(powers.shape[2]):
-        out *= powers[:, :, i]
+    exponents = np.asarray(exponents)
+    # a table of pts^e for e = 0..max, by the same broadcast pow as the
+    # (N, K, m) array of every pts^k (another form of pow may change bits),
+    # and the product of its gathered columns over the short axis, left to
+    # right as np.prod takes it
+    table = pts[:, None, :] ** np.arange(exponents.max(initial=0) + 1)[None, :, None]
+    out = np.ones((len(pts), len(exponents)))
+    for i in range(pts.shape[1]):
+        out *= table[:, exponents[:, i], i]
     return out
 
 

@@ -25,10 +25,11 @@ def unit_rule_1d(npts: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=32)
 def unit_rule(m: int, npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor rule on the unit cube: points (npts^m, m) and weights."""
+    """Tensor rule on the unit cube: points (npts^m, m) and weights, each
+    weight the product of its factors left to right, as np.prod takes it."""
     x, w = unit_rule_1d(npts)
     pts = np.array(list(itertools.product(x, repeat=m)))
-    wts = np.array([np.prod(c) for c in itertools.product(w, repeat=m)])
+    wts = np.array([math.prod(c) for c in itertools.product(w.tolist(), repeat=m)], dtype=float)
     return pts, wts
 
 

@@ -57,7 +57,7 @@ def beta_row(
     for t in t_grid:
         if n < 1:
             raise ValidationError("beta_n needs level n >= 1")
-        if t < 0:
+        if not t >= 0:  # NaN too
             raise ValidationError("beta_n needs t >= 0")
         if t != 1 and view is None:
             view = level_log_masses(model, n, max_cubes)

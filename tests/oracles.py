@@ -7,8 +7,10 @@ its rule, the per-node and per-cell L4 kernels that the array locator
 and the batched projection replaced, the coarse profile counted one
 alpha at a time by bisection, which the per-level array search replaced,
 the IFS level push in exact `Fraction` masses, which the push of integer
-numerators over D^n replaced, and the row-wise `packed_keys` and `np.prod`
-`monomials` that the column-by-column kernels replaced."""
+numerators over D^n replaced, the row-wise `packed_keys` and `np.prod`
+`monomials` that the column-by-column kernels replaced, the Gauss weights
+taken one `np.prod` per tensor point, and the decay rows measured partition
+by partition, each anew, which the rows shared across thresholds replaced."""
 from __future__ import annotations
 
 import bisect
@@ -20,12 +22,14 @@ from fractions import Fraction
 import numpy as np
 
 from widthlab import (AtomicMeasure, DyadicCube, ProductMeasure, ResourceLimitError,
-                      UniformMeasure, ValidationError, root)
+                      UniformMeasure, ValidationError, build_partition, lq_error,
+                      piecewise_project, root)
 from widthlab.coarse import CoarseProfile, default_alpha_grid
 from widthlab.cubes import children
 from widthlab.functions import monomials, multi_indices
 from widthlab.measures import DEFAULT_MAX_CUBES, PACKED_KEY_BITS, _check_level, _check_masses
-from widthlab.quadrature import unit_rule
+from widthlab.partition import DEFAULT_MAX_CELLS
+from widthlab.quadrature import unit_rule, unit_rule_1d
 from widthlab.spectrum import frac_log2, level_log_masses
 
 # per IFS model: (level, index) -> mass of the unshifted measure
@@ -286,3 +290,24 @@ def oracle_monomials(exponents, pts):
     # np.prod over the short last axis of the (N, K, m) powers
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     return np.prod(pts[:, None, :] ** np.asarray(exponents)[None, :, :], axis=2)
+
+
+def oracle_unit_weights(m, npts):
+    # one np.prod over each tensor point's 1-d weights
+    _, w = unit_rule_1d(npts)
+    return np.array([np.prod(c) for c in itertools.product(w, repeat=m)])
+
+
+def oracle_decay_rows(f, model, params, t_sequence, depth_offset=3,
+                      max_cells=DEFAULT_MAX_CELLS, max_cubes=DEFAULT_MAX_CUBES):
+    # (t, card, error) threshold by threshold: every partition projected and
+    # measured on its own, its nodes and f-values built anew
+    rows = []
+    for t in t_sequence:
+        part = build_partition(model, params.rho, float(t), max_cells)
+        if part.degenerate:
+            continue
+        approx = piecewise_project(f, part, params.sigma - 1)
+        err = lq_error(f, approx, model, params.q, part.max_level + depth_offset, max_cubes)
+        rows.append((float(t), part.card, err))
+    return rows

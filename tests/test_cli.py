@@ -276,6 +276,65 @@ def test_nan_threshold_or_rho_exit_1(argv, message, tmp_path, monkeypatch, capsy
     assert capsys.readouterr().err == f"widthlab: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectrum", "--measure", "tet.json", "--levels", "2..3", "--t-grid", "nan"],
+         "beta_n needs t >= 0"),
+        (["spectrum", "--measure", "tet.json", "--levels", "2", "--t-grid", "0.5,nan"],
+         "beta_n needs t >= 0"),
+        (["probe", *_TET22, "--n", "3", "--alpha", "nan"], "alpha must be positive"),
+        (["probe", *_TET22, "--n", "3", "--alpha", "0"], "alpha must be positive"),
+    ],
+    ids=["t-grid", "t-grid-second", "probe-alpha", "probe-alpha-zero"],
+)
+def test_nan_t_or_alpha_exit_1(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv, tmp_path)["code"] == cli.EX_FAIL
+    assert capsys.readouterr().err == f"widthlab: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, config, flag, value",
+    [
+        (["partition", *_TET22, "--thresholds", "0.5", "--max-cells", "-1"], None,
+         "--max-cells", "-1"),
+        (["partition", *_TET22, "--thresholds", "0.5", "--cells-out", "cells.csv",
+          "--max-cells", "0"], None, "--max-cells", "0"),
+        (["dims", "--measure", "tet.json", "--levels", "2", "--max-cubes", "-1"], None,
+         "--max-cubes", "-1"),
+        (["spectrum", "--measure", "tet.json", "--levels", "2", "--max-cubes", "0"], None,
+         "--max-cubes", "0"),
+        (["partition", "--config", "caps.json", "--thresholds", "0.5"], {"max_cells": -1},
+         "--max-cells", "-1"),
+        (["dims", "--config", "caps.json", "--levels", "2"], {"max_cubes": 0},
+         "--max-cubes", "0"),
+    ],
+    ids=["max-cells", "max-cells-zero-cells-out", "max-cubes", "max-cubes-zero",
+         "config-max-cells", "config-max-cubes"],
+)
+def test_cap_below_one_is_a_malformed_value(argv, config, flag, value, tmp_path, monkeypatch,
+                                            capsys):
+    # a value no run can meet is a bad flag (exit 1), not a cap that tripped (exit 2)
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "caps.json").write_text(json.dumps(
+            {"measure": "tet.json", "sigma": 2, "p": 2, "q": 2, **config}))
+    assert run_cli(argv, tmp_path)["code"] == cli.EX_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith(f"widthlab: malformed {flag} value {value}") and "cap" in err
+
+
+def test_empirical_over_one_distinct_card_exit_1(tmp_path, monkeypatch, capsys):
+    # four rows of card 4: no line to fit, so no slope and no verdict
+    monkeypatch.chdir(tmp_path)
+    argv = ["empirical", "--measure", "tet.json", "--sigma", "2", "--p", "4", "--q", "2",
+            "--thresholds", "0.5,0.5,0.25,0.125"]
+    assert run_cli(argv, tmp_path)["code"] == cli.EX_FAIL
+    err = capsys.readouterr().err
+    assert err == "widthlab: decay fit needs >= 2 distinct partition cardinalities\n"
+
+
 @pytest.mark.parametrize("name", ["partition", "order-sweep", "order-qinf"])
 def test_out_file_is_stdout_with_lf_line_ends(name, tmp_path, monkeypatch, capsys):
     # below the header, whose hash covers "out", an --out file holds what

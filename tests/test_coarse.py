@@ -361,3 +361,9 @@ def test_profile_rejects_rho_not_positive_and_finite(rho, tetrahedron, monkeypat
 def test_count_rejects_nonpositive_alpha(alpha, tetrahedron):
     with pytest.raises(ValidationError, match="alpha must be positive"):
         count_alpha_good(tetrahedron, 5, 1.0, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.5, math.nan, -math.inf])
+def test_alpha_good_cubes_rejects_nonpositive_alpha(alpha, tetrahedron):
+    with pytest.raises(ValidationError, match="alpha must be positive"):
+        alpha_good_cubes(tetrahedron, 3, 1.0, alpha)

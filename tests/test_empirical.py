@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import logging
 import math
@@ -6,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from widthlab import (
     AtomicMeasure,
@@ -33,10 +35,12 @@ from widthlab import (
     sobolev_seminorm,
 )
 from widthlab import empirical
-from widthlab.functions import monomials, multi_indices
-from widthlab.quadrature import integrate_on_cell
+from widthlab.functions import catalog, monomials, multi_indices
+from widthlab.quadrature import integrate_on_cell, unit_rule
 
-from oracles import descent_positive, oracle_locate, oracle_moment_project
+from conftest import boundary_atomic, dyadic_ifs, ifs_atomic_lebesgue
+from oracles import (descent_positive, oracle_decay_rows, oracle_locate, oracle_moment_project,
+                     oracle_unit_weights)
 
 
 def test_polynomial_space_dim():
@@ -683,7 +687,9 @@ def test_decay_experiment_builds_each_depth_once(tetrahedron, monkeypatch):
     params = EmbeddingParams(m=3, sigma=2, p=4.0, q=2.0)
     result = decay_experiment(SinProduct(3), model, params, [2.0**-k for k in range(11)])
     assert list(result.rows) == TETRAHEDRON_DECAY_ROWS
-    assert depths == [4, 4, 4, 4, 5, 5, 5, 6, 6, 6, 7]
+    # the quadrature depths of the 11 thresholds are 4,4,4,4,5,5,5,6,6,6,7:
+    # the nodes of each are requested once, when the depth changes
+    assert depths == [4, 5, 6, 7]
     # one build per distinct quadrature depth, and one per coarser level
     # that its expansion reads; none repeats
     assert [n for n in builds if n in depths] == [4, 5, 6, 7]
@@ -695,3 +701,42 @@ def test_sup_norm_does_not_depend_on_resolution():
     # single refined node settled on a lower local maximum at resolution 4
     values = [sobolev_seminorm(Bump(1), 5, math.inf, resolution=r) for r in range(3, 7)]
     assert max(values) == pytest.approx(min(values), rel=1e-6)
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("npts", range(1, 11))
+def test_unit_rule_weights_match_the_per_point_product(m, npts):
+    got, want = unit_rule(m, npts)[1], oracle_unit_weights(m, npts)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@given(st.one_of(dyadic_ifs(), st.sampled_from([boundary_atomic(), ifs_atomic_lebesgue()])),
+       st.sampled_from(["sin", "linear", "bump", "constant"]),
+       st.integers(1, 3), st.sampled_from([4.0, math.inf]), st.sampled_from([1.0, 2.0, 4.0]),
+       st.lists(st.tuples(st.integers(0, 8), st.sampled_from([1.0, 0.75, 0.6])),
+                min_size=1, max_size=7),
+       st.integers(0, 3), st.integers(2, 3))
+@settings(max_examples=80, deadline=None)
+def test_decay_rows_match_the_per_threshold_route(model, name, sigma, p, q, draws, repeat,
+                                                   depth_offset):
+    """The rows shared across thresholds are the per-threshold rows bit for
+    bit, on unsorted thresholds with repeats, at degrees 0..2."""
+    thresholds = [factor * 2.0**-k for k, factor in draws]
+    thresholds.insert(repeat % len(thresholds), thresholds[-1])
+    f, params = catalog(name, model.m), EmbeddingParams(m=model.m, sigma=sigma, p=p, q=q)
+    want = oracle_decay_rows(f, model, params, thresholds, depth_offset)
+    got = empirical._decay_rows(f, model, params, thresholds, depth_offset,
+                                empirical.DEFAULT_MAX_CELLS, empirical.DEFAULT_MAX_CUBES)
+    assert repr(got) == repr(want)  # -0.0 and 0.0 told apart
+    # unless the spectrum is degenerate or the fit is short of rows or cards
+    with contextlib.suppress(SolverError):
+        assert decay_experiment(f, model, params, thresholds, depth_offset).rows == tuple(got)
+
+
+def test_decay_fit_over_one_distinct_card(tetrahedron):
+    params = EmbeddingParams(m=3, sigma=2, p=4.0, q=2.0)
+    thresholds = [0.5, 0.5, 0.25, 0.125]  # four rows, all of card 4
+    assert {card for _, card, _ in oracle_decay_rows(SinProduct(3), tetrahedron, params,
+                                                     thresholds)} == {4}
+    with pytest.raises(SolverError, match=r"^decay fit needs >= 2 distinct partition"):
+        decay_experiment(SinProduct(3), tetrahedron, params, thresholds)

@@ -223,3 +223,9 @@ def test_beta_row_t_one_builds_no_multiset(tetrahedron):
         beta_row(tetrahedron, 0, [1.0])
     with pytest.raises(ValidationError):
         beta_row(tetrahedron, 2, [1.0, -0.5])
+
+
+@pytest.mark.parametrize("grid", [[math.nan], [0.5, math.nan], [1.0, math.nan]])
+def test_beta_row_rejects_nan_t(grid, tetrahedron):
+    with pytest.raises(ValidationError, match="beta_n needs t >= 0"):
+        beta_row(tetrahedron, 2, grid)
