@@ -34,6 +34,15 @@ must give the same multisets in the same order. On the same VM the two
 pushes take a median of 1.65 s over 5 rounds (in one process: `ifs7` 1.40
 s, tetrahedron 0.32 s), against 9.66 s for one round of the `Fraction` push.
 
+A sixth case times the Lebesgue table at level 8 alone, on a fresh model
+each round: `level_nodes`, which pushes the uniform model as the IFS of its
+four half-scale maps, against the index grid translated to the support that
+it replaced, kept as `oracle_uniform_nodes` in `tests/oracles.py`. Both must
+give the same table. Over three runs of 20 rounds on the same VM the grid
+took a median of 0.9-1.8 ms and the push 6.9-7.5 ms, 4-8 times as long: the
+price of one table code for both families. No perfbench workload builds a
+uniform model.
+
 Run from the root of the repository (pytest-benchmark required):
 
     PYTHONPATH=src python -m pytest benchmarks -q
@@ -52,7 +61,7 @@ from widthlab import (AtomicMeasure, DyadicCube, IfsMap, IfsMeasure, ProductMeas
 from widthlab.reports import config_hash
 
 from tests.conftest import ifs7, new_tetrahedron
-from tests.oracles import descent_positive, oracle_level_masses
+from tests.oracles import descent_positive, oracle_level_masses, oracle_uniform_nodes
 
 SEED = 0
 CLOUD_POINTS = 600
@@ -101,6 +110,15 @@ def test_l2_levels(benchmark, enumerate_, descent):
     if enumerate_ is table_positive:
         got = [as_cubes(n, table) for (_, n), table in zip(cases(), got)]
     assert got == descent
+
+
+@pytest.mark.parametrize("build", [oracle_uniform_nodes, table_positive], ids=["grid", "ifs"])
+def test_l2_uniform(benchmark, build):
+    got = benchmark.pedantic(lambda model: build(model, 8), setup=lambda: ((lebesgue(2),), {}),
+                             rounds=20)
+    want = oracle_uniform_nodes(lebesgue(2), 8)
+    assert got.index.tolist() == want.index.tolist()
+    assert got.mass_id.tolist() == want.mass_id.tolist() and got.masses == want.masses
 
 
 def integer_state(model):

@@ -119,8 +119,8 @@ def _read(path: str, what: str) -> bytes:
 class Run:
     """One invocation: its options (explicit flags over config-file keys),
     its measure, and where its results go. A value that the option's
-    converter rejects, or a cap below 1, is a ParseError, whichever source
-    it came from.
+    converter rejects, a cap below 1, or a range, grid or threshold list
+    with no values is a ParseError, whichever source it came from.
     """
 
     def __init__(self, args: argparse.Namespace) -> None:
@@ -157,6 +157,8 @@ class Run:
             raise ParseError(f"malformed {_flag(key)} value {value!r}: {exc}") from exc
         if key in ("max_cubes", "max_cells") and converted < 1:  # not a cap that trips
             raise ParseError(f"malformed {_flag(key)} value {value!r}: a cap must be >= 1")
+        if convert in (parse_levels, parse_grid, parse_thresholds) and not converted:
+            raise ParseError(f"malformed {_flag(key)} value {value!r}: it holds no values")
         return converted
 
     def need(self, key: str):
@@ -172,7 +174,7 @@ class Run:
         one stdout line."""
         path = self.get(key)
         if path is None and key != "out":
-            print(json.dumps(data, sort_keys=True))
+            print(reports.json_text(data))
             return
         with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
             if columns is None:
@@ -230,8 +232,7 @@ def _partition(run: Run) -> None:
 
 def _coarse(run: Run) -> None:
     rho, levels = _rho(run), run.get("levels")
-    prof = coarse_profile(run.model, levels, rho, run.get("alpha_grid") or None,
-                          run.get("max_cubes"))
+    prof = coarse_profile(run.model, levels, rho, run.get("alpha_grid"), run.get("max_cubes"))
     rows = [(n, alpha, c, math.log2(max(c, 1)) / n)
             for n, row in zip(prof.levels, prof.counts) for alpha, c in zip(prof.alpha_grid, row)]
     run.emit("out", ["n", "alpha", "count", "F_est"], rows)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .cubes import DyadicCube, neighbors
 from .errors import ValidationError
-from .measures import DEFAULT_MAX_CUBES, INT64_LEVELS, MeasureModel, packed_keys
+from .measures import DEFAULT_MAX_CUBES, MeasureModel, index_array, packed_keys
 from .spectrum import frac_log2, level_log_masses
 
 
@@ -202,8 +202,7 @@ def _table_masses(model: MeasureModel, n: int, rows, max_cubes: int) -> list[Fra
     by packed key in the level's node table; a cube absent from it has mass 0."""
     index, mass_id, masses = model.level_nodes(n, max_cubes)
     keys = packed_keys(index, n)  # increasing: the table is in index order
-    dtype = np.int64 if n < INT64_LEVELS else object
-    query = packed_keys(np.array(rows, dtype=dtype).reshape(len(rows), model.m), n)
+    query = packed_keys(index_array(rows, n, model.m), n)
     pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
     found = keys[pos] == query
     return [masses[j] if hit else Fraction(0)

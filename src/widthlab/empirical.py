@@ -54,7 +54,7 @@ from .functions import (
     monomials,
     multi_indices,
 )
-from .measures import DEFAULT_MAX_CUBES, INT64_LEVELS, MeasureModel, packed_keys
+from .measures import DEFAULT_MAX_CUBES, MeasureModel, index_array, packed_keys
 from .orders import EmbeddingParams, upper_order
 from .partition import DEFAULT_MAX_CELLS, PartitionResult, build_partition
 from .quadrature import composite_unit_norm, unit_rule
@@ -95,8 +95,7 @@ def _cell_frames(cells) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     and float sides of the cells; corners and sides are rounded once each,
     as float(Fraction) would round them."""
     levels = np.array([c.level for c in cells])
-    dtype = np.int64 if levels.max() < INT64_LEVELS else object
-    index = np.array([c.index for c in cells], dtype=dtype)
+    index = index_array([c.index for c in cells], levels.max(), cells[0].m)
     return levels, index, np.ldexp(index.astype(float), -levels[:, None]), np.ldexp(1.0, -levels)
 
 

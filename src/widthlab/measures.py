@@ -19,9 +19,9 @@ An atomic model holds its coordinates and weights as integer arrays over
 two common denominators (int64 where they fit, Python ints beyond): its
 table takes the exact indices ceil(x 2^n) - 1 = (c 2^n - 1) // pden of all
 atoms in one array operation, then sums the integer weights per cube and
-builds one `Fraction` per distinct mass. Uniform tables are an index grid,
-and a product pairs every row of each factor's table with every row of the
-others', its mass ids remapped through the products.
+builds one `Fraction` per distinct mass. A product pairs every row of each
+factor's table with every row of the others', its mass ids remapped through
+the products.
 
 Every model answers the tree of its positive cubes natively (`root_node`,
 `edges`): each edge gives a child's node, its mass ratio to the parent and
@@ -35,11 +35,13 @@ is N / D^n with N the product of its path's numerators, and at one level
 two masses are equal exactly when their N are. So a level's states
 (node, N) expand the cached states of the level above in integers, its
 multiset and node table build one `Fraction` per distinct mass when first
-read, and the cube count pushes integers per node. A uniform measure is
-the simplest such template: a chain down to its support, then one node
-whose 2^m children are itself. An atomic node is a level and the atoms in
-its cube, split among the children by the rule of its node table, and a
-product pairs the factors' trees.
+read, and the cube count pushes integers per node. A uniform measure is an
+IFS: normalized Lebesgue measure on a dyadic cube is the self-similar
+measure of the 2^m maps x -> (x + b) / 2, b in {0,1}^m, of weight 2^-m
+each, embedded into the cube (Hutchinson 1981). Its template is a chain
+down to the support, then one node whose 2^m children are itself. An
+atomic node is a level and the atoms in its cube, split among the children
+by the rule of its node table, and a product pairs the factors' trees.
 
 `_check_level` checks a level's cube count against `max_cubes` before its
 table is built (an IFS pushes the count in integers, so an oversized level
@@ -91,9 +93,9 @@ class LevelNodes(NamedTuple):
 
 
 class TemplateNode(NamedTuple):
-    """A node of an IFS or uniform template: its positive children in index
-    order as (node, ratio, branch) edges. The child cube is the parent's
-    child `branch` (one bit per coordinate, its index 2 index + branch), its
+    """A node of an IFS template: its positive children in index order as
+    (node, ratio, branch) edges. The child cube is the parent's child
+    `branch` (one bit per coordinate, its index 2 index + branch), its
     subtree is that node's, and its mass is the parent's times ratio."""
 
     children: tuple[tuple[int, Mass, tuple[int, ...]], ...]
@@ -122,7 +124,7 @@ class _Level:
         return dict(zip((Fraction(num, self.den) for num in self.nums), sizes))
 
 
-def _index_array(rows, n: int, m: int) -> np.ndarray:
+def index_array(rows, n: int, m: int) -> np.ndarray:
     """(N, m) array of level-n indices, exact at every level."""
     dtype = np.int64 if n < INT64_LEVELS else object
     return np.array(rows, dtype=dtype).reshape(len(rows), m)
@@ -153,12 +155,6 @@ def _common(pairs) -> tuple[list[int], int]:
     nums = [a * (den // b) for a, b in pairs]
     g = math.gcd(den, *nums)
     return ([c // g for c in nums] if g > 1 else nums), den // g
-
-
-def _translate(index: np.ndarray, offset, shift: int, n: int) -> np.ndarray:
-    """Level-n indices index + (offset << shift), exact at every level."""
-    delta = _index_array([[o << shift for o in offset]], n, len(offset))
-    return index.astype(delta.dtype) + delta
 
 
 def packed_keys(index: np.ndarray, level: int) -> np.ndarray:
@@ -201,7 +197,8 @@ class MeasureModel:
     """Common interface: the tree of positive cubes (`root_node`, `edges`),
     exact masses of dyadic cubes by one walk of it (`mass`), and each
     level's positive cubes as a node table (`level_nodes`), which every
-    family builds in bulk without the mass oracle."""
+    family builds in bulk without the mass oracle. An IFS model, uniform
+    ones among them, answers the tree from its template."""
 
     m: int
     finite_support = False
@@ -219,13 +216,13 @@ class MeasureModel:
         return mu
 
     def root_node(self):
-        """The node of the unit cube; by default node 0 of `template`."""
-        return 0
+        """The node of the unit cube."""
+        raise NotImplementedError
 
     def edges(self, node) -> tuple[tuple[object, Mass, tuple[int, ...]], ...]:
         """A node's positive children in index order as (node, mass ratio
-        child/parent, branch bits); by default its `template` node's."""
-        return self.template[node].children
+        child/parent, branch bits)."""
+        raise NotImplementedError
 
     def level_nodes(self, n: int, max_cubes: int = DEFAULT_MAX_CUBES) -> LevelNodes:
         """The node table of the level-n positive cubes."""
@@ -244,8 +241,8 @@ class MeasureModel:
     def level_masses(self, n: int, max_cubes: int = DEFAULT_MAX_CUBES) -> dict[Mass, int]:
         """Multiset {mass: count} over the level-n positive cubes.
 
-        Subclasses override this with closed forms where the level would be
-        too large to tabulate; the default counts the node table's mass ids.
+        IFS and product models override this where the level would be too
+        large to tabulate; the default counts the node table's mass ids.
         """
         _, mass_id, masses = self.level_nodes(n, max_cubes)
         return dict(zip(masses, np.bincount(mass_id, minlength=len(masses)).tolist()))
@@ -379,7 +376,7 @@ class AtomicMeasure(MeasureModel):
         keys = sorted(groups)
         ids: dict[int, int] = {}
         mass_id = np.array([ids.setdefault(groups[k], len(ids)) for k in keys], dtype=np.intp)
-        return LevelNodes(_index_array(keys, n, self.m), mass_id,
+        return LevelNodes(index_array(keys, n, self.m), mass_id,
                           tuple(Fraction(u, self._den) for u in ids))
 
     def to_spec(self) -> dict:
@@ -392,35 +389,6 @@ class AtomicMeasure(MeasureModel):
             "points": [coords[k * m:(k + 1) * m] for k in range(n)],
             "weights": _fraction_strs(self._units, self._den),
         }
-
-
-class UniformMeasure(MeasureModel):
-    """Normalized Lebesgue measure restricted to a dyadic cube."""
-
-    def __init__(self, support: DyadicCube) -> None:
-        self.support = support
-        self.m = support.m
-        # the chain down to the support, then its node, whose 2^m children are itself
-        ratio = Fraction(1, 1 << self.m)
-        self.template = (*_chain(support), TemplateNode(tuple(
-            (support.level, ratio, bits) for bits in itertools.product((0, 1), repeat=self.m))))
-
-    def level_masses(self, n, max_cubes=DEFAULT_MAX_CUBES):
-        _check_level(n)
-        k = max(n - self.support.level, 0) * self.m
-        return {Fraction(1, 1 << k): 1 << k}
-
-    def level_nodes(self, n, max_cubes=DEFAULT_MAX_CUBES):
-        s = self.support
-        shift = max(n - s.level, 0)
-        _check_level(n, 1 << (shift * self.m), max_cubes)
-        grid = np.indices((1 << shift,) * self.m).reshape(self.m, -1).T
-        index = _translate(grid, s.ancestor(min(n, s.level)).index, shift, n)
-        mu = Fraction(1, 1 << (shift * self.m))
-        return LevelNodes(index, np.zeros(len(index), dtype=np.intp), (mu,))
-
-    def to_spec(self) -> dict:
-        return {"type": "uniform", "m": self.m, "support": str(self.support)}
 
 
 @dataclass(frozen=True)
@@ -507,6 +475,12 @@ class IfsMeasure(MeasureModel):
         self._levels = [_Level([(0, 0)], [1], [1], 1, [])]
         self._tables: list[LevelNodes] = []
         self._rows: np.ndarray | None = None  # the state of each row of the deepest table
+
+    def root_node(self) -> int:
+        return 0
+
+    def edges(self, node: int) -> tuple[tuple[int, Mass, tuple[int, ...]], ...]:
+        return self.template[node].children
 
     @property
     def common_ratio_log2(self) -> int | None:
@@ -607,13 +581,13 @@ class IfsMeasure(MeasureModel):
         n - 1 expands to its state's children, at indices 2 index + branch."""
         level = self._level(n)
         if n == 0:
-            index, state = _index_array([(0,) * self.m], 0, self.m), np.zeros(1, dtype=np.intp)
+            index, state = index_array([(0,) * self.m], 0, self.m), np.zeros(1, dtype=np.intp)
         else:
             above, rows = self._tables[n - 1], self._rows
             nodes = self.template
             kid = np.array([s for row in level.edges for s in row], dtype=np.intp)
-            branch = _index_array([bits for node, _ in self._levels[n - 1].states
-                                   for _, _, bits in nodes[node].children], n, self.m)
+            branch = index_array([bits for node, _ in self._levels[n - 1].states
+                                  for _, _, bits in nodes[node].children], n, self.m)
             first = np.cumsum([0] + [len(row) for row in level.edges])
             width = np.diff(first)[rows]
             start = np.cumsum(width) - width
@@ -644,6 +618,22 @@ class IfsMeasure(MeasureModel):
                 "offset": list(self.embed_shift.offset),
             }
         return spec
+
+
+class UniformMeasure(IfsMeasure):
+    """Normalized Lebesgue measure restricted to a dyadic cube: the IFS of
+    the 2^m half-scale maps x -> (x + b) / 2, b in {0,1}^m, each of weight
+    2^-m, embedded into the support."""
+
+    def __init__(self, support: DyadicCube) -> None:
+        m = support.m
+        super().__init__([IfsMap(1, bits) for bits in itertools.product((0, 1), repeat=m)],
+                         [Fraction(1, 1 << m)] * (1 << m),
+                         IfsMap(support.level, support.index) if support.level else None)
+        self.support = support
+
+    def to_spec(self) -> dict:
+        return {"type": "uniform", "m": self.m, "support": str(self.support)}
 
 
 class ProductMeasure(MeasureModel):

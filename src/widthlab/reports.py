@@ -44,9 +44,28 @@ def write_csv(out, columns, rows, header: str) -> None:
     writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
+def _finite(value):
+    """`value` with each non-finite float, in lists and dict values too, as
+    the string that `_fmt` writes for it."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return _fmt(value)
+    if isinstance(value, dict):
+        return {key: _finite(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
+def json_text(payload, indent: int | None = None) -> str:
+    """The payload as JSON with sorted keys. RFC 8259 has no Infinity or
+    NaN, so a non-finite float is written as the string "inf", "-inf" or
+    "nan", as in the CSV tables."""
+    return json.dumps(_finite(payload), sort_keys=True, indent=indent, default=str,
+                      allow_nan=False)
+
+
 def write_json(out, payload, header: str) -> None:
     """A JSON payload under `header`, the run's `header_line`, to the text
     stream `out`."""
     out.write(header + "\n")
-    json.dump(payload, out, sort_keys=True, indent=2, default=str)
-    out.write("\n")
+    out.write(json_text(payload, indent=2) + "\n")

@@ -83,9 +83,6 @@ class SpectrumCurve:
     def beta(self, t: float) -> float:
         raise NotImplementedError
 
-    def beta0(self) -> float:
-        return self.beta(0.0)
-
     def convexity_defect(self, t_grid=DEFAULT_T_GRID) -> float:
         """Most negative second difference over the grid (>= -1e-12 expected)."""
         vals = [self.beta(t) for t in t_grid]

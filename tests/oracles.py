@@ -9,8 +9,10 @@ alpha at a time by bisection, which the per-level array search replaced,
 the IFS level push in exact `Fraction` masses, which the push of integer
 numerators over D^n replaced, the row-wise `packed_keys` and `np.prod`
 `monomials` that the column-by-column kernels replaced, the Gauss weights
-taken one `np.prod` per tensor point, and the decay rows measured partition
-by partition, each anew, which the rows shared across thresholds replaced."""
+taken one `np.prod` per tensor point, the decay rows measured partition
+by partition, each anew, which the rows shared across thresholds replaced,
+and a uniform model's own template, closed-form multiset and index-grid
+node table, which its push as the IFS of the 2^m half-scale maps replaced."""
 from __future__ import annotations
 
 import bisect
@@ -27,7 +29,8 @@ from widthlab import (AtomicMeasure, DyadicCube, ProductMeasure, ResourceLimitEr
 from widthlab.coarse import CoarseProfile, default_alpha_grid
 from widthlab.cubes import children
 from widthlab.functions import monomials, multi_indices
-from widthlab.measures import DEFAULT_MAX_CUBES, PACKED_KEY_BITS, _check_level, _check_masses
+from widthlab.measures import (DEFAULT_MAX_CUBES, PACKED_KEY_BITS, LevelNodes, TemplateNode,
+                               _chain, _check_level, _check_masses, index_array)
 from widthlab.partition import DEFAULT_MAX_CELLS
 from widthlab.quadrature import unit_rule, unit_rule_1d
 from widthlab.spectrum import frac_log2, level_log_masses
@@ -311,3 +314,29 @@ def oracle_decay_rows(f, model, params, t_sequence, depth_offset=3,
         err = lq_error(f, approx, model, params.q, part.max_level + depth_offset, max_cubes)
         rows.append((float(t), part.card, err))
     return rows
+
+
+def oracle_uniform_template(support):
+    # the chain down to the support, then its node, whose 2^m children are itself
+    m = support.m
+    ratio = Fraction(1, 1 << m)
+    return (*_chain(support), TemplateNode(tuple(
+        (support.level, ratio, bits) for bits in itertools.product((0, 1), repeat=m))))
+
+
+def oracle_uniform_level_masses(model, n, max_cubes=DEFAULT_MAX_CUBES):
+    # the closed form: 2^(m k) cubes of mass 2^-(m k), k levels below the support
+    _check_level(n)
+    k = max(n - model.support.level, 0) * model.m
+    return {Fraction(1, 1 << k): 1 << k}
+
+
+def oracle_uniform_nodes(model, n, max_cubes=DEFAULT_MAX_CUBES):
+    # the index grid of the support's level-n cubes, translated to the support
+    s, m = model.support, model.m
+    shift = max(n - s.level, 0)
+    _check_level(n, 1 << (shift * m), max_cubes)
+    grid = np.indices((1 << shift,) * m).reshape(m, -1).T
+    delta = index_array([[o << shift for o in s.ancestor(min(n, s.level)).index]], n, m)
+    mu = Fraction(1, 1 << (shift * m))
+    return LevelNodes(grid.astype(delta.dtype) + delta, np.zeros(len(grid), dtype=np.intp), (mu,))

@@ -19,7 +19,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -323,6 +325,63 @@ def test_cap_below_one_is_a_malformed_value(argv, config, flag, value, tmp_path,
     assert run_cli(argv, tmp_path)["code"] == cli.EX_FAIL
     err = capsys.readouterr().err
     assert err.startswith(f"widthlab: malformed {flag} value {value}") and "cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["spectrum", "--measure", "tet.json", "--levels", "2..3", "--t-grid", "1:0:0.1"],
+         "--t-grid", "1:0:0.1"),
+        (["spectrum", "--measure", "tet.json", "--levels", "5..3"], "--levels", "5..3"),
+        (["partition", *_TET22, "--thresholds", "1:0:0.1"], "--thresholds", "1:0:0.1"),
+        (["partition", *_TET22, "--thresholds", "pow2:5..3"], "--thresholds", "pow2:5..3"),
+        (["empirical", *_TET22, "--thresholds", "1:0:0.1"], "--thresholds", "1:0:0.1"),
+        (["coarse", *_TET22, "--levels", "3..4", "--alpha-grid", "1:0:0.1"],
+         "--alpha-grid", "1:0:0.1"),
+        (["order", "--measure", "tet.json", "--sigma", "2", "--p-grid", "4:1:0.5", "--q", "2"],
+         "--p-grid", "4:1:0.5"),
+        (["dims", "--config", "empty.json"], "--levels", "5..3"),
+    ],
+    ids=["t-grid", "levels", "thresholds", "thresholds-pow2", "empirical-thresholds",
+         "alpha-grid", "p-grid", "config-levels"],
+)
+def test_empty_range_or_grid_is_a_malformed_value(argv, flag, value, tmp_path, monkeypatch,
+                                                  capsys):
+    # a run over no values would print an empty table, or fall back to a default
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.json").write_text('{"measure": "tet.json", "levels": "5..3"}')
+    assert run_cli(argv, tmp_path)["code"] == cli.EX_FAIL
+    assert capsys.readouterr().err == f"widthlab: malformed {flag} value {value!r}: it holds no values\n"
+
+
+def _reject(constant):
+    raise ValueError(f"{constant} is not RFC 8259 JSON")
+
+
+def _json_documents(text):
+    """The JSON documents of an output body, each starting a line with "{"."""
+    decoder, docs, end = json.JSONDecoder(parse_constant=_reject), [], 0
+    for match in re.finditer(r"^\{", text, re.M):
+        if match.start() >= end:
+            doc, end = decoder.raw_decode(text, match.start())
+            docs.append(doc)
+    return docs
+
+
+def test_json_outputs_are_rfc_8259(golden):
+    # a strict parser reads every JSON output: result files, side files and
+    # one-line side results on stdout
+    docs = {name: [doc for text in (case["body"], *case["side"].values())
+                   for doc in _json_documents(text)]
+            for name, case in golden["cases"].items()}
+    assert [doc["params"]["q"] for doc in docs["order-qinf"]] == ["inf"]
+    assert sum(map(len, docs.values())) == 10  # the JSON outputs of the cases
+
+
+def test_json_text_writes_non_finite_floats_as_strings():
+    payload = {"a": [math.inf, -math.inf, math.nan, 1.5], "b": {"c": (math.inf, None)}}
+    assert json.loads(reports.json_text(payload), parse_constant=_reject) == {
+        "a": ["inf", "-inf", "nan", 1.5], "b": {"c": ["inf", None]}}
 
 
 def test_empirical_over_one_distinct_card_exit_1(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -28,7 +29,8 @@ from widthlab.reports import config_hash
 
 from conftest import boundary_atomic, dyadic_ifs, ifs_atomic_lebesgue, new_tetrahedron
 from oracles import (descent_positive, oracle_level_masses, oracle_levels, oracle_mass,
-                     oracle_packed_keys)
+                     oracle_packed_keys, oracle_uniform_level_masses, oracle_uniform_nodes,
+                     oracle_uniform_template)
 
 
 def test_atomic_mass_membership():
@@ -348,6 +350,44 @@ def test_node_table_cap_matches_descent(name, tetrahedron):
         deep.enumerate_positive(200)
     # the cap tripped before any level was pushed past the root or tabulated
     assert len(deep._levels) == 1 and not deep._tables
+
+
+@st.composite
+def uniform_supports(draw):
+    m, level = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    return DyadicCube(level, tuple(draw(st.integers(0, (1 << level) - 1)) for _ in range(m)))
+
+
+@given(uniform_supports(), st.integers(0, 8), st.integers(1, 1 << 12), st.data())
+@settings(max_examples=80, deadline=None)
+def test_uniform_is_the_ifs_of_its_half_scale_maps(support, n, cap, data):
+    model, m = UniformMeasure(support), support.m
+    assert isinstance(model, IfsMeasure)
+    explicit = IfsMeasure([IfsMap(1, bits) for bits in itertools.product((0, 1), repeat=m)],
+                          [Fraction(1, 1 << m)] * (1 << m),
+                          IfsMap(support.level, support.index) if support.level else None)
+    assert model.template == explicit.template == oracle_uniform_template(support)
+    want = oracle_uniform_level_masses(model, n)
+    assert model.level_masses(n, cap) == explicit.level_masses(n, cap) == want
+    assert model.card_positive(n) == explicit.card_positive(n) == sum(want.values())
+    outcome = _outcome(lambda: oracle_uniform_nodes(model, n, cap))
+    assert _outcome(lambda: model.level_nodes(n, cap)) == outcome
+    assert _outcome(lambda: explicit.level_nodes(n, cap)) == outcome
+    if outcome == "ok":
+        got = model.level_nodes(n, cap)
+        for table in (explicit.level_nodes(n, cap), oracle_uniform_nodes(model, n, cap)):
+            assert got.index.dtype == table.index.dtype
+            assert got.index.tolist() == table.index.tolist()
+            assert got.mass_id.tolist() == table.mass_id.tolist()
+            assert got.masses == table.masses
+    # a cube anywhere at level n, and one inside the support
+    anywhere = DyadicCube(n, tuple(data.draw(st.integers(0, (1 << n) - 1)) for _ in range(m)))
+    shift = n - support.level
+    inside = support.ancestor(n) if shift <= 0 else DyadicCube(n, tuple(
+        (o << shift) + data.draw(st.integers(0, (1 << shift) - 1)) for o in support.index))
+    for cube in (anywhere, inside):
+        assert model.mass(cube) == oracle_mass(model, cube)
+    assert model.mass(inside) > 0
 
 
 def test_node_table_exact_beyond_int64(deep_ifs):

@@ -68,6 +68,19 @@ def test_closed_form_uniform_m3():
         assert curve.beta(t) == 3 * (1 - t)
 
 
+@pytest.mark.parametrize("support", [DyadicCube(0, (0,)), DyadicCube(0, (0, 0)),
+                                     DyadicCube(0, (0, 0, 0)), DyadicCube(2, (1, 3)),
+                                     DyadicCube(1, (1, 0, 1))], ids=str)
+def test_closed_form_uniform_keeps_its_label_and_values(support):
+    # a uniform model is an IFS of one common ratio too: its own closed form
+    # must still win over the IFS one, whose values round differently
+    model, m = UniformMeasure(support), support.m
+    curve = closed_form_spectrum(model)
+    assert curve.label == f"lebesgue(m={m})"
+    for t in (k / 20 for k in range(31)):
+        assert curve.beta(t) == m * (1.0 - t)
+
+
 def test_closed_form_quarter_cantor_derived(quarter_cantor):
     # solve 2 * (1/2)^t * (1/4)^beta = 1  =>  beta = (1 - t)/2
     curve = closed_form_spectrum(quarter_cantor)
