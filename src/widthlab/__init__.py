@@ -1,6 +1,6 @@
 """Multifractal spectra, adaptive dyadic partitions, and approximation orders."""
 
-import os
+import os as _os
 
 __version__ = "0.1.0"
 
@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 # (about 80 ms here) before it sleeps, burning a core while a short run does
 # its Python work; with 4 it sleeps after 2^4 cycles. A value the user set
 # wins, and the line does nothing when numpy was loaded before widthlab.
-os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+_os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 from .cubes import Box, DyadicCube, children, neighbors, parse_cube, root, scaled_box
 from .errors import (
@@ -35,7 +35,6 @@ from .spectrum import (
     DimensionEstimate,
     EmpiricalSpectrum,
     SpectrumCurve,
-    ahlfors_spectrum,
     beta_n,
     closed_form_spectrum,
     empirical_spectrum,
@@ -46,8 +45,6 @@ from .coarse import (
     CoarseProfile,
     alpha_good_cubes,
     coarse_profile,
-    count_alpha_good,
-    j_value,
     well_separated,
 )
 from .partition import (
@@ -63,9 +60,7 @@ from .orders import (
     case_label,
     dual_exponent,
     geometric_bounds,
-    hilbert_check,
     lower_order,
-    upper_S,
     upper_order,
     width_exponent,
 )
@@ -78,8 +73,6 @@ from .empirical import (
     moment_project,
     packing_probe,
     piecewise_project,
-    polynomial_space_dim,
-    scaling_check,
     sobolev_seminorm,
 )
 from .functions import Bump, Polynomial, SinProduct, catalog, coordinate

@@ -9,9 +9,9 @@ loads the same schema with explicit flags taking precedence. Real grids use
 The header line of every output hashes the effective configuration: the
 config-file values merged under the flags, the version and the measure.
 Runs are self-contained: nothing is cached on disk, and nothing runs in
-parallel. Exit codes: 0 success, 1 validation/solver failure or malformed
-value (flag or config file), 2 resource cap, 64 usage error, 66 unreadable
-input file.
+parallel. Exit codes: 0 success, 1 validation/solver failure, malformed
+value (flag or config file) or unwritable output file, 2 resource cap, 64
+usage error, 66 unreadable input file.
 """
 from __future__ import annotations
 
@@ -119,8 +119,10 @@ def _read(path: str, what: str) -> bytes:
 class Run:
     """One invocation: its options (explicit flags over config-file keys),
     its measure, and where its results go. A value that the option's
-    converter rejects, a cap below 1, or a range, grid or threshold list
-    with no values is a ParseError, whichever source it came from.
+    converter rejects, a boolean or fractional number for a numeric or
+    integer option, a cap below 1, a negative seed, or a range, grid or
+    threshold list with no values is a ParseError, whichever source it came
+    from.
     """
 
     def __init__(self, args: argparse.Namespace) -> None:
@@ -151,12 +153,19 @@ class Run:
         value = default if value is None else value
         if value is None or convert is None:
             return value
+        # config values arrive typed: int() would truncate 2.7 and take True as 1
+        fractional = convert is int and isinstance(value, float) and not value.is_integer()
+        if convert in (int, float) and (isinstance(value, bool) or fractional):
+            kind = "an integer" if convert is int else "a number"
+            raise ParseError(f"malformed {_flag(key)} value {value!r}: expected {kind}")
         try:
             converted = convert(value)
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise ParseError(f"malformed {_flag(key)} value {value!r}: {exc}") from exc
         if key in ("max_cubes", "max_cells") and converted < 1:  # not a cap that trips
             raise ParseError(f"malformed {_flag(key)} value {value!r}: a cap must be >= 1")
+        if key == "seed" and converted < 0:
+            raise ParseError(f"malformed {_flag(key)} value {value!r}: a seed must be >= 0")
         if convert in (parse_levels, parse_grid, parse_thresholds) and not converted:
             raise ParseError(f"malformed {_flag(key)} value {value!r}: it holds no values")
         return converted
@@ -171,16 +180,21 @@ class Run:
         """Write CSV rows, or a JSON payload if `columns` is None, under the
         header line to the file named by option `key`; if it is unset, the
         main result ("out") goes to stdout the same way, a JSON side result to
-        one stdout line."""
+        one stdout line. A file that cannot be written is a WidthlabError."""
         path = self.get(key)
         if path is None and key != "out":
             print(reports.json_text(data))
             return
-        with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
-            if columns is None:
-                reports.write_json(fh, data, self.header)
-            else:
-                reports.write_csv(fh, columns, data, self.header)
+        try:
+            with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
+                if columns is None:
+                    reports.write_json(fh, data, self.header)
+                else:
+                    reports.write_csv(fh, columns, data, self.header)
+        except OSError as exc:
+            if not path:
+                raise
+            raise WidthlabError(f"cannot write {_flag(key)} {path}: {exc.strerror or exc}") from exc
 
 
 def _embedding(run: Run) -> EmbeddingParams:

@@ -27,39 +27,6 @@ from .measures import DEFAULT_MAX_CUBES, MeasureModel, index_array, packed_keys
 from .spectrum import frac_log2, level_log_masses
 
 
-def j_log2(model: MeasureModel, cube: DyadicCube, rho: float) -> float:
-    """log2 of J_rho(Q); -inf for zero-mass cubes."""
-    if not rho > 0:
-        raise ValidationError("rho must be positive")
-    mass = model.mass(cube)
-    if mass == 0:
-        return -math.inf
-    return frac_log2(mass) - cube.level * rho
-
-
-def j_value(model: MeasureModel, cube: DyadicCube, rho: float) -> float:
-    """J_rho(Q) = nu(Q) * vol(Q)^(rho/m), evaluated in the log domain."""
-    x = j_log2(model, cube, rho)
-    return 0.0 if math.isinf(x) else 2.0**x
-
-
-def count_alpha_good(
-    model: MeasureModel,
-    n: int,
-    rho: float,
-    alpha: float,
-    max_cubes: int = DEFAULT_MAX_CUBES,
-) -> int:
-    """Number of level-n cubes with J_rho(Q) >= 2^(-alpha*n), i.e. with
-    log2(mass) >= (rho - alpha) * n."""
-    if not alpha > 0:
-        raise ValidationError("alpha must be positive")
-    if n < 1:
-        raise ValidationError("count needs level n >= 1")
-    view = count_view(model, n, max_cubes)
-    return view.at_or_above[int(np.searchsorted(view.log_masses, (rho - alpha) * n))]
-
-
 class CountView(NamedTuple):
     """One level sorted for counting: the log2 masses in increasing order;
     for position i the number of cubes at positions i and above, with one

@@ -63,11 +63,6 @@ from .spectrum import closed_form_spectrum, empirical_spectrum
 logger = logging.getLogger(__name__)
 
 
-def polynomial_space_dim(m: int, sigma: int) -> int:
-    """Dimension of degree <= sigma-1 polynomials in m variables."""
-    return math.comb(m + sigma - 1, m)
-
-
 def _default_npts(degree: int) -> int:
     return max(2 * (degree + 1), 8)
 
@@ -401,31 +396,6 @@ def sobolev_seminorm(
     npts = npts or _default_npts(sigma)
     grad = _gradient_magnitude(u, sigma, m)
     return composite_unit_norm(grad, m, resolution, npts, p)
-
-
-def scaling_check(
-    u,
-    cube: DyadicCube,
-    sigma: int,
-    p: float,
-    resolution: int = 4,
-) -> float:
-    """Ratio of ||u o phi_Q^{-1}||_{L^{sigma,p}(Q)} to its predicted value.
-
-    The two sides are quadratured with different composite resolutions so
-    the identity is checked rather than reproduced by construction.
-    """
-    m = cube.m
-    side = float(cube.side)
-    npts = _default_npts(sigma)
-    grad = _gradient_magnitude(u, sigma, m)
-    # |grad_sigma (u o phi^{-1})|(x) = side^-sigma |grad_sigma u|(y) on x = phi(y),
-    # and dx = side^m dy (m/p = 0 for p = inf)
-    lhs = side ** (m / p - sigma) * composite_unit_norm(grad, m, resolution, npts, p)
-    rhs_norm = sobolev_seminorm(u, sigma, p, resolution + 1, npts + 3, m=m)
-    rho_hat = sigma - (0.0 if math.isinf(p) else m / p)
-    rhs = float(cube.volume) ** (-rho_hat / m) * rhs_norm
-    return lhs / rhs
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ model's `points` and `weights` are `Fraction` views built when first read.
 Each family builds a level's positive cubes in bulk, without the mass
 oracle, as a node table (`LevelNodes`): their indices in lexicographic order
 and, for each, an id into the level's distinct exact masses. The table is the
-only enumeration; `enumerate_positive` and the default `level_masses` read it.
+only enumeration; the default `level_masses` reads it.
 An atomic model holds its coordinates and weights as integer arrays over
 two common denominators (int64 where they fit, Python ints beyond): its
 table takes the exact indices ceil(x 2^n) - 1 = (c 2^n - 1) // pden of all
@@ -204,8 +204,11 @@ class MeasureModel:
     finite_support = False
 
     def mass(self, cube: DyadicCube) -> Mass:
-        # one edge per level down from the root; a cube of another dimension
-        # lies outside the model
+        """The exact mass of one cube: the mass oracle (layer L1), one edge
+        per level down from the root; a cube of another dimension lies
+        outside the model. No code of the package calls it, since the tables
+        and the J_rho walks descend the tree themselves: it is the per-cube
+        query of the public API, and the L1 benchmark times it."""
         node, mu = self.root_node(), Fraction(cube.m == self.m)
         for shift in range(cube.level - 1, -1, -1):
             branch = tuple(l >> shift & 1 for l in cube.index)
@@ -227,16 +230,6 @@ class MeasureModel:
     def level_nodes(self, n: int, max_cubes: int = DEFAULT_MAX_CUBES) -> LevelNodes:
         """The node table of the level-n positive cubes."""
         raise NotImplementedError
-
-    def enumerate_positive(
-        self, n: int, max_cubes: int = DEFAULT_MAX_CUBES
-    ) -> list[tuple[DyadicCube, Mass]]:
-        """All level-n cubes of positive mass, in index order, with their masses."""
-        index, mass_id, masses = self.level_nodes(n, max_cubes)
-        return [
-            (DyadicCube(n, tuple(row)), masses[j])
-            for row, j in zip(index.tolist(), mass_id.tolist())
-        ]
 
     def level_masses(self, n: int, max_cubes: int = DEFAULT_MAX_CUBES) -> dict[Mass, int]:
         """Multiset {mass: count} over the level-n positive cubes.

@@ -156,15 +156,6 @@ def case_label(p: float, q: float) -> str:
     return "IV.a" if q <= dual_exponent(p) else "IV.b"
 
 
-def upper_S(
-    curve: SpectrumCurve,
-    dims: Optional[DimensionEstimate],
-    params: EmbeddingParams,
-) -> float:
-    """S_upper: 1/(q*s_rho) for finite q, rho_hat/upper-dim for q = inf."""
-    return _solve_S(curve, dims, params)[1]
-
-
 def _solve_S(
     curve: SpectrumCurve,
     dims: Optional[DimensionEstimate],
@@ -320,34 +311,6 @@ def lower_order(
     else:
         report.lower = {star: (v - width, v) for star, v in report.upper.items()}
     return report
-
-
-def hilbert_check(params: EmbeddingParams, curve: SpectrumCurve) -> dict:
-    """Cross-check the q = 2 (Hilbert target) closed forms against the tables."""
-    if params.q != 2:
-        raise ValidationError("hilbert_check requires q = 2")
-    report = upper_order(params, curve)
-    s = report.s_rho
-    ip = _inv(params.p)
-    if params.p >= 2:
-        expected = {star: -1.0 / (2 * s) + 0.5 - ip for star in STARS}
-    else:
-        g = -1.0 / (2 * s) - ip + 0.5
-        expected = {"K": -1.0 / (2 * s), "L": -1.0 / (2 * s), "G": g}
-    for star in STARS:
-        if abs(expected[star] - report.upper[star]) > 1e-12:
-            raise SolverError(
-                f"Hilbert-case mismatch for {star}: "
-                f"{expected[star]} vs {report.upper[star]}"
-            )
-    strict_gap = None
-    if params.p < 2:
-        strict_gap = report.upper["K"] - report.upper["G"]
-    return {
-        "expected": expected,
-        "computed": report.upper,
-        "strict_gap": strict_gap,
-    }
 
 
 def geometric_bounds(

@@ -10,7 +10,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._brent import fminbound
-from .cubes import DyadicCube
 
 # cells whose best node composite_unit_norm refines for p = inf
 REFINED_CELLS = 4
@@ -31,16 +30,6 @@ def unit_rule(m: int, npts: int) -> tuple[np.ndarray, np.ndarray]:
     pts = np.array(list(itertools.product(x, repeat=m)))
     wts = np.array([math.prod(c) for c in itertools.product(w.tolist(), repeat=m)], dtype=float)
     return pts, wts
-
-
-def integrate_on_cell(f, cube: DyadicCube, npts: int) -> float:
-    """Integral of f over a dyadic cube by the tensor rule."""
-    pts, wts = unit_rule(cube.m, npts)
-    side = float(cube.side)
-    lower = np.array([float(x) for x in cube.lower()])
-    mapped = lower + side * pts
-    vals = np.asarray(f(mapped), dtype=float)
-    return side**cube.m * float(np.dot(wts, vals))
 
 
 def composite_unit_norm(f, m: int, subdivisions: int, npts: int, p: float) -> float:

@@ -83,14 +83,6 @@ class SpectrumCurve:
     def beta(self, t: float) -> float:
         raise NotImplementedError
 
-    def convexity_defect(self, t_grid=DEFAULT_T_GRID) -> float:
-        """Most negative second difference over the grid (>= -1e-12 expected)."""
-        vals = [self.beta(t) for t in t_grid]
-        second = [
-            vals[i + 1] - 2 * vals[i] + vals[i - 1] for i in range(1, len(vals) - 1)
-        ]
-        return min(second) if second else 0.0
-
 
 class ClosedFormSpectrum(SpectrumCurve):
     kind = "closed-form"
@@ -136,13 +128,6 @@ def empirical_spectrum(
     max_cubes: int = DEFAULT_MAX_CUBES,
 ) -> EmpiricalSpectrum:
     return EmpiricalSpectrum(n, t_grid, beta_row(model, n, t_grid, max_cubes))
-
-
-def ahlfors_spectrum(s: float) -> ClosedFormSpectrum:
-    """Affine spectrum (1-t)*s of an Ahlfors-David s-regular measure."""
-    if s < 0:
-        raise ValidationError("Ahlfors regularity exponent must be >= 0")
-    return ClosedFormSpectrum(lambda t: (1.0 - t) * s, f"ahlfors(s={s})")
 
 
 def closed_form_spectrum(model: MeasureModel) -> ClosedFormSpectrum | None:

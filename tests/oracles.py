@@ -12,7 +12,13 @@ numerators over D^n replaced, the row-wise `packed_keys` and `np.prod`
 taken one `np.prod` per tensor point, the decay rows measured partition
 by partition, each anew, which the rows shared across thresholds replaced,
 and a uniform model's own template, closed-form multiset and index-grid
-node table, which its push as the IFS of the 2^m half-scale maps replaced."""
+node table, which its push as the IFS of the 2^m half-scale maps replaced.
+
+Two helpers left the package because only tests called them: the node
+table read as (cube, mass) pairs (`table_cubes`, once
+`MeasureModel.enumerate_positive`), the form `descent_positive` gives, and
+the tensor Gauss rule on one cell (`integrate_on_cell`, once in
+`widthlab.quadrature`), the reference integral of the projection tests."""
 from __future__ import annotations
 
 import bisect
@@ -153,6 +159,22 @@ def descent_positive(model, n, max_cubes=DEFAULT_MAX_CUBES):
         frontier = nxt
     frontier.sort(key=lambda cm: cm[0].index)
     return frontier
+
+
+def table_cubes(model, n, max_cubes=DEFAULT_MAX_CUBES):
+    # the level-n node table as (cube, mass) pairs in index order
+    index, mass_id, masses = model.level_nodes(n, max_cubes)
+    return [(DyadicCube(n, tuple(row)), masses[j])
+            for row, j in zip(index.tolist(), mass_id.tolist())]
+
+
+def integrate_on_cell(f, cube, npts):
+    # the integral of f over a dyadic cube by the tensor Gauss-Legendre rule
+    pts, wts = unit_rule(cube.m, npts)
+    side = float(cube.side)
+    lower = np.array([float(x) for x in cube.lower()])
+    vals = np.asarray(f(lower + side * pts), dtype=float)
+    return side**cube.m * float(np.dot(wts, vals))
 
 
 def oracle_locate(approx, depth, index):

@@ -354,6 +354,59 @@ def test_empty_range_or_grid_is_a_malformed_value(argv, flag, value, tmp_path, m
     assert capsys.readouterr().err == f"widthlab: malformed {flag} value {value!r}: it holds no values\n"
 
 
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["probe", "--config", "num.json", "--n", "3", "--alpha", "2"], {"sigma": 2.7},
+         "malformed --sigma value 2.7: expected an integer"),
+        (["probe", "--config", "num.json", "--n", "3", "--alpha", "2"], {"sigma": True},
+         "malformed --sigma value True: expected an integer"),
+        (["dims", "--config", "num.json", "--levels", "2"], {"max_cubes": 99.5},
+         "malformed --max-cubes value 99.5: expected an integer"),
+        (["probe", "--config", "num.json", "--sigma", "1", "--alpha", "2"], {"n": False},
+         "malformed --n value False: expected an integer"),
+        (["probe", "--config", "num.json", "--sigma", "1", "--n", "3"], {"alpha": True},
+         "malformed --alpha value True: expected a number"),
+        (["partition", "--config", "num.json", "--thresholds", "0.5"], {"rho": True},
+         "malformed --rho value True: expected a number"),
+        (["probe", "--measure", "leb1.json", "--sigma", "1", "--p", "2", "--q", "2", "--n", "3",
+          "--alpha", "3", "--seed", "-1"], {}, "malformed --seed value -1: a seed must be >= 0"),
+        (["probe", "--config", "num.json", "--sigma", "1", "--n", "3", "--alpha", "3"],
+         {"seed": -2}, "malformed --seed value -2: a seed must be >= 0"),
+    ],
+    ids=["fractional-int", "bool-int", "fractional-cap", "bool-level", "bool-real", "bool-rho",
+         "negative-seed", "config-negative-seed"],
+)
+def test_config_number_or_seed_out_of_type_is_a_malformed_value(argv, config, message, tmp_path,
+                                                                 monkeypatch, capsys):
+    # int() would run sigma 2.7 as 2 and true as 1, and numpy rejects a negative seed late
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "num.json").write_text(json.dumps(
+        {"measure": "leb1.json", "p": 2, "q": 2, **config}))
+    assert run_cli(argv, tmp_path)["code"] == cli.EX_FAIL
+    assert capsys.readouterr().err == f"widthlab: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag, path, reason",
+    [
+        (["dims", "--measure", "tet.json", "--levels", "2"], "--out", "/", "Is a directory"),
+        (["dims", "--measure", "tet.json", "--levels", "2"], "--out", "missing/out.csv",
+         "No such file or directory"),
+        (["coarse", *_TET22, "--levels", "2..3"], "--summary", "/", "Is a directory"),
+        (["empirical", *_TET22, "--thresholds", "pow2:2..6"], "--verdict", "/",
+         "Is a directory"),
+        (["partition", *_TET22, "--thresholds", "0.5"], "--cells-out", "/", "Is a directory"),
+    ],
+    ids=["out-directory", "out-missing-directory", "summary", "verdict", "cells-out"],
+)
+def test_unwritable_output_exits_1(argv, flag, path, reason, tmp_path, monkeypatch, capsys):
+    # an output path is not an input file (exit 66), and its error is no traceback
+    monkeypatch.chdir(tmp_path)
+    assert run_cli([*argv, flag, path], tmp_path)["code"] == cli.EX_FAIL
+    assert capsys.readouterr().err == f"widthlab: cannot write {flag} {path}: {reason}\n"
+
 def _reject(constant):
     raise ValueError(f"{constant} is not RFC 8259 JSON")
 

@@ -12,8 +12,6 @@ from widthlab import (
     alpha_good_cubes,
     coarse_profile,
     closed_form_spectrum,
-    count_alpha_good,
-    j_value,
     lebesgue,
     s_b_solve,
     scaled_box,
@@ -26,7 +24,18 @@ from widthlab.measures import IfsMap, IfsMeasure, MeasureModel
 from widthlab.spectrum import frac_log2
 
 from conftest import boundary_atomic, ifs7, ifs_atomic_lebesgue, new_tetrahedron
-from oracles import oracle_coarse_profile, oracle_count_view, oracle_mass
+from oracles import oracle_coarse_profile, oracle_count_view, oracle_mass, table_cubes
+
+
+def j_value(model, cube, rho):
+    # J_rho(Q) = nu(Q) vol(Q)^(rho/m) from the mass oracle
+    return float(model.mass(cube)) * 2.0 ** (-cube.level * rho)
+
+
+def count_alpha_good(model, n, rho, alpha):
+    # N_{rho,n}(alpha), the level-n cubes with J_rho(Q) >= 2^(-alpha n), as
+    # a one-level, one-alpha coarse profile counts them
+    return coarse_profile(model, [n], rho, [alpha]).counts[0][0]
 
 
 def test_j_value_lebesgue():
@@ -96,7 +105,7 @@ def test_profile_regular_models_tight_window(quarter_cantor):
 
 
 def test_well_separated_lebesgue_level3(leb1):
-    cubes = [c for c, _ in leb1.enumerate_positive(3)]
+    cubes = [c for c, _ in table_cubes(leb1, 3)]
     out = well_separated(cubes, leb1)
     assert len(out) >= len(cubes) // 5
     boxes = [scaled_box(c, 3) for c in out]
@@ -124,7 +133,7 @@ def test_well_separated_level_mismatch(leb1):
 def test_well_separated_threshold_validation(binomial_cascade):
     # bottom-half cubes by mass violate the threshold property
     ranked = sorted(
-        binomial_cascade.enumerate_positive(4), key=lambda cm: cm[1]
+        table_cubes(binomial_cascade, 4), key=lambda cm: cm[1]
     )
     bottom = [c for c, _ in ranked[: len(ranked) // 2]]
     with pytest.raises(ValidationError, match="threshold"):
@@ -162,7 +171,7 @@ def test_well_separated_separation_and_cardinality(level, data):
 def test_well_separated_dominance_on_plateau_families(leb1, quarter_cantor):
     # equal masses (ties) and separated supports: all three conclusions hold
     for model, n in ((leb1, 4), (quarter_cantor, 6)):
-        cubes = [c for c, _ in model.enumerate_positive(n)]
+        cubes = [c for c, _ in table_cubes(model, n)]
         out = well_separated(cubes, model)
         assert len(out) >= len(cubes) // 5
         for cube in out:
@@ -196,9 +205,9 @@ def test_dominant_cubes_match_the_mass_oracle(tetrahedron, deep_ifs):
     def every_cube(n, m):
         return [DyadicCube(n, idx) for idx in itertools.product(range(1 << n), repeat=m)]
 
-    deep = [c for c, _ in deep_ifs.enumerate_positive(64)]
+    deep = [c for c, _ in table_cubes(deep_ifs, 64)]
     cases = [
-        (tetrahedron, every_cube(3, 3) + [c for c, _ in tetrahedron.enumerate_positive(4)]),
+        (tetrahedron, every_cube(3, 3) + [c for c, _ in table_cubes(tetrahedron, 4)]),
         (ifs7(IfsMap(2, (1, 2))), every_cube(5, 2)),
         (boundary_atomic(), every_cube(5, 2)[::-1]),
         (deep_ifs, deep + [DyadicCube(64, (c.index[0] ^ 1,)) for c in deep]),
@@ -227,12 +236,12 @@ def test_well_separated_never_queries_mass(tetrahedron, monkeypatch):
     level's node table: with `mass` unavailable the output is the greedy's
     over oracle masses, zero-mass inputs included."""
     atomic, product = boundary_atomic(), ifs_atomic_lebesgue()
-    light = min(atomic.enumerate_positive(5), key=lambda cm: cm[1])[0]
+    light = min(table_cubes(atomic, 5), key=lambda cm: cm[1])[0]
     cases = [
         (tetrahedron, alpha_good_cubes(tetrahedron, 8, 2.0, 3.5), True, False),
         (atomic, [DyadicCube(3, idx) for idx in itertools.product(range(8), repeat=2)], False, False),
-        (atomic, [c for c, _ in atomic.enumerate_positive(5)], True, True),
-        (product, [c for c, _ in product.enumerate_positive(3)], False, True),
+        (atomic, [c for c, _ in table_cubes(atomic, 5)], True, True),
+        (product, [c for c, _ in table_cubes(product, 3)], False, True),
     ]
     want = [_greedy(model, cubes, dominant) for model, cubes, dominant, _ in cases]
 
@@ -254,7 +263,7 @@ def test_alpha_good_cubes_match_count(tetrahedron):
         assert len(cubes) == count_alpha_good(tetrahedron, n, 2.0, alpha)
         # the per-cube filter over the enumeration, cube by cube
         threshold = (2.0 - alpha) * n
-        assert cubes == [cube for cube, mass in tetrahedron.enumerate_positive(n)
+        assert cubes == [cube for cube, mass in table_cubes(tetrahedron, n)
                          if frac_log2(mass) >= threshold]
 
 

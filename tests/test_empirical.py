@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import logging
 import math
 import warnings
@@ -29,25 +28,22 @@ from widthlab import (
     moment_project,
     packing_probe,
     piecewise_project,
-    polynomial_space_dim,
     root,
-    scaling_check,
     sobolev_seminorm,
 )
 from widthlab import empirical
 from widthlab.functions import catalog, monomials, multi_indices
-from widthlab.quadrature import integrate_on_cell, unit_rule
+from widthlab.quadrature import composite_unit_norm, unit_rule
 
 from conftest import boundary_atomic, dyadic_ifs, ifs_atomic_lebesgue
-from oracles import (descent_positive, oracle_decay_rows, oracle_locate, oracle_moment_project,
-                     oracle_unit_weights)
+from oracles import (descent_positive, integrate_on_cell, oracle_decay_rows, oracle_locate,
+                     oracle_moment_project, oracle_unit_weights, table_cubes)
 
 
 def test_polynomial_space_dim():
-    assert polynomial_space_dim(1, 3) == 3
-    assert polynomial_space_dim(2, 2) == 3
-    assert polynomial_space_dim(2, 3) == 6
-    assert polynomial_space_dim(3, 2) == 4
+    # the degree <= sigma - 1 monomials in m variables span comb(m + sigma - 1, m) dimensions
+    for m, sigma, dim in [(1, 3, 3), (2, 2, 3), (2, 3, 6), (3, 2, 4)]:
+        assert len(multi_indices(m, sigma - 1)) == math.comb(m + sigma - 1, m) == dim
 
 
 def test_moment_project_mean():
@@ -249,6 +245,26 @@ def test_sobolev_seminorm_fd_fallback():
     assert value == pytest.approx(math.sqrt(2) * math.pi, abs=1e-3)
 
 
+def scaling_check(u, cube, sigma, p, resolution=4):
+    """Ratio of ||u o phi_Q^{-1}||_{L^{sigma,p}(Q)} to its predicted value
+    vol(Q)^(-rho_hat/m) ||u||_{L^{sigma,p}}.
+
+    The two sides are quadratured with different composite resolutions so
+    the identity is checked rather than reproduced by construction.
+    """
+    m = cube.m
+    side = float(cube.side)
+    npts = empirical._default_npts(sigma)
+    grad = empirical._gradient_magnitude(u, sigma, m)
+    # |grad_sigma (u o phi^{-1})|(x) = side^-sigma |grad_sigma u|(y) on x = phi(y),
+    # and dx = side^m dy (m/p = 0 for p = inf)
+    lhs = side ** (m / p - sigma) * composite_unit_norm(grad, m, resolution, npts, p)
+    rhs_norm = sobolev_seminorm(u, sigma, p, resolution + 1, npts + 3, m=m)
+    rho_hat = sigma - (0.0 if math.isinf(p) else m / p)
+    rhs = float(cube.volume) ** (-rho_hat / m) * rhs_norm
+    return lhs / rhs
+
+
 @pytest.mark.parametrize("sigma", [1, 2])
 @pytest.mark.parametrize("p", [2.0, math.inf])
 def test_scaling_check_1d(sigma, p):
@@ -374,8 +390,8 @@ def oracle_evaluate(approx, pts):
     return out
 
 
-def oracle_lq_error(f, approx, model, q, depth):
-    positive = model.enumerate_positive(depth)
+def oracle_lq_error(f, approx, model, q, depth, cubes=table_cubes):
+    positive = cubes(model, depth)
     centers = np.array([[float(x) for x in cube.center()] for cube, _ in positive])
     avals = np.zeros(len(positive))
     for j, (cube, _) in enumerate(positive):
@@ -491,7 +507,7 @@ def test_locate_matches_ancestor_walk(located_partitions):
             for source in (model, lebesgue(model.m)):
                 if source is not model and depth * model.m > 12:
                     continue
-                positive = source.enumerate_positive(depth)
+                positive = table_cubes(source, depth)
                 index = np.array([c.index for c, _ in positive], dtype=object)
                 rows = approx.locate(depth, index.reshape(len(positive), model.m))
                 want = [oracle_cell_row(approx, c) for c, _ in positive]
@@ -515,7 +531,7 @@ def test_locate_matches_per_node_dict(located_partitions):
     for model, part in located_partitions:
         approx = piecewise_project(SinProduct(model.m), part, 0)
         for depth in (part.max_level, part.max_level + 2):
-            index = _perturbed_indices(model.enumerate_positive(depth), depth, model.m)
+            index = _perturbed_indices(table_cubes(model, depth), depth, model.m)
             rows = approx.locate(depth, index)
             assert rows.tolist() == oracle_locate(approx, depth, index).tolist()
             assert (rows[: len(index) // (2 * model.m + 1)] >= 0).all()
@@ -639,16 +655,14 @@ def test_lq_error_exact_below_level_53(located_partitions):
     assert err == oracle_lq_error(f, approx, model, 1.0, depth)
 
 
-def test_lq_error_beyond_int64_matches_oracle(deep_ifs, monkeypatch):
+def test_lq_error_beyond_int64_matches_oracle(deep_ifs):
     # cells at levels 59..61, quadrature nodes at levels 63 and 64
     part = build_partition(deep_ifs, 1.0, 2.0**-62)
     f = SinProduct(1)
     approx = piecewise_project(f, part, 1)
     got = [lq_error(f, approx, deep_ifs, 2.0, d) for d in (63, 64)]
     # the oracle reads the cubes from the descent, not the node table
-    descent = functools.partial(descent_positive, deep_ifs)
-    monkeypatch.setattr(deep_ifs, "enumerate_positive", descent)
-    want = [oracle_lq_error(f, approx, deep_ifs, 2.0, d) for d in (63, 64)]
+    want = [oracle_lq_error(f, approx, deep_ifs, 2.0, d, descent_positive) for d in (63, 64)]
     assert got == pytest.approx(want, rel=1e-12)
 
 

@@ -30,7 +30,7 @@ from widthlab.reports import config_hash
 from conftest import boundary_atomic, dyadic_ifs, ifs_atomic_lebesgue, new_tetrahedron
 from oracles import (descent_positive, oracle_level_masses, oracle_levels, oracle_mass,
                      oracle_packed_keys, oracle_uniform_level_masses, oracle_uniform_nodes,
-                     oracle_uniform_template)
+                     oracle_uniform_template, table_cubes)
 
 
 def test_atomic_mass_membership():
@@ -58,13 +58,13 @@ def test_ifs_one_step_recursion(quarter_cantor):
 
 
 def test_enumerate_uniform_m1():
-    out = lebesgue(1).enumerate_positive(3)
+    out = table_cubes(lebesgue(1), 3)
     assert len(out) == 8
     assert all(mu == Fraction(1, 8) for _, mu in out)
 
 
 def test_enumerate_quarter_cantor_level2(quarter_cantor):
-    out = quarter_cantor.enumerate_positive(2)
+    out = table_cubes(quarter_cantor, 2)
     assert [(str(c), mu) for c, mu in out] == [
         ("2:0", Fraction(1, 2)),
         ("2:3", Fraction(1, 2)),
@@ -75,12 +75,12 @@ def test_enumerate_atomic_stabilizes():
     model = AtomicMeasure(
         [(Fraction(1, 3),), (Fraction(2, 3),)], [Fraction(1, 2), Fraction(1, 2)]
     )
-    assert len(model.enumerate_positive(12)) == 2
+    assert len(table_cubes(model, 12)) == 2
 
 
 def test_enumerate_cap():
     with pytest.raises(ResourceLimitError):
-        lebesgue(2).enumerate_positive(8, max_cubes=100)
+        lebesgue(2).level_nodes(8, max_cubes=100)
 
 
 def test_level_masses_matches_enumeration(tetrahedron, quarter_cantor):
@@ -95,7 +95,7 @@ def test_level_masses_matches_enumeration(tetrahedron, quarter_cantor):
     for model, levels in cases:
         for n in levels:
             grouped = {}
-            for _, mu in model.enumerate_positive(n):
+            for _, mu in table_cubes(model, n):
                 grouped[mu] = grouped.get(mu, 0) + 1
             assert model.level_masses(n) == grouped
 
@@ -133,12 +133,12 @@ CAPS = (0, 1, 2, 3, 5, 8, 13, 40, 64, 300, 1024)
 def test_node_table_matches_descent(name, tetrahedron):
     model = _node_models(tetrahedron)[name]
     if name == "mixed":  # one holder cube for three deep images
-        assert model.enumerate_positive(1) == [
+        assert table_cubes(model, 1) == [
             (DyadicCube(1, (0, 0)), Fraction(2, 5)), (DyadicCube(1, (1, 1)), Fraction(3, 5))
         ]
     for n in range(8):
         want = descent_positive(model, n)
-        assert model.enumerate_positive(n) == want
+        assert table_cubes(model, n) == want
         index, mass_id, masses = model.level_nodes(n)
         assert index.dtype == np.int64 and index.shape == (len(want), model.m)
         assert [masses[j] for j in mass_id] == [mu for _, mu in want]
@@ -146,14 +146,13 @@ def test_node_table_matches_descent(name, tetrahedron):
         for cap in CAPS:
             want = _outcome(lambda: descent_positive(model, n, cap))
             assert _outcome(lambda: model.level_nodes(n, cap)) == want
-            assert _outcome(lambda: model.enumerate_positive(n, cap)) == want
 
 
 def test_atomic_table_obeys_the_cap():
     # four atoms in four level-2 cubes: three fit, as the descent finds
     model = AtomicMeasure([(Fraction(2 * k + 1, 8),) for k in range(4)], [Fraction(1, 4)] * 4)
     assert len(model.level_nodes(2, 4).index) == len(descent_positive(model, 2, 4)) == 4
-    for enumerate_ in (descent_positive, AtomicMeasure.level_nodes, AtomicMeasure.enumerate_positive):
+    for enumerate_ in (descent_positive, AtomicMeasure.level_nodes):
         with pytest.raises(ResourceLimitError, match="more than 3 positive cubes at level 2$"):
             enumerate_(model, 2, 3)
 
@@ -179,7 +178,7 @@ def test_edges_list_the_positive_children_in_index_order(name, tetrahedron):
 @pytest.mark.parametrize("name", NODE_MODELS)
 def test_negative_level_rejected(name, tetrahedron):
     model = _node_models(tetrahedron)[name]
-    for call in (model.level_nodes, model.level_masses, model.enumerate_positive, model.card_positive):
+    for call in (model.level_nodes, model.level_masses, model.card_positive):
         with pytest.raises(ValidationError, match="level must be >= 0"):
             call(-1)
 
@@ -343,11 +342,10 @@ def test_node_table_cap_matches_descent(name, tetrahedron):
             assert _outcome(lambda: fresh.level_nodes(n, cap)) == want
             model.level_nodes(n)  # the level is now cached
             assert _outcome(lambda: model.level_nodes(n, cap)) == want
-            assert _outcome(lambda: model.enumerate_positive(n, cap)) == want
     assert _outcome(lambda: model.level_nodes(5, 3)) == "more than 3 positive cubes at level 5"
     deep = IfsMeasure(model.maps, model.probs, model.embed_shift)
     with pytest.raises(ResourceLimitError, match="cubes at level 200$"):
-        deep.enumerate_positive(200)
+        deep.level_nodes(200)
     # the cap tripped before any level was pushed past the root or tabulated
     assert len(deep._levels) == 1 and not deep._tables
 
@@ -405,7 +403,7 @@ def test_levels_deeper_than_the_recursion_limit():
     # from the one above it, 3000 levels deep
     point = IfsMeasure([IfsMap(1, (0,))], [Fraction(1)])
     assert point.level_masses(3000) == {1: 1}
-    assert point.enumerate_positive(3000) == descent_positive(point, 3000)
+    assert table_cubes(point, 3000) == descent_positive(point, 3000)
 
 
 def test_cold_mass_deeper_than_the_recursion_limit():
@@ -554,7 +552,7 @@ def test_product_measure_mass(quarter_cantor):
     assert prod.mass(DyadicCube(2, (0, 1))) == Fraction(1, 2) * Fraction(1, 4)
     assert prod.mass(DyadicCube(2, (1, 1))) == 0
     grouped = {}
-    for _, mu in prod.enumerate_positive(3):
+    for _, mu in table_cubes(prod, 3):
         grouped[mu] = grouped.get(mu, 0) + 1
     assert prod.level_masses(3) == grouped
 
@@ -874,7 +872,7 @@ def random_models(draw):
 @settings(max_examples=40, deadline=None)
 def test_additivity_and_total_mass(model, n):
     total = Fraction(0)
-    for cube, mu in model.enumerate_positive(n):
+    for cube, mu in table_cubes(model, n):
         assert mu == sum(model.mass(c) for c in children(cube))
         assert mu <= model.mass(cube.parent()) if cube.level > 0 else True
         total += mu
@@ -895,7 +893,7 @@ def test_tree_walk_matches_the_oracle(model, n):
 def test_ifs_self_similarity(num, n):
     a = Fraction(num, 10)
     model = IfsMeasure([IfsMap(1, (0,)), IfsMap(1, (1,))], [a, 1 - a])
-    for cube, mu in model.enumerate_positive(n):
+    for cube, mu in table_cubes(model, n):
         acc = Fraction(0)
         for p, image in zip(model.probs, (m.image() for m in model.maps)):
             if cube.level >= image.level and cube.ancestor(image.level) == image:

@@ -4,18 +4,16 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from widthlab import (
+    ClosedFormSpectrum,
     EmbeddingParams,
     ValidationError,
-    ahlfors_spectrum,
     closed_form_spectrum,
     dual_exponent,
     geometric_bounds,
-    hilbert_check,
     lebesgue,
     lower_order,
     minkowski,
     s_b_solve,
-    upper_S,
     upper_order,
     width_exponent,
 )
@@ -93,7 +91,7 @@ def test_params_validation():
 def test_upper_S_lebesgue_m1():
     params = EmbeddingParams(m=1, sigma=1, p=2.0, q=2.0)
     curve = closed_form_spectrum(lebesgue(1))
-    assert upper_S(curve, None, params) == pytest.approx(1.0, abs=1e-9)
+    assert upper_order(params, curve).S_upper == pytest.approx(1.0, abs=1e-9)
 
 
 def test_upper_S_tetrahedron(tetrahedron):
@@ -101,10 +99,10 @@ def test_upper_S_tetrahedron(tetrahedron):
     params = EmbeddingParams(m=3, sigma=2, p=2.0, q=2.0)
     s1 = s_b_solve(curve, 1.0)
     assert s1 == pytest.approx(0.5897481046380905, abs=1e-10)
-    assert upper_S(curve, None, params) == pytest.approx(1 / (2 * s1), abs=1e-12)
+    assert upper_order(params, curve).S_upper == pytest.approx(1 / (2 * s1), abs=1e-12)
     dims = minkowski(tetrahedron, range(2, 9))
     pinf = EmbeddingParams(m=3, sigma=2, p=2.0, q=INF)
-    assert upper_S(curve, dims, pinf) == pytest.approx(0.25, abs=1e-12)
+    assert upper_order(pinf, curve, dims).S_upper == pytest.approx(0.25, abs=1e-12)
 
 
 def test_upper_order_classical_rate():
@@ -180,22 +178,36 @@ def test_lower_order_needs_coarse(quarter_cantor):
         lower_order(EmbeddingParams(m=1, sigma=1, p=2.0, q=2.0), curve)
 
 
+def _hilbert_orders(params, curve):
+    # the q = 2 (Hilbert target) closed forms against the tables, s = s_rho:
+    # all three orders -1/(2s) + 1/2 - 1/p for p >= 2; for p < 2, K and L at
+    # -1/(2s) and G at -1/(2s) + 1/2 - 1/p
+    assert params.q == 2
+    report = upper_order(params, curve)
+    s, ip = report.s_rho, 1.0 / params.p
+    if params.p >= 2:
+        expected = dict.fromkeys("KGL", -1.0 / (2 * s) + 0.5 - ip)
+    else:
+        expected = {"K": -1.0 / (2 * s), "L": -1.0 / (2 * s), "G": -1.0 / (2 * s) - ip + 0.5}
+    for star in "KGL":
+        assert report.upper[star] == pytest.approx(expected[star], abs=1e-12)
+    return report.upper
+
+
 def test_hilbert_cases(tetrahedron):
     leb_curve = closed_form_spectrum(lebesgue(1))
-    out = hilbert_check(EmbeddingParams(m=1, sigma=1, p=2.0, q=2.0), leb_curve)
-    assert out["computed"]["K"] == pytest.approx(-1.0, abs=1e-9)
-    assert out["strict_gap"] is None
+    out = _hilbert_orders(EmbeddingParams(m=1, sigma=1, p=2.0, q=2.0), leb_curve)
+    assert out["K"] == pytest.approx(-1.0, abs=1e-9)
+    assert out["K"] == out["G"]  # no strict gap for p >= 2
 
-    out4 = hilbert_check(
+    out4 = _hilbert_orders(
         EmbeddingParams(m=3, sigma=2, p=4.0, q=2.0), closed_form_spectrum(tetrahedron)
     )
-    assert out4["computed"]["K"] == out4["computed"]["G"] == out4["computed"]["L"]
+    assert out4["K"] == out4["G"] == out4["L"]
 
-    out15 = hilbert_check(EmbeddingParams(m=1, sigma=2, p=1.5, q=2.0), leb_curve)
-    assert out15["strict_gap"] == pytest.approx(1 / 1.5 - 0.5, abs=1e-12)
-
-    with pytest.raises(ValidationError):
-        hilbert_check(EmbeddingParams(m=1, sigma=1, p=2.0, q=3.0), leb_curve)
+    # p < 2: the strict gap between the K and G orders
+    out15 = _hilbert_orders(EmbeddingParams(m=1, sigma=2, p=1.5, q=2.0), leb_curve)
+    assert out15["K"] - out15["G"] == pytest.approx(1 / 1.5 - 0.5, abs=1e-12)
 
 
 def test_geometric_bounds_examples(tetrahedron):
@@ -215,7 +227,8 @@ def test_geometric_bounds_examples(tetrahedron):
 
 
 def test_geometric_bounds_ahlfors_tight():
-    curve = ahlfors_spectrum(0.5)
+    # the affine spectrum (1 - t) s of an Ahlfors-David s-regular measure, s = 1/2
+    curve = ClosedFormSpectrum(lambda t: (1.0 - t) * 0.5, "ahlfors(s=0.5)")
     # dims for an s=1/2 measure: use the quarter-Cantor window
     from widthlab.spectrum import DimensionEstimate
 
@@ -261,7 +274,7 @@ def test_boundary_continuity_two_sided(tetrahedron):
     def uao(star, p, q, region):
         # sigma = 3 keeps rho_hat = sigma - 3/p positive at p = 1.5; S cancels
         params = EmbeddingParams(m=3, sigma=3, p=p, q=q)
-        return -upper_S(curve, None, params) + _branch_values(star, p, q, region)
+        return -upper_order(params, curve).S_upper + _branch_values(star, p, q, region)
 
     # p = 2 boundary (II|IV below q=2 side handled at q boundary; here III|IV)
     for star, regions in (("K", ("III", "IV")), ("G", ("III", "IV"))):
