@@ -1,4 +1,12 @@
-"""Multifractal spectra, adaptive dyadic partitions, and approximation orders."""
+"""Multifractal spectra, adaptive dyadic partitions, and approximation orders.
+
+The import path: every module is imported eagerly, numpy included. Start-up
+is the same for every subcommand, so an import that one subcommand skipped
+would only move into another one's call. What no call needs stays out: no
+code is generated at import (records are `NamedTuple`s or plain classes, not
+dataclasses), `logging` is not imported, and the config hash uses the
+built-in SHA-256, not OpenSSL's.
+"""
 
 import os as _os
 

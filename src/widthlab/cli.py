@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -116,13 +116,16 @@ def _read(path: str, what: str) -> bytes:
         raise FileNotFoundError(f"cannot read {what}: {exc}") from exc
 
 
+OUTPUTS = ("out", "summary", "verdict", "cells_out")
+
+
 class Run:
     """One invocation: its options (explicit flags over config-file keys),
     its measure, and where its results go. A value that the option's
     converter rejects, a boolean or fractional number for a numeric or
-    integer option, a cap below 1, a negative seed, or a range, grid or
-    threshold list with no values is a ParseError, whichever source it came
-    from.
+    integer option, a non-string text option, a cap below 1, a negative
+    seed, or a range, grid or threshold list with no values is a
+    ParseError, whichever source it came from.
     """
 
     def __init__(self, args: argparse.Namespace) -> None:
@@ -151,8 +154,14 @@ class Run:
         convert, default, _ = OPTIONS[key]
         value = self.values.get(key)
         value = default if value is None else value
-        if value is None or convert is None:
+        if value is None:
             return value
+        if convert is None:
+            # open() would take an integer as a file descriptor
+            if isinstance(value, str) or (key == "weight_column" and type(value) is int):
+                return value
+            kind = "a column name or index" if key == "weight_column" else "a string"
+            raise ParseError(f"malformed {_flag(key)} value {value!r}: expected {kind}")
         # config values arrive typed: int() would truncate 2.7 and take True as 1
         fractional = convert is int and isinstance(value, float) and not value.is_integer()
         if convert in (int, float) and (isinstance(value, bool) or fractional):
@@ -175,6 +184,21 @@ class Run:
         if value is None:
             raise ValidationError(f"missing required option {_flag(key)}")
         return value
+
+    def check_outputs(self, keys) -> None:
+        """Fail before any work if the output file of an option among `keys`
+        is a directory or lies in a missing one, so that a run failing on a
+        later output leaves no complete-looking earlier one."""
+        for key in (key for key in OUTPUTS if key in keys):
+            path = self.get(key)
+            parent = os.path.dirname(path or "") or "."
+            if path and os.path.isdir(path):
+                reason = "Is a directory"
+            elif path and not os.path.isdir(parent):
+                reason = "Not a directory" if os.path.exists(parent) else "No such file or directory"
+            else:
+                continue
+            raise WidthlabError(f"cannot write {_flag(key)} {path}: {reason}")
 
     def emit(self, key: str, columns: list[str] | None, data) -> None:
         """Write CSV rows, or a JSON payload if `columns` is None, under the
@@ -312,7 +336,7 @@ def _probe(run: Run) -> None:
         run.model, run.need("n"), run.need("alpha"), _embedding(run),
         seed=run.get("seed"), max_cubes=run.get("max_cubes"),
     )
-    payload = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    payload = result._asdict()
     payload["family"] = [str(c) for c in result.family]
     payload["family_size"] = len(result.family)
     run.emit("out", None, payload)
@@ -370,8 +394,12 @@ def main(argv=None) -> int:
         args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EX_USAGE if exc.code == 2 else exc.code
+    _, keys, compute = SUBCOMMANDS[args.command]
     try:
-        SUBCOMMANDS[args.command][2](Run(args))
+        run = Run(args)
+        if compute is not _validate:  # which writes no output
+            run.check_outputs(f"{COMMON} {keys}".split())
+        compute(run)
         return EX_OK
     except FileNotFoundError as exc:
         message, code = str(exc), EX_NOINPUT

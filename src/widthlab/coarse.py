@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from operator import truediv
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -55,8 +54,7 @@ def default_alpha_grid(m: int, rho: float) -> list[float]:
     return [k / 20 for k in range(2, math.floor(20 * hi) + 1)]
 
 
-@dataclass(frozen=True)
-class CoarseProfile:
+class CoarseProfile(NamedTuple):
     """Counts N_{rho,n}(alpha) with window F-estimates and optimized dims.
 
     F estimates use log2(max(count, 1)); the optimized dimensions take the

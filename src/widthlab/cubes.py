@@ -8,30 +8,41 @@ exact at any depth.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParseError, ValidationError
 
 
-@dataclass(frozen=True)
-class DyadicCube:
-    """Half-open dyadic cube (l * 2^-n, (l+1) * 2^-n] per coordinate."""
+# the unchecked constructor of the records below: _new(DyadicCube, (level,
+# index)) for an index known to be valid at that level
+_new = tuple.__new__
 
+
+class _Cube(NamedTuple):
     level: int
     index: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.level < 0:
-            raise ValidationError(f"cube level must be >= 0, got {self.level}")
-        if not self.index:
+
+class DyadicCube(_Cube):
+    """Half-open dyadic cube (l * 2^-n, (l+1) * 2^-n] per coordinate.
+
+    The constructor checks the level and every index against 2^level. A cube
+    derived from a valid one (`child`, `parent`, `ancestor`) is built by
+    `_new` without the check."""
+
+    __slots__ = ()
+
+    def __new__(cls, level: int, index: tuple[int, ...]) -> "DyadicCube":
+        if level < 0:
+            raise ValidationError(f"cube level must be >= 0, got {level}")
+        if not index:
             raise ValidationError("cube index must have at least one coordinate")
-        bound = 1 << self.level
-        for l in self.index:
+        bound = 1 << level
+        for l in index:
             if not 0 <= l < bound:
-                raise ValidationError(
-                    f"cube index {self.index} out of range at level {self.level}"
-                )
+                raise ValidationError(f"cube index {index} out of range at level {level}")
+        return _new(cls, (level, index))
 
     @property
     def m(self) -> int:
@@ -69,19 +80,20 @@ class DyadicCube:
     def parent(self) -> "DyadicCube":
         if self.level == 0:
             raise ValidationError("root cube has no parent")
-        return DyadicCube(self.level - 1, tuple(l >> 1 for l in self.index))
+        return _new(DyadicCube, (self.level - 1, tuple(l >> 1 for l in self.index)))
 
     def child(self, branch: tuple[int, ...]) -> "DyadicCube":
-        return DyadicCube(
-            self.level + 1, tuple(2 * l + b for l, b in zip(self.index, branch))
-        )
+        return _new(DyadicCube,
+                    (self.level + 1, tuple(2 * l + b for l, b in zip(self.index, branch))))
 
     def ancestor(self, level: int) -> "DyadicCube":
         """The level-`level` cube containing this one (level <= self.level)."""
         if level > self.level:
             raise ValidationError("ancestor level must not exceed cube level")
+        if level < 0:
+            raise ValidationError(f"cube level must be >= 0, got {level}")
         shift = self.level - level
-        return DyadicCube(level, tuple(l >> shift for l in self.index))
+        return _new(DyadicCube, (level, tuple(l >> shift for l in self.index)))
 
     def __str__(self) -> str:
         return format_cube(self)
@@ -114,16 +126,20 @@ def neighbors(cube: DyadicCube) -> list[DyadicCube]:
     return [DyadicCube(cube.level, idx) for idx in itertools.product(*ranges)]
 
 
-@dataclass(frozen=True)
-class Box:
-    """Closed axis-parallel box; may leave the unit cube."""
-
+class _Box(NamedTuple):
     center: tuple[Fraction, ...]
     half_width: Fraction
 
-    def __post_init__(self) -> None:
-        if self.half_width <= 0:
+
+class Box(_Box):
+    """Closed axis-parallel box; may leave the unit cube."""
+
+    __slots__ = ()
+
+    def __new__(cls, center: tuple[Fraction, ...], half_width: Fraction) -> "Box":
+        if half_width <= 0:
             raise ValidationError("box half_width must be positive")
+        return _new(cls, (center, half_width))
 
     @property
     def m(self) -> int:

@@ -36,10 +36,9 @@ and f-values of the current quadrature depth only; its rows are those of
 from __future__ import annotations
 
 import functools
-import logging
 import math
-from dataclasses import InitVar, dataclass
-from typing import Optional
+import sys
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -60,8 +59,6 @@ from .partition import DEFAULT_MAX_CELLS, PartitionResult, build_partition
 from .quadrature import composite_unit_norm, unit_rule
 from .spectrum import closed_form_spectrum, empirical_spectrum
 
-logger = logging.getLogger(__name__)
-
 
 def _default_npts(degree: int) -> int:
     return max(2 * (degree + 1), 8)
@@ -79,7 +76,10 @@ def _hilbert_gram(m: int, degree: int) -> np.ndarray:
     gram = np.array(
         [[math.prod(1.0 / (a + b + 1) for a, b in zip(ea, eb)) for eb in exps] for ea in exps]
     )
-    if logger.isEnabledFor(logging.DEBUG):
+    # no DEBUG logger can be on unless something else imported logging
+    logging = sys.modules.get("logging")
+    logger = logging and logging.getLogger(__name__)
+    if logger and logger.isEnabledFor(logging.DEBUG):
         logger.debug("moment gram: m=%d degree=%d cond=%.3e", m, degree, np.linalg.cond(gram))
     gram.flags.writeable = False
     return gram
@@ -134,17 +134,13 @@ def moment_project(
     return _project_cells(f, (cube,), lower, side, degree, npts)[0]
 
 
-@dataclass
 class PiecewisePolynomial:
-    """Per-cell polynomials over the rescaled-cell monomial basis."""
+    """Per-cell polynomials over the rescaled-cell monomial basis: `coeffs`
+    is (card, kdim). `frames` is `_cell_frames(cells)`, if already built."""
 
-    cells: tuple[DyadicCube, ...]
-    coeffs: np.ndarray  # (card, kdim)
-    degree: int
-    m: int
-    frames: InitVar[Optional[tuple]] = None  # `_cell_frames(cells)`, if already built
-
-    def __post_init__(self, frames):
+    def __init__(self, cells: tuple[DyadicCube, ...], coeffs: np.ndarray, degree: int, m: int,
+                 frames: Optional[tuple] = None) -> None:
+        self.cells, self.coeffs, self.degree, self.m = cells, coeffs, degree, m
         self.exponents = np.array(multi_indices(self.m, self.degree), dtype=int)
         levels, index, self._lower, self._side = frames or _cell_frames(self.cells)
         self.levels = sorted(set(levels.tolist()))
@@ -256,8 +252,7 @@ def lq_error(
     return _quadrature_error(approx, _quadrature(f, model, depth, max_cubes), q)
 
 
-@dataclass(frozen=True)
-class DecayResult:
+class DecayResult(NamedTuple):
     slope: Optional[float]
     predicted: float
     upper_bound_ok: Optional[bool]
@@ -398,8 +393,7 @@ def sobolev_seminorm(
     return composite_unit_norm(grad, m, resolution, npts, p)
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(NamedTuple):
     n: int
     alpha: float
     family: tuple[DyadicCube, ...]

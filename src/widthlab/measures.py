@@ -64,7 +64,6 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -101,7 +100,6 @@ class TemplateNode(NamedTuple):
     children: tuple[tuple[int, Mass, tuple[int, ...]], ...]
 
 
-@dataclass
 class _Level:
     """The states of an IFS level n in id order, as (template node, id among
     the level's distinct masses), with their cube counts; the numerators N
@@ -109,11 +107,10 @@ class _Level:
     the level above, its children's state ids in edge order. The multiset is
     built when first read, so a push through a level makes no `Fraction`."""
 
-    states: list[tuple[int, int]]
-    counts: list[int]
-    nums: list[int]
-    den: int
-    edges: list[list[int]]
+    def __init__(self, states: list[tuple[int, int]], counts: list[int], nums: list[int],
+                 den: int, edges: list[list[int]]) -> None:
+        self.states, self.counts, self.nums, self.den, self.edges = (
+            states, counts, nums, den, edges)
 
     @functools.cached_property
     def multiset(self) -> dict[Mass, int]:
@@ -384,16 +381,20 @@ class AtomicMeasure(MeasureModel):
         }
 
 
-@dataclass(frozen=True)
-class IfsMap:
-    """Similarity with contraction 2^-ratio_log2 onto a dyadic image cube."""
-
+class _IfsMap(NamedTuple):
     ratio_log2: int
     offset: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.ratio_log2 < 1:
+
+class IfsMap(_IfsMap):
+    """Similarity with contraction 2^-ratio_log2 onto a dyadic image cube."""
+
+    __slots__ = ()
+
+    def __new__(cls, ratio_log2: int, offset: tuple[int, ...]) -> "IfsMap":
+        if ratio_log2 < 1:
             raise ValidationError("ratio_log2 must be a positive integer")
+        return super().__new__(cls, ratio_log2, offset)
 
     def image(self) -> DyadicCube:
         return DyadicCube(self.ratio_log2, self.offset)

@@ -10,9 +10,8 @@ sandwich intervals from the coarse profile, or exactly for q = infinity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .coarse import CoarseProfile
 from .errors import SolverError, ValidationError
@@ -51,27 +50,32 @@ def dual_exponent(r):
     return Fraction(r) / (Fraction(r) - 1)
 
 
-@dataclass(frozen=True)
-class EmbeddingParams:
-    """Validated parameters of the embedding W^{sigma,p} -> L^q_nu."""
-
+class _EmbeddingParams(NamedTuple):
     m: int
     sigma: int
     p: float
     q: float
 
-    def __post_init__(self):
-        if self.m < 1:
+
+class EmbeddingParams(_EmbeddingParams):
+    """Validated parameters of the embedding W^{sigma,p} -> L^q_nu."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, sigma: int, p: float, q: float) -> "EmbeddingParams":
+        if m < 1:
             raise ValidationError("dimension m must be >= 1")
-        if self.sigma < 1 or int(self.sigma) != self.sigma:
+        if sigma < 1 or int(sigma) != sigma:
             raise ValidationError("smoothness sigma must be a positive integer")
-        for name, r in (("p", self.p), ("q", self.q)):
+        for name, r in (("p", p), ("q", q)):
             if not (1 <= r or math.isinf(r)):
                 raise ValidationError(f"{name} must lie in [1, inf], got {r}")
+        self = super().__new__(cls, m, sigma, p, q)
         if self.rho_hat <= 0:
             raise ValidationError(
                 f"smoothness surplus sigma - m/p = {self.rho_hat} must be positive"
             )
+        return self
 
     @property
     def rho_hat(self) -> float:
@@ -194,21 +198,20 @@ def _solve_S(
     return s, value
 
 
-@dataclass
 class OrderReport:
-    """Everything the order calculator knows about one embedding."""
+    """Everything the order calculator knows about one embedding. The lower
+    orders (`S_lower_est`, `lower`, `regularity_flag`) are set by
+    `lower_order`."""
 
-    params: EmbeddingParams
-    case: str
-    exponents: dict[str, float]
-    S_upper: float
-    s_rho: Optional[float]
-    upper: dict[str, float]
-    S_lower_est: Optional[float] = None
-    lower: Optional[dict[str, tuple[float, float]]] = None
-    regularity_flag: Optional[bool] = None
-    dim_upper: Optional[float] = None
-    dim_lower: Optional[float] = None
+    def __init__(self, params: EmbeddingParams, case: str, exponents: dict[str, float],
+                 S_upper: float, s_rho: Optional[float], upper: dict[str, float],
+                 dim_upper: Optional[float] = None, dim_lower: Optional[float] = None) -> None:
+        self.params, self.case, self.exponents = params, case, exponents
+        self.S_upper, self.s_rho, self.upper = S_upper, s_rho, upper
+        self.dim_upper, self.dim_lower = dim_upper, dim_lower
+        self.S_lower_est: Optional[float] = None
+        self.lower: Optional[dict[str, tuple[float, float]]] = None
+        self.regularity_flag: Optional[bool] = None
 
     def to_dict(self) -> dict:
         out = {

@@ -38,13 +38,13 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
+from typing import NamedTuple
 
 import numpy as np
 
-from .cubes import DyadicCube
+from .cubes import DyadicCube, _new
 from .errors import ResourceLimitError, SolverError, ValidationError
 from .measures import MeasureModel
 from .spectrum import frac_log2
@@ -54,8 +54,7 @@ _LEVEL_GUARD = 64
 _ROOT = 0  # the root state's id: a state graph interns it first
 
 
-@dataclass(frozen=True)
-class PartitionRow:
+class PartitionRow(NamedTuple):
     """Summary row of a threshold partition: its cell count, the levels of
     its cells and its largest J value."""
 
@@ -68,10 +67,17 @@ class PartitionRow:
     degenerate: bool
 
 
-@dataclass(frozen=True)
-class PartitionResult(PartitionRow):
-    """Cells of the threshold partition, canonically sorted, with their row."""
+class PartitionResult(NamedTuple):
+    """Cells of the threshold partition, canonically sorted, with the fields
+    of their `PartitionRow`."""
 
+    t: float
+    rho: float
+    card: int
+    max_j: float
+    min_level: int
+    max_level: int
+    degenerate: bool
     cells: tuple[DyadicCube, ...]
 
 
@@ -208,8 +214,8 @@ def build_partition(
     cells: list[tuple[int, tuple[int, ...], float]] = []
     row = _walk(model, rho, t, max_cells, cells)
     cells.sort()
-    return PartitionResult(**vars(row),
-                           cells=tuple(DyadicCube(level, index) for level, index, _ in cells))
+    # each cell is a child of a valid cube, so its index needs no check
+    return PartitionResult(*row, tuple(_new(DyadicCube, c[:2]) for c in cells))
 
 
 def partition_row(
@@ -223,8 +229,7 @@ def partition_row(
     return _walk(model, rho, t, max_cells, None)
 
 
-@dataclass(frozen=True)
-class EntropySlopeResult:
+class EntropySlopeResult(NamedTuple):
     slope: float
     rows: tuple[tuple[float, int, int, int, float], ...]  # (t, card, minlev, maxlev, max_j)
 

@@ -8,11 +8,20 @@ skip the first line.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
+import sys
 
 from . import __version__
+
+# CPython's built-in SHA-256, which loads no OpenSSL as `hashlib` does
+try:
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
+        from _sha256 import sha256
+except ImportError:  # another interpreter, or a build without the module
+    from hashlib import sha256
 
 
 def canonical_config(config: dict) -> str:
@@ -20,7 +29,7 @@ def canonical_config(config: dict) -> str:
 
 
 def config_hash(config: dict) -> str:
-    return hashlib.sha256(canonical_config(config).encode()).hexdigest()[:16]
+    return sha256(canonical_config(config).encode()).hexdigest()[:16]
 
 
 def header_line(config: dict) -> str:

@@ -12,8 +12,8 @@ multiset), serves a whole t-grid in `beta_row` (hence `beta_n`,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -199,18 +199,23 @@ def s_b_solve(curve: SpectrumCurve, b: float, t_max: float = 1.5) -> float:
     return brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
 
 
-@dataclass(frozen=True)
-class DimensionEstimate:
-    """Per-level box-counting exponents with their window extremes."""
-
+class _DimensionEstimate(NamedTuple):
     levels: tuple[int, ...]
     values: tuple[float, ...]
     window_min: float
     window_max: float
 
-    def __post_init__(self):
-        if self.window_min > self.window_max + 1e-12:
+
+class DimensionEstimate(_DimensionEstimate):
+    """Per-level box-counting exponents with their window extremes."""
+
+    __slots__ = ()
+
+    def __new__(cls, levels: tuple[int, ...], values: tuple[float, ...], window_min: float,
+                window_max: float) -> "DimensionEstimate":
+        if window_min > window_max + 1e-12:
             raise ValidationError("dimension window inverted")
+        return super().__new__(cls, levels, values, window_min, window_max)
 
 
 def minkowski(

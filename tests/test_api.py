@@ -4,9 +4,30 @@ The command line is the product: a function that no subcommand, no class
 and no other reached function refers to is code that only tests run, and
 belongs with them in `tests/`."""
 import ast
+import os
+import re
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import widthlab
+from widthlab import (
+    Box,
+    DimensionEstimate,
+    DyadicCube,
+    EmbeddingParams,
+    IfsMap,
+    PartitionRow,
+    ValidationError,
+    build_partition,
+    lebesgue,
+    neighbors,
+    parse_cube,
+    partition_row,
+)
 
 SRC = Path(widthlab.__file__).parent
 
@@ -80,3 +101,69 @@ def test_every_function_is_reached():
                 reached.add(name)
                 todo.append(name)
     assert sorted(functions[name] for name in set(functions) - reached) == []
+
+
+def test_import_path_loads_no_code_generation_logging_or_openssl():
+    """Set-up is shared by every subcommand, so each module imports eagerly;
+    what no call needs stays out: `dataclasses` (and its code generation),
+    `logging` and `hashlib` (OpenSSL). A gram matrix and a config hash do
+    not load them either."""
+    code = (
+        "import sys; before = set(sys.modules)\n"
+        "import widthlab.cli\n"
+        "from widthlab import empirical, reports\n"
+        "empirical._hilbert_gram(2, 1); reports.config_hash({'a': 1})\n"
+        "print(sorted({'dataclasses', 'logging', 'hashlib', '_hashlib'}"
+        " & (set(sys.modules) - before)))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: DyadicCube(-1, (0,)), "cube level must be >= 0, got -1"),
+        (lambda: DyadicCube(2, ()), "cube index must have at least one coordinate"),
+        (lambda: DyadicCube(2, (1, 4)), "cube index (1, 4) out of range at level 2"),
+        (lambda: DyadicCube(level=2, index=(-1,)), "cube index (-1,) out of range at level 2"),
+        (lambda: parse_cube("3:8,0"), "cube index (8, 0) out of range at level 3"),
+        (lambda: DyadicCube(3, (1,)).ancestor(-1), "cube level must be >= 0, got -1"),
+        (lambda: DyadicCube(3, (1,)).ancestor(4), "ancestor level must not exceed cube level"),
+        (lambda: DyadicCube(0, (0,)).parent(), "root cube has no parent"),
+        (lambda: Box((Fraction(1, 2),), Fraction(0)), "box half_width must be positive"),
+        (lambda: IfsMap(0, (0,)), "ratio_log2 must be a positive integer"),
+        (lambda: EmbeddingParams(m=0, sigma=1, p=2, q=2), "dimension m must be >= 1"),
+        (lambda: EmbeddingParams(m=1, sigma=1.5, p=2, q=2),
+         "smoothness sigma must be a positive integer"),
+        (lambda: EmbeddingParams(1, 1, 0.5, 2), "p must lie in [1, inf], got 0.5"),
+        (lambda: EmbeddingParams(1, 1, 2, float("nan")), "q must lie in [1, inf], got nan"),
+        (lambda: EmbeddingParams(m=2, sigma=1, p=2, q=2),
+         "smoothness surplus sigma - m/p = 0.0 must be positive"),
+        (lambda: DimensionEstimate((1, 2), (1.0, 0.5), 1.0, 0.5), "dimension window inverted"),
+    ],
+)
+def test_validated_records_keep_their_messages(make, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_records_are_tuples_of_their_fields():
+    cube = DyadicCube(2, (1, 3))
+    assert cube == (2, (1, 3)) and hash(cube) == hash((2, (1, 3)))
+    level, index = cube
+    assert (level, index) == (cube.level, cube.index) and cube._asdict() == {
+        "level": 2, "index": (1, 3)}
+    assert str(cube) == "2:1,3" and repr(cube) == "DyadicCube(level=2, index=(1, 3))"
+    # derived cubes skip the range check but are the same cubes
+    derived = [cube.child((1, 0)), cube.parent(), cube.ancestor(0), *neighbors(cube)]
+    assert all(type(c) is DyadicCube for c in derived)
+    assert derived[:3] == [DyadicCube(3, (3, 6)), DyadicCube(1, (0, 1)), DyadicCube(0, (0, 0))]
+    params = EmbeddingParams(m=1, sigma=2, p=2, q=2)
+    assert params._fields == ("m", "sigma", "p", "q") and params.rho == 3.0
+    part = build_partition(lebesgue(1), 1.0, 0.3)
+    assert part._fields == (*PartitionRow._fields, "cells") and not isinstance(part, PartitionRow)
+    assert PartitionRow(*part[:-1]) == partition_row(lebesgue(1), 1.0, 0.3)
+    assert all(type(c) is DyadicCube for c in part.cells)

@@ -17,6 +17,7 @@ configuration, and with it the header hash, is the same on every machine.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -28,6 +29,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from widthlab import ParseError, cli, empirical, reports
 from widthlab.measures import ingest_points
@@ -374,13 +377,29 @@ def test_empty_range_or_grid_is_a_malformed_value(argv, flag, value, tmp_path, m
           "--alpha", "3", "--seed", "-1"], {}, "malformed --seed value -1: a seed must be >= 0"),
         (["probe", "--config", "num.json", "--sigma", "1", "--n", "3", "--alpha", "3"],
          {"seed": -2}, "malformed --seed value -2: a seed must be >= 0"),
+        (["validate", "--config", "num.json"], {"measure": 2.5},
+         "malformed --measure value 2.5: expected a string"),
+        (["validate", "--config", "num.json"], {"measure": 0},
+         "malformed --measure value 0: expected a string"),
+        (["dims", "--config", "num.json", "--levels", "2"], {"out": 987},
+         "malformed --out value 987: expected a string"),
+        (["coarse", "--config", "num.json", "--sigma", "1", "--levels", "2..3"],
+         {"summary": 1.5}, "malformed --summary value 1.5: expected a string"),
+        (["empirical", "--config", "num.json", "--sigma", "1", "--thresholds", "pow2:2..6"],
+         {"verdict": ["v.json"]}, "malformed --verdict value ['v.json']: expected a string"),
+        (["partition", "--config", "num.json", "--sigma", "1", "--thresholds", "0.5"],
+         {"cells_out": 2.5}, "malformed --cells-out value 2.5: expected a string"),
+        (["validate", "--config", "num.json", "--measure", "pts.csv"], {"weight_column": True},
+         "malformed --weight-column value True: expected a column name or index"),
     ],
     ids=["fractional-int", "bool-int", "fractional-cap", "bool-level", "bool-real", "bool-rho",
-         "negative-seed", "config-negative-seed"],
+         "negative-seed", "config-negative-seed", "text-measure", "text-measure-fd", "text-out",
+         "text-summary", "text-verdict", "text-cells-out", "text-weight-column"],
 )
 def test_config_number_or_seed_out_of_type_is_a_malformed_value(argv, config, message, tmp_path,
                                                                  monkeypatch, capsys):
-    # int() would run sigma 2.7 as 2 and true as 1, and numpy rejects a negative seed late
+    # int() would run sigma 2.7 as 2 and true as 1, numpy rejects a negative
+    # seed late, and open() takes an integer path as a file descriptor (0 is stdin)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "num.json").write_text(json.dumps(
         {"measure": "leb1.json", "p": 2, "q": 2, **config}))
@@ -395,17 +414,22 @@ def test_config_number_or_seed_out_of_type_is_a_malformed_value(argv, config, me
         (["dims", "--measure", "tet.json", "--levels", "2"], "--out", "missing/out.csv",
          "No such file or directory"),
         (["coarse", *_TET22, "--levels", "2..3"], "--summary", "/", "Is a directory"),
-        (["empirical", *_TET22, "--thresholds", "pow2:2..6"], "--verdict", "/",
+        (["empirical", *_TET22, "--thresholds", "pow2:2..6", "--out", "out.csv"], "--verdict",
+         "/", "Is a directory"),
+        (["partition", *_TET22, "--thresholds", "0.5", "--out", "out.csv"], "--cells-out", "/",
          "Is a directory"),
-        (["partition", *_TET22, "--thresholds", "0.5"], "--cells-out", "/", "Is a directory"),
     ],
     ids=["out-directory", "out-missing-directory", "summary", "verdict", "cells-out"],
 )
 def test_unwritable_output_exits_1(argv, flag, path, reason, tmp_path, monkeypatch, capsys):
-    # an output path is not an input file (exit 66), and its error is no traceback
+    # an output path is not an input file (exit 66), and its error is no
+    # traceback; it is found before any work, so no earlier output of the
+    # run, to a file or to stdout, is left complete-looking
     monkeypatch.chdir(tmp_path)
-    assert run_cli([*argv, flag, path], tmp_path)["code"] == cli.EX_FAIL
+    result = run_cli([*argv, flag, path], tmp_path)
+    assert result["code"] == cli.EX_FAIL and result["header"] is None and result["side"] == {}
     assert capsys.readouterr().err == f"widthlab: cannot write {flag} {path}: {reason}\n"
+
 
 def _reject(constant):
     raise ValueError(f"{constant} is not RFC 8259 JSON")
@@ -478,6 +502,21 @@ def test_header_hash_covers_config_file_values(tmp_path, monkeypatch):
     assert headers[0] != headers[1]
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(max_size=8), _JSON, max_size=5))
+def test_config_hash_is_the_sha256_of_the_canonical_config(config):
+    want = hashlib.sha256(reports.canonical_config(config).encode()).hexdigest()[:16]
+    assert reports.config_hash(config) == want
+
+
 def test_header_hashed_once_per_run(tmp_path, monkeypatch):
     # two output files, one config hash, the same header on both
     monkeypatch.chdir(tmp_path)
@@ -503,6 +542,9 @@ def test_weight_column_index_matches_name(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv = ["validate", "--measure", "pts.csv", "--weight-column", "2"]
     assert run_cli(argv, tmp_path)["code"] == cli.EX_OK
+    # a config file may give the index as an integer
+    (tmp_path / "w.json").write_text(json.dumps({"measure": "pts.csv", "weight_column": 2}))
+    assert run_cli(["validate", "--config", "w.json"], tmp_path)["code"] == cli.EX_OK
 
 
 def test_weight_column_index_on_headerless_csv():
