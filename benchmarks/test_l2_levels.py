@@ -17,12 +17,14 @@ against 8-10 ms for all seven tables (the atomic ones from integer arrays),
 so the suite runs one round per side.
 
 A third case times `ingest_points` on the same cloud written as CSV text,
-as perfbench's `cloud.csv` is, and checks its integer state and `to_spec()`
-against the model built from `Fraction`s: a median of 3.1-3.8 ms over 20
-rounds on the same VM, against 13.1-13.4 ms when every field was parsed by
-`Fraction`. A fourth times the provenance of a run on that cloud,
-`to_spec()` and its `config_hash`: a median of 1.9-2.1 ms, the same as when
-the spec strings were `str()` of `Fraction`s that the ingest had built.
+as perfbench's `cloud.csv` is, and checks its integer state against the
+model built from `Fraction`s: a median of 3.1-3.8 ms over 20 rounds on the
+same VM, against 13.1-13.4 ms when every field was parsed by `Fraction`. A
+fourth times the provenance of a run on that cloud, the SHA-256 digest of
+its 10.8 KB of CSV bytes under the run's `config_hash`: a median of
+0.06-0.11 ms in three runs of 20 rounds on the same VM. The provenance
+once re-serialized the parsed model to a spec and hashed that instead:
+1.6-2.3 ms in three such runs.
 
 A fifth case pushes two IFS multisets deep, on fresh models each round:
 perfbench's `ifs7` (7 maps, mixed ratios) to level 24 (47 728 distinct
@@ -51,14 +53,15 @@ The suite lies outside tier-1, whose `testpaths` is `tests`.
 """
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from widthlab import (AtomicMeasure, DyadicCube, IfsMap, IfsMeasure, ProductMeasure, ingest_points,
-                      lebesgue)
-from widthlab.reports import config_hash
+from widthlab import (AtomicMeasure, DyadicCube, IfsMap, IfsMeasure, ProductMeasure, __version__,
+                      ingest_points, lebesgue)
+from widthlab.reports import config_hash, sha256
 
 from tests.conftest import ifs7, new_tetrahedron
 from tests.oracles import descent_positive, oracle_level_masses, oracle_uniform_nodes
@@ -135,15 +138,17 @@ def test_l2_ingest(benchmark):
     got = benchmark.pedantic(ingest_points, args=(cloud_text(),), rounds=20)
     want = cases()[0][0]  # the Fraction route
     assert integer_state(got) == integer_state(want)
-    assert got.to_spec() == want.to_spec()
 
 
 def test_l2_provenance(benchmark):
-    model = ingest_points(cloud_text())
-    got = benchmark.pedantic(lambda: config_hash({"measure_spec": model.to_spec()}), rounds=20)
-    spec = cases()[0][0].to_spec()
-    assert spec["points"][0] == [str(Fraction(c, 10**6)) for c in cloud_coords()[0]]
-    assert got == config_hash({"measure_spec": spec})
+    # the provenance of `spectrum --measure cloud.csv`, as the command line
+    # builds it from the bytes it read
+    data = cloud_text().encode()
+    config = {"command": "spectrum", "measure": "cloud.csv", "tool_version": __version__}
+    got = benchmark.pedantic(
+        lambda: config_hash({**config, "measure_sha256": sha256(data).hexdigest()}), rounds=20)
+    digest = hashlib.sha256(data).hexdigest()
+    assert got == config_hash({**config, "measure_sha256": digest})
 
 
 def deep_cases():

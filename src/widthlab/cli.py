@@ -7,7 +7,8 @@ loads the same schema with explicit flags taking precedence. Real grids use
 "pow2:a..b" for 2^-a .. 2^-b, and the literal "inf" is accepted for p or q.
 
 The header line of every output hashes the effective configuration: the
-config-file values merged under the flags, the version and the measure.
+config-file values merged under the flags, the version and the SHA-256
+digest of the measure file's bytes.
 Runs are self-contained: nothing is cached on disk, and nothing runs in
 parallel. Exit codes: 0 success, 1 validation/solver failure, malformed
 value (flag or config file) or unwritable output file, 2 resource cap, 64
@@ -142,7 +143,10 @@ class Run:
             self.model = ingest_points(data, self.get("weight_column"), name=path)
         else:
             self.model = load_measure(data, name=path)
-        provenance = {"tool_version": __version__, "measure_spec": self.model.to_spec()}
+        # provenance covers the bytes read, not the parsed model: two files
+        # that spell one measure differently get different headers
+        provenance = {"tool_version": __version__,
+                      "measure_sha256": reports.sha256(data).hexdigest()}
         self.config = {**self.values, **provenance}
 
     @functools.cached_property

@@ -52,10 +52,6 @@ class DyadicCube(_Cube):
     def side(self) -> Fraction:
         return Fraction(1, 1 << self.level)
 
-    @property
-    def volume(self) -> Fraction:
-        return Fraction(1, 1 << (self.level * self.m))
-
     def lower(self) -> tuple[Fraction, ...]:
         s = self.side
         return tuple(l * s for l in self.index)
@@ -67,15 +63,6 @@ class DyadicCube(_Cube):
     def center(self) -> tuple[Fraction, ...]:
         s = self.side
         return tuple(Fraction(2 * l + 1, 1) * s / 2 for l in self.index)
-
-    def contains(self, point) -> bool:
-        """Strict lower bound, inclusive upper bound (half-open convention)."""
-        s = self.side
-        for l, x in zip(self.index, point):
-            x = Fraction(x)
-            if not l * s < x <= (l + 1) * s:
-                return False
-        return True
 
     def parent(self) -> "DyadicCube":
         if self.level == 0:
@@ -155,12 +142,6 @@ class Box(_Box):
         return all(
             abs(c1 - c2) < self.half_width + other.half_width
             for c1, c2 in zip(self.center, other.center)
-        )
-
-    def contains_closed(self, point) -> bool:
-        return all(
-            c - self.half_width <= Fraction(x) <= c + self.half_width
-            for c, x in zip(self.center, point)
         )
 
     def inside_unit_cube(self) -> bool:

@@ -26,7 +26,7 @@ operations only: per cell level, each key's coordinates are packed into one
 exact integer (int64 while L * m <= 62, Python ints beyond), a key with a
 coordinate outside [0, 2^L) packs to -1, and a binary search in the level's
 sorted cell keys finds its cell. It is exact at every depth, where float
-centres fail once D >= 53; `evaluate` and `lq_error` both go through it.
+centres fail once D >= 53; `lq_error` goes through it.
 
 A decay experiment projects each distinct cell of its partitions once,
 reuses the error of a partition equal to the last one, and holds the nodes
@@ -164,18 +164,6 @@ class PiecewisePolynomial:
             hit = (keys[pos] == wanted) & (rows < 0)
             rows[hit] = cell_rows[pos[hit]]
         return rows
-
-    def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        """Pointwise values; zero outside the union of cells (half-open).
-
-        A point of (0, 1]^m is located through its exact level-max_level
-        index ceil(x * 2^L) - 1; any other point, non-finite ones included,
-        lies outside every cell."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        inside = ((pts > 0) & (pts <= 1)).all(axis=1)
-        top = np.ceil(np.where(inside[:, None], pts, 0.0) * 2.0**self.max_level)
-        index = np.frompyfunc(int, 1, 1)(top) - 1
-        return self._values(pts, self.locate(self.max_level, index))
 
     def _values(self, pts: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Values at points already located to `rows` (-1: outside every cell)."""

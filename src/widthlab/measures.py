@@ -133,18 +133,6 @@ def _int_array(values, bound: int) -> np.ndarray:
     return np.array(values, dtype=np.int64 if bound.bit_length() < 64 else object)
 
 
-def _fraction_strs(nums: np.ndarray, den: int) -> list[str]:
-    """`str(Fraction(a, den))` for each a of `nums` (den > 0), without
-    building the Fractions."""
-    # math.gcd per value: np.gcd saves about 0.2 ms on a 600-point cloud,
-    # but the numpy code it pages in adds 0.1-0.2 MB of peak RSS
-    strs = []
-    for a in nums.tolist():
-        g = math.gcd(a, den)
-        strs.append(f"{a // g}/{den // g}" if g != den else f"{a // g}")
-    return strs
-
-
 def _common(pairs) -> tuple[list[int], int]:
     """Ratios a / b (b > 0) as numerators over their least common
     denominator, the lcm of their reduced denominators."""
@@ -239,9 +227,6 @@ class MeasureModel:
 
     def card_positive(self, n: int, max_cubes: int = DEFAULT_MAX_CUBES) -> int:
         return sum(self.level_masses(n, max_cubes).values())
-
-    def to_spec(self) -> dict:
-        raise NotImplementedError
 
 
 class AtomicMeasure(MeasureModel):
@@ -369,17 +354,6 @@ class AtomicMeasure(MeasureModel):
         return LevelNodes(index_array(keys, n, self.m), mass_id,
                           tuple(Fraction(u, self._den) for u in ids))
 
-    def to_spec(self) -> dict:
-        # the strings of the Fractions, without building them
-        m, n = self.m, len(self._units)
-        coords = _fraction_strs(self._coords.ravel(), self._pden)
-        return {
-            "type": "atomic",
-            "m": m,
-            "points": [coords[k * m:(k + 1) * m] for k in range(n)],
-            "weights": _fraction_strs(self._units, self._den),
-        }
-
 
 class _IfsMap(NamedTuple):
     ratio_log2: int
@@ -406,11 +380,6 @@ def _chain(cube: DyadicCube) -> list[TemplateNode]:
     k = cube.level
     return [TemplateNode(((j + 1, Fraction(1), tuple(l >> (k - 1 - j) & 1 for l in cube.index)),))
             for j in range(k)]
-
-
-def _dyadic_disjoint(a: DyadicCube, b: DyadicCube) -> bool:
-    lo, hi = (a, b) if a.level <= b.level else (b, a)
-    return hi.ancestor(lo.level) != lo
 
 
 class IfsMeasure(MeasureModel):
@@ -442,12 +411,19 @@ class IfsMeasure(MeasureModel):
             if len(mp.offset) != m:
                 raise ValidationError("inconsistent map dimensions")
             images.append(mp.image())
-        for i in range(len(images)):
-            for j in range(i + 1, len(images)):
-                if not _dyadic_disjoint(images[i], images[j]):
-                    raise ValidationError(
-                        f"IFS image cubes {images[i]} and {images[j]} overlap"
-                    )
+        # dyadic cubes overlap exactly when one is the other or its ancestor:
+        # each image looks up itself and its ancestors, and the least other
+        # index at a key gives its least overlapping pair
+        at: dict[DyadicCube, list[int]] = {}
+        for i, image in enumerate(images):
+            at.setdefault(image, []).append(i)
+        pairs = [sorted((j, next(i for i in at[cube] if i != j)))
+                 for j, image in enumerate(images)
+                 for cube in map(image.ancestor, range(image.level + 1))
+                 if len(at.get(cube, ())) > (cube == image)]
+        if pairs:
+            i, j = min(pairs)
+            raise ValidationError(f"IFS image cubes {images[i]} and {images[j]} overlap")
         if any(p <= 0 for p in probs):
             raise ValidationError("IFS probabilities must be positive")
         if sum(probs) != 1:
@@ -596,23 +572,6 @@ class IfsMeasure(MeasureModel):
         index.flags.writeable = mass_id.flags.writeable = False  # cached, shared
         return LevelNodes(index, mass_id, tuple(level.multiset))
 
-    def to_spec(self) -> dict:
-        spec = {
-            "type": "ifs",
-            "m": self.m,
-            "maps": [
-                {"ratio_log2": mp.ratio_log2, "offset": list(mp.offset)}
-                for mp in self.maps
-            ],
-            "probs": [str(p) for p in self.probs],
-        }
-        if self.embed_shift is not None:
-            spec["embed_shift"] = {
-                "ratio_log2": self.embed_shift.ratio_log2,
-                "offset": list(self.embed_shift.offset),
-            }
-        return spec
-
 
 class UniformMeasure(IfsMeasure):
     """Normalized Lebesgue measure restricted to a dyadic cube: the IFS of
@@ -625,9 +584,6 @@ class UniformMeasure(IfsMeasure):
                          [Fraction(1, 1 << m)] * (1 << m),
                          IfsMap(support.level, support.index) if support.level else None)
         self.support = support
-
-    def to_spec(self) -> dict:
-        return {"type": "uniform", "m": self.m, "support": str(self.support)}
 
 
 class ProductMeasure(MeasureModel):
@@ -676,9 +632,6 @@ class ProductMeasure(MeasureModel):
             out = nxt
             _check_masses(n, len(out), max_cubes)
         return out
-
-    def to_spec(self) -> dict:
-        return {"type": "product", "factors": [f.to_spec() for f in self.factors]}
 
 
 def lebesgue(m: int) -> UniformMeasure:

@@ -1,7 +1,8 @@
 """Deterministic CSV/JSON writers with a version-and-config header line.
 
 Every output file starts with a single comment line carrying the tool
-version and a hash of the effective run configuration, so reruns are
+version and a hash of the effective run configuration, in which the measure
+enters as the SHA-256 digest of its file's bytes, so reruns are
 byte-comparable and provenance travels with the data. JSON consumers should
 skip the first line.
 """

@@ -11,14 +11,19 @@ numerators over D^n replaced, the row-wise `packed_keys` and `np.prod`
 `monomials` that the column-by-column kernels replaced, the Gauss weights
 taken one `np.prod` per tensor point, the decay rows measured partition
 by partition, each anew, which the rows shared across thresholds replaced,
-and a uniform model's own template, closed-form multiset and index-grid
-node table, which its push as the IFS of the 2^m half-scale maps replaced.
+a uniform model's own template, closed-form multiset and index-grid
+node table, which its push as the IFS of the 2^m half-scale maps replaced,
+and the IFS image overlap check over every pair of images, which the
+lookup of each image's ancestors replaced.
 
-Two helpers left the package because only tests called them: the node
+Four helpers left the package because only tests called them: the node
 table read as (cube, mass) pairs (`table_cubes`, once
-`MeasureModel.enumerate_positive`), the form `descent_positive` gives, and
-the tensor Gauss rule on one cell (`integrate_on_cell`, once in
-`widthlab.quadrature`), the reference integral of the projection tests."""
+`MeasureModel.enumerate_positive`), the form `descent_positive` gives; the
+tensor Gauss rule on one cell (`integrate_on_cell`, once in
+`widthlab.quadrature`), the reference integral of the projection tests; the
+half-open membership of a point in a cube (`contains`, once
+`DyadicCube.contains`), by which the tests place atoms; and a projection's
+values at points (`evaluate`, once `PiecewisePolynomial.evaluate`)."""
 from __future__ import annotations
 
 import bisect
@@ -362,3 +367,32 @@ def oracle_uniform_nodes(model, n, max_cubes=DEFAULT_MAX_CUBES):
     delta = index_array([[o << shift for o in s.ancestor(min(n, s.level)).index]], n, m)
     mu = Fraction(1, 1 << (shift * m))
     return LevelNodes(grid.astype(delta.dtype) + delta, np.zeros(len(grid), dtype=np.intp), (mu,))
+
+
+def oracle_ifs_overlap(images):
+    # every pair in (i, j) order: the shallower cube must not be the deeper
+    # one's ancestor at its level
+    for i in range(len(images)):
+        for j in range(i + 1, len(images)):
+            lo, hi = sorted((images[i], images[j]), key=lambda cube: cube.level)
+            if hi.ancestor(lo.level) == lo:
+                return f"IFS image cubes {images[i]} and {images[j]} overlap"
+    return None
+
+
+def contains(cube, point):
+    """Strict lower bound, inclusive upper bound (half-open convention)."""
+    s = cube.side
+    return all(l * s < Fraction(x) <= (l + 1) * s for l, x in zip(cube.index, point))
+
+
+def evaluate(approx, pts):
+    """Pointwise values of a `PiecewisePolynomial`; zero outside the union of
+    its cells (half-open). A point of (0, 1]^m is located through its exact
+    level-max_level index ceil(x * 2^L) - 1; any other point, non-finite
+    ones included, lies outside every cell."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    inside = ((pts > 0) & (pts <= 1)).all(axis=1)
+    top = np.ceil(np.where(inside[:, None], pts, 0.0) * 2.0**approx.max_level)
+    index = np.frompyfunc(int, 1, 1)(top) - 1
+    return approx._values(pts, approx.locate(approx.max_level, index))

@@ -1,8 +1,9 @@
-"""The public API, and the reach of every module-level function of the package.
+"""The public API, and the reach of every function, method and property of
+the package.
 
-The command line is the product: a function that no subcommand, no class
-and no other reached function refers to is code that only tests run, and
-belongs with them in `tests/`."""
+The command line is the product: a function, method or property that no
+subcommand, no class body and no other reached definition refers to is code
+that only tests run, and belongs with them in `tests/`."""
 import ast
 import os
 import re
@@ -63,44 +64,58 @@ def test_public_names():
     ]
 
 
-def _functions_and_uses():
-    """Each module-level function as name -> "module.name", and the names
-    that each function (key: its name) and all other code (key: None)
-    refer to; `__init__` only re-exports, and docstrings and strings
-    refer to nothing."""
-    functions, uses = {}, {}
+def _refer(names: set, node) -> None:
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+
+
+def _definitions_and_uses():
+    """Each module-level function, and each method or property of a class,
+    as name -> its qualified names ("module.name", "module.Class.name");
+    and the names that the definitions of each name (key: the name) and all
+    other code (key: None) refer to. A name reaches every definition of it,
+    as an attribute lookup may; special methods, which Python calls itself,
+    count as other code. `__init__` only re-exports, and docstrings and
+    strings refer to nothing."""
+    definitions, uses = {}, {}
     for path in sorted(SRC.glob("*.py")):
         if path.stem == "__init__":
             continue
         for top in ast.parse(path.read_text()).body:
-            owner = None
-            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner = top.name
-                assert owner not in functions, f"{owner} is defined twice"
-                if path.stem != "__main__":
-                    functions[owner] = f"{path.stem}.{owner}"
-            names = uses.setdefault(owner, set())
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-    return functions, uses
+            members, prefix = [top], f"{path.stem}."
+            if isinstance(top, ast.ClassDef):
+                members, prefix = top.body, f"{path.stem}.{top.name}."
+                for node in [*top.bases, *top.keywords, *top.decorator_list]:
+                    _refer(uses.setdefault(None, set()), node)
+            for node in members:
+                owner = None
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not re.fullmatch("__.+__", node.name)):
+                    owner = node.name
+                    qualified = definitions.setdefault(owner, [])
+                    assert prefix + owner not in qualified, f"{prefix + owner} is defined twice"
+                    qualified.append(prefix + owner)
+                _refer(uses.setdefault(owner, set()), node)
+    return definitions, uses
 
 
 def test_every_function_is_reached():
-    """Reached: referred to by module-level code, a class, or a reached
-    function, starting from the exceptions above."""
-    functions, uses = _functions_and_uses()
-    allowed = {name for name, qualified in functions.items() if qualified in UNREACHED_BY_DESIGN}
-    assert sorted(functions[name] for name in allowed) == sorted(UNREACHED_BY_DESIGN)
+    """Reached: referred to by module-level code, a class body or special
+    method, or a reached definition, starting from the exceptions above."""
+    definitions, uses = _definitions_and_uses()
+    allowed = {name for name, qualified in definitions.items()
+               if set(qualified) & set(UNREACHED_BY_DESIGN)}
+    assert sorted(q for name in allowed for q in definitions[name]) == sorted(UNREACHED_BY_DESIGN)
     reached, todo = set(allowed), [None, *allowed]
     while todo:
         for name in uses.get(todo.pop(), ()):
-            if name in functions and name not in reached:
+            if name in definitions and name not in reached:
                 reached.add(name)
                 todo.append(name)
-    assert sorted(functions[name] for name in set(functions) - reached) == []
+    assert sorted(q for name in set(definitions) - reached for q in definitions[name]) == []
 
 
 def test_import_path_loads_no_code_generation_logging_or_openssl():

@@ -4,12 +4,15 @@
 and the output bodies the command line produced before its dispatcher was
 rewritten; the two `spectrum-t-one-cap`/`spectrum-unsorted-grid` cases were
 captured from the release before the t-grid began to share one level view,
-and `spectrum-cloud-unweighted` from the release before a CSV cloud was
-parsed straight to integers.
+`spectrum-cloud-unweighted` from the release before a CSV cloud was parsed
+straight to integers, and `dims-product`, `partition-cells-atomic`,
+`spectrum-shifted` and `empirical-linear` from the release before the header
+hashed the measure file's bytes. That change rewrote the `config=` token of
+every header line, and nothing else.
 The file is data: nothing here rewrites it. Bodies are compared
 with the benchmark's reference check (text exactly, numbers to relative
 1e-9); header lines, whose hash covers the effective configuration, are
-compared exactly for runs without `--config`.
+compared exactly.
 
 Every case runs in a temporary working directory with relative paths, so the
 configuration, and with it the header hash, is the same on every machine.
@@ -32,6 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import widthlab
 from widthlab import ParseError, cli, empirical, reports
 from widthlab.measures import ingest_points
 
@@ -67,16 +71,25 @@ _MIXED_RATIOS = {
     "probs": ["0.6", "0.4"],
 }
 
+_LEBESGUE1 = {"type": "uniform", "m": 1, "support": "0:0"}
+
 # Input files of every case, written into its working directory: the
 # tetrahedron and quarter-Cantor models of conftest.py, Lebesgue measure on
-# [0, 1), a two-ratio IFS, a weighted three-point cloud and an unweighted
-# six-point cloud whose fields take the plain-decimal, 20-digit and exponent
-# routes of the parser.
+# [0, 1), a two-ratio IFS, the quarter-Cantor model shifted into (1/2, 1],
+# the product of quarter-Cantor and Lebesgue measure, a three-atom JSON
+# spec, a weighted three-point cloud and an unweighted six-point cloud whose
+# fields take the plain-decimal, 20-digit and exponent routes of the parser.
 FILES = {
     "tet.json": json.dumps(_TETRAHEDRON),
     "qc.json": json.dumps(_QUARTER_CANTOR),
     "mix.json": json.dumps(_MIXED_RATIOS),
-    "leb1.json": json.dumps({"type": "uniform", "m": 1, "support": "0:0"}),
+    "leb1.json": json.dumps(_LEBESGUE1),
+    "qc-shift.json": json.dumps({**_QUARTER_CANTOR,
+                                 "embed_shift": {"ratio_log2": 1, "offset": [1]}}),
+    "prod.json": json.dumps({"type": "product", "factors": [_QUARTER_CANTOR, _LEBESGUE1]}),
+    "atoms.json": json.dumps({"type": "atomic", "m": 2,
+                              "points": [["0.25", "0.5"], ["0.3", "0.6"], ["0.9", "1/3"]],
+                              "weights": ["0.5", "0.25", "1/4"]}),
     "pts.csv": "x,y,w\n0.25,0.5,1\n0.75,0.125,2\n0.5,0.875,1\n",
     "cloud.csv": "x,y\n0.500000,0.250000\n0.123456,0.654321\n0.75,0.000001\n0.999999,0.5\n"
                  "0.1,0.3\n0.12345678901234567891,5e-1\n",
@@ -96,12 +109,17 @@ CASES = {
     # the 1/N weights of the benchmark's cloud, to stdout under its header
     "spectrum-cloud-unweighted": ["spectrum", "--measure", "cloud.csv", "--levels", "1..3",
                                   "--t-grid", "0:2:0.5"],
+    "spectrum-shifted": ["spectrum", "--measure", "qc-shift.json", "--levels", "1..4",
+                         "--t-grid", "0:2:0.5"],
     "spectrum-closed-form": ["spectrum", "--measure", "leb1.json", "--levels", "1..2",
                              "--t-grid", "0:1:0.5", "--out", "out.csv"],
     "dims": ["dims", "--measure", "tet.json", "--levels", "2..5"],
+    "dims-product": ["dims", "--measure", "prod.json", "--levels", "1..5"],
     "partition": ["partition", *_TET22, "--thresholds", "pow2:4..14", "--out", "out.csv"],
     "partition-cells": ["partition", "--measure", "qc.json", "--rho", "1",
                         "--thresholds", "0.5,0.25,0.125", "--cells-out", "cells.csv"],
+    "partition-cells-atomic": ["partition", "--measure", "atoms.json", "--rho", "1",
+                               "--thresholds", "0.5,0.3,0.2", "--cells-out", "cells.csv"],
     "coarse-stdout": ["coarse", *_TET22, "--levels", "3..5", "--alpha-grid", "1:6:0.5"],
     "coarse-summary": ["coarse", "--measure", "qc.json", "--rho", "1", "--levels", "2..6",
                        "--summary", "summary.json", "--out", "out.csv"],
@@ -118,6 +136,8 @@ CASES = {
     "empirical-verdict": ["empirical", "--measure", "qc.json", "--sigma", "1", "--p", "2",
                           "--q", "2", "--function", "sin", "--thresholds", "pow2:2..12",
                           "--out", "out.csv", "--verdict", "verdict.json"],
+    "empirical-linear": ["empirical", "--measure", "qc.json", "--sigma", "1", "--p", "2",
+                         "--q", "2", "--function", "linear", "--thresholds", "pow2:2..10"],
     "empirical-stdout": ["empirical", "--measure", "leb1.json", "--sigma", "2", "--p", "2",
                          "--q", "2", "--function", "bump", "--thresholds", "pow2:3..13"],
     "probe": ["probe", "--measure", "leb1.json", "--sigma", "1", "--p", "2", "--q", "2",
@@ -184,9 +204,7 @@ def test_golden(name, golden, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv = CASES[name]
     got, want = run_cli(argv, tmp_path), golden["cases"][name]
-    assert got["code"] == want["code"]
-    if "--config" not in argv:
-        assert got["header"] == want["header"]
+    assert got["code"] == want["code"] and got["header"] == want["header"]
     assert mismatch(got["body"], want["body"]) is None
     assert sorted(got["side"]) == sorted(want["side"])
     for side, text in got["side"].items():
@@ -452,7 +470,7 @@ def test_json_outputs_are_rfc_8259(golden):
                    for doc in _json_documents(text)]
             for name, case in golden["cases"].items()}
     assert [doc["params"]["q"] for doc in docs["order-qinf"]] == ["inf"]
-    assert sum(map(len, docs.values())) == 10  # the JSON outputs of the cases
+    assert sum(map(len, docs.values())) == 11  # the JSON outputs of the cases
 
 
 def test_json_text_writes_non_finite_floats_as_strings():
@@ -502,6 +520,37 @@ def test_header_hash_covers_config_file_values(tmp_path, monkeypatch):
     assert headers[0] != headers[1]
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["spectrum", "--measure", "qc.json", "--levels", "2..3", "--t-grid", "0:1:0.5"], None),
+    (["spectrum", "--config", "c.json", "--t-grid", "0:1:0.5"],
+     {"measure": "pts.csv", "weight_column": "w", "levels": "1..2"}),
+])
+def test_header_hashes_flags_config_version_and_measure_bytes(argv, config, tmp_path, monkeypatch,
+                                                              capsys):
+    monkeypatch.chdir(tmp_path)
+    if config:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+    first = run_cli(argv, tmp_path)
+    # the token from its definition: the flags over the config values, the
+    # version and the digest of the measure file's bytes
+    values = {**(config or {}), "command": argv[0],
+              **dict(zip((a[2:].replace("-", "_") for a in argv[1::2]), argv[2::2]))}
+    measure = (tmp_path / values["measure"]).read_bytes()
+    effective = {**values, "tool_version": widthlab.__version__,
+                 "measure_sha256": hashlib.sha256(measure).hexdigest()}
+    text = json.dumps(effective, sort_keys=True, separators=(",", ":"))
+    token = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert first["code"] == cli.EX_OK
+    assert first["header"] == f"# widthlab {widthlab.__version__} config={token}"
+    # the same bytes again: the same header and body
+    assert run_cli(argv, tmp_path) == first
+    # the same measure in other bytes: the same body under another header
+    (tmp_path / values["measure"]).write_bytes(measure + b"\n")
+    assert cli.main(argv) == cli.EX_OK
+    header, _, rest = capsys.readouterr().out.partition("\n")
+    assert header != first["header"] and body("", f"{first['header']}\n{rest}") == first["body"]
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
@@ -537,7 +586,7 @@ def test_header_hashed_once_per_run(tmp_path, monkeypatch):
 def test_weight_column_index_matches_name(tmp_path, monkeypatch):
     text = FILES["pts.csv"]
     by_name, by_index = ingest_points(text, "w"), ingest_points(text, "2")
-    assert by_index.to_spec() == by_name.to_spec()
+    assert (by_index.points, by_index.weights) == (by_name.points, by_name.weights)
     assert by_index.weights == (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
     monkeypatch.chdir(tmp_path)
     argv = ["validate", "--measure", "pts.csv", "--weight-column", "2"]
@@ -549,8 +598,8 @@ def test_weight_column_index_matches_name(tmp_path, monkeypatch):
 
 def test_weight_column_index_on_headerless_csv():
     headerless = FILES["pts.csv"].partition("\n")[2]
-    model = ingest_points(headerless, "2")
-    assert model.to_spec() == ingest_points(FILES["pts.csv"], "w").to_spec()
+    model, want = ingest_points(headerless, "2"), ingest_points(FILES["pts.csv"], "w")
+    assert (model.points, model.weights) == (want.points, want.weights)
 
 
 @pytest.mark.parametrize("column", ["3", "y2"])

@@ -18,6 +18,7 @@ from widthlab import (
     UniformMeasure,
     ValidationError,
     children,
+    cli,
     ingest_points,
     lebesgue,
     load_measure,
@@ -25,12 +26,11 @@ from widthlab import (
 )
 
 from widthlab.measures import INT64_LEVELS, PACKED_KEY_BITS, _parse_field, packed_keys
-from widthlab.reports import config_hash
 
 from conftest import boundary_atomic, dyadic_ifs, ifs_atomic_lebesgue, new_tetrahedron
-from oracles import (descent_positive, oracle_level_masses, oracle_levels, oracle_mass,
-                     oracle_packed_keys, oracle_uniform_level_masses, oracle_uniform_nodes,
-                     oracle_uniform_template, table_cubes)
+from oracles import (contains, descent_positive, oracle_ifs_overlap, oracle_level_masses,
+                     oracle_levels, oracle_mass, oracle_packed_keys, oracle_uniform_level_masses,
+                     oracle_uniform_nodes, oracle_uniform_template, table_cubes)
 
 
 def test_atomic_mass_membership():
@@ -200,9 +200,9 @@ def test_atomic_table_holds_every_atom(atoms, n):
     node_masses = [masses[j] for j in mass_id]
     assert sum(node_masses) == 1
     for point in model.points:
-        assert sum(cube.contains(point) for cube in cubes) == 1
+        assert sum(contains(cube, point) for cube in cubes) == 1
     for cube, mu in zip(cubes, node_masses):
-        assert mu == sum(w for p, w in zip(model.points, model.weights) if cube.contains(p))
+        assert mu == sum(w for p, w in zip(model.points, model.weights) if contains(cube, p))
 
 
 # primes above 2 * 8, so weights a/q with a < q/8 over distinct ones have
@@ -296,19 +296,6 @@ def test_atomic_integer_tables_match_the_descent(points, wide, raw):
                     == _outcome(lambda: descent_positive(model, n, cap)))
     # the walk of the edges reaches every level-64 cube with its mass
     assert [model.mass(cube) for cube, _ in want] == [mu for _, mu in want]
-
-
-@given(st.lists(st.tuples(_boundary_coordinates(), _boundary_coordinates()), min_size=1, max_size=4),
-       st.booleans(), st.lists(st.integers(1, 5), min_size=5, max_size=5))
-@settings(max_examples=25, deadline=None)
-def test_atomic_spec_strings_are_the_fraction_strings(points, wide, raw):
-    # to_spec formats the integer state; int64 and Python-int arrays alike
-    if wide:
-        points = [*points, _WIDE_ATOM]
-    weights = [Fraction(w, sum(raw[: len(points)])) for w in raw[: len(points)]]
-    spec = AtomicMeasure(points, weights).to_spec()
-    assert spec["points"] == [[str(x) for x in p] for p in points]
-    assert spec["weights"] == [str(w) for w in weights]
 
 
 @pytest.mark.parametrize("q", [3, 5, 10**9, 2**31 - 1, 2**61 - 1, 2**62 + 1, 2**63 + 1])
@@ -609,6 +596,28 @@ def test_load_measure_rejects_nested_images():
         load_measure(json.dumps(doc))
 
 
+def _ifs_images(m):
+    cube = st.integers(1, 3).flatmap(lambda level: st.tuples(
+        st.just(level), st.tuples(*[st.integers(0, (1 << level) - 1)] * m)))
+    # random lists nest and repeat images; distinct cubes of one level are disjoint
+    return st.one_of(st.lists(cube, min_size=1, max_size=8),
+                     st.lists(st.tuples(*[st.integers(0, 7)] * m), min_size=1, max_size=8,
+                              unique=True).map(lambda rows: [(3, row) for row in rows]))
+
+
+@given(st.integers(1, 2).flatmap(_ifs_images))
+@settings(max_examples=300, deadline=None)
+def test_ifs_overlap_message_names_the_first_pair(images):
+    maps = [IfsMap(level, index) for level, index in images]
+    want = oracle_ifs_overlap([mp.image() for mp in maps])
+    try:
+        IfsMeasure(maps, [Fraction(1, len(maps))] * len(maps))
+    except ValidationError as exc:
+        assert str(exc) == want
+    else:
+        assert want is None
+
+
 def test_load_measure_rejects_bad_weights():
     doc = {"type": "atomic", "m": 1, "points": [[0.2], [0.8]], "weights": [0.5, 0.6]}
     with pytest.raises(ValidationError, match="sum"):
@@ -782,14 +791,17 @@ def test_ingest_points_spec_matches_the_fraction_construction(weighted):
     got = ingest_points(text.encode(), "w" if weighted else None)
     assert want._coords.dtype == want._units.dtype == np.int64
     assert _integer_state(got) == _integer_state(want)
-    assert got.to_spec() == want.to_spec()
     assert (got.points, got.weights) == (want.points, want.weights)
 
 
-def test_ingest_points_builds_no_fraction_on_plain_decimals(monkeypatch):
-    # a bench-style cloud (header, 6-digit decimals, weights 1/N), parsed and
-    # hashed for provenance; the public points and weights are built on read
+def test_ingest_points_builds_no_fraction_on_plain_decimals(monkeypatch, tmp_path):
+    # a bench-style cloud (header, 6-digit decimals, weights 1/N), read and
+    # hashed for provenance as the command line does; the public points and
+    # weights are built on read
     text, want = _six_digit_cloud(weighted=False)
+    path = tmp_path / "cloud.csv"
+    path.write_text(text)
+    parsed = cli.build_parser("spectrum").parse_args(["spectrum", "--measure", str(path)])
     calls = []
     new = Fraction.__new__
 
@@ -798,11 +810,11 @@ def test_ingest_points_builds_no_fraction_on_plain_decimals(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
-    model = ingest_points(text.encode())
-    digest = config_hash({"measure_spec": model.to_spec()})
+    run = cli.Run(parsed)
+    model, header = run.model, run.header
     assert calls == [] and "points" not in vars(model) and "weights" not in vars(model)
     monkeypatch.undo()
-    assert digest == config_hash({"measure_spec": want.to_spec()})
+    assert header.startswith("# widthlab ") and _integer_state(model) == _integer_state(want)
     assert (model.points, model.weights) == (want.points, want.weights)
 
 
