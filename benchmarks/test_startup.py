@@ -2,6 +2,9 @@
 
 Every subcommand pays this before its first line of work, and it is most of
 a short run: the benchmark's `setup_s` is this import plus one measure load.
+The import compiles every module but `widthlab.probe`, which only the `probe`
+subcommand loads, and no `numpy.polynomial`; where bytecode is not written
+(`PYTHONDONTWRITEBYTECODE`), that compilation is part of the time.
 The child runs in the caller's environment (its `PYTHONDONTWRITEBYTECODE`,
 its BLAS variables), with this checkout's `src/` first on its path, so the
 time covers the interpreter's own start and numpy's import as well. Run

@@ -1,11 +1,19 @@
 """Multifractal spectra, adaptive dyadic partitions, and approximation orders.
 
-The import path: every module is imported eagerly, numpy included. Start-up
-is the same for every subcommand, so an import that one subcommand skipped
-would only move into another one's call. What no call needs stays out: no
-code is generated at import (records are `NamedTuple`s or plain classes, not
-dataclasses), `logging` is not imported, and the config hash uses the
-built-in SHA-256, not OpenSSL's.
+The import path: every module but `probe` is imported eagerly, numpy
+included. Start-up is the same for every subcommand, so an import that one
+subcommand skipped would only move into another one's call. What no call
+needs stays out:
+- `probe`, the packing probe of the lower bound, which only the `probe`
+  subcommand runs: `cli` imports it in that handler, and its five public
+  names below resolve on first use, through the module `__getattr__`;
+- `numpy.polynomial`: the Gauss-Legendre rule computes numpy's `leggauss`
+  itself (`quadrature.unit_rule_1d`);
+- code generation at import (records are `NamedTuple`s or plain classes,
+  not dataclasses), `logging`, and OpenSSL (the config hash uses the
+  built-in SHA-256).
+`cli.main` freezes the heap it finds for the length of a run, so the run's
+collections do not scan the import's objects.
 """
 
 import os as _os
@@ -49,12 +57,7 @@ from .spectrum import (
     minkowski,
     s_b_solve,
 )
-from .coarse import (
-    CoarseProfile,
-    alpha_good_cubes,
-    coarse_profile,
-    well_separated,
-)
+from .coarse import CoarseProfile, coarse_profile
 from .partition import (
     PartitionResult,
     PartitionRow,
@@ -75,14 +78,22 @@ from .orders import (
 from .empirical import (
     DecayResult,
     PiecewisePolynomial,
-    ProbeResult,
     decay_experiment,
     lq_error,
     moment_project,
-    packing_probe,
     piecewise_project,
-    sobolev_seminorm,
 )
 from .functions import Bump, Polynomial, SinProduct, catalog, coordinate
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_PROBE_NAMES = ("ProbeResult", "alpha_good_cubes", "packing_probe", "sobolev_seminorm",
+                "well_separated")
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_PROBE_NAMES)
+
+
+def __getattr__(name: str):
+    if name in _PROBE_NAMES:
+        from . import probe
+
+        return getattr(probe, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,9 +6,11 @@ loads the same schema with explicit flags taking precedence. Real grids use
 "a:b:step", integer level ranges "a..b", thresholds either a comma list or
 "pow2:a..b" for 2^-a .. 2^-b, and the literal "inf" is accepted for p or q.
 
-The header line of every output hashes the effective configuration: the
-config-file values merged under the flags, the version and the SHA-256
-digest of the measure file's bytes.
+The header line of every output hashes the effective configuration: each
+option of the subcommand as it was converted, defaults filled in (the
+config-file values merged under the flags), the version and the SHA-256
+digest of the measure file's bytes. Two command lines that spell one run
+differently, as `--levels 4..6` and `--levels 4,5,6`, get one header.
 Runs are self-contained: nothing is cached on disk, and nothing runs in
 parallel. Exit codes: 0 success, 1 validation/solver failure, malformed
 value (flag or config file) or unwritable output file, 2 resource cap, 64
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import json
 import math
 import os
@@ -27,7 +30,7 @@ from fractions import Fraction
 
 from . import __version__, reports
 from .coarse import coarse_profile, count_view
-from .empirical import decay_experiment, packing_probe
+from .empirical import decay_experiment
 from .errors import ParseError, ResourceLimitError, SolverError, ValidationError, WidthlabError
 from .functions import catalog
 from .measures import DEFAULT_MAX_CUBES, ingest_points, load_measure
@@ -126,7 +129,8 @@ class Run:
     converter rejects, a boolean or fractional number for a numeric or
     integer option, a non-string text option, a cap below 1, a negative
     seed, or a range, grid or threshold list with no values is a
-    ParseError, whichever source it came from.
+    ParseError, whichever source it came from. Each option is converted
+    once per run, on first use.
     """
 
     def __init__(self, args: argparse.Namespace) -> None:
@@ -136,7 +140,9 @@ class Run:
             raise ParseError(f"bad config JSON: {exc}") from exc
         if not isinstance(config, dict):
             raise ParseError("bad config JSON: expected an object of option keys")
+        self.command = args.command
         self.values = {**config, **{k: v for k, v in vars(args).items() if v is not None}}
+        self._converted = {}
         path = self.need("measure")
         data = _read(path, f"measure spec {path}")
         if path.endswith(".csv"):
@@ -145,16 +151,26 @@ class Run:
             self.model = load_measure(data, name=path)
         # provenance covers the bytes read, not the parsed model: two files
         # that spell one measure differently get different headers
-        provenance = {"tool_version": __version__,
-                      "measure_sha256": reports.sha256(data).hexdigest()}
-        self.config = {**self.values, **provenance}
+        self.measure_sha256 = reports.sha256(data).hexdigest()
 
     @functools.cached_property
     def header(self) -> str:
-        """The header line of every output, its config hashed once per run."""
-        return reports.header_line(self.config)
+        """The header line of every output: the hash, once per run, of the
+        subcommand's options as `get` converts them, the version and the
+        measure file's digest. The config file's path is no option of the
+        run: its values are."""
+        keys = f"{COMMON} {SUBCOMMANDS[self.command][1]}".split()
+        config = {key: self.get(key) for key in keys if key != "config"}
+        return reports.header_line({**config, "command": self.command,
+                                    "tool_version": __version__,
+                                    "measure_sha256": self.measure_sha256})
 
     def get(self, key: str):
+        if key not in self._converted:
+            self._converted[key] = self._convert(key)
+        return self._converted[key]
+
+    def _convert(self, key: str):
         convert, default, _ = OPTIONS[key]
         value = self.values.get(key)
         value = default if value is None else value
@@ -213,12 +229,13 @@ class Run:
         if path is None and key != "out":
             print(reports.json_text(data))
             return
+        header = self.header  # before the file is opened: it converts every option
         try:
             with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
                 if columns is None:
-                    reports.write_json(fh, data, self.header)
+                    reports.write_json(fh, data, header)
                 else:
-                    reports.write_csv(fh, columns, data, self.header)
+                    reports.write_csv(fh, columns, data, header)
         except OSError as exc:
             if not path:
                 raise
@@ -336,6 +353,8 @@ def _empirical(run: Run) -> None:
 
 
 def _probe(run: Run) -> None:
+    from .probe import packing_probe  # only this subcommand compiles the probe
+
     result = packing_probe(
         run.model, run.need("n"), run.need("alpha"), _embedding(run),
         seed=run.get("seed"), max_cubes=run.get("max_cubes"),
@@ -393,7 +412,23 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    """Run one command line and return its exit code.
+
+    What exists on entry, the import's objects among it, is frozen for the
+    run, so the collections the run triggers scan only what it allocated,
+    and unfrozen on every exit. If a caller has frozen objects already, the
+    collector is left to it."""
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
+    try:
+        return _main(sys.argv[1:] if argv is None else list(argv))
+    finally:
+        if freeze:
+            gc.unfreeze()
+
+
+def _main(argv: list[str]) -> int:
     try:
         args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help

@@ -1,4 +1,4 @@
-"""Coarse multifractal counts, optimized dimensions, and separated families.
+"""Coarse multifractal counts and optimized dimensions.
 
 The partition function J_rho(Q) = nu(Q) * vol(Q)^(rho/m) drives both the
 alpha-good counts N_{rho,n}(alpha) and the adaptive partition. Counts read
@@ -9,6 +9,9 @@ per position, the number of cubes at or above it and that count's estimate
 log2(count)/n; a profile then reads the counts of a whole alpha grid at one
 level with one array search, and a sweep over rho shares the views of its
 levels.
+
+The alpha-good cubes themselves, and the separated families that the
+packing probe builds from them, are in `widthlab.probe`.
 """
 from __future__ import annotations
 
@@ -20,10 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cubes import DyadicCube, neighbors
 from .errors import ValidationError
-from .measures import DEFAULT_MAX_CUBES, MeasureModel, index_array, packed_keys
-from .spectrum import frac_log2, level_log_masses
+from .measures import DEFAULT_MAX_CUBES, MeasureModel
+from .spectrum import level_log_masses
 
 
 class CountView(NamedTuple):
@@ -138,102 +140,3 @@ def coarse_profile(
         optimized_upper=max(map(truediv, f_upper, alpha_grid)),
         optimized_lower=max(map(truediv, f_lower, alpha_grid)),
     )
-
-
-def alpha_good_cubes(
-    model: MeasureModel,
-    n: int,
-    rho: float,
-    alpha: float,
-    max_cubes: int = DEFAULT_MAX_CUBES,
-) -> list[DyadicCube]:
-    """The alpha-good cubes themselves (identities, not just the count), in
-    index order; each distinct mass of the level is tested once."""
-    if not alpha > 0:
-        raise ValidationError("alpha must be positive")
-    threshold = (rho - alpha) * n
-    index, mass_id, masses = model.level_nodes(n, max_cubes)
-    good = np.array([frac_log2(mu) >= threshold for mu in masses], dtype=bool)
-    return [DyadicCube(n, tuple(row)) for row in index[good[mass_id]].tolist()]
-
-
-def _conflict(a: DyadicCube, b: DyadicCube) -> bool:
-    # interiors of b and of the 5-fold concentric box of a intersect
-    return all(abs(x - y) <= 2 for x, y in zip(a.index, b.index))
-
-
-def _table_masses(model: MeasureModel, n: int, rows, max_cubes: int) -> list[Fraction]:
-    """Exact masses of the level-n cubes of the given index rows, looked up
-    by packed key in the level's node table; a cube absent from it has mass 0."""
-    index, mass_id, masses = model.level_nodes(n, max_cubes)
-    keys = packed_keys(index, n)  # increasing: the table is in index order
-    query = packed_keys(index_array(rows, n, model.m), n)
-    pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-    found = keys[pos] == query
-    return [masses[j] if hit else Fraction(0)
-            for j, hit in zip(mass_id[pos].tolist(), found.tolist())]
-
-
-def dominant_cubes(cubes, model: MeasureModel,
-                   max_cubes: int = DEFAULT_MAX_CUBES) -> list[DyadicCube]:
-    """Members whose mass is >= the mass of every same-level neighbor, the
-    masses of each level read from its node table, not the mass oracle."""
-    cubes = list(cubes)
-    dominant = set()
-    for n in {cube.level for cube in cubes}:
-        members = [cube for cube in cubes if cube.level == n]
-        groups = [neighbors(cube) for cube in members]
-        masses = iter(_table_masses(model, n, [nb.index for g in groups for nb in g], max_cubes))
-        for cube, group in zip(members, groups):
-            group_masses = [next(masses) for _ in group]
-            if max(group_masses) <= group_masses[group.index(cube)]:
-                dominant.add(cube)
-    return [cube for cube in cubes if cube in dominant]
-
-
-def well_separated(
-    cubes,
-    model: MeasureModel,
-    require_dominant: bool = False,
-    validate_threshold: bool = False,
-    max_cubes: int = DEFAULT_MAX_CUBES,
-) -> list[DyadicCube]:
-    """Greedy extraction of a 3-fold-separated subfamily.
-
-    Repeatedly keeps the cube of maximal mass (ties broken by lexicographic
-    index) and discards every remaining cube whose interior meets the kept
-    cube's 5-fold concentric box. The output has pairwise disjoint 3-fold box
-    interiors and cardinality >= floor(card(input) / 5^m).
-
-    Neighbor dominance of every output cube additionally requires the
-    caller's threshold property AND a mass profile without strictly
-    increasing adjacent runs; `require_dominant=True` restricts candidates to
-    neighbor-dominant cubes so that the property holds unconditionally (at
-    the price of the cardinality bound on adversarial inputs). Every mass is
-    read from the level's node table, under the cap `max_cubes`.
-    """
-    cubes = list(cubes)
-    if not cubes:
-        raise ValidationError("well_separated needs a nonempty input")
-    level = cubes[0].level
-    if any(c.level != level for c in cubes):
-        raise ValidationError("well_separated input cubes must share one level")
-
-    mass_of = dict(zip(cubes, _table_masses(model, level, [c.index for c in cubes], max_cubes)))
-    if validate_threshold:
-        # O(card D_n) check of sup_{outside} mass <= inf_{inside} mass
-        inside = {c.index for c in cubes}
-        inf_in = min(mass_of.values())
-        index, mass_id, masses = model.level_nodes(level, max_cubes)
-        heavier = np.array([mu > inf_in for mu in masses], dtype=bool)[mass_id]
-        if any(tuple(row) not in inside for row in index[heavier].tolist()):
-            raise ValidationError("threshold property violated: outside cube outweighs input")
-
-    candidates = dominant_cubes(cubes, model, max_cubes) if require_dominant else cubes
-    order = sorted(candidates, key=lambda c: (-mass_of[c], c.index))
-    kept: list[DyadicCube] = []
-    for cube in order:
-        if all(not _conflict(cube, k) for k in kept):
-            kept.append(cube)
-    kept.sort(key=lambda c: c.index)
-    return kept

@@ -1,4 +1,4 @@
-"""Moment-matching projections, decay experiments, and packing probes.
+"""Moment-matching projections and decay experiments.
 
 Lebesgue integrals use tensor Gauss-Legendre of order max(2*sigma, 8) per
 cell; integrals against the measure use cube-mass times center-value at a
@@ -29,9 +29,14 @@ sorted cell keys finds its cell. It is exact at every depth, where float
 centres fail once D >= 53; `lq_error` goes through it.
 
 A decay experiment projects each distinct cell of its partitions once,
-reuses the error of a partition equal to the last one, and holds the nodes
-and f-values of the current quadrature depth only; its rows are those of
-`piecewise_project` and `lq_error`, threshold by threshold, bit for bit.
+reuses the error of a partition equal to the last one, and holds the nodes,
+f-values and residuals f - approx of the current quadrature depth only. A
+partition at the depth of the last one locates and evaluates the nodes of
+its new cells only, and overwrites their residuals; every other node lies in
+a cell of both. Its rows are those of `piecewise_project` and `lq_error`,
+threshold by threshold, bit for bit.
+
+The packing probe, the lower-bound side, is `widthlab.probe`.
 """
 from __future__ import annotations
 
@@ -42,21 +47,13 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .coarse import alpha_good_cubes, well_separated
-from .cubes import DyadicCube, scaled_box
+from .cubes import DyadicCube
 from .errors import SolverError, ValidationError
-from .functions import (
-    Bump,
-    MappedBump,
-    TestFunction,
-    finite_difference_partial,
-    monomials,
-    multi_indices,
-)
+from .functions import monomials, multi_indices
 from .measures import DEFAULT_MAX_CUBES, MeasureModel, index_array, packed_keys
 from .orders import EmbeddingParams, upper_order
 from .partition import DEFAULT_MAX_CELLS, PartitionResult, build_partition
-from .quadrature import composite_unit_norm, unit_rule
+from .quadrature import unit_rule
 from .spectrum import closed_form_spectrum, empirical_spectrum
 
 
@@ -192,12 +189,6 @@ def _quadrature(f, model: MeasureModel, depth: int, max_cubes: int):
     return depth, index, centers, masses, np.asarray(f(centers), dtype=float)
 
 
-def _quadrature_error(approx: PiecewisePolynomial, nodes, q: float) -> float:
-    """||f - approx|| in L^q_nu at the nodes of `_quadrature`."""
-    depth, index, centers, masses, fvals = nodes
-    return _lq_norm(masses, fvals - approx._values(centers, approx.locate(depth, index)), q)
-
-
 def _lq_norm(masses: np.ndarray, values: np.ndarray, q: float) -> float:
     """L^q_nu norm of values at the nodes of `masses` (the max |value| for q = inf)."""
     diff = np.abs(values)
@@ -237,7 +228,8 @@ def lq_error(
         raise ValidationError(
             f"quadrature depth {depth} below max cell level + 2 = {approx.max_level + 2}"
         )
-    return _quadrature_error(approx, _quadrature(f, model, depth, max_cubes), q)
+    _, index, centers, masses, fvals = _quadrature(f, model, depth, max_cubes)
+    return _lq_norm(masses, fvals - approx._values(centers, approx.locate(depth, index)), q)
 
 
 class DecayResult(NamedTuple):
@@ -257,7 +249,8 @@ def _decay_rows(
     the depth grows with the cells, so an earlier one is rarely needed again."""
     degree = params.sigma - 1
     coeffs = {}  # cell -> its projection coefficients
-    nodes = last = None  # `_quadrature` of the current depth; (cells, error)
+    # `_quadrature` of the current depth, f - approx at its nodes, (cells, error)
+    nodes = residual = last = None
     rows = []
     for t in t_sequence:
         part = build_partition(model, params.rho, float(t), max_cells)
@@ -268,13 +261,23 @@ def _decay_rows(
             if new:
                 _, _, lower, side = _cell_frames(new)
                 coeffs.update(zip(new, _project_cells(f, new, lower, side, degree, None)))
-            approx = PiecewisePolynomial(
-                part.cells, np.array([coeffs[c] for c in part.cells]), degree, model.m
-            )
             depth = part.max_level + depth_offset
             if nodes is None or nodes[0] != depth:
                 nodes = _quadrature(f, model, depth, max_cubes)
-            last = part.cells, _quadrature_error(approx, nodes, params.q)
+                residual, changed = nodes[4].copy(), part.cells
+            else:
+                # the cells of a partition tile the positive cubes, so a node
+                # outside the new cells is in a cell of both partitions (and
+                # a partition unequal to the last has a new cell)
+                kept = set(last[0])
+                changed = [c for c in part.cells if c not in kept]
+            approx = PiecewisePolynomial(
+                changed, np.array([coeffs[c] for c in changed]), degree, model.m
+            )
+            located = approx.locate(depth, nodes[1])
+            hit = located >= 0
+            residual[hit] = (nodes[4] - approx._values(nodes[2], located))[hit]
+            last = part.cells, _lq_norm(nodes[3], residual, params.q)
         rows.append((float(t), part.card, last[1]))
     return rows
 
@@ -326,163 +329,4 @@ def decay_experiment(
         upper_bound_ok=slope <= predicted + tol,
         rows=tuple(rows),
         degenerate=False,
-    )
-
-
-def _gradient_magnitude(u, sigma: int, m: int):
-    """sqrt(sum over |k| = sigma of (D^k u)^2) as a vectorized callable.
-
-    Exact partials are used where u has them; otherwise the extrapolated
-    finite differences of ``finite_difference_partial``, whose step does not
-    depend on the quadrature resolution.
-    """
-    partials = []
-    for k in multi_indices(m, sigma):
-        if sum(k) != sigma:
-            continue
-        dk = u.partial(k) if isinstance(u, TestFunction) else None
-        if dk is None:
-            dk = finite_difference_partial(u, k)
-        partials.append(dk)
-
-    def grad(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        acc = np.zeros(pts.shape[0])
-        for dk in partials:
-            vals = np.asarray(dk(pts), dtype=float)
-            acc += vals * vals
-        return np.sqrt(acc)
-
-    return grad
-
-
-def sobolev_seminorm(
-    u,
-    sigma: int,
-    p: float,
-    resolution: int = 5,
-    npts: Optional[int] = None,
-    m: Optional[int] = None,
-) -> float:
-    """||u||_{L^{sigma,p}}: the L^p norm of the order-sigma gradient field.
-
-    The norm is a composite Gauss rule on a 2^resolution grid per axis (for
-    p = inf, the refined maximum of ``composite_unit_norm``). Partials come
-    from u when it has them, else from extrapolated central differences with
-    a fixed step, so ``resolution`` sets only the quadrature grid.
-    """
-    if resolution < 1:
-        raise ValidationError("resolution must be >= 1")
-    m = m or getattr(u, "m", None)
-    if m is None:
-        raise ValidationError("dimension m required for plain callables")
-    npts = npts or _default_npts(sigma)
-    grad = _gradient_magnitude(u, sigma, m)
-    return composite_unit_norm(grad, m, resolution, npts, p)
-
-
-class ProbeResult(NamedTuple):
-    n: int
-    alpha: float
-    family: tuple[DyadicCube, ...]
-    ratio: float
-    normalized_ratio: float
-    sobolev_norm: float
-    lq_norm: float
-    operator_checks: tuple[tuple[float, float], ...]  # (||Q_n g||, 3^m ||g||)
-    operator_bound_ok: bool
-
-
-def packing_probe(
-    model: MeasureModel,
-    n: int,
-    alpha: float,
-    params: EmbeddingParams,
-    depth_offset: int = 6,
-    seed: int = 0,
-    n_random: int = 3,
-    max_cubes: int = DEFAULT_MAX_CUBES,
-) -> ProbeResult:
-    """Bump-sum lower-bound probe on a well-separated alpha-good family.
-
-    Builds g = sum of rescaled bumps over the family (uniform coefficients, a
-    witness for the packing floor), measures ||g||_{L^q_nu} / ||g||_{sigma,p},
-    and verifies the averaging-operator bound ||Q_n g|| <= 3^m ||g|| on g and
-    on seeded random elements of the span.
-    """
-    if math.isinf(params.q):
-        raise ValidationError("packing probe needs finite q (rho = q * rho_hat)")
-    good = alpha_good_cubes(model, n, params.rho, alpha, max_cubes)
-    if not good:
-        raise ValidationError(f"no alpha-good cubes at level {n}, alpha={alpha}")
-    family = well_separated(good, model, require_dominant=True, max_cubes=max_cubes)
-    family = [c for c in family if scaled_box(c, 3).inside_unit_cube()]
-    if not family:
-        raise ValidationError(
-            "well-separated family is empty after restricting supports to the cube"
-        )
-    boxes = [scaled_box(c, 3) for c in family]
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            if boxes[i].interior_intersects(boxes[j]):
-                raise SolverError("overlapping bump supports: separation bug")
-
-    m = model.m
-    bump = Bump(m)
-    sigma, p, q = params.sigma, params.p, params.q
-    bumps = [
-        MappedBump(bump, box.lower(), 3.0 * float(cube.side))
-        for cube, box in zip(family, boxes)
-    ]
-    # the node table's max_cubes check is cheap; the seminorm is not (m = 3)
-    _, centers, masses = _nodes(model, n + depth_offset, max_cubes)
-    norm_u = sobolev_seminorm(bump, sigma, p, resolution=5)
-    bump_vals = np.vstack([b(centers) for b in bumps])  # (family, ncubes)
-
-    def sobolev_norm_of(a: np.ndarray) -> float:
-        scale = (3.0 * float(family[0].side)) ** (-params.rho_hat)
-        if math.isinf(p):
-            return float(np.max(np.abs(a))) * scale * norm_u
-        return float(np.sum(np.abs(a) ** p) ** (1.0 / p)) * scale * norm_u
-
-    ones = np.ones(len(family))
-    g_vals = ones @ bump_vals
-    lq_g = _lq_norm(masses, g_vals, q)
-    sob_g = sobolev_norm_of(ones)
-    ratio = lq_g / sob_g
-    normalized = ratio * 2.0 ** (alpha * n / q)
-
-    # averaging operator: Q(f) = sum coefficients * bumps with nu-weighted means
-    dens = np.array([np.dot(masses, bv * bv) for bv in bump_vals])
-    if np.any(dens <= 0):
-        raise SolverError("bump has zero nu-mass on its cube: probe is degenerate")
-
-    def apply_averaging(values: np.ndarray) -> np.ndarray:
-        coeff = np.array(
-            [np.dot(masses, values * bv) for bv in bump_vals]
-        ) / dens
-        return coeff @ bump_vals
-
-    rng = np.random.default_rng(seed)
-    checks = []
-    all_ok = True
-    bound = 3.0**m
-    for a in [ones] + [rng.standard_normal(len(family)) for _ in range(n_random)]:
-        vals = a @ bump_vals
-        lhs = _lq_norm(masses, apply_averaging(vals), q)
-        rhs = bound * _lq_norm(masses, vals, q)
-        checks.append((lhs, rhs))
-        if lhs > rhs * (1.0 + 1e-9):
-            all_ok = False
-
-    return ProbeResult(
-        n=n,
-        alpha=alpha,
-        family=tuple(family),
-        ratio=ratio,
-        normalized_ratio=normalized,
-        sobolev_norm=sob_g,
-        lq_norm=lq_g,
-        operator_checks=tuple(checks),
-        operator_bound_ok=all_ok,
     )

@@ -215,33 +215,6 @@ class Bump(TestFunction):
         return dk
 
 
-class MappedBump(TestFunction):
-    """Bump composed with the inverse affine map of an axis-parallel box."""
-
-    def __init__(self, base: Bump, lower, side: float):
-        self.base = base
-        self.m = base.m
-        self.lower = np.asarray([float(x) for x in lower], dtype=float)
-        self.side = float(side)
-        self.name = f"{base.name}@[{self.lower}+{self.side}]"
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self.base((pts - self.lower) / self.side)
-
-    def partial(self, multi_index):
-        inner = self.base.partial(multi_index)
-        if inner is None:
-            return None
-        scale = self.side ** (-sum(multi_index))
-
-        def dk(pts):
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            return scale * inner((pts - self.lower) / self.side)
-
-        return dk
-
-
 def catalog(name: str, m: int) -> TestFunction:
     """Builtin functions reachable from the CLI."""
     if name == "sin":
@@ -273,43 +246,17 @@ def monomials(exponents, pts) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     exponents = np.asarray(exponents)
     # a table of pts^e for e = 0..max, by the same broadcast pow as the
-    # (N, K, m) array of every pts^k (another form of pow may change bits),
+    # (N, K, m) array of every pts^k (another form of pow may change bits:
+    # given one exponent 2 for a whole loop, numpy squares by a product),
     # and the product of its gathered columns over the short axis, left to
-    # right as np.prod takes it
-    table = pts[:, None, :] ** np.arange(exponents.max(initial=0) + 1)[None, :, None]
+    # right as np.prod takes it. Up to e = 1 the table is ones and pts,
+    # which that pow gives exactly
+    top = exponents.max(initial=0)
+    if top > 1:
+        table = pts[:, None, :] ** np.arange(top + 1)[None, :, None]
+    else:
+        table = np.stack([np.ones_like(pts), pts], axis=1)[:, :top + 1]
     out = np.ones((len(pts), len(exponents)))
     for i in range(pts.shape[1]):
         out *= table[:, exponents[:, i], i]
     return out
-
-
-def finite_difference_partial(f, multi_index):
-    """Extrapolated central difference D^k for callables without exact partials.
-
-    The nested central difference D_h has an error expansion in even powers
-    of h, so one Richardson step (4 D_{h/2} - D_h) / 3 leaves O(h^4). The
-    step h = 2^-round(52 / (|k| + 4)) does not depend on any quadrature grid:
-    it balances that O(h^4) truncation against the rounding error
-    eps / h^|k| (eps = 2^-52) for functions that vary on the unit scale.
-    """
-    axes = []
-    for i, d in enumerate(multi_index):
-        axes.extend([i] * d)
-    axes = tuple(axes)
-    step = 2.0 ** -round(52 / (len(axes) + 4))
-
-    def diff(points, remaining, h):
-        if not remaining:
-            return np.asarray(f(points), dtype=float)
-        shift = np.zeros(points.shape[1])
-        shift[remaining[0]] = h
-        return (
-            diff(points + shift, remaining[1:], h)
-            - diff(points - shift, remaining[1:], h)
-        ) / (2.0 * h)
-
-    def dk(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return (4.0 * diff(pts, axes, step / 2) - diff(pts, axes, step)) / 3.0
-
-    return dk

@@ -1,24 +1,57 @@
-"""Tensor Gauss-Legendre rules on dyadic cells of the unit cube."""
+"""Tensor Gauss-Legendre rules on dyadic cells of the unit cube.
+
+The one-dimensional rule takes the floating-point operations of numpy's
+`numpy.polynomial.legendre.leggauss` one by one, so its nodes and weights
+are that function's bits, without importing `numpy.polynomial` at start-up.
+The composite norms of the packing probe are in `widthlab.probe`.
+"""
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import math
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from ._brent import fminbound
 
-# cells whose best node composite_unit_norm refines for p = inf
-REFINED_CELLS = 4
+def _legval(x: np.ndarray, c: list[float]) -> np.ndarray:
+    """sum_k c[k] P_k(x) by Clenshaw's recurrence, step for step as numpy's
+    `legval` takes it."""
+    if len(c) == 1:
+        c0, c1 = c[0], 0
+    elif len(c) == 2:
+        c0, c1 = c
+    else:
+        nd, c0, c1 = len(c), c[-2], c[-1]
+        for i in range(3, len(c) + 1):
+            nd -= 1
+            c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
 
 
 @functools.lru_cache(maxsize=64)
 def unit_rule_1d(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped from [-1, 1] to [0, 1]."""
-    x, w = leggauss(npts)
+    """Gauss-Legendre nodes and weights mapped from [-1, 1] to [0, 1].
+
+    The roots of P_npts are the eigenvalues of its symmetric scaled companion
+    matrix, improved by one Newton step; each weight is 1 / (P_{npts-1} P'),
+    both factors scaled to a largest magnitude of 1, then the rule is
+    symmetrized and the weights scaled to sum to 2. P' is the Legendre
+    series sum of (2k + 1) P_k over k = npts - 1, npts - 3, ...
+    """
+    scl = 1.0 / np.sqrt(2 * np.arange(npts) + 1)
+    off = np.arange(1, npts) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    c = [0.0] * npts + [1.0]
+    df = _legval(x, [2.0 * k + 1 if (npts - 1 - k) % 2 == 0 else 0.0 for k in range(npts)])
+    x -= _legval(x, c) / df
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
     return (x + 1.0) / 2.0, w / 2.0
 
 
@@ -30,55 +63,3 @@ def unit_rule(m: int, npts: int) -> tuple[np.ndarray, np.ndarray]:
     pts = np.array(list(itertools.product(x, repeat=m)))
     wts = np.array([math.prod(c) for c in itertools.product(w.tolist(), repeat=m)], dtype=float)
     return pts, wts
-
-
-def composite_unit_norm(f, m: int, subdivisions: int, npts: int, p: float) -> float:
-    """L^p norm of f over the unit cube, composite over a 2^subdivisions grid.
-
-    For p = inf the largest |f| over the composite-rule nodes only bounds the
-    sup norm from below, so the best node of each of the REFINED_CELLS best
-    cells is refined, and the largest refined value is the result: a bounded
-    scalar search along each coordinate in turn, within one node spacing
-    (side / npts) of the node and inside the unit cube, keeps every
-    improvement. Several cells, because symmetric or near-equal peaks may put
-    the best node on the lower one; one node spacing, because a wider
-    interval spans several local maxima of a high-order derivative and the
-    search may settle on a lower one. The cells are visited one at a time,
-    so no array holds every node at once.
-    """
-    pts, wts = unit_rule(m, npts)
-    side = 0.5**subdivisions
-    acc = 0.0
-    best: list[tuple[float, int, np.ndarray]] = []  # min-heap of the best cells
-    for cell, idx in enumerate(itertools.product(range(1 << subdivisions), repeat=m)):
-        nodes = np.array(idx, dtype=float) * side + side * pts
-        vals = np.abs(np.asarray(f(nodes), dtype=float))
-        if math.isinf(p):
-            i = int(vals.argmax())
-            if vals[i] > 0:
-                heapq.heappush(best, (float(vals[i]), cell, nodes[i]))
-                if len(best) > REFINED_CELLS:
-                    heapq.heappop(best)
-        else:
-            acc += float(np.dot(wts, vals**p))
-    if not math.isinf(p):
-        return float((acc * side**m) ** (1.0 / p))
-    return max((_refine_max(f, x, side / npts, v) for v, _, x in best), default=0.0)
-
-
-def _refine_max(f, x: np.ndarray, radius: float, value: float) -> float:
-    """Coordinate-wise bounded search for a larger |f| within radius of x,
-    by Brent's bounded minimizer (Brent 1973, ch. 5) on -|f|."""
-    x = x.copy()
-    for axis in range(x.size):
-
-        def neg_abs(t):
-            y = x.copy()
-            y[axis] = t
-            return -abs(float(np.asarray(f(y[None, :]), dtype=float)[0]))
-
-        t, neg = fminbound(neg_abs, max(0.0, float(x[axis]) - radius),
-                           min(1.0, float(x[axis]) + radius))
-        if -neg > value:
-            value, x[axis] = -neg, t
-    return value

@@ -42,6 +42,12 @@ UNREACHED_BY_DESIGN = {
     "empirical.moment_project": "benchmark span target",
     "empirical.lq_error": "benchmark span target",
     "measures.lebesgue": "public constructor of the classical case",
+    # per-cube queries and exact views of the public API; the package reads
+    # its tables, walks and integer state instead
+    "measures.MeasureModel.mass": "the mass oracle: L1 bench and benchmark span target",
+    "cubes.DyadicCube.parent": "public cube navigation, timed by the L0 bench",
+    "measures.AtomicMeasure.points": "public exact atoms of the integer state",
+    "measures.AtomicMeasure.weights": "public exact weights of the integer state",
 }
 
 
@@ -65,21 +71,24 @@ def test_public_names():
 
 
 def _refer(names: set, node) -> None:
+    # a bare name reaches a module-level function; an attribute lookup
+    # reaches that too (`reports.header_line`) and any class member (".name")
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
+            names.update((sub.attr, "." + sub.attr))
 
 
 def _definitions_and_uses():
-    """Each module-level function, and each method or property of a class,
-    as name -> its qualified names ("module.name", "module.Class.name");
-    and the names that the definitions of each name (key: the name) and all
-    other code (key: None) refer to. A name reaches every definition of it,
-    as an attribute lookup may; special methods, which Python calls itself,
-    count as other code. `__init__` only re-exports, and docstrings and
-    strings refer to nothing."""
+    """Each module-level function as "name", and each method or property of
+    a class as ".name", -> its qualified names ("module.name",
+    "module.Class.name"); and the keys that the definitions of each key and
+    all other code (key: None) refer to. A key reaches every definition of
+    it: a bare name only module-level functions of that name, an attribute
+    lookup those and every member of that name. Special methods, which
+    Python calls itself, count as other code. `__init__` only re-exports,
+    and docstrings and strings refer to nothing."""
     definitions, uses = {}, {}
     for path in sorted(SRC.glob("*.py")):
         if path.stem == "__init__":
@@ -94,10 +103,10 @@ def _definitions_and_uses():
                 owner = None
                 if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not re.fullmatch("__.+__", node.name)):
-                    owner = node.name
-                    qualified = definitions.setdefault(owner, [])
-                    assert prefix + owner not in qualified, f"{prefix + owner} is defined twice"
-                    qualified.append(prefix + owner)
+                    owner = node.name if top is node else "." + node.name
+                    qualified, name = definitions.setdefault(owner, []), prefix + node.name
+                    assert name not in qualified, f"{name} is defined twice"
+                    qualified.append(name)
                 _refer(uses.setdefault(owner, set()), node)
     return definitions, uses
 
@@ -119,10 +128,10 @@ def test_every_function_is_reached():
 
 
 def test_import_path_loads_no_code_generation_logging_or_openssl():
-    """Set-up is shared by every subcommand, so each module imports eagerly;
-    what no call needs stays out: `dataclasses` (and its code generation),
-    `logging` and `hashlib` (OpenSSL). A gram matrix and a config hash do
-    not load them either."""
+    """Set-up is shared by every subcommand, so each module but `probe`
+    imports eagerly; what no call needs stays out: `dataclasses` (and its
+    code generation), `logging` and `hashlib` (OpenSSL). A gram matrix and
+    a config hash do not load them either."""
     code = (
         "import sys; before = set(sys.modules)\n"
         "import widthlab.cli\n"
@@ -135,6 +144,35 @@ def test_import_path_loads_no_code_generation_logging_or_openssl():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_runs_but_probe_load_neither_the_probe_nor_numpy_polynomial(tmp_path):
+    """Only the `probe` subcommand compiles `widthlab.probe`, and the
+    Gauss-Legendre rule needs no `numpy.polynomial`; `from widthlab import
+    packing_probe` still finds the probe."""
+    (tmp_path / "qc.json").write_text(
+        '{"type": "ifs", "m": 1, "maps": [{"ratio_log2": 2, "offset": [0]},'
+        ' {"ratio_log2": 2, "offset": [3]}], "probs": ["1/2", "1/2"]}')
+    (tmp_path / "leb.json").write_text('{"type": "uniform", "m": 1, "support": "0:0"}')
+    common = "'--sigma', '1', '--p', '2', '--q', '2'"
+    code = (
+        "import contextlib, io, sys\n"
+        "import widthlab.cli as cli\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(list(argv)) == 0, argv\n"
+        "    print(sorted({'widthlab.probe', 'numpy.polynomial'} & set(sys.modules)))\n"
+        f"run('partition', '--measure', 'qc.json', {common}, '--thresholds', 'pow2:2..8')\n"
+        f"run('order', '--measure', 'qc.json', {common}, '--levels', '3..5')\n"
+        f"run('empirical', '--measure', 'qc.json', {common}, '--thresholds', 'pow2:2..8')\n"
+        f"run('probe', '--measure', 'leb.json', {common}, '--n', '3', '--alpha', '2.5')\n"
+        "from widthlab import packing_probe\n"
+        "print(packing_probe.__module__)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert done.stdout.splitlines() == ["[]", "[]", "[]", "['widthlab.probe']", "widthlab.probe"]
 
 
 @pytest.mark.parametrize(

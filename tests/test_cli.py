@@ -20,6 +20,7 @@ configuration, and with it the header hash, is the same on every machine.
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -36,7 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import widthlab
-from widthlab import ParseError, cli, empirical, reports
+from widthlab import ParseError, cli, probe, reports
 from widthlab.measures import ingest_points
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -209,6 +210,49 @@ def test_golden(name, golden, tmp_path, monkeypatch):
     assert sorted(got["side"]) == sorted(want["side"])
     for side, text in got["side"].items():
         assert (side, mismatch(text, want["side"][side])) == (side, None)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(enabled, tmp_path, monkeypatch):
+    """The heap is frozen during a run and unfrozen on every exit: each exit
+    code, and an exception that escapes."""
+    monkeypatch.chdir(tmp_path)
+    seen = []
+    _, keys, dims = cli.SUBCOMMANDS["dims"]
+
+    def frozen_dims(run):
+        seen.append(gc.get_freeze_count())
+        dims(run)
+
+    def broken(run):
+        raise RuntimeError("unexpected")
+
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        monkeypatch.setitem(cli.SUBCOMMANDS, "dims", ("", keys, frozen_dims))
+        codes = [run_cli(CASES[name], tmp_path)["code"] for name in
+                 ("dims", "fail-rho-hat", "resource-cap", "usage-subcommand", "noinput-measure")]
+        assert codes == [0, 1, 2, 64, 66]
+        assert (gc.get_freeze_count(), gc.isenabled()) == (0, enabled)
+        monkeypatch.setitem(cli.SUBCOMMANDS, "dims", ("", keys, broken))
+        with pytest.raises(RuntimeError, match="^unexpected$"):
+            cli.main(CASES["dims"])
+        assert (gc.get_freeze_count(), gc.isenabled()) == (0, enabled)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert len(seen) == 1 and seen[0] > 0
+
+
+def test_main_leaves_a_callers_frozen_objects_frozen(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert run_cli(CASES["dims"], tmp_path)["code"] == cli.EX_OK
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
 
 
 def test_goldens_cover_every_subcommand_and_exit_code(golden):
@@ -520,23 +564,28 @@ def test_header_hash_covers_config_file_values(tmp_path, monkeypatch):
     assert headers[0] != headers[1]
 
 
-@pytest.mark.parametrize("argv, config", [
-    (["spectrum", "--measure", "qc.json", "--levels", "2..3", "--t-grid", "0:1:0.5"], None),
+_SPECTRUM_DEFAULTS = {"weight_column": None, "max_cubes": cli.DEFAULT_MAX_CUBES, "out": None,
+                      "t_grid": [0.0, 0.5, 1.0]}
+
+
+@pytest.mark.parametrize("argv, config, effective", [
+    (["spectrum", "--measure", "qc.json", "--levels", "2..3", "--t-grid", "0:1:0.5"], None,
+     {**_SPECTRUM_DEFAULTS, "measure": "qc.json", "levels": [2, 3]}),
     (["spectrum", "--config", "c.json", "--t-grid", "0:1:0.5"],
-     {"measure": "pts.csv", "weight_column": "w", "levels": "1..2"}),
-])
-def test_header_hashes_flags_config_version_and_measure_bytes(argv, config, tmp_path, monkeypatch,
-                                                              capsys):
+     {"measure": "pts.csv", "weight_column": "w", "levels": "1..2"},
+     {**_SPECTRUM_DEFAULTS, "measure": "pts.csv", "weight_column": "w", "levels": [1, 2]}),
+], ids=["argv0-None", "argv1-config1"])
+def test_header_hashes_flags_config_version_and_measure_bytes(argv, config, effective,
+                                                              tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     if config:
         (tmp_path / "c.json").write_text(json.dumps(config))
     first = run_cli(argv, tmp_path)
-    # the token from its definition: the flags over the config values, the
-    # version and the digest of the measure file's bytes
-    values = {**(config or {}), "command": argv[0],
-              **dict(zip((a[2:].replace("-", "_") for a in argv[1::2]), argv[2::2]))}
-    measure = (tmp_path / values["measure"]).read_bytes()
-    effective = {**values, "tool_version": widthlab.__version__,
+    # the token from its definition: every option of the subcommand but
+    # --config as converted, defaults filled in, the subcommand, the version
+    # and the digest of the measure file's bytes
+    measure = (tmp_path / effective["measure"]).read_bytes()
+    effective = {**effective, "command": argv[0], "tool_version": widthlab.__version__,
                  "measure_sha256": hashlib.sha256(measure).hexdigest()}
     text = json.dumps(effective, sort_keys=True, separators=(",", ":"))
     token = hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -545,10 +594,42 @@ def test_header_hashes_flags_config_version_and_measure_bytes(argv, config, tmp_
     # the same bytes again: the same header and body
     assert run_cli(argv, tmp_path) == first
     # the same measure in other bytes: the same body under another header
-    (tmp_path / values["measure"]).write_bytes(measure + b"\n")
+    (tmp_path / effective["measure"]).write_bytes(measure + b"\n")
     assert cli.main(argv) == cli.EX_OK
     header, _, rest = capsys.readouterr().out.partition("\n")
     assert header != first["header"] and body("", f"{first['header']}\n{rest}") == first["body"]
+
+
+def test_header_hashes_the_effective_configuration(tmp_path, monkeypatch):
+    # a default spelled out, and a range spelled as a list, are one run
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lv.json").write_text(json.dumps({"measure": "leb1.json", "levels": "4..10"}))
+    runs = [["dims", "--measure", "leb1.json"],
+            ["dims", "--measure", "leb1.json", "--levels", "4..10"],
+            ["dims", "--measure", "leb1.json", "--levels", "4,5,6,7,8,9,10"],
+            ["dims", "--config", "lv.json"]]
+    results = [run_cli(argv, tmp_path) for argv in runs]
+    assert {r["code"] for r in results} == {cli.EX_OK}
+    assert len({r["header"] for r in results}) == 1 and len({r["body"] for r in results}) == 1
+    other = run_cli(["dims", "--measure", "leb1.json", "--levels", "4..9"], tmp_path)
+    assert other["header"] != results[0]["header"]
+
+
+def test_each_option_is_converted_once_per_run(tmp_path, monkeypatch):
+    # the header hashes the values the run converted, and parses none again
+    monkeypatch.chdir(tmp_path)
+    converted = []
+    convert = cli.Run._convert
+
+    def counted(self, key):
+        converted.append(key)
+        return convert(self, key)
+
+    monkeypatch.setattr(cli.Run, "_convert", counted)
+    result = run_cli(CASES["coarse-summary"], tmp_path)
+    assert result["code"] == cli.EX_OK and (tmp_path / "summary.json").exists()
+    options = f"{cli.COMMON} {cli.SUBCOMMANDS['coarse'][1]}".split()
+    assert sorted(converted) == sorted(key for key in options if key != "config")
 
 
 _JSON = st.recursive(
@@ -651,7 +732,7 @@ def test_probe_trips_node_cap_before_the_seminorm(tmp_path, monkeypatch, capsys)
     def seminorm(*args, **kwargs):
         raise AssertionError("sobolev_seminorm ran before the node-table cap")
 
-    monkeypatch.setattr(empirical, "sobolev_seminorm", seminorm)
+    monkeypatch.setattr(probe, "sobolev_seminorm", seminorm)
     monkeypatch.chdir(tmp_path)
     argv = ["probe", *_TET22, "--n", "5", "--alpha", "3"]
     assert run_cli(argv, tmp_path)["code"] == cli.EX_RESOURCE

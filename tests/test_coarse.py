@@ -9,16 +9,15 @@ from widthlab import (
     AtomicMeasure,
     DyadicCube,
     ValidationError,
-    alpha_good_cubes,
     coarse_profile,
     closed_form_spectrum,
     lebesgue,
     s_b_solve,
     scaled_box,
-    well_separated,
 )
 from widthlab import coarse
-from widthlab.coarse import count_view, default_alpha_grid, dominant_cubes
+from widthlab.coarse import count_view, default_alpha_grid
+from widthlab.probe import alpha_good_cubes, dominant_cubes, well_separated
 from widthlab.cubes import neighbors
 from widthlab.measures import IfsMap, IfsMeasure, MeasureModel
 from widthlab.spectrum import frac_log2

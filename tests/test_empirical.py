@@ -26,14 +26,13 @@ from widthlab import (
     lebesgue,
     lq_error,
     moment_project,
-    packing_probe,
     piecewise_project,
     root,
-    sobolev_seminorm,
 )
-from widthlab import empirical
+from widthlab import empirical, probe, quadrature
 from widthlab.functions import catalog, monomials, multi_indices
-from widthlab.quadrature import composite_unit_norm, unit_rule
+from widthlab.probe import composite_unit_norm, packing_probe, sobolev_seminorm
+from widthlab.quadrature import unit_rule
 
 from conftest import boundary_atomic, dyadic_ifs, ifs_atomic_lebesgue
 from oracles import (contains, descent_positive, evaluate, integrate_on_cell, oracle_decay_rows,
@@ -255,7 +254,7 @@ def scaling_check(u, cube, sigma, p, resolution=4):
     m = cube.m
     side = float(cube.side)
     npts = empirical._default_npts(sigma)
-    grad = empirical._gradient_magnitude(u, sigma, m)
+    grad = probe._gradient_magnitude(u, sigma, m)
     # |grad_sigma (u o phi^{-1})|(x) = side^-sigma |grad_sigma u|(y) on x = phi(y),
     # and dx = side^m dy (m/p = 0 for p = inf)
     lhs = side ** (m / p - sigma) * composite_unit_norm(grad, m, resolution, npts, p)
@@ -754,3 +753,30 @@ def test_decay_fit_over_one_distinct_card(tetrahedron):
                                                      thresholds)} == {4}
     with pytest.raises(SolverError, match=r"^decay fit needs >= 2 distinct partition"):
         decay_experiment(SinProduct(3), tetrahedron, params, thresholds)
+
+
+@pytest.mark.parametrize("name", ["sin", "bump", "linear"])
+def test_decay_rows_over_partitions_that_share_cells_at_one_depth(tetrahedron, name):
+    """A partition at the depth of the last one evaluates its new cells only;
+    the rows stay the per-threshold rows bit for bit."""
+    params = EmbeddingParams(m=3, sigma=2, p=4.0, q=2.0)
+    thresholds = [2.0 ** (-k / 4) for k in range(14, 38)]
+    parts = [build_partition(tetrahedron, params.rho, t) for t in thresholds]
+    shared = [(a, b) for a, b in zip(parts, parts[1:])
+              if a.cells != b.cells and a.max_level == b.max_level]
+    assert len(shared) >= 3 and all(set(a.cells) & set(b.cells) for a, b in shared)
+    f = catalog(name, 3)
+    want = oracle_decay_rows(f, tetrahedron, params, thresholds)
+    got = empirical._decay_rows(f, tetrahedron, params, thresholds, 3,
+                                empirical.DEFAULT_MAX_CELLS, empirical.DEFAULT_MAX_CUBES)
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("npts", range(1, 101))
+def test_unit_rule_1d_is_numpy_leggauss_on_the_unit_interval(npts):
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(npts)
+    got = quadrature.unit_rule_1d(npts)
+    assert np.array_equal(got[0], (x + 1) / 2) and np.array_equal(got[1], w / 2)
+    assert got[0].tobytes() == ((x + 1) / 2).tobytes() and got[1].tobytes() == (w / 2).tobytes()

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -124,3 +125,17 @@ def test_monomials_match_the_axis_product(m, degree):
     # the same bits, inf, -0.0 and all
     assert got.tobytes() == want.tobytes()
     assert np.array_equal(monomials(exps, pts[0]), oracle_monomials(exps, pts[0]))
+
+
+@pytest.mark.parametrize("m", range(1, 4))
+@pytest.mark.parametrize("top", range(4))
+def test_monomials_match_the_axis_product_at_each_max_exponent(m, top):
+    # every exponent row in 0..top per axis: the table's ones and copied
+    # columns (exponents 0 and 1) and its pow columns (2 and up) alike
+    rng = np.random.default_rng(100 * m + top)
+    pts = np.vstack([rng.uniform(-3.0, 3.0, (25, m)), np.full((1, m), -0.0),
+                     np.full((1, m), np.inf), np.full((1, m), 5e-324)])
+    exps = np.array(list(itertools.product(range(top + 1), repeat=m)), dtype=int)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = monomials(exps, pts), oracle_monomials(exps, pts)
+    assert got.tobytes() == want.tobytes()

@@ -811,8 +811,15 @@ def test_ingest_points_builds_no_fraction_on_plain_decimals(monkeypatch, tmp_pat
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
     run = cli.Run(parsed)
-    model, header = run.model, run.header
+    model = run.model
     assert calls == [] and "points" not in vars(model) and "weights" not in vars(model)
+    # the header hashes the converted options; the t-grid's exact decimal
+    # steps are Fractions, converted once as `_spectrum` converts them
+    monkeypatch.undo()
+    run.get("t_grid")
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    header = run.header
+    assert calls == []
     monkeypatch.undo()
     assert header.startswith("# widthlab ") and _integer_state(model) == _integer_state(want)
     assert (model.points, model.weights) == (want.points, want.weights)
