@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from widthlab import IfsMap, IfsMeasure, closed_form_spectrum, empirical_spectrum, s_b_solve
@@ -63,9 +64,10 @@ def scipy_closed_form(curve, b: float) -> float:
 
 
 def scipy_empirical(curve, b: float) -> float:
-    ts = curve.t_grid
-    return optimize.brentq(lambda t: curve.beta(t) - b * t, ts[0], ts[-1], xtol=1e-15,
-                           rtol=8.9e-16, maxiter=200)
+    """SciPy on the curve's own grid, linearly interpolated."""
+    ts, vs = curve.t_grid, curve.values
+    return optimize.brentq(lambda t: float(np.interp(t, ts, vs)) - b * t, ts[0], ts[-1],
+                           xtol=1e-15, rtol=8.9e-16, maxiter=200)
 
 
 CASES = {

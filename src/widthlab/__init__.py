@@ -50,7 +50,6 @@ from .spectrum import (
     ClosedFormSpectrum,
     DimensionEstimate,
     EmpiricalSpectrum,
-    SpectrumCurve,
     beta_n,
     closed_form_spectrum,
     empirical_spectrum,

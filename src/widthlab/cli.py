@@ -77,8 +77,8 @@ def parse_thresholds(text: str) -> list[float]:
     return parse_grid(text)
 
 
-# key: (converter, default, help). Integer and real flags are typed by argparse
-# too; the rest stay text until `Run.get`, like config-file values.
+# key: (converter, default, help). Every flag stays text until `Run.get`
+# converts it, as a config-file value is, so a malformed one exits 1.
 OPTIONS = {
     "config": (None, None, "JSON config file; flags override its keys"),
     "measure": (None, None, "measure spec (.json) or point cloud (.csv)"),
@@ -192,9 +192,9 @@ class Run:
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise ParseError(f"malformed {_flag(key)} value {value!r}: {exc}") from exc
         if key in ("max_cubes", "max_cells") and converted < 1:  # not a cap that trips
-            raise ParseError(f"malformed {_flag(key)} value {value!r}: a cap must be >= 1")
+            raise ParseError(f"malformed {_flag(key)} value {converted!r}: a cap must be >= 1")
         if key == "seed" and converted < 0:
-            raise ParseError(f"malformed {_flag(key)} value {value!r}: a seed must be >= 0")
+            raise ParseError(f"malformed {_flag(key)} value {converted!r}: a seed must be >= 0")
         if convert in (parse_levels, parse_grid, parse_thresholds) and not converted:
             raise ParseError(f"malformed {_flag(key)} value {value!r}: it holds no values")
         return converted
@@ -405,9 +405,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         help_text, keys, _ = SUBCOMMANDS[name]
         sp = sub.add_parser(name, help=help_text)
         for key in f"{COMMON} {keys}".split():
-            convert, _, help_text = OPTIONS[key]
-            typed = convert if convert in (int, float) else None
-            sp.add_argument(_flag(key), type=typed, help=help_text)
+            sp.add_argument(_flag(key), help=OPTIONS[key][2])
     return parser
 
 

@@ -52,14 +52,6 @@ class DyadicCube(_Cube):
     def side(self) -> Fraction:
         return Fraction(1, 1 << self.level)
 
-    def lower(self) -> tuple[Fraction, ...]:
-        s = self.side
-        return tuple(l * s for l in self.index)
-
-    def upper(self) -> tuple[Fraction, ...]:
-        s = self.side
-        return tuple((l + 1) * s for l in self.index)
-
     def center(self) -> tuple[Fraction, ...]:
         s = self.side
         return tuple(Fraction(2 * l + 1, 1) * s / 2 for l in self.index)
@@ -128,15 +120,8 @@ class Box(_Box):
             raise ValidationError("box half_width must be positive")
         return _new(cls, (center, half_width))
 
-    @property
-    def m(self) -> int:
-        return len(self.center)
-
     def lower(self) -> tuple[Fraction, ...]:
         return tuple(c - self.half_width for c in self.center)
-
-    def upper(self) -> tuple[Fraction, ...]:
-        return tuple(c + self.half_width for c in self.center)
 
     def interior_intersects(self, other: "Box") -> bool:
         return all(

@@ -1,10 +1,14 @@
-"""Catalog of test functions with known smoothness and exact derivatives.
+"""Catalog of test functions with known smoothness.
 
-Polynomials and sine products carry their derivatives in closed form. The
-smooth bump is a tensor product of one-dimensional mollified indicators
+The smooth bump is a tensor product of one-dimensional mollified indicators
 (mollifier radius 1/8, plateau [3/16, 13/16] per axis): it takes values in
 [0, 1], is supported strictly inside the open unit cube, and equals 1 on the
 concentric cube of side 1/3 - the properties the packing construction needs.
+It carries its partials up to order 4 in closed form, for the probe's
+Sobolev seminorm; no other function here does. The package holds only defs
+that a subcommand calls (the runtime reach test of `tests/test_api.py`), so
+the closed-form partials of polynomials and sine products, which only tests
+compare against, live in `tests/oracles.py`.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ TWO_PI = 2.0 * math.pi
 
 
 class TestFunction:
-    """Callable on (N, m) point arrays with optional exact partials."""
+    """Callable on (N, m) point arrays."""
 
     name: str = "abstract"
     m: int = 1
@@ -29,10 +33,6 @@ class TestFunction:
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def partial(self, multi_index: tuple[int, ...]):
-        """Exact D^k as a callable, or None when only differencing applies."""
-        return None
 
 
 class Polynomial(TestFunction):
@@ -52,33 +52,11 @@ class Polynomial(TestFunction):
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         return monomials(list(self.coeffs), pts) @ np.array(list(self.coeffs.values()))
 
-    def partial(self, multi_index):
-        new: dict[tuple[int, ...], float] = {}
-        for k, c in self.coeffs.items():
-            factor = 1.0
-            shifted = []
-            ok = True
-            for e, d in zip(k, multi_index):
-                if e < d:
-                    ok = False
-                    break
-                factor *= math.prod(range(e - d + 1, e + 1))
-                shifted.append(e - d)
-            if ok:
-                key = tuple(shifted)
-                new[key] = new.get(key, 0.0) + c * factor
-        if not new:
-            return lambda pts: np.zeros(np.atleast_2d(pts).shape[0])
-        return Polynomial(self.m, new, name=f"D{multi_index}{self.name}")
-
 
 def coordinate(m: int, axis: int = 0) -> Polynomial:
     """f(x) = x_axis."""
     key = tuple(1 if i == axis else 0 for i in range(m))
     return Polynomial(m, {key: 1.0}, name=f"x{axis}")
-
-
-_SIN_CYCLE = (np.sin, np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x))
 
 
 class SinProduct(TestFunction):
@@ -98,18 +76,6 @@ class SinProduct(TestFunction):
         for i, f in enumerate(self.freqs):
             out *= np.sin(TWO_PI * f * pts[:, i])
         return out
-
-    def partial(self, multi_index):
-        freqs = self.freqs
-
-        def dk(pts, multi_index=tuple(multi_index)):
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            out = np.ones(pts.shape[0])
-            for i, (f, d) in enumerate(zip(freqs, multi_index)):
-                out *= (TWO_PI * f) ** d * _SIN_CYCLE[d % 4](TWO_PI * f * pts[:, i])
-            return out
-
-        return dk
 
 
 # -- the smooth bump ---------------------------------------------------------
@@ -202,6 +168,7 @@ class Bump(TestFunction):
         return out
 
     def partial(self, multi_index):
+        """Exact D^k as a callable, or None beyond the hand-coded orders."""
         if max(multi_index) > 4:
             return None
 

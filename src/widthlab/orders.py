@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 from .coarse import CoarseProfile
 from .errors import SolverError, ValidationError
-from .spectrum import DimensionEstimate, SpectrumCurve, s_b_solve
+from .spectrum import ClosedFormSpectrum, DimensionEstimate, EmpiricalSpectrum, s_b_solve
 
 INF = math.inf
 STARS = ("K", "G", "L")
@@ -161,7 +161,7 @@ def case_label(p: float, q: float) -> str:
 
 
 def _solve_S(
-    curve: SpectrumCurve,
+    curve: ClosedFormSpectrum | EmpiricalSpectrum,
     dims: Optional[DimensionEstimate],
     params: EmbeddingParams,
 ) -> tuple[Optional[float], float]:
@@ -181,16 +181,11 @@ def _solve_S(
             "s_rho = 0 (degenerate spectrum); approximation orders are -inf"
         )
     value = 1.0 / (params.q * s)
-    if curve.kind == "closed-form":
+    if isinstance(curve, ClosedFormSpectrum):
         # alternative closed form: 1/S = inf{t > 0 : beta(t/q) - t*rho_hat <= 0};
         # beta(1) = 0 puts the crossing at or below t = q
-        class _Sub(SpectrumCurve):
-            kind = "closed-form"
-
-            def beta(self, t: float) -> float:
-                return curve.beta(t / params.q)
-
-        t_star = s_b_solve(_Sub(), params.rho_hat, t_max=max(1.5, params.q))
+        sub = ClosedFormSpectrum(lambda t: curve.beta(t / params.q), "beta(t/q)")
+        t_star = s_b_solve(sub, params.rho_hat, t_max=max(1.5, params.q))
         if abs(t_star - 1.0 / value) > 1e-8 * max(1.0, abs(t_star)):
             raise SolverError(
                 f"S_upper cross-check failed: 1/S={1.0 / value} vs {t_star}"
@@ -234,7 +229,7 @@ class OrderReport:
 
 def upper_order(
     params: EmbeddingParams,
-    curve: SpectrumCurve,
+    curve: ClosedFormSpectrum | EmpiricalSpectrum,
     dims: Optional[DimensionEstimate] = None,
 ) -> OrderReport:
     """Upper approximation orders -S_upper + e_star for all three widths."""
@@ -260,7 +255,7 @@ def upper_order(
 
 def lower_order(
     params: EmbeddingParams,
-    curve: SpectrumCurve,
+    curve: ClosedFormSpectrum | EmpiricalSpectrum,
     dims: Optional[DimensionEstimate] = None,
     coarse: Optional[CoarseProfile] = None,
 ) -> OrderReport:
@@ -272,10 +267,10 @@ def lower_order(
     coincide within REGULARITY_TOL (then the order exists and the interval is
     reported as collapsed onto the upper order).
 
-    q = inf: exact values from the lower box dimension estimate.
+    q = inf: exact values -rho_hat / dim_lower + e_star, from the lower box
+    dimension estimate and the width exponent table of the upper orders.
     """
     report = upper_order(params, curve, dims)
-    p = params.p
     if math.isinf(params.q):
         if dims is None:
             raise ValidationError("q = inf needs a dimension estimate")
@@ -283,15 +278,7 @@ def lower_order(
         if dim_lo <= 0:
             raise SolverError("lower box dimension estimate is 0")
         base = -params.rho_hat / dim_lo
-        if p > 2:
-            lower_exact = {"K": base - _inv(p), "G": base, "L": base}
-        else:
-            lower_exact = {
-                "K": base - 0.5,
-                "G": base + 0.5 - _inv(p),
-                "L": base + 0.5 - _inv(p),
-            }
-        report.lower = {star: (v, v) for star, v in lower_exact.items()}
+        report.lower = {star: (base + e, base + e) for star, e in report.exponents.items()}
         report.S_lower_est = params.rho_hat / dim_lo
         report.regularity_flag = abs(dims.window_max - dim_lo) <= REGULARITY_TOL
         return report

@@ -15,8 +15,11 @@ module inside that subcommand's handler, and the package resolves its public
 names on first use: start-up does not compile it. The alpha-good cubes and
 the masses of their neighbours are read from the level's node table, not
 from the mass oracle. The Sobolev seminorm of the unit bump is a composite
-Gauss-Legendre rule; for p = inf its sup norm is refined by Brent's bounded
-minimizer (`_brent.fminbound`).
+Gauss-Legendre rule over its exact partials (`Bump.partial`, up to order 4)
+or, beyond them, extrapolated finite differences; for p = inf its sup norm
+is refined by Brent's bounded minimizer (`_brent.fminbound`). Like every
+module of the package, this one holds only defs that a subcommand calls
+(the runtime reach test of `tests/test_api.py`).
 """
 from __future__ import annotations
 
@@ -157,18 +160,6 @@ class MappedBump(TestFunction):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return self.base((pts - self.lower) / self.side)
 
-    def partial(self, multi_index):
-        inner = self.base.partial(multi_index)
-        if inner is None:
-            return None
-        scale = self.side ** (-sum(multi_index))
-
-        def dk(pts):
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            return scale * inner((pts - self.lower) / self.side)
-
-        return dk
-
 
 def finite_difference_partial(f, multi_index):
     """Extrapolated central difference D^k for callables without exact partials.
@@ -261,15 +252,17 @@ def _refine_max(f, x: np.ndarray, radius: float, value: float) -> float:
 def _gradient_magnitude(u, sigma: int, m: int):
     """sqrt(sum over |k| = sigma of (D^k u)^2) as a vectorized callable.
 
-    Exact partials are used where u has them; otherwise the extrapolated
-    finite differences of ``finite_difference_partial``, whose step does not
-    depend on the quadrature resolution.
+    Exact partials are used where u has a `partial` method that gives them
+    (`Bump` up to order 4); otherwise the extrapolated finite differences of
+    ``finite_difference_partial``, whose step does not depend on the
+    quadrature resolution.
     """
+    partial = getattr(u, "partial", None)
     partials = []
     for k in multi_indices(m, sigma):
         if sum(k) != sigma:
             continue
-        dk = u.partial(k) if isinstance(u, TestFunction) else None
+        dk = partial(k) if partial else None
         if dk is None:
             dk = finite_difference_partial(u, k)
         partials.append(dk)

@@ -8,14 +8,17 @@ underflow nor drift.
 One level view, `level_log_masses` ((log2 mass, count) over the level-n
 multiset), serves a whole t-grid in `beta_row` (hence `beta_n`,
 `empirical_spectrum`, the CLI table) and the coarse counts.
+
+A curve is closed-form, with a callable `beta`, or empirical, its values on
+a t-grid. `s_b_solve` reads an empirical curve's grid itself, so that curve
+has no `beta`: the package holds only defs that a subcommand calls (the
+runtime reach test of `tests/test_api.py`).
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
 
 from ._brent import brentq
 from .errors import SolverError, ValidationError
@@ -75,17 +78,8 @@ def beta_n(
     return beta_row(model, n, (t,), max_cubes)[0]
 
 
-class SpectrumCurve:
-    """Representation of t -> beta(t)."""
-
-    kind = "abstract"
-
-    def beta(self, t: float) -> float:
-        raise NotImplementedError
-
-
-class ClosedFormSpectrum(SpectrumCurve):
-    kind = "closed-form"
+class ClosedFormSpectrum:
+    """t -> beta(t) in closed form."""
 
     def __init__(self, fn, label: str) -> None:
         self._fn = fn
@@ -94,14 +88,9 @@ class ClosedFormSpectrum(SpectrumCurve):
     def beta(self, t: float) -> float:
         return self._fn(t)
 
-    def __repr__(self) -> str:
-        return f"ClosedFormSpectrum({self.label})"
 
-
-class EmpiricalSpectrum(SpectrumCurve):
+class EmpiricalSpectrum:
     """Per-level spectrum sampled on an increasing t-grid."""
-
-    kind = "empirical"
 
     def __init__(self, level: int, t_grid, values) -> None:
         t_grid = tuple(float(t) for t in t_grid)
@@ -113,12 +102,6 @@ class EmpiricalSpectrum(SpectrumCurve):
         self.level = level
         self.t_grid = t_grid
         self.values = values
-
-    def beta(self, t: float) -> float:
-        ts, vs = self.t_grid, self.values
-        if not ts[0] <= t <= ts[-1]:
-            raise SolverError(f"t={t} outside the empirical grid [{ts[0]}, {ts[-1]}]")
-        return float(np.interp(t, ts, vs))
 
 
 def empirical_spectrum(
@@ -159,19 +142,18 @@ def closed_form_spectrum(model: MeasureModel) -> ClosedFormSpectrum | None:
     return None
 
 
-def s_b_solve(curve: SpectrumCurve, b: float, t_max: float = 1.5) -> float:
+def s_b_solve(curve: ClosedFormSpectrum | EmpiricalSpectrum, b: float,
+              t_max: float = 1.5) -> float:
     """Critical exponent inf{t > 0 : beta(t) - b*t <= 0}.
 
     Convexity of beta makes t -> beta(t) - b*t cross zero at most once from
-    above; the crossing is bracketed (doubling t_max up to 64) and refined by
-    Brent's root finder (Brent 1973, ch. 4) to near machine precision,
-    comfortably inside the 1e-10 contract.
+    above. On an empirical curve the crossing is interpolated linearly
+    between grid neighbours; on a closed form it is bracketed (doubling
+    t_max up to 64) and refined by Brent's root finder (Brent 1973, ch. 4)
+    to near machine precision, comfortably inside the 1e-10 contract.
     """
     if b <= 0:
         raise ValidationError("s_b needs b > 0")
-
-    def g(t: float) -> float:
-        return curve.beta(t) - b * t
 
     if isinstance(curve, EmpiricalSpectrum):
         ts, vs = curve.t_grid, curve.values
@@ -186,6 +168,9 @@ def s_b_solve(curve: SpectrumCurve, b: float, t_max: float = 1.5) -> float:
         raise SolverError(
             f"s_b crossing for b={b} lies outside the empirical t-grid"
         )
+
+    def g(t: float) -> float:
+        return curve.beta(t) - b * t
 
     lo = 0.0
     g0 = g(1e-12)

@@ -23,7 +23,12 @@ tensor Gauss rule on one cell (`integrate_on_cell`, once in
 `widthlab.quadrature`), the reference integral of the projection tests; the
 half-open membership of a point in a cube (`contains`, once
 `DyadicCube.contains`), by which the tests place atoms; and a projection's
-values at points (`evaluate`, once `PiecewisePolynomial.evaluate`)."""
+values at points (`evaluate`, once `PiecewisePolynomial.evaluate`). So did
+a cube's exact corners (`lower_corner` and `upper_corner`, once
+`DyadicCube.lower` and `upper`), which map the tests' cells to the unit
+cube, and the closed-form partials of polynomials and sine products
+(`ExactPolynomial`, `ExactSinProduct`, once `Polynomial.partial` and
+`SinProduct.partial`), the references of the Sobolev seminorm tests."""
 from __future__ import annotations
 
 import bisect
@@ -34,12 +39,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from widthlab import (AtomicMeasure, DyadicCube, ProductMeasure, ResourceLimitError,
-                      UniformMeasure, ValidationError, build_partition, lq_error,
-                      piecewise_project, root)
+from widthlab import (AtomicMeasure, DyadicCube, Polynomial, ProductMeasure,
+                      ResourceLimitError, SinProduct, UniformMeasure, ValidationError,
+                      build_partition, lq_error, piecewise_project, root)
 from widthlab.coarse import CoarseProfile, default_alpha_grid
 from widthlab.cubes import children
-from widthlab.functions import monomials, multi_indices
+from widthlab.functions import TWO_PI, monomials, multi_indices
 from widthlab.measures import (DEFAULT_MAX_CUBES, PACKED_KEY_BITS, LevelNodes, TemplateNode,
                                _chain, _check_level, _check_masses, index_array)
 from widthlab.partition import DEFAULT_MAX_CELLS
@@ -177,7 +182,7 @@ def integrate_on_cell(f, cube, npts):
     # the integral of f over a dyadic cube by the tensor Gauss-Legendre rule
     pts, wts = unit_rule(cube.m, npts)
     side = float(cube.side)
-    lower = np.array([float(x) for x in cube.lower()])
+    lower = np.array([float(x) for x in lower_corner(cube)])
     vals = np.asarray(f(lower + side * pts), dtype=float)
     return side**cube.m * float(np.dot(wts, vals))
 
@@ -208,7 +213,7 @@ def oracle_moment_project(f, cube, degree, npts=None):
             )
     pts, wts = unit_rule(m, npts)
     side = float(cube.side)
-    lower = np.array([float(x) for x in cube.lower()])
+    lower = np.array([float(x) for x in lower_corner(cube)])
     fvals = np.asarray(f(lower + side * pts), dtype=float)
     rhs = monomials(exps, pts).T @ (wts * fvals)
     return np.linalg.solve(gram, rhs)
@@ -378,6 +383,60 @@ def oracle_ifs_overlap(images):
             if hi.ancestor(lo.level) == lo:
                 return f"IFS image cubes {images[i]} and {images[j]} overlap"
     return None
+
+
+def lower_corner(cube):
+    """The exact lower corner of a dyadic cube."""
+    s = cube.side
+    return tuple(l * s for l in cube.index)
+
+
+def upper_corner(cube):
+    """The exact upper corner of a dyadic cube."""
+    s = cube.side
+    return tuple((l + 1) * s for l in cube.index)
+
+
+class ExactPolynomial(Polynomial):
+    """A polynomial with its partials in closed form."""
+
+    def partial(self, multi_index):
+        new: dict[tuple[int, ...], float] = {}
+        for k, c in self.coeffs.items():
+            factor = 1.0
+            shifted = []
+            ok = True
+            for e, d in zip(k, multi_index):
+                if e < d:
+                    ok = False
+                    break
+                factor *= math.prod(range(e - d + 1, e + 1))
+                shifted.append(e - d)
+            if ok:
+                key = tuple(shifted)
+                new[key] = new.get(key, 0.0) + c * factor
+        if not new:
+            return lambda pts: np.zeros(np.atleast_2d(pts).shape[0])
+        return Polynomial(self.m, new, name=f"D{multi_index}{self.name}")
+
+
+_SIN_CYCLE = (np.sin, np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x))
+
+
+class ExactSinProduct(SinProduct):
+    """A sine product with its partials in closed form."""
+
+    def partial(self, multi_index):
+        freqs = self.freqs
+
+        def dk(pts, multi_index=tuple(multi_index)):
+            pts = np.atleast_2d(np.asarray(pts, dtype=float))
+            out = np.ones(pts.shape[0])
+            for i, (f, d) in enumerate(zip(freqs, multi_index)):
+                out *= (TWO_PI * f) ** d * _SIN_CYCLE[d % 4](TWO_PI * f * pts[:, i])
+            return out
+
+        return dk
 
 
 def contains(cube, point):

@@ -1,9 +1,14 @@
-"""The public API, and the reach of every function, method and property of
-the package.
+"""The public API, and the reach of every def of the package.
 
-The command line is the product: a function, method or property that no
-subcommand, no class body and no other reached definition refers to is code
-that only tests run, and belongs with them in `tests/`."""
+The command line is the product, so reach is what the command line runs: a
+fresh interpreter traces every call while it imports `widthlab.cli` and runs
+each golden case of `test_cli.py`, and every def of `src/widthlab`, methods,
+properties and nested defs included, must have been called. A def that no
+case calls is code that only tests run, and belongs with them in `tests/`;
+one that a subcommand can run but no case does needs a golden case. The
+only other ways to pass are an entry of UNREACHED_BY_DESIGN with its reason,
+and a body that only raises NotImplementedError, which declares an
+interface."""
 import ast
 import os
 import re
@@ -32,7 +37,9 @@ from widthlab import (
 
 SRC = Path(widthlab.__file__).parent
 
-# reached by no package code, kept on purpose
+TESTS = Path(__file__).parent
+
+# called by no golden case, kept on purpose
 UNREACHED_BY_DESIGN = {
     # looked up by name as benchmark spans (`perfbench/spans.py`); they leave
     # together with their spans
@@ -48,6 +55,9 @@ UNREACHED_BY_DESIGN = {
     "cubes.DyadicCube.parent": "public cube navigation, timed by the L0 bench",
     "measures.AtomicMeasure.points": "public exact atoms of the integer state",
     "measures.AtomicMeasure.weights": "public exact weights of the integer state",
+    "cubes.children": "the benchmark's cubes.children counter and the L0 bench",
+    "cubes.DyadicCube.child": "called by `children` only: the L0 bench",
+    "cubes.root": "public root cube; only `lebesgue` calls it",
 }
 
 
@@ -57,7 +67,7 @@ def test_public_names():
         "DimensionEstimate", "DyadicCube", "EmbeddingParams", "EmpiricalSpectrum", "IfsMap",
         "IfsMeasure", "MeasureModel", "OrderReport", "ParseError", "PartitionResult",
         "PartitionRow", "PiecewisePolynomial", "Polynomial", "ProbeResult", "ProductMeasure",
-        "ResourceLimitError", "SinProduct", "SolverError", "SpectrumCurve", "UniformMeasure",
+        "ResourceLimitError", "SinProduct", "SolverError", "UniformMeasure",
         "ValidationError", "WidthlabError", "alpha_good_cubes", "beta_n", "build_partition",
         "case_label", "catalog", "children", "closed_form_spectrum", "coarse", "coarse_profile",
         "coordinate", "cubes", "decay_experiment", "dual_exponent", "empirical",
@@ -70,61 +80,82 @@ def test_public_names():
     ]
 
 
-def _refer(names: set, node) -> None:
-    # a bare name reaches a module-level function; an attribute lookup
-    # reaches that too (`reports.header_line`) and any class member (".name")
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            names.update((sub.attr, "." + sub.attr))
+def _interface(node: ast.FunctionDef) -> bool:
+    """Whether the def's body, below its docstring, only raises NotImplementedError."""
+    body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+    exc = body[0].exc if len(body) == 1 and isinstance(body[0], ast.Raise) else None
+    exc = exc.func if isinstance(exc, ast.Call) else exc
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
 
 
-def _definitions_and_uses():
-    """Each module-level function as "name", and each method or property of
-    a class as ".name", -> its qualified names ("module.name",
-    "module.Class.name"); and the keys that the definitions of each key and
-    all other code (key: None) refer to. A key reaches every definition of
-    it: a bare name only module-level functions of that name, an attribute
-    lookup those and every member of that name. Special methods, which
-    Python calls itself, count as other code. `__init__` only re-exports,
-    and docstrings and strings refer to nothing."""
-    definitions, uses = {}, {}
+def _definitions() -> dict:
+    """Each def of the package but an interface's, as (file, first line) ->
+    its dotted name ("module.Class.method", "module.function.inner"). The
+    first line is its code object's `co_firstlineno`: that of its first
+    decorator, if it has any."""
+    out = {}
+
+    def walk(node, path: Path, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _interface(child):
+                first = min([child.lineno, *(d.lineno for d in child.decorator_list)])
+                assert (str(path), first) not in out and name not in out.values(), name
+                out[(str(path), first)] = name
+            walk(child, path, name)
+
     for path in sorted(SRC.glob("*.py")):
-        if path.stem == "__init__":
-            continue
-        for top in ast.parse(path.read_text()).body:
-            members, prefix = [top], f"{path.stem}."
-            if isinstance(top, ast.ClassDef):
-                members, prefix = top.body, f"{path.stem}.{top.name}."
-                for node in [*top.bases, *top.keywords, *top.decorator_list]:
-                    _refer(uses.setdefault(None, set()), node)
-            for node in members:
-                owner = None
-                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and not re.fullmatch("__.+__", node.name)):
-                    owner = node.name if top is node else "." + node.name
-                    qualified, name = definitions.setdefault(owner, []), prefix + node.name
-                    assert name not in qualified, f"{name} is defined twice"
-                    qualified.append(name)
-                _refer(uses.setdefault(owner, set()), node)
-    return definitions, uses
+        walk(ast.parse(path.read_text()), path, path.stem)
+    return out
 
 
-def test_every_function_is_reached():
-    """Reached: referred to by module-level code, a class body or special
-    method, or a reached definition, starting from the exceptions above."""
-    definitions, uses = _definitions_and_uses()
-    allowed = {name for name, qualified in definitions.items()
-               if set(qualified) & set(UNREACHED_BY_DESIGN)}
-    assert sorted(q for name in allowed for q in definitions[name]) == sorted(UNREACHED_BY_DESIGN)
-    reached, todo = set(allowed), [None, *allowed]
-    while todo:
-        for name in uses.get(todo.pop(), ()):
-            if name in definitions and name not in reached:
-                reached.add(name)
-                todo.append(name)
-    assert sorted(q for name in set(definitions) - reached for q in definitions[name]) == []
+# In a fresh interpreter, so that no cache that earlier tests filled hides a
+# call: the (file, first line) of each code object of the package called
+# from before `import widthlab.cli` to the end of the last golden case.
+_TRACE = """
+import os, sys, tempfile
+from pathlib import Path
+
+src, tests = sys.argv[1:]
+called = set()
+
+
+def trace(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_filename.startswith(src):
+        called.add(f"{code.co_firstlineno} {code.co_filename}")
+
+
+sys.setprofile(trace)
+import widthlab.cli
+
+sys.path.insert(0, tests)
+import test_cli
+
+for argv in test_cli.CASES.values():
+    with tempfile.TemporaryDirectory() as cwd:
+        os.chdir(cwd)
+        test_cli.run_cli(argv, Path(cwd))
+        os.chdir(tests)
+sys.setprofile(None)
+print(*sorted(called), sep="\\n")
+"""
+
+
+def test_every_def_is_called_by_a_golden_case():
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _TRACE, str(SRC) + os.sep, str(TESTS)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    called = {(name, int(line)) for line, _, name in
+              (entry.partition(" ") for entry in done.stdout.splitlines())}
+    uncalled = {name for key, name in _definitions().items() if key not in called}
+    unreached, stale = sorted(uncalled - set(UNREACHED_BY_DESIGN)), sorted(
+        set(UNREACHED_BY_DESIGN) - uncalled)
+    assert not unreached and not stale, (
+        f"called by no golden case: {unreached}; stale UNREACHED_BY_DESIGN entries: {stale}")
 
 
 def test_import_path_loads_no_code_generation_logging_or_openssl():

@@ -7,8 +7,10 @@ captured from the release before the t-grid began to share one level view,
 `spectrum-cloud-unweighted` from the release before a CSV cloud was parsed
 straight to integers, and `dims-product`, `partition-cells-atomic`,
 `spectrum-shifted` and `empirical-linear` from the release before the header
-hashed the measure file's bytes. That change rewrote the `config=` token of
-every header line, and nothing else.
+hashed the measure file's bytes (that change rewrote the `config=` token of
+every header line, and nothing else), and the product-measure cases and
+`probe-pinf` from the release before the members that no subcommand reaches
+left the package.
 The file is data: nothing here rewrites it. Bodies are compared
 with the benchmark's reference check (text exactly, numbers to relative
 1e-9); header lines, whose hash covers the effective configuration, are
@@ -121,6 +123,8 @@ CASES = {
                         "--thresholds", "0.5,0.25,0.125", "--cells-out", "cells.csv"],
     "partition-cells-atomic": ["partition", "--measure", "atoms.json", "--rho", "1",
                                "--thresholds", "0.5,0.3,0.2", "--cells-out", "cells.csv"],
+    "partition-product": ["partition", "--measure", "prod.json", "--rho", "1",
+                          "--thresholds", "pow2:2..12"],
     "coarse-stdout": ["coarse", *_TET22, "--levels", "3..5", "--alpha-grid", "1:6:0.5"],
     "coarse-summary": ["coarse", "--measure", "qc.json", "--rho", "1", "--levels", "2..6",
                        "--summary", "summary.json", "--out", "out.csv"],
@@ -129,6 +133,8 @@ CASES = {
                    "--q", "inf", "--levels", "3..6", "--out", "out.json"],
     "order-empirical": ["order", "--measure", "mix.json", "--sigma", "1", "--p", "3",
                         "--q", "2", "--levels", "3..5"],
+    "order-product": ["order", "--measure", "prod.json", "--sigma", "2", "--p", "2", "--q", "2",
+                      "--levels", "3..5"],
     "order-sweep": ["order", "--measure", "qc.json", "--sigma", "1", "--p-grid",
                     "1.5:3:0.5", "--q-grid", "1:4:1", "--levels", "3..5", "--out", "out.csv"],
     "order-sweep-empirical": ["order", "--measure", "mix.json", "--sigma", "2",
@@ -141,8 +147,13 @@ CASES = {
                          "--q", "2", "--function", "linear", "--thresholds", "pow2:2..10"],
     "empirical-stdout": ["empirical", "--measure", "leb1.json", "--sigma", "2", "--p", "2",
                          "--q", "2", "--function", "bump", "--thresholds", "pow2:3..13"],
+    "empirical-product": ["empirical", "--measure", "prod.json", "--sigma", "2", "--p", "2",
+                          "--q", "2", "--thresholds", "pow2:2..10"],
     "probe": ["probe", "--measure", "leb1.json", "--sigma", "1", "--p", "2", "--q", "2",
               "--n", "3", "--alpha", "2.5"],
+    # the sup norm of order-5 partials: finite differences, refined by Brent's minimizer
+    "probe-pinf": ["probe", "--measure", "leb1.json", "--sigma", "5", "--p", "inf", "--q", "2",
+                   "--n", "3", "--alpha", "12"],
     "validate-csv": ["validate", "--measure", "pts.csv", "--weight-column", "w"],
     "validate-json": ["validate", "--measure", "tet.json"],
     "config": ["order", "--config", "cfg.json", "--out", "out.json"],
@@ -281,14 +292,21 @@ def test_threads_flag_removed(tmp_path, monkeypatch):
         ["partition", *_TET22, "--thresholds", "pow2:1..x"],
         ["order", "--measure", "tet.json", "--sigma", "2", "--p", "two", "--q", "2"],
         ["dims", "--config", "levels.json"],
+        # a flag is text until the run converts it, as a config-file value is
+        ["dims", "--measure", "tet.json", "--levels", "2", "--max-cubes", "x"],
+        ["order", "--measure", "tet.json", "--sigma", "2.5", "--p", "2", "--q", "2"],
+        ["partition", "--measure", "tet.json", "--rho", "abc", "--thresholds", "0.5"],
+        ["probe", "--measure", "leb1.json", "--sigma", "1", "--p", "2", "--q", "2", "--n", "1e3",
+         "--alpha", "2.5"],
     ],
-    ids=["levels", "t-grid", "thresholds", "p", "config-levels"],
+    ids=["levels", "t-grid", "thresholds", "p", "config-levels", "max-cubes", "sigma", "rho",
+         "n"],
 )
 def test_malformed_values_exit_1(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "levels.json").write_text('{"measure": "tet.json", "levels": "2..x"}')
     assert run_cli(argv, tmp_path)["code"] == cli.EX_FAIL
-    assert capsys.readouterr().err.startswith("widthlab: ")
+    assert capsys.readouterr().err.startswith("widthlab: malformed --")
 
 
 @pytest.mark.parametrize(
@@ -514,7 +532,7 @@ def test_json_outputs_are_rfc_8259(golden):
                    for doc in _json_documents(text)]
             for name, case in golden["cases"].items()}
     assert [doc["params"]["q"] for doc in docs["order-qinf"]] == ["inf"]
-    assert sum(map(len, docs.values())) == 11  # the JSON outputs of the cases
+    assert sum(map(len, docs.values())) == 14  # the JSON outputs of the cases
 
 
 def test_json_text_writes_non_finite_floats_as_strings():

@@ -35,8 +35,9 @@ from widthlab.probe import composite_unit_norm, packing_probe, sobolev_seminorm
 from widthlab.quadrature import unit_rule
 
 from conftest import boundary_atomic, dyadic_ifs, ifs_atomic_lebesgue
-from oracles import (contains, descent_positive, evaluate, integrate_on_cell, oracle_decay_rows,
-                     oracle_locate, oracle_moment_project, oracle_unit_weights, table_cubes)
+from oracles import (ExactPolynomial, ExactSinProduct, contains, descent_positive, evaluate,
+                     integrate_on_cell, lower_corner, oracle_decay_rows, oracle_locate,
+                     oracle_moment_project, oracle_unit_weights, table_cubes, upper_corner)
 
 
 def test_polynomial_space_dim():
@@ -67,7 +68,7 @@ def test_moment_project_reproduces_polynomials(m, degree):
     out = moment_project(f, cell, degree)
     # expected coefficients in rescaled-cell coordinates: f(lower + side*y)
     side = float(cell.side)
-    lower = [float(x) for x in cell.lower()]
+    lower = [float(x) for x in lower_corner(cell)]
     y = rng.uniform(0, 1, size=(40, m))
     x = np.array(lower) + side * y
     assert np.abs(
@@ -82,7 +83,7 @@ def test_moment_residuals_vanish():
     coeffs = moment_project(f, cell, degree)
     exps = np.array(multi_indices(1, degree))
     side = float(cell.side)
-    lower = np.array([float(v) for v in cell.lower()])
+    lower = np.array([float(v) for v in lower_corner(cell)])
 
     def residual(k):
         def integrand(pts):
@@ -103,7 +104,7 @@ def test_projection_is_best_l2_approximation():
     coeffs = moment_project(f, cell, degree)
     exps = np.array(multi_indices(1, degree))
     side = float(cell.side)
-    lower = np.array([float(v) for v in cell.lower()])
+    lower = np.array([float(v) for v in lower_corner(cell)])
 
     def l2_err(c):
         def integrand(pts):
@@ -227,12 +228,14 @@ def test_lq_error_depth_precondition():
 
 
 def test_sobolev_seminorm_examples():
-    assert sobolev_seminorm(coordinate(1), 1, 2.0) == pytest.approx(1.0, abs=1e-12)
-    assert sobolev_seminorm(SinProduct(1), 1, 2.0) == pytest.approx(
+    # exact partials, as a function's `partial` method gives them
+    x = ExactPolynomial(1, {(1,): 1.0})
+    assert sobolev_seminorm(x, 1, 2.0) == pytest.approx(1.0, abs=1e-12)
+    assert sobolev_seminorm(ExactSinProduct(1), 1, 2.0) == pytest.approx(
         math.sqrt(2) * math.pi, abs=1e-3
     )
-    assert sobolev_seminorm(coordinate(1), 2, 2.0) == pytest.approx(0.0, abs=1e-14)
-    assert sobolev_seminorm(SinProduct(1), 1, math.inf) == pytest.approx(
+    assert sobolev_seminorm(x, 2, 2.0) == pytest.approx(0.0, abs=1e-14)
+    assert sobolev_seminorm(ExactSinProduct(1), 1, math.inf) == pytest.approx(
         2 * math.pi, abs=1e-3
     )
 
@@ -382,7 +385,7 @@ def oracle_evaluate(approx, pts):
             row = by_key.get((level, idx))
             if row is not None:
                 cell = approx.cells[row]
-                lower = np.array([float(v) for v in cell.lower()])
+                lower = np.array([float(v) for v in lower_corner(cell)])
                 y = (x - lower) / float(cell.side)
                 out[j] = (monomials(approx.exponents, y) @ approx.coeffs[row])[0]
                 break
@@ -397,7 +400,7 @@ def oracle_lq_error(f, approx, model, q, depth, cubes=table_cubes):
         row = oracle_cell_row(approx, cube)
         if row is not None:
             cell = approx.cells[row]
-            lower = np.array([float(v) for v in cell.lower()])
+            lower = np.array([float(v) for v in lower_corner(cell)])
             y = (centers[j] - lower) / float(cell.side)
             avals[j] = (monomials(approx.exponents, y[None, :]) @ approx.coeffs[row])[0]
     diff = np.abs(np.asarray(f(centers)) - avals)
@@ -614,8 +617,8 @@ def test_evaluate_matches_per_point_loop(located_partitions):
         pts = _boundary_points(m, sorted({c.level for c in part.cells}), rng)
         # also the cells' own corners, and points just inside them
         for cell in part.cells:
-            lower = np.array([float(x) for x in cell.lower()])
-            upper = np.array([float(x) for x in cell.upper()])
+            lower = np.array([float(x) for x in lower_corner(cell)])
+            upper = np.array([float(x) for x in upper_corner(cell)])
             pts = np.vstack([pts, lower, upper, np.nextafter(upper, -1.0)])
         # degree 0 with coefficient row + 1: the value names the row exactly
         rowwise = piecewise_project(SinProduct(m), part, 0)

