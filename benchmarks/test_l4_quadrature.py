@@ -1,8 +1,9 @@
-"""L4 benchmark: cell location and projection on the benchmark tetrahedron.
+"""L4 benchmark: cell location, projection and the packing probe.
 
-Uses the partitions of perfbench's `empirical-ifs` workload (thresholds
-2^0 .. 2^-10 at rho = 2.5, `sin`, degree 1) and times, against the kernels
-they replaced, kept as baselines in `tests/oracles.py`:
+Times each kernel against the one it replaced, kept as a baseline in
+`tests/oracles.py`. The first three use the partitions of perfbench's
+`empirical-ifs` workload (thresholds 2^0 .. 2^-10 at rho = 2.5, `sin`,
+degree 1) on the benchmark tetrahedron:
 
 - `PiecewisePolynomial.locate` against one dict lookup on a tuple key per
   node per cell level, on each partition's quadrature nodes (depth max
@@ -12,15 +13,23 @@ they replaced, kept as baselines in `tests/oracles.py`:
 - the whole `decay_experiment`, whose rows share cells, errors and
   quadrature nodes across thresholds, against `oracle_decay_rows`, which
   projects and measures every partition anew (both on a model whose
-  node tables are already built).
+  node tables are already built);
+- `packing_probe` on Lebesgue measure on [0, 1) at level 9, alpha = 2
+  (170 members, 2^15 nodes), whose bumps take their values only at the
+  nodes they own, against `oracle_packing_probe`, which evaluates every
+  member's bump at every node into a dense matrix.
 
-All three pairs must give equal results. Decay medians of 5 rounds on a
-2-core VM (Python 3.11), three runs: shared 28.4, 29.4, 28.1 ms against
-per-threshold 36.1, 37.0, 35.7 ms. Both routes use the same kernels, so the
-gap is the repeated work alone: 143 cell solves against 44 distinct cells,
-11 error evaluations against 8 distinct partitions, and the nodes and
-f-values of 11 depths against 4. Run from the root of the repository
-(pytest-benchmark required):
+All four pairs must give equal results, except the probe's ||Q_n g||
+entries: its sums over the family run in another order, so they agree to
+1e-12 relative. Decay medians of 5 rounds on a 2-core VM (Python 3.11),
+three runs: shared 28.4, 29.4, 28.1 ms against per-threshold 36.1, 37.0,
+35.7 ms. Both routes use the same kernels, so the gap is the repeated work
+alone: 143 cell solves against 44 distinct cells, 11 error evaluations
+against 8 distinct partitions, and the nodes and f-values of 11 depths
+against 4. Probe medians of 3 rounds on the same VM, two runs: owner map
+90.9 and 88.1 ms against dense 6.86 and 6.65 s; the dense route computes
+170 x 2^15 bump values where the owner map computes 170 x 3 x 64. Run from the root
+of the repository (pytest-benchmark required):
 
     PYTHONPATH=src python -m pytest benchmarks -q
 
@@ -34,9 +43,10 @@ import numpy as np
 import pytest
 
 from widthlab import (EmbeddingParams, IfsMap, IfsMeasure, SinProduct, build_partition,
-                      decay_experiment, piecewise_project)
+                      decay_experiment, lebesgue, packing_probe, piecewise_project)
 
-from tests.oracles import oracle_decay_rows, oracle_locate, oracle_moment_project
+from tests.oracles import (oracle_decay_rows, oracle_locate, oracle_moment_project,
+                           oracle_packing_probe)
 
 RHO = 2.5
 THRESHOLDS = [2.0**-k for k in range(11)]
@@ -109,3 +119,19 @@ def test_l4_decay(benchmark, rows, partitions):
     assert PARAMS.rho == RHO
     got = benchmark.pedantic(lambda: rows(model), rounds=5)
     assert repr(got) == repr(per_threshold_rows(model))
+
+
+PROBE_CASE = (lebesgue(1), 9, 2.0, EmbeddingParams(m=1, sigma=1, p=2.0, q=2.0))
+
+
+@pytest.fixture(scope="module")
+def dense_probe():
+    return oracle_packing_probe(*PROBE_CASE)
+
+
+@pytest.mark.parametrize("probe", [oracle_packing_probe, packing_probe], ids=["dense", "owners"])
+def test_l4_probe(benchmark, probe, dense_probe):
+    got, want = benchmark.pedantic(lambda: probe(*PROBE_CASE), rounds=3), dense_probe
+    assert got._replace(operator_checks=None) == want._replace(operator_checks=None)
+    for (lhs, rhs), (want_lhs, want_rhs) in zip(got.operator_checks, want.operator_checks):
+        assert rhs == want_rhs and lhs == pytest.approx(want_lhs, rel=1e-12)

@@ -14,6 +14,10 @@ needs stays out:
   built-in SHA-256).
 `cli.main` freezes the heap it finds for the length of a run, so the run's
 collections do not scan the import's objects.
+
+Cube geometry is (level, index) integers throughout (`cubes`): a box
+concentric with a cube is the block of same-level cubes around it, so the
+package exports no box type.
 """
 
 import os as _os
@@ -27,7 +31,7 @@ __version__ = "0.1.0"
 # wins, and the line does nothing when numpy was loaded before widthlab.
 _os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
-from .cubes import Box, DyadicCube, children, neighbors, parse_cube, root, scaled_box
+from .cubes import DyadicCube, children, neighbors, parse_cube, root
 from .errors import (
     ParseError,
     ResourceLimitError,

@@ -3,7 +3,9 @@
 A level-n cube is prod_i (l_i * 2^-n, (l_i + 1) * 2^-n] with integer index
 vector l. All geometry is carried by (level, index) pairs; no floating point
 enters membership or adjacency decisions, so parent/child/neighbor logic stays
-exact at any depth.
+exact at any depth. A box concentric with a cube, r times its side for odd r,
+is the block of r^m same-level cubes around it, so boxes need no type of
+their own: the packing probe keys its bumps' 3-fold supports that way.
 """
 from __future__ import annotations
 
@@ -103,45 +105,6 @@ def neighbors(cube: DyadicCube) -> list[DyadicCube]:
     for l in cube.index:
         ranges.append([d for d in (l - 1, l, l + 1) if 0 <= d < bound])
     return [DyadicCube(cube.level, idx) for idx in itertools.product(*ranges)]
-
-
-class _Box(NamedTuple):
-    center: tuple[Fraction, ...]
-    half_width: Fraction
-
-
-class Box(_Box):
-    """Closed axis-parallel box; may leave the unit cube."""
-
-    __slots__ = ()
-
-    def __new__(cls, center: tuple[Fraction, ...], half_width: Fraction) -> "Box":
-        if half_width <= 0:
-            raise ValidationError("box half_width must be positive")
-        return _new(cls, (center, half_width))
-
-    def lower(self) -> tuple[Fraction, ...]:
-        return tuple(c - self.half_width for c in self.center)
-
-    def interior_intersects(self, other: "Box") -> bool:
-        return all(
-            abs(c1 - c2) < self.half_width + other.half_width
-            for c1, c2 in zip(self.center, other.center)
-        )
-
-    def inside_unit_cube(self) -> bool:
-        return all(
-            0 <= c - self.half_width and c + self.half_width <= 1
-            for c in self.center
-        )
-
-
-def scaled_box(cube: DyadicCube, r) -> Box:
-    """Concentric box with side r times the cube's side length."""
-    r = Fraction(r)
-    if r <= 0:
-        raise ValidationError("scale factor must be positive")
-    return Box(cube.center(), r * cube.side / 2)
 
 
 def format_cube(cube: DyadicCube) -> str:

@@ -10,6 +10,12 @@ bounded by 3^m in L^q_nu, carries L^q_nu back to it. `packing_probe`
 builds that family and those bumps for one measure, and measures the ratio
 ||g||_{L^q_nu} / ||g||_{sigma,p} of their sum and the bound on Q_n.
 
+The boxes are integer geometry: a member's 3-fold box is the block of 3^m
+level-n cubes around it, keyed by `packed_keys`, and a quadrature node lies
+in the box whose block holds its level-n ancestor, if any. So the span is
+one owner and one bump value per node, and each sum over the family is one
+`np.bincount`.
+
 Only the `probe` subcommand runs this code, so `widthlab.cli` imports this
 module inside that subcommand's handler, and the package resolves its public
 names on first use: start-up does not compile it. The alpha-good cubes and
@@ -32,10 +38,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ._brent import fminbound
-from .cubes import DyadicCube, neighbors, scaled_box
-from .empirical import _default_npts, _lq_norm, _nodes
+from .cubes import DyadicCube, neighbors
+from .empirical import PROJECT_BLOCK_POINTS, _default_npts, _lq_norm, _nodes
 from .errors import SolverError, ValidationError
-from .functions import Bump, TestFunction, multi_indices
+from .functions import Bump, multi_indices
 from .measures import DEFAULT_MAX_CUBES, MeasureModel, index_array, packed_keys
 from .orders import EmbeddingParams
 from .quadrature import unit_rule
@@ -59,11 +65,6 @@ def alpha_good_cubes(
     index, mass_id, masses = model.level_nodes(n, max_cubes)
     good = np.array([frac_log2(mu) >= threshold for mu in masses], dtype=bool)
     return [DyadicCube(n, tuple(row)) for row in index[good[mass_id]].tolist()]
-
-
-def _conflict(a: DyadicCube, b: DyadicCube) -> bool:
-    # interiors of b and of the 5-fold concentric box of a intersect
-    return all(abs(x - y) <= 2 for x, y in zip(a.index, b.index))
 
 
 def _table_masses(model: MeasureModel, n: int, rows, max_cubes: int) -> list[Fraction]:
@@ -136,29 +137,16 @@ def well_separated(
     candidates = dominant_cubes(cubes, model, max_cubes) if require_dominant else cubes
     order = sorted(candidates, key=lambda c: (-mass_of[c], c.index))
     kept: list[DyadicCube] = []
+    blocked: set[tuple[int, ...]] = set()  # the cubes whose interiors meet a 5-fold box
     for cube in order:
-        if all(not _conflict(cube, k) for k in kept):
+        if cube.index not in blocked:
             kept.append(cube)
+            blocked.update(itertools.product(*(range(l - 2, l + 3) for l in cube.index)))
     kept.sort(key=lambda c: c.index)
     return kept
 
 
 # -- bumps and their Sobolev seminorm ----------------------------------------
-
-
-class MappedBump(TestFunction):
-    """Bump composed with the inverse affine map of an axis-parallel box."""
-
-    def __init__(self, base: Bump, lower, side: float):
-        self.base = base
-        self.m = base.m
-        self.lower = np.asarray([float(x) for x in lower], dtype=float)
-        self.side = float(side)
-        self.name = f"{base.name}@[{self.lower}+{self.side}]"
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self.base((pts - self.lower) / self.side)
 
 
 def finite_difference_partial(f, multi_index):
@@ -340,74 +328,77 @@ def packing_probe(
     good = alpha_good_cubes(model, n, params.rho, alpha, max_cubes)
     if not good:
         raise ValidationError(f"no alpha-good cubes at level {n}, alpha={alpha}")
-    family = well_separated(good, model, require_dominant=True, max_cubes=max_cubes)
-    family = [c for c in family if scaled_box(c, 3).inside_unit_cube()]
+    family, blocks = _supports(well_separated(good, model, require_dominant=True,
+                                              max_cubes=max_cubes))
     if not family:
         raise ValidationError(
             "well-separated family is empty after restricting supports to the cube"
         )
-    boxes = [scaled_box(c, 3) for c in family]
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            if boxes[i].interior_intersects(boxes[j]):
-                raise SolverError("overlapping bump supports: separation bug")
-
-    m = model.m
-    bump = Bump(m)
-    sigma, p, q = params.sigma, params.p, params.q
-    bumps = [
-        MappedBump(bump, box.lower(), 3.0 * float(cube.side))
-        for cube, box in zip(family, boxes)
-    ]
     # the node table's max_cubes check is cheap; the seminorm is not (m = 3)
-    _, centers, masses = _nodes(model, n + depth_offset, max_cubes)
-    norm_u = sobolev_seminorm(bump, sigma, p, resolution=5)
-    bump_vals = np.vstack([b(centers) for b in bumps])  # (family, ncubes)
+    index, centers, masses = _nodes(model, n + depth_offset, max_cubes)
+    norm_u = sobolev_seminorm(Bump(model.m), params.sigma, params.p, resolution=5)
+    own, who, bump = _bump_nodes(family, blocks, index, centers, depth_offset)
+    size, weights, q = len(family), masses[own], params.q
 
-    def sobolev_norm_of(a: np.ndarray) -> float:
-        scale = (3.0 * float(family[0].side)) ** (-params.rho_hat)
-        if math.isinf(p):
-            return float(np.max(np.abs(a))) * scale * norm_u
-        return float(np.sum(np.abs(a) ** p) ** (1.0 / p)) * scale * norm_u
+    def span(a: np.ndarray) -> np.ndarray:  # node values of sum_k a_k bump_k
+        vals = np.zeros(len(masses))
+        vals[own] = a[who] * bump
+        return vals
 
-    ones = np.ones(len(family))
-    g_vals = ones @ bump_vals
-    lq_g = _lq_norm(masses, g_vals, q)
-    sob_g = sobolev_norm_of(ones)
+    # g = the sum with unit coefficients; ||(1, ..., 1)||_p = size^(1/p)
+    ones = np.ones(size)
+    lq_g = _lq_norm(masses, span(ones), q)
+    sob_g = size ** (1.0 / params.p) * (3.0 * float(family[0].side)) ** -params.rho_hat * norm_u
     ratio = lq_g / sob_g
-    normalized = ratio * 2.0 ** (alpha * n / q)
 
     # averaging operator: Q(f) = sum coefficients * bumps with nu-weighted means
-    dens = np.array([np.dot(masses, bv * bv) for bv in bump_vals])
+    dens = np.bincount(who, weights * (bump * bump), size)
     if np.any(dens <= 0):
         raise SolverError("bump has zero nu-mass on its cube: probe is degenerate")
-
-    def apply_averaging(values: np.ndarray) -> np.ndarray:
-        coeff = np.array(
-            [np.dot(masses, values * bv) for bv in bump_vals]
-        ) / dens
-        return coeff @ bump_vals
-
     rng = np.random.default_rng(seed)
     checks = []
-    all_ok = True
-    bound = 3.0**m
-    for a in [ones] + [rng.standard_normal(len(family)) for _ in range(n_random)]:
-        vals = a @ bump_vals
-        lhs = _lq_norm(masses, apply_averaging(vals), q)
-        rhs = bound * _lq_norm(masses, vals, q)
-        checks.append((lhs, rhs))
-        if lhs > rhs * (1.0 + 1e-9):
-            all_ok = False
-
+    for a in [ones] + [rng.standard_normal(size) for _ in range(n_random)]:
+        vals = span(a)
+        coeff = np.bincount(who, weights * (vals[own] * bump), size) / dens
+        checks.append((_lq_norm(masses, span(coeff), q), 3.0**model.m * _lq_norm(masses, vals, q)))
     return ProbeResult(
-        n=n,
-        alpha=alpha,
-        family=tuple(family),
-        ratio=ratio,
-        normalized_ratio=normalized,
-        sobolev_norm=sob_g,
-        lq_norm=lq_g,
+        n=n, alpha=alpha, family=tuple(family), ratio=ratio,
+        normalized_ratio=ratio * 2.0 ** (alpha * n / q), sobolev_norm=sob_g, lq_norm=lq_g,
         operator_checks=tuple(checks),
-        operator_bound_ok=all_ok,
+        operator_bound_ok=not any(lhs > rhs * (1.0 + 1e-9) for lhs, rhs in checks),
     )
+
+
+def _supports(family: list[DyadicCube]) -> tuple[list[DyadicCube], np.ndarray]:
+    """The members whose 3-fold box lies in the unit cube, that is whose
+    block of 3^m level-n cubes packs to no -1 key (1 <= l_i <= 2^n - 2), and
+    the (F, 3^m) keys of the kept blocks, which no two may share."""
+    n, m = family[0].level, family[0].m
+    rows = index_array([c.index for c in family], n, m)
+    shifts = np.array(list(itertools.product((-1, 0, 1), repeat=m)))
+    blocks = packed_keys((rows[:, None, :] + shifts).reshape(-1, m), n).reshape(len(rows), -1)
+    inside = (blocks >= 0).all(axis=1)
+    blocks = blocks[inside]
+    if np.unique(blocks).size < blocks.size:
+        raise SolverError("overlapping bump supports: separation bug")
+    return [c for c, ok in zip(family, inside.tolist()) if ok], blocks
+
+
+def _bump_nodes(family, blocks, index, centers, depth_offset: int):
+    """The nodes whose level-n ancestor (index >> depth_offset) lies in a
+    block, the position in `family` of each one's owner, and the owner's
+    bump there: the unit `Bump` on the box of lower corner (l - 1) 2^-n and
+    side 3 2^-n, both exact floats."""
+    order = np.argsort(blocks, axis=None)
+    keys = blocks.ravel()[order]
+    query = packed_keys(index >> depth_offset, family[0].level)
+    pos = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+    own = np.flatnonzero(keys[pos] == query)
+    who = order[pos[own]] // blocks.shape[1]
+    unit = float(family[0].side)
+    lower = np.array([[l - 1 for l in c.index] for c in family], dtype=float) * unit
+    pts = (centers[own] - lower[who]) / (3.0 * unit)
+    bump, vals = Bump(family[0].m), np.empty(len(own))
+    for i in range(0, len(own), PROJECT_BLOCK_POINTS):  # the profile holds 64 values a point
+        vals[i : i + PROJECT_BLOCK_POINTS] = bump(pts[i : i + PROJECT_BLOCK_POINTS])
+    return own, who, vals

@@ -24,7 +24,7 @@ from ._brent import brentq
 from .errors import SolverError, ValidationError
 from .measures import DEFAULT_MAX_CUBES, IfsMeasure, MeasureModel, ProductMeasure, UniformMeasure
 
-DEFAULT_T_GRID = tuple(float(Fraction(k, 100)) for k in range(0, 151))
+DEFAULT_T_GRID = tuple(k / 100 for k in range(0, 151))  # k / 100 is correctly rounded
 
 
 def frac_log2(x: Fraction) -> float:
@@ -55,7 +55,8 @@ def beta_row(
     max_cubes: int = DEFAULT_MAX_CUBES,
 ) -> list[float]:
     """beta_n(model, n, t) for each t of the grid, from one level view built
-    at the first t other than 1 (beta_n(1) = 0: masses sum to one exactly)."""
+    at the first t other than 1 (beta_n(1) = 0: masses sum to one exactly),
+    with the log2 of each count taken once."""
     view, out = None, []
     for t in t_grid:
         if n < 1:
@@ -63,8 +64,8 @@ def beta_row(
         if not t >= 0:  # NaN too
             raise ValidationError("beta_n needs t >= 0")
         if t != 1 and view is None:
-            view = level_log_masses(model, n, max_cubes)
-        out.append(0.0 if t == 1 else _log2sum([t * lm + math.log2(c) for lm, c in view]) / n)
+            view = [(lm, math.log2(c)) for lm, c in level_log_masses(model, n, max_cubes)]
+        out.append(0.0 if t == 1 else _log2sum([t * lm + lc for lm, lc in view]) / n)
     return out
 
 

@@ -13,8 +13,14 @@ taken one `np.prod` per tensor point, the decay rows measured partition
 by partition, each anew, which the rows shared across thresholds replaced,
 a uniform model's own template, closed-form multiset and index-grid
 node table, which its push as the IFS of the 2^m half-scale maps replaced,
-and the IFS image overlap check over every pair of images, which the
-lookup of each image's ancestors replaced.
+the IFS image overlap check over every pair of images, which the
+lookup of each image's ancestors replaced, and the packing probe in exact
+box geometry: its 3-fold boxes as `Box`es (once `widthlab.cubes.Box` and
+`scaled_box`), checked pair by pair, its bumps evaluated at every node into
+a dense (family x nodes) matrix and reduced row by row, and its greedy
+separation, which tested each candidate against every kept cube; integer
+blocks of same-level cubes, one owner per node and a set of blocked
+indices replaced them.
 
 Four helpers left the package because only tests called them: the node
 table read as (cube, mass) pairs (`table_cubes`, once
@@ -36,18 +42,21 @@ import itertools
 import math
 import weakref
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from widthlab import (AtomicMeasure, DyadicCube, Polynomial, ProductMeasure,
-                      ResourceLimitError, SinProduct, UniformMeasure, ValidationError,
-                      build_partition, lq_error, piecewise_project, root)
+from widthlab import (AtomicMeasure, Bump, DyadicCube, Polynomial, ProductMeasure,
+                      ResourceLimitError, SinProduct, SolverError, UniformMeasure,
+                      ValidationError, build_partition, lq_error, piecewise_project, root)
 from widthlab.coarse import CoarseProfile, default_alpha_grid
 from widthlab.cubes import children
+from widthlab.empirical import _lq_norm, _nodes
 from widthlab.functions import TWO_PI, monomials, multi_indices
 from widthlab.measures import (DEFAULT_MAX_CUBES, PACKED_KEY_BITS, LevelNodes, TemplateNode,
                                _chain, _check_level, _check_masses, index_array)
 from widthlab.partition import DEFAULT_MAX_CELLS
+from widthlab.probe import ProbeResult, alpha_good_cubes, sobolev_seminorm, well_separated
 from widthlab.quadrature import unit_rule, unit_rule_1d
 from widthlab.spectrum import frac_log2, level_log_masses
 
@@ -455,3 +464,105 @@ def evaluate(approx, pts):
     top = np.ceil(np.where(inside[:, None], pts, 0.0) * 2.0**approx.max_level)
     index = np.frompyfunc(int, 1, 1)(top) - 1
     return approx._values(pts, approx.locate(approx.max_level, index))
+
+
+class Box(NamedTuple):
+    """Closed axis-parallel box in exact arithmetic; may leave the unit cube."""
+
+    center: tuple[Fraction, ...]
+    half_width: Fraction
+
+    def lower(self) -> tuple[Fraction, ...]:
+        return tuple(c - self.half_width for c in self.center)
+
+    def interior_intersects(self, other: "Box") -> bool:
+        return all(
+            abs(c1 - c2) < self.half_width + other.half_width
+            for c1, c2 in zip(self.center, other.center)
+        )
+
+    def inside_unit_cube(self) -> bool:
+        return all(
+            0 <= c - self.half_width and c + self.half_width <= 1
+            for c in self.center
+        )
+
+
+def scaled_box(cube, r):
+    """Concentric box with side r times the cube's side length."""
+    return Box(cube.center(), Fraction(r) * cube.side / 2)
+
+
+class MappedBump:
+    """Bump composed with the inverse affine map of an axis-parallel box."""
+
+    def __init__(self, base, lower, side):
+        self.base = base
+        self.lower = np.asarray([float(x) for x in lower], dtype=float)
+        self.side = float(side)
+
+    def __call__(self, pts):
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return self.base((pts - self.lower) / self.side)
+
+
+def oracle_greedy_separation(order):
+    # keep each cube, in the given order, whose interior misses the 5-fold
+    # box of every cube kept before it; the kept cubes in index order
+    kept = []
+    for cube in order:
+        if all(not all(abs(x - y) <= 2 for x, y in zip(cube.index, k.index)) for k in kept):
+            kept.append(cube)
+    return sorted(kept, key=lambda c: c.index)
+
+
+def oracle_bump_matrix(family, centers):
+    """The members whose 3-fold box lies in the unit cube, their boxes
+    checked pair by pair for overlap, and the dense (members x nodes) matrix
+    of their rescaled bumps at the node centres."""
+    family = [c for c in family if scaled_box(c, 3).inside_unit_cube()]
+    boxes = [scaled_box(c, 3) for c in family]
+    for i in range(len(boxes)):
+        for j in range(i + 1, len(boxes)):
+            if boxes[i].interior_intersects(boxes[j]):
+                raise SolverError("overlapping bump supports: separation bug")
+    bump = Bump(family[0].m)
+    return family, np.vstack([MappedBump(bump, box.lower(), 3.0 * float(cube.side))(centers)
+                              for cube, box in zip(family, boxes)])
+
+
+def oracle_packing_probe(model, n, alpha, params, depth_offset=6, seed=0, n_random=3,
+                         max_cubes=DEFAULT_MAX_CUBES):
+    """`packing_probe` on the dense bump matrix: every sum over the family
+    is a dot product over every node."""
+    good = alpha_good_cubes(model, n, params.rho, alpha, max_cubes)
+    family = well_separated(good, model, require_dominant=True, max_cubes=max_cubes)
+    _, centers, masses = _nodes(model, n + depth_offset, max_cubes)
+    family, bump_vals = oracle_bump_matrix(family, centers)
+    p, q = params.p, params.q
+    norm_u = sobolev_seminorm(Bump(model.m), params.sigma, p, resolution=5)
+
+    def sobolev_norm_of(a):
+        scale = (3.0 * float(family[0].side)) ** (-params.rho_hat)
+        if math.isinf(p):
+            return float(np.max(np.abs(a))) * scale * norm_u
+        return float(np.sum(np.abs(a) ** p) ** (1.0 / p)) * scale * norm_u
+
+    ones = np.ones(len(family))
+    lq_g = _lq_norm(masses, ones @ bump_vals, q)
+    sob_g = sobolev_norm_of(ones)
+    dens = np.array([np.dot(masses, bv * bv) for bv in bump_vals])
+
+    def apply_averaging(values):
+        return (np.array([np.dot(masses, values * bv) for bv in bump_vals]) / dens) @ bump_vals
+
+    rng = np.random.default_rng(seed)
+    checks = []
+    for a in [ones] + [rng.standard_normal(len(family)) for _ in range(n_random)]:
+        vals = a @ bump_vals
+        checks.append((_lq_norm(masses, apply_averaging(vals), q),
+                       3.0**model.m * _lq_norm(masses, vals, q)))
+    return ProbeResult(n=n, alpha=alpha, family=tuple(family), ratio=lq_g / sob_g,
+                       normalized_ratio=lq_g / sob_g * 2.0 ** (alpha * n / q),
+                       sobolev_norm=sob_g, lq_norm=lq_g, operator_checks=tuple(checks),
+                       operator_bound_ok=not any(lhs > rhs * (1.0 + 1e-9) for lhs, rhs in checks))

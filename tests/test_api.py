@@ -14,14 +14,12 @@ import os
 import re
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import widthlab
 from widthlab import (
-    Box,
     DimensionEstimate,
     DyadicCube,
     EmbeddingParams,
@@ -58,12 +56,13 @@ UNREACHED_BY_DESIGN = {
     "cubes.children": "the benchmark's cubes.children counter and the L0 bench",
     "cubes.DyadicCube.child": "called by `children` only: the L0 bench",
     "cubes.root": "public root cube; only `lebesgue` calls it",
+    "cubes.DyadicCube.center": "the benchmark's cubes.center counter; the tests' exact boxes",
 }
 
 
 def test_public_names():
     assert sorted(widthlab.__all__) == [
-        "AtomicMeasure", "Box", "Bump", "ClosedFormSpectrum", "CoarseProfile", "DecayResult",
+        "AtomicMeasure", "Bump", "ClosedFormSpectrum", "CoarseProfile", "DecayResult",
         "DimensionEstimate", "DyadicCube", "EmbeddingParams", "EmpiricalSpectrum", "IfsMap",
         "IfsMeasure", "MeasureModel", "OrderReport", "ParseError", "PartitionResult",
         "PartitionRow", "PiecewisePolynomial", "Polynomial", "ProbeResult", "ProductMeasure",
@@ -75,8 +74,7 @@ def test_public_names():
         "ingest_points", "lebesgue", "load_measure", "lower_order", "lq_error", "measures",
         "minkowski", "moment_project", "neighbors", "orders", "packing_probe", "parse_cube",
         "partition", "partition_row", "piecewise_project", "quadrature", "root", "s_b_solve",
-        "scaled_box", "sobolev_seminorm", "spectrum", "upper_order", "well_separated",
-        "width_exponent",
+        "sobolev_seminorm", "spectrum", "upper_order", "well_separated", "width_exponent",
     ]
 
 
@@ -217,7 +215,6 @@ def test_runs_but_probe_load_neither_the_probe_nor_numpy_polynomial(tmp_path):
         (lambda: DyadicCube(3, (1,)).ancestor(-1), "cube level must be >= 0, got -1"),
         (lambda: DyadicCube(3, (1,)).ancestor(4), "ancestor level must not exceed cube level"),
         (lambda: DyadicCube(0, (0,)).parent(), "root cube has no parent"),
-        (lambda: Box((Fraction(1, 2),), Fraction(0)), "box half_width must be positive"),
         (lambda: IfsMap(0, (0,)), "ratio_log2 must be a positive integer"),
         (lambda: EmbeddingParams(m=0, sigma=1, p=2, q=2), "dimension m must be >= 1"),
         (lambda: EmbeddingParams(m=1, sigma=1.5, p=2, q=2),

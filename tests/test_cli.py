@@ -8,9 +8,12 @@ captured from the release before the t-grid began to share one level view,
 straight to integers, and `dims-product`, `partition-cells-atomic`,
 `spectrum-shifted` and `empirical-linear` from the release before the header
 hashed the measure file's bytes (that change rewrote the `config=` token of
-every header line, and nothing else), and the product-measure cases and
-`probe-pinf` from the release before the members that no subcommand reaches
-left the package.
+every header line, and nothing else), and the product-measure cases from the
+release before the members that no subcommand reaches left the package. The
+bodies of `probe` and `probe-pinf` were captured last, when the packing probe
+began to sum over the nodes each bump owns rather than over every node: that
+moved the ||Q_n g|| entries of `operator_checks` in their last digits (by
+less than 1e-15 relative), and nothing else.
 The file is data: nothing here rewrites it. Bodies are compared
 with the benchmark's reference check (text exactly, numbers to relative
 1e-9); header lines, whose hash covers the effective configuration, are

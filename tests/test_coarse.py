@@ -13,7 +13,6 @@ from widthlab import (
     closed_form_spectrum,
     lebesgue,
     s_b_solve,
-    scaled_box,
 )
 from widthlab import coarse
 from widthlab.coarse import count_view, default_alpha_grid
@@ -23,7 +22,8 @@ from widthlab.measures import IfsMap, IfsMeasure, MeasureModel
 from widthlab.spectrum import frac_log2
 
 from conftest import boundary_atomic, ifs7, ifs_atomic_lebesgue, new_tetrahedron
-from oracles import oracle_coarse_profile, oracle_count_view, oracle_mass, table_cubes
+from oracles import (oracle_coarse_profile, oracle_count_view, oracle_greedy_separation,
+                     oracle_mass, scaled_box, table_cubes)
 
 
 def j_value(model, cube, rho):
@@ -165,6 +165,23 @@ def test_well_separated_separation_and_cardinality(level, data):
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
             assert max(abs(a - b) for a, b in zip(out[i].index, out[j].index)) >= 3
+
+
+@given(st.integers(1, 3), st.integers(2, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_well_separated_matches_the_pairwise_greedy(m, level, data):
+    # the set of blocked indices against a test of each candidate against
+    # every kept cube; few distinct weights, so ties break by index often
+    rows = data.draw(st.lists(st.tuples(*[st.integers(0, (1 << level) - 1)] * m),
+                              min_size=1, max_size=30, unique=True))
+    raw = data.draw(st.lists(st.integers(1, 4), min_size=len(rows), max_size=len(rows)))
+    side = Fraction(1, 1 << level)
+    model = AtomicMeasure([tuple((2 * l + 1) * side / 2 for l in row) for row in rows],
+                          [Fraction(w, sum(raw)) for w in raw])
+    cubes = [DyadicCube(level, row) for row in rows]
+    weight = dict(zip(rows, raw))
+    order = sorted(cubes, key=lambda c: (-weight[c.index], c.index))
+    assert well_separated(cubes, model) == oracle_greedy_separation(order)
 
 
 def test_well_separated_dominance_on_plateau_families(leb1, quarter_cantor):

@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from widthlab import DyadicCube, ValidationError, children, neighbors, root, scaled_box
+from widthlab import DyadicCube, ValidationError, children, neighbors, root
 from widthlab.cubes import format_cube, parse_cube
 
-from oracles import contains, lower_corner, upper_corner
+from oracles import contains, lower_corner, scaled_box, upper_corner
 
 
 def test_children_binary_split_m1():

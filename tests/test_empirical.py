@@ -16,6 +16,7 @@ from widthlab import (
     IfsMap,
     IfsMeasure,
     Polynomial,
+    ProductMeasure,
     SinProduct,
     SolverError,
     UniformMeasure,
@@ -31,13 +32,15 @@ from widthlab import (
 )
 from widthlab import empirical, probe, quadrature
 from widthlab.functions import catalog, monomials, multi_indices
-from widthlab.probe import composite_unit_norm, packing_probe, sobolev_seminorm
+from widthlab.probe import (alpha_good_cubes, composite_unit_norm, packing_probe,
+                            sobolev_seminorm, well_separated)
 from widthlab.quadrature import unit_rule
 
 from conftest import boundary_atomic, dyadic_ifs, ifs_atomic_lebesgue
 from oracles import (ExactPolynomial, ExactSinProduct, contains, descent_positive, evaluate,
-                     integrate_on_cell, lower_corner, oracle_decay_rows, oracle_locate,
-                     oracle_moment_project, oracle_unit_weights, table_cubes, upper_corner)
+                     integrate_on_cell, lower_corner, oracle_bump_matrix, oracle_decay_rows,
+                     oracle_locate, oracle_moment_project, oracle_packing_probe,
+                     oracle_unit_weights, scaled_box, table_cubes, upper_corner)
 
 
 def test_polynomial_space_dim():
@@ -333,13 +336,79 @@ def test_packing_probe_normalized_ratio_stable(leb1):
 def test_packing_probe_supports_disjoint(leb1):
     params = EmbeddingParams(m=1, sigma=1, p=2.0, q=2.0)
     probe = packing_probe(leb1, 5, 2.0, params)
-    from widthlab import scaled_box
-
     boxes = [scaled_box(c, 3) for c in probe.family]
     for i in range(len(boxes)):
         for j in range(i + 1, len(boxes)):
             assert not boxes[i].interior_intersects(boxes[j])
     assert all(box.inside_unit_cube() for box in boxes)
+
+
+cube_pairs = st.integers(1, 3).flatmap(lambda m: st.integers(0, 10).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(0, (1 << n) - 1), min_size=m, max_size=m),
+        st.lists(st.integers(-3, 3), min_size=m, max_size=m),
+    ).map(lambda t: (DyadicCube(n, tuple(t[0])), DyadicCube(n, tuple(
+        min(max(l + d, 0), (1 << n) - 1) for l, d in zip(*t)))))))
+
+
+@given(cube_pairs)
+@settings(max_examples=300, deadline=None)
+def test_support_blocks_match_the_exact_boxes(pair):
+    # the integer keep-predicate against Box.inside_unit_cube, and a shared
+    # block cube against Box.interior_intersects; the second cube lies
+    # within 3 indices of the first, so overlaps are drawn often
+    boxes = [scaled_box(c, 3) for c in pair]
+    for cube, box in zip(pair, boxes):
+        assert probe._supports([cube])[0] == ([cube] if box.inside_unit_cube() else [])
+    kept = [c for c, box in zip(pair, boxes) if box.inside_unit_cube()]
+    if len(kept) == 2 and boxes[0].interior_intersects(boxes[1]):
+        with pytest.raises(SolverError, match="^overlapping bump supports: separation bug$"):
+            probe._supports(list(pair))
+    else:
+        assert probe._supports(list(pair))[0] == kept
+
+
+QC = IfsMeasure([IfsMap(2, (0,)), IfsMap(2, (3,))], [Fraction(1, 2), Fraction(1, 2)])
+OWNER_MAP_CASES = {
+    **{f"leb1-n{n}": (lebesgue(1), n, 2.0, EmbeddingParams(1, 1, 2.0, 2.0)) for n in (5, 6, 7)},
+    "quarter-cantor": (QC, 8, 3.0, EmbeddingParams(1, 1, 2.0, 2.0)),
+    "prod": (ProductMeasure([QC, lebesgue(1)]), 4, 4.5, EmbeddingParams(2, 2, 2.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OWNER_MAP_CASES))
+def test_owner_map_matches_the_dense_bump_matrix(case):
+    # node values bit for bit; the bump masses and ||Q_n g|| only to 1e-12,
+    # since a bincount sums in another order than a dot product over all nodes
+    model, n, alpha, params = OWNER_MAP_CASES[case]
+    family = well_separated(alpha_good_cubes(model, n, params.rho, alpha), model,
+                            require_dominant=True)
+    index, centers, masses = empirical._nodes(model, n + 6, empirical.DEFAULT_MAX_CUBES)
+    kept, dense = oracle_bump_matrix(family, centers)
+    got, blocks = probe._supports(family)
+    assert got == kept and len(kept) > 1
+    own, who, values = probe._bump_nodes(got, blocks, index, centers, 6)
+    sparse = np.zeros_like(dense)
+    sparse[who, own] = values
+    assert sparse.tobytes() == dense.tobytes()
+    dens = np.bincount(who, masses[own] * (values * values), len(kept))
+    np.testing.assert_allclose(dens, [np.dot(masses, row * row) for row in dense], rtol=1e-12)
+
+    result, want = packing_probe(model, n, alpha, params), oracle_packing_probe(
+        model, n, alpha, params)
+    assert result._replace(operator_checks=None) == want._replace(operator_checks=None)
+    for (lhs, rhs), (want_lhs, want_rhs) in zip(result.operator_checks, want.operator_checks):
+        assert rhs == want_rhs and lhs == pytest.approx(want_lhs, rel=1e-12)
+
+
+def test_packing_probe_rejects_overlapping_supports(leb1, monkeypatch):
+    # negative control: two members at index distance 2, as no separated
+    # family holds them, share a cube of their 3-fold boxes
+    monkeypatch.setattr(probe, "well_separated",
+                        lambda *args, **kwargs: [DyadicCube(5, (10,)), DyadicCube(5, (12,))])
+    params = EmbeddingParams(m=1, sigma=1, p=2.0, q=2.0)
+    with pytest.raises(SolverError, match="^overlapping bump supports: separation bug$"):
+        packing_probe(leb1, 5, 2.0, params)
 
 
 def test_packing_probe_operator_bound(leb1, binomial_cascade):
