@@ -11,7 +11,11 @@ needs stays out:
   itself (`quadrature.unit_rule_1d`);
 - code generation at import (records are `NamedTuple`s or plain classes,
   not dataclasses), `logging`, and OpenSSL (the config hash uses the
-  built-in SHA-256).
+  built-in SHA-256);
+- `argparse`, with the `gettext` and `locale` lookups of its messages: `cli`
+  reads a plain command line itself and imports argparse only for help,
+  usage errors and unusual spellings (`cli._direct`);
+- the "utf-8-sig" codec: a byte-order mark is cut off before decoding.
 `cli.main` freezes the heap it finds for the length of a run, so the run's
 collections do not scan the import's objects.
 

@@ -15,10 +15,16 @@ Runs are self-contained: nothing is cached on disk, and nothing runs in
 parallel. Exit codes: 0 success, 1 validation/solver failure, malformed
 value (flag or config file) or unwritable output file, 2 resource cap, 64
 usage error, 66 unreadable input file.
+
+Reading a command line: one that is a subcommand's name and then only
+`--flag value` pairs of its flags, no value starting with "-", is read
+directly (`_direct`), as argparse would read it. argparse, imported on first
+use, reads every other one: help, `--version`, usage errors, abbreviated
+flags, `--flag=value` and values that start with "-". Its help shows the
+text above this paragraph.
 """
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import gc
@@ -27,6 +33,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__, reports
 from .coarse import coarse_profile, count_view
@@ -51,11 +58,20 @@ def parse_extended(text: str) -> float:
     return float(text)
 
 
+def _check_count(count: int) -> None:
+    """A range or grid is counted before it is built: one past the cube cap
+    would fill the memory first."""
+    if count > DEFAULT_MAX_CUBES:
+        raise ValueError(f"it holds {count} values, more than {DEFAULT_MAX_CUBES}")
+
+
 def parse_levels(text: str) -> list[int]:
     text = str(text).strip()
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = int(lo), int(hi)
+        _check_count(hi - lo + 1)
+        return list(range(lo, hi + 1))
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
@@ -66,7 +82,9 @@ def parse_grid(text: str) -> list[float]:
         a, b, step = (Fraction(tok) for tok in text.split(":"))
         if step <= 0:
             raise ParseError("grid step must be positive")
-        return [float(a + k * step) for k in range(math.floor((b - a) / step) + 1)]
+        count = math.floor((b - a) / step) + 1
+        _check_count(count)
+        return [float(a + k * step) for k in range(count)]
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
@@ -128,12 +146,13 @@ class Run:
     its measure, and where its results go. A value that the option's
     converter rejects, a boolean or fractional number for a numeric or
     integer option, a non-string text option, a cap below 1, a negative
-    seed, or a range, grid or threshold list with no values is a
-    ParseError, whichever source it came from. Each option is converted
+    seed, or a range, grid or threshold list with no values or with more
+    than the default cube cap of them is a ParseError, whichever source it
+    came from. Each option is converted
     once per run, on first use.
     """
 
-    def __init__(self, args: argparse.Namespace) -> None:
+    def __init__(self, args: SimpleNamespace) -> None:
         try:
             config = json.loads(_read(args.config, "config")) if args.config else {}
         except ValueError as exc:
@@ -159,8 +178,7 @@ class Run:
         subcommand's options as `get` converts them, the version and the
         measure file's digest. The config file's path is no option of the
         run: its values are."""
-        keys = f"{COMMON} {SUBCOMMANDS[self.command][1]}".split()
-        config = {key: self.get(key) for key in keys if key != "config"}
+        config = {key: self.get(key) for key in _keys(self.command) if key != "config"}
         return reports.header_line({**config, "command": self.command,
                                     "tool_version": __version__,
                                     "measure_sha256": self.measure_sha256})
@@ -387,26 +405,42 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser. If `command` names a subcommand, only its
-    subparser is built, since building all eight costs more than parsing
-    one command line; otherwise (help, usage errors) all of them are. The
-    usage line lists every subcommand either way."""
-    parser = argparse.ArgumentParser(prog="widthlab", description=__doc__,
+def _keys(command: str) -> list[str]:
+    return f"{COMMON} {SUBCOMMANDS[command][1]}".split()
+
+
+def build_parser():
+    """The argparse parser of the command line, all eight subparsers built.
+    `_main` reads a well-formed line itself and builds this parser only for
+    the rest: help, usage errors and unusual spellings."""
+    import argparse  # its first use costs a few ms: gettext, locale, regexes
+
+    description = __doc__.partition("\n\nReading a command line")[0]
+    parser = argparse.ArgumentParser(prog="widthlab", description=description,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"widthlab {__version__}")
-    names, metavar = list(SUBCOMMANDS), None
-    if command in SUBCOMMANDS:
-        # the usage line names the subparsers built, so name all of them; the
-        # usage errors that would print the metavar for "command" cannot occur
-        names, metavar = [command], "{" + ",".join(SUBCOMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, keys, _ = SUBCOMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        for key in f"{COMMON} {keys}".split():
+        for key in _keys(name):
             sp.add_argument(_flag(key), help=OPTIONS[key][2])
     return parser
+
+
+def _direct(argv: list[str]) -> SimpleNamespace | None:
+    """The options argparse reads from `argv`, with the same keys, if it is
+    a subcommand's exact name and then only `--flag value` pairs of that
+    subcommand's flags, no value starting with "-" (a later pair of one flag
+    wins, as in argparse); None for any other line."""
+    if not argv or argv[0] not in SUBCOMMANDS or len(argv) % 2 == 0:
+        return None
+    keys = _keys(argv[0])
+    flags, values = {_flag(key): key for key in keys}, dict.fromkeys(keys)
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag not in flags or value.startswith("-"):
+            return None
+        values[flags[flag]] = value
+    return SimpleNamespace(command=argv[0], **values)
 
 
 def main(argv=None) -> int:
@@ -427,15 +461,17 @@ def main(argv=None) -> int:
 
 
 def _main(argv: list[str]) -> int:
-    try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
-        return EX_USAGE if exc.code == 2 else exc.code
-    _, keys, compute = SUBCOMMANDS[args.command]
+    args = _direct(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+            return EX_USAGE if exc.code == 2 else exc.code
+    compute = SUBCOMMANDS[args.command][2]
     try:
         run = Run(args)
         if compute is not _validate:  # which writes no output
-            run.check_outputs(f"{COMMON} {keys}".split())
+            run.check_outputs(_keys(args.command))
         compute(run)
         return EX_OK
     except FileNotFoundError as exc:

@@ -712,9 +712,11 @@ BOM = "\ufeff"
 
 
 def _decode(data: bytes, name: str) -> str:
-    """UTF-8 text, after a byte-order mark if there is one."""
+    """UTF-8 text, after a byte-order mark if there is one. The mark is cut
+    off here rather than by the "utf-8-sig" codec, whose module would be
+    imported on the first call."""
     try:
-        return data.decode("utf-8-sig")
+        return data.removeprefix(b"\xef\xbb\xbf").decode("utf-8")
     except UnicodeDecodeError as exc:
         # the decoder reports offsets after the mark
         offset = exc.start + len(data) - len(exc.object)

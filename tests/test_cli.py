@@ -32,6 +32,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -49,6 +50,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from compare import body, mismatch  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "cli.json"
 
@@ -310,6 +312,28 @@ def test_malformed_values_exit_1(argv, tmp_path, monkeypatch, capsys):
     (tmp_path / "levels.json").write_text('{"measure": "tet.json", "levels": "2..x"}')
     assert run_cli(argv, tmp_path)["code"] == cli.EX_FAIL
     assert capsys.readouterr().err.startswith("widthlab: malformed --")
+
+
+def _memory_cap():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("argv, flag, value, count", [
+    (["dims", "--measure", "tet.json"], "--levels", "1..1000000000", 1000000000),
+    (["spectrum", "--measure", "tet.json"], "--t-grid", "0:1e9:1", 1000000001),
+    (["partition", *_TET22], "--thresholds", "pow2:1..1000000000", 1000000000),
+])
+def test_range_or_grid_past_the_cube_cap_exits_1_before_it_is_built(argv, flag, value, count,
+                                                                    tmp_path):
+    """A range or grid is counted before it is built. The child's address
+    space is capped, so one built by mistake fails in it, not on the host;
+    one BLAS thread keeps numpy's own reservations small under the cap."""
+    (tmp_path / "tet.json").write_text(FILES["tet.json"])
+    done = _python_m([*argv, flag, value], tmp_path, env={"OPENBLAS_NUM_THREADS": "1"},
+                     preexec_fn=_memory_cap, timeout=60)
+    assert (done.returncode, done.stdout) == (cli.EX_FAIL, "")
+    assert done.stderr == (f"widthlab: malformed {flag} value {value!r}: it holds {count} values,"
+                           f" more than {cli.DEFAULT_MAX_CUBES}\n")
 
 
 @pytest.mark.parametrize(
@@ -778,11 +802,99 @@ def test_import_loads_no_scipy_and_keeps_blas_workers_from_spinning(preset, want
     assert out.split("\n")[:2] == ["[]", want]
 
 
-def test_python_m_widthlab_runs_the_command_line(tmp_path):
-    (tmp_path / "tet.json").write_text(FILES["tet.json"])
-    env = dict(os.environ)
+def _python_m(argv, cwd, code=None, env=(), **kwargs) -> subprocess.CompletedProcess:
+    """`python -m widthlab argv`, or `python -c code` if `code` is given, in a
+    fresh interpreter with this checkout's package first on its path, an
+    80-column terminal for argparse's help and the variables in `env`."""
+    env = {**os.environ, "COLUMNS": "80", **dict(env)}
     env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parents[1]),
                                          env.get("PYTHONPATH", "")])
-    done = subprocess.run([sys.executable, "-m", "widthlab", "validate", "--measure", "tet.json"],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    command = ["-m", "widthlab", *argv] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *command], cwd=cwd, env=env, capture_output=True,
+                          text=True, **{"timeout": 120, **kwargs})
+
+
+def test_python_m_widthlab_runs_the_command_line(tmp_path):
+    (tmp_path / "tet.json").write_text(FILES["tet.json"])
+    done = _python_m(["validate", "--measure", "tet.json"], tmp_path)
     assert done.returncode == cli.EX_OK, done.stderr
+
+
+def test_a_well_formed_line_loads_no_argparse(tmp_path):
+    """A successful run of a plain line loads neither argparse nor the
+    `gettext`/`locale` lookups of its messages; one spelled `--flag=value`
+    does, which shows the check can see them."""
+    (tmp_path / "tet.json").write_text(FILES["tet.json"])
+    code = (
+        "import contextlib, io, sys\n"
+        "import widthlab.cli as cli\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(list(argv)) == 0, argv\n"
+        "    print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+        "run('validate', '--measure', 'tet.json')\n"
+        "run('dims', '--measure', 'tet.json', '--levels', '2..3')\n"
+        "run('dims', '--measure=tet.json', '--levels', '2..3')\n"
+    )
+    done = _python_m([], tmp_path, code=code, check=True)
+    assert done.stdout.splitlines() == ["[]", "[]", "['argparse', 'gettext', 'locale']"]
+
+
+USAGE_PATH = Path(__file__).parent / "golden" / "usage.json"
+
+
+@pytest.mark.parametrize("name", ["help", "version", "unknown-subcommand", "unknown-flag"])
+def test_help_version_and_usage_errors_unchanged(name, tmp_path):
+    """`golden/usage.json` holds the exit code, stdout and stderr of each
+    line, captured while argparse still read every command line; argparse
+    reads these lines still, and prints them byte for byte as then."""
+    want = json.loads(USAGE_PATH.read_text())[name]
+    done = _python_m(want["argv"], tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == (want["code"], want["stdout"],
+                                                           want["stderr"])
+
+
+def test_the_benchmark_lines_are_read_directly():
+    for workload in WORKLOADS.values():
+        for size in workload.args:
+            argv = workload.argv(size, "measure.json", "out.csv")
+            assert vars(cli._direct(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
+_ALL_FLAGS = sorted({cli._flag(key) for key in cli.OPTIONS})
+_ODD_FLAGS = ["--", "-h", "--help", "--version", "--measure=x.json", "--levels=-1..2", "--meas",
+              "--lev", "--p-g", "--t"]
+_PLAIN_VALUES = st.one_of(st.sampled_from(["", "a b", "x.json", "2..3", "inf"]),
+                         st.text(max_size=4))
+_ODD_VALUES = st.sampled_from(["-1", "-inf", "-", "-x y", "--", "-h", "--version"])
+
+
+@st.composite
+def _command_lines(draw) -> list[str]:
+    """A subcommand and `--flag value` pairs of its own flags with plain
+    values; or, half the time, such a line with flags of other subcommands,
+    abbreviations, `--flag=value`, help and version flags, values that start
+    with "-" and a stray last token mixed in."""
+    command = draw(st.sampled_from([*cli.SUBCOMMANDS] * 3 + ["frobnicate", "--version"]))
+    keys = f"{cli.COMMON} {cli.SUBCOMMANDS.get(command, ('', ''))[1]}".split()
+    flags, values = st.sampled_from([cli._flag(key) for key in keys]), _PLAIN_VALUES
+    mixed = draw(st.booleans())
+    if mixed:
+        flags = st.one_of(flags, st.sampled_from(_ALL_FLAGS + _ODD_FLAGS))
+        values = st.one_of(values, _ODD_VALUES)
+    pairs = draw(st.lists(st.tuples(flags, values), max_size=4))
+    stray = draw(st.lists(st.one_of(flags, values), max_size=int(mixed)))
+    return [command, *(token for pair in pairs for token in pair), *stray]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_command_lines())
+def test_direct_reads_a_line_as_argparse_does(argv):
+    direct = cli._direct(argv)
+    if direct is not None:
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                want = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse rejects {argv!r}, which _direct reads")
+        assert vars(direct) == vars(want)

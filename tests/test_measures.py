@@ -801,7 +801,7 @@ def test_ingest_points_builds_no_fraction_on_plain_decimals(monkeypatch, tmp_pat
     text, want = _six_digit_cloud(weighted=False)
     path = tmp_path / "cloud.csv"
     path.write_text(text)
-    parsed = cli.build_parser("spectrum").parse_args(["spectrum", "--measure", str(path)])
+    parsed = cli.build_parser().parse_args(["spectrum", "--measure", str(path)])
     calls = []
     new = Fraction.__new__
 
