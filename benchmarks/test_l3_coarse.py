@@ -1,21 +1,25 @@
 """L3 benchmark: the coarse profiles of perfbench's `order-sweep-ifs` sweep.
 
-Times the 36 `coarse_profile` calls of the sweep: the 7-map mixed-ratio IFS
-`ifs7` (perfbench's `ifs7.json`, m = 2) at levels 4..6, one profile per
-rho = q (sigma - m/p) of the grid sigma = 2, p and q in 1.5 .. 4 by 0.5, each
-on its default alpha grid. Both sides share one view per level, built
-before the timed rounds as the command line builds them once per sweep:
+Times the 36 coarse profiles of the sweep: the 7-map mixed-ratio IFS `ifs7`
+(perfbench's `ifs7.json`, m = 2) at levels 4..6, one profile per
+rho = q (sigma - m/p) of the grid sigma = 2, p and q in 1.5 .. 4 by 0.5,
+each on its default alpha grid. Every side shares one view per level,
+built before the timed rounds as the command line builds them once per
+sweep:
 
-- array: `coarse_profile`, one `searchsorted` over the whole alpha grid per
-  level on the `count_view` arrays, and the window max/min of the stacked
-  estimates;
+- one-pass: `coarse_profiles` on the list of all 36 rho, as `order` calls
+  it: one `searchsorted` per level over every (rho, alpha) threshold, and
+  one segmented max of f / alpha per window;
+- per-rho: `coarse_profile` once per rho, one `searchsorted` per level and
+  rho (108 in all);
 - bisection: `oracle_coarse_profile` in `tests/oracles.py`, the per-alpha
   bisection and per-count log2 that the array search replaced.
 
-Both must give the same profiles, field for field. Medians of 30 rounds on
-a 2-core VM shared with other tenants (python 3.11, numpy 2.4), three runs:
-array 7.5, 9.2 and 9.5 ms, bisection 26.8, 29.3 and 29.5 ms. Run from the
-root of the repository (pytest-benchmark required):
+All must give the same profiles, field for field. Medians of 30 rounds on a
+2-core VM shared with other tenants (python 3.11, numpy 2.4), three runs:
+one-pass 3.35, 4.06 and 4.83 ms, per-rho 4.58, 6.61 and 8.20 ms, bisection
+17.9, 22.8 and 29.5 ms. Run from the root of the repository
+(pytest-benchmark required):
 
     PYTHONPATH=src python -m pytest benchmarks -q
 
@@ -28,7 +32,7 @@ from fractions import Fraction
 import pytest
 
 from widthlab import IfsMap, IfsMeasure, coarse_profile
-from widthlab.coarse import count_view
+from widthlab.coarse import coarse_profiles, count_view
 
 from tests.oracles import oracle_coarse_profile, oracle_count_view
 
@@ -46,21 +50,28 @@ def ifs7() -> IfsMeasure:
                       [Fraction(p) for *_, p in IFS7_MAPS])
 
 
-def sweep(profile, model, views):
-    return [profile(model, LEVELS, rho, views=views) for rho in RHOS]
+def per_rho(profile):
+    def sweep(model, views):
+        return [profile(model, LEVELS, rho, views=views) for rho in RHOS]
+    return sweep
+
+
+def one_pass(model, views):
+    return coarse_profiles(model, LEVELS, RHOS, views=views)
 
 
 SIDES = {
-    "array": (coarse_profile, count_view),
-    "bisection": (oracle_coarse_profile, oracle_count_view),
+    "one-pass": (one_pass, count_view),
+    "per-rho": (per_rho(coarse_profile), count_view),
+    "bisection": (per_rho(oracle_coarse_profile), oracle_count_view),
 }
 
 
 @pytest.mark.parametrize("side", list(SIDES))
 def test_l3_coarse_sweep(benchmark, side):
-    profile, view = SIDES[side]
+    sweep, view = SIDES[side]
     model = ifs7()
     views = {n: view(model, n) for n in LEVELS}
-    got = benchmark.pedantic(sweep, args=(profile, model, views), rounds=30)
+    got = benchmark.pedantic(sweep, args=(model, views), rounds=30)
     assert len(got) == 36
-    assert got == sweep(oracle_coarse_profile, model, None)
+    assert got == per_rho(oracle_coarse_profile)(model, None)

@@ -36,7 +36,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import __version__, reports
-from .coarse import coarse_profile, count_view
+from .coarse import coarse_profile, coarse_profiles
 from .empirical import decay_experiment
 from .errors import ParseError, ResourceLimitError, SolverError, ValidationError, WidthlabError
 from .functions import catalog
@@ -60,9 +60,10 @@ def parse_extended(text: str) -> float:
 
 def _check_count(count: int) -> None:
     """A range or grid is counted before it is built: one past the cube cap
-    would fill the memory first."""
+    would fill the memory first. A huge count is named by a power of two."""
     if count > DEFAULT_MAX_CUBES:
-        raise ValueError(f"it holds {count} values, more than {DEFAULT_MAX_CUBES}")
+        shown = count if count < 1 << 64 else f"over 2^{count.bit_length() - 1}"
+        raise ValueError(f"it holds {shown} values, more than {DEFAULT_MAX_CUBES}")
 
 
 def parse_levels(text: str) -> list[int]:
@@ -75,11 +76,19 @@ def parse_levels(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _decimal(token: str) -> Fraction:
+    """A grid token's exact value; Fraction would build 10^exponent first."""
+    exponent = token.lower().partition("e")[2].replace("_", "").lstrip("+-").lstrip("0")
+    if len(exponent) > 4:
+        raise ValueError(f"the exponent of {token.strip()!r} has more than 4 digits")
+    return Fraction(token)
+
+
 def parse_grid(text: str) -> list[float]:
     """Real grid "a:b:step" (exact decimal stepping) or a comma list."""
     text = str(text).strip()
     if ":" in text:
-        a, b, step = (Fraction(tok) for tok in text.split(":"))
+        a, b, step = map(_decimal, text.split(":"))
         if step <= 0:
             raise ParseError("grid step must be positive")
         count = math.floor((b - a) / step) + 1
@@ -146,10 +155,10 @@ class Run:
     its measure, and where its results go. A value that the option's
     converter rejects, a boolean or fractional number for a numeric or
     integer option, a non-string text option, a cap below 1, a negative
-    seed, or a range, grid or threshold list with no values or with more
-    than the default cube cap of them is a ParseError, whichever source it
-    came from. Each option is converted
-    once per run, on first use.
+    seed, a range, grid or threshold list with no values or with more than
+    the default cube cap of them, or a grid token with a 5-digit or longer
+    exponent is a ParseError, whichever source it came from. Each option is
+    converted once per run, on first use.
     """
 
     def __init__(self, args: SimpleNamespace) -> None:
@@ -326,17 +335,15 @@ def _order(run: Run) -> None:
         grid = [EmbeddingParams(m=model.m, sigma=sigma, p=p, q=q) for p in ps for q in qs]
     else:
         grid = [_embedding(run)]
-    # the curve, the dimensions and the count views do not depend on (p, q);
-    # the counts do, via rho
+    # one curve, computed up to the smallest rho's crossing, and one pass of
+    # profiles for the rho of every finite-q point; it raises nothing, as
+    # `minkowski` has built each level's multiset under the cap
     curve = closed_form_spectrum(model) or empirical_spectrum(model, max(levels), max_cubes=max_cubes)
     dims = minkowski(model, levels, max_cubes)
-    views, reps = None, []
-    for params in grid:
-        prof = None
-        if not math.isinf(params.q):
-            views = views or {n: count_view(model, n, max_cubes) for n in levels}
-            prof = coarse_profile(model, levels, params.rho, max_cubes=max_cubes, views=views)
-        reps.append(lower_order(params, curve, dims, prof))
+    rhos = [params.rho for params in grid if not math.isinf(params.q)]
+    profiles = iter(coarse_profiles(model, levels, rhos, max_cubes=max_cubes))
+    reps = [lower_order(params, curve, dims, None if math.isinf(params.q) else next(profiles))
+            for params in grid]
     if sweep:
         rows = [(r.params.p, r.params.q, *(r.upper[s] for s in "KGL"), *r.lower["K"], r.case)
                 for r in reps]

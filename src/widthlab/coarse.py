@@ -6,9 +6,10 @@ the level view `spectrum.level_log_masses` of the exact mass multiset, so
 levels far beyond what full enumeration could reach stay cheap. Sorted once
 per level (`count_view`), a view is an array of increasing log2 masses with,
 per position, the number of cubes at or above it and that count's estimate
-log2(count)/n; a profile then reads the counts of a whole alpha grid at one
-level with one array search, and a sweep over rho shares the views of its
-levels.
+log2(count)/n. `coarse_profiles` then reads the counts of every (rho, alpha)
+pair of a sweep over rho at one level with one array search, and each
+rho's optimized dimensions with one segmented max; `coarse_profile` is its
+one-rho case.
 
 The alpha-good cubes themselves, and the separated families that the
 packing probe builds from them, are in `widthlab.probe`.
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import truediv
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -96,47 +96,56 @@ def coarse_profile(
     max_cubes: int = DEFAULT_MAX_CUBES,
     views=None,
 ) -> CoarseProfile:
-    """Fill the count matrix over levels x alpha grid and optimize.
+    """The profile of one rho: `coarse_profiles` of the list [rho]."""
+    return coarse_profiles(model, levels, [rho], alpha_grid, max_cubes, views)[0]
 
-    `views` maps each level to its `count_view`, for a caller that sweeps
-    rho over one model; without it the views are built here.
-    """
+
+def coarse_profiles(model: MeasureModel, levels, rhos: list[float], alpha_grid=None,
+                    max_cubes: int = DEFAULT_MAX_CUBES, views=None) -> list[CoarseProfile]:
+    """The profile of each rho, over levels x alpha grid: `alpha_grid` for
+    every rho, or each rho's default grid if it is None. `views` maps each
+    level to its `count_view`; without it the views are built here, in level
+    order, once every argument has been checked."""
     levels = tuple(int(n) for n in levels)
     if not levels:
         raise ValidationError("coarse profile needs a nonempty level list")
     if min(levels) < 1:
         raise ValidationError("coarse profile needs levels n >= 1")
-    if not 0 < rho < math.inf:
-        raise ValidationError("rho must be positive and finite")
-    if alpha_grid is None:
-        alpha_grid = default_alpha_grid(model.m, rho)
-    alpha_grid = tuple(map(float, alpha_grid))
-    if not alpha_grid:
-        raise ValidationError("coarse profile needs a nonempty alpha grid")
-
-    if not all(alpha > 0 for alpha in alpha_grid):
-        raise ValidationError("alpha must be positive")
+    grids = []
+    for rho in rhos:
+        if not 0 < rho < math.inf:
+            raise ValidationError("rho must be positive and finite")
+        if alpha_grid is None:
+            grid = tuple(map(float, default_alpha_grid(model.m, rho)))
+        else:  # a tuple from here on: the grid may come as an iterator
+            grid = alpha_grid = tuple(map(float, alpha_grid))
+        if not grid:
+            raise ValidationError("coarse profile needs a nonempty alpha grid")
+        if not all(alpha > 0 for alpha in grid):
+            raise ValidationError("alpha must be positive")
+        grids.append(grid)
+    if not grids:
+        return []
 
     if views is None:
         views = {n: count_view(model, n, max_cubes) for n in levels}
     # the alpha-good cubes of level n have log2(mass) >= (rho - alpha) * n:
     # they sit at and above the first such position of the sorted view. The
-    # thresholds and the ratios f / alpha stay Python floats: numpy arithmetic
-    # would page in one more block of its kernels (64 KB of peak RSS) for
-    # about 1 ms a sweep
-    positions = [np.searchsorted(views[n].log_masses, [(rho - alpha) * n for alpha in alpha_grid])
-                 for n in levels]
-    counts = [tuple(map(views[n].at_or_above.__getitem__, pos.tolist()))
+    # pairs (rho, alpha) of all rho lie end to end, searched at once per
+    # level; each array operation rounds as its Python float one would
+    sizes = [len(grid) for grid in grids]
+    alphas = np.array([alpha for grid in grids for alpha in grid])
+    gaps = np.repeat(np.array(rhos, dtype=float), sizes) - alphas
+    positions = [np.searchsorted(views[n].log_masses, gaps * n) for n in levels]
+    counts = [list(map(views[n].at_or_above.__getitem__, pos.tolist()))
               for n, pos in zip(levels, positions)]
     ests = np.stack([views[n].estimates[pos] for n, pos in zip(levels, positions)])
-    f_upper, f_lower = ests.max(axis=0).tolist(), ests.min(axis=0).tolist()
-    return CoarseProfile(
-        rho=float(rho),
-        levels=levels,
-        alpha_grid=alpha_grid,
-        counts=tuple(counts),
-        f_upper=tuple(f_upper),
-        f_lower=tuple(f_lower),
-        optimized_upper=max(map(truediv, f_upper, alpha_grid)),
-        optimized_lower=max(map(truediv, f_lower, alpha_grid)),
-    )
+    f_upper, f_lower = ests.max(axis=0), ests.min(axis=0)
+    starts = np.cumsum([0, *sizes[:-1]])
+    opt_upper = np.maximum.reduceat(f_upper / alphas, starts).tolist()
+    opt_lower = np.maximum.reduceat(f_lower / alphas, starts).tolist()
+    f_upper, f_lower = f_upper.tolist(), f_lower.tolist()
+    cuts = [slice(start, start + size) for start, size in zip(starts.tolist(), sizes)]
+    return [CoarseProfile(float(rho), levels, grid, tuple(tuple(row[cut]) for row in counts),
+                          tuple(f_upper[cut]), tuple(f_lower[cut]), upper, lower)
+            for rho, grid, cut, upper, lower in zip(rhos, grids, cuts, opt_upper, opt_lower)]

@@ -6,13 +6,14 @@ log-sum-exp), with exact logs for dyadic masses, so deep levels neither
 underflow nor drift.
 
 One level view, `level_log_masses` ((log2 mass, count) over the level-n
-multiset), serves a whole t-grid in `beta_row` (hence `beta_n`,
-`empirical_spectrum`, the CLI table) and the coarse counts.
+multiset), serves a whole t-grid in `beta_row` (hence `beta_n`, the CLI
+table) and in `empirical_spectrum`, and the coarse counts.
 
-A curve is closed-form, with a callable `beta`, or empirical, its values on
-a t-grid. `s_b_solve` reads an empirical curve's grid itself, so that curve
-has no `beta`: the package holds only defs that a subcommand calls (the
-runtime reach test of `tests/test_api.py`).
+A curve is closed-form, with a callable `beta`, or empirical: a t-grid
+whose values, each computed on its first read, `s_b_solve` reads up to the
+crossing, so a sweep over b costs the points up to its smallest b's. The
+package holds only defs that a subcommand calls (the runtime reach test of
+`tests/test_api.py`), so that curve has no `beta` and no list of values.
 """
 from __future__ import annotations
 
@@ -48,16 +49,10 @@ def level_log_masses(
     return [(frac_log2(mass), count) for mass, count in model.level_masses(n, max_cubes).items()]
 
 
-def beta_row(
-    model: MeasureModel,
-    n: int,
-    t_grid,
-    max_cubes: int = DEFAULT_MAX_CUBES,
-) -> list[float]:
-    """beta_n(model, n, t) for each t of the grid, from one level view built
-    at the first t other than 1 (beta_n(1) = 0: masses sum to one exactly),
-    with the log2 of each count taken once."""
-    view, out = None, []
+def _view(model: MeasureModel, n: int, t_grid, max_cubes: int) -> list[tuple[float, float]] | None:
+    """Check n and each t in order; the level view (log2 mass, log2 count),
+    built at the first t other than 1, or None (beta_n(1) = 0 exactly)."""
+    view = None
     for t in t_grid:
         if n < 1:
             raise ValidationError("beta_n needs level n >= 1")
@@ -65,8 +60,19 @@ def beta_row(
             raise ValidationError("beta_n needs t >= 0")
         if t != 1 and view is None:
             view = [(lm, math.log2(c)) for lm, c in level_log_masses(model, n, max_cubes)]
-        out.append(0.0 if t == 1 else _log2sum([t * lm + lc for lm, lc in view]) / n)
-    return out
+    return view
+
+
+def _beta(view, n: int, t: float) -> float:
+    return 0.0 if t == 1 else _log2sum([t * lm + lc for lm, lc in view]) / n
+
+
+def beta_row(model: MeasureModel, n: int, t_grid, max_cubes: int = DEFAULT_MAX_CUBES
+             ) -> list[float]:
+    """beta_n(model, n, t) for each t of the grid, from one level view."""
+    t_grid = tuple(t_grid)  # read twice
+    view = _view(model, n, t_grid, max_cubes)
+    return [_beta(view, n, t) for t in t_grid]
 
 
 def beta_n(
@@ -91,18 +97,22 @@ class ClosedFormSpectrum:
 
 
 class EmpiricalSpectrum:
-    """Per-level spectrum sampled on an increasing t-grid."""
+    """Level-n spectrum on an increasing t-grid: `value(i)` computes beta_n
+    at the i-th grid point on its first call and keeps it."""
 
-    def __init__(self, level: int, t_grid, values) -> None:
+    def __init__(self, level: int, t_grid, view) -> None:
         t_grid = tuple(float(t) for t in t_grid)
-        values = tuple(float(v) for v in values)
-        if len(t_grid) != len(values) or len(t_grid) < 2:
+        if len(t_grid) < 2:
             raise ValidationError("empirical spectrum needs >= 2 grid points")
         if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
             raise ValidationError("t_grid must be strictly increasing")
-        self.level = level
-        self.t_grid = t_grid
-        self.values = values
+        self.level, self.t_grid, self._view = level, t_grid, view
+        self._values: list[float | None] = [None] * len(t_grid)
+
+    def value(self, i: int) -> float:
+        if self._values[i] is None:
+            self._values[i] = _beta(self._view, self.level, self.t_grid[i])
+        return self._values[i]
 
 
 def empirical_spectrum(
@@ -111,7 +121,9 @@ def empirical_spectrum(
     t_grid=DEFAULT_T_GRID,
     max_cubes: int = DEFAULT_MAX_CUBES,
 ) -> EmpiricalSpectrum:
-    return EmpiricalSpectrum(n, t_grid, beta_row(model, n, t_grid, max_cubes))
+    """The level-n curve: the grid is checked and the level view built now,
+    the values when they are read."""
+    return EmpiricalSpectrum(n, t_grid, _view(model, n, t_grid, max_cubes))
 
 
 def closed_form_spectrum(model: MeasureModel) -> ClosedFormSpectrum | None:
@@ -148,24 +160,25 @@ def s_b_solve(curve: ClosedFormSpectrum | EmpiricalSpectrum, b: float,
     """Critical exponent inf{t > 0 : beta(t) - b*t <= 0}.
 
     Convexity of beta makes t -> beta(t) - b*t cross zero at most once from
-    above. On an empirical curve the crossing is interpolated linearly
-    between grid neighbours; on a closed form it is bracketed (doubling
-    t_max up to 64) and refined by Brent's root finder (Brent 1973, ch. 4)
-    to near machine precision, comfortably inside the 1e-10 contract.
+    above. An empirical curve is read in grid order up to the crossing, then
+    interpolated linearly; on a closed form it is bracketed (doubling t_max
+    up to 64) and refined by Brent's root finder (Brent 1973, ch. 4) to near
+    machine precision, comfortably inside the 1e-10 contract.
     """
     if b <= 0:
         raise ValidationError("s_b needs b > 0")
 
     if isinstance(curve, EmpiricalSpectrum):
-        ts, vs = curve.t_grid, curve.values
-        gs = [v - b * t for t, v in zip(ts, vs)]
-        if gs[0] <= 0:
-            return 0.0 if ts[0] == 0 else ts[0]
-        for i in range(1, len(ts)):
-            if gs[i] <= 0:
+        ts = curve.t_grid
+        for i, t in enumerate(ts):
+            g1 = curve.value(i) - b * t
+            if g1 <= 0:
+                if i == 0:
+                    return 0.0 if t == 0 else t
                 # linear interpolation between grid neighbors
-                t0, t1, g0, g1 = ts[i - 1], ts[i], gs[i - 1], gs[i]
-                return t0 if g1 == g0 else t0 + g0 * (t1 - t0) / (g0 - g1)
+                t0 = ts[i - 1]
+                return t0 if g1 == g0 else t0 + g0 * (t - t0) / (g0 - g1)
+            g0 = g1
         raise SolverError(
             f"s_b crossing for b={b} lies outside the empirical t-grid"
         )

@@ -6,6 +6,9 @@ node tables replaced, the J_rho partition taken level by level straight from
 its rule, the per-node and per-cell L4 kernels that the array locator
 and the batched projection replaced, the coarse profile counted one
 alpha at a time by bisection, which the per-level array search replaced,
+the critical exponent s_b read off an empirical curve whose every grid
+value was computed first, which the curve evaluated where it is read
+replaced,
 the IFS level push in exact `Fraction` masses, which the push of integer
 numerators over D^n replaced, the row-wise `packed_keys` and `np.prod`
 `monomials` that the column-by-column kernels replaced, the Gauss weights
@@ -275,6 +278,19 @@ def oracle_coarse_profile(model, levels, rho, alpha_grid=None, max_cubes=DEFAULT
         optimized_upper=optimized_upper,
         optimized_lower=optimized_lower,
     )
+
+
+def oracle_s_b_empirical(t_grid, values, b):
+    # s_b on an eagerly computed curve: the gaps beta - b t at every grid
+    # point, then the first one at or below zero interpolated linearly
+    gs = [v - b * t for t, v in zip(t_grid, values)]
+    if gs[0] <= 0:
+        return 0.0 if t_grid[0] == 0 else t_grid[0]
+    for i in range(1, len(t_grid)):
+        if gs[i] <= 0:
+            t0, t1, g0, g1 = t_grid[i - 1], t_grid[i], gs[i - 1], gs[i]
+            return t0 if g1 == g0 else t0 + g0 * (t1 - t0) / (g0 - g1)
+    raise SolverError(f"s_b crossing for b={b} lies outside the empirical t-grid")
 
 
 def oracle_levels(model, n, max_masses=math.inf):

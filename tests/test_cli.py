@@ -35,6 +35,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,8 +44,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import widthlab
-from widthlab import ParseError, cli, probe, reports
+from widthlab import ParseError, cli, probe, reports, spectrum
 from widthlab.measures import ingest_points
+
+from conftest import IFS7_MAPS
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -334,6 +337,74 @@ def test_range_or_grid_past_the_cube_cap_exits_1_before_it_is_built(argv, flag, 
     assert (done.returncode, done.stdout) == (cli.EX_FAIL, "")
     assert done.stderr == (f"widthlab: malformed {flag} value {value!r}: it holds {count} values,"
                            f" more than {cli.DEFAULT_MAX_CUBES}\n")
+
+
+@pytest.mark.parametrize("value, message", [
+    ("0:1:1e-1000000", "the exponent of '1e-1000000' has more than 4 digits"),
+    ("0:1:1e-10000000", "the exponent of '1e-10000000' has more than 4 digits"),
+    ("1e+100000:1:1", "the exponent of '1e+100000' has more than 4 digits"),
+    ("0:1:1e-9999", f"it holds over 2^33215 values, more than {cli.DEFAULT_MAX_CUBES}"),
+])
+def test_grid_token_with_a_huge_exponent_exits_1_at_once(value, message, tmp_path):
+    """A grid token is screened before its exact value is built: 10^1000000
+    and the count it gives would take seconds, and a count too long to print
+    is named by a power of two. The child's address space is capped."""
+    (tmp_path / "leb1.json").write_text(FILES["leb1.json"])
+    start = time.monotonic()
+    done = _python_m(["spectrum", "--measure", "leb1.json", "--levels", "1", "--t-grid", value],
+                     tmp_path, env={"OPENBLAS_NUM_THREADS": "1"}, preexec_fn=_memory_cap,
+                     timeout=30)
+    assert time.monotonic() - start < 2.0
+    assert (done.returncode, done.stdout) == (cli.EX_FAIL, "")
+    assert done.stderr == f"widthlab: malformed --t-grid value {value!r}: {message}\n"
+
+
+def test_grids_step_by_exact_decimals():
+    assert cli.parse_grid("0:1.5:0.05") == [float(k * Fraction(5, 100)) for k in range(31)]
+    assert cli.parse_grid("1e-3:1:1e-3") == [float(Fraction(k, 1000)) for k in range(1, 1001)]
+    assert cli.parse_grid("0:1:2.5e+0_0001") == [0.0]  # exponent 1 in a long spelling
+
+
+_PARENT_CAP = "widthlab: resource cap: more than 3 distinct masses at level {}\n"
+
+
+@pytest.mark.parametrize("argv, level", [
+    (["order", "--measure", "mix.json", "--sigma", "1", "--p", "3", "--q", "2",
+      "--levels", "3..5"], 5),
+    (["order", "--measure", "mix.json", "--sigma", "2", "--p-grid", "1.5:2:0.5",
+      "--q-grid", "2,3,inf", "--levels", "3..5"], 5),
+    (["order", "--measure", "mix.json", "--sigma", "2", "--p-grid", "1.5:2:0.5",
+      "--q-grid", "inf,2", "--levels", "3..5"], 5),
+    (["order", *_TET22, "--levels", "3..6"], 3),
+    (["coarse", *_TET22, "--levels", "3..5"], 3),
+    (["coarse", "--measure", "mix.json", "--rho", "1", "--levels", "2..5"], 3),
+], ids=["order-empirical", "order-sweep", "order-sweep-qinf-first", "order-closed-form",
+        "coarse", "coarse-first-level-fits"])
+def test_cap_below_the_level_view_exits_2_with_the_same_message(argv, level, tmp_path,
+                                                                monkeypatch, capsys):
+    """`--max-cubes 3` trips at the first level view that a run builds:
+    `order` builds the curve's at the top level, then the dimensions' in
+    level order, `coarse` its count views in level order. The messages are
+    those of the release before the one-pass sweep."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli([*argv, "--max-cubes", "3"], tmp_path)["code"] == cli.EX_RESOURCE
+    assert capsys.readouterr() == ("", _PARENT_CAP.format(level))
+
+
+def test_order_sweep_computes_the_curve_up_to_the_smallest_rho_crossing(tmp_path, monkeypatch):
+    """The `order-sweep-ifs` line of the benchmark: the level-6 curve of
+    `ifs7` is computed at 63 of its 151 grid points, each once."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ifs7.json").write_text(json.dumps({
+        "type": "ifs", "m": 2, "probs": [p for *_, p in IFS7_MAPS],
+        "maps": [{"ratio_log2": k, "offset": list(o)} for k, o, _ in IFS7_MAPS]}))
+    computed = []
+    beta = spectrum._beta
+    monkeypatch.setattr(spectrum, "_beta", lambda view, n, t: computed.append(t) or beta(view, n, t))
+    argv = ["order", "--measure", "ifs7.json", "--sigma", "2", "--p-grid", "1.5:4:0.5",
+            "--q-grid", "1.5:4:0.5", "--levels", "4..6", "--out", "out.csv"]
+    assert run_cli(argv, tmp_path)["code"] == cli.EX_OK
+    assert computed == list(spectrum.DEFAULT_T_GRID[:63])
 
 
 @pytest.mark.parametrize(

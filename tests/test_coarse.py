@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,13 +16,13 @@ from widthlab import (
     s_b_solve,
 )
 from widthlab import coarse
-from widthlab.coarse import count_view, default_alpha_grid
+from widthlab.coarse import coarse_profiles, count_view, default_alpha_grid
 from widthlab.probe import alpha_good_cubes, dominant_cubes, well_separated
 from widthlab.cubes import neighbors
 from widthlab.measures import IfsMap, IfsMeasure, MeasureModel
 from widthlab.spectrum import frac_log2
 
-from conftest import boundary_atomic, ifs7, ifs_atomic_lebesgue, new_tetrahedron
+from conftest import boundary_atomic, dyadic_ifs, ifs7, ifs_atomic_lebesgue, new_tetrahedron
 from oracles import (oracle_coarse_profile, oracle_count_view, oracle_greedy_separation,
                      oracle_mass, scaled_box, table_cubes)
 
@@ -340,6 +341,65 @@ def test_profile_matches_the_bisection_oracle(name, levels, rho, alphas, edges, 
     n, alpha = levels[0], got.alpha_grid[-1]
     count = count_alpha_good(model, n, rho, alpha)
     assert type(count) is int and count == got.counts[0][-1]
+
+
+@given(st.one_of(st.sampled_from(sorted(PROFILE_MODELS)).map(PROFILE_MODELS.get), dyadic_ifs()),
+       st.lists(st.integers(1, 6), min_size=1, max_size=4),
+       st.lists(st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.5]), st.floats(0.05, 8.0)),
+                min_size=1, max_size=8),
+       st.one_of(st.none(), st.lists(st.floats(0.01, 15.0), min_size=1, max_size=12)),
+       st.lists(st.tuples(st.integers(0, 7), st.integers(0, 5), st.integers(0, 10**6)),
+                max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_profiles_match_the_oracle_for_each_rho(model, levels, rhos, grid, edges):
+    """The one-pass kernel gives each rho of a sweep, repeats included, the
+    bisection oracle's profile, field for field: on each rho's default alpha
+    grid or one grid for all, with alphas that put (rho - alpha) * n on a
+    log mass of level n for one of the rho, on fixed models (atomic among
+    them) and random dyadic IFS, shifted or not."""
+    views = {n: oracle_count_view(model, n) for n in levels}
+    for i, k, pick in edges if grid is not None else ():
+        rho, n = rhos[i % len(rhos)], levels[k % len(levels)]
+        alpha = rho - views[n][0][pick % len(views[n][0])] / n
+        if alpha > 0:
+            grid.append(alpha)
+    got = coarse_profiles(model, levels, rhos, grid)
+    assert len(got) == len(rhos)
+    for prof, rho in zip(got, rhos):
+        assert_same_profile(prof, oracle_coarse_profile(model, levels, rho, grid, views=views))
+    if grid is not None:  # one grid for every rho, even read from an iterator
+        assert coarse_profiles(model, levels, rhos, iter(grid)) == got
+
+
+def test_profiles_of_the_benchmark_sweep_search_once_per_level(monkeypatch):
+    """The 36 rho of the order sweep of the benchmark on `ifs7` at levels
+    4..6: three array searches in all, not one per (rho, level), and the
+    oracle's profiles."""
+    model, levels = PROFILE_MODELS["ifs7"], (4, 5, 6)
+    grid = [1.5 + k / 2 for k in range(6)]
+    rhos = [q * (2 - 2 / p) for p in grid for q in grid]
+    searches = []
+    searchsorted = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda *a, **k: searches.append(1) or searchsorted(*a, **k))
+    got = coarse_profiles(model, levels, rhos)
+    monkeypatch.undo()
+    assert len(searches) == len(levels)
+    views = {n: oracle_count_view(model, n) for n in levels}
+    for prof, rho in zip(got, rhos, strict=True):
+        assert_same_profile(prof, oracle_coarse_profile(model, levels, rho, views=views))
+    assert coarse_profiles(model, levels, []) == []
+
+
+def test_profiles_check_every_rho_before_counting(tetrahedron, monkeypatch):
+    def no_view(*args, **kwargs):
+        raise AssertionError("a count view was built")
+
+    monkeypatch.setattr(coarse, "count_view", no_view)
+    for rhos in ([1.0, 2.0, math.nan], [3.0, -1.0]):
+        with pytest.raises(ValidationError, match="rho must be positive and finite"):
+            coarse_profiles(tetrahedron, [3, 4], rhos)
+    with pytest.raises(ValidationError, match="alpha must be positive"):
+        coarse_profiles(tetrahedron, [3, 4], [1.0, 2.0], [1.0, 0.0])
 
 
 def test_profile_exact_on_threshold_equality_and_a_single_level(leb1):

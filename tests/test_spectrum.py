@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from widthlab import (
     AtomicMeasure,
@@ -18,7 +19,16 @@ from widthlab import (
     minkowski,
     s_b_solve,
 )
-from widthlab.spectrum import beta_row, frac_log2
+from widthlab import spectrum
+from widthlab.spectrum import DEFAULT_T_GRID, beta_row, frac_log2
+
+from conftest import boundary_atomic, dyadic_ifs, ifs7, ifs_atomic_lebesgue, new_tetrahedron
+from oracles import oracle_s_b_empirical
+
+
+def values(curve):
+    """Every grid value of an empirical curve, read in grid order."""
+    return tuple(map(curve.value, range(len(curve.t_grid))))
 
 
 def scan_crossing(beta, b, lo, hi, steps=200_000):
@@ -158,7 +168,7 @@ def test_empirical_matches_closed_form_uniform():
     curve = closed_form_spectrum(leb2)
     for n in (1, 3, 6):
         emp = empirical_spectrum(leb2, n, [0.0, 0.25, 0.5, 1.0, 1.25])
-        for t, v in zip(emp.t_grid, emp.values):
+        for t, v in zip(emp.t_grid, values(emp)):
             assert v == pytest.approx(curve.beta(t), abs=1e-12)
 
 
@@ -166,7 +176,7 @@ def test_empirical_matches_closed_form_ifs_at_aligned_levels(quarter_cantor):
     curve = closed_form_spectrum(quarter_cantor)
     for n in (2, 4, 8):  # multiples of ratio_log2
         emp = empirical_spectrum(quarter_cantor, n, [0.0, 0.5, 1.0])
-        for t, v in zip(emp.t_grid, emp.values):
+        for t, v in zip(emp.t_grid, values(emp)):
             assert v == pytest.approx(curve.beta(t), abs=1e-12)
 
 
@@ -174,9 +184,9 @@ def test_empirical_convex_nonincreasing(tetrahedron, binomial_cascade):
     grid = [k / 20 for k in range(0, 31)]
     for model in (tetrahedron, binomial_cascade):
         emp = empirical_spectrum(model, 6, grid)
-        v = emp.values  # second differences on the uniform grid
+        v = values(emp)  # second differences on the uniform grid
         assert min(a - 2 * b + c for a, b, c in zip(v, v[1:], v[2:])) >= -1e-12
-        assert all(a >= b - 1e-12 for a, b in zip(emp.values, emp.values[1:]))
+        assert all(a >= b - 1e-12 for a, b in zip(values(emp), values(emp)[1:]))
 
 
 def test_empirical_s_b_and_out_of_grid():
@@ -225,7 +235,7 @@ def test_beta_row_equals_per_t_beta_n(tetrahedron, binomial_cascade):
             assert row == [beta_n(model, n, t) for t in grid]
             assert row == [_beta_oracle(model, n, t) for t in grid]
     ts = [0.0, 0.5, 1.0, 1.5]
-    assert empirical_spectrum(tetrahedron, 4, ts).values == tuple(beta_row(tetrahedron, 4, ts))
+    assert values(empirical_spectrum(tetrahedron, 4, ts)) == tuple(beta_row(tetrahedron, 4, ts))
 
 
 def test_beta_row_t_one_builds_no_multiset(tetrahedron):
@@ -243,3 +253,78 @@ def test_beta_row_t_one_builds_no_multiset(tetrahedron):
 def test_beta_row_rejects_nan_t(grid, tetrahedron):
     with pytest.raises(ValidationError, match="beta_n needs t >= 0"):
         beta_row(tetrahedron, 2, grid)
+
+
+# one instance each, so their level multisets are built once per session
+CURVE_MODELS = [new_tetrahedron(), ifs7(), boundary_atomic(), ifs_atomic_lebesgue()]
+# grids that end below 1 often leave the crossing of a small b past their end
+T_GRIDS = st.one_of(
+    st.just(DEFAULT_T_GRID),
+    st.sampled_from([0.6, 3.0]).flatmap(lambda top: st.lists(
+        st.one_of(st.floats(0.0, top), st.just(min(top, 1.0))), min_size=2, max_size=20))
+    .map(lambda ts: sorted({abs(t) for t in ts})).filter(lambda ts: len(ts) >= 2),
+)
+
+
+@given(st.one_of(st.sampled_from(CURVE_MODELS), dyadic_ifs()), st.integers(1, 6), T_GRIDS,
+       st.lists(st.floats(0.01, 20.0), min_size=1, max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_curve_read_where_needed_solves_as_the_eager_one(model, n, grid, bs):
+    """One curve serves the b in the order drawn; each s_b, or its
+    SolverError past the grid, is the one of the curve computed in full,
+    bit for bit, and the values it kept are the full row's."""
+    eager = beta_row(model, n, grid)
+    curve = empirical_spectrum(model, n, grid)
+    for b in bs:
+        try:
+            want = oracle_s_b_empirical(curve.t_grid, eager, b)
+        except SolverError:
+            with pytest.raises(SolverError, match="outside the empirical t-grid"):
+                s_b_solve(curve, b)
+            continue
+        got = s_b_solve(curve, b)
+        assert type(got) is float and repr(got) == repr(want)
+    assert values(curve) == tuple(eager)
+
+
+def test_a_sweep_computes_the_curve_up_to_its_smallest_b_crossing(monkeypatch):
+    """The order sweep of the benchmark (sigma = 2, p and q in 1.5 .. 4 by
+    0.5, so b = rho from 1 to 6) on the level-6 curve of `ifs7` reads 63 of
+    the 151 grid points, each computed once: b = 1 crosses between t = 0.61
+    and 0.62, and every larger b crosses earlier."""
+    computed = []
+    beta = spectrum._beta
+    monkeypatch.setattr(spectrum, "_beta", lambda view, n, t: computed.append(t) or beta(view, n, t))
+    curve = empirical_spectrum(CURVE_MODELS[1], 6)
+    assert computed == []
+    grid = [1.5 + k / 2 for k in range(6)]
+    rhos = [q * (2 - 2 / p) for p in grid for q in grid]
+    solved = [s_b_solve(curve, rho) for rho in rhos]
+    assert min(rhos) == 1.0 and 0.61 < s_b_solve(curve, 1.0) < 0.62
+    assert computed == list(DEFAULT_T_GRID[:63])
+    eager = beta_row(CURVE_MODELS[1], 6, DEFAULT_T_GRID)
+    assert solved == [oracle_s_b_empirical(DEFAULT_T_GRID, eager, rho) for rho in rhos]
+
+
+@pytest.mark.parametrize("grid", [[0.0, 0.5, 1.0, math.nan], [0.0, 0.5, math.nan, 2.0]])
+def test_a_bad_t_past_the_crossing_still_raises(grid, tetrahedron):
+    """The grid is checked when the curve is built, not when a point is
+    read: at b = 10 the crossing is at the second point, before the NaN."""
+    assert s_b_solve(empirical_spectrum(tetrahedron, 4, grid[:2]), 10.0) < grid[1]
+    with pytest.raises(ValidationError, match="beta_n needs t >= 0"):
+        empirical_spectrum(tetrahedron, 4, grid)
+
+
+def test_curve_builds_its_level_view_when_built(tetrahedron):
+    """The level view, with its cap, and the level check come first; a
+    grid of t = 1 alone builds no view, and fails on its length."""
+    with pytest.raises(ResourceLimitError):
+        empirical_spectrum(tetrahedron, 4, [1.0, 1.5], max_cubes=3)
+    with pytest.raises(ValidationError, match="level n >= 1"):
+        empirical_spectrum(tetrahedron, 0, [0.0, 0.5])
+    with pytest.raises(ValidationError, match=">= 2 grid points"):
+        empirical_spectrum(tetrahedron, 4, [1.0], max_cubes=3)
+    with pytest.raises(ResourceLimitError):
+        empirical_spectrum(tetrahedron, 4, [1.5, 0.5], max_cubes=3)
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        empirical_spectrum(tetrahedron, 4, [1.5, 0.5])
