@@ -3,9 +3,10 @@
 Times the 36 coarse profiles of the sweep: the 7-map mixed-ratio IFS `ifs7`
 (perfbench's `ifs7.json`, m = 2) at levels 4..6, one profile per
 rho = q (sigma - m/p) of the grid sigma = 2, p and q in 1.5 .. 4 by 0.5,
-each on its default alpha grid. Every side shares one view per level,
+each on its default alpha grid. Every side reads one view per level,
 built before the timed rounds as the command line builds them once per
-sweep:
+sweep (the kernel's `count_view` is swapped for a lookup of the built
+views):
 
 - one-pass: `coarse_profiles` on the list of all 36 rho, as `order` calls
   it: one `searchsorted` per level over every (rho, alpha) threshold, and
@@ -17,8 +18,8 @@ sweep:
 
 All must give the same profiles, field for field. Medians of 30 rounds on a
 2-core VM shared with other tenants (python 3.11, numpy 2.4), three runs:
-one-pass 3.35, 4.06 and 4.83 ms, per-rho 4.58, 6.61 and 8.20 ms, bisection
-17.9, 22.8 and 29.5 ms. Run from the root of the repository
+one-pass 2.23, 3.71 and 4.14 ms, per-rho 4.78, 6.40 and 8.51 ms, bisection
+15.1, 17.1 and 27.9 ms. Run from the root of the repository
 (pytest-benchmark required):
 
     PYTHONPATH=src python -m pytest benchmarks -q
@@ -31,7 +32,7 @@ from fractions import Fraction
 
 import pytest
 
-from widthlab import IfsMap, IfsMeasure, coarse_profile
+from widthlab import IfsMap, IfsMeasure, coarse, coarse_profile
 from widthlab.coarse import coarse_profiles, count_view
 
 from tests.oracles import oracle_coarse_profile, oracle_count_view
@@ -50,28 +51,32 @@ def ifs7() -> IfsMeasure:
                       [Fraction(p) for *_, p in IFS7_MAPS])
 
 
-def per_rho(profile):
-    def sweep(model, views):
-        return [profile(model, LEVELS, rho, views=views) for rho in RHOS]
-    return sweep
-
-
 def one_pass(model, views):
-    return coarse_profiles(model, LEVELS, RHOS, views=views)
+    return list(coarse_profiles(model, LEVELS, RHOS))
+
+
+def per_rho(model, views):
+    return [coarse_profile(model, LEVELS, rho) for rho in RHOS]
+
+
+def bisection(model, views):
+    return [oracle_coarse_profile(model, LEVELS, rho, views=views) for rho in RHOS]
 
 
 SIDES = {
     "one-pass": (one_pass, count_view),
-    "per-rho": (per_rho(coarse_profile), count_view),
-    "bisection": (per_rho(oracle_coarse_profile), oracle_count_view),
+    "per-rho": (per_rho, count_view),
+    "bisection": (bisection, oracle_count_view),
 }
 
 
 @pytest.mark.parametrize("side", list(SIDES))
-def test_l3_coarse_sweep(benchmark, side):
+def test_l3_coarse_sweep(benchmark, side, monkeypatch):
     sweep, view = SIDES[side]
     model = ifs7()
     views = {n: view(model, n) for n in LEVELS}
+    monkeypatch.setattr(coarse, "count_view", lambda model, n, max_cubes: views[n])
     got = benchmark.pedantic(sweep, args=(model, views), rounds=30)
+    monkeypatch.undo()
     assert len(got) == 36
-    assert got == per_rho(oracle_coarse_profile)(model, None)
+    assert got == bisection(model, None)

@@ -78,8 +78,7 @@ def parse_levels(text: str) -> list[int]:
 
 def _decimal(token: str) -> Fraction:
     """A grid token's exact value; Fraction would build 10^exponent first."""
-    exponent = token.lower().partition("e")[2].replace("_", "").lstrip("+-").lstrip("0")
-    if len(exponent) > 4:
+    if len(token.lower().partition("e")[2].replace("_", "").lstrip("+-").lstrip("0")) > 4:
         raise ValueError(f"the exponent of {token.strip()!r} has more than 4 digits")
     return Fraction(token)
 
@@ -335,13 +334,12 @@ def _order(run: Run) -> None:
         grid = [EmbeddingParams(m=model.m, sigma=sigma, p=p, q=q) for p in ps for q in qs]
     else:
         grid = [_embedding(run)]
-    # one curve, computed up to the smallest rho's crossing, and one pass of
-    # profiles for the rho of every finite-q point; it raises nothing, as
-    # `minkowski` has built each level's multiset under the cap
+    # the curve is read up to the smallest rho's crossing, the profiles pass by
+    # pass; their count views cannot fail, as `minkowski` has checked the cap
     curve = closed_form_spectrum(model) or empirical_spectrum(model, max(levels), max_cubes=max_cubes)
     dims = minkowski(model, levels, max_cubes)
     rhos = [params.rho for params in grid if not math.isinf(params.q)]
-    profiles = iter(coarse_profiles(model, levels, rhos, max_cubes=max_cubes))
+    profiles = coarse_profiles(model, levels, rhos, max_cubes=max_cubes)
     reps = [lower_order(params, curve, dims, None if math.isinf(params.q) else next(profiles))
             for params in grid]
     if sweep:

@@ -19,13 +19,15 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
 from .measures import DEFAULT_MAX_CUBES, MeasureModel
 from .spectrum import level_log_masses
+
+PASS_PAIRS = 1 << 13  # (rho, alpha) pairs of a pass: a long sweep's arrays stay this small
 
 
 class CountView(NamedTuple):
@@ -88,51 +90,54 @@ class CoarseProfile(NamedTuple):
         }
 
 
-def coarse_profile(
-    model: MeasureModel,
-    levels,
-    rho: float,
-    alpha_grid=None,
-    max_cubes: int = DEFAULT_MAX_CUBES,
-    views=None,
-) -> CoarseProfile:
-    """The profile of one rho: `coarse_profiles` of the list [rho]."""
-    return coarse_profiles(model, levels, [rho], alpha_grid, max_cubes, views)[0]
+def coarse_profile(model: MeasureModel, levels, rho: float, alpha_grid=None,
+                   max_cubes: int = DEFAULT_MAX_CUBES) -> CoarseProfile:
+    """The profile of one rho, the package's public name for the one-rho
+    case of `coarse_profiles` and the `coarse` subcommand's entry."""
+    return next(coarse_profiles(model, levels, [rho], alpha_grid, max_cubes))
 
 
 def coarse_profiles(model: MeasureModel, levels, rhos: list[float], alpha_grid=None,
-                    max_cubes: int = DEFAULT_MAX_CUBES, views=None) -> list[CoarseProfile]:
+                    max_cubes: int = DEFAULT_MAX_CUBES) -> Iterator[CoarseProfile]:
     """The profile of each rho, over levels x alpha grid: `alpha_grid` for
-    every rho, or each rho's default grid if it is None. `views` maps each
-    level to its `count_view`; without it the views are built here, in level
-    order, once every argument has been checked."""
+    every rho, or each rho's default grid if it is None. The arguments are
+    checked and the views built (in level order) now; the profiles come a
+    pass at a time, of at most PASS_PAIRS (rho, alpha) pairs or one rho."""
     levels = tuple(int(n) for n in levels)
     if not levels:
         raise ValidationError("coarse profile needs a nonempty level list")
     if min(levels) < 1:
         raise ValidationError("coarse profile needs levels n >= 1")
-    grids = []
-    for rho in rhos:
-        if not 0 < rho < math.inf:
-            raise ValidationError("rho must be positive and finite")
-        if alpha_grid is None:
-            grid = tuple(map(float, default_alpha_grid(model.m, rho)))
-        else:  # a tuple from here on: the grid may come as an iterator
-            grid = alpha_grid = tuple(map(float, alpha_grid))
-        if not grid:
+    if not all(0 < rho < math.inf for rho in rhos):
+        raise ValidationError("rho must be positive and finite")
+    if alpha_grid is not None:  # a tuple from here on: the grid may come as an iterator
+        alpha_grid = tuple(map(float, alpha_grid))
+        if not alpha_grid:
             raise ValidationError("coarse profile needs a nonempty alpha grid")
-        if not all(alpha > 0 for alpha in grid):
+        if not all(alpha > 0 for alpha in alpha_grid):
             raise ValidationError("alpha must be positive")
-        grids.append(grid)
-    if not grids:
-        return []
+    views = {n: count_view(model, n, max_cubes) for n in levels} if rhos else {}
+    return _passes(model.m, views, levels, rhos, alpha_grid)
 
-    if views is None:
-        views = {n: count_view(model, n, max_cubes) for n in levels}
+
+def _passes(m: int, views, levels, rhos, alpha_grid) -> Iterator[CoarseProfile]:
+    batch, pairs = [], 0
+    for rho in rhos:
+        grid = alpha_grid or tuple(map(float, default_alpha_grid(m, rho)))
+        if batch and pairs + len(grid) > PASS_PAIRS:
+            yield from _one_pass(views, levels, batch)
+            batch, pairs = [], 0
+        batch.append((rho, grid))
+        pairs += len(grid)
+    if batch:
+        yield from _one_pass(views, levels, batch)
+
+
+def _one_pass(views, levels, batch) -> list[CoarseProfile]:
     # the alpha-good cubes of level n have log2(mass) >= (rho - alpha) * n:
-    # they sit at and above the first such position of the sorted view. The
-    # pairs (rho, alpha) of all rho lie end to end, searched at once per
-    # level; each array operation rounds as its Python float one would
+    # they sit at and above the first such position of the sorted view. Each
+    # array step rounds as its Python float counterpart would
+    rhos, grids = zip(*batch)
     sizes = [len(grid) for grid in grids]
     alphas = np.array([alpha for grid in grids for alpha in grid])
     gaps = np.repeat(np.array(rhos, dtype=float), sizes) - alphas

@@ -10,14 +10,14 @@ multiset), serves a whole t-grid in `beta_row` (hence `beta_n`, the CLI
 table) and in `empirical_spectrum`, and the coarse counts.
 
 A curve is closed-form, with a callable `beta`, or empirical: a t-grid
-whose values, each computed on its first read, `s_b_solve` reads up to the
-crossing, so a sweep over b costs the points up to its smallest b's. The
+whose values `s_b_solve` computes on first read, up to the crossing. The
 package holds only defs that a subcommand calls (the runtime reach test of
 `tests/test_api.py`), so that curve has no `beta` and no list of values.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -49,9 +49,9 @@ def level_log_masses(
     return [(frac_log2(mass), count) for mass, count in model.level_masses(n, max_cubes).items()]
 
 
-def _view(model: MeasureModel, n: int, t_grid, max_cubes: int) -> list[tuple[float, float]] | None:
-    """Check n and each t in order; the level view (log2 mass, log2 count),
-    built at the first t other than 1, or None (beta_n(1) = 0 exactly)."""
+def _view(model: MeasureModel, n: int, t_grid, max_cubes: int) -> tuple[array, array] | None:
+    """Check n and each t in order; the level view (float arrays of log2 mass
+    and log2 count) built at the first t other than 1, or None (beta_n(1) = 0)."""
     view = None
     for t in t_grid:
         if n < 1:
@@ -59,12 +59,13 @@ def _view(model: MeasureModel, n: int, t_grid, max_cubes: int) -> list[tuple[flo
         if not t >= 0:  # NaN too
             raise ValidationError("beta_n needs t >= 0")
         if t != 1 and view is None:
-            view = [(lm, math.log2(c)) for lm, c in level_log_masses(model, n, max_cubes)]
+            level = level_log_masses(model, n, max_cubes)
+            view = array("d", [lm for lm, _ in level]), array("d", [math.log2(c) for _, c in level])
     return view
 
 
 def _beta(view, n: int, t: float) -> float:
-    return 0.0 if t == 1 else _log2sum([t * lm + lc for lm, lc in view]) / n
+    return 0.0 if t == 1 else _log2sum([t * lm + lc for lm, lc in zip(*view)]) / n
 
 
 def beta_row(model: MeasureModel, n: int, t_grid, max_cubes: int = DEFAULT_MAX_CUBES
@@ -97,8 +98,7 @@ class ClosedFormSpectrum:
 
 
 class EmpiricalSpectrum:
-    """Level-n spectrum on an increasing t-grid: `value(i)` computes beta_n
-    at the i-th grid point on its first call and keeps it."""
+    """Level-n spectrum on an increasing t-grid, each value computed on first read."""
 
     def __init__(self, level: int, t_grid, view) -> None:
         t_grid = tuple(float(t) for t in t_grid)
@@ -121,8 +121,7 @@ def empirical_spectrum(
     t_grid=DEFAULT_T_GRID,
     max_cubes: int = DEFAULT_MAX_CUBES,
 ) -> EmpiricalSpectrum:
-    """The level-n curve: the grid is checked and the level view built now,
-    the values when they are read."""
+    """The level-n curve: grid checked and level view built now, values when read."""
     return EmpiricalSpectrum(n, t_grid, _view(model, n, t_grid, max_cubes))
 
 
@@ -175,8 +174,7 @@ def s_b_solve(curve: ClosedFormSpectrum | EmpiricalSpectrum, b: float,
             if g1 <= 0:
                 if i == 0:
                     return 0.0 if t == 0 else t
-                # linear interpolation between grid neighbors
-                t0 = ts[i - 1]
+                t0 = ts[i - 1]  # linear interpolation between grid neighbors
                 return t0 if g1 == g0 else t0 + g0 * (t - t0) / (g0 - g1)
             g0 = g1
         raise SolverError(

@@ -16,7 +16,7 @@ from widthlab import (
     s_b_solve,
 )
 from widthlab import coarse
-from widthlab.coarse import coarse_profiles, count_view, default_alpha_grid
+from widthlab.coarse import coarse_profiles, default_alpha_grid
 from widthlab.probe import alpha_good_cubes, dominant_cubes, well_separated
 from widthlab.cubes import neighbors
 from widthlab.measures import IfsMap, IfsMeasure, MeasureModel
@@ -320,13 +320,12 @@ def assert_same_profile(got, want):
        st.lists(st.integers(1, 6), min_size=1, max_size=4),
        st.floats(0.05, 8.0),
        st.lists(st.floats(0.01, 15.0), max_size=12),
-       st.lists(st.tuples(st.integers(0, 5), st.integers(0, 10**6)), max_size=6),
-       st.booleans())
+       st.lists(st.tuples(st.integers(0, 5), st.integers(0, 10**6)), max_size=6))
 @settings(max_examples=150, deadline=None)
-def test_profile_matches_the_bisection_oracle(name, levels, rho, alphas, edges, shared):
+def test_profile_matches_the_bisection_oracle(name, levels, rho, alphas, edges):
     """The per-level array search gives the per-alpha bisection's profile bit
     for bit, on unsorted grids with alphas that put (rho - alpha) * n on a
-    log mass of the level, with the views built inside or passed in."""
+    log mass of the level."""
     model = PROFILE_MODELS[name]
     for k, pick in edges:  # alpha = rho - log2(mass) / n, for a mass of level n
         n = levels[k % len(levels)]
@@ -335,8 +334,7 @@ def test_profile_matches_the_bisection_oracle(name, levels, rho, alphas, edges, 
         if alpha > 0:
             alphas.append(alpha)
     grid = alphas or None
-    views = {n: count_view(model, n) for n in levels} if shared else None
-    got = coarse_profile(model, levels, rho, grid, views=views)
+    got = coarse_profile(model, levels, rho, grid)
     assert_same_profile(got, oracle_coarse_profile(model, levels, rho, grid))
     n, alpha = levels[0], got.alpha_grid[-1]
     count = count_alpha_good(model, n, rho, alpha)
@@ -363,12 +361,12 @@ def test_profiles_match_the_oracle_for_each_rho(model, levels, rhos, grid, edges
         alpha = rho - views[n][0][pick % len(views[n][0])] / n
         if alpha > 0:
             grid.append(alpha)
-    got = coarse_profiles(model, levels, rhos, grid)
+    got = list(coarse_profiles(model, levels, rhos, grid))
     assert len(got) == len(rhos)
     for prof, rho in zip(got, rhos):
         assert_same_profile(prof, oracle_coarse_profile(model, levels, rho, grid, views=views))
     if grid is not None:  # one grid for every rho, even read from an iterator
-        assert coarse_profiles(model, levels, rhos, iter(grid)) == got
+        assert list(coarse_profiles(model, levels, rhos, iter(grid))) == got
 
 
 def test_profiles_of_the_benchmark_sweep_search_once_per_level(monkeypatch):
@@ -381,13 +379,43 @@ def test_profiles_of_the_benchmark_sweep_search_once_per_level(monkeypatch):
     searches = []
     searchsorted = np.searchsorted
     monkeypatch.setattr(np, "searchsorted", lambda *a, **k: searches.append(1) or searchsorted(*a, **k))
-    got = coarse_profiles(model, levels, rhos)
+    got = list(coarse_profiles(model, levels, rhos))
     monkeypatch.undo()
     assert len(searches) == len(levels)
     views = {n: oracle_count_view(model, n) for n in levels}
     for prof, rho in zip(got, rhos, strict=True):
         assert_same_profile(prof, oracle_coarse_profile(model, levels, rho, views=views))
-    assert coarse_profiles(model, levels, []) == []
+    assert list(coarse_profiles(model, levels, [])) == []
+
+
+@pytest.mark.parametrize("cap, passes", [
+    (1, [89, 139, 99, 139, 239, 124]),
+    (250, [228, 238, 239, 124]),
+    (228, [228, 99, 139, 239, 124]),  # a pass of exactly the cap
+    (400, [327, 378, 124]),
+    (1000, [829]),
+])
+def test_profiles_come_in_passes_of_at_most_the_cap(cap, passes, monkeypatch):
+    """Under a cap of `cap` (rho, alpha) pairs a pass, a sweep searches the
+    pairs of the fewest consecutive rho that stay under it (a rho whose grid
+    alone passes it gets a pass of its own), builds one view per level and
+    gives the profiles of a single pass."""
+    model, levels = PROFILE_MODELS["ifs7"], (4, 5)
+    rhos = [0.5, 3.0, 1.0, 3.0, 8.0, 2.25]
+    assert [len(default_alpha_grid(model.m, rho)) for rho in rhos] == [89, 139, 99, 139, 239, 124]
+    want = list(coarse_profiles(model, levels, rhos))
+    views, searched = [], []
+    view, searchsorted = coarse.count_view, np.searchsorted
+    monkeypatch.setattr(coarse, "PASS_PAIRS", cap)
+    monkeypatch.setattr(coarse, "count_view", lambda *a: views.append(a[1]) or view(*a))
+    monkeypatch.setattr(np, "searchsorted",
+                        lambda a, v, **k: searched.append(len(v)) or searchsorted(a, v, **k))
+    got = list(coarse_profiles(model, levels, rhos))
+    monkeypatch.undo()
+    assert views == list(levels)
+    assert searched == [size for size in passes for _ in levels]
+    for prof, prev in zip(got, want, strict=True):
+        assert_same_profile(prof, prev)
 
 
 def test_profiles_check_every_rho_before_counting(tetrahedron, monkeypatch):

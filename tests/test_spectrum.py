@@ -328,3 +328,14 @@ def test_curve_builds_its_level_view_when_built(tetrahedron):
         empirical_spectrum(tetrahedron, 4, [1.5, 0.5], max_cubes=3)
     with pytest.raises(ValidationError, match="strictly increasing"):
         empirical_spectrum(tetrahedron, 4, [1.5, 0.5])
+
+
+@pytest.mark.parametrize("model", CURVE_MODELS)
+def test_curve_keeps_its_level_view_as_two_float_arrays(model):
+    """A curve holds its level view for as long as it lives: two float
+    arrays, the log2 mass and the log2 count of each distinct mass of the
+    level, in the level view's order (8 bytes an entry, not a tuple)."""
+    masses, counts = empirical_spectrum(model, 5)._view
+    assert masses.typecode == counts.typecode == "d"
+    assert list(zip(masses, counts)) == [(lm, math.log2(c))
+                                         for lm, c in spectrum.level_log_masses(model, 5)]
