@@ -75,7 +75,7 @@ def test_l3_coarse_sweep(benchmark, side, monkeypatch):
     sweep, view = SIDES[side]
     model = ifs7()
     views = {n: view(model, n) for n in LEVELS}
-    monkeypatch.setattr(coarse, "count_view", lambda model, n, max_cubes: views[n])
+    monkeypatch.setattr(coarse, "count_view", lambda model, n: views[n])
     got = benchmark.pedantic(sweep, args=(model, views), rounds=30)
     monkeypatch.undo()
     assert len(got) == 36

@@ -22,6 +22,13 @@ directly (`_direct`), as argparse would read it. argparse, imported on first
 use, reads every other one: help, `--version`, usage errors, abbreviated
 flags, `--flag=value` and values that start with "-". Its help shows the
 text above this paragraph.
+
+Resource caps: `--max-cubes` and `--max-cells` are attributes of the loaded
+model (`MeasureModel.max_cubes`, `MeasureModel.max_cells`), set once per
+run before any work (`Run.set_caps`; `validate` reads neither). Every level,
+node table and partition that the run builds reads them there, so no
+function below this module takes a cap, and a malformed cap exits 1 before
+the computation starts.
 """
 from __future__ import annotations
 
@@ -40,9 +47,9 @@ from .coarse import coarse_profile, coarse_profiles
 from .empirical import decay_experiment
 from .errors import ParseError, ResourceLimitError, SolverError, ValidationError, WidthlabError
 from .functions import catalog
-from .measures import DEFAULT_MAX_CUBES, ingest_points, load_measure
+from .measures import DEFAULT_MAX_CELLS, DEFAULT_MAX_CUBES, ingest_points, load_measure
 from .orders import EmbeddingParams, geometric_bounds, lower_order
-from .partition import DEFAULT_MAX_CELLS, build_partition, fit_entropy_slope, partition_row
+from .partition import build_partition, fit_entropy_slope, partition_row
 from .spectrum import beta_row, closed_form_spectrum, empirical_spectrum, minkowski
 
 EX_OK = 0
@@ -109,7 +116,7 @@ OPTIONS = {
     "config": (None, None, "JSON config file; flags override its keys"),
     "measure": (None, None, "measure spec (.json) or point cloud (.csv)"),
     "weight_column": (None, None, "CSV weight column (name or 0-based index)"),
-    "max_cubes": (int, DEFAULT_MAX_CUBES, "cap on enumerated cubes / multiset size"),
+    "max_cubes": (int, DEFAULT_MAX_CUBES, "cap on the cubes / distinct masses of each level read"),
     "out": (None, None, "output file (default: stdout)"),
     "m": (int, None, "dimension (checked against the measure)"),
     "sigma": (int, None, "smoothness order"),
@@ -246,6 +253,13 @@ class Run:
                 continue
             raise WidthlabError(f"cannot write {_flag(key)} {path}: {reason}")
 
+    def set_caps(self, keys) -> None:
+        """Put the caps among option `keys` on the model, where every
+        level, table and partition of the run reads them."""
+        for key in ("max_cubes", "max_cells"):
+            if key in keys:
+                setattr(self.model, key, self.get(key))
+
     def emit(self, key: str, columns: list[str] | None, data) -> None:
         """Write CSV rows, or a JSON payload if `columns` is None, under the
         header line to the file named by option `key`; if it is unset, the
@@ -287,9 +301,9 @@ def _rho(run: Run) -> float:
 
 
 def _spectrum(run: Run) -> None:
-    levels, t_grid, max_cubes = run.get("levels"), run.get("t_grid"), run.get("max_cubes")
+    levels, t_grid = run.get("levels"), run.get("t_grid")
     rows = [(n, t, value) for n in levels
-            for t, value in zip(t_grid, beta_row(run.model, n, t_grid, max_cubes))]
+            for t, value in zip(t_grid, beta_row(run.model, n, t_grid))]
     run.emit("out", ["n", "t", "beta_n"], rows)
     curve = closed_form_spectrum(run.model)
     if curve is not None and run.get("out") is not None:
@@ -297,7 +311,7 @@ def _spectrum(run: Run) -> None:
 
 
 def _dims(run: Run) -> None:
-    est = minkowski(run.model, run.get("levels"), run.get("max_cubes"))
+    est = minkowski(run.model, run.get("levels"))
     run.emit("out", ["n", "boxdim"], list(zip(est.levels, est.values)))
 
 
@@ -305,7 +319,7 @@ def _partition(run: Run) -> None:
     rho, thresholds = _rho(run), run.need("thresholds")
     # a cell dump takes its rows and cells from the one cells walk
     build = build_partition if run.get("cells_out") else partition_row
-    parts = [build(run.model, rho, t, run.get("max_cells")) for t in thresholds]
+    parts = [build(run.model, rho, t) for t in thresholds]
     rows = [(p.t, p.card, p.min_level, p.max_level, p.max_j) for p in parts]
     run.emit("out", ["t", "card", "min_level", "max_level", "max_j"], rows)
     if run.get("cells_out"):
@@ -317,7 +331,7 @@ def _partition(run: Run) -> None:
 
 def _coarse(run: Run) -> None:
     rho, levels = _rho(run), run.get("levels")
-    prof = coarse_profile(run.model, levels, rho, run.get("alpha_grid"), run.get("max_cubes"))
+    prof = coarse_profile(run.model, levels, rho, run.get("alpha_grid"))
     rows = [(n, alpha, c, math.log2(max(c, 1)) / n)
             for n, row in zip(prof.levels, prof.counts) for alpha, c in zip(prof.alpha_grid, row)]
     run.emit("out", ["n", "alpha", "count", "F_est"], rows)
@@ -325,7 +339,7 @@ def _coarse(run: Run) -> None:
 
 
 def _order(run: Run) -> None:
-    model, levels, max_cubes = run.model, run.get("levels"), run.get("max_cubes")
+    model, levels = run.model, run.get("levels")
     sweep = run.get("p_grid") or run.get("q_grid")
     if sweep:
         sigma = run.need("sigma")
@@ -336,10 +350,10 @@ def _order(run: Run) -> None:
         grid = [_embedding(run)]
     # the curve is read up to the smallest rho's crossing, the profiles pass by
     # pass; their count views cannot fail, as `minkowski` has checked the cap
-    curve = closed_form_spectrum(model) or empirical_spectrum(model, max(levels), max_cubes=max_cubes)
-    dims = minkowski(model, levels, max_cubes)
+    curve = closed_form_spectrum(model) or empirical_spectrum(model, max(levels))
+    dims = minkowski(model, levels)
     rhos = [params.rho for params in grid if not math.isinf(params.q)]
-    profiles = coarse_profiles(model, levels, rhos, max_cubes=max_cubes)
+    profiles = coarse_profiles(model, levels, rhos)
     reps = [lower_order(params, curve, dims, None if math.isinf(params.q) else next(profiles))
             for params in grid]
     if sweep:
@@ -357,11 +371,8 @@ def _order(run: Run) -> None:
 
 def _empirical(run: Run) -> None:
     params, fname = _embedding(run), run.get("function")
-    result = decay_experiment(
-        catalog(fname, run.model.m), run.model, params, run.need("thresholds"),
-        depth_offset=run.get("depth_offset"), max_cells=run.get("max_cells"),
-        max_cubes=run.get("max_cubes"),
-    )
+    result = decay_experiment(catalog(fname, run.model.m), run.model, params,
+                              run.need("thresholds"), depth_offset=run.get("depth_offset"))
     rows = [(t, card, err, math.log(card), math.log(err) if err > 0 else -math.inf)
             for t, card, err in result.rows]
     run.emit("out", ["t", "card", "error", "logcard", "logerror"], rows)
@@ -378,10 +389,8 @@ def _empirical(run: Run) -> None:
 def _probe(run: Run) -> None:
     from .probe import packing_probe  # only this subcommand compiles the probe
 
-    result = packing_probe(
-        run.model, run.need("n"), run.need("alpha"), _embedding(run),
-        seed=run.get("seed"), max_cubes=run.get("max_cubes"),
-    )
+    result = packing_probe(run.model, run.need("n"), run.need("alpha"), _embedding(run),
+                           seed=run.get("seed"))
     payload = result._asdict()
     payload["family"] = [str(c) for c in result.family]
     payload["family_size"] = len(result.family)
@@ -475,8 +484,10 @@ def _main(argv: list[str]) -> int:
     compute = SUBCOMMANDS[args.command][2]
     try:
         run = Run(args)
-        if compute is not _validate:  # which writes no output
-            run.check_outputs(_keys(args.command))
+        if compute is not _validate:  # which writes no output and reads no cap
+            keys = _keys(args.command)
+            run.check_outputs(keys)
+            run.set_caps(keys)
         compute(run)
         return EX_OK
     except FileNotFoundError as exc:

@@ -41,9 +41,9 @@ class CountView(NamedTuple):
     estimates: np.ndarray
 
 
-def count_view(model: MeasureModel, n: int, max_cubes: int = DEFAULT_MAX_CUBES) -> CountView:
-    """The level-n `CountView` of the model, under the cap `max_cubes`."""
-    view = sorted(level_log_masses(model, n, max_cubes))
+def count_view(model: MeasureModel, n: int) -> CountView:
+    """The level-n `CountView` of the model, under its cap `max_cubes`."""
+    view = sorted(level_log_masses(model, n))
     at_or_above = list(itertools.accumulate(count for _, count in reversed(view)))[::-1] + [0]
     return CountView(
         np.array([log_mass for log_mass, _ in view], dtype=float),
@@ -53,9 +53,15 @@ def count_view(model: MeasureModel, n: int, max_cubes: int = DEFAULT_MAX_CUBES) 
 
 
 def default_alpha_grid(m: int, rho: float) -> list[float]:
-    """Grid 0.1 .. m + rho + 2 in exact decimal steps of 0.05."""
-    hi = m + Fraction(rho).limit_denominator(10**6) + 2
-    return [k / 20 for k in range(2, math.floor(20 * hi) + 1)]
+    """Grid 0.1 .. m + rho + 2 in exact decimal steps of 0.05. It is counted
+    before it is built, as a range or grid flag is: past the default cube
+    cap of values it would fill the memory first, and is a ValidationError."""
+    count = math.floor(20 * (m + Fraction(rho).limit_denominator(10**6) + 2)) - 1
+    if count > DEFAULT_MAX_CUBES:
+        shown = count if count < 1 << 64 else f"over 2^{count.bit_length() - 1}"
+        raise ValidationError(f"the default alpha grid for rho={rho} holds {shown} values,"
+                              f" more than {DEFAULT_MAX_CUBES}")
+    return [k / 20 for k in range(2, count + 2)]
 
 
 class CoarseProfile(NamedTuple):
@@ -90,15 +96,14 @@ class CoarseProfile(NamedTuple):
         }
 
 
-def coarse_profile(model: MeasureModel, levels, rho: float, alpha_grid=None,
-                   max_cubes: int = DEFAULT_MAX_CUBES) -> CoarseProfile:
+def coarse_profile(model: MeasureModel, levels, rho: float, alpha_grid=None) -> CoarseProfile:
     """The profile of one rho, the package's public name for the one-rho
     case of `coarse_profiles` and the `coarse` subcommand's entry."""
-    return next(coarse_profiles(model, levels, [rho], alpha_grid, max_cubes))
+    return next(coarse_profiles(model, levels, [rho], alpha_grid))
 
 
-def coarse_profiles(model: MeasureModel, levels, rhos: list[float], alpha_grid=None,
-                    max_cubes: int = DEFAULT_MAX_CUBES) -> Iterator[CoarseProfile]:
+def coarse_profiles(model: MeasureModel, levels, rhos: list[float],
+                    alpha_grid=None) -> Iterator[CoarseProfile]:
     """The profile of each rho, over levels x alpha grid: `alpha_grid` for
     every rho, or each rho's default grid if it is None. The arguments are
     checked and the views built (in level order) now; the profiles come a
@@ -116,7 +121,7 @@ def coarse_profiles(model: MeasureModel, levels, rhos: list[float], alpha_grid=N
             raise ValidationError("coarse profile needs a nonempty alpha grid")
         if not all(alpha > 0 for alpha in alpha_grid):
             raise ValidationError("alpha must be positive")
-    views = {n: count_view(model, n, max_cubes) for n in levels} if rhos else {}
+    views = {n: count_view(model, n) for n in levels} if rhos else {}
     return _passes(model.m, views, levels, rhos, alpha_grid)
 
 

@@ -50,9 +50,9 @@ import numpy as np
 from .cubes import DyadicCube
 from .errors import SolverError, ValidationError
 from .functions import monomials, multi_indices
-from .measures import DEFAULT_MAX_CUBES, MeasureModel, index_array, packed_keys
+from .measures import MeasureModel, index_array, packed_keys
 from .orders import EmbeddingParams, upper_order
-from .partition import DEFAULT_MAX_CELLS, PartitionResult, build_partition
+from .partition import PartitionResult, build_partition
 from .quadrature import unit_rule
 from .spectrum import closed_form_spectrum, empirical_spectrum
 
@@ -172,18 +172,18 @@ class PiecewisePolynomial:
         return out
 
 
-def _nodes(model: MeasureModel, depth: int, max_cubes: int):
+def _nodes(model: MeasureModel, depth: int):
     """Indices (N, m), float centres (2 index + 1) 2^-(depth+1) and float
     masses of the positive level-`depth` cubes, from the model's node table;
     each distinct exact mass is rounded to float once."""
-    index, mass_id, masses = model.level_nodes(depth, max_cubes)
+    index, mass_id, masses = model.level_nodes(depth)
     centers = ((2 * index + 1) * 2.0 ** -(depth + 1)).astype(float)
     return index, centers, np.array([float(mu) for mu in masses])[mass_id]
 
 
-def _quadrature(f, model: MeasureModel, depth: int, max_cubes: int):
+def _quadrature(f, model: MeasureModel, depth: int):
     """The depth-`depth` nodes of `_nodes`, at least one, with f at their centres."""
-    index, centers, masses = _nodes(model, depth, max_cubes)
+    index, centers, masses = _nodes(model, depth)
     if not len(masses):
         raise SolverError("measure has no positive cubes at quadrature depth")
     return depth, index, centers, masses, np.asarray(f(centers), dtype=float)
@@ -211,24 +211,17 @@ def piecewise_project(
     )
 
 
-def lq_error(
-    f,
-    approx: PiecewisePolynomial,
-    model: MeasureModel,
-    q: float,
-    depth: int,
-    max_cubes: int = DEFAULT_MAX_CUBES,
-) -> float:
+def lq_error(f, approx: PiecewisePolynomial, model: MeasureModel, q: float, depth: int) -> float:
     """||f - approx|| in L^q_nu by depth-cube masses at cube centers.
 
     The nodes are the positive level-`depth` cubes of the model's node table
-    (`max_cubes` caps their number), each located in its cell exactly from
-    its integer index."""
+    (the model's `max_cubes` caps their number), each located in its cell
+    exactly from its integer index."""
     if depth < approx.max_level + 2:
         raise ValidationError(
             f"quadrature depth {depth} below max cell level + 2 = {approx.max_level + 2}"
         )
-    _, index, centers, masses, fvals = _quadrature(f, model, depth, max_cubes)
+    _, index, centers, masses, fvals = _quadrature(f, model, depth)
     return _lq_norm(masses, fvals - approx._values(centers, approx.locate(depth, index)), q)
 
 
@@ -242,7 +235,6 @@ class DecayResult(NamedTuple):
 
 def _decay_rows(
     f, model: MeasureModel, params: EmbeddingParams, t_sequence, depth_offset: int,
-    max_cells: int, max_cubes: int,
 ) -> list[tuple[float, int, float]]:
     """(t, card, error) per non-degenerate threshold, shared as the module
     docstring says: a cell's solve does not depend on the other cells, and
@@ -253,7 +245,7 @@ def _decay_rows(
     nodes = residual = last = None
     rows = []
     for t in t_sequence:
-        part = build_partition(model, params.rho, float(t), max_cells)
+        part = build_partition(model, params.rho, float(t))
         if part.degenerate:
             continue
         if last is None or last[0] != part.cells:
@@ -263,7 +255,7 @@ def _decay_rows(
                 coeffs.update(zip(new, _project_cells(f, new, lower, side, degree, None)))
             depth = part.max_level + depth_offset
             if nodes is None or nodes[0] != depth:
-                nodes = _quadrature(f, model, depth, max_cubes)
+                nodes = _quadrature(f, model, depth)
                 residual, changed = nodes[4].copy(), part.cells
             else:
                 # the cells of a partition tile the positive cubes, so a node
@@ -289,8 +281,6 @@ def decay_experiment(
     t_sequence,
     depth_offset: int = 3,
     tol: float = 0.15,
-    max_cells: int = DEFAULT_MAX_CELLS,
-    max_cubes: int = DEFAULT_MAX_CUBES,
 ) -> DecayResult:
     """Fit the decay of the projection error against partition cardinality.
 
@@ -299,7 +289,8 @@ def decay_experiment(
     `depth_offset` (`_decay_rows`, which shares cells, errors and nodes
     across thresholds); the fitted log-log slope is compared against the
     predicted upper Kolmogorov order. The fit needs three rows of non-zero
-    error and two distinct cardinalities among them.
+    error and two distinct cardinalities among them. The model's caps bound
+    the partitions, the quadrature levels and the level-10 curve alike.
     """
     if math.isinf(params.q):
         raise ValidationError("decay experiments need finite q")
@@ -308,7 +299,7 @@ def decay_experiment(
     curve = closed_form_spectrum(model) or empirical_spectrum(model, 10)
     predicted = upper_order(params, curve).upper["K"]
 
-    rows = _decay_rows(f, model, params, t_sequence, depth_offset, max_cells, max_cubes)
+    rows = _decay_rows(f, model, params, t_sequence, depth_offset)
     scale = max([1.0] + [e for _, _, e in rows])
     valid = [(c, e) for _, c, e in rows if e > 1e-13 * scale]
     if not valid:

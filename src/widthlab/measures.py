@@ -43,6 +43,14 @@ down to the support, then one node whose 2^m children are itself. An
 atomic node is a level and the atoms in its cube, split among the children
 by the rule of its node table, and a product pairs the factors' trees.
 
+The run's resource caps are attributes of the model: `max_cubes` bounds
+the cubes of a node table and the distinct masses of a multiset, and
+`max_cells` the cells of a J_rho partition (`widthlab.partition` reads it).
+The command line sets both once per run, so no function outside this
+module takes a cap. They are guards, not inputs to any cached value: an
+over-cap push appends nothing, and a table is built only after its count
+passes, so a level cached under a larger cap trips exactly as a fresh one.
+A product's `max_cubes` is its factors': setting it sets theirs.
 `_check_level` checks a level's cube count against `max_cubes` before its
 table is built (an IFS pushes the count in integers, so an oversized level
 pushes no state). It trips where the cube-by-cube descent through the mass
@@ -51,7 +59,8 @@ and level 0 is never capped. Indices are int64 up to level 62 and Python
 ints from level 63 on (INT64_LEVELS), so they, and the centres
 (2 l + 1) 2^-(n+1) computed from them, stay exact at every level.
 
-Models are immutable after construction, a template built with its model.
+Models are immutable after construction but for their caps, a template
+built with its model.
 Mass evaluation is pure; the IFS level caches are plain lists guarded by the
 GIL.
 """
@@ -64,6 +73,7 @@ import io
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -73,6 +83,7 @@ from .cubes import DyadicCube, parse_cube, root
 from .errors import ParseError, ResourceLimitError, ValidationError
 
 DEFAULT_MAX_CUBES = 1 << 21
+DEFAULT_MAX_CELLS = 1 << 20
 # int64 holds a level-n index l, and 2 l + 1, only below this level
 INT64_LEVELS = 63
 # packed level keys are int64 while level * m stays within this many bits
@@ -183,10 +194,13 @@ class MeasureModel:
     exact masses of dyadic cubes by one walk of it (`mass`), and each
     level's positive cubes as a node table (`level_nodes`), which every
     family builds in bulk without the mass oracle. An IFS model, uniform
-    ones among them, answers the tree from its template."""
+    ones among them, answers the tree from its template. `max_cubes` caps
+    the tables and multisets, `max_cells` the J_rho partitions."""
 
     m: int
     finite_support = False
+    max_cubes = DEFAULT_MAX_CUBES
+    max_cells = DEFAULT_MAX_CELLS
 
     def mass(self, cube: DyadicCube) -> Mass:
         """The exact mass of one cube: the mass oracle (layer L1), one edge
@@ -212,21 +226,21 @@ class MeasureModel:
         child/parent, branch bits)."""
         raise NotImplementedError
 
-    def level_nodes(self, n: int, max_cubes: int = DEFAULT_MAX_CUBES) -> LevelNodes:
-        """The node table of the level-n positive cubes."""
+    def level_nodes(self, n: int) -> LevelNodes:
+        """The node table of the level-n positive cubes, at most `max_cubes`."""
         raise NotImplementedError
 
-    def level_masses(self, n: int, max_cubes: int = DEFAULT_MAX_CUBES) -> dict[Mass, int]:
+    def level_masses(self, n: int) -> dict[Mass, int]:
         """Multiset {mass: count} over the level-n positive cubes.
 
         IFS and product models override this where the level would be too
         large to tabulate; the default counts the node table's mass ids.
         """
-        _, mass_id, masses = self.level_nodes(n, max_cubes)
+        _, mass_id, masses = self.level_nodes(n)
         return dict(zip(masses, np.bincount(mass_id, minlength=len(masses)).tolist()))
 
-    def card_positive(self, n: int, max_cubes: int = DEFAULT_MAX_CUBES) -> int:
-        return sum(self.level_masses(n, max_cubes).values())
+    def card_positive(self, n: int) -> int:
+        return sum(self.level_masses(n).values())
 
 
 class AtomicMeasure(MeasureModel):
@@ -339,7 +353,7 @@ class AtomicMeasure(MeasureModel):
         total = sum(u for *_, u in kids)
         return [((level + 1, members), Fraction(u, total), branch) for branch, members, u in kids]
 
-    def level_nodes(self, n, max_cubes=DEFAULT_MAX_CUBES):
+    def level_nodes(self, n):
         _check_level(n)
         # the indices come in one array operation; grouping them in a dict
         # costs less peak memory than numpy's sort and reduceat, whose code
@@ -347,7 +361,7 @@ class AtomicMeasure(MeasureModel):
         groups: dict[tuple[int, ...], int] = {}  # index -> mass in units
         for key, u in zip(map(tuple, self._indices(n).tolist()), self._units.tolist()):
             groups[key] = groups.get(key, 0) + u
-        _check_level(n, len(groups), max_cubes)
+        _check_level(n, len(groups), self.max_cubes)
         keys = sorted(groups)
         ids: dict[int, int] = {}
         mass_id = np.array([ids.setdefault(groups[k], len(ids)) for k in keys], dtype=np.intp)
@@ -491,12 +505,13 @@ class IfsMeasure(MeasureModel):
             )))
         return tuple(nodes)
 
-    def _level(self, n, max_masses=math.inf) -> _Level:
+    def _level(self, n) -> _Level:
         """The level-n states, pushed level by level from the root and cached.
-        Pushing level n itself stops as soon as it has more than `max_masses`
+        Pushing level n itself stops as soon as it has more than `max_cubes`
         distinct masses; a coarser level may have more (the counts are not
-        monotone in the level)."""
-        levels, pushes = self._levels, self._pushes
+        monotone in the level). A node table's levels never trip it: their
+        cube counts, which bound their distinct masses, passed the cap."""
+        levels, pushes, cap = self._levels, self._pushes, self.max_cubes
         while len(levels) <= n:
             above = levels[-1]
             mass_id: dict[int, int] = {}  # numerator N of N / D^n -> id
@@ -513,25 +528,25 @@ class IfsMeasure(MeasureModel):
                     row.append(s)
                 edges.append(row)
                 if len(levels) == n:
-                    _check_masses(n, len(mass_id), max_masses)
+                    _check_masses(n, len(mass_id), cap)
             levels.append(_Level(list(state_id), counts, list(mass_id),
                                  self._den ** len(levels), edges))
         return levels[n]
 
-    def level_masses(self, n, max_cubes=DEFAULT_MAX_CUBES):
+    def level_masses(self, n):
         _check_level(n)
-        out = self._level(n, max_cubes).multiset
+        out = self._level(n).multiset
         # the multiset is the resource here (cached or not), not the cube count
-        _check_masses(n, len(out), max_cubes)
+        _check_masses(n, len(out), self.max_cubes)
         return dict(out)
 
-    def _count(self, n, max_cubes) -> int:
+    def _count(self, n) -> int:
         """The level-n cube count, pushed in integers per template node; a
-        coarser level past max_cubes ends the push early (counts never
+        coarser level past `max_cubes` ends the push early (counts never
         decrease), so a cap trips before any level is pushed."""
         nodes, counts = self.template, {0: 1}
         for _ in range(n):
-            if sum(counts.values()) > max_cubes:
+            if sum(counts.values()) > self.max_cubes:
                 break
             pushed: dict[int, int] = {}
             for node, count in counts.items():
@@ -540,8 +555,8 @@ class IfsMeasure(MeasureModel):
             counts = pushed
         return sum(counts.values())
 
-    def level_nodes(self, n, max_cubes=DEFAULT_MAX_CUBES):
-        _check_level(n, self._count(n, max_cubes), max_cubes)
+    def level_nodes(self, n):
+        _check_level(n, self._count(n), self.max_cubes)
         while len(self._tables) <= n:
             self._tables.append(self._build_nodes(len(self._tables)))
         return self._tables[n]
@@ -587,7 +602,10 @@ class UniformMeasure(IfsMeasure):
 
 
 class ProductMeasure(MeasureModel):
-    """Product of independent lower-dimensional models."""
+    """Product of independent lower-dimensional models. Its `max_cubes`
+    caps its factors' levels too: setting it sets theirs."""
+
+    _max_cubes = DEFAULT_MAX_CUBES
 
     def __init__(self, factors) -> None:
         factors = tuple(factors)
@@ -596,6 +614,15 @@ class ProductMeasure(MeasureModel):
         self.factors = factors
         self.m = sum(f.m for f in factors)
         self.finite_support = all(f.finite_support for f in factors)
+
+    def _cap_factors(self, cap: int) -> None:
+        """Set the product's `max_cubes` and, as theirs, its factors': a
+        factor's count exceeds the cap only if the product's does."""
+        self._max_cubes = cap
+        for f in self.factors:
+            f.max_cubes = cap
+
+    max_cubes = property(operator.attrgetter("_max_cubes"), _cap_factors)
 
     def root_node(self) -> tuple:
         return tuple(f.root_node() for f in self.factors)
@@ -606,10 +633,9 @@ class ProductMeasure(MeasureModel):
                  sum((e[2] for e in combo), ()))
                 for combo in itertools.product(*(f.edges(v) for f, v in zip(self.factors, node)))]
 
-    def level_nodes(self, n, max_cubes=DEFAULT_MAX_CUBES):
-        # a factor's count exceeds max_cubes only if the product's does
-        tables = [f.level_nodes(n, max_cubes) for f in self.factors]
-        _check_level(n, math.prod(len(t.index) for t in tables), max_cubes)
+    def level_nodes(self, n):
+        tables = [f.level_nodes(n) for f in self.factors]
+        _check_level(n, math.prod(len(t.index) for t in tables), self.max_cubes)
         # product row r is row rows[i][r] of factor i; rows run in index order
         rows = np.indices([len(t.index) for t in tables]).reshape(len(tables), -1)
         ids: dict[Mass, int] = {}
@@ -620,17 +646,17 @@ class ProductMeasure(MeasureModel):
         index = np.hstack([t.index[r] for t, r in zip(tables, rows)])
         return LevelNodes(index, np.array(remap, dtype=np.intp)[combo], tuple(ids))
 
-    def level_masses(self, n, max_cubes=DEFAULT_MAX_CUBES):
+    def level_masses(self, n):
         out = {Fraction(1): 1}
         for f in self.factors:
-            sub = f.level_masses(n, max_cubes)
+            sub = f.level_masses(n)
             nxt: dict[Mass, int] = {}
             for a, ca in out.items():
                 for b, cb in sub.items():
                     key = a * b
                     nxt[key] = nxt.get(key, 0) + ca * cb
             out = nxt
-            _check_masses(n, len(out), max_cubes)
+            _check_masses(n, len(out), self.max_cubes)
         return out
 
 

@@ -32,7 +32,8 @@ is the renewal count of Lalley (1988) over the multinomial state classes of
 Cawley and Mauldin (1992). `build_partition` needs the index of each cell,
 so it visits every cube. The walk counts the cells met so far in the same
 depth-first order either way, a memoized state adding its whole card, so
-`max_cells` and the level guard trip alike with or without the cells.
+the model's `max_cells` and the level guard trip alike with or without the
+cells.
 """
 from __future__ import annotations
 
@@ -49,7 +50,6 @@ from .errors import ResourceLimitError, SolverError, ValidationError
 from .measures import MeasureModel
 from .spectrum import frac_log2
 
-DEFAULT_MAX_CELLS = 1 << 20
 _LEVEL_GUARD = 64
 _ROOT = 0  # the root state's id: a state graph interns it first
 
@@ -136,8 +136,7 @@ def _state_graph(model: MeasureModel) -> _StateGraph:
     return graph
 
 
-def _walk(model: MeasureModel, rho: float, t: float, max_cells: int,
-          cells: list | None) -> PartitionRow:
+def _walk(model: MeasureModel, rho: float, t: float, cells: list | None) -> PartitionRow:
     """The row of the partition for threshold t, by the recursion of the
     module docstring; if `cells` is a list, the (level, index, log2 J) of
     each cell are appended to it in the order they are met."""
@@ -151,7 +150,7 @@ def _walk(model: MeasureModel, rho: float, t: float, max_cells: int,
             cells.append((0, (0,) * model.m, 0.0))
         return PartitionRow(t=t, rho=rho, card=1, max_j=1.0, min_level=0, max_level=0,
                             degenerate=True)
-    children = _state_graph(model).children
+    children, max_cells = _state_graph(model).children, model.max_cells
     memo = {} if cells is None else None  # (level, state id) -> row
     emitted = 0  # cells met so far
 
@@ -199,34 +198,25 @@ def _walk(model: MeasureModel, rho: float, t: float, max_cells: int,
                         max_level=max_level, degenerate=False)
 
 
-def build_partition(
-    model: MeasureModel,
-    rho: float,
-    t: float,
-    max_cells: int = DEFAULT_MAX_CELLS,
-) -> PartitionResult:
+def build_partition(model: MeasureModel, rho: float, t: float) -> PartitionResult:
     """Walk down from the root, emitting the first cubes with J_rho < t.
 
     Children of zero-mass cubes are never visited, so the cells partition the
     support of the measure up to null sets. If the root itself already falls
-    below t, the single root cell is returned and flagged degenerate.
+    below t, the single root cell is returned and flagged degenerate. More
+    than the model's `max_cells` cells is a ResourceLimitError.
     """
     cells: list[tuple[int, tuple[int, ...], float]] = []
-    row = _walk(model, rho, t, max_cells, cells)
+    row = _walk(model, rho, t, cells)
     cells.sort()
     # each cell is a child of a valid cube, so its index needs no check
     return PartitionResult(*row, tuple(_new(DyadicCube, c[:2]) for c in cells))
 
 
-def partition_row(
-    model: MeasureModel,
-    rho: float,
-    t: float,
-    max_cells: int = DEFAULT_MAX_CELLS,
-) -> PartitionRow:
-    """The row of `build_partition(model, rho, t, max_cells)` without its
-    cells, and with its errors; no cube is built."""
-    return _walk(model, rho, t, max_cells, None)
+def partition_row(model: MeasureModel, rho: float, t: float) -> PartitionRow:
+    """The row of `build_partition(model, rho, t)` without its cells, and
+    with its errors; no cube is built."""
+    return _walk(model, rho, t, None)
 
 
 class EntropySlopeResult(NamedTuple):
@@ -234,19 +224,14 @@ class EntropySlopeResult(NamedTuple):
     rows: tuple[tuple[float, int, int, int, float], ...]  # (t, card, minlev, maxlev, max_j)
 
 
-def entropy_slope(
-    model: MeasureModel,
-    rho: float,
-    t_sequence,
-    max_cells: int = DEFAULT_MAX_CELLS,
-) -> EntropySlopeResult:
+def entropy_slope(model: MeasureModel, rho: float, t_sequence) -> EntropySlopeResult:
     """Least-squares slope of log card(P_t) against -log t.
 
     Takes the row of every threshold (`partition_row`, no cells) and fits
     them with `fit_entropy_slope`.
     """
     return fit_entropy_slope(
-        [partition_row(model, rho, float(t), max_cells) for t in t_sequence]
+        [partition_row(model, rho, float(t)) for t in t_sequence]
     )
 
 

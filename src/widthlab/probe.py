@@ -42,7 +42,7 @@ from .cubes import DyadicCube, neighbors
 from .empirical import PROJECT_BLOCK_POINTS, _default_npts, _lq_norm, _nodes
 from .errors import SolverError, ValidationError
 from .functions import Bump, multi_indices
-from .measures import DEFAULT_MAX_CUBES, MeasureModel, index_array, packed_keys
+from .measures import MeasureModel, index_array, packed_keys
 from .orders import EmbeddingParams
 from .quadrature import unit_rule
 from .spectrum import frac_log2
@@ -50,27 +50,21 @@ from .spectrum import frac_log2
 # -- alpha-good cubes and separated families ---------------------------------
 
 
-def alpha_good_cubes(
-    model: MeasureModel,
-    n: int,
-    rho: float,
-    alpha: float,
-    max_cubes: int = DEFAULT_MAX_CUBES,
-) -> list[DyadicCube]:
+def alpha_good_cubes(model: MeasureModel, n: int, rho: float, alpha: float) -> list[DyadicCube]:
     """The alpha-good cubes themselves (identities, not just the count), in
     index order; each distinct mass of the level is tested once."""
     if not alpha > 0:
         raise ValidationError("alpha must be positive")
     threshold = (rho - alpha) * n
-    index, mass_id, masses = model.level_nodes(n, max_cubes)
+    index, mass_id, masses = model.level_nodes(n)
     good = np.array([frac_log2(mu) >= threshold for mu in masses], dtype=bool)
     return [DyadicCube(n, tuple(row)) for row in index[good[mass_id]].tolist()]
 
 
-def _table_masses(model: MeasureModel, n: int, rows, max_cubes: int) -> list[Fraction]:
+def _table_masses(model: MeasureModel, n: int, rows) -> list[Fraction]:
     """Exact masses of the level-n cubes of the given index rows, looked up
     by packed key in the level's node table; a cube absent from it has mass 0."""
-    index, mass_id, masses = model.level_nodes(n, max_cubes)
+    index, mass_id, masses = model.level_nodes(n)
     keys = packed_keys(index, n)  # increasing: the table is in index order
     query = packed_keys(index_array(rows, n, model.m), n)
     pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
@@ -79,8 +73,7 @@ def _table_masses(model: MeasureModel, n: int, rows, max_cubes: int) -> list[Fra
             for j, hit in zip(mass_id[pos].tolist(), found.tolist())]
 
 
-def dominant_cubes(cubes, model: MeasureModel,
-                   max_cubes: int = DEFAULT_MAX_CUBES) -> list[DyadicCube]:
+def dominant_cubes(cubes, model: MeasureModel) -> list[DyadicCube]:
     """Members whose mass is >= the mass of every same-level neighbor, the
     masses of each level read from its node table, not the mass oracle."""
     cubes = list(cubes)
@@ -88,7 +81,7 @@ def dominant_cubes(cubes, model: MeasureModel,
     for n in {cube.level for cube in cubes}:
         members = [cube for cube in cubes if cube.level == n]
         groups = [neighbors(cube) for cube in members]
-        masses = iter(_table_masses(model, n, [nb.index for g in groups for nb in g], max_cubes))
+        masses = iter(_table_masses(model, n, [nb.index for g in groups for nb in g]))
         for cube, group in zip(members, groups):
             group_masses = [next(masses) for _ in group]
             if max(group_masses) <= group_masses[group.index(cube)]:
@@ -96,13 +89,8 @@ def dominant_cubes(cubes, model: MeasureModel,
     return [cube for cube in cubes if cube in dominant]
 
 
-def well_separated(
-    cubes,
-    model: MeasureModel,
-    require_dominant: bool = False,
-    validate_threshold: bool = False,
-    max_cubes: int = DEFAULT_MAX_CUBES,
-) -> list[DyadicCube]:
+def well_separated(cubes, model: MeasureModel, require_dominant: bool = False
+                   ) -> list[DyadicCube]:
     """Greedy extraction of a 3-fold-separated subfamily.
 
     Repeatedly keeps the cube of maximal mass (ties broken by lexicographic
@@ -115,7 +103,7 @@ def well_separated(
     increasing adjacent runs; `require_dominant=True` restricts candidates to
     neighbor-dominant cubes so that the property holds unconditionally (at
     the price of the cardinality bound on adversarial inputs). Every mass is
-    read from the level's node table, under the cap `max_cubes`.
+    read from the level's node table, under the model's cap `max_cubes`.
     """
     cubes = list(cubes)
     if not cubes:
@@ -124,17 +112,8 @@ def well_separated(
     if any(c.level != level for c in cubes):
         raise ValidationError("well_separated input cubes must share one level")
 
-    mass_of = dict(zip(cubes, _table_masses(model, level, [c.index for c in cubes], max_cubes)))
-    if validate_threshold:
-        # O(card D_n) check of sup_{outside} mass <= inf_{inside} mass
-        inside = {c.index for c in cubes}
-        inf_in = min(mass_of.values())
-        index, mass_id, masses = model.level_nodes(level, max_cubes)
-        heavier = np.array([mu > inf_in for mu in masses], dtype=bool)[mass_id]
-        if any(tuple(row) not in inside for row in index[heavier].tolist()):
-            raise ValidationError("threshold property violated: outside cube outweighs input")
-
-    candidates = dominant_cubes(cubes, model, max_cubes) if require_dominant else cubes
+    mass_of = dict(zip(cubes, _table_masses(model, level, [c.index for c in cubes])))
+    candidates = dominant_cubes(cubes, model) if require_dominant else cubes
     order = sorted(candidates, key=lambda c: (-mass_of[c], c.index))
     kept: list[DyadicCube] = []
     blocked: set[tuple[int, ...]] = set()  # the cubes whose interiors meet a 5-fold box
@@ -314,7 +293,6 @@ def packing_probe(
     depth_offset: int = 6,
     seed: int = 0,
     n_random: int = 3,
-    max_cubes: int = DEFAULT_MAX_CUBES,
 ) -> ProbeResult:
     """Bump-sum lower-bound probe on a well-separated alpha-good family.
 
@@ -325,17 +303,16 @@ def packing_probe(
     """
     if math.isinf(params.q):
         raise ValidationError("packing probe needs finite q (rho = q * rho_hat)")
-    good = alpha_good_cubes(model, n, params.rho, alpha, max_cubes)
+    good = alpha_good_cubes(model, n, params.rho, alpha)
     if not good:
         raise ValidationError(f"no alpha-good cubes at level {n}, alpha={alpha}")
-    family, blocks = _supports(well_separated(good, model, require_dominant=True,
-                                              max_cubes=max_cubes))
+    family, blocks = _supports(well_separated(good, model, require_dominant=True))
     if not family:
         raise ValidationError(
             "well-separated family is empty after restricting supports to the cube"
         )
     # the node table's max_cubes check is cheap; the seminorm is not (m = 3)
-    index, centers, masses = _nodes(model, n + depth_offset, max_cubes)
+    index, centers, masses = _nodes(model, n + depth_offset)
     norm_u = sobolev_seminorm(Bump(model.m), params.sigma, params.p, resolution=5)
     own, who, bump = _bump_nodes(family, blocks, index, centers, depth_offset)
     size, weights, q = len(family), masses[own], params.q

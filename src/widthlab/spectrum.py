@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from ._brent import brentq
 from .errors import SolverError, ValidationError
-from .measures import DEFAULT_MAX_CUBES, IfsMeasure, MeasureModel, ProductMeasure, UniformMeasure
+from .measures import IfsMeasure, MeasureModel, ProductMeasure, UniformMeasure
 
 DEFAULT_T_GRID = tuple(k / 100 for k in range(0, 151))  # k / 100 is correctly rounded
 
@@ -42,14 +42,12 @@ def _log2sum(terms: list[float]) -> float:
     return top + math.log2(math.fsum(2.0 ** (x - top) for x in terms))
 
 
-def level_log_masses(
-    model: MeasureModel, n: int, max_cubes: int = DEFAULT_MAX_CUBES
-) -> list[tuple[float, int]]:
+def level_log_masses(model: MeasureModel, n: int) -> list[tuple[float, int]]:
     """The level view: (log2 mass, count) over the level-n mass multiset."""
-    return [(frac_log2(mass), count) for mass, count in model.level_masses(n, max_cubes).items()]
+    return [(frac_log2(mass), count) for mass, count in model.level_masses(n).items()]
 
 
-def _view(model: MeasureModel, n: int, t_grid, max_cubes: int) -> tuple[array, array] | None:
+def _view(model: MeasureModel, n: int, t_grid) -> tuple[array, array] | None:
     """Check n and each t in order; the level view (float arrays of log2 mass
     and log2 count) built at the first t other than 1, or None (beta_n(1) = 0)."""
     view = None
@@ -59,7 +57,7 @@ def _view(model: MeasureModel, n: int, t_grid, max_cubes: int) -> tuple[array, a
         if not t >= 0:  # NaN too
             raise ValidationError("beta_n needs t >= 0")
         if t != 1 and view is None:
-            level = level_log_masses(model, n, max_cubes)
+            level = level_log_masses(model, n)
             view = array("d", [lm for lm, _ in level]), array("d", [math.log2(c) for _, c in level])
     return view
 
@@ -68,22 +66,16 @@ def _beta(view, n: int, t: float) -> float:
     return 0.0 if t == 1 else _log2sum([t * lm + lc for lm, lc in zip(*view)]) / n
 
 
-def beta_row(model: MeasureModel, n: int, t_grid, max_cubes: int = DEFAULT_MAX_CUBES
-             ) -> list[float]:
+def beta_row(model: MeasureModel, n: int, t_grid) -> list[float]:
     """beta_n(model, n, t) for each t of the grid, from one level view."""
     t_grid = tuple(t_grid)  # read twice
-    view = _view(model, n, t_grid, max_cubes)
+    view = _view(model, n, t_grid)
     return [_beta(view, n, t) for t in t_grid]
 
 
-def beta_n(
-    model: MeasureModel,
-    n: int,
-    t: float,
-    max_cubes: int = DEFAULT_MAX_CUBES,
-) -> float:
+def beta_n(model: MeasureModel, n: int, t: float) -> float:
     """Finite-level spectrum value at level n and moment t >= 0."""
-    return beta_row(model, n, (t,), max_cubes)[0]
+    return beta_row(model, n, (t,))[0]
 
 
 class ClosedFormSpectrum:
@@ -115,14 +107,9 @@ class EmpiricalSpectrum:
         return self._values[i]
 
 
-def empirical_spectrum(
-    model: MeasureModel,
-    n: int,
-    t_grid=DEFAULT_T_GRID,
-    max_cubes: int = DEFAULT_MAX_CUBES,
-) -> EmpiricalSpectrum:
+def empirical_spectrum(model: MeasureModel, n: int, t_grid=DEFAULT_T_GRID) -> EmpiricalSpectrum:
     """The level-n curve: grid checked and level view built now, values when read."""
-    return EmpiricalSpectrum(n, t_grid, _view(model, n, t_grid, max_cubes))
+    return EmpiricalSpectrum(n, t_grid, _view(model, n, t_grid))
 
 
 def closed_form_spectrum(model: MeasureModel) -> ClosedFormSpectrum | None:
@@ -215,16 +202,10 @@ class DimensionEstimate(_DimensionEstimate):
         return super().__new__(cls, levels, values, window_min, window_max)
 
 
-def minkowski(
-    model: MeasureModel,
-    levels,
-    max_cubes: int = DEFAULT_MAX_CUBES,
-) -> DimensionEstimate:
+def minkowski(model: MeasureModel, levels) -> DimensionEstimate:
     """Finite-level Minkowski (box) dimension proxies log2(card D_n)/n."""
     levels = tuple(int(n) for n in levels)
     if not levels or any(n < 1 for n in levels):
         raise ValidationError("minkowski needs a nonempty range of levels >= 1")
-    values = tuple(
-        math.log2(model.card_positive(n, max_cubes)) / n for n in levels
-    )
+    values = tuple(math.log2(model.card_positive(n)) / n for n in levels)
     return DimensionEstimate(levels, values, min(values), max(values))

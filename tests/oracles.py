@@ -37,7 +37,15 @@ a cube's exact corners (`lower_corner` and `upper_corner`, once
 `DyadicCube.lower` and `upper`), which map the tests' cells to the unit
 cube, and the closed-form partials of polynomials and sine products
 (`ExactPolynomial`, `ExactSinProduct`, once `Polynomial.partial` and
-`SinProduct.partial`), the references of the Sobolev seminorm tests."""
+`SinProduct.partial`), the references of the Sobolev seminorm tests.
+The threshold check of a separation input (`check_threshold`, once the
+`validate_threshold` option of `well_separated`) left it too, and the
+default alpha grid built without a count (`oracle_default_alpha_grid`) is
+the reference of the counted one.
+
+`capped` runs a call under caps set on a model (`MeasureModel.max_cubes`,
+`max_cells`) through pytest's monkeypatch, so a session-scoped fixture
+gets its caps back afterwards."""
 from __future__ import annotations
 
 import bisect
@@ -48,6 +56,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
+import pytest
 
 from widthlab import (AtomicMeasure, Bump, DyadicCube, Polynomial, ProductMeasure,
                       ResourceLimitError, SinProduct, SolverError, UniformMeasure,
@@ -58,7 +67,6 @@ from widthlab.empirical import _lq_norm, _nodes
 from widthlab.functions import TWO_PI, monomials, multi_indices
 from widthlab.measures import (DEFAULT_MAX_CUBES, PACKED_KEY_BITS, LevelNodes, TemplateNode,
                                _chain, _check_level, _check_masses, index_array)
-from widthlab.partition import DEFAULT_MAX_CELLS
 from widthlab.probe import ProbeResult, alpha_good_cubes, sobolev_seminorm, well_separated
 from widthlab.quadrature import unit_rule, unit_rule_1d
 from widthlab.spectrum import frac_log2, level_log_masses
@@ -183,9 +191,30 @@ def descent_positive(model, n, max_cubes=DEFAULT_MAX_CUBES):
     return frontier
 
 
-def table_cubes(model, n, max_cubes=DEFAULT_MAX_CUBES):
+def capped(model, call, *args, **caps):
+    """call(*args) with each cap of `caps` (max_cubes, max_cells) set on the
+    model, every one restored on return."""
+    with pytest.MonkeyPatch.context() as patch:
+        for key, cap in caps.items():
+            patch.setattr(model, key, cap)
+        return call(*args)
+
+
+def check_threshold(cubes, model):
+    # O(card D_n) check of sup_{outside} mass <= inf_{inside} mass, the
+    # masses read from the level's node table (a cube absent from it has
+    # mass 0): no cube outside `cubes` outweighs one inside
+    index, mass_id, masses = model.level_nodes(cubes[0].level)
+    table = {tuple(row): masses[j] for row, j in zip(index.tolist(), mass_id.tolist())}
+    inside = {c.index for c in cubes}
+    inf_in = min(table.get(i, Fraction(0)) for i in inside)
+    if any(mu > inf_in and row not in inside for row, mu in table.items()):
+        raise ValidationError("threshold property violated: outside cube outweighs input")
+
+
+def table_cubes(model, n):
     # the level-n node table as (cube, mass) pairs in index order
-    index, mass_id, masses = model.level_nodes(n, max_cubes)
+    index, mass_id, masses = model.level_nodes(n)
     return [(DyadicCube(n, tuple(row)), masses[j])
             for row, j in zip(index.tolist(), mass_id.tolist())]
 
@@ -231,11 +260,17 @@ def oracle_moment_project(f, cube, degree, npts=None):
     return np.linalg.solve(gram, rhs)
 
 
-def oracle_count_view(model, n, max_cubes=DEFAULT_MAX_CUBES):
+def oracle_default_alpha_grid(m, rho):
+    # the grid as it was built before its size was counted first
+    hi = m + Fraction(rho).limit_denominator(10**6) + 2
+    return [k / 20 for k in range(2, math.floor(20 * hi) + 1)]
+
+
+def oracle_count_view(model, n):
     # the level view sorted for counting, as lists: the log2 masses in
     # increasing order, and for position i the number of cubes at positions
     # i and above (one more entry, 0, for none)
-    view = sorted(level_log_masses(model, n, max_cubes))
+    view = sorted(level_log_masses(model, n))
     at_or_above = list(itertools.accumulate(count for _, count in reversed(view)))
     return [log_mass for log_mass, _ in view], at_or_above[::-1] + [0]
 
@@ -246,8 +281,7 @@ def _count_good(view, n, rho, alpha):
     return at_or_above[bisect.bisect_left(log_masses, (rho - alpha) * n)]
 
 
-def oracle_coarse_profile(model, levels, rho, alpha_grid=None, max_cubes=DEFAULT_MAX_CUBES,
-                          views=None):
+def oracle_coarse_profile(model, levels, rho, alpha_grid=None, views=None):
     # one bisection per (level, alpha) and one log2 per count; `views` maps
     # each level to its `oracle_count_view`
     levels = tuple(int(n) for n in levels)
@@ -255,7 +289,7 @@ def oracle_coarse_profile(model, levels, rho, alpha_grid=None, max_cubes=DEFAULT
         alpha_grid = default_alpha_grid(model.m, rho)
     alpha_grid = tuple(float(a) for a in alpha_grid)
     if views is None:
-        views = {n: oracle_count_view(model, n, max_cubes) for n in levels}
+        views = {n: oracle_count_view(model, n) for n in levels}
     counts = [
         tuple(_count_good(views[n], n, rho, alpha) for alpha in alpha_grid)
         for n in levels
@@ -358,17 +392,16 @@ def oracle_unit_weights(m, npts):
     return np.array([np.prod(c) for c in itertools.product(w, repeat=m)])
 
 
-def oracle_decay_rows(f, model, params, t_sequence, depth_offset=3,
-                      max_cells=DEFAULT_MAX_CELLS, max_cubes=DEFAULT_MAX_CUBES):
+def oracle_decay_rows(f, model, params, t_sequence, depth_offset=3):
     # (t, card, error) threshold by threshold: every partition projected and
     # measured on its own, its nodes and f-values built anew
     rows = []
     for t in t_sequence:
-        part = build_partition(model, params.rho, float(t), max_cells)
+        part = build_partition(model, params.rho, float(t))
         if part.degenerate:
             continue
         approx = piecewise_project(f, part, params.sigma - 1)
-        err = lq_error(f, approx, model, params.q, part.max_level + depth_offset, max_cubes)
+        err = lq_error(f, approx, model, params.q, part.max_level + depth_offset)
         rows.append((float(t), part.card, err))
     return rows
 
@@ -547,13 +580,12 @@ def oracle_bump_matrix(family, centers):
                               for cube, box in zip(family, boxes)])
 
 
-def oracle_packing_probe(model, n, alpha, params, depth_offset=6, seed=0, n_random=3,
-                         max_cubes=DEFAULT_MAX_CUBES):
+def oracle_packing_probe(model, n, alpha, params, depth_offset=6, seed=0, n_random=3):
     """`packing_probe` on the dense bump matrix: every sum over the family
     is a dot product over every node."""
-    good = alpha_good_cubes(model, n, params.rho, alpha, max_cubes)
-    family = well_separated(good, model, require_dominant=True, max_cubes=max_cubes)
-    _, centers, masses = _nodes(model, n + depth_offset, max_cubes)
+    good = alpha_good_cubes(model, n, params.rho, alpha)
+    family = well_separated(good, model, require_dominant=True)
+    _, centers, masses = _nodes(model, n + depth_offset)
     family, bump_vals = oracle_bump_matrix(family, centers)
     p, q = params.p, params.q
     norm_u = sobolev_seminorm(Bump(model.m), params.sigma, p, resolution=5)

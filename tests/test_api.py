@@ -142,6 +142,21 @@ print(*sorted(called), sep="\\n")
 """
 
 
+def test_no_def_but_the_cap_checks_takes_a_cap():
+    """The run's caps are attributes of the model it loaded: no def of the
+    package takes `max_cubes` or `max_cells`, but the `_check_*` helpers of
+    `measures.py` that compare a count with one."""
+    takers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                names = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]}
+                if names & {"max_cubes", "max_cells"}:
+                    takers.append(f"{path.stem}.{node.name}")
+    assert takers == ["measures._check_level", "measures._check_masses"]
+
+
 def test_every_def_is_called_by_a_golden_case():
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", _TRACE, str(SRC) + os.sep, str(TESTS)],

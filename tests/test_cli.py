@@ -391,6 +391,82 @@ def test_cap_below_the_level_view_exits_2_with_the_same_message(argv, level, tmp
     assert capsys.readouterr() == ("", _PARENT_CAP.format(level))
 
 
+_IFS7 = json.dumps({"type": "ifs", "m": 2, "probs": [p for *_, p in IFS7_MAPS],
+                    "maps": [{"ratio_log2": k, "offset": list(o)} for k, o, _ in IFS7_MAPS]})
+_IFS7_EMPIRICAL = ["empirical", "--measure", "ifs7.json", "--sigma", "2", "--p", "2", "--q", "2",
+                   "--thresholds", "pow2:0..6"]
+# what the release before the caps moved onto the model wrote for
+# `_IFS7_EMPIRICAL --max-cubes 2000 --out out.csv --verdict verdict.json`
+_IFS7_HEADER = "# widthlab 0.1.0 config=77dc29bf75e57029\n"
+_IFS7_OUT = _IFS7_HEADER + """t,card,error,logcard,logerror
+1.0,4,0.32064663545969996,1.3862943611198906,-1.1374155863171014
+0.5,4,0.32064663545969996,1.3862943611198906,-1.1374155863171014
+0.25,4,0.32064663545969996,1.3862943611198906,-1.1374155863171014
+0.125,4,0.32064663545969996,1.3862943611198906,-1.1374155863171014
+0.0625,8,0.22237739086574201,2.0794415416798357,-1.503379381549755
+0.03125,12,0.1131223215687339,2.4849066497880004,-2.179285553982819
+0.015625,12,0.1131223215687339,2.4849066497880004,-2.179285553982819
+"""
+_IFS7_VERDICT = _IFS7_HEADER + """{
+  "degenerate": false,
+  "function": "sin",
+  "pass": false,
+  "predicted": -1.124764592091775,
+  "slope": -0.9003428583217973
+}
+"""
+
+
+def test_empirical_level_ten_curve_obeys_max_cubes(tmp_path, monkeypatch, capsys):
+    """On mixed ratios `empirical` predicts its order from the level-10
+    curve, whose 1041 distinct masses on `ifs7` now count against
+    `--max-cubes`, as every other level the run reads does. The release
+    before built that curve under the default cap, and exited 0 at 600; at
+    2000 the outputs are that release's, byte for byte."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ifs7.json").write_text(_IFS7)
+    assert run_cli([*_IFS7_EMPIRICAL, "--max-cubes", "600"], tmp_path)["code"] == cli.EX_RESOURCE
+    assert capsys.readouterr() == (
+        "", "widthlab: resource cap: more than 600 distinct masses at level 10\n")
+    argv = [*_IFS7_EMPIRICAL, "--max-cubes", "2000", "--out", "out.csv",
+            "--verdict", "verdict.json"]
+    assert run_cli(argv, tmp_path)["code"] == cli.EX_OK
+    assert capsys.readouterr() == ("", "")
+    assert (tmp_path / "out.csv").read_text() == _IFS7_OUT
+    assert (tmp_path / "verdict.json").read_text() == _IFS7_VERDICT
+
+
+@pytest.mark.parametrize("argv", [
+    ["coarse", "--measure", "ifs7.json", "--rho", "1e9"],
+    ["order", "--measure", "ifs7.json", "--sigma", "2", "--p", "2", "--q", "1e9"],
+], ids=["coarse", "order"])
+def test_default_alpha_grid_past_the_cube_cap_exits_1_before_it_is_built(argv, tmp_path):
+    """rho = 1e9 asks for a default alpha grid of 2 10^10 values: it is
+    counted first, and named with rho. The child's address space is capped,
+    so a grid built by mistake fails in it (the release before died there
+    with a MemoryError traceback)."""
+    (tmp_path / "ifs7.json").write_text(_IFS7)
+    done = _python_m(argv, tmp_path, env={"OPENBLAS_NUM_THREADS": "1"},
+                     preexec_fn=_memory_cap, timeout=60)
+    assert (done.returncode, done.stdout) == (cli.EX_FAIL, "")
+    assert done.stderr == ("widthlab: the default alpha grid for rho=1000000000.0 holds"
+                           f" 20000000079 values, more than {cli.DEFAULT_MAX_CUBES}\n")
+
+
+def test_a_malformed_cap_fails_before_the_computation(tmp_path, monkeypatch, capsys):
+    """The caps go onto the model before any work: `partition --max-cubes x`,
+    which reads no cube cap, fails before its walk with the message it gave
+    at the header, after the walk, before. `validate` reads no cap."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "partition_row", lambda *args: pytest.fail("the walk ran"))
+    argv = ["partition", *_TET22, "--thresholds", "0.5", "--max-cubes", "x"]
+    assert run_cli(argv, tmp_path)["code"] == cli.EX_FAIL
+    assert capsys.readouterr() == ("", "widthlab: malformed --max-cubes value 'x': invalid"
+                                       " literal for int() with base 10: 'x'\n")
+    argv = ["validate", "--measure", "tet.json", "--max-cubes", "x", "--max-cubes", "0"]
+    assert run_cli(argv, tmp_path)["code"] == cli.EX_OK
+
+
 def test_order_sweep_computes_the_curve_up_to_the_smallest_rho_crossing(tmp_path, monkeypatch):
     """The `order-sweep-ifs` line of the benchmark: the level-6 curve of
     `ifs7` is computed at 63 of its 151 grid points, each once."""

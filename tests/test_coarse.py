@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from widthlab import (
     AtomicMeasure,
     DyadicCube,
+    EmbeddingParams,
     ValidationError,
     coarse_profile,
     closed_form_spectrum,
@@ -23,8 +25,9 @@ from widthlab.measures import IfsMap, IfsMeasure, MeasureModel
 from widthlab.spectrum import frac_log2
 
 from conftest import boundary_atomic, dyadic_ifs, ifs7, ifs_atomic_lebesgue, new_tetrahedron
-from oracles import (oracle_coarse_profile, oracle_count_view, oracle_greedy_separation,
-                     oracle_mass, scaled_box, table_cubes)
+from oracles import (check_threshold, oracle_coarse_profile, oracle_count_view,
+                     oracle_default_alpha_grid, oracle_greedy_separation, oracle_mass,
+                     scaled_box, table_cubes)
 
 
 def j_value(model, cube, rho):
@@ -137,9 +140,10 @@ def test_well_separated_threshold_validation(binomial_cascade):
     )
     bottom = [c for c, _ in ranked[: len(ranked) // 2]]
     with pytest.raises(ValidationError, match="threshold"):
-        well_separated(bottom, binomial_cascade, validate_threshold=True)
+        check_threshold(bottom, binomial_cascade)
     top = [c for c, _ in ranked[len(ranked) // 2 :]]
-    well_separated(top, binomial_cascade, validate_threshold=True)
+    check_threshold(top, binomial_cascade)
+    well_separated(top, binomial_cascade)
 
 
 @given(st.integers(2, 5), st.data())
@@ -268,10 +272,11 @@ def test_well_separated_never_queries_mass(tetrahedron, monkeypatch):
     for cls in (MeasureModel, *MeasureModel.__subclasses__()):
         monkeypatch.setattr(cls, "mass", no_mass)
     for (model, cubes, dominant, validate), expected in zip(cases, want):
-        got = well_separated(cubes, model, require_dominant=dominant, validate_threshold=validate)
-        assert got == expected
+        if validate:
+            check_threshold(cubes, model)
+        assert well_separated(cubes, model, require_dominant=dominant) == expected
     with pytest.raises(ValidationError, match="threshold"):
-        well_separated([light], atomic, validate_threshold=True)
+        check_threshold([light], atomic)
 
 
 def test_alpha_good_cubes_match_count(tetrahedron):
@@ -295,6 +300,29 @@ def test_default_alpha_grid_steps_exact_decimals(m, rho):
         want.append(float(a))
         a += Fraction(1, 20)
     assert default_alpha_grid(m, rho) == want
+
+
+def test_default_alpha_grids_of_the_bench_sweep_are_unchanged():
+    # the 36 rho of the benchmark's order sweep: m = 2, sigma = 2, p and q
+    # over 1.5:4:0.5
+    grid = [1.5 + k / 2 for k in range(6)]
+    rhos = [EmbeddingParams(m=2, sigma=2, p=p, q=q).rho for p in grid for q in grid]
+    assert len(rhos) == 36
+    for rho in rhos:
+        assert default_alpha_grid(2, rho) == oracle_default_alpha_grid(2, rho)
+
+
+@pytest.mark.parametrize("m, rho, count", [
+    (2, 104853.7, "2097153"), (2, 1e9, "20000000079"), (1, 1e300, "over 2^1000")])
+def test_default_alpha_grid_past_the_cube_cap_is_counted_not_built(m, rho, count):
+    # from one value more than the default cube cap on (2097152 = 2^21)
+    message = f"the default alpha grid for rho={rho} holds {count} values, more than 2097152"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        default_alpha_grid(m, rho)
+
+
+def test_default_alpha_grid_of_the_cube_cap_is_built():
+    assert len(default_alpha_grid(2, 104853.65)) == 2097152
 
 
 # one instance each, so their level multisets are built once per session

@@ -383,7 +383,7 @@ def test_owner_map_matches_the_dense_bump_matrix(case):
     model, n, alpha, params = OWNER_MAP_CASES[case]
     family = well_separated(alpha_good_cubes(model, n, params.rho, alpha), model,
                             require_dominant=True)
-    index, centers, masses = empirical._nodes(model, n + 6, empirical.DEFAULT_MAX_CUBES)
+    index, centers, masses = empirical._nodes(model, n + 6)
     kept, dense = oracle_bump_matrix(family, centers)
     got, blocks = probe._supports(family)
     assert got == kept and len(kept) > 1
@@ -810,8 +810,7 @@ def test_decay_rows_match_the_per_threshold_route(model, name, sigma, p, q, draw
     thresholds.insert(repeat % len(thresholds), thresholds[-1])
     f, params = catalog(name, model.m), EmbeddingParams(m=model.m, sigma=sigma, p=p, q=q)
     want = oracle_decay_rows(f, model, params, thresholds, depth_offset)
-    got = empirical._decay_rows(f, model, params, thresholds, depth_offset,
-                                empirical.DEFAULT_MAX_CELLS, empirical.DEFAULT_MAX_CUBES)
+    got = empirical._decay_rows(f, model, params, thresholds, depth_offset)
     assert repr(got) == repr(want)  # -0.0 and 0.0 told apart
     # unless the spectrum is degenerate or the fit is short of rows or cards
     with contextlib.suppress(SolverError):
@@ -839,8 +838,7 @@ def test_decay_rows_over_partitions_that_share_cells_at_one_depth(tetrahedron, n
     assert len(shared) >= 3 and all(set(a.cells) & set(b.cells) for a, b in shared)
     f = catalog(name, 3)
     want = oracle_decay_rows(f, tetrahedron, params, thresholds)
-    got = empirical._decay_rows(f, tetrahedron, params, thresholds, 3,
-                                empirical.DEFAULT_MAX_CELLS, empirical.DEFAULT_MAX_CUBES)
+    got = empirical._decay_rows(f, tetrahedron, params, thresholds, 3)
     assert repr(got) == repr(want)
 
 

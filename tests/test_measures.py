@@ -28,7 +28,7 @@ from widthlab import (
 from widthlab.measures import INT64_LEVELS, PACKED_KEY_BITS, _parse_field, packed_keys
 
 from conftest import boundary_atomic, dyadic_ifs, ifs_atomic_lebesgue, new_tetrahedron
-from oracles import (contains, descent_positive, oracle_ifs_overlap, oracle_level_masses,
+from oracles import (capped, contains, descent_positive, oracle_ifs_overlap, oracle_level_masses,
                      oracle_levels, oracle_mass, oracle_packed_keys, oracle_uniform_level_masses,
                      oracle_uniform_nodes, oracle_uniform_template, table_cubes)
 
@@ -79,8 +79,10 @@ def test_enumerate_atomic_stabilizes():
 
 
 def test_enumerate_cap():
+    model = lebesgue(2)
+    model.max_cubes = 100
     with pytest.raises(ResourceLimitError):
-        lebesgue(2).level_nodes(8, max_cubes=100)
+        model.level_nodes(8)
 
 
 def test_level_masses_matches_enumeration(tetrahedron, quarter_cantor):
@@ -145,16 +147,18 @@ def test_node_table_matches_descent(name, tetrahedron):
         assert len(set(masses)) == len(masses)
         for cap in CAPS:
             want = _outcome(lambda: descent_positive(model, n, cap))
-            assert _outcome(lambda: model.level_nodes(n, cap)) == want
+            assert _outcome(lambda: capped(model, model.level_nodes, n, max_cubes=cap)) == want
 
 
 def test_atomic_table_obeys_the_cap():
     # four atoms in four level-2 cubes: three fit, as the descent finds
     model = AtomicMeasure([(Fraction(2 * k + 1, 8),) for k in range(4)], [Fraction(1, 4)] * 4)
-    assert len(model.level_nodes(2, 4).index) == len(descent_positive(model, 2, 4)) == 4
-    for enumerate_ in (descent_positive, AtomicMeasure.level_nodes):
+    assert len(capped(model, model.level_nodes, 2, max_cubes=4).index) == 4
+    assert len(descent_positive(model, 2, 4)) == 4
+    for enumerate_ in (lambda: descent_positive(model, 2, 3),
+                       lambda: capped(model, model.level_nodes, 2, max_cubes=3)):
         with pytest.raises(ResourceLimitError, match="more than 3 positive cubes at level 2$"):
-            enumerate_(model, 2, 3)
+            enumerate_()
 
 
 @pytest.mark.parametrize("name", NODE_MODELS)
@@ -292,7 +296,7 @@ def test_atomic_integer_tables_match_the_descent(points, wide, raw):
             multiset[mu] = multiset.get(mu, 0) + 1
         assert model.level_masses(n) == multiset
         for cap in CAPS[:5]:
-            assert (_outcome(lambda: model.level_nodes(n, cap))
+            assert (_outcome(lambda: capped(model, model.level_nodes, n, max_cubes=cap))
                     == _outcome(lambda: descent_positive(model, n, cap)))
     # the walk of the edges reaches every level-64 cube with its mass
     assert [model.mass(cube) for cube, _ in want] == [mu for _, mu in want]
@@ -326,10 +330,11 @@ def test_node_table_cap_matches_descent(name, tetrahedron):
         for cap in CAPS:
             want = _outcome(lambda: descent_positive(model, n, cap))
             fresh = IfsMeasure(model.maps, model.probs, model.embed_shift)
-            assert _outcome(lambda: fresh.level_nodes(n, cap)) == want
+            assert _outcome(lambda: capped(fresh, fresh.level_nodes, n, max_cubes=cap)) == want
             model.level_nodes(n)  # the level is now cached
-            assert _outcome(lambda: model.level_nodes(n, cap)) == want
-    assert _outcome(lambda: model.level_nodes(5, 3)) == "more than 3 positive cubes at level 5"
+            assert _outcome(lambda: capped(model, model.level_nodes, n, max_cubes=cap)) == want
+    assert (_outcome(lambda: capped(model, model.level_nodes, 5, max_cubes=3))
+            == "more than 3 positive cubes at level 5")
     deep = IfsMeasure(model.maps, model.probs, model.embed_shift)
     with pytest.raises(ResourceLimitError, match="cubes at level 200$"):
         deep.level_nodes(200)
@@ -353,14 +358,15 @@ def test_uniform_is_the_ifs_of_its_half_scale_maps(support, n, cap, data):
                           IfsMap(support.level, support.index) if support.level else None)
     assert model.template == explicit.template == oracle_uniform_template(support)
     want = oracle_uniform_level_masses(model, n)
-    assert model.level_masses(n, cap) == explicit.level_masses(n, cap) == want
     assert model.card_positive(n) == explicit.card_positive(n) == sum(want.values())
+    model.max_cubes = explicit.max_cubes = cap
+    assert model.level_masses(n) == explicit.level_masses(n) == want
     outcome = _outcome(lambda: oracle_uniform_nodes(model, n, cap))
-    assert _outcome(lambda: model.level_nodes(n, cap)) == outcome
-    assert _outcome(lambda: explicit.level_nodes(n, cap)) == outcome
+    assert _outcome(lambda: model.level_nodes(n)) == outcome
+    assert _outcome(lambda: explicit.level_nodes(n)) == outcome
     if outcome == "ok":
-        got = model.level_nodes(n, cap)
-        for table in (explicit.level_nodes(n, cap), oracle_uniform_nodes(model, n, cap)):
+        got = model.level_nodes(n)
+        for table in (explicit.level_nodes(n), oracle_uniform_nodes(model, n, cap)):
             assert got.index.dtype == table.index.dtype
             assert got.index.tolist() == table.index.tolist()
             assert got.mass_id.tolist() == table.mass_id.tolist()
@@ -429,14 +435,16 @@ def test_ifs_mass_cap_trips_at_the_requested_level_only():
                        [Fraction(1, 4)] * 4)
     assert [len(model.level_masses(n)) for n in range(6)] == [1, 2, 1, 2, 1, 2]
     fresh = IfsMeasure(model.maps, model.probs)
-    assert fresh.level_masses(2, max_cubes=1) == {Fraction(1, 4): 4}
+    fresh.max_cubes = 1
+    assert fresh.level_masses(2) == {Fraction(1, 4): 4}
     message = "more than 1 distinct masses at level 3$"
     with pytest.raises(ResourceLimitError, match=message):
-        fresh.level_masses(3, max_cubes=1)
+        fresh.level_masses(3)
     # the push stopped inside level 3, which is not cached
     assert len(fresh._levels) == 3
+    model.max_cubes = 1
     with pytest.raises(ResourceLimitError, match=message):
-        model.level_masses(3, max_cubes=1)  # cached
+        model.level_masses(3)  # cached
 
 
 def _fresh(model):
@@ -469,12 +477,13 @@ def test_integer_push_matches_the_fraction_push(model, with_shift):
 def test_integer_push_cap_trips_as_the_fraction_push(model, n, cap):
     def outcome(level_masses):
         try:
-            return list(level_masses(n, cap).items())
+            return list(level_masses().items())
         except ResourceLimitError as exc:
             return str(exc)
 
-    want = outcome(lambda n, cap: oracle_level_masses(_fresh(model), n, cap))
-    assert outcome(_fresh(model).level_masses) == want
+    want = outcome(lambda: oracle_level_masses(_fresh(model), n, cap))
+    fresh = _fresh(model)
+    assert outcome(lambda: capped(fresh, fresh.level_masses, n, max_cubes=cap)) == want
     assert isinstance(want, list) or want == f"more than {cap} distinct masses at level {n}"
 
 
@@ -531,6 +540,34 @@ def test_level_masses_deep_tetrahedron(tetrahedron):
     ms = tetrahedron.level_masses(12)
     assert sum(ms.values()) == 4**12
     assert sum(mu * c for mu, c in ms.items()) == 1
+
+
+def test_product_cap_is_its_factors_cap():
+    """A product's `max_cubes` caps its factors' levels: below a factor's
+    level count the product trips with that factor's message, as when the
+    cap was passed down as an argument, and no factor caches a table or a
+    level larger than the cap; setting the cap back lifts it everywhere."""
+    def fresh():
+        # level 4: 4, 16 and 16 cubes; 1, 1 and 5 distinct masses
+        return ProductMeasure([
+            IfsMeasure([IfsMap(2, (0,)), IfsMap(2, (3,))], [Fraction(1, 2)] * 2), lebesgue(1),
+            IfsMeasure([IfsMap(1, (0,)), IfsMap(1, (1,))], [Fraction(3, 10), Fraction(7, 10)])])
+
+    cases = [("level_nodes", 10, "more than 10 positive cubes at level 4"),
+             ("level_nodes", 100, "more than 100 positive cubes at level 4"),
+             ("level_masses", 4, "more than 4 distinct masses at level 4")]
+    for method, cap, message in cases:
+        product = fresh()
+        product.max_cubes = cap
+        assert [f.max_cubes for f in product.factors] == [cap] * 3
+        with pytest.raises(ResourceLimitError, match=f"^{message}$"):
+            getattr(product, method)(4)
+        for f in product.factors:
+            assert all(len(table.index) <= cap for table in f._tables)
+            assert all(len(level.nums) <= cap for level in f._levels)
+    product.max_cubes = cli.DEFAULT_MAX_CUBES
+    assert len(product.level_nodes(4).index) == 4 * 16 * 16
+    assert sum(product.level_masses(4).values()) == 4 * 16 * 16
 
 
 def test_product_measure_mass(quarter_cantor):

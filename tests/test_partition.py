@@ -20,7 +20,7 @@ from widthlab.measures import IfsMap, IfsMeasure, MeasureModel, UniformMeasure
 
 from conftest import (IFS7_MAPS, boundary_atomic, dyadic_ifs, ifs7, ifs_atomic_lebesgue,
                       new_deep_ifs, new_tetrahedron)
-from oracles import naive_partition, oracle_j_log2, table_cubes
+from oracles import capped, naive_partition, oracle_j_log2, table_cubes
 
 def test_lebesgue_partition_example(leb1):
     part = build_partition(leb1, 1.0, 2.0**-6)
@@ -126,7 +126,8 @@ def test_entropy_slope_quarter_cantor(quarter_cantor):
 def test_entropy_slope_tetrahedron(tetrahedron):
     from widthlab import closed_form_spectrum, s_b_solve
 
-    fit = entropy_slope(tetrahedron, 2.0, [2.0**-k for k in range(40, 91, 5)], max_cells=1 << 80)
+    fit = capped(tetrahedron, entropy_slope, tetrahedron, 2.0, [2.0**-k for k in range(40, 91, 5)],
+                 max_cells=1 << 80)
     assert max(row[3] for row in fit.rows) <= 64
     target = s_b_solve(closed_form_spectrum(tetrahedron), 2.0)
     assert fit.slope == pytest.approx(target, abs=5e-4)
@@ -146,8 +147,9 @@ def _moran_root(factors) -> float:
 def test_entropy_slope_mixed_ratio_ifs():
     # renewal count: card(P_t) ~ t^-s with sum_i (p_i 2^(-k_i rho))^s = 1
     rho = 1.0
-    fit = entropy_slope(ifs7(), rho, [2.0**-k for k in range(10, 31, 2)],
-                        max_cells=1 << 60)
+    model = ifs7()
+    model.max_cells = 1 << 60
+    fit = entropy_slope(model, rho, [2.0**-k for k in range(10, 31, 2)])
     assert max(row[3] for row in fit.rows) <= 64
     target = _moran_root([float(p) * 2.0 ** (-k * rho) for k, _, p in IFS7_MAPS])
     assert fit.slope == pytest.approx(target, abs=2e-3)
@@ -203,7 +205,7 @@ def test_state_row_degenerate_threshold(tetrahedron):
 
 def _outcome(build, model, rho, t, cap):
     try:
-        return _row(build(model, rho, t, cap))
+        return _row(capped(model, build, model, rho, t, max_cells=cap))
     except ResourceLimitError as exc:
         return str(exc)
 

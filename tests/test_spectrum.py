@@ -238,11 +238,12 @@ def test_beta_row_equals_per_t_beta_n(tetrahedron, binomial_cascade):
     assert values(empirical_spectrum(tetrahedron, 4, ts)) == tuple(beta_row(tetrahedron, 4, ts))
 
 
-def test_beta_row_t_one_builds_no_multiset(tetrahedron):
+def test_beta_row_t_one_builds_no_multiset(tetrahedron, monkeypatch):
     # level 4 has more than 3 distinct masses: only t != 1 reaches the cap
-    assert beta_row(tetrahedron, 4, [1.0, 1.0], max_cubes=3) == [0.0, 0.0]
+    monkeypatch.setattr(tetrahedron, "max_cubes", 3)
+    assert beta_row(tetrahedron, 4, [1.0, 1.0]) == [0.0, 0.0]
     with pytest.raises(ResourceLimitError):
-        beta_row(tetrahedron, 4, [1.0, 0.5], max_cubes=3)
+        beta_row(tetrahedron, 4, [1.0, 0.5])
     with pytest.raises(ValidationError):
         beta_row(tetrahedron, 0, [1.0])
     with pytest.raises(ValidationError):
@@ -315,17 +316,19 @@ def test_a_bad_t_past_the_crossing_still_raises(grid, tetrahedron):
         empirical_spectrum(tetrahedron, 4, grid)
 
 
-def test_curve_builds_its_level_view_when_built(tetrahedron):
+def test_curve_builds_its_level_view_when_built(tetrahedron, monkeypatch):
     """The level view, with its cap, and the level check come first; a
     grid of t = 1 alone builds no view, and fails on its length."""
+    monkeypatch.setattr(tetrahedron, "max_cubes", 3)
     with pytest.raises(ResourceLimitError):
-        empirical_spectrum(tetrahedron, 4, [1.0, 1.5], max_cubes=3)
+        empirical_spectrum(tetrahedron, 4, [1.0, 1.5])
     with pytest.raises(ValidationError, match="level n >= 1"):
         empirical_spectrum(tetrahedron, 0, [0.0, 0.5])
     with pytest.raises(ValidationError, match=">= 2 grid points"):
-        empirical_spectrum(tetrahedron, 4, [1.0], max_cubes=3)
+        empirical_spectrum(tetrahedron, 4, [1.0])
     with pytest.raises(ResourceLimitError):
-        empirical_spectrum(tetrahedron, 4, [1.5, 0.5], max_cubes=3)
+        empirical_spectrum(tetrahedron, 4, [1.5, 0.5])
+    monkeypatch.undo()
     with pytest.raises(ValidationError, match="strictly increasing"):
         empirical_spectrum(tetrahedron, 4, [1.5, 0.5])
 
