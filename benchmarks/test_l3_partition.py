@@ -1,8 +1,9 @@
 """L3 benchmark: J_rho partition rows, on IFS and non-IFS cube trees.
 
-Times the two builds of the one J_rho walk over the edges of the model's
-cube tree: with its cells (`build_partition`, which visits every cube) and
-its rows alone (`partition_row`, memoized on the states), on:
+Times the two builds of the one level-by-level J_rho walk over the edges of
+the model's cube tree: with its cells (`build_partition`, a counting pass,
+then a pass that carries every cube's index) and its rows alone
+(`partition_row`, a count per state), on:
 
 - tetrahedron: the benchmark tetrahedron at rho = 1 on the thresholds
   2^-4 .. 2^-20, the rows of perfbench's `partition-ifs` workload, checked
@@ -17,21 +18,27 @@ Each round gets a fresh model, as a command-line run does, so no state
 graph (the states each model interns for the walk) carries over from one
 round to the next; within a round, the later thresholds reuse the states
 the earlier ones expanded. The cells build still makes the 4^9 cells of
-lebesgue at 2^-24 one by one. Before and after the explicit-stack cells
-walk was folded into the row recursion, on a 2-core x86-64 VM shared with
-other tenants (Python 3.11), pytest-benchmark medians of 5 rounds, two runs
-a side, alternating:
+lebesgue at 2^-24 one by one. Before and after the memoized depth-first
+recursion gave way to the level-by-level walk, on a 2-core x86-64 VM
+shared with other tenants (Python 3.11), pytest-benchmark medians of 5
+rounds, four runs a side, alternating:
 
-    case         cells build                  rows build
-    tetrahedron  182, 197 -> 207, 144 ms      6.2, 5.4 -> 7.9, 8.2 ms
-    lebesgue     3.42, 3.42 -> 3.53, 3.61 s   0.40, 0.63 -> 0.40, 0.70 ms
-    cloud        7.3, 6.3 -> 7.1, 7.0 ms      5.0, 3.5 -> 4.4, 5.3 ms
+    case         cells build                        rows build
+    tetrahedron  114, 117, 180, 191 -> 72, 138,     7.6, 4.7, 5.0, 8.4 ->
+                 131, 111 ms                        1.3, 1.7, 1.5, 2.0 ms
+    lebesgue     2.42, 2.18, 3.29, 3.57 -> 1.43,    0.68, 0.40, 0.41, 0.71 ->
+                 2.06, 1.90, 1.77 s                 0.14, 0.17, 0.13, 0.20 ms
+    cloud        5.7, 3.7, 4.8, 7.8 -> 3.8, 4.3,    5.2, 3.3, 5.1, 5.4 ->
+                 4.0, 5.5 ms                        2.1, 2.4, 2.6, 3.2 ms
 
-The spread between runs on that machine is as large as these differences.
-Alternating fresh processes on the two sweeps the change could slow read:
-lebesgue cells, 8 rounds a side, median 3.53 -> 3.44 s; tetrahedron rows,
-the median of 30 rounds in each of 4 processes a side, 8.1, 7.1, 5.0, 8.5
--> 7.8, 6.1, 4.6, 8.2 ms.
+The rows build moves a count per state where the recursion memoized a row
+tuple per (level, state) and merged the rows of every expanded state. The
+cells build keeps each state's indices in index order, so a level's cells
+come in a few sorted runs and the final sort merges them: on lebesgue that
+sort took about 0.2 s after the recursion, whose depth-first order left the
+cells partly sorted, and 0.5 s after the walk without the per-state order,
+against under 0.1 s with it. The spread between runs on that machine is as
+large as the differences on cloud.
 
 Run from the root of the repository (pytest-benchmark required):
 

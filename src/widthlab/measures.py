@@ -585,7 +585,8 @@ class IfsMeasure(MeasureModel):
         self._rows = state
         mass_id = np.array([j for _, j in level.states], dtype=np.intp)[state]
         index.flags.writeable = mass_id.flags.writeable = False  # cached, shared
-        return LevelNodes(index, mass_id, tuple(level.multiset))
+        # the masses in id order, as the multiset's keys, with no dict built
+        return LevelNodes(index, mass_id, tuple(Fraction(num, level.den) for num in level.nums))
 
 
 class UniformMeasure(IfsMeasure):

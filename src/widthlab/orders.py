@@ -9,6 +9,7 @@ sandwich intervals from the coarse profile, or exactly for q = infinity.
 """
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -29,17 +30,20 @@ def _inv(r: float) -> float:
     return 0.0 if math.isinf(r) else 1.0 / r
 
 
+@functools.lru_cache(maxsize=256)
 def _inv_exact(r) -> Fraction:
-    """1/r as an exact Fraction, with 1/inf = 0."""
+    """1/r as an exact Fraction, with 1/inf = 0; computed once per exponent."""
     return Fraction(0) if math.isinf(r) else 1 / Fraction(r)
 
 
+@functools.lru_cache(maxsize=256)
 def dual_exponent(r):
     """Hoelder conjugate r' = r/(r-1), with 1' = inf and inf' = 1.
 
     For finite r > 1 the conjugate is the exact ``Fraction`` r/(r-1), so
     1/r + 1/r' = 1 holds without rounding and the width tables can check the
-    K/G duality exactly.
+    K/G duality exactly. Each exponent's conjugate is computed once, as the
+    width tables and `case_label` ask for it at every (p, q) point.
     """
     if not 1 <= r:
         raise ValidationError(f"exponent must lie in [1, inf], got {r}")

@@ -10,36 +10,40 @@ One walk serves both functions. It descends the model's cube tree
 natively: for an IFS or a uniform model its finite template, whose nodes
 every positive cube copies, for an atomic model a level and the atoms of the
 cube, and for a product the tuple of its factors' nodes. A cube's state is
-(level L, mass M, node h); a child's is (L + 1, M times its edge's ratio,
-its edge's node).
+(mass M, node h); a child's is (M times its edge's ratio, its edge's node).
+The walk goes level by level: the frontier of level L maps each state to its
+cubes at L that are not cells, as their number for `partition_row` and as
+their indices for `build_partition`. Each child of a frontier state is a
+cell of level L + 1 if its J is below t, else it joins the next frontier
+with all the state's cubes.
 
 State ids, shared across thresholds. Neither (M, h) nor its children depend
 on rho or t, so each model interns them once (`_StateGraph`, kept on the
-model): a state gets an int id and the frac_log2 of its mass when the walk
-first meets it, and is expanded once into its children as (child id, its
-log2 mass, branch). An exact `Fraction` product and hash is paid once per
-edge of the state graph and a logarithm once per state, not per cube,
-threshold or rho, and each J is the same float on a cold or a warm graph.
+model): a state gets an int id and the log2 of its mass when the walk first
+meets it, and is expanded once into its children as (child id, its log2
+mass, branch). Masses are reduced integer pairs, so an integer product and
+gcd is paid once per edge of the state graph and a logarithm once per
+state, not per cube, threshold or rho, and each J is the same float on a
+cold or a warm graph.
 
 Why J depends only on the state. Every cube below the cube is a copy of a
 cube below h, so its level is L plus its depth below h and its mass M times
-the product of the edge ratios on its path down from h. Whether each cube
-below is a cell, and the card, level range and largest J of the cells
-below, are functions of (L, state). `partition_row` memoizes them on (L,
-state id), so it computes each once (136 states at t = 2^-20 on the bench
-tetrahedron) and adds cards and takes extremes up the tree; for an IFS this
-is the renewal count of Lalley (1988) over the multinomial state classes of
-Cawley and Mauldin (1992). `build_partition` needs the index of each cell,
-so it visits every cube. The walk counts the cells met so far in the same
-depth-first order either way, a memoized state adding its whole card, so
-the model's `max_cells` and the level guard trip alike with or without the
-cells.
+the product of the edge ratios on its path down from h. At one level, then,
+all the cubes of a state split alike into cells and deeper cubes, and the
+counting walk moves a count per state instead of its cubes: at t = 2^-20
+on the bench tetrahedron it expands 136 (level, state) pairs for 9685
+cells. For an IFS this is the renewal count of Lalley (1988) over the
+multinomial state classes of Cawley and Mauldin (1992). `build_partition`
+needs the index of each cell, so it first runs the counting walk, which
+trips the model's `max_cells` and the level guard exactly as
+`partition_row` does, and only then the walk with indices. A frontier cube
+is the ancestor of a cell, so that walk holds at most `max_cells` indices
+at any level.
 """
 from __future__ import annotations
 
 import math
 import threading
-from fractions import Fraction
 from operator import add
 from typing import NamedTuple
 
@@ -48,7 +52,6 @@ import numpy as np
 from .cubes import DyadicCube, _new
 from .errors import ResourceLimitError, SolverError, ValidationError
 from .measures import MeasureModel
-from .spectrum import frac_log2
 
 _LEVEL_GUARD = 64
 _ROOT = 0  # the root state's id: a state graph interns it first
@@ -84,31 +87,30 @@ class PartitionResult(NamedTuple):
 class _StateGraph:
     """The states (mass, node) of a model's cube tree, interned as ints.
 
-    A state gets its id, and frac_log2 of its exact mass, when a walk first
-    meets it, and is expanded once, into its children in `edges` order as
-    (child id, its log2 mass, branch). Neither depends on rho or t, so every
-    walk on the model shares them. Expansions take a lock, so walks in
-    several threads may share a model.
+    A state is keyed by its mass as a reduced (numerator, denominator) pair
+    and its node. It gets its id, and log2(num) - log2(den), the frac_log2
+    of its mass, when a walk first meets it, and is expanded once, into its
+    children in `edges` order as (child id, its log2 mass, branch). Neither
+    depends on rho or t, so every walk on the model shares them. Expansions
+    take a lock, so walks in several threads may share a model.
     """
 
     def __init__(self, model: MeasureModel) -> None:
         self._edges = model.edges
         self._lock = threading.Lock()
         self._ids: dict[tuple[int, int, object], int] = {}
-        self._states: list[tuple[Fraction, object]] = []
-        self._log2: list[float] = []  # frac_log2 of each state's mass
+        self._states: list[tuple[int, int, object]] = []
+        self._log2: list[float] = []  # log2 of each state's mass
         self._children: list[tuple[tuple[int, float, tuple[int, ...]], ...] | None] = []
-        self._intern(Fraction(1), model.root_node())
+        self._intern(1, 1, model.root_node())
 
-    def _intern(self, mass: Fraction, node) -> int:
-        # a reduced Fraction is its (numerator, denominator) pair, which
-        # hashes without the modular inverse of Fraction.__hash__
-        key = (mass.numerator, mass.denominator, node)
+    def _intern(self, num: int, den: int, node) -> int:
+        key = (num, den, node)
         state = self._ids.get(key)
         if state is None:
             state = self._ids[key] = len(self._states)
-            self._states.append((mass, node))
-            self._log2.append(frac_log2(mass))
+            self._states.append(key)
+            self._log2.append(math.log2(num) - math.log2(den))
             self._children.append(None)
         return state
 
@@ -118,10 +120,12 @@ class _StateGraph:
             with self._lock:
                 kids = self._children[state]
                 if kids is None:
-                    mass, node = self._states[state]
+                    num, den, node = self._states[state]
                     kids = []
                     for child, ratio, branch in self._edges(node):
-                        kid = self._intern(mass * ratio, child)
+                        a, b = num * ratio.numerator, den * ratio.denominator
+                        g = math.gcd(a, b)
+                        kid = self._intern(a // g, b // g, child)
                         kids.append((kid, self._log2[kid], branch))
                     self._children[state] = kids = tuple(kids)
         return kids
@@ -137,9 +141,9 @@ def _state_graph(model: MeasureModel) -> _StateGraph:
 
 
 def _walk(model: MeasureModel, rho: float, t: float, cells: list | None) -> PartitionRow:
-    """The row of the partition for threshold t, by the recursion of the
-    module docstring; if `cells` is a list, the (level, index, log2 J) of
-    each cell are appended to it in the order they are met."""
+    """The row of the partition for threshold t, by the level-by-level walk
+    of the module docstring; if `cells` is a list, the (level, index, log2 J)
+    of each cell are appended to it."""
     if not t > 0:
         raise ValidationError("partition threshold t must be positive")
     if not rho > 0:
@@ -151,49 +155,42 @@ def _walk(model: MeasureModel, rho: float, t: float, cells: list | None) -> Part
         return PartitionRow(t=t, rho=rho, card=1, max_j=1.0, min_level=0, max_level=0,
                             degenerate=True)
     children, max_cells = _state_graph(model).children, model.max_cells
-    memo = {} if cells is None else None  # (level, state id) -> row
-    emitted = 0  # cells met so far
-
-    def expand(level: int, state: int, index: tuple[int, ...]) -> tuple[int, int, int, float]:
-        # (card, min level, max level, max log2 J) of the cells below an
-        # expanded cube, its children taken in depth-first order: the cells
-        # among them first, then the deeper children last to first; the
-        # index of a cube is carried down only when the cells are wanted
-        nonlocal emitted
-        row = None if memo is None else memo.get((level, state))
-        if row is None:
-            if level > _LEVEL_GUARD:
-                raise ResourceLimitError(f"partition descent exceeded level {_LEVEL_GUARD}")
-            js, deeper = [], []
-            below = (level + 1) * rho
-            doubled = None if cells is None else tuple(l << 1 for l in index)
+    # state id -> its frontier cubes: their number, or a list of their indices
+    frontier = {_ROOT: 1 if cells is None else [(0,) * model.m]}
+    card, min_level, max_level, top = 0, 0, 0, -math.inf
+    level = 0
+    while frontier:
+        if level > _LEVEL_GUARD:
+            raise ResourceLimitError(f"partition descent exceeded level {_LEVEL_GUARD}")
+        below, met, deeper = (level + 1) * rho, card, {}
+        for state, cubes in frontier.items():
+            if cells is None:
+                count = cubes
+            else:
+                # in index order, the cells of each edge below come as one
+                # sorted run, which the final sort merges
+                cubes.sort()
+                count, doubled = len(cubes), [tuple(l << 1 for l in index) for index in cubes]
             for kid, log2_mu, branch in children(state):
                 j = log2_mu - below
-                child = None if doubled is None else tuple(map(add, doubled, branch))
+                # the children of the state's cubes along this edge
+                kids = cubes if cells is None else [tuple(map(add, d, branch)) for d in doubled]
                 if j < log2_t:
-                    js.append(j)
+                    card += count
+                    if j > top:
+                        top = j
                     if cells is not None:
-                        cells.append((level + 1, child, j))
+                        cells.extend((level + 1, child, j) for child in kids)
+                elif kid in deeper:
+                    deeper[kid] += kids
                 else:
-                    deeper.append((kid, child))
-        # a memoized state adds its whole card, below which no guard tripped
-        emitted += len(js) if row is None else row[0]
-        if emitted > max_cells:
-            raise ResourceLimitError(f"partition for t={t} exceeded {max_cells} cells")
-        if row is not None:
-            return row
-        rows = [(len(js), level + 1, level + 1, max(js))] if js else []
-        for kid, child in reversed(deeper):
-            rows.append(expand(level + 1, kid, child))
-        row = rows[0]
-        if len(rows) > 1:
-            cards, lows, highs, tops = zip(*rows)
-            row = (sum(cards), min(lows), max(highs), max(tops))
-        if memo is not None:
-            memo[level, state] = row
-        return row
-
-    card, min_level, max_level, top = expand(0, _ROOT, (0,) * model.m)
+                    deeper[kid] = kids
+            if card > max_cells:
+                raise ResourceLimitError(f"partition for t={t} exceeded {max_cells} cells")
+        level += 1
+        if card > met:
+            min_level, max_level = min_level or level, level
+        frontier = deeper
     return PartitionRow(t=t, rho=rho, card=card, max_j=2.0**top, min_level=min_level,
                         max_level=max_level, degenerate=False)
 
@@ -206,6 +203,7 @@ def build_partition(model: MeasureModel, rho: float, t: float) -> PartitionResul
     below t, the single root cell is returned and flagged degenerate. More
     than the model's `max_cells` cells is a ResourceLimitError.
     """
+    _walk(model, rho, t, None)  # every cap trips here, before an index is built
     cells: list[tuple[int, tuple[int, ...], float]] = []
     row = _walk(model, rho, t, cells)
     cells.sort()

@@ -42,6 +42,10 @@ The threshold check of a separation input (`check_threshold`, once the
 `validate_threshold` option of `well_separated`) left it too, and the
 default alpha grid built without a count (`oracle_default_alpha_grid`) is
 the reference of the counted one.
+The J_rho partition is also kept as the memoized depth-first recursion
+over the model's state graph (`oracle_walk`), which the level-by-level walk
+replaced, and the width exponents as computed with no cache of each
+exponent's exact reciprocal and conjugate (`uncached`).
 
 `capped` runs a call under caps set on a model (`MeasureModel.max_cubes`,
 `max_cells`) through pytest's monkeypatch, so a session-scoped fixture
@@ -53,6 +57,7 @@ import itertools
 import math
 import weakref
 from fractions import Fraction
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -65,8 +70,10 @@ from widthlab.coarse import CoarseProfile, default_alpha_grid
 from widthlab.cubes import children
 from widthlab.empirical import _lq_norm, _nodes
 from widthlab.functions import TWO_PI, monomials, multi_indices
+from widthlab import orders
 from widthlab.measures import (DEFAULT_MAX_CUBES, PACKED_KEY_BITS, LevelNodes, TemplateNode,
                                _chain, _check_level, _check_masses, index_array)
+from widthlab.partition import _LEVEL_GUARD, _ROOT, PartitionRow, _state_graph
 from widthlab.probe import ProbeResult, alpha_good_cubes, sobolev_seminorm, well_separated
 from widthlab.quadrature import unit_rule, unit_rule_1d
 from widthlab.spectrum import frac_log2, level_log_masses
@@ -173,6 +180,72 @@ def oracle_j_log2(model, cube, rho):
     return frac_log2(oracle_mass(model, cube)) - cube.level * rho
 
 
+def oracle_walk(model, rho: float, t: float, cells: list | None) -> PartitionRow:
+    """The row of the partition for threshold t, by the depth-first walk of
+    the model's state graph that the level-by-level walk replaced: a row is
+    memoized per (level, state id) when no cells are wanted, the children of
+    an expanded cube are taken cells first, then the deeper ones last to
+    first, and the cells met so far are counted in that order against
+    `max_cells`. If `cells` is a list, the (level, index, log2 J) of each
+    cell are appended to it in the order they are met."""
+    if not t > 0:
+        raise ValidationError("partition threshold t must be positive")
+    if not rho > 0:
+        raise ValidationError("rho must be positive")
+    log2_t = math.log2(t)
+    if 0.0 < log2_t:  # J(root) = 1 < t: the root is the one cell
+        if cells is not None:
+            cells.append((0, (0,) * model.m, 0.0))
+        return PartitionRow(t=t, rho=rho, card=1, max_j=1.0, min_level=0, max_level=0,
+                            degenerate=True)
+    children, max_cells = _state_graph(model).children, model.max_cells
+    memo = {} if cells is None else None  # (level, state id) -> row
+    emitted = 0  # cells met so far
+
+    def expand(level: int, state: int, index: tuple[int, ...]) -> tuple[int, int, int, float]:
+        # (card, min level, max level, max log2 J) of the cells below an
+        # expanded cube, its children taken in depth-first order: the cells
+        # among them first, then the deeper children last to first; the
+        # index of a cube is carried down only when the cells are wanted
+        nonlocal emitted
+        row = None if memo is None else memo.get((level, state))
+        if row is None:
+            if level > _LEVEL_GUARD:
+                raise ResourceLimitError(f"partition descent exceeded level {_LEVEL_GUARD}")
+            js, deeper = [], []
+            below = (level + 1) * rho
+            doubled = None if cells is None else tuple(l << 1 for l in index)
+            for kid, log2_mu, branch in children(state):
+                j = log2_mu - below
+                child = None if doubled is None else tuple(map(add, doubled, branch))
+                if j < log2_t:
+                    js.append(j)
+                    if cells is not None:
+                        cells.append((level + 1, child, j))
+                else:
+                    deeper.append((kid, child))
+        # a memoized state adds its whole card, below which no guard tripped
+        emitted += len(js) if row is None else row[0]
+        if emitted > max_cells:
+            raise ResourceLimitError(f"partition for t={t} exceeded {max_cells} cells")
+        if row is not None:
+            return row
+        rows = [(len(js), level + 1, level + 1, max(js))] if js else []
+        for kid, child in reversed(deeper):
+            rows.append(expand(level + 1, kid, child))
+        row = rows[0]
+        if len(rows) > 1:
+            cards, lows, highs, tops = zip(*rows)
+            row = (sum(cards), min(lows), max(highs), max(tops))
+        if memo is not None:
+            memo[level, state] = row
+        return row
+
+    card, min_level, max_level, top = expand(0, _ROOT, (0,) * model.m)
+    return PartitionRow(t=t, rho=rho, card=card, max_j=2.0**top, min_level=min_level,
+                        max_level=max_level, degenerate=False)
+
+
 def descent_positive(model, n, max_cubes=DEFAULT_MAX_CUBES):
     # all level-n cubes of positive mass with their masses, in index order,
     # by pruned descent through the pullback oracle, capped on the cubes of
@@ -197,6 +270,16 @@ def capped(model, call, *args, **caps):
     with pytest.MonkeyPatch.context() as patch:
         for key, cap in caps.items():
             patch.setattr(model, key, cap)
+        return call(*args)
+
+
+def uncached(call, *args):
+    """call(*args) with the exact reciprocal and conjugate of each exponent
+    computed anew, the once-per-exponent caches of `widthlab.orders`
+    bypassed."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_inv_exact", "dual_exponent"):
+            patch.setattr(orders, name, getattr(orders, name).__wrapped__)
         return call(*args)
 
 

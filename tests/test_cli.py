@@ -44,8 +44,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import widthlab
-from widthlab import ParseError, cli, probe, reports, spectrum
-from widthlab.measures import ingest_points
+from widthlab import (ParseError, ResourceLimitError, cli, lebesgue, partition_row, probe, reports,
+                      spectrum)
+from widthlab.measures import DEFAULT_MAX_CELLS, ingest_points
 
 from conftest import IFS7_MAPS
 
@@ -337,6 +338,24 @@ def test_range_or_grid_past_the_cube_cap_exits_1_before_it_is_built(argv, flag, 
     assert (done.returncode, done.stdout) == (cli.EX_FAIL, "")
     assert done.stderr == (f"widthlab: malformed {flag} value {value!r}: it holds {count} values,"
                            f" more than {cli.DEFAULT_MAX_CUBES}\n")
+
+
+def test_a_cells_dump_past_the_cell_cap_exits_2_before_it_is_built(tmp_path):
+    """A partition's cells are counted before any index is built: Lebesgue
+    measure on the square has 4^14 cells at t = 1e-12, which would fill the
+    child's capped address space; one BLAS thread keeps numpy's own
+    reservations small under the cap. The rows alone trip the same cap."""
+    (tmp_path / "u.json").write_text(json.dumps({"type": "uniform", "m": 2, "support": "0:0,0"}))
+    done = _python_m(["partition", "--measure", "u.json", "--rho", "1", "--thresholds", "1e-12",
+                      "--cells-out", "cells.csv"], tmp_path, env={"OPENBLAS_NUM_THREADS": "1"},
+                     preexec_fn=_memory_cap, timeout=30)
+    message = f"partition for t=1e-12 exceeded {DEFAULT_MAX_CELLS} cells"
+    assert (done.returncode, done.stdout) == (cli.EX_RESOURCE, "")
+    assert done.stderr == f"widthlab: resource cap: {message}\n"
+    assert not (tmp_path / "cells.csv").exists()
+    with pytest.raises(ResourceLimitError) as caught:
+        partition_row(lebesgue(2), 1.0, 1e-12)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("value, message", [

@@ -447,6 +447,18 @@ def test_ifs_mass_cap_trips_at_the_requested_level_only():
         model.level_masses(3)  # cached
 
 
+@given(dyadic_ifs())
+@settings(max_examples=25, deadline=None)
+def test_node_table_masses_are_the_multiset_keys(model):
+    # a node table takes its masses from the level's numerators, in id
+    # order, without building the level's multiset
+    for n in range(9):
+        masses = model.level_nodes(n).masses
+        assert "multiset" not in vars(model._level(n))
+        assert masses == tuple(model._level(n).multiset)
+        assert all(type(mu) is Fraction for mu in masses)
+
+
 def _fresh(model):
     return IfsMeasure(model.maps, model.probs, model.embed_shift)
 

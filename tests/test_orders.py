@@ -18,6 +18,9 @@ from widthlab import (
     width_exponent,
 )
 from widthlab.coarse import coarse_profile
+from widthlab.orders import STARS, case_label
+
+from oracles import uncached
 
 INF = math.inf
 
@@ -66,6 +69,31 @@ def test_duality_and_linear_max(p, q):
     assert eg == ek_dual  # exact equality
     el = width_exponent("L", p, q)
     assert el == max(width_exponent("K", p, q), width_exponent("G", p, q))
+
+
+def _tables(p, q):
+    return [width_exponent(star, p, q).hex() for star in STARS], case_label(p, q)
+
+
+@given(exponent_values, exponent_values)
+@settings(max_examples=200)
+def test_exponent_caches_match_the_uncached_tables(p, q):
+    # bit for bit, on cold caches and on warm ones; the conjugates' exact
+    # Fractions are the inputs of the duality check
+    want = uncached(_tables, p, q)
+    assert _tables(p, q) == want == _tables(p, q)
+    for r in (p, q):
+        conjugate = dual_exponent.__wrapped__(r)
+        assert (dual_exponent(r), type(dual_exponent(r))) == (conjugate, type(conjugate))
+    dual = (dual_exponent(q), dual_exponent(p))
+    assert _tables(*dual) == uncached(_tables, *dual)
+
+
+def test_exponent_caches_match_on_the_bench_sweep():
+    # the 6 x 6 (p, q) grid 1.5:4:0.5 of the order sweep
+    grid = [1.5 + 0.5 * i for i in range(6)]
+    want = [uncached(_tables, p, q) for p in grid for q in grid]
+    assert [_tables(p, q) for p in grid for q in grid] == want
 
 
 @given(exponent_values, exponent_values)

@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from widthlab import (
     DyadicCube,
+    PartitionResult,
     ResourceLimitError,
     SolverError,
     ValidationError,
+    WidthlabError,
     build_partition,
     entropy_slope,
     lebesgue,
@@ -20,7 +22,7 @@ from widthlab.measures import IfsMap, IfsMeasure, MeasureModel, UniformMeasure
 
 from conftest import (IFS7_MAPS, boundary_atomic, dyadic_ifs, ifs7, ifs_atomic_lebesgue,
                       new_deep_ifs, new_tetrahedron)
-from oracles import capped, naive_partition, oracle_j_log2, table_cubes
+from oracles import capped, naive_partition, oracle_j_log2, oracle_walk, table_cubes
 
 def test_lebesgue_partition_example(leb1):
     part = build_partition(leb1, 1.0, 2.0**-6)
@@ -359,3 +361,37 @@ def test_partition_oracle_randomized(num, k):
 @settings(max_examples=40, deadline=None)
 def test_state_rows_oracle_random_dyadic_ifs(model, rho, k):
     _assert_rows_agree(model, rho, 2.0**-k)
+
+
+def _oracle_partition(model, rho, t):
+    cells = []
+    row = oracle_walk(model, rho, t, cells)
+    cells.sort()
+    return PartitionResult(*row, tuple(DyadicCube(level, index) for level, index, _ in cells))
+
+
+def _capped_outcome(call, model, rho, t, cap):
+    """call's result with the cell cap set on the model, or the type and
+    message of its error."""
+    try:
+        return capped(model, call, model, rho, t, max_cells=cap)
+    except WidthlabError as exc:
+        return type(exc), str(exc)
+
+
+@given(st.one_of(dyadic_ifs(), st.sampled_from([
+           boundary_atomic, lambda: UniformMeasure(DyadicCube(2, (1, 2))), ifs_atomic_lebesgue,
+       ]).map(lambda make: make())),
+       st.sampled_from([0.5, 1.0, 1.5, 2.0]), st.integers(0, 12), st.data())
+@settings(max_examples=150, deadline=None)
+def test_level_walk_matches_the_recursion(model, rho, k, data):
+    # rows, cells and outcome of both walks under a random cell cap; at
+    # t >= 2^-12 no walk passes the level guard, whose cases are the
+    # literals of _cap_cases
+    t = 2.0**-k
+    card = oracle_walk(model, rho, t, None).card
+    cap = data.draw(st.integers(0, 2 * card + 1), label="max_cells")
+    assert (_capped_outcome(partition_row, model, rho, t, cap)
+            == _capped_outcome(lambda *args: oracle_walk(*args, None), model, rho, t, cap))
+    assert (_capped_outcome(build_partition, model, rho, t, cap)
+            == _capped_outcome(_oracle_partition, model, rho, t, cap))
