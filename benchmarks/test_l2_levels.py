@@ -12,19 +12,20 @@ kept as `descent_positive` in `tests/oracles.py`, on:
 
 Each round gets fresh models, so no IFS level is cached. Both sides must
 give the same cubes with the same exact masses. The descent queries every
-atom for every child cube: its one round takes about 24 s on a 2-core VM,
-against 8-10 ms for all seven tables (the atomic ones from integer arrays),
-so the suite runs one round per side.
+atom for every child cube: its one round takes 13-23 s on a 2-core VM
+shared with other tenants, against 12-19 ms for all seven tables (the
+atomic ones from integer arrays), so the suite runs one round per side.
+The numbers of this docstring are from three runs of this file on that VM.
 
 A third case times `ingest_points` on the same cloud written as CSV text,
 as perfbench's `cloud.csv` is, and checks its integer state against the
-model built from `Fraction`s: a median of 3.1-3.8 ms over 20 rounds on the
-same VM, against 13.1-13.4 ms when every field was parsed by `Fraction`. A
-fourth times the provenance of a run on that cloud, the SHA-256 digest of
-its 10.8 KB of CSV bytes under the run's `config_hash`: a median of
-0.06-0.11 ms in three runs of 20 rounds on the same VM. The provenance
+model built from `Fraction`s: a median of 1.8-3.6 ms over 20 rounds on the
+same VM; when every field was parsed by `Fraction` it took 13.1-13.4 ms
+on an earlier VM. A fourth times the provenance of a run on that cloud,
+the SHA-256 digest of its 10.8 KB of CSV bytes under the run's
+`config_hash`: a median of 0.06-0.10 ms over 20 rounds. The provenance
 once re-serialized the parsed model to a spec and hashed that instead:
-1.6-2.3 ms in three such runs.
+1.6-2.3 ms on the earlier VM.
 
 A fifth case pushes two IFS multisets deep, on fresh models each round:
 perfbench's `ifs7` (7 maps, mixed ratios) to level 24 (47 728 distinct
@@ -33,17 +34,27 @@ masses) and the tetrahedron to level 32 (6545 distinct masses). The
 over D^n; `oracle_level_masses` in `tests/oracles.py` is the `Fraction`
 push it replaced, one `Fraction` product and hash per (state, edge). Both
 must give the same multisets in the same order. On the same VM the two
-pushes take a median of 1.65 s over 5 rounds (in one process: `ifs7` 1.40
-s, tetrahedron 0.32 s), against 9.66 s for one round of the `Fraction` push.
+pushes take a median of 1.44-1.71 s over 5 rounds, against 6.9-8.5 s for
+one round of the `Fraction` push.
 
 A sixth case times the Lebesgue table at level 8 alone, on a fresh model
 each round: `level_nodes`, which pushes the uniform model as the IFS of its
 four half-scale maps, against the index grid translated to the support that
 it replaced, kept as `oracle_uniform_nodes` in `tests/oracles.py`. Both must
-give the same table. Over three runs of 20 rounds on the same VM the grid
-took a median of 0.9-1.8 ms and the push 6.9-7.5 ms, 4-8 times as long: the
-price of one table code for both families. No perfbench workload builds a
-uniform model.
+give the same table. Over 20 rounds on the same VM the grid took a median
+of 0.9-1.4 ms and the push 6.1-10.6 ms, 4-12 times as long: the price of
+one table code for both families. No perfbench workload builds a uniform
+model.
+
+A seventh case times the cloud's multisets at levels 4..8, those of the
+`spectrum-cloud` workload, on one model (an atomic model caches no level):
+`level_masses`, which groups the atoms by one packed integer index per
+cube and counts the groups' masses, against the route it replaced, the
+node table grouped by index tuples (`oracle_atomic_nodes` in
+`tests/oracles.py`) with its mass ids counted (`oracle_table_masses`).
+Both must give the same multisets, keyed by `Fraction`s. Over 50 rounds
+on the same VM the grouping took a median of 0.53-0.87 ms and the table
+route 1.96-3.61 ms.
 
 Run from the root of the repository (pytest-benchmark required):
 
@@ -64,7 +75,8 @@ from widthlab import (AtomicMeasure, DyadicCube, IfsMap, IfsMeasure, ProductMeas
 from widthlab.reports import config_hash, sha256
 
 from tests.conftest import ifs7, new_tetrahedron
-from tests.oracles import descent_positive, oracle_level_masses, oracle_uniform_nodes
+from tests.oracles import (descent_positive, oracle_atomic_nodes, oracle_level_masses,
+                           oracle_table_masses, oracle_uniform_nodes)
 
 SEED = 0
 CLOUD_POINTS = 600
@@ -122,6 +134,27 @@ def test_l2_uniform(benchmark, build):
     want = oracle_uniform_nodes(lebesgue(2), 8)
     assert got.index.tolist() == want.index.tolist()
     assert got.mass_id.tolist() == want.mass_id.tolist() and got.masses == want.masses
+
+
+CLOUD_LEVELS = range(4, 9)
+
+
+def table_route(model, n):
+    return oracle_table_masses(oracle_atomic_nodes(model, n))
+
+
+def grouped(model, n):
+    return model.level_masses(n)
+
+
+@pytest.mark.parametrize("multiset", [table_route, grouped], ids=["table", "grouped"])
+def test_l2_cloud_masses(benchmark, multiset):
+    # an atomic model caches no level, so one model serves every round
+    cloud = cases()[0][0]
+    got = benchmark.pedantic(lambda: [multiset(cloud, n) for n in CLOUD_LEVELS], rounds=50,
+                             warmup_rounds=1)
+    assert got == [table_route(cloud, n) for n in CLOUD_LEVELS]
+    assert all(type(mu) is Fraction for masses in got for mu in masses)
 
 
 def integer_state(model):

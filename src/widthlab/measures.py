@@ -13,15 +13,16 @@ model's `points` and `weights` are `Fraction` views built when first read.
 
 Each family builds a level's positive cubes in bulk, without the mass
 oracle, as a node table (`LevelNodes`): their indices in lexicographic order
-and, for each, an id into the level's distinct exact masses. The table is the
-only enumeration; the default `level_masses` reads it.
+and, for each, an id into the level's distinct exact masses; its multiset
+{mass: count} (`level_masses`) is built without a table.
 An atomic model holds its coordinates and weights as integer arrays over
-two common denominators (int64 where they fit, Python ints beyond): its
-table takes the exact indices ceil(x 2^n) - 1 = (c 2^n - 1) // pden of all
-atoms in one array operation, then sums the integer weights per cube and
-builds one `Fraction` per distinct mass. A product pairs every row of each
-factor's table with every row of the others', its mass ids remapped through
-the products.
+two common denominators (int64 where they fit, Python ints beyond). It
+takes the exact indices ceil(x 2^n) - 1 = (c 2^n - 1) // pden of all atoms
+in one array operation, packs each atom's into one integer key and sums
+the integer weights per key: its multiset counts the sums, its table sorts
+and unpacks the keys, each with one `Fraction` per distinct mass.
+A product pairs every row of each factor's table with every row of the
+others', its mass ids remapped through the products.
 
 Every model answers the tree of its positive cubes natively (`root_node`,
 `edges`): each edge gives a child's node, its mass ratio to the parent and
@@ -66,6 +67,7 @@ GIL.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import functools
@@ -231,13 +233,9 @@ class MeasureModel:
         raise NotImplementedError
 
     def level_masses(self, n: int) -> dict[Mass, int]:
-        """Multiset {mass: count} over the level-n positive cubes.
-
-        IFS and product models override this where the level would be too
-        large to tabulate; the default counts the node table's mass ids.
-        """
-        _, mass_id, masses = self.level_nodes(n)
-        return dict(zip(masses, np.bincount(mass_id, minlength=len(masses)).tolist()))
+        """Multiset {mass: count} over the level-n positive cubes, built
+        without the node table; its order is not part of the interface."""
+        raise NotImplementedError
 
     def card_positive(self, n: int) -> int:
         return sum(self.level_masses(n).values())
@@ -251,10 +249,11 @@ class AtomicMeasure(MeasureModel):
     reduced coordinate denominators, and `_units` (N,), the weight numerators
     over `_den`, the lcm of the reduced weight denominators. Each array is
     int64 when its denominator fits in int64 and holds Python ints
-    otherwise, so every cube index and every mass is exact. Tables and edges
-    take the cube indices of all their atoms in one array operation and make
-    no `Fraction` arithmetic per atom. The public `points` and `weights`
-    are tuples of `Fraction`s, built from the integers when first read.
+    otherwise, so every cube index and every mass is exact. Multisets,
+    tables and edges take the cube indices of all their atoms in one array
+    operation and make no `Fraction` arithmetic per atom; a level's multiset
+    and table read one grouping of its atoms by cube (`_groups`). The public
+    `points` and `weights` are tuples of `Fraction`s, built when first read.
 
     Both constructors, `AtomicMeasure(points, weights)` and
     `ingest_points`, go through one integer core, `_set_atoms`, which makes
@@ -353,20 +352,39 @@ class AtomicMeasure(MeasureModel):
         total = sum(u for *_, u in kids)
         return [((level + 1, members), Fraction(u, total), branch) for branch, members, u in kids]
 
-    def level_nodes(self, n):
+    def _groups(self, n) -> dict[int, int]:
+        """{packed level-n index: mass in units} over the occupied cubes, the
+        level and then its cube count checked. A key is the coordinates side
+        by side, n bits each, as in `packed_keys`. Shifts and adds build it
+        and a dict groups it: less peak memory than numpy's masks, sort and
+        reduceat, whose code would be paged in for this one grouping."""
         _check_level(n)
-        # the indices come in one array operation; grouping them in a dict
-        # costs less peak memory than numpy's sort and reduceat, whose code
-        # would be paged in for this one table
-        groups: dict[tuple[int, ...], int] = {}  # index -> mass in units
-        for key, u in zip(map(tuple, self._indices(n).tolist()), self._units.tolist()):
+        index = self._indices(n)
+        keys = np.zeros(len(index), dtype=object if n * self.m > PACKED_KEY_BITS else index.dtype)
+        for column in index.T:
+            keys = (keys << n) + column
+        groups: dict[int, int] = {}
+        for key, u in zip(keys.tolist(), self._units.tolist()):
             groups[key] = groups.get(key, 0) + u
         _check_level(n, len(groups), self.max_cubes)
-        keys = sorted(groups)
+        return groups
+
+    def level_masses(self, n):
+        return {Fraction(u, self._den): count
+                for u, count in collections.Counter(self._groups(n).values()).items()}
+
+    def level_nodes(self, n):
+        groups = self._groups(n)
+        keys = sorted(groups)  # lexicographic index order
         ids: dict[int, int] = {}
         mass_id = np.array([ids.setdefault(groups[k], len(ids)) for k in keys], dtype=np.intp)
-        return LevelNodes(index_array(keys, n, self.m), mass_id,
-                          tuple(Fraction(u, self._den) for u in ids))
+        # unpacked in int64 while both the keys and the indices fit in it
+        wide = n * self.m > PACKED_KEY_BITS or n >= INT64_LEVELS
+        shifts = np.array([n * j for j in reversed(range(self.m))], dtype=np.int64)
+        index = (np.array(keys, dtype=object if wide else np.int64)[:, None] >> shifts) & (
+            (1 << n) - 1)
+        return LevelNodes(index.astype(object if n >= INT64_LEVELS else np.int64, copy=False),
+                          mass_id, tuple(Fraction(u, self._den) for u in ids))
 
 
 class _IfsMap(NamedTuple):

@@ -46,6 +46,10 @@ The J_rho partition is also kept as the memoized depth-first recursion
 over the model's state graph (`oracle_walk`), which the level-by-level walk
 replaced, and the width exponents as computed with no cache of each
 exponent's exact reciprocal and conjugate (`uncached`).
+An atomic model's node table grouped by index tuples (`oracle_atomic_nodes`)
+and its multiset counted from the table's mass ids (`oracle_table_masses`,
+once the default `MeasureModel.level_masses`) are the references of the
+grouping by one packed integer key per cube that replaced them.
 
 `capped` runs a call under caps set on a model (`MeasureModel.max_cubes`,
 `max_cells`) through pytest's monkeypatch, so a session-scoped fixture
@@ -448,6 +452,27 @@ def oracle_level_masses(model, n, max_cubes=DEFAULT_MAX_CUBES):
     out = oracle_levels(model, n, max_cubes)[n][2]
     _check_masses(n, len(out), max_cubes)
     return dict(out)
+
+
+def oracle_atomic_nodes(model, n, max_cubes=DEFAULT_MAX_CUBES):
+    # `AtomicMeasure.level_nodes` with each cube's atoms grouped by their
+    # index tuple, the tuples sorted
+    _check_level(n)
+    groups: dict[tuple[int, ...], int] = {}  # index -> mass in units
+    for key, u in zip(map(tuple, model._indices(n).tolist()), model._units.tolist()):
+        groups[key] = groups.get(key, 0) + u
+    _check_level(n, len(groups), max_cubes)
+    keys = sorted(groups)
+    ids: dict[int, int] = {}
+    mass_id = np.array([ids.setdefault(groups[k], len(ids)) for k in keys], dtype=np.intp)
+    return LevelNodes(index_array(keys, n, model.m), mass_id,
+                      tuple(Fraction(u, model._den) for u in ids))
+
+
+def oracle_table_masses(table):
+    # the multiset {mass: count} counted from a node table's mass ids
+    _, mass_id, masses = table
+    return dict(zip(masses, np.bincount(mass_id, minlength=len(masses)).tolist()))
 
 
 def oracle_packed_keys(index, level):

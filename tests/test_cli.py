@@ -14,6 +14,8 @@ bodies of `probe` and `probe-pinf` were captured last, when the packing probe
 began to sum over the nodes each bump owns rather than over every node: that
 moved the ||Q_n g|| entries of `operator_checks` in their last digits (by
 less than 1e-15 relative), and nothing else.
+`empirical-cloud` was captured from the release before an atomic model's
+multiset stopped reading its node table, so that a case still builds one.
 The file is data: nothing here rewrites it. Bodies are compared
 with the benchmark's reference check (text exactly, numbers to relative
 1e-9); header lines, whose hash covers the effective configuration, are
@@ -158,6 +160,9 @@ CASES = {
                          "--q", "2", "--function", "bump", "--thresholds", "pow2:3..13"],
     "empirical-product": ["empirical", "--measure", "prod.json", "--sigma", "2", "--p", "2",
                           "--q", "2", "--thresholds", "pow2:2..10"],
+    # an atomic model's quadrature reads its node table
+    "empirical-cloud": ["empirical", "--measure", "cloud.csv", "--sigma", "2", "--p", "4",
+                        "--q", "2", "--function", "sin", "--thresholds", "pow2:0..12"],
     "probe": ["probe", "--measure", "leb1.json", "--sigma", "1", "--p", "2", "--q", "2",
               "--n", "3", "--alpha", "2.5"],
     # the sup norm of order-5 partials: finite differences, refined by Brent's minimizer
@@ -725,7 +730,7 @@ def test_json_outputs_are_rfc_8259(golden):
                    for doc in _json_documents(text)]
             for name, case in golden["cases"].items()}
     assert [doc["params"]["q"] for doc in docs["order-qinf"]] == ["inf"]
-    assert sum(map(len, docs.values())) == 14  # the JSON outputs of the cases
+    assert sum(map(len, docs.values())) == 15  # the JSON outputs of the cases
 
 
 def test_json_text_writes_non_finite_floats_as_strings():

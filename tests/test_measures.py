@@ -28,9 +28,10 @@ from widthlab import (
 from widthlab.measures import INT64_LEVELS, PACKED_KEY_BITS, _parse_field, packed_keys
 
 from conftest import boundary_atomic, dyadic_ifs, ifs_atomic_lebesgue, new_tetrahedron
-from oracles import (capped, contains, descent_positive, oracle_ifs_overlap, oracle_level_masses,
-                     oracle_levels, oracle_mass, oracle_packed_keys, oracle_uniform_level_masses,
-                     oracle_uniform_nodes, oracle_uniform_template, table_cubes)
+from oracles import (capped, contains, descent_positive, oracle_atomic_nodes, oracle_ifs_overlap,
+                     oracle_level_masses, oracle_levels, oracle_mass, oracle_packed_keys,
+                     oracle_table_masses, oracle_uniform_level_masses, oracle_uniform_nodes,
+                     oracle_uniform_template, table_cubes)
 
 
 def test_atomic_mass_membership():
@@ -313,6 +314,84 @@ def test_atomic_indices_where_int64_runs_out(q):
         index, _, masses = model.level_nodes(n)
         assert index.tolist() == [list(want)] and masses == (1,)
         assert model.mass(DyadicCube(n, want)) == 1
+
+
+@st.composite
+def _csv_clouds(draw):
+    """CSV text of a cloud in 0 to 3 dimensions, and whether it has a weight
+    column "w" (it does at m = 0). A coordinate is a 6-digit decimal, one of
+    `_boundary_coordinates` (over a large prime too) written as a fraction,
+    or a 20-digit decimal, whose denominator 10^20 passes 2^63; some rows
+    repeat, so cubes and masses are shared."""
+    m = draw(st.integers(0, 3))
+    weighted = m == 0 or draw(st.booleans())
+    coordinate = st.one_of(st.integers(1, 10**6 - 1).map(lambda a: f"0.{a:06d}"),
+                           _boundary_coordinates().map(str),
+                           st.integers(1, 10**19 - 1).map(lambda a: f"0.{10 * a + 1:020d}"))
+    rows = draw(st.lists(st.lists(coordinate, min_size=m, max_size=m), min_size=1, max_size=6))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    if weighted:
+        weight = st.one_of(st.integers(1, 5).map(str), st.sampled_from(["0.5", "1/3", "2.25"]))
+        rows = [[*row, draw(weight)] for row in rows]
+    header = [f"x{k}" for k in range(m)] + (["w"] if weighted else [])
+    return "\n".join(",".join(row) for row in [header, *rows]) + "\n", weighted
+
+
+def _raised(call):
+    try:
+        call()
+    except Exception as exc:  # the type and message are the outcome
+        return type(exc), str(exc)
+    return "ok"
+
+
+@given(_csv_clouds())
+@settings(max_examples=60, deadline=None)
+def test_atomic_grouping_matches_the_table_route(cloud):
+    # levels where n m passes PACKED_KEY_BITS and the keys leave int64
+    # (n m = 62, 63, 64), where the indices do (n = 63), and level -1
+    text, weighted = cloud
+    model = ingest_points(text, "w" if weighted else None)
+    m = model.m
+    levels = {-1, 0, 1, 3, 62, 63, 64} | {b // m + d for b in (62, 63, 64) for d in (0, 1) if m}
+    for n in sorted(levels):
+        size = len(oracle_atomic_nodes(model, n).index) if n >= 0 else 1
+        for cap in sorted({0, 1, 2, size - 1, size, 1 << 21}):
+            want = _raised(lambda: oracle_atomic_nodes(model, n, cap))
+            for call in (model.level_masses, model.level_nodes,
+                         lambda k: oracle_table_masses(model.level_nodes(k))):
+                assert _raised(lambda: capped(model, call, n, max_cubes=cap)) == want
+        if n < 0:
+            continue
+        want, got = oracle_atomic_nodes(model, n), model.level_nodes(n)
+        assert (got.index.dtype, got.index.shape) == (want.index.dtype, want.index.shape)
+        assert got.index.tolist() == want.index.tolist()
+        assert got.mass_id.dtype == want.mass_id.dtype
+        assert got.mass_id.tolist() == want.mass_id.tolist()
+        assert got.masses == want.masses and all(type(mu) is Fraction for mu in got.masses)
+        multiset = model.level_masses(n)
+        assert multiset == oracle_table_masses(got)
+        assert all(type(mu) is Fraction for mu in multiset)
+
+
+def test_atomic_grouping_covers_wide_keys_and_dimension_zero():
+    # a 20-digit coordinate puts the denominator past 2^63 (`_indices` in
+    # Python ints at every level), a 3-d cloud has 63-bit keys at level 21 while its
+    # indices stay int64, and a cloud of weights only has one key
+    wide = ingest_points("x,y\n0.12345678901234567891,0.5\n0.25,0.75\n0.25,0.75\n")
+    deep = ingest_points("x,y,z\n0.1,0.2,0.3\n0.9,0.8,0.7\n0.1,0.2,0.3000001\n")
+    flat = ingest_points("w\n1\n3\n2\n", "w")
+    assert wide._den == 3 and wide._pden == 10**20 and wide._coords.dtype == object
+    assert deep._coords.dtype == np.int64 and flat.m == 0
+    for model, n in ((wide, 0), (wide, 5), (wide, 40), (deep, 20), (deep, 21), (deep, 22),
+                     (deep, 70), (flat, 0), (flat, 9), (flat, 64)):
+        want = oracle_atomic_nodes(model, n)
+        got = model.level_nodes(n)
+        assert got.index.dtype == want.index.dtype and got.index.tolist() == want.index.tolist()
+        assert got.mass_id.tolist() == want.mass_id.tolist() and got.masses == want.masses
+        assert model.level_masses(n) == oracle_table_masses(got)
+    assert flat.level_masses(9) == {1: 1} and deep.level_masses(70) == {Fraction(1, 3): 3}
+    assert wide.level_masses(40) == {Fraction(1, 3): 1, Fraction(2, 3): 1}
 
 
 def _outcome(call):

@@ -1,10 +1,17 @@
+import contextlib
+import io
+import json
 import math
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from widthlab import (
     ClosedFormSpectrum,
+    cli,
     EmbeddingParams,
     ValidationError,
     closed_form_spectrum,
@@ -387,3 +394,79 @@ def test_upper_orders_nonincreasing_in_sigma(tetra_inputs, p, q):
     for coarser, smoother in zip(reports, reports[1:]):
         for star in "KGL":
             assert smoother.upper[star] <= coarser.upper[star] + ORDER_TOL
+
+
+# The Hilbert case in 1-D. For a self-similar measure on [0, 1] whose pieces
+# S_i [0, 1] are disjoint, with ratios r_i and weights p_i, the eigenvalues of
+# the Krein-Feller problem decay with the exponent gamma that solves
+# sum (p_i r_i)^gamma = 1 (Fujita 1987; Solomyak & Verbitsky 1995), so the
+# Kolmogorov widths of W^{1,2} in L^2_nu decay like n^(-1 / (2 gamma)). The
+# paper's upper K order at sigma = 1, p = q = 2 is the same number. Here that
+# closed form is solved by bisection and compared with the order the command
+# line reports at its default levels. Out of scope: sigma >= 2 needs
+# C^(sigma - 1) elements, and m >= 2 the setting of Naimark & Solomyak.
+
+def hilbert_order(pieces) -> float:
+    """-1 / (2 gamma), with sum (p_i r_i)^gamma = 1 over pieces (r_i, p_i):
+    the sum falls from len(pieces) >= 2 at gamma = 0 to below 1 at 1."""
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return -1 / (2 * mid)
+        if math.fsum(float(p * r) ** mid for r, p in pieces) > 1:
+            lo = mid
+        else:
+            hi = mid
+
+
+def cli_upper_k_order(maps) -> float:
+    """`order --sigma 1 --p 2 --q 2`'s upper K order for the 1-D IFS of
+    maps (ratio_log2, offset, prob)."""
+    spec = {"type": "ifs", "m": 1, "probs": [str(p) for *_, p in maps],
+            "maps": [{"ratio_log2": k, "offset": [o]} for k, o, _ in maps]}
+    with tempfile.TemporaryDirectory() as cwd:
+        (Path(cwd) / "ifs.json").write_text(json.dumps(spec))
+        out = Path(cwd) / "out.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["order", "--measure", str(Path(cwd) / "ifs.json"), "--sigma", "1",
+                             "--p", "2", "--q", "2", "--out", str(out)])
+        assert code == cli.EX_OK
+        return json.loads(out.read_text().partition("\n")[2])["upper_order"]["K"]
+
+
+def _pieces(maps):
+    return [(Fraction(1, 1 << k), Fraction(p)) for k, _, p in maps]
+
+
+@pytest.mark.parametrize("maps", [
+    [(1, 0, "0.6"), (1, 1, "0.4")],
+    [(1, 0, "0.8"), (1, 1, "0.2")],
+    [(2, 0, "0.7"), (2, 3, "0.3")],
+], ids=["bernoulli-6-4", "bernoulli-8-2", "cantor-7-3"])
+def test_hilbert_order_matches_the_closed_form(maps):
+    assert abs(cli_upper_k_order(maps) - hilbert_order(_pieces(maps))) < 1e-9
+
+
+@st.composite
+def common_ratio_ifs(draw):
+    """A 1-D IFS of 2..2^k maps of one ratio 2^-k, at distinct offsets."""
+    k = draw(st.integers(1, 3))
+    offsets = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=2, max_size=1 << k,
+                            unique=True))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(offsets), max_size=len(offsets)))
+    return [(k, o, Fraction(w, sum(weights))) for o, w in zip(offsets, weights)]
+
+
+@given(common_ratio_ifs())
+@settings(max_examples=30, deadline=None)
+def test_hilbert_order_matches_the_closed_form_on_common_ratios(maps):
+    assert abs(cli_upper_k_order(maps) - hilbert_order(_pieces(maps))) < 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: on a mixed-ratio IFS `order` reads the "
+                   "finite-level curve at max(levels), not the limiting spectrum")
+def test_hilbert_order_matches_the_closed_form_on_mixed_ratios():
+    # closed form -1.28382, `order` -1.25778 at the default levels 4..10
+    maps = [(1, 0, "0.35"), (2, 3, "0.65")]
+    assert abs(cli_upper_k_order(maps) - hilbert_order(_pieces(maps))) < 1e-9
