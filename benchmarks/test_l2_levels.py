@@ -13,9 +13,14 @@ kept as `descent_positive` in `tests/oracles.py`, on:
 Each round gets fresh models, so no IFS level is cached. Both sides must
 give the same cubes with the same exact masses. The descent queries every
 atom for every child cube: its one round takes 13-23 s on a 2-core VM
-shared with other tenants, against 12-19 ms for all seven tables (the
-atomic ones from integer arrays), so the suite runs one round per side.
-The numbers of this docstring are from three runs of this file on that VM.
+shared with other tenants, so it runs once, as the equality oracle. The
+seven tables (the atomic ones from integer arrays) run TABLE_ROUNDS = 20
+rounds: in one round their figure moved 12.0-18.7 ms between runs of the
+same code, too widely to show a change of a few ms. Over 20 rounds the
+median was 7.6-12.0 ms before the models kept one state store and
+8.6-14.8 ms after, four alternating runs a side, the VM's load moving as
+much between runs. The other numbers of this docstring are from three
+runs of this file on that VM.
 
 A third case times `ingest_points` on the same cloud written as CSV text,
 as perfbench's `cloud.csv` is, and checks its integer state against the
@@ -35,7 +40,9 @@ over D^n; `oracle_level_masses` in `tests/oracles.py` is the `Fraction`
 push it replaced, one `Fraction` product and hash per (state, edge). Both
 must give the same multisets in the same order. On the same VM the two
 pushes take a median of 1.44-1.71 s over 5 rounds, against 6.9-8.5 s for
-one round of the `Fraction` push.
+one round of the `Fraction` push. Through the state store, whose rule is
+one call per state, the medians were 1.93-2.47 s, against 1.29-2.15 s
+before it in the same three alternating runs.
 
 A sixth case times the Lebesgue table at level 8 alone, on a fresh model
 each round: `level_nodes`, which pushes the uniform model as the IFS of its
@@ -80,6 +87,7 @@ from tests.oracles import (descent_positive, oracle_atomic_nodes, oracle_level_m
 
 SEED = 0
 CLOUD_POINTS = 600
+TABLE_ROUNDS = 20
 
 
 def cloud_coords():
@@ -120,7 +128,7 @@ def test_l2_levels(benchmark, enumerate_, descent):
     got = benchmark.pedantic(
         lambda todo: [enumerate_(model, n) for model, n in todo],
         setup=lambda: ((cases(),), {}),
-        rounds=1,
+        rounds=1 if enumerate_ is descent_positive else TABLE_ROUNDS,
     )
     if enumerate_ is table_positive:
         got = [as_cubes(n, table) for (_, n), table in zip(cases(), got)]

@@ -1,7 +1,7 @@
 """L3 benchmark: J_rho partition rows, on IFS and non-IFS cube trees.
 
-Times the two builds of the one level-by-level J_rho walk over the edges of
-the model's cube tree: with its cells (`build_partition`, a counting pass,
+Times the two builds of the one level-by-level J_rho walk over the states
+of the model's store: with its cells (`build_partition`, a counting pass,
 then a pass that carries every cube's index) and its rows alone
 (`partition_row`, a count per state), on:
 
@@ -14,10 +14,9 @@ then a pass that carries every cube's index) and its rows alone
 - cloud: a seeded 600-point cloud (6-digit decimals) at rho = 2 on the
   thresholds 2^-4 .. 2^-12, checked against `naive_partition`.
 
-Each round gets a fresh model, as a command-line run does, so no state
-graph (the states each model interns for the walk) carries over from one
-round to the next; within a round, the later thresholds reuse the states
-the earlier ones expanded. The cells build still makes the 4^9 cells of
+Each round gets a fresh model, as a command-line run does, so its store
+(the states the walk expands, kept on the model) starts empty; within a
+round, the later thresholds reuse the states the earlier ones expanded. The cells build still makes the 4^9 cells of
 lebesgue at 2^-24 one by one. Before and after the memoized depth-first
 recursion gave way to the level-by-level walk, on a 2-core x86-64 VM
 shared with other tenants (Python 3.11), pytest-benchmark medians of 5

@@ -24,46 +24,50 @@ and unpacks the keys, each with one `Fraction` per distinct mass.
 A product pairs every row of each factor's table with every row of the
 others', its mass ids remapped through the products.
 
-Every model answers the tree of its positive cubes natively (`root_node`,
-`edges`): each edge gives a child's node, its mass ratio to the parent and
-its branch bits. `mass` is one walk of that tree, one edge per level down
-from the root, and the J_rho partitions walk it too. An IFS is encoded once,
-by its finite template (`IfsMeasure.template`, the state classes of Cawley &
-Mauldin 1992): the images are disjoint, so every positive cube is a copy of
-a template node, and its state (node, exact mass) fixes its whole subtree.
-Every edge ratio is a / D over one common denominator D, so a level-n mass
-is N / D^n with N the product of its path's numerators, and at one level
-two masses are equal exactly when their N are. So a level's states
-(node, N) expand the cached states of the level above in integers, its
-multiset and node table build one `Fraction` per distinct mass when first
-read, and the cube count pushes integers per node. A uniform measure is an
-IFS: normalized Lebesgue measure on a dyadic cube is the self-similar
-measure of the 2^m maps x -> (x + b) / 2, b in {0,1}^m, of weight 2^-m
-each, embedded into the cube (Hutchinson 1981). Its template is a chain
-down to the support, then one node whose 2^m children are itself. An
-atomic node is a level and the atoms in its cube, split among the children
-by the rule of its node table, and a product pairs the factors' trees.
+Every model gives the tree of its positive cubes as one integer rule
+(`MeasureModel._rule`): a level-L cube of node h and mass N / den(L) has
+its positive children in index order, each with its node, its numerator
+over den(L + 1) and its branch bits; `mass` applies it one branch per
+level. An IFS is encoded by its finite template (`IfsMeasure.template`, the
+state classes of Cawley & Mauldin 1992): the images are disjoint, so every
+positive cube is a copy of a template node, and its state (node, exact
+mass) fixes its subtree. Every edge ratio is a / D over one denominator D,
+so its rule multiplies N by a, den(L) = D^L, and at one level two masses
+are equal exactly when their N are. A uniform measure is the IFS of the
+2^m maps x -> (x + b) / 2, b in {0,1}^m, of weight 2^-m each, embedded
+into its support (Hutchinson 1981): a chain down to the support, then one
+node whose 2^m children are itself. An atomic node is the atoms in its
+cube, split among the children as its node table splits them, its N their
+weights over the common denominator. A product's node is its factors'
+states, its N and den(L) the products of theirs.
+
+Each model keeps one store of these states (`StateStore`), expanded by the
+rule when first needed: the J_rho walks (`widthlab.partition`) expand the
+states they reach, and an IFS pushes whole levels through it, counting the
+cubes of each state in integers, for its multisets and node tables, which
+build one `Fraction` per distinct mass when first read. Measured with
+`tracemalloc` on the bench 7-map IFS pushed to level 20 (84 424 states),
+the store holds 334 bytes per state, 28.2 MB in all.
 
 The run's resource caps are attributes of the model: `max_cubes` bounds
 the cubes of a node table and the distinct masses of a multiset, and
 `max_cells` the cells of a J_rho partition (`widthlab.partition` reads it).
 The command line sets both once per run, so no function outside this
 module takes a cap. They are guards, not inputs to any cached value: an
-over-cap push appends nothing, and a table is built only after its count
-passes, so a level cached under a larger cap trips exactly as a fresh one.
+over-cap push keeps nothing of the level it trips on, and a table is built
+only after its count passes, so a level cached under a larger cap trips
+exactly as a fresh one.
 A product's `max_cubes` is its factors': setting it sets theirs.
 `_check_level` checks a level's cube count against `max_cubes` before its
-table is built (an IFS pushes the count in integers, so an oversized level
-pushes no state). It trips where the cube-by-cube descent through the mass
-oracle, the tests' reference, does: counts never decrease with the level,
-and level 0 is never capped. Indices are int64 up to level 62 and Python
+table is built (an IFS counts cubes per template node, storing no state).
+It trips where the cube-by-cube descent through the mass oracle, the
+tests' reference, does: counts never decrease with the level, and level 0
+is never capped. Indices are int64 up to level 62 and Python
 ints from level 63 on (INT64_LEVELS), so they, and the centres
 (2 l + 1) 2^-(n+1) computed from them, stay exact at every level.
 
-Models are immutable after construction but for their caps, a template
-built with its model.
-Mass evaluation is pure; the IFS level caches are plain lists guarded by the
-GIL.
+Models are immutable after construction but for their caps and their
+store, a cache that only grows: walks in several threads may share a model.
 """
 from __future__ import annotations
 
@@ -76,6 +80,9 @@ import itertools
 import json
 import math
 import operator
+import threading
+import weakref
+from collections.abc import Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -102,36 +109,6 @@ class LevelNodes(NamedTuple):
     index: np.ndarray
     mass_id: np.ndarray
     masses: tuple[Mass, ...]
-
-
-class TemplateNode(NamedTuple):
-    """A node of an IFS template: its positive children in index order as
-    (node, ratio, branch) edges. The child cube is the parent's child
-    `branch` (one bit per coordinate, its index 2 index + branch), its
-    subtree is that node's, and its mass is the parent's times ratio."""
-
-    children: tuple[tuple[int, Mass, tuple[int, ...]], ...]
-
-
-class _Level:
-    """The states of an IFS level n in id order, as (template node, id among
-    the level's distinct masses), with their cube counts; the numerators N
-    of the distinct masses N / den in id order, den = D^n; and, per state of
-    the level above, its children's state ids in edge order. The multiset is
-    built when first read, so a push through a level makes no `Fraction`."""
-
-    def __init__(self, states: list[tuple[int, int]], counts: list[int], nums: list[int],
-                 den: int, edges: list[list[int]]) -> None:
-        self.states, self.counts, self.nums, self.den, self.edges = (
-            states, counts, nums, den, edges)
-
-    @functools.cached_property
-    def multiset(self) -> dict[Mass, int]:
-        """{mass: count}, its masses in id order."""
-        sizes = [0] * len(self.nums)
-        for (_, j), count in zip(self.states, self.counts):
-            sizes[j] += count
-        return dict(zip((Fraction(num, self.den) for num in self.nums), sizes))
 
 
 def index_array(rows, n: int, m: int) -> np.ndarray:
@@ -191,13 +168,125 @@ def _check_masses(n: int, count: int, max_cubes: int) -> None:
         raise ResourceLimitError(f"more than {max_cubes} distinct masses at level {n}")
 
 
+class StateStore:
+    """A model's positive cubes as integer states, level by level.
+
+    A level-L state is (node, N): a node of the model's cube tree and the
+    numerator of its cubes' mass N / den(L). Its id is its place in
+    `states[L]`, in the order first met. The model's rule expands each
+    state once, when first needed, into its children's ids at level L + 1
+    (`kids[L][s]`) and their branch bits (`branches[L][s]`), under a lock,
+    so walks in several threads may share a model. `push` expands whole
+    levels and counts the cubes of each state (`counts[L]`) in push order,
+    the order a push from a cold store meets them, so the multisets and
+    tables read from it do not depend on what expanded the states first.
+    """
+
+    def __init__(self, model: "MeasureModel") -> None:
+        # a weak reference, so the model and its store die with the last
+        # reference to the model, not at the next cyclic collection
+        self._model, self._lock = weakref.proxy(model), threading.Lock()
+        self.states, self.kids, self.branches = [[model._root]], [[None]], [[None]]
+        self._ids = [{self.states[0][0]: 0}]
+        self._walk, self._log2 = [{}], [{}]  # per level: walked states' children, log2 masses
+        self.counts: list[dict[int, int]] = [{0: 1}]
+        self._masses: dict[int, tuple] = {}  # per pushed level, `masses`
+
+    def _expand(self, level: int, todo, capped: bool = False) -> None:
+        """Expand the states `todo` of `level`, the lock held. If `capped`,
+        level + 1 may have at most `max_cubes` distinct masses: past it, the
+        batch is undone and the cap trips."""
+        if len(self.states) == level + 1:
+            for levels in (self.states, self.kids, self.branches):
+                levels.append([])
+            for levels in (self._ids, self._walk, self._log2):
+                levels.append({})
+        rule, states, kids, branches = (self._model._rule, self.states[level], self.kids[level],
+                                        self.branches[level])
+        ids, below, below_kids, below_branches = (self._ids[level + 1], self.states[level + 1],
+                                                  self.kids[level + 1], self.branches[level + 1])
+        cap, first, rows = self._model.max_cubes, len(below), []
+        masses, seen = set(), 0  # the distinct masses of below[:seen]
+        for s in todo:
+            node, num = states[s]
+            children, bits = rule(level, node, num)
+            row = []
+            for key in children:
+                k = ids.setdefault(key, len(below))
+                if k == len(below):
+                    below.append(key)
+                    below_kids.append(None)
+                    below_branches.append(None)
+                row.append(k)
+            rows.append((s, row, bits))
+            if capped and len(below) > cap:  # else its masses, no more than its states, pass
+                masses.update(num for _, num in below[seen:])
+                seen = len(below)
+                if len(masses) > cap:  # no expansion refers to the batch yet
+                    for key in below[first:]:
+                        del ids[key]
+                    del below[first:], below_kids[first:], below_branches[first:]
+                    _check_masses(level + 1, len(masses), cap)
+        for s, row, bits in rows:
+            branches[s], kids[s] = bits, row
+
+    def push(self, n: int) -> None:
+        """Expand every state of levels below n and count the cubes of each
+        state of levels up to n, in push order. Pushing level n trips as soon
+        as it has more than `max_cubes` distinct masses; a coarser level may
+        have more (the counts are not monotone in the level)."""
+        with self._lock:
+            while len(self.counts) <= n:
+                level = len(self.counts) - 1
+                above, kids, counts = self.counts[level], self.kids[level], {}
+                self._expand(level, [s for s in above if kids[s] is None], level + 1 == n)
+                for s, count in above.items():
+                    for k in kids[s]:
+                        counts[k] = counts.get(k, 0) + count
+                self.counts.append(counts)
+
+    def masses(self, n: int) -> tuple[dict[int, int], tuple[Mass, ...], list[int]]:
+        """A pushed level's distinct masses in push order, built once: {N:
+        its id}, the masses as `Fraction`s and their cube counts."""
+        if n not in self._masses:
+            states, sizes = self.states[n], {}
+            for s, count in self.counts[n].items():
+                num = states[s][1]
+                sizes[num] = sizes.get(num, 0) + count
+            den = self._model._denominator(n)
+            self._masses[n] = ({num: i for i, num in enumerate(sizes)},
+                               tuple(Fraction(num, den) for num in sizes), list(sizes.values()))
+        return self._masses[n]
+
+    def children(self, level: int, state: int) -> list[tuple[int, float, tuple[int, ...]]]:
+        """A state's children, expanded on first use, as (child id, log2 of
+        its mass, branch) in index order. The log2 is taken once per
+        distinct (level, mass), from the reduced pair."""
+        out = self._walk[level].get(state)
+        if out is None:
+            with self._lock:
+                if self.kids[level][state] is None:
+                    self._expand(level, (state,))
+            states, log2 = self.states[level + 1], self._log2[level + 1]
+            den, out = self._model._denominator(level + 1), []
+            for kid, branch in zip(self.kids[level][state], self.branches[level][state]):
+                num = states[kid][1]
+                value = log2.get(num)
+                if value is None:
+                    g = math.gcd(num, den)
+                    value = log2[num] = math.log2(num // g) - math.log2(den // g)
+                out.append((kid, value, branch))
+            self._walk[level][state] = out
+        return out
+
+
 class MeasureModel:
-    """Common interface: the tree of positive cubes (`root_node`, `edges`),
-    exact masses of dyadic cubes by one walk of it (`mass`), and each
-    level's positive cubes as a node table (`level_nodes`), which every
-    family builds in bulk without the mass oracle. An IFS model, uniform
-    ones among them, answers the tree from its template. `max_cubes` caps
-    the tables and multisets, `max_cells` the J_rho partitions."""
+    """Common interface: exact masses of dyadic cubes (`mass`), and each
+    level's positive cubes as a node table (`level_nodes`) and a multiset
+    (`level_masses`), built in bulk without the mass oracle. Each family
+    gives its cube tree as one integer rule (`_rule`, from the unit cube's
+    state `_root`, over `_denominator`), whose states `_store` keeps.
+    `max_cubes` caps the tables and multisets, `max_cells` the partitions."""
 
     m: int
     finite_support = False
@@ -205,27 +294,27 @@ class MeasureModel:
     max_cells = DEFAULT_MAX_CELLS
 
     def mass(self, cube: DyadicCube) -> Mass:
-        """The exact mass of one cube: the mass oracle (layer L1), one edge
-        per level down from the root; a cube of another dimension lies
-        outside the model. No code of the package calls it, since the tables
-        and the J_rho walks descend the tree themselves: it is the per-cube
-        query of the public API, and the L1 benchmark times it."""
-        node, mu = self.root_node(), Fraction(cube.m == self.m)
-        for shift in range(cube.level - 1, -1, -1):
-            branch = tuple(l >> shift & 1 for l in cube.index)
-            edge = next((e for e in self.edges(node) if e[2] == branch), None)
-            if edge is None:
-                return Fraction(0)
-            node, mu = edge[0], mu * edge[1]
-        return mu
+        """The exact mass of one cube: the mass oracle (layer L1), the rule
+        applied one branch per level down from the root; a cube of another
+        dimension lies outside the model. No code of the package calls it,
+        since the tables and the J_rho walks read the store: it is the
+        per-cube query of the public API, and the L1 benchmark times it."""
+        state, level = self._root if cube.m == self.m else None, 0
+        while state is not None and level < cube.level:
+            branch = tuple(l >> (cube.level - 1 - level) & 1 for l in cube.index)
+            children, branches = self._rule(level, *state)
+            state = next((kid for kid, bits in zip(children, branches) if bits == branch), None)
+            level += 1
+        return Fraction(0) if state is None else Fraction(state[1], self._denominator(cube.level))
 
-    def root_node(self):
-        """The node of the unit cube."""
-        raise NotImplementedError
+    @functools.cached_property
+    def _store(self) -> StateStore:
+        return StateStore(self)
 
-    def edges(self, node) -> tuple[tuple[object, Mass, tuple[int, ...]], ...]:
-        """A node's positive children in index order as (node, mass ratio
-        child/parent, branch bits)."""
+    def _rule(self, level: int, node, num: int) -> tuple[list[tuple[object, int]], Sequence]:
+        """The positive children of a level-`level` state, in index order:
+        their states (node, N over den(level + 1)) and their branch bits.
+        The family gives den(level) too (`_denominator`)."""
         raise NotImplementedError
 
     def level_nodes(self, n: int) -> LevelNodes:
@@ -250,7 +339,7 @@ class AtomicMeasure(MeasureModel):
     over `_den`, the lcm of the reduced weight denominators. Each array is
     int64 when its denominator fits in int64 and holds Python ints
     otherwise, so every cube index and every mass is exact. Multisets,
-    tables and edges take the cube indices of all their atoms in one array
+    tables and the rule take the cube indices of all their atoms in one array
     operation and make no `Fraction` arithmetic per atom; a level's multiset
     and table read one grouping of its atoms by cube (`_groups`). The public
     `points` and `weights` are tuples of `Fraction`s, built when first read.
@@ -314,6 +403,7 @@ class AtomicMeasure(MeasureModel):
         coords, pden = _common(pairs)
         self.m = m
         self._den, self._units = den, _int_array(units, den)
+        self._root = tuple(range(len(units))), den
         self._pden = pden
         self._coords = _int_array(coords, pden).reshape(len(units), m)
 
@@ -333,24 +423,21 @@ class AtomicMeasure(MeasureModel):
             coords = coords.astype(object)
         return ((coords << n) - 1) // self._pden
 
-    def root_node(self) -> tuple[int, tuple[int, ...]]:
-        return 0, tuple(range(len(self._units)))
+    def _denominator(self, level: int) -> int:
+        return self._den
 
-    def edges(self, node):
-        # a node is (level L, ids of its atoms); an atom goes to the child of
-        # bits ceil(x 2^(L+1)) - 1 & 1, the rule of level_nodes
-        level, ids = node
-        rows = np.array(ids, dtype=np.intp)
-        bits = (self._indices(level + 1, rows) & 1).tolist()
-        groups: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-        for i, u, branch in zip(ids, self._units[rows].tolist(), map(tuple, bits)):
-            members, units = groups.setdefault(branch, ([], []))
-            members.append(i)
-            units.append(u)
-        kids = [(branch, tuple(members), sum(units))
-                for branch, (members, units) in sorted(groups.items())]
-        total = sum(u for *_, u in kids)
-        return [((level + 1, members), Fraction(u, total), branch) for branch, members, u in kids]
+    def _rule(self, level, node, num):
+        # a node is the ids of the atoms in its cube, N their units; an atom
+        # goes to the child of bits ceil(x 2^(L+1)) - 1 & 1, as in level_nodes
+        rows = np.array(node, dtype=np.intp)
+        bits = map(tuple, (self._indices(level + 1, rows) & 1).tolist())
+        groups: dict[tuple[int, ...], list] = {}
+        for i, u, branch in zip(node, self._units[rows].tolist(), bits):
+            group = groups.setdefault(branch, [[], 0])
+            group[0].append(i)
+            group[1] += u
+        branches = sorted(groups)
+        return [(tuple(groups[b][0]), groups[b][1]) for b in branches], branches
 
     def _groups(self, n) -> dict[int, int]:
         """{packed level-n index: mass in units} over the occupied cubes, the
@@ -406,28 +493,16 @@ class IfsMap(_IfsMap):
         return DyadicCube(self.ratio_log2, self.offset)
 
 
-def _chain(cube: DyadicCube) -> list[TemplateNode]:
-    """Template nodes 0 .. cube.level - 1: the ancestors of `cube`, node j
-    with one edge of ratio 1 to node j + 1, the last to node cube.level."""
-    k = cube.level
-    return [TemplateNode(((j + 1, Fraction(1), tuple(l >> (k - 1 - j) & 1 for l in cube.index)),))
-            for j in range(k)]
-
-
 class IfsMeasure(MeasureModel):
     """Self-similar measure for dyadically aligned maps with disjoint images.
 
     nu = sum_i p_i * nu o S_i^{-1}. An optional embed_shift conjugates the
     attractor into a dyadic subcube so that it avoids the boundary of the
-    unit cube. Masses, multisets, node tables, counts and the tree edges all
-    read `template`: they push states through it, one level at a time, and
-    keep no per-cube memo. The multisets and node tables key a level-n state
-    by (template node, N), its mass being N / D^n: `_pushes` holds each
-    edge's ratio as its numerator a over the common denominator `_den` = D,
-    the lcm of the reduced ratio denominators (a = D on a ratio-1 chain
-    edge). A push multiplies N by a; masses of one level share the
-    denominator D^n, so their N are equal exactly when they are, and the
-    states, their id order and the counts are those of the exact masses.
+    unit cube. Its integer rule reads `template`: a child's N is its
+    parent's times a, the edge's mass ratio over the common denominator
+    `_den` = D, so den(L) = D^L. The multisets and node tables
+    (`_multisets`, `_tables`) read the store's push, and keep no per-cube
+    memo.
     """
 
     def __init__(self, maps, probs, embed_shift: IfsMap | None = None) -> None:
@@ -468,29 +543,29 @@ class IfsMeasure(MeasureModel):
         self.maps = maps
         self.probs = probs
         self.embed_shift = embed_shift
-        self.template = self._build_template()
-        nums, self._den = _common([ratio.as_integer_ratio() for node in self.template
-                                   for _, ratio, _ in node.children])
-        nums = iter(nums)
-        self._pushes = tuple(tuple((child, next(nums)) for child, _, _ in node.children)
-                             for node in self.template)
-        self._levels = [_Level([(0, 0)], [1], [1], 1, [])]
+        self.template, self._den = self._build_template()
+        self._root = 0, 1
+        self._multisets: dict[int, dict[Mass, int]] = {}
         self._tables: list[LevelNodes] = []
         self._rows: np.ndarray | None = None  # the state of each row of the deepest table
 
-    def root_node(self) -> int:
-        return 0
+    def _denominator(self, level: int) -> int:
+        return self._den ** level
 
-    def edges(self, node: int) -> tuple[tuple[int, Mass, tuple[int, ...]], ...]:
-        return self.template[node].children
+    def _rule(self, level, node, num):
+        edges, branches = self.template[node]
+        return [(child, num * a) for child, a in edges], branches
 
     @property
     def common_ratio_log2(self) -> int | None:
         ks = {mp.ratio_log2 for mp in self.maps}
         return ks.pop() if len(ks) == 1 else None
 
-    def _build_template(self) -> tuple[TemplateNode, ...]:
-        """The finite template of the positive cube tree; node 0 is the unit cube.
+    def _build_template(self) -> tuple[tuple, int]:
+        """The finite template of the positive cube tree, node 0 the unit
+        cube: each node's children as (node, a) and their branch bits, a the
+        edge's mass ratio over the common denominator D, the lcm of the
+        reduced ratios' denominators; and D.
 
         Its nodes are, with embed_shift of level k, the ancestors of the
         shift image at levels 0 .. k - 1 (one edge each, ratio 1), then the
@@ -502,7 +577,8 @@ class IfsMeasure(MeasureModel):
         """
         shift = self.embed_shift
         k = 0 if shift is None else shift.ratio_log2
-        nodes = [] if shift is None else _chain(shift.image())
+        nodes = [[(j + 1, Fraction(1), tuple(o >> (k - 1 - j) & 1 for o in shift.offset))]
+                 for j in range(k)]
         base = {(0, (0,) * self.m): Fraction(1)}
         for p, mp in zip(self.probs, self.maps):
             for n in range(1, mp.ratio_log2):
@@ -517,58 +593,35 @@ class IfsMeasure(MeasureModel):
             if n:
                 kids[n - 1, tuple(o >> 1 for o in index)].append((node_id[n, index], mu, index))
         for key in node_id:
-            nodes.append(TemplateNode(tuple(
-                (j, mu / base[key], tuple(o & 1 for o in index))
-                for j, mu, index in sorted(kids[key], key=lambda kid: kid[2])
-            )))
-        return tuple(nodes)
-
-    def _level(self, n) -> _Level:
-        """The level-n states, pushed level by level from the root and cached.
-        Pushing level n itself stops as soon as it has more than `max_cubes`
-        distinct masses; a coarser level may have more (the counts are not
-        monotone in the level). A node table's levels never trip it: their
-        cube counts, which bound their distinct masses, passed the cap."""
-        levels, pushes, cap = self._levels, self._pushes, self.max_cubes
-        while len(levels) <= n:
-            above = levels[-1]
-            mass_id: dict[int, int] = {}  # numerator N of N / D^n -> id
-            state_id: dict[tuple[int, int], int] = {}
-            counts, edges = [], []
-            for (node, j), count in zip(above.states, above.counts):
-                num, row = above.nums[j], []
-                for child, a in pushes[node]:
-                    s = state_id.setdefault((child, mass_id.setdefault(num * a, len(mass_id))),
-                                            len(counts))
-                    if s == len(counts):
-                        counts.append(0)
-                    counts[s] += count
-                    row.append(s)
-                edges.append(row)
-                if len(levels) == n:
-                    _check_masses(n, len(mass_id), cap)
-            levels.append(_Level(list(state_id), counts, list(mass_id),
-                                 self._den ** len(levels), edges))
-        return levels[n]
+            nodes.append([(j, mu / base[key], tuple(o & 1 for o in index))
+                          for j, mu, index in sorted(kids[key], key=lambda kid: kid[2])])
+        nums, den = _common([ratio.as_integer_ratio() for node in nodes for _, ratio, _ in node])
+        nums = iter(nums)
+        return tuple((tuple((j, next(nums)) for j, _, _ in node), tuple(b for *_, b in node))
+                     for node in nodes), den
 
     def level_masses(self, n):
         _check_level(n)
-        out = self._level(n).multiset
+        out = self._multisets.get(n)
+        if out is None:
+            self._store.push(n)
+            _, masses, sizes = self._store.masses(n)
+            out = self._multisets[n] = dict(zip(masses, sizes))
         # the multiset is the resource here (cached or not), not the cube count
         _check_masses(n, len(out), self.max_cubes)
-        return dict(out)
+        return dict(out)  # a copy keeps the stored hashes of its Fraction keys
 
     def _count(self, n) -> int:
         """The level-n cube count, pushed in integers per template node; a
         coarser level past `max_cubes` ends the push early (counts never
         decrease), so a cap trips before any level is pushed."""
-        nodes, counts = self.template, {0: 1}
+        template, counts = self.template, {0: 1}
         for _ in range(n):
             if sum(counts.values()) > self.max_cubes:
                 break
             pushed: dict[int, int] = {}
             for node, count in counts.items():
-                for child, _, _ in nodes[node].children:
+                for child, _ in template[node][0]:
                     pushed[child] = pushed.get(child, 0) + count
             counts = pushed
         return sum(counts.values())
@@ -582,16 +635,17 @@ class IfsMeasure(MeasureModel):
     def _build_nodes(self, n) -> LevelNodes:
         """The level-n table, built after level n - 1: every row of level
         n - 1 expands to its state's children, at indices 2 index + branch."""
-        level = self._level(n)
+        store = self._store
+        store.push(n)
         if n == 0:
             index, state = index_array([(0,) * self.m], 0, self.m), np.zeros(1, dtype=np.intp)
         else:
             above, rows = self._tables[n - 1], self._rows
-            nodes = self.template
-            kid = np.array([s for row in level.edges for s in row], dtype=np.intp)
-            branch = index_array([bits for node, _ in self._levels[n - 1].states
-                                  for _, _, bits in nodes[node].children], n, self.m)
-            first = np.cumsum([0] + [len(row) for row in level.edges])
+            kids = store.kids[n - 1]
+            kid = np.array([s for row in kids for s in row], dtype=np.intp)
+            branch = index_array([bits for row in store.branches[n - 1] for bits in row],
+                                 n, self.m)
+            first = np.cumsum([0] + [len(row) for row in kids])
             width = np.diff(first)[rows]
             start = np.cumsum(width) - width
             edge = np.arange(width.sum()) - np.repeat(start - first[rows], width)
@@ -601,10 +655,11 @@ class IfsMeasure(MeasureModel):
             order = np.argsort(packed_keys(index, n), kind="stable")
             index, state = index[order], state[order]
         self._rows = state
-        mass_id = np.array([j for _, j in level.states], dtype=np.intp)[state]
+        order, masses, _ = store.masses(n)
+        mass_id = np.array([order[num] for _, num in store.states[n]], dtype=np.intp)[state]
         index.flags.writeable = mass_id.flags.writeable = False  # cached, shared
-        # the masses in id order, as the multiset's keys, with no dict built
-        return LevelNodes(index, mass_id, tuple(Fraction(num, level.den) for num in level.nums))
+        # the masses in push order, as the multiset's keys, with no dict built
+        return LevelNodes(index, mass_id, masses)
 
 
 class UniformMeasure(IfsMeasure):
@@ -633,6 +688,8 @@ class ProductMeasure(MeasureModel):
         self.factors = factors
         self.m = sum(f.m for f in factors)
         self.finite_support = all(f.finite_support for f in factors)
+        roots = tuple(f._root for f in factors)
+        self._root = roots, math.prod(num for _, num in roots)
 
     def _cap_factors(self, cap: int) -> None:
         """Set the product's `max_cubes` and, as theirs, its factors': a
@@ -643,14 +700,17 @@ class ProductMeasure(MeasureModel):
 
     max_cubes = property(operator.attrgetter("_max_cubes"), _cap_factors)
 
-    def root_node(self) -> tuple:
-        return tuple(f.root_node() for f in self.factors)
+    def _denominator(self, level: int) -> int:
+        return math.prod(f._denominator(level) for f in self.factors)
 
-    def edges(self, node: tuple) -> list[tuple[tuple, Mass, tuple[int, ...]]]:
-        # the factors' trees side by side: one edge per tuple of factor edges
-        return [(tuple(e[0] for e in combo), math.prod(e[1] for e in combo),
-                 sum((e[2] for e in combo), ()))
-                for combo in itertools.product(*(f.edges(v) for f, v in zip(self.factors, node)))]
+    def _rule(self, level, node, num):
+        # a node is the factors' states, its numerator the product of
+        # theirs: one child per tuple of the factors' children
+        combos = list(itertools.product(*(zip(*f._rule(level, *state))
+                                           for f, state in zip(self.factors, node))))
+        return ([(kids, math.prod(n for _, n in kids))
+                 for kids in (tuple(kid for kid, _ in combo) for combo in combos)],
+                [sum((bits for _, bits in combo), ()) for combo in combos])
 
     def level_nodes(self, n):
         tables = [f.level_nodes(n) for f in self.factors]

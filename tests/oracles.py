@@ -43,7 +43,7 @@ The threshold check of a separation input (`check_threshold`, once the
 default alpha grid built without a count (`oracle_default_alpha_grid`) is
 the reference of the counted one.
 The J_rho partition is also kept as the memoized depth-first recursion
-over the model's state graph (`oracle_walk`), which the level-by-level walk
+over the model's state store (`oracle_walk`), which the level-by-level walk
 replaced, and the width exponents as computed with no cache of each
 exponent's exact reciprocal and conjugate (`uncached`).
 An atomic model's node table grouped by index tuples (`oracle_atomic_nodes`)
@@ -75,9 +75,9 @@ from widthlab.cubes import children
 from widthlab.empirical import _lq_norm, _nodes
 from widthlab.functions import TWO_PI, monomials, multi_indices
 from widthlab import orders
-from widthlab.measures import (DEFAULT_MAX_CUBES, PACKED_KEY_BITS, LevelNodes, TemplateNode,
-                               _chain, _check_level, _check_masses, index_array)
-from widthlab.partition import _LEVEL_GUARD, _ROOT, PartitionRow, _state_graph
+from widthlab.measures import (DEFAULT_MAX_CUBES, PACKED_KEY_BITS, LevelNodes, _check_level,
+                               _check_masses, index_array)
+from widthlab.partition import _LEVEL_GUARD, _ROOT, PartitionRow
 from widthlab.probe import ProbeResult, alpha_good_cubes, sobolev_seminorm, well_separated
 from widthlab.quadrature import unit_rule, unit_rule_1d
 from widthlab.spectrum import frac_log2, level_log_masses
@@ -186,7 +186,7 @@ def oracle_j_log2(model, cube, rho):
 
 def oracle_walk(model, rho: float, t: float, cells: list | None) -> PartitionRow:
     """The row of the partition for threshold t, by the depth-first walk of
-    the model's state graph that the level-by-level walk replaced: a row is
+    the model's state store that the level-by-level walk replaced: a row is
     memoized per (level, state id) when no cells are wanted, the children of
     an expanded cube are taken cells first, then the deeper ones last to
     first, and the cells met so far are counted in that order against
@@ -202,7 +202,7 @@ def oracle_walk(model, rho: float, t: float, cells: list | None) -> PartitionRow
             cells.append((0, (0,) * model.m, 0.0))
         return PartitionRow(t=t, rho=rho, card=1, max_j=1.0, min_level=0, max_level=0,
                             degenerate=True)
-    children, max_cells = _state_graph(model).children, model.max_cells
+    children, max_cells = model._store.children, model.max_cells
     memo = {} if cells is None else None  # (level, state id) -> row
     emitted = 0  # cells met so far
 
@@ -219,7 +219,7 @@ def oracle_walk(model, rho: float, t: float, cells: list | None) -> PartitionRow
             js, deeper = [], []
             below = (level + 1) * rho
             doubled = None if cells is None else tuple(l << 1 for l in index)
-            for kid, log2_mu, branch in children(state):
+            for kid, log2_mu, branch in children(level, state):
                 j = log2_mu - below
                 child = None if doubled is None else tuple(map(add, doubled, branch))
                 if j < log2_t:
@@ -416,8 +416,8 @@ def oracle_s_b_empirical(t_grid, values, b):
 
 def oracle_levels(model, n, max_masses=math.inf):
     """Levels 0 .. n of an IFS model pushed through its template in exact
-    `Fraction` masses, each (states, counts, multiset, edges) as `_Level`
-    holds them: states (node, mass id) and their cube counts in id order,
+    `Fraction` masses, each (states, counts, multiset, edges) in push
+    order: states (node, mass id) and their cube counts in id order,
     {mass: count} in mass-id order, and per state of the level above its
     children's state ids. Pushing level n stops as soon as it has more than
     `max_masses` distinct masses."""
@@ -429,8 +429,9 @@ def oracle_levels(model, n, max_masses=math.inf):
         counts, edges = [], []
         for (node, j), count in zip(states, counts_above):
             mu, row = masses[j], []
-            for child, ratio, _ in model.template[node].children:
-                s = state_id.setdefault((child, mass_id.setdefault(mu * ratio, len(mass_id))),
+            for child, a in model.template[node][0]:
+                mu_child = mu * Fraction(a, model._den)
+                s = state_id.setdefault((child, mass_id.setdefault(mu_child, len(mass_id))),
                                         len(counts))
                 if s == len(counts):
                     counts.append(0)
@@ -515,11 +516,12 @@ def oracle_decay_rows(f, model, params, t_sequence, depth_offset=3):
 
 
 def oracle_uniform_template(support):
-    # the chain down to the support, then its node, whose 2^m children are itself
-    m = support.m
-    ratio = Fraction(1, 1 << m)
-    return (*_chain(support), TemplateNode(tuple(
-        (support.level, ratio, bits) for bits in itertools.product((0, 1), repeat=m))))
+    # the chain down to the support, its edges of ratio 1 = 2^m / D, then its
+    # node, whose 2^m children are itself, of ratio 2^-m = 1 / D (D = 2^m)
+    m, k = support.m, support.level
+    bits = tuple(itertools.product((0, 1), repeat=m))
+    return (*((((j + 1, 1 << m),), (tuple(l >> (k - 1 - j) & 1 for l in support.index),))
+              for j in range(k)), (tuple((k, 1) for _ in bits), bits))
 
 
 def oracle_uniform_level_masses(model, n, max_cubes=DEFAULT_MAX_CUBES):

@@ -164,19 +164,22 @@ def test_atomic_table_obeys_the_cap():
 
 @pytest.mark.parametrize("name", NODE_MODELS)
 def test_edges_list_the_positive_children_in_index_order(name, tetrahedron):
-    # to level 6, every node's edges: branches strictly increasing, the
-    # ratios positive and summing to 1, as the tables and the walks assume
+    # to level 6, the integer rule at every state: branches strictly
+    # increasing, the children's masses positive and summing to the
+    # parent's, as the store, the tables and the walks assume
     model = _node_models(tetrahedron)[name]
-    frontier = [model.root_node()]
-    for _ in range(6):
+    root_node, root_num = model._root
+    assert Fraction(root_num, model._denominator(0)) == 1
+    frontier = [(root_node, root_num)]
+    for level in range(6):
         below = []
-        for node in frontier:
-            edges = model.edges(node)
-            branches = [branch for _, _, branch in edges]
-            assert branches == sorted(set(branches))
-            assert all(ratio > 0 for _, ratio, _ in edges)
-            assert sum(ratio for _, ratio, _ in edges) == 1
-            below += [child for child, _, _ in edges]
+        for node, num in frontier:
+            children, branches = model._rule(level, node, num)
+            assert len(children) == len(branches) and list(branches) == sorted(set(branches))
+            assert all(kid > 0 for _, kid in children)
+            assert (Fraction(sum(kid for _, kid in children), model._denominator(level + 1))
+                    == Fraction(num, model._denominator(level)))
+            below += children
         frontier = below
 
 
@@ -216,20 +219,22 @@ _PRIMES = [17, 19, 23, 29, 31, 97, 65537, 1000003, 2**31 - 1, 2**61 - 1, 2**89 -
 
 
 def _check_atomic_units(model, depth):
-    # node-table masses and edge ratios against the Fraction sums of the atoms
+    # node-table masses and the integer rule's unit sums against the
+    # Fraction sums of the atoms
     for n in range(depth + 1):
         index, mass_id, masses = model.level_nodes(n)
         assert all(type(mu) is Fraction for mu in masses)
         for row, j in zip(index.tolist(), mass_id.tolist()):
             assert masses[j] == oracle_mass(model, DyadicCube(n, tuple(row)))
-    frontier = [(root(model.m), model.root_node(), Fraction(1))]
-    for _ in range(depth):
+    frontier = [(root(model.m), model._root)]
+    for level in range(depth):
         below = []
-        for cube, node, mu in frontier:
-            for child, ratio, branch in model.edges(node):
-                kid = cube.child(branch)
-                assert mu * ratio == oracle_mass(model, kid)
-                below.append((kid, child, mu * ratio))
+        for cube, state in frontier:
+            children, branches = model._rule(level, *state)
+            for kid, branch in zip(children, branches):
+                child = cube.child(branch)
+                assert Fraction(kid[1], model._denominator(level + 1)) == oracle_mass(model, child)
+                below.append((child, kid))
         frontier = below
 
 
@@ -418,7 +423,7 @@ def test_node_table_cap_matches_descent(name, tetrahedron):
     with pytest.raises(ResourceLimitError, match="cubes at level 200$"):
         deep.level_nodes(200)
     # the cap tripped before any level was pushed past the root or tabulated
-    assert len(deep._levels) == 1 and not deep._tables
+    assert len(deep._store.states) == 1 and not deep._tables
 
 
 @st.composite
@@ -519,8 +524,11 @@ def test_ifs_mass_cap_trips_at_the_requested_level_only():
     message = "more than 1 distinct masses at level 3$"
     with pytest.raises(ResourceLimitError, match=message):
         fresh.level_masses(3)
-    # the push stopped inside level 3, which is not cached
-    assert len(fresh._levels) == 3
+    # the push stopped inside level 3, which keeps no state, and level 2's
+    # states stay unexpanded
+    store = fresh._store
+    assert len(store.counts) == 3 and store.states[3] == []
+    assert store.kids[2] == [None] * len(store.states[2])
     model.max_cubes = 1
     with pytest.raises(ResourceLimitError, match=message):
         model.level_masses(3)  # cached
@@ -529,17 +537,30 @@ def test_ifs_mass_cap_trips_at_the_requested_level_only():
 @given(dyadic_ifs())
 @settings(max_examples=25, deadline=None)
 def test_node_table_masses_are_the_multiset_keys(model):
-    # a node table takes its masses from the level's numerators, in id
-    # order, without building the level's multiset
+    # a node table and the multiset take their masses from the store's
+    # numerators, in push order: one `Fraction` per distinct mass for both
     for n in range(9):
         masses = model.level_nodes(n).masses
-        assert "multiset" not in vars(model._level(n))
-        assert masses == tuple(model._level(n).multiset)
+        assert masses is model._store.masses(n)[1]
+        assert masses == tuple(model.level_masses(n))
         assert all(type(mu) is Fraction for mu in masses)
 
 
 def _fresh(model):
     return IfsMeasure(model.maps, model.probs, model.embed_shift)
+
+
+def push_levels(model, n):
+    """Level n of a pushed model's store as `oracle_levels` gives it: its
+    states (node, mass id) and cube counts in push order, its mass ids in
+    push order too, and per state of level n - 1, in push order, its
+    children's positions in that order."""
+    store = model._store
+    order = {s: i for i, s in enumerate(store.counts[n])}
+    mass_ids, *_ = store.masses(n)
+    states = [(store.states[n][s][0], mass_ids[store.states[n][s][1]]) for s in order]
+    edges = [[order[k] for k in store.kids[n - 1][s]] for s in store.counts[n - 1]] if n else []
+    return states, list(store.counts[n].values()), edges
 
 
 @given(dyadic_ifs(), st.booleans())
@@ -552,10 +573,11 @@ def test_integer_push_matches_the_fraction_push(model, with_shift):
     want = oracle_levels(model, 10)
     for n in range(11):
         states, counts, multiset, edges = want[n]
-        level = model._level(n)
-        assert (level.states, level.counts, level.edges) == (states, counts, edges)
+        model.level_masses(n)
+        # a cold store gives its ids in push order
+        assert list(model._store.counts[n]) == list(range(len(model._store.states[n])))
+        assert push_levels(model, n) == (states, counts, edges)
         # the same masses, in the same id order, with the same counts
-        assert list(level.multiset.items()) == list(multiset.items())
         assert list(model.level_masses(n).items()) == list(multiset.items())
         if sum(counts) <= 1 << 12:
             _, mass_id, masses = model.level_nodes(n)
@@ -594,7 +616,7 @@ def test_push_makes_no_fraction_arithmetic(monkeypatch):
     monkeypatch.setattr(Fraction, "__hash__", counting("hash", hash_))
     model.level_masses(10)
     monkeypatch.undo()
-    distinct = sum(len(model._level(n).multiset) for n in range(1, 11))
+    distinct = sum(len(model.level_masses(n)) for n in range(1, 11))
     assert distinct == 1000
     # at most one Fraction, and one hash for its multiset key, per distinct mass
     assert calls["mul"] == 0
@@ -654,8 +676,11 @@ def test_product_cap_is_its_factors_cap():
         with pytest.raises(ResourceLimitError, match=f"^{message}$"):
             getattr(product, method)(4)
         for f in product.factors:
+            store = f._store
             assert all(len(table.index) <= cap for table in f._tables)
-            assert all(len(level.nums) <= cap for level in f._levels)
+            assert all(len({num for _, num in states}) <= cap for states in store.states)
+            # a level that tripped keeps no state
+            assert all(states == [] for states in store.states[len(store.counts):])
     product.max_cubes = cli.DEFAULT_MAX_CUBES
     assert len(product.level_nodes(4).index) == 4 * 16 * 16
     assert sum(product.level_masses(4).values()) == 4 * 16 * 16
@@ -815,7 +840,7 @@ def test_atomic_points_without_coordinates():
     assert model.m == 0 and model.weights == (Fraction(1, 4), Fraction(3, 4))
     index, mass_id, masses = model.level_nodes(5)
     assert index.shape == (1, 0) and masses == (1,)
-    assert model.edges(model.root_node()) == [((1, (0, 1)), 1, ())]
+    assert (*model._rule(0, *model._root), model._denominator(1)) == ([((0, 1), 4)], [()], 4)
 
 
 @pytest.mark.parametrize("source", ["text", "file"])

@@ -1,6 +1,8 @@
+import gc
 import math
 import sys
 import threading
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -18,11 +20,13 @@ from widthlab import (
     lebesgue,
     partition_row,
 )
-from widthlab.measures import IfsMap, IfsMeasure, MeasureModel, UniformMeasure
+from widthlab.measures import (AtomicMeasure, IfsMap, IfsMeasure, MeasureModel, ProductMeasure,
+                               UniformMeasure)
 
 from conftest import (IFS7_MAPS, boundary_atomic, dyadic_ifs, ifs7, ifs_atomic_lebesgue,
                       new_deep_ifs, new_tetrahedron)
-from oracles import capped, naive_partition, oracle_j_log2, oracle_walk, table_cubes
+from oracles import (capped, naive_partition, oracle_j_log2, oracle_levels, oracle_walk,
+                     table_cubes)
 
 def test_lebesgue_partition_example(leb1):
     part = build_partition(leb1, 1.0, 2.0**-6)
@@ -281,24 +285,115 @@ def test_partitions_never_query_the_ifs_mass_oracle(tetrahedron, monkeypatch):
         assert _row(part) == _row(partition_row(model, rho, 2.0**-k)) == row
 
 
-def test_a_second_sweep_makes_no_edges_calls():
-    # every state the bench sweep meets is expanded once per model, whatever
-    # the threshold, the walk or the order of the calls
-    model = new_tetrahedron()
-    calls = []
-    edges = model.edges
-    model.edges = lambda node: calls.append(node) or edges(node)
-    thresholds = [2.0**-k for k in range(4, 21)]
+def test_a_second_sweep_makes_no_rule_calls():
+    # every state the sweep meets is expanded once per model, whatever the
+    # threshold, the walk or the order of the calls, in every family
+    for make in (new_tetrahedron, boundary_atomic, lambda: UniformMeasure(DyadicCube(2, (1, 2))),
+                 ifs_atomic_lebesgue):
+        model = make()
+        calls = []
+        rule = model._rule
+        model._rule = lambda level, node, num: calls.append(level) or rule(level, node, num)
+        thresholds = [2.0**-k for k in range(4, 21 if make is new_tetrahedron else 13)]
 
-    def sweep():
-        return [(_row(partition_row(model, 1.0, t)), build_partition(model, 1.0, t))
-                for t in thresholds]
+        def sweep():
+            return [(_row(partition_row(model, 1.0, t)), build_partition(model, 1.0, t))
+                    for t in thresholds]
 
-    first = sweep()
-    expanded = len(calls)
-    assert expanded > 0
-    assert sweep() == first
-    assert len(calls) == expanded
+        first = sweep()
+        expanded = len(calls)
+        assert expanded > 0
+        assert sweep() == first
+        assert len(calls) == expanded
+
+
+def test_a_model_is_freed_with_its_last_reference():
+    # its store refers to the model weakly, so a model that walked and
+    # pushed is freed by reference counting, with no cyclic collection
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for make in (new_tetrahedron, boundary_atomic, ifs_atomic_lebesgue):
+            model = make()
+            build_partition(model, 1.0, 2.0**-8)
+            model.level_masses(4)
+            ref = weakref.ref(model)
+            del model
+            assert ref() is None, make
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _cold(model):
+    """A model equal to `model` with nothing in its store."""
+    if isinstance(model, ProductMeasure):
+        return ProductMeasure([_cold(f) for f in model.factors])
+    if isinstance(model, UniformMeasure):
+        return UniformMeasure(model.support)
+    if isinstance(model, IfsMeasure):
+        return IfsMeasure(model.maps, model.probs, model.embed_shift)
+    return AtomicMeasure(model.points, model.weights)
+
+
+@st.composite
+def _shared_models(draw):
+    # an IFS with and without its embed_shift, a uniform model, atoms, and
+    # the product of a 1-d IFS with 1-d atoms
+    kind = draw(st.sampled_from(["ifs", "unshifted", "uniform", "atomic", "product"]))
+    if kind in ("ifs", "unshifted"):
+        model = draw(dyadic_ifs())
+        return model if kind == "ifs" else IfsMeasure(model.maps, model.probs)
+    if kind == "uniform":
+        level = draw(st.integers(0, 3))
+        return UniformMeasure(DyadicCube(level, tuple(
+            draw(st.integers(0, (1 << level) - 1)) for _ in range(draw(st.integers(1, 2))))))
+    atom = st.integers(1, 63).map(lambda a: Fraction(a, 64))
+    weights = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    atomic = AtomicMeasure([(draw(atom),) for _ in weights],
+                           [Fraction(w, sum(weights)) for w in weights])
+    if kind == "atomic":
+        return atomic
+    ifs = draw(dyadic_ifs().filter(lambda model: model.m == 1))
+    return ProductMeasure([ifs, atomic])
+
+
+@given(_shared_models(), st.integers(0, 6), st.sampled_from([1.0, 2.0]), st.integers(0, 8),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_walks_and_pushes_share_the_store(model, n, rho, k, walk_first):
+    # the J_rho walk and the level push read one store per model, in either
+    # order: each result equals a cold model's and the oracles'
+    t = 2.0**-k
+
+    def push(model):
+        index, mass_id, masses = model.level_nodes(n)
+        return (list(model.level_masses(n).items()),
+                (index.tolist(), mass_id.tolist(), masses))
+
+    if walk_first:
+        part, pushed = build_partition(model, rho, t), push(model)
+    else:
+        pushed, part = push(model), build_partition(model, rho, t)
+    assert part == build_partition(_cold(model), rho, t)
+    assert part.cells == tuple(naive_partition(model, rho, t))
+    assert pushed == push(_cold(model))
+    if isinstance(model, IfsMeasure):
+        assert pushed[0] == list(oracle_levels(model, n)[n][2].items())
+
+
+def test_a_walk_first_leaves_ids_out_of_push_order():
+    # the case the push order is for: the walk meets level 4 of the bench
+    # ifs7 out of push order, and the push still gives a cold model's
+    # multisets and tables, masses in the same order
+    model = ifs7()
+    build_partition(model, 1.0, 2.0**-8)
+    for n in range(9):
+        cold, table, want = ifs7(), model.level_nodes(n), ifs7().level_nodes(n)
+        assert list(model.level_masses(n).items()) == list(cold.level_masses(n).items())
+        assert table.masses == want.masses and table.mass_id.tolist() == want.mass_id.tolist()
+    store = model._store
+    assert list(store.counts[4]) != list(range(len(store.states[4])))
 
 
 def test_warm_models_match_cold_models_and_the_oracle():
@@ -326,14 +421,18 @@ def test_warm_models_match_cold_models_and_the_oracle():
 def test_threads_sharing_a_cold_model_agree():
     # eight threads sweep one fresh model at once, each from another
     # threshold and switching every microsecond, so their first expansions
-    # race; each must get the rows of a single-threaded sweep
+    # race, and every other thread first pushes the level multisets through
+    # the same store; each must get the rows and multisets of one thread
     thresholds = [2.0**-k for k in range(4, 21)]
-    want = {t: _row(partition_row(new_tetrahedron(), 1.0, t)) for t in thresholds}
+    cold = new_tetrahedron()
+    want = ({t: _row(partition_row(cold, 1.0, t)) for t in thresholds},
+            [list(cold.level_masses(n).items()) for n in range(13)])
     model, results = new_tetrahedron(), [None] * 8
 
     def sweep(i):
         order = thresholds[2 * i:] + thresholds[:2 * i]
-        results[i] = {t: _row(partition_row(model, 1.0, t)) for t in order}
+        pushed = [list(model.level_masses(n).items()) for n in range(13)] if i % 2 else want[1]
+        results[i] = ({t: _row(partition_row(model, 1.0, t)) for t in order}, pushed)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
