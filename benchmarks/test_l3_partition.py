@@ -1,9 +1,14 @@
 """L3 benchmark: J_rho partition rows, on IFS and non-IFS cube trees.
 
-Times the two builds of the one level-by-level J_rho walk over the states
-of the model's store: with its cells (`build_partition`, a counting pass,
-then a pass that carries every cube's index) and its rows alone
-(`partition_row`, a count per state), on:
+Times the level-synchronous J_rho pass over the states of the model's
+store three ways, for a list of thresholds:
+
+- cells: `build_partition` per threshold, a counting pass, then a pass
+  that carries every cube's index;
+- rows-loop: `partition_row` per threshold, one counting pass each;
+- rows: one `partition_rows` call, one counting pass for the whole list.
+
+The cases:
 
 - tetrahedron: the benchmark tetrahedron at rho = 1 on the thresholds
   2^-4 .. 2^-20, the rows of perfbench's `partition-ifs` workload, checked
@@ -14,30 +19,35 @@ then a pass that carries every cube's index) and its rows alone
 - cloud: a seeded 600-point cloud (6-digit decimals) at rho = 2 on the
   thresholds 2^-4 .. 2^-12, checked against `naive_partition`.
 
-Each round gets a fresh model, as a command-line run does, so its store
-(the states the walk expands, kept on the model) starts empty; within a
-round, the later thresholds reuse the states the earlier ones expanded. The cells build still makes the 4^9 cells of
-lebesgue at 2^-24 one by one. Before and after the memoized depth-first
-recursion gave way to the level-by-level walk, on a 2-core x86-64 VM
-shared with other tenants (Python 3.11), pytest-benchmark medians of 5
-rounds, four runs a side, alternating:
+Every build must give the oracle's rows, so the three agree. Each round
+gets a fresh model, as a command-line run does, so its store (the states
+the pass expands, kept on the model) starts empty; within a round, the
+later thresholds of a loop reuse the states the earlier ones expanded. The
+cells build still makes the 4^9 cells of lebesgue at 2^-24 one by one, so
+it runs 5 rounds, and the rows builds 20. Before and after the rows of a
+list came from one pass, on a 2-core x86-64 VM shared with other tenants
+(Python 3.11), pytest-benchmark medians, four runs a side, alternating;
+before, the rows were a loop of the one-threshold walk:
 
-    case         cells build                        rows build
-    tetrahedron  114, 117, 180, 191 -> 72, 138,     7.6, 4.7, 5.0, 8.4 ->
-                 131, 111 ms                        1.3, 1.7, 1.5, 2.0 ms
-    lebesgue     2.42, 2.18, 3.29, 3.57 -> 1.43,    0.68, 0.40, 0.41, 0.71 ->
-                 2.06, 1.90, 1.77 s                 0.14, 0.17, 0.13, 0.20 ms
-    cloud        5.7, 3.7, 4.8, 7.8 -> 3.8, 4.3,    5.2, 3.3, 5.1, 5.4 ->
-                 4.0, 5.5 ms                        2.1, 2.4, 2.6, 3.2 ms
+    case         cells                rows-loop                  rows (one pass)
+    tetrahedron  60, 58, 77, 67 ->    1.20, 2.33, 1.30, 1.31 ->  0.85, 0.74, 0.80, 0.88 ms
+                 57, 58, 66, 67 ms    2.00, 2.11, 2.52, 2.31 ms
+    lebesgue     0.90, 0.97, 1.04,    0.12, 0.24, 0.13, 0.13 ->  0.11, 0.10, 0.10, 0.11 ms
+                 1.03 -> 0.89, 0.89,  0.28, 0.29, 0.34, 0.32 ms
+                 1.02, 0.97 s
+    cloud        2.4, 4.6, 2.6, 3.0   1.40, 2.84, 1.45, 1.48 ->  1.63, 1.41, 1.52, 1.51 ms
+                 -> 2.7, 3.0, 3.6,    1.64, 1.57, 1.72, 1.79 ms
+                 3.1 ms
 
-The rows build moves a count per state where the recursion memoized a row
-tuple per (level, state) and merged the rows of every expanded state. The
-cells build keeps each state's indices in index order, so a level's cells
-come in a few sorted runs and the final sort merges them: on lebesgue that
-sort took about 0.2 s after the recursion, whose depth-first order left the
-cells partly sorted, and 0.5 s after the walk without the per-state order,
-against under 0.1 s with it. The spread between runs on that machine is as
-large as the differences on cloud.
+The one pass saves the per-threshold walks, not the expansion: each
+(level, state) is expanded once per model either way. So it gains where
+the walks cost more than the expansion (tetrahedron, lebesgue) and not on
+the cloud, whose atomic rule splits the atoms of every expanded state. A
+loop of `partition_row` calls runs the list machinery once per threshold
+(a bisection and a difference-array update per child, against one
+comparison before), so it is the slowest way to get rows. The cells
+build keeps each state's indices in index order, so a level's cells come
+in a few sorted runs and the final sort merges them.
 
 Run from the root of the repository (pytest-benchmark required):
 
@@ -53,6 +63,7 @@ import numpy as np
 import pytest
 
 from widthlab import AtomicMeasure, IfsMap, IfsMeasure, build_partition, lebesgue, partition_row
+from widthlab.partition import partition_rows
 
 from tests.oracles import naive_partition, oracle_j_log2
 
@@ -81,11 +92,24 @@ CASES = {
 }
 
 
-def rows(build, model, rho, thresholds):
-    return [
-        (p.t, p.card, p.min_level, p.max_level, p.max_j)
-        for p in (build(model, rho, t) for t in thresholds)
-    ]
+def _fields(p):
+    return (p.t, p.card, p.min_level, p.max_level, p.max_j)
+
+
+def cells(model, rho, thresholds):
+    return [_fields(build_partition(model, rho, t)) for t in thresholds]
+
+
+def rows_loop(model, rho, thresholds):
+    return [_fields(partition_row(model, rho, t)) for t in thresholds]
+
+
+def rows(model, rho, thresholds):
+    return [_fields(p) for p in partition_rows(model, rho, thresholds)]
+
+
+# name: (build, rounds); the cells builds of lebesgue take seconds a round
+BUILDS = {"cells": (cells, 5), "rows-loop": (rows_loop, 20), "rows": (rows, 20)}
 
 
 def oracle_rows(name):
@@ -110,9 +134,9 @@ def oracle():
 
 
 @pytest.mark.parametrize("name", list(CASES))
-@pytest.mark.parametrize("build", [build_partition, partition_row], ids=["cells", "rows"])
+@pytest.mark.parametrize("build", list(BUILDS))
 def test_l3_partition_rows(benchmark, build, name, oracle):
     make, rho, thresholds = CASES[name]
-    got = benchmark.pedantic(rows, setup=lambda: ((build, make(), rho, thresholds), {}),
-                             rounds=5)
+    call, rounds = BUILDS[build]
+    got = benchmark.pedantic(call, setup=lambda: ((make(), rho, thresholds), {}), rounds=rounds)
     assert got == oracle[name]

@@ -176,10 +176,14 @@ class StateStore:
     `states[L]`, in the order first met. The model's rule expands each
     state once, when first needed, into its children's ids at level L + 1
     (`kids[L][s]`) and their branch bits (`branches[L][s]`), under a lock,
-    so walks in several threads may share a model. `push` expands whole
-    levels and counts the cubes of each state (`counts[L]`) in push order,
-    the order a push from a cold store meets them, so the multisets and
-    tables read from it do not depend on what expanded the states first.
+    so walks and pushes in several threads may share a model; the node
+    tables of an IFS are built under the same lock. Both users expand a
+    whole level's batch at once: `push` every state of a level, counting
+    the cubes of each state (`counts[L]`) in push order, the order a push
+    from a cold store meets them, so the multisets and tables read from it
+    do not depend on what expanded the states first; `expand` the states a
+    J_rho pass reaches, taking the log2 of the mass of each state below them
+    (`log2[L + 1]`) once, from the reduced pair.
     """
 
     def __init__(self, model: "MeasureModel") -> None:
@@ -188,45 +192,48 @@ class StateStore:
         self._model, self._lock = weakref.proxy(model), threading.Lock()
         self.states, self.kids, self.branches = [[model._root]], [[None]], [[None]]
         self._ids = [{self.states[0][0]: 0}]
-        self._walk, self._log2 = [{}], [{}]  # per level: walked states' children, log2 masses
+        self.log2: list[list[float]] = [[0.0]]  # per level: the log2 masses a pass took
         self.counts: list[dict[int, int]] = [{0: 1}]
         self._masses: dict[int, tuple] = {}  # per pushed level, `masses`
 
     def _expand(self, level: int, todo, capped: bool = False) -> None:
-        """Expand the states `todo` of `level`, the lock held. If `capped`,
-        level + 1 may have at most `max_cubes` distinct masses: past it, the
-        batch is undone and the cap trips."""
+        """Expand the states `todo` of `level` that are not yet, the lock
+        held. If `capped`, level + 1 may have at most `max_cubes` distinct
+        masses: past it, the batch is undone and the cap trips."""
         if len(self.states) == level + 1:
-            for levels in (self.states, self.kids, self.branches):
+            for levels in (self.states, self.kids, self.branches, self.log2):
                 levels.append([])
-            for levels in (self._ids, self._walk, self._log2):
-                levels.append({})
+            self._ids.append({})
         rule, states, kids, branches = (self._model._rule, self.states[level], self.kids[level],
                                         self.branches[level])
         ids, below, below_kids, below_branches = (self._ids[level + 1], self.states[level + 1],
                                                   self.kids[level + 1], self.branches[level + 1])
         cap, first, rows = self._model.max_cubes, len(below), []
-        masses, seen = set(), 0  # the distinct masses of below[:seen]
+        masses, seen, size = set(), 0, first  # the distinct masses of below[:seen]; len(below)
         for s in todo:
+            if kids[s] is not None:
+                continue
             node, num = states[s]
             children, bits = rule(level, node, num)
             row = []
             for key in children:
-                k = ids.setdefault(key, len(below))
-                if k == len(below):
+                k = ids.setdefault(key, size)
+                if k == size:
                     below.append(key)
-                    below_kids.append(None)
-                    below_branches.append(None)
+                    size += 1
                 row.append(k)
             rows.append((s, row, bits))
-            if capped and len(below) > cap:  # else its masses, no more than its states, pass
+            if capped and size > cap:  # else its masses, no more than its states, pass
                 masses.update(num for _, num in below[seen:])
-                seen = len(below)
+                seen = size
                 if len(masses) > cap:  # no expansion refers to the batch yet
                     for key in below[first:]:
                         del ids[key]
-                    del below[first:], below_kids[first:], below_branches[first:]
+                    del below[first:]
                     _check_masses(level + 1, len(masses), cap)
+        unexpanded = [None] * (size - first)
+        below_kids += unexpanded
+        below_branches += unexpanded
         for s, row, bits in rows:
             branches[s], kids[s] = bits, row
 
@@ -239,7 +246,7 @@ class StateStore:
             while len(self.counts) <= n:
                 level = len(self.counts) - 1
                 above, kids, counts = self.counts[level], self.kids[level], {}
-                self._expand(level, [s for s in above if kids[s] is None], level + 1 == n)
+                self._expand(level, above, level + 1 == n)
                 for s, count in above.items():
                     for k in kids[s]:
                         counts[k] = counts.get(k, 0) + count
@@ -258,26 +265,24 @@ class StateStore:
                                tuple(Fraction(num, den) for num in sizes), list(sizes.values()))
         return self._masses[n]
 
-    def children(self, level: int, state: int) -> list[tuple[int, float, tuple[int, ...]]]:
-        """A state's children, expanded on first use, as (child id, log2 of
-        its mass, branch) in index order. The log2 is taken once per
-        distinct (level, mass), from the reduced pair."""
-        out = self._walk[level].get(state)
-        if out is None:
+    def expand(self, level: int, todo) -> tuple[list, list, list[float]]:
+        """Expand the states `todo` of `level` that are not yet, in one
+        batch under the lock, and take the log2 masses of the states of
+        level + 1 that have none yet. Returns the level's `kids` and
+        `branches` and the log2 masses of level + 1, by state id."""
+        kids = self.kids[level]
+        # a state's kids and a log2 are set once, under the lock: a level
+        # with nothing to add takes no lock
+        todo = [s for s in todo if kids[s] is None]
+        if todo or len(self.log2[level + 1]) < len(self.states[level + 1]):
             with self._lock:
-                if self.kids[level][state] is None:
-                    self._expand(level, (state,))
-            states, log2 = self.states[level + 1], self._log2[level + 1]
-            den, out = self._model._denominator(level + 1), []
-            for kid, branch in zip(self.kids[level][state], self.branches[level][state]):
-                num = states[kid][1]
-                value = log2.get(num)
-                if value is None:
+                self._expand(level, todo)
+                states, log2 = self.states[level + 1], self.log2[level + 1]
+                den = self._model._denominator(level + 1)
+                for _, num in states[len(log2):]:
                     g = math.gcd(num, den)
-                    value = log2[num] = math.log2(num // g) - math.log2(den // g)
-                out.append((kid, value, branch))
-            self._walk[level][state] = out
-        return out
+                    log2.append(math.log2(num // g) - math.log2(den // g))
+        return kids, self.branches[level], self.log2[level + 1]
 
 
 class MeasureModel:
@@ -628,15 +633,18 @@ class IfsMeasure(MeasureModel):
 
     def level_nodes(self, n):
         _check_level(n, self._count(n), self.max_cubes)
-        while len(self._tables) <= n:
-            self._tables.append(self._build_nodes(len(self._tables)))
+        store = self._store
+        store.push(n)
+        with store._lock:  # each table reads the one below and `_rows`
+            while len(self._tables) <= n:
+                self._tables.append(self._build_nodes(len(self._tables)))
         return self._tables[n]
 
     def _build_nodes(self, n) -> LevelNodes:
-        """The level-n table, built after level n - 1: every row of level
-        n - 1 expands to its state's children, at indices 2 index + branch."""
+        """The level-n table, built after level n - 1, the store pushed to
+        level n: every row of level n - 1 expands to its state's children,
+        at indices 2 index + branch."""
         store = self._store
-        store.push(n)
         if n == 0:
             index, state = index_array([(0,) * self.m], 0, self.m), np.zeros(1, dtype=np.intp)
         else:

@@ -5,33 +5,48 @@ below t while the parent still meets t. Since J(child) <= J(parent) along
 refinement, the rule is well formed, and J(Q) <= 2^(-level*rho) forces
 termination no deeper than ceil(log2(1/t)/rho).
 
-One walk serves both functions. It descends the states of the model's
-store (`MeasureModel._store`): a level-L state (node h, numerator N) stands
-for every level-L cube of node h and mass N / den(L), and the store expands
-each state once, by the model's integer rule, whatever rho, t or walk
-first needs it. The frontier of level L maps each state id to its cubes at
-L that are not cells, as their number for `partition_row` and as their
-indices for `build_partition`. Each child of a frontier state is a cell of
-level L + 1 if its J is below t, else it joins the next frontier with all
-the state's cubes. The store takes the log2 of each distinct (level, mass)
-once, from the reduced pair, so each J is the same float on a cold or a
-warm model.
+One level-synchronous pass serves a whole list of thresholds
+(`partition_rows`); `partition_row` and `build_partition` are its
+one-threshold case. The pass descends the states of the model's store
+(`MeasureModel._store`): a level-L state (node h, numerator N) stands for
+every level-L cube of node h and mass N / den(L). Every cube below such a
+cube is a copy of a cube below h, its level L plus its depth below h and
+its mass fixed by N and the path, so all the cubes of a state split alike
+into cells and deeper cubes, and the pass moves a count per state. For an
+IFS this is the renewal count of Lalley (1988) over the state classes of
+Cawley and Mauldin (1992).
 
-Why J depends only on the state: every cube below the cube is a copy of a
-cube below h, its level L plus its depth below h and its mass fixed by N
-and the path. So all the cubes of a state split alike into cells and
-deeper cubes, and the counting walk moves a count per state: at t = 2^-20
-on the bench tetrahedron it expands 136 (level, state) pairs for 9685
-cells. For an IFS this is the renewal count of Lalley (1988) over the
-state classes of Cawley and Mauldin (1992). `build_partition` first runs
-the counting walk, which trips the model's `max_cells` and the level guard
-exactly as `partition_row` does, and only then the walk with indices; a
-frontier cube is the ancestor of a cell, so that walk holds at most
-`max_cells` indices at any level.
+The distinct log2 t are sorted in ascending order, and a frontier entry
+is a pair (state, k): its cubes are not cells yet for the k-th and every
+smaller log2 t. A child of J value j is a cell for the thresholds whose
+log2 t lies in (j, the parent's range], and stays in the frontier for
+those at or below j. So each threshold gets the partition its own walk
+would find, whatever else the list holds. Each level adds each child's
+cell count over its range of thresholds (a difference array), and its J
+to the max of that range. The store expands the level's unexpanded
+frontier states in one batch under its lock, and takes the log2 of each
+new state's mass once, from the reduced pair, so each J is the same float
+on a cold or a warm model and in any list.
+
+The caps trip for each threshold as its own walk trips them. `max_cells`
+trips when the count passes the cap at the end of a level (within a level
+the count only grows). The level guard trips when the frontier is not
+empty past level 64. A threshold that has tripped adds no work: entries
+that only it and other tripped thresholds need are dropped. So the pass
+visits each (level, state) once, and neither its work nor its frontier
+exceeds the sum of the per-threshold walks'. For the 17 thresholds
+2^-4 .. 2^-20 on the bench tetrahedron, it visits 136 (level, state)
+pairs, as many as the walk for 2^-20 alone; 17 separate walks visit 822.
+
+`build_partition` takes its row and its caps from `partition_row` first.
+Then it makes the pass for its one threshold, carrying the indices of the
+frontier cubes. A frontier cube is the ancestor of a cell, so that pass
+holds at most `max_cells` indices at any level.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from operator import add
 from typing import NamedTuple
 
@@ -72,30 +87,32 @@ class PartitionResult(NamedTuple):
     cells: tuple[DyadicCube, ...]
 
 
-def _walk(model: MeasureModel, rho: float, t: float, cells: list | None) -> PartitionRow:
-    """The row of the partition for threshold t, by the level-by-level walk
-    of the module docstring; if `cells` is a list, the (level, index, log2 J)
-    of each cell are appended to it."""
-    if not t > 0:
-        raise ValidationError("partition threshold t must be positive")
-    if not rho > 0:
-        raise ValidationError("rho must be positive")
-    log2_t = math.log2(t)
-    if 0.0 < log2_t:  # J(root) = 1 < t: the root is the one cell
-        if cells is not None:
-            cells.append((0, (0,) * model.m, 0.0))
-        return PartitionRow(t=t, rho=rho, card=1, max_j=1.0, min_level=0, max_level=0,
-                            degenerate=True)
-    children, max_cells = model._store.children, model.max_cells
-    # state id -> its frontier cubes: their number, or a list of their indices
-    frontier = {_ROOT: 1 if cells is None else [(0,) * model.m]}
-    card, min_level, max_level, top = 0, 0, 0, -math.inf
+def _walk(model: MeasureModel, rho: float, log2_ts: list[float], cells: list | None) -> list:
+    """The pass of the module docstring over the ascending log2 t `log2_ts`
+    (each <= 0). For each, (card, min level, max level, max log2 J), or the
+    message of the cap its walk trips, "{t}" for its threshold. If `cells`
+    is a list (one threshold), the (level, index, log2 J) of each cell are
+    appended to it."""
+    store, max_cells, size, nothing = model._store, model.max_cells, len(log2_ts), -math.inf
+    card, first, last, top = [0] * size, [0] * size, [0] * size, [nothing] * size
+    tripped: list[str | None] = [None] * size
+    best = {}  # low * size + high -> the max log2 J of the cells for the thresholds low .. high
+    live = 0  # the least threshold that has not tripped
+    # state id * size + k -> its frontier cubes for the k-th and every
+    # smaller threshold: their number, or a list of their indices
+    frontier = {_ROOT * size + size - 1: 1 if cells is None else [(0,) * model.m]}
     level = 0
     while frontier:
         if level > _LEVEL_GUARD:
-            raise ResourceLimitError(f"partition descent exceeded level {_LEVEL_GUARD}")
-        below, met, deeper = (level + 1) * rho, card, {}
-        for state, cubes in frontier.items():
+            for k in range(max(key % size for key in frontier) + 1):
+                tripped[k] = tripped[k] or f"partition descent exceeded level {_LEVEL_GUARD}"
+            break
+        kids, branches, log2 = store.expand(level, {key // size for key in frontier})
+        # the level's cells for threshold k number sum(added[:k + 1])
+        below, added, deeper = (level + 1) * rho, [0] * (size + 1), {}
+        for key, cubes in frontier.items():
+            state, high = divmod(key, size)
+            end = high + 1
             if cells is None:
                 count = cubes
             else:
@@ -103,28 +120,79 @@ def _walk(model: MeasureModel, rho: float, t: float, cells: list | None) -> Part
                 # sorted run, which the final sort merges
                 cubes.sort()
                 count, doubled = len(cubes), [tuple(l << 1 for l in index) for index in cubes]
-            for kid, log2_mu, branch in children(level, state):
-                j = log2_mu - below
+            for kid, branch in zip(kids[state], branches[state]):
+                j = log2[kid] - below
+                low = bisect_right(log2_ts, j, 0, end)
                 # the children of the state's cubes along this edge
-                kids = cubes if cells is None else [tuple(map(add, d, branch)) for d in doubled]
-                if j < log2_t:
-                    card += count
-                    if j > top:
-                        top = j
+                kin = cubes if cells is None else [tuple(map(add, d, branch)) for d in doubled]
+                if low < end:  # cells for the thresholds low .. high
+                    added[low] += count
+                    added[end] -= count
+                    hit = low * size + high
+                    if j > best.get(hit, nothing):
+                        best[hit] = j
                     if cells is not None:
-                        cells.extend((level + 1, child, j) for child in kids)
-                elif kid in deeper:
-                    deeper[kid] += kids
-                else:
-                    deeper[kid] = kids
-            if card > max_cells:
-                raise ResourceLimitError(f"partition for t={t} exceeded {max_cells} cells")
+                        cells.extend((level + 1, child, j) for child in kin)
+                if low:  # deeper for the thresholds 0 .. low - 1
+                    below_key = kid * size + low - 1
+                    if below_key in deeper:
+                        deeper[below_key] += kin
+                    else:
+                        deeper[below_key] = kin
         level += 1
-        if card > met:
-            min_level, max_level = min_level or level, level
-        frontier = deeper
-    return PartitionRow(t=t, rho=rho, card=card, max_j=2.0**top, min_level=min_level,
-                        max_level=max_level, degenerate=False)
+        count = 0
+        for k in range(size):
+            count += added[k]
+            if count:
+                card[k] += count
+                first[k], last[k] = first[k] or level, level
+            if card[k] > max_cells and tripped[k] is None:
+                tripped[k] = f"partition for t={{t}} exceeded {max_cells} cells"
+        while live < size and tripped[live] is not None:
+            live += 1
+        frontier = {key: cubes for key, cubes in deeper.items() if key % size >= live} if live \
+            else deeper
+    for key, j in best.items():
+        low, high = divmod(key, size)
+        for k in range(low, high + 1):
+            if j > top[k]:
+                top[k] = j
+    return [message or row for message, row in zip(tripped, zip(card, first, last, top))]
+
+
+def partition_rows(model: MeasureModel, rho: float, thresholds) -> list[PartitionRow]:
+    """`[partition_row(model, rho, t) for t in thresholds]`, from one pass
+    over the model's store, or the first error that loop raises: a bad t or
+    rho, or a cap that the walk of a threshold trips, in input order."""
+    ok, error = [], None
+    for t in thresholds:
+        if not t > 0:
+            error = "partition threshold t must be positive"
+            break
+        if not rho > 0:
+            error = "rho must be positive"
+            break
+        ok.append(t)
+    log2_ts = sorted({log2_t for log2_t in map(math.log2, ok) if not log2_t > 0.0})
+    walked = dict(zip(log2_ts, _walk(model, rho, log2_ts, None))) if log2_ts else {}
+    rows = []
+    for t in ok:
+        log2_t = math.log2(t)
+        # J(root) = 1 < t for log2 t > 0: the root is the one cell
+        out = walked.get(log2_t, (1, 0, 0, 0.0))
+        if isinstance(out, str):
+            raise ResourceLimitError(out.format(t=t))
+        card, min_level, max_level, top = out
+        rows.append(PartitionRow(t, rho, card, 2.0**top, min_level, max_level, log2_t > 0.0))
+    if error:
+        raise ValidationError(error)
+    return rows
+
+
+def partition_row(model: MeasureModel, rho: float, t: float) -> PartitionRow:
+    """The row of `build_partition(model, rho, t)` without its cells, and
+    with its errors; no cube is built."""
+    return partition_rows(model, rho, [t])[0]
 
 
 def build_partition(model: MeasureModel, rho: float, t: float) -> PartitionResult:
@@ -135,18 +203,15 @@ def build_partition(model: MeasureModel, rho: float, t: float) -> PartitionResul
     below t, the single root cell is returned and flagged degenerate. More
     than the model's `max_cells` cells is a ResourceLimitError.
     """
-    _walk(model, rho, t, None)  # every cap trips here, before an index is built
+    row = partition_row(model, rho, t)  # every cap trips here, before an index is built
     cells: list[tuple[int, tuple[int, ...], float]] = []
-    row = _walk(model, rho, t, cells)
+    if row.degenerate:
+        cells.append((0, (0,) * model.m, 0.0))
+    else:
+        _walk(model, rho, [math.log2(t)], cells)
     cells.sort()
     # each cell is a child of a valid cube, so its index needs no check
     return PartitionResult(*row, tuple(_new(DyadicCube, c[:2]) for c in cells))
-
-
-def partition_row(model: MeasureModel, rho: float, t: float) -> PartitionRow:
-    """The row of `build_partition(model, rho, t)` without its cells, and
-    with its errors; no cube is built."""
-    return _walk(model, rho, t, None)
 
 
 class EntropySlopeResult(NamedTuple):
@@ -157,12 +222,10 @@ class EntropySlopeResult(NamedTuple):
 def entropy_slope(model: MeasureModel, rho: float, t_sequence) -> EntropySlopeResult:
     """Least-squares slope of log card(P_t) against -log t.
 
-    Takes the row of every threshold (`partition_row`, no cells) and fits
-    them with `fit_entropy_slope`.
+    Takes the rows of all the thresholds from one pass (`partition_rows`,
+    no cells) and fits them with `fit_entropy_slope`.
     """
-    return fit_entropy_slope(
-        [partition_row(model, rho, float(t)) for t in t_sequence]
-    )
+    return fit_entropy_slope(partition_rows(model, rho, [float(t) for t in t_sequence]))
 
 
 def fit_entropy_slope(partitions) -> EntropySlopeResult:

@@ -43,7 +43,7 @@ The threshold check of a separation input (`check_threshold`, once the
 default alpha grid built without a count (`oracle_default_alpha_grid`) is
 the reference of the counted one.
 The J_rho partition is also kept as the memoized depth-first recursion
-over the model's state store (`oracle_walk`), which the level-by-level walk
+over the model's states (`oracle_walk`), which the level-by-level walk
 replaced, and the width exponents as computed with no cache of each
 exponent's exact reciprocal and conjugate (`uncached`).
 An atomic model's node table grouped by index tuples (`oracle_atomic_nodes`)
@@ -77,7 +77,7 @@ from widthlab.functions import TWO_PI, monomials, multi_indices
 from widthlab import orders
 from widthlab.measures import (DEFAULT_MAX_CUBES, PACKED_KEY_BITS, LevelNodes, _check_level,
                                _check_masses, index_array)
-from widthlab.partition import _LEVEL_GUARD, _ROOT, PartitionRow
+from widthlab.partition import _LEVEL_GUARD, PartitionRow
 from widthlab.probe import ProbeResult, alpha_good_cubes, sobolev_seminorm, well_separated
 from widthlab.quadrature import unit_rule, unit_rule_1d
 from widthlab.spectrum import frac_log2, level_log_masses
@@ -186,12 +186,14 @@ def oracle_j_log2(model, cube, rho):
 
 def oracle_walk(model, rho: float, t: float, cells: list | None) -> PartitionRow:
     """The row of the partition for threshold t, by the depth-first walk of
-    the model's state store that the level-by-level walk replaced: a row is
-    memoized per (level, state id) when no cells are wanted, the children of
+    the model's states that the level-by-level walk replaced: a row is
+    memoized per (level, state) when no cells are wanted, the children of
     an expanded cube are taken cells first, then the deeper ones last to
     first, and the cells met so far are counted in that order against
-    `max_cells`. If `cells` is a list, the (level, index, log2 J) of each
-    cell are appended to it in the order they are met."""
+    `max_cells`. A state's children come from the model's rule, not its
+    store, with log2 masses by `frac_log2`. If `cells` is a list, the
+    (level, index, log2 J) of each cell are appended to it in the order
+    they are met."""
     if not t > 0:
         raise ValidationError("partition threshold t must be positive")
     if not rho > 0:
@@ -202,8 +204,15 @@ def oracle_walk(model, rho: float, t: float, cells: list | None) -> PartitionRow
             cells.append((0, (0,) * model.m, 0.0))
         return PartitionRow(t=t, rho=rho, card=1, max_j=1.0, min_level=0, max_level=0,
                             degenerate=True)
-    children, max_cells = model._store.children, model.max_cells
-    memo = {} if cells is None else None  # (level, state id) -> row
+    max_cells = model.max_cells
+
+    def children(level, state):
+        kids, branches = model._rule(level, *state)
+        den = model._denominator(level + 1)
+        return [(kid, frac_log2(Fraction(kid[1], den)), branch)
+                for kid, branch in zip(kids, branches)]
+
+    memo = {} if cells is None else None  # (level, state) -> row
     emitted = 0  # cells met so far
 
     def expand(level: int, state: int, index: tuple[int, ...]) -> tuple[int, int, int, float]:
@@ -245,7 +254,7 @@ def oracle_walk(model, rho: float, t: float, cells: list | None) -> PartitionRow
             memo[level, state] = row
         return row
 
-    card, min_level, max_level, top = expand(0, _ROOT, (0,) * model.m)
+    card, min_level, max_level, top = expand(0, model._root, (0,) * model.m)
     return PartitionRow(t=t, rho=rho, card=card, max_j=2.0**top, min_level=min_level,
                         max_level=max_level, degenerate=False)
 

@@ -16,6 +16,9 @@ moved the ||Q_n g|| entries of `operator_checks` in their last digits (by
 less than 1e-15 relative), and nothing else.
 `empirical-cloud` was captured from the release before an atomic model's
 multiset stopped reading its node table, so that a case still builds one.
+`partition-unsorted`, `partition-degenerate` and `partition-cells-cap` were
+captured from the release before the rows of a threshold list came from
+one pass over the model's states.
 The file is data: nothing here rewrites it. Bodies are compared
 with the benchmark's reference check (text exactly, numbers to relative
 1e-9); header lines, whose hash covers the effective configuration, are
@@ -136,6 +139,13 @@ CASES = {
                                "--thresholds", "0.5,0.3,0.2", "--cells-out", "cells.csv"],
     "partition-product": ["partition", "--measure", "prod.json", "--rho", "1",
                           "--thresholds", "pow2:2..12"],
+    # a threshold list in no order, one twice, one t > 1 and t = 1, and one
+    # whose later threshold passes the cell cap, as its own walk does
+    "partition-unsorted": ["partition", *_TET22, "--thresholds", "pow2:9,4,12,4,7,14",
+                           "--out", "out.csv"],
+    "partition-degenerate": ["partition", *_TET22, "--thresholds", "0.01,1.5,0.001,0.1,1"],
+    "partition-cells-cap": ["partition", *_TET22, "--thresholds", "pow2:4,14,20,6",
+                            "--max-cells", "100"],
     "coarse-stdout": ["coarse", *_TET22, "--levels", "3..5", "--alpha-grid", "1:6:0.5"],
     "coarse-summary": ["coarse", "--measure", "qc.json", "--rho", "1", "--levels", "2..6",
                        "--summary", "summary.json", "--out", "out.csv"],
@@ -477,12 +487,22 @@ def test_default_alpha_grid_past_the_cube_cap_exits_1_before_it_is_built(argv, t
                            f" 20000000079 values, more than {cli.DEFAULT_MAX_CUBES}\n")
 
 
+def test_the_first_threshold_past_the_cell_cap_names_itself(tmp_path, monkeypatch, capsys):
+    """`partition-cells-cap`: 2^-14 and 2^-20 both pass the cap of 100
+    cells; the error names 2^-14, the first in input order, as the release
+    before, which walked one threshold at a time."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(CASES["partition-cells-cap"], tmp_path)["code"] == cli.EX_RESOURCE
+    assert capsys.readouterr() == (
+        "", "widthlab: resource cap: partition for t=6.103515625e-05 exceeded 100 cells\n")
+
+
 def test_a_malformed_cap_fails_before_the_computation(tmp_path, monkeypatch, capsys):
     """The caps go onto the model before any work: `partition --max-cubes x`,
     which reads no cube cap, fails before its walk with the message it gave
     at the header, after the walk, before. `validate` reads no cap."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "partition_row", lambda *args: pytest.fail("the walk ran"))
+    monkeypatch.setattr(cli, "partition_rows", lambda *args: pytest.fail("the walk ran"))
     argv = ["partition", *_TET22, "--thresholds", "0.5", "--max-cubes", "x"]
     assert run_cli(argv, tmp_path)["code"] == cli.EX_FAIL
     assert capsys.readouterr() == ("", "widthlab: malformed --max-cubes value 'x': invalid"

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +29,7 @@ from widthlab import (
 
 from widthlab.measures import INT64_LEVELS, PACKED_KEY_BITS, _parse_field, packed_keys
 
-from conftest import boundary_atomic, dyadic_ifs, ifs_atomic_lebesgue, new_tetrahedron
+from conftest import boundary_atomic, dyadic_ifs, ifs7, ifs_atomic_lebesgue, new_tetrahedron
 from oracles import (capped, contains, descent_positive, oracle_atomic_nodes, oracle_ifs_overlap,
                      oracle_level_masses, oracle_levels, oracle_mass, oracle_packed_keys,
                      oracle_table_masses, oracle_uniform_level_masses, oracle_uniform_nodes,
@@ -544,6 +546,37 @@ def test_node_table_masses_are_the_multiset_keys(model):
         assert masses is model._store.masses(n)[1]
         assert masses == tuple(model.level_masses(n))
         assert all(type(mu) is Fraction for mu in masses)
+
+
+def test_threads_building_node_tables_agree():
+    # four threads build the tables of levels 0..8 of one fresh bench 7-map
+    # IFS at once, switching every microsecond, so each table's build races
+    # the others' reads of the table below it; in each of 20 trials, every
+    # thread must get a single-threaded build's tables
+    def table(nodes):
+        return nodes.index.tolist(), nodes.mass_id.tolist(), nodes.masses
+
+    cold = ifs7()
+    want = [table(cold.level_nodes(n)) for n in range(9)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(20):
+            model, results = ifs7(), [None] * 4
+
+            def build(i):
+                results[i] = [model.level_nodes(n) for n in range(9)]
+
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(len(results))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            got = [None if tables is None else [table(t) for t in tables] for tables in results]
+            assert got == [want] * len(results), trial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _fresh(model):

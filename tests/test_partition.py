@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import sys
 import threading
@@ -22,6 +23,7 @@ from widthlab import (
 )
 from widthlab.measures import (AtomicMeasure, IfsMap, IfsMeasure, MeasureModel, ProductMeasure,
                                UniformMeasure)
+from widthlab.partition import partition_rows
 
 from conftest import (IFS7_MAPS, boundary_atomic, dyadic_ifs, ifs7, ifs_atomic_lebesgue,
                       new_deep_ifs, new_tetrahedron)
@@ -494,3 +496,50 @@ def test_level_walk_matches_the_recursion(model, rho, k, data):
             == _capped_outcome(lambda *args: oracle_walk(*args, None), model, rho, t, cap))
     assert (_capped_outcome(build_partition, model, rho, t, cap)
             == _capped_outcome(_oracle_partition, model, rho, t, cap))
+
+
+def _oracle_rows(model, rho, thresholds):
+    """The rows of a loop of the recursion over `thresholds`."""
+    return [oracle_walk(model, rho, t, None) for t in thresholds]
+
+
+@st.composite
+def _threshold_lists(draw, pool):
+    """An unsorted list from `pool` and t > 1, often with a duplicate, and
+    now and then a t <= 0 or NaN at a random place."""
+    ts = draw(st.lists(st.sampled_from([*pool, 1.0, 1.5, 2.0]), max_size=8))
+    if ts and draw(st.booleans()):
+        ts.insert(draw(st.integers(0, len(ts))), draw(st.sampled_from(ts)))
+    if draw(st.integers(0, 3)) == 0:
+        ts.insert(draw(st.integers(0, len(ts))), draw(st.sampled_from([0.0, -0.5, math.nan])))
+    return ts
+
+
+def _rows_agree(model, rho, thresholds, cap):
+    assert (_capped_outcome(partition_rows, model, rho, thresholds, cap)
+            == _capped_outcome(_oracle_rows, model, rho, thresholds, cap))
+
+
+@given(_shared_models(), st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.0, 0.0, math.nan]),
+       _threshold_lists([2.0**-k for k in range(13)]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_rows_of_a_threshold_list_are_the_loop_of_its_walks(model, rho, thresholds, data):
+    # one pass for the list gives each threshold's row, or the first error
+    # of the loop in input order: a bad t or rho, or a cap its walk trips,
+    # under a random cell cap
+    ok = [t for t in itertools.takewhile(lambda t: t > 0, thresholds) if t <= 1] if rho > 0 else []
+    most = max((oracle_walk(model, rho, t, None).card for t in ok), default=0)
+    cap = data.draw(st.integers(-1, 2 * most + 1), label="max_cells")
+    _rows_agree(model, rho, thresholds, cap)
+
+
+@given(st.sampled_from(sorted(_cap_cases())), st.data())
+@settings(max_examples=60, deadline=None)
+def test_rows_of_a_threshold_list_trip_caps_as_the_loop(name, data):
+    # the literal cases, where the guard and max_cells race, each in a list
+    # with coarser thresholds under one of its caps: a small cap trips those
+    # too, so the first error in input order is not the deepest's
+    make, t, want = _cap_cases()[name]
+    thresholds = data.draw(_threshold_lists([t, 2.0**-4, 2.0**-8]), label="thresholds")
+    cap = data.draw(st.sampled_from(sorted(want)), label="max_cells")
+    _rows_agree(make(), 1.0, thresholds, cap)
