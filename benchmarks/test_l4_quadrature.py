@@ -5,9 +5,12 @@ Times each kernel against the one it replaced, kept as a baseline in
 `empirical-ifs` workload (thresholds 2^0 .. 2^-10 at rho = 2.5, `sin`,
 degree 1) on the benchmark tetrahedron:
 
-- `PiecewisePolynomial.locate` against one dict lookup on a tuple key per
-  node per cell level, on each partition's quadrature nodes (depth max
-  level + 3);
+- the node -> cell rows through the node tables' ancestry
+  (`PiecewisePolynomial._node_rows`, the ancestor rows of each cell level
+  shared by the partitions of one depth, as in a decay run) against the
+  packed-key binary search it replaced (`oracle_packed_locate`), on each
+  partition's quadrature nodes (depth max level + 3); both must give the
+  rows of one dict lookup on a tuple key per node per cell level;
 - the batched `piecewise_project` against the per-cell body that rebuilt the
   Gram matrix and called f once per cell;
 - the whole `decay_experiment`, whose rows share cells, errors and
@@ -21,9 +24,13 @@ degree 1) on the benchmark tetrahedron:
 
 All four pairs must give equal results, except the probe's ||Q_n g||
 entries: its sums over the family run in another order, so they agree to
-1e-12 relative. Decay medians of 5 rounds on a 2-core VM (Python 3.11),
-three runs: shared 28.4, 29.4, 28.1 ms against per-threshold 36.1, 37.0,
-35.7 ms. Both routes use the same kernels, so the gap is the repeated work
+1e-12 relative. Medians of 5 rounds on a 2-core VM (Python 3.11, numpy
+2.4), three runs each: location 1.42, 1.39, 1.29 ms by ancestry against
+3.67, 3.74, 3.33 ms by packed keys; decay shared 8.5, 9.8, 9.2 ms against
+per-threshold 15.0, 15.8, 15.7 ms (12.9, 14.6, 12.7 against 20.5, 31.8,
+32.1 ms with the packed-key search, one projection call per partition and
+the (N, K) column gathers of the monomials, on the same VM the same hour).
+Both decay routes use the same kernels, so the gap is the repeated work
 alone: 143 cell solves against 44 distinct cells, 11 error evaluations
 against 8 distinct partitions, and the nodes and f-values of 11 depths
 against 4. Probe medians of 3 rounds on the same VM, two runs: owner map
@@ -46,7 +53,7 @@ from widthlab import (EmbeddingParams, IfsMap, IfsMeasure, SinProduct, build_par
                       decay_experiment, lebesgue, packing_probe, piecewise_project)
 
 from tests.oracles import (oracle_decay_rows, oracle_locate, oracle_moment_project,
-                           oracle_packing_probe)
+                           oracle_packed_locate, oracle_packing_probe)
 
 RHO = 2.5
 THRESHOLDS = [2.0**-k for k in range(11)]
@@ -69,21 +76,28 @@ def partitions():
     return model, [build_partition(model, RHO, t) for t in THRESHOLDS]
 
 
-def array_locate(approx, depth, index):
-    return approx.locate(depth, index)
+def packed_locate(cases):
+    return [oracle_packed_locate(approx, depth, index) for _, approx, depth, index in cases]
 
 
-@pytest.mark.parametrize("locate", [oracle_locate, array_locate], ids=["dict", "arrays"])
+def ancestry_locate(cases):
+    # the ancestor rows of each cell level shared by the partitions of one
+    # depth, as in a decay run
+    known = {}
+    return [approx._node_rows(model, depth, index, known.setdefault(depth, {}))
+            for model, approx, depth, index in cases]
+
+
+@pytest.mark.parametrize("locate", [packed_locate, ancestry_locate], ids=["packed", "ancestry"])
 def test_l4_locate(benchmark, locate, partitions):
     model, parts = partitions
     cases = []
     for part in parts:
         depth = part.max_level + DEPTH_OFFSET
-        cases.append((piecewise_project(F, part, DEGREE), depth, model.level_nodes(depth).index))
-    got = benchmark.pedantic(
-        lambda: [locate(approx, depth, index) for approx, depth, index in cases], rounds=5
-    )
-    want = [oracle_locate(approx, depth, index) for approx, depth, index in cases]
+        cases.append((model, piecewise_project(F, part, DEGREE), depth,
+                      model.level_nodes(depth).index))
+    got = benchmark.pedantic(lambda: locate(cases), rounds=5)
+    want = [oracle_locate(approx, depth, index) for _, approx, depth, index in cases]
     assert [rows.tolist() for rows in got] == [rows.tolist() for rows in want]
 
 

@@ -20,21 +20,23 @@ Quadrature nodes are the positive cubes at depth D, read from the model's
 node table (`MeasureModel.level_nodes`, built in bulk; an IFS caches each
 level, so repeated depths cost nothing): integer indices l, with centres
 (2l + 1) 2^-(D+1) rounded to float once, and masses rounded to float once per
-distinct exact mass. A node lies in the cell of level L and index
-l >> (D - L). `PiecewisePolynomial.locate` matches these keys with array
-operations only: per cell level, each key's coordinates are packed into one
-exact integer (int64 while L * m <= 62, Python ints beyond), a key with a
-coordinate outside [0, 2^L) packs to -1, and a binary search in the level's
-sorted cell keys finds its cell. It is exact at every depth, where float
-centres fail once D >= 53; `lq_error` goes through it.
+distinct exact mass. A node lies in its ancestor cell, a row of the table of
+the cell's level: `MeasureModel._ancestors` gives each node's row there (an
+IFS composes its tables' parent rows, one gather per level; another model
+searches the ancestors' packed keys once), and an owner array over those
+rows, set by one key search per cell, gives each node its cell in one
+gather. It is integer arithmetic, exact at every depth, where float centres
+fail once D >= 53; `lq_error` goes through it too.
 
-A decay experiment projects each distinct cell of its partitions once,
-reuses the error of a partition equal to the last one, and holds the nodes,
-f-values and residuals f - approx of the current quadrature depth only. A
-partition at the depth of the last one locates and evaluates the nodes of
-its new cells only, and overwrites their residuals; every other node lies in
-a cell of both. Its rows are those of `piecewise_project` and `lq_error`,
-threshold by threshold, bit for bit.
+A decay experiment builds its partitions first and projects their distinct
+cells in one batch, in first-seen order. It reuses the error of a partition
+equal to the last one, and holds the nodes, f-values, residuals f - approx
+and ancestor rows of the current quadrature depth only. A partition at the
+depth of the last one locates and evaluates the nodes of its new cells only;
+every other node lies in a cell of both. Its rows and its first error are
+those of `piecewise_project` and `lq_error` threshold by threshold, bit for
+bit: the batch stops at the first non-finite cell, whose error waits for the
+rows of the partitions before the first that holds it.
 
 The packing probe, the lower-bound side, is `widthlab.probe`.
 """
@@ -48,7 +50,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .cubes import DyadicCube
-from .errors import SolverError, ValidationError
+from .errors import SolverError, ValidationError, WidthlabError
 from .functions import monomials, multi_indices
 from .measures import MeasureModel, index_array, packed_keys
 from .orders import EmbeddingParams, upper_order
@@ -91,28 +93,28 @@ def _cell_frames(cells) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     return levels, index, np.ldexp(index.astype(float), -levels[:, None]), np.ldexp(1.0, -levels)
 
 
-def _project_cells(f, cells, lower, side, degree: int, npts: Optional[int]) -> np.ndarray:
+def _project_cells(f, lower, side, degree: int, npts: Optional[int]):
     """(card, K) moment-projection coefficients of f on each cell, in order,
-    from the cells' float lower corners and sides (`_cell_frames`)."""
+    from the cells' float lower corners and sides (`_cell_frames`), solved up
+    to the first cell where f is not finite, and that cell's row, or None."""
     if degree < 0:
         raise ValidationError("projection degree must be >= 0")
     m = lower.shape[1]
     gram = _hilbert_gram(m, degree)
     pts, wts = unit_rule(m, npts or _default_npts(degree))
     basis = monomials(np.array(multi_indices(m, degree), dtype=int), pts).T
-    coeffs = np.empty((len(cells), gram.shape[0]))
+    coeffs = np.empty((len(lower), gram.shape[0]))
     block = max(1, PROJECT_BLOCK_POINTS // len(pts))
-    for start in range(0, len(cells), block):
+    for start in range(0, len(lower), block):
         mapped = lower[start:start + block, None, :] + side[start:start + block, None, None] * pts
         fvals = np.asarray(f(mapped.reshape(-1, m)), dtype=float).reshape(len(mapped), -1)
-        bad = ~np.isfinite(fvals).all(axis=1)
-        if bad.any():
-            raise SolverError(
-                f"non-finite function values on cube {cells[start + int(bad.argmax())]}"
-            )
-        for row, weighted in enumerate(wts * fvals, start):
+        finite = np.isfinite(fvals).all(axis=1)
+        stop = len(fvals) if finite.all() else int(finite.argmin())
+        for row, weighted in enumerate(wts * fvals[:stop], start):
             coeffs[row] = np.linalg.solve(gram, basis @ weighted)
-    return coeffs
+        if stop < len(fvals):
+            return coeffs, start + stop
+    return coeffs, None
 
 
 def moment_project(
@@ -125,10 +127,9 @@ def moment_project(
     (m, degree)), which keeps it well conditioned; the right-hand side is one
     Gauss-rule matrix-vector product. The solution is simultaneously the
     L2(cube)-orthogonal projection of f. This is the one-cell case of
-    `piecewise_project`, with bit-identical coefficients.
+    `piecewise_project`.
     """
-    _, _, lower, side = _cell_frames((cube,))
-    return _project_cells(f, (cube,), lower, side, degree, npts)[0]
+    return piecewise_project(f, (cube,), degree, npts).coeffs[0]
 
 
 class PiecewisePolynomial:
@@ -139,27 +140,28 @@ class PiecewisePolynomial:
                  frames: Optional[tuple] = None) -> None:
         self.cells, self.coeffs, self.degree, self.m = cells, coeffs, degree, m
         self.exponents = np.array(multi_indices(self.m, self.degree), dtype=int)
-        levels, index, self._lower, self._side = frames or _cell_frames(self.cells)
-        self.levels = sorted(set(levels.tolist()))
+        self._level, self._index, self._lower, self._side = frames or _cell_frames(self.cells)
+        self.levels = sorted(set(self._level.tolist()))
         self.min_level, self.max_level = self.levels[0], self.levels[-1]
-        # per cell level: (level, sorted packed cell keys, their rows)
-        self._keys = []
-        for level in self.levels:
-            rows = np.flatnonzero(levels == level)
-            keys = packed_keys(index[rows], level)
-            order = np.argsort(keys, kind="stable")
-            self._keys.append((level, keys[order], rows[order]))
 
-    def locate(self, depth: int, index: np.ndarray) -> np.ndarray:
-        """Row of the cell holding each level-`depth` cube of integer `index`
-        (N, m), or -1: the level-L cell of index `index >> (depth - L)`,
-        coarsest level first, in exact integer arithmetic."""
+    def _node_rows(self, model: MeasureModel, depth: int, index: np.ndarray,
+                   known: dict) -> np.ndarray:
+        """Row of the cell holding each row `index` of the model's level-
+        `depth` table, or -1, a coarser cell first, as the module docstring
+        says; `known` keeps the ancestor rows of each cell level."""
         rows = np.full(len(index), -1)
-        for level, keys, cell_rows in self._keys:
-            wanted = packed_keys(index >> (depth - level), level)
+        for level in reversed(self.levels):
+            if level not in known:
+                known[level] = model._ancestors(depth, index, level, known)
+            ancestors, keys = known[level]
+            at = np.flatnonzero(self._level == level)
+            wanted = packed_keys(self._index[at], level)
             pos = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
-            hit = (keys[pos] == wanted) & (rows < 0)
-            rows[hit] = cell_rows[pos[hit]]
+            hit = keys[pos] == wanted
+            owner = np.full(len(keys), -1)
+            owner[pos[hit]] = at[hit]
+            found = owner[ancestors]
+            rows = np.where(found >= 0, found, rows)
         return rows
 
     def _values(self, pts: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -205,7 +207,9 @@ def piecewise_project(
     if not cells:
         raise ValidationError("piecewise projection needs at least one cell")
     frames = _cell_frames(cells)
-    coeffs = _project_cells(f, cells, frames[2], frames[3], degree, npts)
+    coeffs, bad = _project_cells(f, frames[2], frames[3], degree, npts)
+    if bad is not None:
+        raise SolverError(f"non-finite function values on cube {cells[bad]}")
     return PiecewisePolynomial(
         cells=cells, coeffs=coeffs, degree=degree, m=cells[0].m, frames=frames
     )
@@ -216,13 +220,14 @@ def lq_error(f, approx: PiecewisePolynomial, model: MeasureModel, q: float, dept
 
     The nodes are the positive level-`depth` cubes of the model's node table
     (the model's `max_cubes` caps their number), each located in its cell
-    exactly from its integer index."""
+    exactly through its ancestors in the tables (`_node_rows`)."""
     if depth < approx.max_level + 2:
         raise ValidationError(
             f"quadrature depth {depth} below max cell level + 2 = {approx.max_level + 2}"
         )
     _, index, centers, masses, fvals = _quadrature(f, model, depth)
-    return _lq_norm(masses, fvals - approx._values(centers, approx.locate(depth, index)), q)
+    rows = approx._node_rows(model, depth, index, {})
+    return _lq_norm(masses, fvals - approx._values(centers, rows), q)
 
 
 class DecayResult(NamedTuple):
@@ -238,24 +243,33 @@ def _decay_rows(
 ) -> list[tuple[float, int, float]]:
     """(t, card, error) per non-degenerate threshold, shared as the module
     docstring says: a cell's solve does not depend on the other cells, and
-    the depth grows with the cells, so an earlier one is rarely needed again."""
-    degree = params.sigma - 1
-    coeffs = {}  # cell -> its projection coefficients
-    # `_quadrature` of the current depth, f - approx at its nodes, (cells, error)
-    nodes = residual = last = None
-    rows = []
+    the depth grows with the cells, so an earlier one is rarely needed again.
+    An error is the one the loop threshold by threshold raises first."""
+    degree, parts, failed = params.sigma - 1, [], None
     for t in t_sequence:
-        part = build_partition(model, params.rho, float(t))
+        try:
+            parts.append((float(t), build_partition(model, params.rho, float(t))))
+        except WidthlabError as exc:  # raised after the rows before it
+            failed = exc
+            break
+    cells = tuple(dict.fromkeys(c for _, part in parts if not part.degenerate for c in part.cells))
+    if cells:
+        ids, frames = {c: i for i, c in enumerate(cells)}, _cell_frames(cells)
+        coeffs, bad = _project_cells(f, frames[2], frames[3], degree, None)
+        if bad is not None:  # raised at the first partition with the cell
+            failed = SolverError(f"non-finite function values on cube {cells[bad]}")
+            del parts[next(i for i, (_, part) in enumerate(parts) if cells[bad] in part.cells):]
+    # `_quadrature` of the current depth, each cell level's ancestor rows
+    # there, f - approx at its nodes, (cells, error)
+    nodes = known = residual = last = None
+    rows = []
+    for t, part in parts:
         if part.degenerate:
             continue
         if last is None or last[0] != part.cells:
-            new = [c for c in part.cells if c not in coeffs]
-            if new:
-                _, _, lower, side = _cell_frames(new)
-                coeffs.update(zip(new, _project_cells(f, new, lower, side, degree, None)))
             depth = part.max_level + depth_offset
             if nodes is None or nodes[0] != depth:
-                nodes = _quadrature(f, model, depth)
+                nodes, known = _quadrature(f, model, depth), {}
                 residual, changed = nodes[4].copy(), part.cells
             else:
                 # the cells of a partition tile the positive cubes, so a node
@@ -263,14 +277,16 @@ def _decay_rows(
                 # a partition unequal to the last has a new cell)
                 kept = set(last[0])
                 changed = [c for c in part.cells if c not in kept]
-            approx = PiecewisePolynomial(
-                changed, np.array([coeffs[c] for c in changed]), degree, model.m
-            )
-            located = approx.locate(depth, nodes[1])
+            at = np.array([ids[c] for c in changed])
+            approx = PiecewisePolynomial(changed, coeffs[at], degree, model.m,
+                                         tuple(frame[at] for frame in frames))
+            located = approx._node_rows(model, depth, nodes[1], known)
             hit = located >= 0
             residual[hit] = (nodes[4] - approx._values(nodes[2], located))[hit]
             last = part.cells, _lq_norm(nodes[3], residual, params.q)
-        rows.append((float(t), part.card, last[1]))
+        rows.append((t, part.card, last[1]))
+    if failed is not None:
+        raise failed
     return rows
 
 

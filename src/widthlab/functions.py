@@ -212,18 +212,17 @@ def monomials(exponents, pts) -> np.ndarray:
     """The (N, K) matrix of pts^k for points (N, m) and exponent rows k (K, m)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     exponents = np.asarray(exponents)
-    # a table of pts^e for e = 0..max, by the same broadcast pow as the
-    # (N, K, m) array of every pts^k (another form of pow may change bits:
-    # given one exponent 2 for a whole loop, numpy squares by a product),
-    # and the product of its gathered columns over the short axis, left to
-    # right as np.prod takes it. Up to e = 1 the table is ones and pts,
-    # which that pow gives exactly
+    # each column is the product of its factors pts_i^k_i, left to right as
+    # np.prod takes them, multiplied into ones in place; a factor of
+    # exponent 0 is 1 and skipped, one of exponent 1 is the coordinate, and
+    # higher ones come from the broadcast pow on an (N, top + 1, m) operand,
+    # which must keep that layout: given one exponent 2 for a whole inner
+    # loop, numpy squares by a product, which may change bits
     top = exponents.max(initial=0)
-    if top > 1:
-        table = pts[:, None, :] ** np.arange(top + 1)[None, :, None]
-    else:
-        table = np.stack([np.ones_like(pts), pts], axis=1)[:, :top + 1]
+    table = pts[:, None, :] ** np.arange(top + 1)[None, :, None] if top > 1 else None
     out = np.ones((len(pts), len(exponents)))
-    for i in range(pts.shape[1]):
-        out *= table[:, exponents[:, i], i]
+    for column, k in zip(out.T, exponents.tolist()):
+        for i, e in enumerate(k):
+            if e:
+                column *= pts[:, i] if e == 1 else table[:, e, i]
     return out

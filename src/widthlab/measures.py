@@ -334,6 +334,13 @@ class MeasureModel:
     def card_positive(self, n: int) -> int:
         return sum(self.level_masses(n).values())
 
+    def _ancestors(self, n: int, index: np.ndarray, level: int, known: dict) -> tuple:
+        """Each row `index` of the level-n table's ancestor row among the
+        positive level-`level` cubes, and their packed keys; `known` holds
+        those taken for this table. Here one search of the ancestors' keys."""
+        keys, rows = np.unique(packed_keys(index >> (n - level), level), return_inverse=True)
+        return rows, keys
+
 
 class AtomicMeasure(MeasureModel):
     """Finitely many atoms in the open unit cube.
@@ -507,7 +514,9 @@ class IfsMeasure(MeasureModel):
     parent's times a, the edge's mass ratio over the common denominator
     `_den` = D, so den(L) = D^L. The multisets and node tables
     (`_multisets`, `_tables`) read the store's push, and keep no per-cube
-    memo.
+    memo. Beside each table it keeps each row's parent row (`_parents`, 8
+    bytes per row, 40 with the index and mass id in m = 3), composed to
+    place rows in the tables above (`_ancestors`) with no key search.
     """
 
     def __init__(self, maps, probs, embed_shift: IfsMap | None = None) -> None:
@@ -552,6 +561,7 @@ class IfsMeasure(MeasureModel):
         self._root = 0, 1
         self._multisets: dict[int, dict[Mass, int]] = {}
         self._tables: list[LevelNodes] = []
+        self._parents: list[np.ndarray] = []  # per table, the row of each row's parent above
         self._rows: np.ndarray | None = None  # the state of each row of the deepest table
 
     def _denominator(self, level: int) -> int:
@@ -640,13 +650,23 @@ class IfsMeasure(MeasureModel):
                 self._tables.append(self._build_nodes(len(self._tables)))
         return self._tables[n]
 
+    def _ancestors(self, n, index, level, known):
+        # the parent rows composed from the nearest finer level known, the
+        # tables built to level n: none is gathered at level n - 1
+        finer = min((k for k in known if k > level), default=n)
+        rows = known[finer][0] if finer < n else slice(None)  # level n's own rows
+        for k in range(finer, level, -1):
+            rows = self._parents[k][rows]
+        return rows, packed_keys(self._tables[level].index, level)
+
     def _build_nodes(self, n) -> LevelNodes:
         """The level-n table, built after level n - 1, the store pushed to
         level n: every row of level n - 1 expands to its state's children,
         at indices 2 index + branch."""
         store = self._store
         if n == 0:
-            index, state = index_array([(0,) * self.m], 0, self.m), np.zeros(1, dtype=np.intp)
+            index = index_array([(0,) * self.m], 0, self.m)
+            state = parent = np.zeros(1, dtype=np.intp)
         else:
             above, rows = self._tables[n - 1], self._rows
             kids = store.kids[n - 1]
@@ -662,10 +682,12 @@ class IfsMeasure(MeasureModel):
             state = kid[edge]
             order = np.argsort(packed_keys(index, n), kind="stable")
             index, state = index[order], state[order]
+            parent = np.repeat(np.arange(len(rows)), width)[order]
         self._rows = state
         order, masses, _ = store.masses(n)
         mass_id = np.array([order[num] for _, num in store.states[n]], dtype=np.intp)[state]
         index.flags.writeable = mass_id.flags.writeable = False  # cached, shared
+        self._parents.append(parent)
         # the masses in push order, as the multiset's keys, with no dict built
         return LevelNodes(index, mass_id, masses)
 

@@ -11,11 +11,16 @@ value was computed first, which the curve evaluated where it is read
 replaced,
 the IFS level push in exact `Fraction` masses, which the push of integer
 numerators over D^n replaced, the row-wise `packed_keys` and `np.prod`
-`monomials` that the column-by-column kernels replaced, the Gauss weights
-taken one `np.prod` per tensor point, the decay rows measured partition
-by partition, each anew, which the rows shared across thresholds replaced,
-a uniform model's own template, closed-form multiset and index-grid
-node table, which its push as the IFS of the 2^m half-scale maps replaced,
+`monomials` that the column-by-column kernels replaced, the monomials'
+column gathers from an (N, top + 1, m) table (`oracle_gather_monomials`),
+which the product of each column in place replaced, the binary search of
+each node's packed ancestor key among a projection's cell keys
+(`oracle_packed_locate`, once `PiecewisePolynomial.locate`, which
+`evaluate` still runs), which the node tables' ancestry replaced, the
+Gauss weights taken one `np.prod` per tensor point, the decay rows
+measured partition by partition, each anew, which the rows shared across
+thresholds replaced, a uniform model's own template, closed-form multiset
+and index-grid node table, which its push as the IFS of the 2^m half-scale maps replaced,
 the IFS image overlap check over every pair of images, which the
 lookup of each image's ancestors replaced, and the packing probe in exact
 box geometry: its 3-fold boxes as `Box`es (once `widthlab.cubes.Box` and
@@ -76,7 +81,7 @@ from widthlab.empirical import _lq_norm, _nodes
 from widthlab.functions import TWO_PI, monomials, multi_indices
 from widthlab import orders
 from widthlab.measures import (DEFAULT_MAX_CUBES, PACKED_KEY_BITS, LevelNodes, _check_level,
-                               _check_masses, index_array)
+                               _check_masses, index_array, packed_keys)
 from widthlab.partition import _LEVEL_GUARD, PartitionRow
 from widthlab.probe import ProbeResult, alpha_good_cubes, sobolev_seminorm, well_separated
 from widthlab.quadrature import unit_rule, unit_rule_1d
@@ -335,6 +340,23 @@ def oracle_locate(approx, depth, index):
     return rows
 
 
+def oracle_packed_locate(approx, depth, index):
+    # per cell level, each level-`depth` index shifted to that level and
+    # packed into one exact integer (-1 outside [0, 2^level)), then one
+    # binary search in the level's sorted cell keys, coarsest level first
+    rows = np.full(len(index), -1)
+    for level in approx.levels:
+        cell_rows = np.flatnonzero(approx._level == level)
+        keys = packed_keys(approx._index[cell_rows], level)
+        order = np.argsort(keys, kind="stable")
+        keys, cell_rows = keys[order], cell_rows[order]
+        wanted = packed_keys(index >> (depth - level), level)
+        pos = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
+        hit = (keys[pos] == wanted) & (rows < 0)
+        rows[hit] = cell_rows[pos[hit]]
+    return rows
+
+
 def oracle_moment_project(f, cube, degree, npts=None):
     # the per-cell body that the batched projection replaced: Gram matrix,
     # mapped points and f call for one cube at a time
@@ -504,6 +526,22 @@ def oracle_monomials(exponents, pts):
     return np.prod(pts[:, None, :] ** np.asarray(exponents)[None, :, :], axis=2)
 
 
+def oracle_gather_monomials(exponents, pts):
+    # the columns of each axis gathered from an (N, top + 1, m) table of
+    # pts^e and multiplied into ones, left to right
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    exponents = np.asarray(exponents)
+    top = exponents.max(initial=0)
+    if top > 1:
+        table = pts[:, None, :] ** np.arange(top + 1)[None, :, None]
+    else:
+        table = np.stack([np.ones_like(pts), pts], axis=1)[:, :top + 1]
+    out = np.ones((len(pts), len(exponents)))
+    for i in range(pts.shape[1]):
+        out *= table[:, exponents[:, i], i]
+    return out
+
+
 def oracle_unit_weights(m, npts):
     # one np.prod over each tensor point's 1-d weights
     _, w = unit_rule_1d(npts)
@@ -631,7 +669,7 @@ def evaluate(approx, pts):
     inside = ((pts > 0) & (pts <= 1)).all(axis=1)
     top = np.ceil(np.where(inside[:, None], pts, 0.0) * 2.0**approx.max_level)
     index = np.frompyfunc(int, 1, 1)(top) - 1
-    return approx._values(pts, approx.locate(approx.max_level, index))
+    return approx._values(pts, oracle_packed_locate(approx, approx.max_level, index))
 
 
 class Box(NamedTuple):

@@ -17,6 +17,7 @@ from widthlab import (
     IfsMeasure,
     Polynomial,
     ProductMeasure,
+    ResourceLimitError,
     SinProduct,
     SolverError,
     UniformMeasure,
@@ -36,10 +37,12 @@ from widthlab.probe import (alpha_good_cubes, composite_unit_norm, packing_probe
                             sobolev_seminorm, well_separated)
 from widthlab.quadrature import unit_rule
 
-from conftest import boundary_atomic, dyadic_ifs, ifs_atomic_lebesgue
-from oracles import (ExactPolynomial, ExactSinProduct, contains, descent_positive, evaluate,
+from conftest import (boundary_atomic, dyadic_ifs, ifs_atomic_lebesgue, new_deep_ifs,
+                      new_tetrahedron)
+from oracles import (ExactPolynomial, ExactSinProduct, capped, contains, descent_positive, evaluate,
                      integrate_on_cell, lower_corner, oracle_bump_matrix, oracle_decay_rows,
-                     oracle_locate, oracle_moment_project, oracle_packing_probe,
+                     oracle_locate, oracle_moment_project, oracle_packed_locate,
+                     oracle_packing_probe,
                      oracle_unit_weights, scaled_box, table_cubes, upper_corner)
 
 
@@ -579,8 +582,7 @@ def test_locate_matches_ancestor_walk(located_partitions):
                 if source is not model and depth * model.m > 12:
                     continue
                 positive = table_cubes(source, depth)
-                index = np.array([c.index for c, _ in positive], dtype=object)
-                rows = approx.locate(depth, index.reshape(len(positive), model.m))
+                rows = approx._node_rows(source, depth, source.level_nodes(depth).index, {})
                 want = [oracle_cell_row(approx, c) for c, _ in positive]
                 assert rows.tolist() == [-1 if r is None else r for r in want]
 
@@ -602,42 +604,65 @@ def test_locate_matches_per_node_dict(located_partitions):
     for model, part in located_partitions:
         approx = piecewise_project(SinProduct(model.m), part, 0)
         for depth in (part.max_level, part.max_level + 2):
-            index = _perturbed_indices(table_cubes(model, depth), depth, model.m)
-            rows = approx.locate(depth, index)
+            index = model.level_nodes(depth).index
+            rows = approx._node_rows(model, depth, index, {})
             assert rows.tolist() == oracle_locate(approx, depth, index).tolist()
-            assert (rows[: len(index) // (2 * model.m + 1)] >= 0).all()
+            assert (rows >= 0).all()
+            # the packed-key search that `evaluate` runs, out of range too
+            index = _perturbed_indices(table_cubes(model, depth), depth, model.m)
+            got = oracle_packed_locate(approx, depth, index)
+            assert got.tolist() == oracle_locate(approx, depth, index).tolist()
 
 
 def test_locate_wide_keys_do_not_wrap(located_partitions):
     # moving the leading coordinate of a level-L cell by 2^(64 - L (m - 1))
-    # leaves a key packed into 64 wrapping bits unchanged
+    # leaves a key packed into 64 wrapping bits unchanged: an atom added in
+    # each such cube gives a node that no cell holds
     cases = 0
     for model, part in located_partitions:
         m, depth = model.m, part.max_level + 2
         approx = piecewise_project(SinProduct(m), part, 0)
-        rows = []
+        moved = []  # the moved cubes' indices, at their cell's level
         for cell in part.cells:
             step = 1 << (64 - cell.level * (m - 1))
             if cell.level * m <= 64 or step >= 1 << cell.level:
                 continue
             lead = cell.index[0] + (step if cell.index[0] < step else -step)
-            rows.append([(v << (depth - cell.level)) for v in (lead,) + cell.index[1:]])
-        if rows:
+            moved.append((cell.level, (lead,) + cell.index[1:]))
+        if moved:
             cases += 1
-            index = np.array(rows, dtype=np.int64 if depth < 63 else object)
-            got = approx.locate(depth, index)
-            assert got.tolist() == oracle_locate(approx, depth, index).tolist() == [-1] * len(rows)
+            points = [tuple(Fraction(2 * v + 1, 2 << level) for v in index)
+                      for level, index in moved]
+            wider = AtomicMeasure(list(model.points) + points,
+                                  [w / 2 for w in model.weights]
+                                  + [Fraction(1, 2 * len(points))] * len(points))
+            index = wider.level_nodes(depth).index
+            rows = approx._node_rows(wider, depth, index, {})
+            assert rows.tolist() == oracle_locate(approx, depth, index).tolist()
+            assert rows.tolist().count(-1) == len(moved)
+            # and the packed-key search of `evaluate`
+            index = np.array([[v << (depth - level) for v in index] for level, index in moved],
+                             dtype=np.int64 if depth < 63 else object)
+            got = oracle_packed_locate(approx, depth, index)
+            assert got.tolist() == oracle_locate(approx, depth, index).tolist() == [-1] * len(moved)
     assert cases >= 2
 
 
 def test_locate_far_outside_at_object_depth(deep_ifs):
-    # Python-int indices far outside [0, 2^depth), on int64-wide cell levels
-    part = build_partition(deep_ifs, 1.0, 2.0**-62)
-    approx = piecewise_project(SinProduct(1), part, 0)
-    index = np.array([[1 << 200], [-(1 << 200)], [(1 << 64) - 1], [0]], dtype=object)
-    rows = approx.locate(64, index)
+    # Python-int node indices at depth 64, cells on int64-wide levels, and
+    # a cell far outside the support, which holds no node
+    cells = build_partition(deep_ifs, 1.0, 2.0**-62).cells + (DyadicCube(2, (1,)),)
+    approx = piecewise_project(SinProduct(1), cells, 0)
+    index = deep_ifs.level_nodes(64).index
+    assert index.dtype == object
+    rows = approx._node_rows(deep_ifs, 64, index, {})
     assert rows.tolist() == oracle_locate(approx, 64, index).tolist()
-    assert rows.tolist()[:2] == [-1, -1] and min(rows.tolist()[2:]) >= 0
+    assert min(rows.tolist()) >= 0 and len(cells) - 1 not in rows.tolist()
+    # the packed-key search of `evaluate`, on indices far outside [0, 2^64)
+    index = np.array([[1 << 200], [-(1 << 200)], [(1 << 64) - 1], [0]], dtype=object)
+    got = oracle_packed_locate(approx, 64, index)
+    assert got.tolist() == oracle_locate(approx, 64, index).tolist()
+    assert got.tolist()[:2] == [-1, -1] and min(got.tolist()[2:]) >= 0
 
 
 def test_evaluate_non_finite_and_far_points_are_outside(located_partitions):
@@ -655,12 +680,86 @@ def test_overlapping_cells_coarsest_first():
     cells = [DyadicCube(3, (1,)), DyadicCube(1, (0,)), DyadicCube(2, (0,)), DyadicCube(2, (3,))]
     approx = piecewise_project(SinProduct(1), cells, 0)
     approx.coeffs = np.arange(1.0, 5.0)[:, None]
-    index = np.arange(16)[:, None]
-    assert approx.locate(4, index).tolist() == oracle_locate(approx, 4, index).tolist()
+    leb = lebesgue(1)
+    index = leb.level_nodes(4).index
+    assert approx._node_rows(leb, 4, index, {}).tolist() == oracle_locate(approx, 4, index).tolist()
     pts = np.array([[0.1], [0.2], [0.4], [0.6], [0.9]])
     assert evaluate(approx, pts).tolist() == oracle_evaluate(approx, pts).tolist() == [
         2.0, 2.0, 2.0, 0.0, 4.0
     ]
+
+
+_THRESHOLDS = st.lists(st.sampled_from([1.5] + [2.0**-k for k in range(9)]),
+                      min_size=1, max_size=3)
+
+
+@given(st.one_of(
+    st.tuples(st.one_of(dyadic_ifs(),
+                        st.builds(lambda m, level, i: UniformMeasure(
+                            DyadicCube(level, (i % (1 << level),) * m)),
+                            st.integers(1, 2), st.integers(0, 2), st.integers(0, 3)),
+                        st.sampled_from([boundary_atomic(), ifs_atomic_lebesgue()])),
+              _THRESHOLDS, st.sampled_from([1.0, 2.0])),
+    # cells on levels 59..61, nodes at depth 63 and beyond: object indices
+    st.tuples(st.just(new_deep_ifs()), st.just([2.0**-62, 2.0**-61]), st.just(1.0))),
+    st.integers(0, 3))
+@settings(max_examples=120, deadline=None)
+def test_ancestry_rows_match_the_per_node_dict(case, offset):
+    """The node -> cell rows of the tables' ancestry (a parent-row chain on
+    an IFS, one key search elsewhere) are the per-node dict lookup's, for
+    partition cells, the root cell of t > 1 among them, with the ancestor
+    rows of each cell level shared by the partitions of one depth."""
+    model, thresholds, rho = case
+    parts = [build_partition(model, rho, t) for t in thresholds]
+    depth = max(part.max_level for part in parts) + offset
+    index = model.level_nodes(depth).index
+    known = {}
+    for part in parts:
+        approx = empirical.PiecewisePolynomial(part.cells, np.zeros((part.card, 1)), 0, model.m)
+        rows = approx._node_rows(model, depth, index, known)
+        assert rows.tolist() == oracle_locate(approx, depth, index).tolist()
+        assert (rows >= 0).all()
+
+
+def _nan_at(cube, m):
+    """f = 1 but at the first Gauss point of the projection of `cube`,
+    where it is NaN; no other cell's points come within 1e-12 of it."""
+    _, _, lower, side = empirical._cell_frames((cube,))
+    point = lower[0] + side[0] * unit_rule(m, 8)[0][0]
+    return lambda pts: np.where((np.abs(np.atleast_2d(pts) - point) < 1e-12).all(axis=1),
+                                np.nan, 1.0)
+
+
+@pytest.mark.parametrize("order,caps,first", [
+    ("nan-first", {"max_cells": 10}, SolverError),
+    ("cells-first", {"max_cells": 10}, ResourceLimitError),
+    ("cubes-first", {"max_cubes": 100}, ResourceLimitError),
+    ("later-nan", {}, SolverError),
+])
+def test_batched_projection_raises_in_the_loop_order(order, caps, first):
+    """The one projection batch of a decay run raises what the loop over
+    the thresholds raises first, with its message: a non-finite cell of an
+    early partition before a later partition past `max_cells`, and the
+    other way round; the quadrature of an earlier partition past
+    `max_cubes` before a non-finite cell first met later."""
+    model, params = new_tetrahedron(), EmbeddingParams(m=3, sigma=2, p=4.0, q=2.0)
+    if order in ("nan-first", "cells-first"):
+        f = lambda pts: np.where(np.atleast_2d(pts)[:, 0] > 0.5, np.nan, 1.0)  # noqa: E731
+        thresholds = [1.0, 2.0**-10] if order == "nan-first" else [2.0**-10, 1.0]
+    else:
+        thresholds = [1.0, 2.0**-4]
+        early = set(build_partition(model, params.rho, 1.0).cells)
+        f = _nan_at(next(c for c in build_partition(model, params.rho, 2.0**-4).cells
+                         if c not in early), 3)
+
+    def outcome(call):
+        try:
+            return capped(model, call, f, model, params, thresholds, 3, **caps)
+        except (SolverError, ResourceLimitError) as exc:
+            return type(exc), str(exc)
+
+    got = outcome(empirical._decay_rows)
+    assert got == outcome(oracle_decay_rows) and got[0] is first
 
 
 @pytest.mark.parametrize("m,level", [(2, 2), (3, 2), (2, 33), (3, 21)])

@@ -7,7 +7,7 @@ import pytest
 from widthlab import Bump, ValidationError, catalog, coordinate
 from widthlab.functions import monomials, multi_indices
 
-from oracles import ExactPolynomial, ExactSinProduct, oracle_monomials
+from oracles import ExactPolynomial, ExactSinProduct, oracle_gather_monomials, oracle_monomials
 
 
 def test_bump_bounds_and_plateau():
@@ -121,9 +121,10 @@ def test_monomials_match_the_axis_product(m, degree):
     exps = np.array(exps, dtype=int).reshape(len(exps), m)
     with np.errstate(over="ignore"):  # 1e200 ** 2 is inf on both sides
         got, want = monomials(exps, pts), oracle_monomials(exps, pts)
+        gathered = oracle_gather_monomials(exps, pts)
     assert got.shape == (len(pts), len(exps)) and got.flags.c_contiguous
     # the same bits, inf, -0.0 and all
-    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == want.tobytes() == gathered.tobytes()
     assert np.array_equal(monomials(exps, pts[0]), oracle_monomials(exps, pts[0]))
 
 
@@ -138,4 +139,25 @@ def test_monomials_match_the_axis_product_at_each_max_exponent(m, top):
     exps = np.array(list(itertools.product(range(top + 1), repeat=m)), dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):
         got, want = monomials(exps, pts), oracle_monomials(exps, pts)
-    assert got.tobytes() == want.tobytes()
+        gathered = oracle_gather_monomials(exps, pts)
+    assert got.tobytes() == want.tobytes() == gathered.tobytes()
+
+
+@pytest.mark.parametrize("m", range(1, 4))
+@pytest.mark.parametrize("rows", [1, 2, 33])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_monomials_are_the_gather_form_bit_for_bit(m, rows, order):
+    # the (m, top + 1, N) gathers against the (N, top + 1, m) ones they
+    # replaced, on exponents that hold a 2, where numpy's pow squares by a
+    # product if one exponent spans its inner loop (so the np.prod form
+    # differs in the last bit on [(2,)]), and on C- and F-ordered points;
+    # the result is C-ordered, the layout its matrix products sum in
+    rng = np.random.default_rng(1000 * m + rows)
+    pts = np.asarray(rng.uniform(-3.0, 3.0, (rows, m)), order=order)
+    for exps in (multi_indices(m, 1), multi_indices(m, 2), multi_indices(m, 3),
+                 [(2,) * m], [(0,) * (m - 1) + (2,)], [(1,) * m, (2,) + (0,) * (m - 1)]):
+        exps = np.array(exps, dtype=int)
+        assert 2 in exps or exps.max() < 2
+        got, want = monomials(exps, pts), oracle_gather_monomials(exps, pts)
+        assert got.flags.c_contiguous and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
