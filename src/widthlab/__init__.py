@@ -9,6 +9,9 @@ needs stays out:
   names below resolve on first use, through the module `__getattr__`;
 - `numpy.polynomial`: the Gauss-Legendre rule computes numpy's `leggauss`
   itself (`quadrature.unit_rule_1d`);
+- LAPACK least squares (`np.polyfit`, `np.linalg.lstsq`), whose first call
+  costs a process about 0.5 ms: both slopes are fitted exactly in Python
+  ints (`partition.fit_loglog`);
 - code generation at import (records are `NamedTuple`s or plain classes,
   not dataclasses), `logging`, and OpenSSL (the config hash uses the
   built-in SHA-256);

@@ -53,10 +53,19 @@ def count_view(model: MeasureModel, n: int) -> CountView:
 
 
 def default_alpha_grid(m: int, rho: float) -> list[float]:
-    """Grid 0.1 .. m + rho + 2 in exact decimal steps of 0.05. It is counted
-    before it is built, as a range or grid flag is: past the default cube
-    cap of values it would fill the memory first, and is a ValidationError."""
-    count = math.floor(20 * (m + Fraction(rho).limit_denominator(10**6) + 2)) - 1
+    """Grid 0.1 .. m + rho + 2 in exact decimal steps of 0.05, with rho read
+    as L = Fraction(rho).limit_denominator(10**6). It is counted before it
+    is built, as a range or grid flag is: past the default cube cap of
+    values it would fill the memory first, and is a ValidationError.
+
+    The count needs floor(20 L), and |L - rho| <= 5e-7, so floor(20 L) is
+    floor(20 rho) unless 20 rho lies within 1e-5 of an integer: only there
+    is L computed."""
+    exact = Fraction(rho)
+    steps, rest = divmod(20 * exact.numerator, exact.denominator)
+    if min(rest, exact.denominator - rest) * 10**5 <= exact.denominator:
+        steps = math.floor(20 * exact.limit_denominator(10**6))
+    count = 20 * m + 39 + steps
     if count > DEFAULT_MAX_CUBES:
         shown = count if count < 1 << 64 else f"over 2^{count.bit_length() - 1}"
         raise ValidationError(f"the default alpha grid for rho={rho} holds {shown} values,"
@@ -128,7 +137,7 @@ def coarse_profiles(model: MeasureModel, levels, rhos: list[float],
 def _passes(m: int, views, levels, rhos, alpha_grid) -> Iterator[CoarseProfile]:
     batch, pairs = [], 0
     for rho in rhos:
-        grid = alpha_grid or tuple(map(float, default_alpha_grid(m, rho)))
+        grid = alpha_grid or tuple(default_alpha_grid(m, rho))
         if batch and pairs + len(grid) > PASS_PAIRS:
             yield from _one_pass(views, levels, batch)
             batch, pairs = [], 0

@@ -38,6 +38,9 @@ those of `piecewise_project` and `lq_error` threshold by threshold, bit for
 bit: the batch stops at the first non-finite cell, whose error waits for the
 rows of the partitions before the first that holds it.
 
+The decay slope is fitted by `partition.fit_loglog`, the exactly rounded
+least-squares slope that the entropy slope uses too.
+
 The packing probe, the lower-bound side, is `widthlab.probe`.
 """
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .errors import SolverError, ValidationError, WidthlabError
 from .functions import monomials, multi_indices
 from .measures import MeasureModel, index_array, packed_keys
 from .orders import EmbeddingParams, upper_order
-from .partition import PartitionResult, build_partition
+from .partition import PartitionResult, build_partition, fit_loglog
 from .quadrature import unit_rule
 from .spectrum import closed_form_spectrum, empirical_spectrum
 
@@ -327,9 +330,7 @@ def decay_experiment(
         raise SolverError("decay fit needs >= 3 non-degenerate thresholds")
     if len({c for c, _ in valid}) < 2:
         raise SolverError("decay fit needs >= 2 distinct partition cardinalities")
-    xs = [math.log(c) for c, _ in valid]
-    ys = [math.log(e) for _, e in valid]
-    slope = float(np.polyfit(xs, ys, 1)[0])
+    slope = fit_loglog([math.log(c) for c, _ in valid], [math.log(e) for _, e in valid])
     return DecayResult(
         slope=slope,
         predicted=predicted,

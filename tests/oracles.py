@@ -47,6 +47,9 @@ The threshold check of a separation input (`check_threshold`, once the
 `validate_threshold` option of `well_separated`) left it too, and the
 default alpha grid built without a count (`oracle_default_alpha_grid`) is
 the reference of the counted one.
+The fitted slopes keep numpy's LAPACK least squares
+(`oracle_polyfit_slope`), which the exact integer fit replaced, and the
+exact `Fraction` slope rounded once (`oracle_exact_slope`), its reference.
 The J_rho partition is also kept as the memoized depth-first recursion
 over the model's states (`oracle_walk`), which the level-by-level walk
 replaced, and the width exponents as computed with no cache of each
@@ -382,6 +385,20 @@ def oracle_default_alpha_grid(m, rho):
     # the grid as it was built before its size was counted first
     hi = m + Fraction(rho).limit_denominator(10**6) + 2
     return [k / 20 for k in range(2, math.floor(20 * hi) + 1)]
+
+
+def oracle_exact_slope(xs, ys):
+    # the least-squares slope of the float data in exact Fractions, from the
+    # centred sums, rounded once by float(Fraction)
+    xs, ys = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    x_bar, y_bar = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxx = sum((x - x_bar) ** 2 for x in xs)
+    return float(sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys)) / sxx)
+
+
+def oracle_polyfit_slope(xs, ys):
+    # the slope of numpy's LAPACK least squares, the fit `fit_loglog` replaced
+    return float(np.polyfit(xs, ys, 1)[0])
 
 
 def oracle_count_view(model, n):

@@ -312,6 +312,19 @@ def test_default_alpha_grids_of_the_bench_sweep_are_unchanged():
         assert default_alpha_grid(2, rho) == oracle_default_alpha_grid(2, rho)
 
 
+@pytest.mark.parametrize("offset", [0.0, 2.0**-30, -(2.0**-30), -4e-7, 5e-7, -5e-7, 5.5e-7,
+                                    -5.5e-7])
+def test_default_alpha_grid_near_a_grid_point(offset):
+    # rho at and next to k/20, where floor(20 rho) and the count of the
+    # limited fraction can part (for 20 of these k at -4e-7, 8e-6 from an
+    # integer in 20 rho), and at either side of the 1e-5 window in 20 rho
+    # where the count falls back to that fraction
+    for m in (1, 2, 3):
+        for k in range(1, 401):
+            rho = k / 20 + offset
+            assert default_alpha_grid(m, rho) == oracle_default_alpha_grid(m, rho), (m, k)
+
+
 @pytest.mark.parametrize("m, rho, count", [
     (2, 104853.7, "2097153"), (2, 1e9, "20000000079"), (1, 1e300, "over 2^1000")])
 def test_default_alpha_grid_past_the_cube_cap_is_counted_not_built(m, rho, count):

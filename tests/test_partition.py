@@ -7,7 +7,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, find, given, settings, strategies as st
 
 from widthlab import (
     DyadicCube,
@@ -23,12 +23,12 @@ from widthlab import (
 )
 from widthlab.measures import (AtomicMeasure, IfsMap, IfsMeasure, MeasureModel, ProductMeasure,
                                UniformMeasure)
-from widthlab.partition import partition_rows
+from widthlab.partition import fit_loglog, partition_rows
 
 from conftest import (IFS7_MAPS, boundary_atomic, dyadic_ifs, ifs7, ifs_atomic_lebesgue,
                       new_deep_ifs, new_tetrahedron)
-from oracles import (capped, naive_partition, oracle_j_log2, oracle_levels, oracle_walk,
-                     table_cubes)
+from oracles import (capped, naive_partition, oracle_exact_slope, oracle_j_log2, oracle_levels,
+                     oracle_polyfit_slope, oracle_walk, table_cubes)
 
 def test_lebesgue_partition_example(leb1):
     part = build_partition(leb1, 1.0, 2.0**-6)
@@ -168,6 +168,80 @@ def test_entropy_slope_needs_enough_points(leb1):
         entropy_slope(leb1, 1.0, [0.1, 0.01])
     with pytest.raises(SolverError):
         entropy_slope(leb1, 1.0, [0.5, 0.25, 0.125])  # under three decades
+
+
+def _points(values):
+    return st.integers(2, 24).flatmap(lambda n: st.tuples(
+        *[st.lists(values, min_size=n, max_size=n)] * 2))
+
+
+_LOG_POINTS = _points(st.floats(-60.0, 60.0))
+
+
+@given(st.one_of(_LOG_POINTS, _points(st.floats(allow_nan=False, allow_infinity=False))))
+@settings(max_examples=300, deadline=None)
+def test_fit_loglog_is_the_exactly_rounded_slope(points):
+    # bit for bit the exact Fraction slope of the data, rounded once; past
+    # the largest float the slope is a SolverError
+    xs, ys = points
+    assume(len(set(xs)) > 1)
+    try:
+        want = oracle_exact_slope(xs, ys)
+    except OverflowError:
+        with pytest.raises(SolverError, match="^fitted slope overflows a float$"):
+            fit_loglog(xs, ys)
+    else:
+        assert fit_loglog(xs, ys).hex() == want.hex()
+
+
+def _fsum_slope(xs, ys):
+    n = len(xs)
+    x_bar, y_bar = math.fsum(xs) / n, math.fsum(ys) / n
+    sxy = math.fsum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
+    return sxy / math.fsum((x - x_bar) ** 2 for x in xs)
+
+
+def test_an_fsum_slope_fails_the_bit_equality():
+    # negative control: a slope from correctly rounded float sums of rounded
+    # deviations is not the exactly rounded slope, and the check above tells
+    xs, ys = find(_LOG_POINTS, lambda p: len(set(p[0])) > 1
+                  and _fsum_slope(*p) != oracle_exact_slope(*p),
+                  settings=settings(database=None, derandomize=True))
+    assert fit_loglog(xs, ys) == oracle_exact_slope(xs, ys) != _fsum_slope(xs, ys)
+
+
+@given(st.lists(st.integers(1, 10**6), min_size=3, max_size=20, unique=True)
+       .filter(lambda cards: max(cards) >= 10 * min(cards)),
+       st.floats(-3.0, 3.0).filter(lambda slope: abs(slope) >= 0.1), st.floats(-10.0, 10.0),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_fit_loglog_agrees_with_polyfit(cards, slope, intercept, data):
+    # log-log data over at least a decade of cards, as the callers fit
+    xs = [math.log(c) for c in cards]
+    noise = data.draw(st.lists(st.floats(-0.05, 0.05), min_size=len(xs), max_size=len(xs)))
+    ys = [slope * x + intercept + e for x, e in zip(xs, noise)]
+    assert fit_loglog(xs, ys) == pytest.approx(oracle_polyfit_slope(xs, ys), rel=1e-12)
+
+
+@pytest.mark.parametrize("xs", [[0, 1], [0, 1, 2, 3, 4], [-7, 2, 10, 11], [5, 5, 6, 1000]])
+def test_fit_loglog_of_exact_data(xs):
+    assert fit_loglog([float(x) for x in xs], [3.0 * x + 1 for x in xs]) == 3.0
+
+
+@pytest.mark.parametrize("xs, ys, message", [
+    ([1.0, math.nan], [0.0, 1.0], "finite values"),
+    ([1.0, 2.0], [0.0, math.nan], "finite values"),
+    ([1.0, 2.0], [math.inf, 1.0], "finite values"),
+    ([-math.inf, 2.0], [0.0, 1.0], "finite values"),
+    ([2.0, 2.0, 2.0], [0.0, 1.0, 2.0], ">= 2 distinct xs"),
+    ([1.0], [1.0], ">= 2 points"),
+    ([], [], ">= 2 points"),
+])
+def test_fit_loglog_rejects(xs, ys, message):
+    with pytest.raises(SolverError, match=f"^fit needs {message}$"):
+        fit_loglog(xs, ys)
+    with pytest.raises(ValidationError, match="^fit needs as many xs as ys$"):
+        fit_loglog(xs, [*ys, 0.0])
 
 
 def _row(part):
