@@ -63,6 +63,16 @@ Both must give the same multisets, keyed by `Fraction`s. Over 50 rounds
 on the same VM the grouping took a median of 0.53-0.87 ms and the table
 route 1.96-3.61 ms.
 
+An eighth case times the tetrahedron's table at level 8 (65 536 cubes), the
+largest table of the `empirical` decay range 2^0 .. 2^-18, on a fresh model
+each round, so every level is pushed and built; it is checked against the
+tetrahedron's words, each map of ratio 1/2 giving one bit of every
+coordinate and one factor of the mass. Over 20 rounds on the same VM, in
+three alternating runs a side, it took a median of 8.8-9.3 ms when each
+level repeated the (N, m) index rows above and packed them for its sort,
+and 5.0-5.4 ms built from the packed keys of the level above; in the same
+runs the uniform table (`ifs` of the sixth case) went 5.9-8.5 -> 4.2-5.2 ms.
+
 Run from the root of the repository (pytest-benchmark required):
 
     PYTHONPATH=src python -m pytest benchmarks -q
@@ -72,6 +82,8 @@ The suite lies outside tier-1, whose `testpaths` is `tests`.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -213,3 +225,23 @@ def test_l2_deep_levels(benchmark, push, deep_multisets):
         rounds=1 if push is oracle_level_masses else 5,
     )
     assert [list(multiset.items()) for multiset in got] == deep_multisets
+
+
+def tetrahedron_words(n):
+    """The tetrahedron's level-n cubes in index order, from its words: word
+    w has index sum_k offset(w_k) 2^(n-1-k) and mass prod_k p(w_k), as a
+    numerator over 1000^n."""
+    model = new_tetrahedron()
+    nums = [int(p * 1000) for p in model.probs]
+    cubes = [(tuple(sum(model.maps[i].offset[j] << (n - 1 - k) for k, i in enumerate(word))
+                    for j in range(model.m)), math.prod(nums[i] for i in word))
+             for word in itertools.product(range(len(nums)), repeat=n)]
+    return sorted(cubes)
+
+
+def test_l2_tetrahedron_table(benchmark):
+    got = benchmark.pedantic(lambda model: model.level_nodes(8),
+                             setup=lambda: ((new_tetrahedron(),), {}), rounds=20)
+    nums = [int(mu * 1000**8) for mu in got.masses]
+    assert [(tuple(row), nums[j]) for row, j in zip(got.index.tolist(), got.mass_id.tolist())] \
+        == tetrahedron_words(8)

@@ -1,6 +1,7 @@
 """Start-up benchmarks: a fresh interpreter that imports `widthlab.cli`, one
-that runs a whole `python -m widthlab validate` on a small spec, and one
-that runs a whole `partition` on the quarter-Cantor IFS.
+that runs a whole `python -m widthlab validate` on a small spec, one that
+runs a whole `partition` on the quarter-Cantor IFS, and `cli.main` timed
+inside fresh interpreters.
 
 Every subcommand pays the import before its first line of work, and it is
 most of a short run: the benchmark's `setup_s` is this import plus one
@@ -22,6 +23,16 @@ least squares (`np.polyfit`) and then from the exact integer fit
 - this benchmark, three alternating runs of 20 rounds per side:
   medians 143.9, 143.3, 141.6 -> 154.1, 140.9, 144.4 ms. The interpreter's
   start spreads over 140-155 ms, so the 0.4 ms does not show here.
+The interpreter's start hides such costs, so a fourth case times `cli.main`
+inside each fresh interpreter, on that `partition` run and on the
+`empirical` line of the benchmark's `empirical-ifs` workload (the
+tetrahedron, thresholds 2^0 .. 2^-10). Its table times the whole child;
+the in-process times, in ms, are its `extra_info["cli_main_ms"]` (min,
+median, max over the rounds), which `--benchmark-json FILE` writes. In
+three runs a side on the same VM, the `empirical` call read a median of
+16.6-17.0 ms with the IFS tables built from repeated index rows and
+14.1-15.7 ms built from packed keys, while the whole child read
+189-205 ms and 198-218 ms: the interpreter's spread hides a 2 ms gain.
 Each child runs in the caller's environment (its `PYTHONDONTWRITEBYTECODE`,
 its BLAS variables), with this checkout's `src/` first on its path, so the
 time covers the interpreter's own start and numpy's import as well. Run
@@ -38,11 +49,29 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 SPEC = '{"type": "uniform", "m": 1, "support": "0:0"}'
 QUARTER_CANTOR = ('{"type": "ifs", "m": 1, "maps": [{"ratio_log2": 2, "offset": [0]},'
                   ' {"ratio_log2": 2, "offset": [3]}], "probs": ["1/2", "1/2"]}')
+TETRAHEDRON = ('{"type": "ifs", "m": 3, "maps": ['
+               + ", ".join(f'{{"ratio_log2": 1, "offset": {list(o)}}}'
+                           for o in ((0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)))
+               + '], "probs": ["0.599", "0.3", "0.001", "0.1"]}')
+# the child prints the seconds of its `cli.main` call after the run's output
+TIMED_MAIN = ("import sys, time\nfrom widthlab import cli\nstart = time.perf_counter()\n"
+              "code = cli.main(sys.argv[1:])\nprint(time.perf_counter() - start)\nsys.exit(code)")
+IN_PROCESS = {
+    "partition": ("qc.json", QUARTER_CANTOR, ["--rho", "1", "--thresholds", "pow2:2..12"],
+                  "entropy slope estimate: 0.34545454545454546"),
+    "empirical": ("tetrahedron.json", TETRAHEDRON,
+                  ["--sigma", "2", "--p", "4", "--q", "2", "--function", "sin",
+                   "--thresholds", "pow2:0..10"],
+                  '{"degenerate": false, "function": "sin", "pass": false,'
+                  ' "predicted": -1.0581236235288816, "slope": -0.29161682672159167}'),
+}
 
 
 def start(*args: str, cwd=None) -> subprocess.CompletedProcess:
@@ -71,3 +100,23 @@ def test_startup_partition_run(benchmark, tmp_path):
     done = benchmark.pedantic(start, args, {"cwd": tmp_path}, rounds=20, warmup_rounds=1)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.endswith("\nentropy slope estimate: 0.34545454545454546\n")
+
+
+@pytest.mark.parametrize("command", sorted(IN_PROCESS))
+def test_startup_cli_main_in_process(benchmark, tmp_path, command):
+    name, spec, args, last_line = IN_PROCESS[command]
+    (tmp_path / name).write_text(spec)
+    seconds = []
+
+    def timed_run():
+        done = start("-c", TIMED_MAIN, command, "--measure", name, *args, cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (0, "")
+        *_, line, elapsed = done.stdout.splitlines()
+        assert line == last_line
+        seconds.append(float(elapsed))
+
+    benchmark.pedantic(timed_run, rounds=20)  # each round a fresh interpreter: no warm-up
+    seconds.sort()
+    benchmark.extra_info["cli_main_ms"] = {
+        key: 1e3 * value for key, value in
+        (("min", seconds[0]), ("median", seconds[len(seconds) // 2]), ("max", seconds[-1]))}

@@ -56,7 +56,12 @@ def default_alpha_grid(m: int, rho: float) -> list[float]:
     """Grid 0.1 .. m + rho + 2 in exact decimal steps of 0.05, with rho read
     as L = Fraction(rho).limit_denominator(10**6). It is counted before it
     is built, as a range or grid flag is: past the default cube cap of
-    values it would fill the memory first, and is a ValidationError.
+    values it would fill the memory first, and is a ValidationError."""
+    return [k / 20 for k in range(2, _default_alpha_count(m, rho) + 2)]
+
+
+def _default_alpha_count(m: int, rho: float) -> int:
+    """The length of `default_alpha_grid(m, rho)`, checked against the cap.
 
     The count needs floor(20 L), and |L - rho| <= 5e-7, so floor(20 L) is
     floor(20 rho) unless 20 rho lies within 1e-5 of an integer: only there
@@ -70,7 +75,7 @@ def default_alpha_grid(m: int, rho: float) -> list[float]:
         shown = count if count < 1 << 64 else f"over 2^{count.bit_length() - 1}"
         raise ValidationError(f"the default alpha grid for rho={rho} holds {shown} values,"
                               f" more than {DEFAULT_MAX_CUBES}")
-    return [k / 20 for k in range(2, count + 2)]
+    return count
 
 
 class CoarseProfile(NamedTuple):
@@ -135,9 +140,12 @@ def coarse_profiles(model: MeasureModel, levels, rhos: list[float],
 
 
 def _passes(m: int, views, levels, rhos, alpha_grid) -> Iterator[CoarseProfile]:
-    batch, pairs = [], 0
+    batch, pairs, longest = [], 0, ()
     for rho in rhos:
-        grid = alpha_grid or tuple(default_alpha_grid(m, rho))
+        if alpha_grid is None:  # each default grid is a prefix of the longest so far
+            count = _default_alpha_count(m, rho)
+            longest += tuple(k / 20 for k in range(len(longest) + 2, count + 2))
+        grid = alpha_grid or longest[:count]
         if batch and pairs + len(grid) > PASS_PAIRS:
             yield from _one_pass(views, levels, batch)
             batch, pairs = [], 0

@@ -21,12 +21,13 @@ node table (`MeasureModel.level_nodes`, built in bulk; an IFS caches each
 level, so repeated depths cost nothing): integer indices l, with centres
 (2l + 1) 2^-(D+1) rounded to float once, and masses rounded to float once per
 distinct exact mass. A node lies in its ancestor cell, a row of the table of
-the cell's level: `MeasureModel._ancestors` gives each node's row there (an
-IFS composes its tables' parent rows, one gather per level; another model
-searches the ancestors' packed keys once), and an owner array over those
-rows, set by one key search per cell, gives each node its cell in one
-gather. It is integer arithmetic, exact at every depth, where float centres
-fail once D >= 53; `lq_error` goes through it too.
+the cell's level: `MeasureModel._ancestors` gives each node's row there and
+that table's packed keys (an IFS composes its tables' parent rows, one
+gather per level, beside the keys it keeps; another model searches the
+ancestors' packed keys once), and an owner array over those rows, set by
+one key search per cell, gives each node its cell in one gather. It is
+integer arithmetic, exact at every depth, where float centres fail once
+D >= 53; `lq_error` goes through it too.
 
 A decay experiment builds its partitions first and projects their distinct
 cells in one batch, in first-seen order. It reuses the error of a partition
@@ -57,7 +58,7 @@ from .errors import SolverError, ValidationError, WidthlabError
 from .functions import monomials, multi_indices
 from .measures import MeasureModel, index_array, packed_keys
 from .orders import EmbeddingParams, upper_order
-from .partition import PartitionResult, build_partition, fit_loglog
+from .partition import PartitionResult, _partition_cells, _rows, fit_loglog
 from .quadrature import unit_rule
 from .spectrum import closed_form_spectrum, empirical_spectrum
 
@@ -169,11 +170,17 @@ class PiecewisePolynomial:
 
     def _values(self, pts: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Values at points already located to `rows` (-1: outside every cell)."""
-        out = np.zeros(pts.shape[0])
         hit = rows >= 0
-        r = rows[hit]
-        y = (pts[hit] - self._lower[r]) / self._side[r, None]
-        out[hit] = np.einsum("nk,nk->n", monomials(self.exponents, y), self.coeffs[r])
+        every = hit.all()  # then no mask is needed
+        r = rows if every else rows[hit]
+        y = (pts if every else pts[hit]) - self._lower.take(r, axis=0)
+        y /= self._side.take(r)[:, None]
+        y = monomials(self.exponents, y)  # the offsets freed before the gather: less peak memory
+        values = np.einsum("nk,nk->n", y, self.coeffs.take(r, axis=0))
+        if every:
+            return values
+        out = np.zeros(pts.shape[0])
+        out[hit] = values
         return out
 
 
@@ -249,12 +256,11 @@ def _decay_rows(
     the depth grows with the cells, so an earlier one is rarely needed again.
     An error is the one the loop threshold by threshold raises first."""
     degree, parts, failed = params.sigma - 1, [], None
-    for t in t_sequence:
-        try:
-            parts.append((float(t), build_partition(model, params.rho, float(t))))
-        except WidthlabError as exc:  # raised after the rows before it
-            failed = exc
-            break
+    try:  # every row and cap from one pass
+        for row in _rows(model, params.rho, [float(t) for t in t_sequence]):
+            parts.append((row.t, _partition_cells(model, row)))
+    except WidthlabError as exc:  # raised after the rows before it
+        failed = exc
     cells = tuple(dict.fromkeys(c for _, part in parts if not part.degenerate for c in part.cells))
     if cells:
         ids, frames = {c: i for i, c in enumerate(cells)}, _cell_frames(cells)
@@ -272,6 +278,7 @@ def _decay_rows(
         if last is None or last[0] != part.cells:
             depth = part.max_level + depth_offset
             if nodes is None or nodes[0] != depth:
+                nodes = known = residual = None  # the last depth's, freed first
                 nodes, known = _quadrature(f, model, depth), {}
                 residual, changed = nodes[4].copy(), part.cells
             else:

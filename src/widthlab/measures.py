@@ -20,7 +20,8 @@ two common denominators (int64 where they fit, Python ints beyond). It
 takes the exact indices ceil(x 2^n) - 1 = (c 2^n - 1) // pden of all atoms
 in one array operation, packs each atom's into one integer key and sums
 the integer weights per key: its multiset counts the sums, its table sorts
-and unpacks the keys, each with one `Fraction` per distinct mass.
+and unpacks the keys, each with one `Fraction` per distinct mass. An IFS
+table is built from the packed keys of the one above, which it keeps.
 A product pairs every row of each factor's table with every row of the
 others', its mass ids remapped through the products.
 
@@ -151,6 +152,14 @@ def packed_keys(index: np.ndarray, level: int) -> np.ndarray:
         keys |= np.where(inside, column, 0).astype(dtype)
     keys[~inside] = -1
     return keys
+
+
+def _unpack(keys: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The (N, m) level-n indices of `packed_keys` keys, a column at a time."""
+    index = np.empty((len(keys), m), dtype=object if n >= INT64_LEVELS else np.int64)
+    for j, column in enumerate(index.T):
+        column[...] = keys >> n * (m - 1 - j) & (1 << n) - 1
+    return index
 
 
 def _check_level(n: int, count: int = 1, max_cubes: int = DEFAULT_MAX_CUBES) -> None:
@@ -477,13 +486,9 @@ class AtomicMeasure(MeasureModel):
         keys = sorted(groups)  # lexicographic index order
         ids: dict[int, int] = {}
         mass_id = np.array([ids.setdefault(groups[k], len(ids)) for k in keys], dtype=np.intp)
-        # unpacked in int64 while both the keys and the indices fit in it
-        wide = n * self.m > PACKED_KEY_BITS or n >= INT64_LEVELS
-        shifts = np.array([n * j for j in reversed(range(self.m))], dtype=np.int64)
-        index = (np.array(keys, dtype=object if wide else np.int64)[:, None] >> shifts) & (
-            (1 << n) - 1)
-        return LevelNodes(index.astype(object if n >= INT64_LEVELS else np.int64, copy=False),
-                          mass_id, tuple(Fraction(u, self._den) for u in ids))
+        keys = np.array(keys, dtype=object if n * self.m > PACKED_KEY_BITS else np.int64)
+        return LevelNodes(_unpack(keys, n, self.m), mass_id,
+                          tuple(Fraction(u, self._den) for u in ids))
 
 
 class _IfsMap(NamedTuple):
@@ -514,9 +519,10 @@ class IfsMeasure(MeasureModel):
     parent's times a, the edge's mass ratio over the common denominator
     `_den` = D, so den(L) = D^L. The multisets and node tables
     (`_multisets`, `_tables`) read the store's push, and keep no per-cube
-    memo. Beside each table it keeps each row's parent row (`_parents`, 8
-    bytes per row, 40 with the index and mass id in m = 3), composed to
-    place rows in the tables above (`_ancestors`) with no key search.
+    memo. Beside each table it keeps each row's parent row and packed key
+    (`_parents`, `_keys`: 16 bytes per row, 48 with the index and mass id
+    in m = 3): `_ancestors` composes the parent rows with no key search,
+    and each level's keys start the next level's.
     """
 
     def __init__(self, maps, probs, embed_shift: IfsMap | None = None) -> None:
@@ -562,6 +568,7 @@ class IfsMeasure(MeasureModel):
         self._multisets: dict[int, dict[Mass, int]] = {}
         self._tables: list[LevelNodes] = []
         self._parents: list[np.ndarray] = []  # per table, the row of each row's parent above
+        self._keys: list[np.ndarray] = []  # per table, its rows' packed keys
         self._rows: np.ndarray | None = None  # the state of each row of the deepest table
 
     def _denominator(self, level: int) -> int:
@@ -657,37 +664,39 @@ class IfsMeasure(MeasureModel):
         rows = known[finer][0] if finer < n else slice(None)  # level n's own rows
         for k in range(finer, level, -1):
             rows = self._parents[k][rows]
-        return rows, packed_keys(self._tables[level].index, level)
+        return rows, self._keys[level]
 
     def _build_nodes(self, n) -> LevelNodes:
-        """The level-n table, built after level n - 1, the store pushed to
-        level n: every row of level n - 1 expands to its state's children,
-        at indices 2 index + branch."""
-        store = self._store
+        """The level-n table and keys, built after level n - 1's, the store
+        pushed to level n: a child's key is its parent's, each coordinate
+        doubled in n bits, plus its edge's branch bits, sorted once."""
+        store, m = self._store, self.m
+        dtype = object if n * m > PACKED_KEY_BITS else np.int64
         if n == 0:
-            index = index_array([(0,) * self.m], 0, self.m)
+            keys = np.zeros(1, dtype=np.int64)
             state = parent = np.zeros(1, dtype=np.intp)
         else:
-            above, rows = self._tables[n - 1], self._rows
-            kids = store.kids[n - 1]
+            rows, kids = self._rows, store.kids[n - 1]
             kid = np.array([s for row in kids for s in row], dtype=np.intp)
-            branch = index_array([bits for row in store.branches[n - 1] for bits in row],
-                                 n, self.m)
+            codes = [[functools.reduce(lambda key, bit: key << n | bit, bits) for bits in branches]
+                     for _, branches in self.template]  # per template node and edge
+            code = np.array([c for h, _ in store.states[n - 1] for c in codes[h]], dtype=dtype)
             first = np.cumsum([0] + [len(row) for row in kids])
             width = np.diff(first)[rows]
-            start = np.cumsum(width) - width
-            edge = np.arange(width.sum()) - np.repeat(start - first[rows], width)
-            index = np.repeat(above.index, width, axis=0).astype(branch.dtype, copy=False) * 2
-            index += branch[edge]
-            state = kid[edge]
-            order = np.argsort(packed_keys(index, n), kind="stable")
-            index, state = index[order], state[order]
-            parent = np.repeat(np.arange(len(rows)), width)[order]
+            parent = np.repeat(np.arange(len(rows)), width)
+            edge = np.arange(len(parent)) + (first[rows] - np.cumsum(width) + width)[parent]
+            above = self._keys[n - 1].astype(dtype, copy=False)
+            moved = sum((above >> (n - 1) * j & (1 << n - 1) - 1) << n * j + 1 for j in range(m))
+            keys = moved[parent] + code[edge]
+            order = np.argsort(keys, kind="stable")
+            keys, state, parent = keys[order], kid[edge[order]], parent[order]
         self._rows = state
         order, masses, _ = store.masses(n)
         mass_id = np.array([order[num] for _, num in store.states[n]], dtype=np.intp)[state]
-        index.flags.writeable = mass_id.flags.writeable = False  # cached, shared
+        index = _unpack(keys, n, m)
+        index.flags.writeable = mass_id.flags.writeable = keys.flags.writeable = False  # shared
         self._parents.append(parent)
+        self._keys.append(keys)
         # the masses in push order, as the multiset's keys, with no dict built
         return LevelNodes(index, mass_id, masses)
 

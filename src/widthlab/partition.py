@@ -40,8 +40,9 @@ pairs, as many as the walk for 2^-20 alone; 17 separate walks visit 822.
 
 `build_partition` takes its row and its caps from `partition_row` first.
 Then it makes the pass for its one threshold, carrying the indices of the
-frontier cubes. A frontier cube is the ancestor of a cell, so that pass
-holds at most `max_cells` indices at any level.
+frontier cubes (`_partition_cells`, given a row). A frontier cube is the
+ancestor of a cell, so that pass holds at most `max_cells` indices at any
+level.
 
 The entropy slope and the decay slope of `widthlab.empirical` come from one
 least-squares kernel, `fit_loglog`: the exact slope of the float data in
@@ -54,7 +55,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from operator import add, mul
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .cubes import DyadicCube, _new
 from .errors import ResourceLimitError, SolverError, ValidationError
@@ -168,6 +169,11 @@ def partition_rows(model: MeasureModel, rho: float, thresholds) -> list[Partitio
     """`[partition_row(model, rho, t) for t in thresholds]`, from one pass
     over the model's store, or the first error that loop raises: a bad t or
     rho, or a cap that the walk of a threshold trips, in input order."""
+    return list(_rows(model, rho, thresholds))
+
+
+def _rows(model: MeasureModel, rho: float, thresholds) -> Iterator[PartitionRow]:
+    """The rows of `partition_rows`, and its error after the rows before it."""
     ok, error = [], None
     for t in thresholds:
         if not t > 0:
@@ -179,7 +185,6 @@ def partition_rows(model: MeasureModel, rho: float, thresholds) -> list[Partitio
         ok.append(t)
     log2_ts = sorted({log2_t for log2_t in map(math.log2, ok) if not log2_t > 0.0})
     walked = dict(zip(log2_ts, _walk(model, rho, log2_ts, None))) if log2_ts else {}
-    rows = []
     for t in ok:
         log2_t = math.log2(t)
         # J(root) = 1 < t for log2 t > 0: the root is the one cell
@@ -187,10 +192,9 @@ def partition_rows(model: MeasureModel, rho: float, thresholds) -> list[Partitio
         if isinstance(out, str):
             raise ResourceLimitError(out.format(t=t))
         card, min_level, max_level, top = out
-        rows.append(PartitionRow(t, rho, card, 2.0**top, min_level, max_level, log2_t > 0.0))
+        yield PartitionRow(t, rho, card, 2.0**top, min_level, max_level, log2_t > 0.0)
     if error:
         raise ValidationError(error)
-    return rows
 
 
 def partition_row(model: MeasureModel, rho: float, t: float) -> PartitionRow:
@@ -207,12 +211,16 @@ def build_partition(model: MeasureModel, rho: float, t: float) -> PartitionResul
     below t, the single root cell is returned and flagged degenerate. More
     than the model's `max_cells` cells is a ResourceLimitError.
     """
-    row = partition_row(model, rho, t)  # every cap trips here, before an index is built
+    return _partition_cells(model, partition_row(model, rho, t))  # caps trip before the cells
+
+
+def _partition_cells(model: MeasureModel, row: PartitionRow) -> PartitionResult:
+    """The partition of a row that `partition_rows` gave: its cells pass."""
     cells: list[tuple[int, tuple[int, ...], float]] = []
     if row.degenerate:
         cells.append((0, (0,) * model.m, 0.0))
     else:
-        _walk(model, rho, [math.log2(t)], cells)
+        _walk(model, row.rho, [math.log2(row.t)], cells)
     cells.sort()
     # each cell is a child of a valid cube, so its index needs no check
     return PartitionResult(*row, tuple(_new(DyadicCube, c[:2]) for c in cells))

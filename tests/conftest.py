@@ -101,10 +101,10 @@ def ifs7(shift=None):
 
 
 @st.composite
-def dyadic_ifs(draw):
-    """A random IFS in 1 or 2 dimensions: disjoint images of levels 1..3,
-    integer weights, and an optional embed_shift."""
-    m = draw(st.integers(1, 2))
+def dyadic_ifs(draw, dims=st.integers(1, 2)):
+    """A random IFS in `dims` dimensions (1 or 2 by default): disjoint images
+    of levels 1..3, integer weights, and an optional embed_shift."""
+    m = draw(dims)
     images = []
     for _ in range(draw(st.integers(1, 4))):
         k = draw(st.integers(1, 3))

@@ -57,6 +57,7 @@ UNREACHED_BY_DESIGN = {
     "cubes.DyadicCube.child": "called by `children` only: the L0 bench",
     "cubes.root": "public root cube; only `lebesgue` calls it",
     "cubes.DyadicCube.center": "the benchmark's cubes.center counter; the tests' exact boxes",
+    "coarse.default_alpha_grid": "public default grid; a sweep slices each rho's from its longest",
 }
 
 

@@ -304,12 +304,14 @@ def test_default_alpha_grid_steps_exact_decimals(m, rho):
 
 def test_default_alpha_grids_of_the_bench_sweep_are_unchanged():
     # the 36 rho of the benchmark's order sweep: m = 2, sigma = 2, p and q
-    # over 1.5:4:0.5
+    # over 1.5:4:0.5; a sweep's profiles slice theirs from the longest one
     grid = [1.5 + k / 2 for k in range(6)]
     rhos = [EmbeddingParams(m=2, sigma=2, p=p, q=q).rho for p in grid for q in grid]
     assert len(rhos) == 36
-    for rho in rhos:
+    profiles = coarse_profiles(PROFILE_MODELS["ifs7"], (4,), rhos)
+    for rho, profile in zip(rhos, profiles, strict=True):
         assert default_alpha_grid(2, rho) == oracle_default_alpha_grid(2, rho)
+        assert profile.alpha_grid == tuple(oracle_default_alpha_grid(2, rho))
 
 
 @pytest.mark.parametrize("offset", [0.0, 2.0**-30, -(2.0**-30), -4e-7, 5e-7, -5e-7, 5.5e-7,

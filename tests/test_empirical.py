@@ -31,7 +31,7 @@ from widthlab import (
     piecewise_project,
     root,
 )
-from widthlab import empirical, probe, quadrature
+from widthlab import empirical, partition, probe, quadrature
 from widthlab.functions import catalog, monomials, multi_indices
 from widthlab.probe import (alpha_good_cubes, composite_unit_norm, packing_probe,
                             sobolev_seminorm, well_separated)
@@ -760,6 +760,39 @@ def test_batched_projection_raises_in_the_loop_order(order, caps, first):
 
     got = outcome(empirical._decay_rows)
     assert got == outcome(oracle_decay_rows) and got[0] is first
+
+
+@pytest.mark.parametrize("nan", [False, True])
+@pytest.mark.parametrize("k", range(5))
+def test_decay_rows_take_every_row_from_one_pass(k, nan, monkeypatch):
+    """A decay run takes the rows and caps of all its thresholds from one
+    counting pass, then makes one cells pass per partition; with the k-th
+    threshold past `max_cells` it raises what the loop threshold by
+    threshold raises first: the cap, or the non-finite cell of an earlier
+    partition (the one of 2^-4, when `nan`)."""
+    model, params = new_tetrahedron(), EmbeddingParams(m=3, sigma=2, p=4.0, q=2.0)
+    thresholds = [1.0, 2.0**-4, 2.0**-6, 2.0**-8]
+    thresholds.insert(k, 2.0**-10)  # 34 cells; 2^-8 has 22
+    f = SinProduct(3)
+    if nan:
+        early = set(build_partition(model, params.rho, 1.0).cells)
+        f = _nan_at(next(c for c in build_partition(model, params.rho, 2.0**-4).cells
+                         if c not in early), 3)
+
+    def outcome(call):
+        try:
+            return capped(model, call, f, model, params, thresholds, 3, max_cells=30)
+        except (SolverError, ResourceLimitError) as exc:
+            return type(exc), str(exc)
+
+    walk, passes = partition._walk, []
+    monkeypatch.setattr(partition, "_walk", lambda *a: passes.append(a[3] is None) or walk(*a))
+    got = outcome(empirical._decay_rows)
+    monkeypatch.undo()
+    assert got == outcome(oracle_decay_rows)
+    assert got[0] is (SolverError if nan and k > 1 else ResourceLimitError)
+    # one counting pass, then a cells pass per partition before the tripped one
+    assert passes == [True] + [False] * k
 
 
 @pytest.mark.parametrize("m,level", [(2, 2), (3, 2), (2, 33), (3, 21)])

@@ -27,7 +27,8 @@ from widthlab import (
     root,
 )
 
-from widthlab.measures import INT64_LEVELS, PACKED_KEY_BITS, _parse_field, packed_keys
+from widthlab.measures import (INT64_LEVELS, PACKED_KEY_BITS, MeasureModel, _parse_field,
+                               packed_keys)
 
 from conftest import boundary_atomic, dyadic_ifs, ifs7, ifs_atomic_lebesgue, new_tetrahedron
 from oracles import (capped, contains, descent_positive, oracle_atomic_nodes, oracle_ifs_overlap,
@@ -512,6 +513,46 @@ def test_template_matches_the_pullback_oracle(model, n):
         grouped[mu] = grouped.get(mu, 0) + 1
     assert model.level_masses(n) == grouped
     assert model.card_positive(n) == len(want)
+
+
+@given(dyadic_ifs(st.integers(1, 3)), st.booleans(), st.integers(0, 1), st.data())
+@settings(max_examples=50, deadline=None)
+def test_key_built_tables_match_the_descent(model, with_shift, deeper, data):
+    """The tables built from their parents' packed keys are the descent's
+    cubes and masses, with the keys they keep and the parent rows they
+    compose equal to a fresh packing and to the base class's key search:
+    on the random IFS, with and without its embed_shift, at levels 0..5,
+    and moved under a deep embed_shift to levels on both sides of
+    n m = PACKED_KEY_BITS (object keys) and of n = INT64_LEVELS (object
+    index), at m = 1, 2 and 3."""
+    m = model.m
+    if not with_shift:
+        model = IfsMeasure(model.maps, model.probs)
+    cases = [(model, range(6))]
+    for first in (PACKED_KEY_BITS // m - 1, INT64_LEVELS - 1):
+        shift = first - 1 - deeper  # the window's levels lie 1 .. 3 + deeper below it
+        offset = tuple(data.draw(st.integers(0, (1 << shift) - 1)) for _ in range(m))
+        cases.append((IfsMeasure(model.maps, model.probs, IfsMap(shift, offset)),
+                      range(first, first + 3)))
+    for ifs, levels in cases:
+        for n in levels:
+            want = descent_positive(ifs, n)
+            index, mass_id, masses = ifs.level_nodes(n)
+            assert index.dtype == (object if n >= INT64_LEVELS else np.int64)
+            assert [(DyadicCube(n, tuple(row)), masses[j])
+                    for row, j in zip(index.tolist(), mass_id.tolist())] == want
+            keys = packed_keys(index, n)
+            assert ifs._keys[n].dtype == keys.dtype
+            assert ifs._keys[n].tolist() == keys.tolist()
+            # the ancestors in each table above, composed from the finer ones
+            known = {}
+            for level in reversed(range(n + 1)):
+                known[level] = ifs._ancestors(n, index, level, known)
+                rows, found = MeasureModel._ancestors(ifs, n, index, level, {})
+                assert known[level][1].dtype == found.dtype
+                # level n's own rows come as a slice
+                assert np.arange(len(index))[known[level][0]].tolist() == rows.tolist()
+                assert known[level][1].tolist() == found.tolist()
 
 
 def test_ifs_mass_cap_trips_at_the_requested_level_only():
