@@ -34,15 +34,19 @@ once re-serialized the parsed model to a spec and hashed that instead:
 
 A fifth case pushes two IFS multisets deep, on fresh models each round:
 perfbench's `ifs7` (7 maps, mixed ratios) to level 24 (47 728 distinct
-masses) and the tetrahedron to level 32 (6545 distinct masses). The
-`level_masses` push keys each state by the integer numerator of its mass
-over D^n; `oracle_level_masses` in `tests/oracles.py` is the `Fraction`
-push it replaced, one `Fraction` product and hash per (state, edge). Both
-must give the same multisets in the same order. On the same VM the two
-pushes take a median of 1.44-1.71 s over 5 rounds, against 6.9-8.5 s for
+masses) and the tetrahedron to level 32 (6545 distinct masses). The push
+keys each state by the integer numerator of its mass over D^n;
+`oracle_level_masses` in `tests/oracles.py` is the `Fraction` push it
+replaced, one `Fraction` product and hash per (state, edge). The push is
+timed twice: ending in the integer level view {N: count} (`level_counts`,
+what the package reads) and in its `Fraction` multiset (`level_masses`).
+All three must give the same multisets in the same order. On the same VM
+the two pushes take a median of 1.44-1.71 s over 5 rounds, against 6.9-8.5 s for
 one round of the `Fraction` push. Through the state store, whose rule is
 one call per state, the medians were 1.93-2.47 s, against 1.29-2.15 s
-before it in the same three alternating runs.
+before it in the same three alternating runs. In two later runs the push
+to the integer view took a median of 1.16-1.25 s, to the `Fraction`
+multiset 1.55-1.63 s, and the `Fraction` push 6.97-7.04 s.
 
 A sixth case times the Lebesgue table at level 8 alone, on a fresh model
 each round: `level_nodes`, which pushes the uniform model as the IFS of its
@@ -217,13 +221,20 @@ def integer_push(model, n):
     return model.level_masses(n)
 
 
-@pytest.mark.parametrize("push", [oracle_level_masses, integer_push], ids=["fraction", "integer"])
+def integer_view(model, n):
+    return model.level_counts(n)
+
+
+@pytest.mark.parametrize("push", [oracle_level_masses, integer_push, integer_view],
+                         ids=["fraction", "integer", "view"])
 def test_l2_deep_levels(benchmark, push, deep_multisets):
     got = benchmark.pedantic(
         lambda todo: [push(model, n) for model, n in todo],
         setup=lambda: ((deep_cases(),), {}),
         rounds=1 if push is oracle_level_masses else 5,
     )
+    if push is integer_view:
+        got = [{Fraction(num, den): count for num, count in counts.items()} for counts, den in got]
     assert [list(multiset.items()) for multiset in got] == deep_multisets
 
 

@@ -13,8 +13,18 @@ Times `s_b_solve` over the b = rho = q (sigma - m/p) > 0 of perfbench's
 
 Closed-form roots must equal `scipy.optimize.brentq`'s bit for bit, on the
 same bracket and tolerances; empirical ones must match SciPy's root of the
-interpolated curve to 1e-12. Run from the root of the repository
-(pytest-benchmark and SciPy required):
+interpolated curve to 1e-12.
+
+A second case times the values themselves: a fresh level-6 curve of
+`ifs7` each round (its level view built untimed), read up to the 36
+crossings of the sweep, 63 of its 151 grid points. The curve computes
+them with the batched kernel, CHUNK points at a read; the reference is the
+per-t Python formula of `tests/oracles.py` (`oracle_beta`), one point at a
+read, and both must give the same roots. On a 2-core VM shared with other
+tenants, three runs of this file gave medians over 200 rounds of
+1.21-1.31 ms for the kernel and 2.35-2.45 ms for the per-t formula.
+
+Run from the root of the repository (pytest-benchmark and SciPy required):
 
     PYTHONPATH=src python -m pytest benchmarks -q
 
@@ -27,7 +37,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from widthlab import IfsMap, IfsMeasure, closed_form_spectrum, empirical_spectrum, s_b_solve
+from widthlab import (EmpiricalSpectrum, IfsMap, IfsMeasure, closed_form_spectrum,
+                      empirical_spectrum, s_b_solve)
+
+from tests.oracles import oracle_beta
 
 optimize = pytest.importorskip("scipy.optimize")
 
@@ -86,3 +99,27 @@ def test_l3_s_b_solve(benchmark, name):
     got = benchmark(lambda: [s_b_solve(curve, b) for b in bs])
     assert got == untimed
     assert got == pytest.approx([reference(curve, b) for b in bs], rel=0, abs=tol)
+
+
+class PerPointCurve(EmpiricalSpectrum):
+    """The curve as it was before the batched kernel: one value per read."""
+
+    def value(self, i):
+        if self._values[i] is None:
+            self._values[i] = oracle_beta(self._view, self.level, self.t_grid[i])
+        return self._values[i]
+
+
+@pytest.mark.parametrize("curve", ["per-point", "kernel"])
+def test_l3_curve_reads(benchmark, curve):
+    model, bs = ifs7(), rhos(2)
+    built = empirical_spectrum(model, 6)  # the level view, once
+    cls = PerPointCurve if curve == "per-point" else EmpiricalSpectrum
+
+    def fresh():
+        return (cls(built.level, built.t_grid, built._view),), {}
+
+    got = benchmark.pedantic(lambda c: [s_b_solve(c, b) for b in bs], setup=fresh, rounds=200,
+                             warmup_rounds=1)
+    reference = PerPointCurve(built.level, built.t_grid, built._view)
+    assert len(bs) == 36 and got == [s_b_solve(reference, b) for b in bs]

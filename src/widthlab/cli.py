@@ -53,7 +53,7 @@ from .errors import ParseError, ResourceLimitError, SolverError, ValidationError
 from .functions import catalog
 from .measures import DEFAULT_MAX_CELLS, DEFAULT_MAX_CUBES, ingest_points, load_measure
 from .orders import EmbeddingParams, geometric_bounds, lower_order
-from .partition import build_partition, fit_entropy_slope, partition_rows
+from .partition import _partition_cells, fit_entropy_slope, partition_rows
 from .spectrum import beta_row, closed_form_spectrum, empirical_spectrum, minkowski
 
 EX_OK = 0
@@ -321,10 +321,9 @@ def _dims(run: Run) -> None:
 
 def _partition(run: Run) -> None:
     rho, thresholds = _rho(run), run.need("thresholds")
-    if run.get("cells_out"):
-        parts = [build_partition(run.model, rho, t) for t in thresholds]
-    else:  # the rows of all the thresholds from one pass
-        parts = partition_rows(run.model, rho, thresholds)
+    parts = partition_rows(run.model, rho, thresholds)  # every threshold's row from one pass
+    if run.get("cells_out"):  # then one cells pass per row, the caps passed
+        parts = [_partition_cells(run.model, row) for row in parts]
     rows = [(p.t, p.card, p.min_level, p.max_level, p.max_j) for p in parts]
     run.emit("out", ["t", "card", "min_level", "max_level", "max_j"], rows)
     if run.get("cells_out"):

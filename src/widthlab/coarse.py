@@ -2,8 +2,8 @@
 
 The partition function J_rho(Q) = nu(Q) * vol(Q)^(rho/m) drives both the
 alpha-good counts N_{rho,n}(alpha) and the adaptive partition. Counts read
-the level view `spectrum.level_log_masses` of the exact mass multiset, so
-levels far beyond what full enumeration could reach stay cheap. Sorted once
+`spectrum.level_log_masses` of the model's integer level view, so levels
+far beyond what full enumeration could reach stay cheap. Sorted once
 per level (`count_view`), a view is an array of increasing log2 masses with,
 per position, the number of cubes at or above it and that count's estimate
 log2(count)/n. `coarse_profiles` then reads the counts of every (rho, alpha)

@@ -13,14 +13,15 @@ model's `points` and `weights` are `Fraction` views built when first read.
 
 Each family builds a level's positive cubes in bulk, without the mass
 oracle, as a node table (`LevelNodes`): their indices in lexicographic order
-and, for each, an id into the level's distinct exact masses; its multiset
-{mass: count} (`level_masses`) is built without a table.
+and, for each, an id into the level's distinct exact masses; its level view
+{N: cube count} over den(n) (`level_counts`, in integers; `level_masses`
+is its `Fraction` view for the API) is built without a table.
 An atomic model holds its coordinates and weights as integer arrays over
 two common denominators (int64 where they fit, Python ints beyond). It
 takes the exact indices ceil(x 2^n) - 1 = (c 2^n - 1) // pden of all atoms
 in one array operation, packs each atom's into one integer key and sums
-the integer weights per key: its multiset counts the sums, its table sorts
-and unpacks the keys, each with one `Fraction` per distinct mass. An IFS
+the integer weights per key: its level view counts the sums, its table
+sorts and unpacks the keys, with one `Fraction` per distinct mass. An IFS
 table is built from the packed keys of the one above, which it keeps.
 A product pairs every row of each factor's table with every row of the
 others', its mass ids remapped through the products.
@@ -45,13 +46,13 @@ states, its N and den(L) the products of theirs.
 Each model keeps one store of these states (`StateStore`), expanded by the
 rule when first needed: the J_rho walks (`widthlab.partition`) expand the
 states they reach, and an IFS pushes whole levels through it, counting the
-cubes of each state in integers, for its multisets and node tables, which
-build one `Fraction` per distinct mass when first read. Measured with
+cubes of each state in integers, for its level views, kept per level, and
+its node tables, which build one `Fraction` per distinct mass. Measured with
 `tracemalloc` on the bench 7-map IFS pushed to level 20 (84 424 states),
 the store holds 334 bytes per state, 28.2 MB in all.
 
 The run's resource caps are attributes of the model: `max_cubes` bounds
-the cubes of a node table and the distinct masses of a multiset, and
+the cubes of a node table and the distinct masses of a level view, and
 `max_cells` the cells of a J_rho partition (`widthlab.partition` reads it).
 The command line sets both once per run, so no function outside this
 module takes a cap. They are guards, not inputs to any cached value: an
@@ -172,7 +173,7 @@ def _check_level(n: int, count: int = 1, max_cubes: int = DEFAULT_MAX_CUBES) -> 
 
 
 def _check_masses(n: int, count: int, max_cubes: int) -> None:
-    """Reject a level-n multiset of more than `max_cubes` distinct masses."""
+    """Reject a level-n view of more than `max_cubes` distinct masses."""
     if count > max_cubes:
         raise ResourceLimitError(f"more than {max_cubes} distinct masses at level {n}")
 
@@ -189,7 +190,7 @@ class StateStore:
     tables of an IFS are built under the same lock. Both users expand a
     whole level's batch at once: `push` every state of a level, counting
     the cubes of each state (`counts[L]`) in push order, the order a push
-    from a cold store meets them, so the multisets and tables read from it
+    from a cold store meets them, so the level views and tables read from it
     do not depend on what expanded the states first; `expand` the states a
     J_rho pass reaches, taking the log2 of the mass of each state below them
     (`log2[L + 1]`) once, from the reduced pair.
@@ -203,7 +204,7 @@ class StateStore:
         self._ids = [{self.states[0][0]: 0}]
         self.log2: list[list[float]] = [[0.0]]  # per level: the log2 masses a pass took
         self.counts: list[dict[int, int]] = [{0: 1}]
-        self._masses: dict[int, tuple] = {}  # per pushed level, `masses`
+        self._counts: dict[int, dict[int, int]] = {}  # per pushed level, `level_counts`
 
     def _expand(self, level: int, todo, capped: bool = False) -> None:
         """Expand the states `todo` of `level` that are not yet, the lock
@@ -261,18 +262,16 @@ class StateStore:
                         counts[k] = counts.get(k, 0) + count
                 self.counts.append(counts)
 
-    def masses(self, n: int) -> tuple[dict[int, int], tuple[Mass, ...], list[int]]:
-        """A pushed level's distinct masses in push order, built once: {N:
-        its id}, the masses as `Fraction`s and their cube counts."""
-        if n not in self._masses:
+    def level_counts(self, n: int) -> dict[int, int]:
+        """A pushed level's {N: cube count}, its masses N / den(n) in push
+        order, built once and shared: not to be changed."""
+        if n not in self._counts:
             states, sizes = self.states[n], {}
             for s, count in self.counts[n].items():
                 num = states[s][1]
                 sizes[num] = sizes.get(num, 0) + count
-            den = self._model._denominator(n)
-            self._masses[n] = ({num: i for i, num in enumerate(sizes)},
-                               tuple(Fraction(num, den) for num in sizes), list(sizes.values()))
-        return self._masses[n]
+            self._counts[n] = sizes
+        return self._counts[n]
 
     def expand(self, level: int, todo) -> tuple[list, list, list[float]]:
         """Expand the states `todo` of `level` that are not yet, in one
@@ -296,11 +295,12 @@ class StateStore:
 
 class MeasureModel:
     """Common interface: exact masses of dyadic cubes (`mass`), and each
-    level's positive cubes as a node table (`level_nodes`) and a multiset
-    (`level_masses`), built in bulk without the mass oracle. Each family
-    gives its cube tree as one integer rule (`_rule`, from the unit cube's
-    state `_root`, over `_denominator`), whose states `_store` keeps.
-    `max_cubes` caps the tables and multisets, `max_cells` the partitions."""
+    level's positive cubes as a node table (`level_nodes`) and an integer
+    level view (`level_counts`), built in bulk without the mass oracle. Each
+    family gives its cube tree as one integer rule (`_rule`, from the unit
+    cube's state `_root`, over `_denominator`), whose states `_store` keeps;
+    a model with a rule alone has the store's level view. `max_cubes` caps
+    the tables and views, `max_cells` the partitions."""
 
     m: int
     finite_support = False
@@ -335,13 +335,25 @@ class MeasureModel:
         """The node table of the level-n positive cubes, at most `max_cubes`."""
         raise NotImplementedError
 
+    def level_counts(self, n: int) -> tuple[dict[int, int], int]:
+        """The level view {N: count}, in no set order, over the level-n positive
+        cubes, one N per distinct mass N / den(n), and den(n); shared, not to be
+        changed. Here the store's push; past `max_cubes` masses it trips."""
+        _check_level(n)
+        self._store.push(n)
+        counts = self._store.level_counts(n)
+        # the view is the resource here (cached or not), not the cube count
+        _check_masses(n, len(counts), self.max_cubes)
+        return counts, self._denominator(n)
+
     def level_masses(self, n: int) -> dict[Mass, int]:
-        """Multiset {mass: count} over the level-n positive cubes, built
-        without the node table; its order is not part of the interface."""
-        raise NotImplementedError
+        """Multiset {mass: count} over the level-n positive cubes: the level
+        view as `Fraction`s, built anew; the package reads `level_counts`."""
+        counts, den = self.level_counts(n)
+        return {Fraction(num, den): count for num, count in counts.items()}
 
     def card_positive(self, n: int) -> int:
-        return sum(self.level_masses(n).values())
+        return sum(self.level_counts(n)[0].values())
 
     def _ancestors(self, n: int, index: np.ndarray, level: int, known: dict) -> tuple:
         """Each row `index` of the level-n table's ancestor row among the
@@ -359,9 +371,9 @@ class AtomicMeasure(MeasureModel):
     reduced coordinate denominators, and `_units` (N,), the weight numerators
     over `_den`, the lcm of the reduced weight denominators. Each array is
     int64 when its denominator fits in int64 and holds Python ints
-    otherwise, so every cube index and every mass is exact. Multisets,
+    otherwise, so every cube index and every mass is exact. Level views,
     tables and the rule take the cube indices of all their atoms in one array
-    operation and make no `Fraction` arithmetic per atom; a level's multiset
+    operation and make no `Fraction` arithmetic per atom; a level's view
     and table read one grouping of its atoms by cube (`_groups`). The public
     `points` and `weights` are tuples of `Fraction`s, built when first read.
 
@@ -477,9 +489,8 @@ class AtomicMeasure(MeasureModel):
         _check_level(n, len(groups), self.max_cubes)
         return groups
 
-    def level_masses(self, n):
-        return {Fraction(u, self._den): count
-                for u, count in collections.Counter(self._groups(n).values()).items()}
+    def level_counts(self, n):
+        return collections.Counter(self._groups(n).values()), self._den
 
     def level_nodes(self, n):
         groups = self._groups(n)
@@ -517,8 +528,8 @@ class IfsMeasure(MeasureModel):
     attractor into a dyadic subcube so that it avoids the boundary of the
     unit cube. Its integer rule reads `template`: a child's N is its
     parent's times a, the edge's mass ratio over the common denominator
-    `_den` = D, so den(L) = D^L. The multisets and node tables
-    (`_multisets`, `_tables`) read the store's push, and keep no per-cube
+    `_den` = D, so den(L) = D^L. The level views and node tables
+    (`level_counts`, `_tables`) read the store's push, and keep no per-cube
     memo. Beside each table it keeps each row's parent row and packed key
     (`_parents`, `_keys`: 16 bytes per row, 48 with the index and mass id
     in m = 3): `_ancestors` composes the parent rows with no key search,
@@ -565,7 +576,6 @@ class IfsMeasure(MeasureModel):
         self.embed_shift = embed_shift
         self.template, self._den = self._build_template()
         self._root = 0, 1
-        self._multisets: dict[int, dict[Mass, int]] = {}
         self._tables: list[LevelNodes] = []
         self._parents: list[np.ndarray] = []  # per table, the row of each row's parent above
         self._keys: list[np.ndarray] = []  # per table, its rows' packed keys
@@ -621,17 +631,6 @@ class IfsMeasure(MeasureModel):
         nums = iter(nums)
         return tuple((tuple((j, next(nums)) for j, _, _ in node), tuple(b for *_, b in node))
                      for node in nodes), den
-
-    def level_masses(self, n):
-        _check_level(n)
-        out = self._multisets.get(n)
-        if out is None:
-            self._store.push(n)
-            _, masses, sizes = self._store.masses(n)
-            out = self._multisets[n] = dict(zip(masses, sizes))
-        # the multiset is the resource here (cached or not), not the cube count
-        _check_masses(n, len(out), self.max_cubes)
-        return dict(out)  # a copy keeps the stored hashes of its Fraction keys
 
     def _count(self, n) -> int:
         """The level-n cube count, pushed in integers per template node; a
@@ -691,14 +690,15 @@ class IfsMeasure(MeasureModel):
             order = np.argsort(keys, kind="stable")
             keys, state, parent = keys[order], kid[edge[order]], parent[order]
         self._rows = state
-        order, masses, _ = store.masses(n)
+        nums, den = store.level_counts(n), self._denominator(n)
+        order = {num: i for i, num in enumerate(nums)}
         mass_id = np.array([order[num] for _, num in store.states[n]], dtype=np.intp)[state]
         index = _unpack(keys, n, m)
         index.flags.writeable = mass_id.flags.writeable = keys.flags.writeable = False  # shared
         self._parents.append(parent)
         self._keys.append(keys)
-        # the masses in push order, as the multiset's keys, with no dict built
-        return LevelNodes(index, mass_id, masses)
+        # the masses in push order, as the level view's numerators
+        return LevelNodes(index, mass_id, tuple(Fraction(num, den) for num in nums))
 
 
 class UniformMeasure(IfsMeasure):
@@ -764,18 +764,20 @@ class ProductMeasure(MeasureModel):
         index = np.hstack([t.index[r] for t, r in zip(tables, rows)])
         return LevelNodes(index, np.array(remap, dtype=np.intp)[combo], tuple(ids))
 
-    def level_masses(self, n):
-        out = {Fraction(1): 1}
+    def level_counts(self, n):
+        # numerators and denominators multiply: at one level, equal masses
+        # are equal numerators, after each factor as at the end
+        out, den = {1: 1}, 1
         for f in self.factors:
-            sub = f.level_masses(n)
-            nxt: dict[Mass, int] = {}
+            sub, sub_den = f.level_counts(n)
+            nxt: dict[int, int] = {}
             for a, ca in out.items():
                 for b, cb in sub.items():
                     key = a * b
                     nxt[key] = nxt.get(key, 0) + ca * cb
-            out = nxt
+            out, den = nxt, den * sub_den
             _check_masses(n, len(out), self.max_cubes)
-        return out
+        return out, den
 
 
 def lebesgue(m: int) -> UniformMeasure:

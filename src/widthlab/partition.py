@@ -38,11 +38,11 @@ exceeds the sum of the per-threshold walks'. For the 17 thresholds
 2^-4 .. 2^-20 on the bench tetrahedron, it visits 136 (level, state)
 pairs, as many as the walk for 2^-20 alone; 17 separate walks visit 822.
 
-`build_partition` takes its row and its caps from `partition_row` first.
-Then it makes the pass for its one threshold, carrying the indices of the
-frontier cubes (`_partition_cells`, given a row). A frontier cube is the
-ancestor of a cell, so that pass holds at most `max_cells` indices at any
-level.
+`build_partition` takes its row and its caps from `partition_row` first,
+the command line and the decay rows from one `partition_rows` pass. Then a
+cells pass per row carries the indices of the frontier cubes
+(`_partition_cells`). A frontier cube is the ancestor of a cell, so that
+pass holds at most `max_cells` indices at any level.
 
 The entropy slope and the decay slope of `widthlab.empirical` come from one
 least-squares kernel, `fit_loglog`: the exact slope of the float data in

@@ -45,7 +45,6 @@ from .functions import Bump, multi_indices
 from .measures import MeasureModel, index_array, packed_keys
 from .orders import EmbeddingParams
 from .quadrature import unit_rule
-from .spectrum import frac_log2
 
 # -- alpha-good cubes and separated families ---------------------------------
 
@@ -57,7 +56,8 @@ def alpha_good_cubes(model: MeasureModel, n: int, rho: float, alpha: float) -> l
         raise ValidationError("alpha must be positive")
     threshold = (rho - alpha) * n
     index, mass_id, masses = model.level_nodes(n)
-    good = np.array([frac_log2(mu) >= threshold for mu in masses], dtype=bool)
+    good = np.array([math.log2(mu.numerator) - math.log2(mu.denominator) >= threshold
+                     for mu in masses], dtype=bool)
     return [DyadicCube(n, tuple(row)) for row in index[good[mass_id]].tolist()]
 
 

@@ -5,9 +5,13 @@ of mass^t) normalized by log(2^n). Sums run in the log2 domain (stable
 log-sum-exp), with exact logs for dyadic masses, so deep levels neither
 underflow nor drift.
 
-One level view, `level_log_masses` ((log2 mass, count) over the level-n
-multiset), serves a whole t-grid in `beta_row` (hence `beta_n`, the CLI
-table) and in `empirical_spectrum`, and the coarse counts.
+One level view, `level_log_masses` ((log2 mass, count) from the integer
+view), serves a whole t-grid in `beta_row` (hence `beta_n`, the CLI table)
+and in `empirical_spectrum`, and the coarse counts. One kernel (`_betas`)
+takes a run of t: terms and row maxes by numpy elementwise ops (the IEEE
+operations of Python's float expressions), then per t `math.fsum` of libm's
+`math.pow(2.0, x)`, as `2.0 ** x` is; `np.power` and `np.exp2` miss that in
+the last bit (at 1 of the 151 values of `ifs7`'s level-6 curve).
 
 A curve is closed-form, with a callable `beta`, or empirical: a t-grid
 whose values `s_b_solve` computes on first read, up to the crossing. The
@@ -16,38 +20,30 @@ package holds only defs that a subcommand calls (the runtime reach test of
 """
 from __future__ import annotations
 
+import functools
 import math
-from array import array
-from fractions import Fraction
 from typing import NamedTuple
+
+import numpy as np
 
 from ._brent import brentq
 from .errors import SolverError, ValidationError
 from .measures import IfsMeasure, MeasureModel, ProductMeasure, UniformMeasure
 
 DEFAULT_T_GRID = tuple(k / 100 for k in range(0, 151))  # k / 100 is correctly rounded
-
-
-def frac_log2(x: Fraction) -> float:
-    """log2 of a positive rational; exact for powers of two."""
-    if x <= 0:
-        raise ValidationError("log2 of a non-positive rational")
-    return math.log2(x.numerator) - math.log2(x.denominator)
-
-
-def _log2sum(terms: list[float]) -> float:
-    top = max(terms)
-    if math.isinf(top):
-        raise SolverError("log-sum over empty or degenerate terms")
-    return top + math.log2(math.fsum(2.0 ** (x - top) for x in terms))
+CHUNK = 16  # grid points an empirical curve computes at a read
+KERNEL_FLOATS = 1 << 16  # terms of one kernel pass: a deep level's stay this many
+_POW2 = functools.partial(math.pow, 2.0)  # libm pow, as 2.0 ** x is
 
 
 def level_log_masses(model: MeasureModel, n: int) -> list[tuple[float, int]]:
-    """The level view: (log2 mass, count) over the level-n mass multiset."""
-    return [(frac_log2(mass), count) for mass, count in model.level_masses(n).items()]
+    """(log2 mass, count) over the level view, each from N / den(n) reduced."""
+    counts, den = model.level_counts(n)
+    return [(math.log2(num // (g := math.gcd(num, den))) - math.log2(den // g), count)
+            for num, count in counts.items()]
 
 
-def _view(model: MeasureModel, n: int, t_grid) -> tuple[array, array] | None:
+def _view(model: MeasureModel, n: int, t_grid) -> tuple[np.ndarray, np.ndarray] | None:
     """Check n and each t in order; the level view (float arrays of log2 mass
     and log2 count) built at the first t other than 1, or None (beta_n(1) = 0)."""
     view = None
@@ -58,19 +54,35 @@ def _view(model: MeasureModel, n: int, t_grid) -> tuple[array, array] | None:
             raise ValidationError("beta_n needs t >= 0")
         if t != 1 and view is None:
             level = level_log_masses(model, n)
-            view = array("d", [lm for lm, _ in level]), array("d", [math.log2(c) for _, c in level])
+            view = np.array([lm for lm, _ in level]), np.array([math.log2(c) for _, c in level])
     return view
 
 
-def _beta(view, n: int, t: float) -> float:
-    return 0.0 if t == 1 else _log2sum([t * lm + lc for lm, lc in zip(*view)]) / n
+def _betas(view, n: int, ts) -> list[float | None]:
+    """beta_n at each t of `ts`, None where every term is -inf (t = inf)."""
+    if view is None:  # every t is 1
+        return [0.0] * len(ts)
+    masses, counts = view
+    out, step = [], max(1, KERNEL_FLOATS // len(masses))
+    for start in range(0, len(ts), step):
+        run = ts[start:start + step]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf t, silent as in Python
+            terms = np.array(run, dtype=float)[:, None] * masses + counts
+            tops = terms.max(axis=1)
+            terms -= tops[:, None]
+        out += [0.0 if t == 1 else None if math.isinf(top) else
+                (top + math.log2(math.fsum(map(_POW2, row)))) / n
+                for t, top, row in zip(run, tops.tolist(), terms.tolist())]
+    return out
 
 
 def beta_row(model: MeasureModel, n: int, t_grid) -> list[float]:
     """beta_n(model, n, t) for each t of the grid, from one level view."""
     t_grid = tuple(t_grid)  # read twice
-    view = _view(model, n, t_grid)
-    return [_beta(view, n, t) for t in t_grid]
+    row = _betas(_view(model, n, t_grid), n, t_grid)
+    if None in row:
+        raise SolverError("log-sum over empty or degenerate terms")
+    return row
 
 
 def beta_n(model: MeasureModel, n: int, t: float) -> float:
@@ -102,8 +114,11 @@ class EmpiricalSpectrum:
         self._values: list[float | None] = [None] * len(t_grid)
 
     def value(self, i: int) -> float:
-        if self._values[i] is None:
-            self._values[i] = _beta(self._view, self.level, self.t_grid[i])
+        if self._values[i] is None:  # with the next CHUNK - 1 points
+            run = _betas(self._view, self.level, self.t_grid[i:i + CHUNK])
+            self._values[i:i + len(run)] = run
+            if run[0] is None:
+                raise SolverError("log-sum over empty or degenerate terms")
         return self._values[i]
 
 

@@ -58,6 +58,14 @@ An atomic model's node table grouped by index tuples (`oracle_atomic_nodes`)
 and its multiset counted from the table's mass ids (`oracle_table_masses`,
 once the default `MeasureModel.level_masses`) are the references of the
 grouping by one packed integer key per cube that replaced them.
+A product's multiset as the product of its factors' `Fraction` multisets
+(`oracle_product_masses`) is the reference of its integer level view, and
+the finite-level spectrum computed one t at a time in Python
+(`oracle_beta`, once `spectrum._beta`) that of the batched kernel.
+
+`MoranMeasure` is a model that no family of the package gives: a
+homogeneous Moran measure whose finite-level spectra do not converge, with
+its exact finite-level curve (`moran_beta`).
 
 `capped` runs a call under caps set on a model (`MeasureModel.max_cubes`,
 `max_cells`) through pytest's monkeypatch, so a session-scoped fixture
@@ -75,7 +83,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from widthlab import (AtomicMeasure, Bump, DyadicCube, Polynomial, ProductMeasure,
+from widthlab import (AtomicMeasure, Bump, DyadicCube, MeasureModel, Polynomial, ProductMeasure,
                       ResourceLimitError, SinProduct, SolverError, UniformMeasure,
                       ValidationError, build_partition, lq_error, piecewise_project, root)
 from widthlab.coarse import CoarseProfile, default_alpha_grid
@@ -88,10 +96,17 @@ from widthlab.measures import (DEFAULT_MAX_CUBES, PACKED_KEY_BITS, LevelNodes, _
 from widthlab.partition import _LEVEL_GUARD, PartitionRow
 from widthlab.probe import ProbeResult, alpha_good_cubes, sobolev_seminorm, well_separated
 from widthlab.quadrature import unit_rule, unit_rule_1d
-from widthlab.spectrum import frac_log2, level_log_masses
+from widthlab.spectrum import level_log_masses
 
 # per IFS model: (level, index) -> mass of the unshifted measure
 _PULLBACK_MEMOS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def frac_log2(x):
+    # log2 of a positive rational, from its reduced pair; exact for powers of two
+    if x <= 0:
+        raise ValidationError("log2 of a non-positive rational")
+    return math.log2(x.numerator) - math.log2(x.denominator)
 
 
 def oracle_mass(model, cube):
@@ -501,6 +516,68 @@ def oracle_level_masses(model, n, max_cubes=DEFAULT_MAX_CUBES):
     out = oracle_levels(model, n, max_cubes)[n][2]
     _check_masses(n, len(out), max_cubes)
     return dict(out)
+
+
+def oracle_product_masses(model, n, max_cubes=DEFAULT_MAX_CUBES):
+    # the product of its IFS and atomic factors' Fraction multisets, each
+    # factor under the cap, and the distinct masses checked after each
+    out = {Fraction(1): 1}
+    for f in model.factors:
+        sub = (oracle_table_masses(oracle_atomic_nodes(f, n, max_cubes))
+               if isinstance(f, AtomicMeasure) else oracle_level_masses(f, n, max_cubes))
+        nxt = {}
+        for a, ca in out.items():
+            for b, cb in sub.items():
+                nxt[a * b] = nxt.get(a * b, 0) + ca * cb
+        out = nxt
+        _check_masses(n, len(out), max_cubes)
+    return out
+
+
+def oracle_log2sum(terms):
+    top = max(terms)
+    if math.isinf(top):
+        raise SolverError("log-sum over empty or degenerate terms")
+    return top + math.log2(math.fsum(2.0 ** (x - top) for x in terms))
+
+
+def oracle_beta(view, n, t):
+    # beta_n at one t from a level view (arrays of log2 masses and log2
+    # counts), in Python floats, the terms rebuilt for each t
+    if t == 1:
+        return 0.0
+    return oracle_log2sum([t * lm + lc for lm, lc in zip(view[0].tolist(), view[1].tolist())]) / n
+
+
+class MoranMeasure(MeasureModel):
+    """A homogeneous Moran measure on [0, 1): level j splits every cube in
+    two halves of weights (8, 2)/10 when (j + 1).bit_length() is even and
+    (5, 5)/10 when it is odd, so the blocks of biased and unbiased levels
+    double in length. It needs only the integer rule over den(L) = 10^L: its
+    level view is the default one, through the state store."""
+
+    m = 1
+
+    def __init__(self) -> None:
+        self._root = 0, 1
+
+    def _denominator(self, level):
+        return 10 ** level
+
+    def _rule(self, level, node, num):
+        weights = (8, 2) if moran_biased(level) else (5, 5)
+        return [(0, num * a) for a in weights], [(0,), (1,)]
+
+
+def moran_biased(j):
+    return (j + 1).bit_length() % 2 == 0
+
+
+def moran_beta(n, t):
+    # the level-n moment sum is a product of one factor per level j < n:
+    # 0.8^t + 0.2^t at a biased level, 2 0.5^t at an unbiased one
+    f = sum(map(moran_biased, range(n))) / n
+    return f * math.log2(0.8**t + 0.2**t) + (1 - f) * (1 - t)
 
 
 def oracle_atomic_nodes(model, n, max_cubes=DEFAULT_MAX_CUBES):

@@ -43,6 +43,9 @@ UNREACHED_BY_DESIGN = {
     # together with their spans
     "spectrum.beta_n": "benchmark span target",
     "partition.entropy_slope": "benchmark span target",
+    "partition.build_partition": "benchmark span target; the command line takes its rows"
+                                 " from one `partition_rows` pass",
+    "partition.partition_row": "public one-threshold row; only `build_partition` calls it",
     "empirical.piecewise_project": "benchmark span target",
     "empirical.moment_project": "benchmark span target",
     "empirical.lq_error": "benchmark span target",
@@ -53,6 +56,8 @@ UNREACHED_BY_DESIGN = {
     "cubes.DyadicCube.parent": "public cube navigation, timed by the L0 bench",
     "measures.AtomicMeasure.points": "public exact atoms of the integer state",
     "measures.AtomicMeasure.weights": "public exact weights of the integer state",
+    "measures.MeasureModel.level_masses": "public `Fraction` view of `level_counts`, which the"
+                                          " package reads",
     "cubes.children": "the benchmark's cubes.children counter and the L0 bench",
     "cubes.DyadicCube.child": "called by `children` only: the L0 bench",
     "cubes.root": "public root cube; only `lebesgue` calls it",

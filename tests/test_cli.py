@@ -400,6 +400,24 @@ def test_a_cells_dump_past_the_cell_cap_exits_2_before_it_is_built(tmp_path):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("cap, t", [(12, "0.0625"), (13, "0.015625"), (28, "0.00390625"),
+                                    (82, "0.0009765625"), (175, "0.000244140625")],
+                         ids=["first", "second", "third", "fourth", "fifth"])
+def test_a_cells_dump_whose_kth_threshold_passes_the_cap_exits_2(cap, t, tmp_path, monkeypatch,
+                                                                capsys):
+    """The tetrahedron's partitions at 2^-4, 2^-6, .., 2^-12 have 13, 28, 82,
+    175 and 367 cells: each cap trips at one threshold of the five, with the
+    message of the release that built the partitions one by one, and no
+    file is written."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["partition", *_TET22, "--thresholds", "pow2:4,6,8,10,12", "--cells-out", "cells.csv",
+            "--max-cells", str(cap), "--out", "out.csv"]
+    assert run_cli(argv, tmp_path) == {"code": cli.EX_RESOURCE, "header": None,
+                                       "body": body("", ""), "side": {}}
+    assert capsys.readouterr() == ("", f"widthlab: resource cap: partition for t={t} exceeded"
+                                       f" {cap} cells\n")
+
+
 @pytest.mark.parametrize("value, message", [
     ("0:1:1e-1000000", "the exponent of '1e-1000000' has more than 4 digits"),
     ("0:1:1e-10000000", "the exponent of '1e-10000000' has more than 4 digits"),
@@ -543,18 +561,20 @@ def test_a_malformed_cap_fails_before_the_computation(tmp_path, monkeypatch, cap
 
 def test_order_sweep_computes_the_curve_up_to_the_smallest_rho_crossing(tmp_path, monkeypatch):
     """The `order-sweep-ifs` line of the benchmark: the level-6 curve of
-    `ifs7` is computed at 63 of its 151 grid points, each once."""
+    `ifs7` is read at 63 of its 151 grid points, computed in chunks of
+    CHUNK = 16 points, each point once."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "ifs7.json").write_text(json.dumps({
         "type": "ifs", "m": 2, "probs": [p for *_, p in IFS7_MAPS],
         "maps": [{"ratio_log2": k, "offset": list(o)} for k, o, _ in IFS7_MAPS]}))
     computed = []
-    beta = spectrum._beta
-    monkeypatch.setattr(spectrum, "_beta", lambda view, n, t: computed.append(t) or beta(view, n, t))
+    betas = spectrum._betas
+    monkeypatch.setattr(spectrum, "_betas",
+                        lambda view, n, ts: computed.extend(ts) or betas(view, n, ts))
     argv = ["order", "--measure", "ifs7.json", "--sigma", "2", "--p-grid", "1.5:4:0.5",
             "--q-grid", "1.5:4:0.5", "--levels", "4..6", "--out", "out.csv"]
     assert run_cli(argv, tmp_path)["code"] == cli.EX_OK
-    assert computed == list(spectrum.DEFAULT_T_GRID[:63])
+    assert spectrum.CHUNK == 16 and computed == list(spectrum.DEFAULT_T_GRID[:64])
 
 
 @pytest.mark.parametrize(

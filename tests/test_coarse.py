@@ -22,10 +22,9 @@ from widthlab.coarse import coarse_profiles, default_alpha_grid
 from widthlab.probe import alpha_good_cubes, dominant_cubes, well_separated
 from widthlab.cubes import neighbors
 from widthlab.measures import IfsMap, IfsMeasure, MeasureModel
-from widthlab.spectrum import frac_log2
 
 from conftest import boundary_atomic, dyadic_ifs, ifs7, ifs_atomic_lebesgue, new_tetrahedron
-from oracles import (check_threshold, oracle_coarse_profile, oracle_count_view,
+from oracles import (check_threshold, frac_log2, oracle_coarse_profile, oracle_count_view,
                      oracle_default_alpha_grid, oracle_greedy_separation, oracle_mass,
                      scaled_box, table_cubes)
 

@@ -33,8 +33,8 @@ from widthlab.measures import (INT64_LEVELS, PACKED_KEY_BITS, MeasureModel, _par
 from conftest import boundary_atomic, dyadic_ifs, ifs7, ifs_atomic_lebesgue, new_tetrahedron
 from oracles import (capped, contains, descent_positive, oracle_atomic_nodes, oracle_ifs_overlap,
                      oracle_level_masses, oracle_levels, oracle_mass, oracle_packed_keys,
-                     oracle_table_masses, oracle_uniform_level_masses, oracle_uniform_nodes,
-                     oracle_uniform_template, table_cubes)
+                     oracle_product_masses, oracle_table_masses, oracle_uniform_level_masses,
+                     oracle_uniform_nodes, oracle_uniform_template, table_cubes)
 
 
 def test_atomic_mass_membership():
@@ -584,7 +584,9 @@ def test_node_table_masses_are_the_multiset_keys(model):
     # numerators, in push order: one `Fraction` per distinct mass for both
     for n in range(9):
         masses = model.level_nodes(n).masses
-        assert masses is model._store.masses(n)[1]
+        counts, den = model.level_counts(n)
+        assert counts is model._store.level_counts(n)
+        assert masses == tuple(Fraction(num, den) for num in counts)
         assert masses == tuple(model.level_masses(n))
         assert all(type(mu) is Fraction for mu in masses)
 
@@ -631,7 +633,7 @@ def push_levels(model, n):
     children's positions in that order."""
     store = model._store
     order = {s: i for i, s in enumerate(store.counts[n])}
-    mass_ids, *_ = store.masses(n)
+    mass_ids = {num: i for i, num in enumerate(store.level_counts(n))}
     states = [(store.states[n][s][0], mass_ids[store.states[n][s][1]]) for s in order]
     edges = [[order[k] for k in store.kids[n - 1][s]] for s in store.counts[n - 1]] if n else []
     return states, list(store.counts[n].values()), edges
@@ -1149,3 +1151,100 @@ def test_ifs_self_similarity(num, n):
                 )
                 acc += p * model.mass(pulled)
         assert acc == mu
+
+
+def _integer_view(model, n):
+    """The level view read through `Fraction(N, den)`, in its order; its
+    distinct numerators must be distinct masses."""
+    counts, den = model.level_counts(n)
+    view = [(Fraction(num, den), count) for num, count in counts.items()]
+    assert len(dict(view)) == len(view) and all(type(num) is int for num in counts)
+    return view
+
+
+def _cloud_model(cloud):
+    text, weighted = cloud
+    return ingest_points(text, "w" if weighted else None)
+
+
+def _fraction_multiset(model, n, cap=cli.DEFAULT_MAX_CUBES):
+    """The `Fraction` multiset of the release before the integer level
+    view, from each family's oracle, under the cap."""
+    if isinstance(model, ProductMeasure):
+        return oracle_product_masses(model, n, cap)
+    if isinstance(model, AtomicMeasure):
+        return oracle_table_masses(oracle_atomic_nodes(model, n, cap))
+    return oracle_level_masses(model, n, cap)
+
+
+_VIEW_MODELS = st.one_of(dyadic_ifs(), _csv_clouds().map(_cloud_model))
+
+
+@given(dyadic_ifs(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_ifs_level_view_is_the_fraction_multiset(model, with_shift):
+    # in push order, as the Fraction push gives it, with and without a shift
+    if not with_shift:
+        model = IfsMeasure(model.maps, model.probs)
+    levels = oracle_levels(model, 8)
+    for n, (_, counts, multiset, _) in enumerate(levels):
+        assert _integer_view(model, n) == list(multiset.items())
+        assert list(model.level_masses(n).items()) == list(multiset.items())
+        assert model.card_positive(n) == sum(counts)
+
+
+@given(_csv_clouds())
+@settings(max_examples=40, deadline=None)
+def test_atomic_level_view_is_the_table_multiset(cloud):
+    model = _cloud_model(cloud)
+    for n in (0, 1, 3, 21, 63, 64):
+        want = oracle_table_masses(oracle_atomic_nodes(model, n))
+        assert dict(_integer_view(model, n)) == model.level_masses(n) == want
+        assert model.card_positive(n) == sum(want.values())
+
+
+@given(st.lists(_VIEW_MODELS, min_size=1, max_size=3), st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_product_level_view_is_the_product_of_fraction_multisets(factors, n):
+    # numerators and denominators multiplied, equal masses merged
+    product = ProductMeasure(factors)
+    want = oracle_product_masses(product, n)
+    assert dict(_integer_view(product, n)) == product.level_masses(n) == want
+    assert product.card_positive(n) == sum(want.values())
+
+
+@given(st.one_of(_VIEW_MODELS, st.lists(_VIEW_MODELS, min_size=1, max_size=3).map(ProductMeasure)),
+       st.integers(-1, 6), st.integers(1, 4))
+@settings(max_examples=80, deadline=None)
+def test_level_view_caps_trip_as_the_fraction_multisets(model, n, cap):
+    """Under a small `max_cubes`, the integer view, its `Fraction` view and
+    the cube count raise what each family's `Fraction` multiset raised: the
+    same type and message, or the same multiset."""
+    want = _raised(lambda: _fraction_multiset(model, n, cap))
+    for call in (lambda k: dict(_integer_view(model, k)), model.level_masses, model.card_positive):
+        assert _raised(lambda: capped(model, call, n, max_cubes=cap)) == want
+    if want == "ok":
+        assert dict(_integer_view(model, n)) == _fraction_multiset(model, n, cap)
+
+
+@pytest.mark.parametrize("build, n, cap, message", [
+    (ifs7, 4, 51, "more than 51 distinct masses at level 4"),
+    (ifs7, 6, 1000, None),
+    (boundary_atomic, 3, 3, "more than 3 positive cubes at level 3"),
+    (lambda: ProductMeasure([boundary_atomic(), lebesgue(1)]), 3, 3,
+     "more than 3 positive cubes at level 3"),
+    (ifs_atomic_lebesgue, 4, 2, "more than 2 distinct masses at level 4"),
+    (ifs_atomic_lebesgue, 4, 3, "more than 3 distinct masses at level 4"),
+    (ifs_atomic_lebesgue, 4, 4, None),
+], ids=["ifs7", "ifs7-under", "atomic", "product-atomic-factor", "product-ifs-factor",
+        "product", "product-under"])
+def test_level_view_caps_keep_their_messages(build, n, cap, message):
+    """The messages of the release that built each family's multiset in
+    `Fraction`s: an IFS counts its distinct masses, an atomic model its
+    cubes, a product each factor's cap and then its own distinct masses (at
+    level 4: 3 for the IFS factor, 3 atomic cubes, 4 for the product)."""
+    model = build()
+    want = (ResourceLimitError, message) if message else "ok"
+    assert _raised(lambda: _fraction_multiset(model, n, cap)) == want
+    for call in (model.level_counts, model.level_masses, model.card_positive):
+        assert _raised(lambda: capped(model, call, n, max_cubes=cap)) == want

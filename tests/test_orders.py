@@ -16,6 +16,7 @@ from widthlab import (
     ValidationError,
     closed_form_spectrum,
     dual_exponent,
+    empirical_spectrum,
     geometric_bounds,
     lebesgue,
     lower_order,
@@ -27,7 +28,8 @@ from widthlab import (
 from widthlab.coarse import coarse_profile
 from widthlab.orders import STARS, case_label
 
-from oracles import uncached
+from conftest import new_tetrahedron
+from oracles import MoranMeasure, uncached
 
 INF = math.inf
 
@@ -470,3 +472,37 @@ def test_hilbert_order_matches_the_closed_form_on_mixed_ratios():
     # closed form -1.28382, `order` -1.25778 at the default levels 4..10
     maps = [(1, 0, "0.35"), (2, 3, "0.65")]
     assert abs(cli_upper_k_order(maps) - hilbert_order(_pieces(maps))) < 1e-9
+
+
+def _order_report(model, params, levels):
+    """The report `order` writes for one embedding with finite q, built as
+    the command line builds it."""
+    curve = closed_form_spectrum(model) or empirical_spectrum(model, max(levels))
+    profile = coarse_profile(model, levels, params.rho)
+    return lower_order(params, curve, minkowski(model, levels), profile).to_dict()
+
+
+# level windows from 4..6 to 48..62: the Moran measure's share of biased
+# levels moves between 1/3 and 2/3 across them
+MORAN_WINDOWS = [range(4, 7), range(8, 13), range(12, 19), range(16, 25), range(24, 33),
+                 range(32, 41), range(40, 49), range(48, 63)]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the regularity flag compares the "
+                   "optimized coarse dimensions of one finite window, which no rule on a finite "
+                   "window can certify")
+def test_order_never_flags_regularity_on_a_moran_measure():
+    # its upper and lower L^q-spectra differ (s_rho 0.487317 against
+    # 0.474636 at rho = 1), so its orders need not exist; every window reads
+    # `true` today, with S_upper 1.0260 to 1.0530 following max(levels)
+    params = EmbeddingParams(m=1, sigma=1, p=2, q=2)
+    flags = [_order_report(MoranMeasure(), params, levels)["regularity_flag"]
+             for levels in MORAN_WINDOWS]
+    assert flags == [False] * len(MORAN_WINDOWS)
+
+
+def test_order_may_flag_regularity_on_the_tetrahedron():
+    # the negative control: on a regular measure the flag can read `true`,
+    # so the test above does not just forbid it
+    params = EmbeddingParams(m=3, sigma=2, p=2, q=2)
+    assert _order_report(new_tetrahedron(), params, range(3, 7))["regularity_flag"] is True

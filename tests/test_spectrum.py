@@ -1,6 +1,8 @@
 import math
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,10 +22,10 @@ from widthlab import (
     s_b_solve,
 )
 from widthlab import spectrum
-from widthlab.spectrum import DEFAULT_T_GRID, beta_row, frac_log2
+from widthlab.spectrum import DEFAULT_T_GRID, beta_row
 
 from conftest import boundary_atomic, dyadic_ifs, ifs7, ifs_atomic_lebesgue, new_tetrahedron
-from oracles import oracle_s_b_empirical
+from oracles import MoranMeasure, frac_log2, moran_beta, oracle_beta, oracle_s_b_empirical
 
 
 def values(curve):
@@ -292,17 +294,19 @@ def test_a_sweep_computes_the_curve_up_to_its_smallest_b_crossing(monkeypatch):
     """The order sweep of the benchmark (sigma = 2, p and q in 1.5 .. 4 by
     0.5, so b = rho from 1 to 6) on the level-6 curve of `ifs7` reads 63 of
     the 151 grid points, each computed once: b = 1 crosses between t = 0.61
-    and 0.62, and every larger b crosses earlier."""
+    and 0.62, and every larger b crosses earlier. The curve computes them in
+    chunks of CHUNK = 16 grid points, so 64 in all."""
     computed = []
-    beta = spectrum._beta
-    monkeypatch.setattr(spectrum, "_beta", lambda view, n, t: computed.append(t) or beta(view, n, t))
+    betas = spectrum._betas
+    monkeypatch.setattr(spectrum, "_betas",
+                        lambda view, n, ts: computed.extend(ts) or betas(view, n, ts))
     curve = empirical_spectrum(CURVE_MODELS[1], 6)
     assert computed == []
     grid = [1.5 + k / 2 for k in range(6)]
     rhos = [q * (2 - 2 / p) for p in grid for q in grid]
     solved = [s_b_solve(curve, rho) for rho in rhos]
     assert min(rhos) == 1.0 and 0.61 < s_b_solve(curve, 1.0) < 0.62
-    assert computed == list(DEFAULT_T_GRID[:63])
+    assert spectrum.CHUNK == 16 and computed == list(DEFAULT_T_GRID[:64])
     eager = beta_row(CURVE_MODELS[1], 6, DEFAULT_T_GRID)
     assert solved == [oracle_s_b_empirical(DEFAULT_T_GRID, eager, rho) for rho in rhos]
 
@@ -339,6 +343,71 @@ def test_curve_keeps_its_level_view_as_two_float_arrays(model):
     arrays, the log2 mass and the log2 count of each distinct mass of the
     level, in the level view's order (8 bytes an entry, not a tuple)."""
     masses, counts = empirical_spectrum(model, 5)._view
-    assert masses.typecode == counts.typecode == "d"
+    assert masses.dtype == counts.dtype == np.float64
     assert list(zip(masses, counts)) == [(lm, math.log2(c))
                                          for lm, c in spectrum.level_log_masses(model, 5)]
+
+
+def _one_atom():
+    """One atom: every level has one cube, of mass 1 (log2 mass 0)."""
+    return AtomicMeasure([(Fraction(1, 3), Fraction(2, 3))], [1])
+
+
+# (model, level, grid): t = 0 and t = 1 on every grid; one-mass levels of
+# mass below 1 and of mass 1; and ifs7's 142 919 distinct masses at level 30,
+# more than one kernel pass holds, so each t gets a pass of its own
+KERNEL_CASES = {
+    "tetrahedron": (new_tetrahedron, 5, DEFAULT_T_GRID),
+    "ifs7": (ifs7, 6, DEFAULT_T_GRID),
+    "product": (ifs_atomic_lebesgue, 4, DEFAULT_T_GRID),
+    "one-mass": (lambda: lebesgue(2), 3, DEFAULT_T_GRID),
+    "one-atom": (_one_atom, 3, DEFAULT_T_GRID),
+    "ifs7-level-30": (ifs7, 30, (0.0, 0.05, 0.5, 0.61, 1.0, 1.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_kernel_is_the_per_t_formula_bit_for_bit(name):
+    """`beta_row` and the empirical curve equal the per-t Python formula
+    over the same level view to the last bit."""
+    build, n, grid = KERNEL_CASES[name]
+    model = build()
+    view = spectrum._view(model, n, grid)
+    if name == "ifs7-level-30":
+        assert len(view[0]) > spectrum.KERNEL_FLOATS
+    want = [oracle_beta(view, n, t).hex() for t in grid]
+    assert [x.hex() for x in beta_row(model, n, grid)] == want
+    assert [x.hex() for x in values(empirical_spectrum(model, n, grid))] == want
+
+
+@pytest.mark.parametrize("build, last", [(new_tetrahedron, None), (_one_atom, math.nan)],
+                         ids=["tetrahedron", "one-atom"])
+def test_a_grid_ending_in_inf_fails_only_where_it_is_read(build, last):
+    """At t = inf every term is -inf, and beta_n is a SolverError, raised
+    when that value is read and not before; on a level of one cube of mass
+    1, inf * 0 is nan, as in Python floats. No numpy warning either way."""
+    model, grid = build(), (0.0, 0.5, 1.0, 2.0, math.inf)
+    view = spectrum._view(model, 4, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = empirical_spectrum(model, 4, grid)
+        head = [curve.value(i).hex() for i in range(4)]
+        assert head == [oracle_beta(view, 4, t).hex() for t in grid[:4]]
+        if last is None:
+            for read in (lambda: curve.value(4), lambda: beta_row(model, 4, grid),
+                         lambda: oracle_beta(view, 4, math.inf)):
+                with pytest.raises(SolverError, match="^log-sum over empty or degenerate terms$"):
+                    read()
+            assert [curve.value(i).hex() for i in range(4)] == head
+        else:
+            assert math.isnan(curve.value(4)) and math.isnan(oracle_beta(view, 4, math.inf))
+            assert [x.hex() for x in beta_row(model, 4, grid)] == [*head, "nan"]
+
+
+def test_beta_row_on_a_moran_measure_is_its_exact_curve():
+    """The level-dependent Moran measure of `tests/oracles.py`: beta_n(t) =
+    f_n b(t) + (1 - f_n)(1 - t), f_n its share of biased levels below n."""
+    model = MoranMeasure()
+    for n in range(1, 41):
+        row = beta_row(model, n, DEFAULT_T_GRID)
+        assert row == pytest.approx([moran_beta(n, t) for t in DEFAULT_T_GRID], rel=0, abs=1e-15)
