@@ -26,7 +26,12 @@ A third case times `ingest_points` on the same cloud written as CSV text,
 as perfbench's `cloud.csv` is, and checks its integer state against the
 model built from `Fraction`s: a median of 1.8-3.6 ms over 20 rounds on the
 same VM; when every field was parsed by `Fraction` it took 13.1-13.4 ms
-on an earlier VM. A fourth times the provenance of a run on that cloud,
+on an earlier VM. It runs again on the cloud with a third column of
+integer weights 1..9 (`weighted`), which the reader normalizes. In three
+alternating runs a side, reading field by field and checking atom by atom
+took medians of 1.74-2.88 ms (2.00-3.52 ms weighted); reading a column at
+a time and checking the integer columns, 0.91-1.31 ms (1.13-1.62 ms
+weighted). A fourth times the provenance of a run on that cloud,
 the SHA-256 digest of its 10.8 KB of CSV bytes under the run's
 `config_hash`: a median of 0.06-0.10 ms over 20 rounds. The provenance
 once re-serialized the parsed model to a spec and hashed that instead:
@@ -191,9 +196,21 @@ def cloud_text():
     return "x,y\n" + "".join(f"0.{a:06d},0.{b:06d}\n" for a, b in cloud_coords())
 
 
-def test_l2_ingest(benchmark):
-    got = benchmark.pedantic(ingest_points, args=(cloud_text(),), rounds=20)
+def cloud_weights():
+    return np.random.default_rng(SEED + 1).integers(1, 10, size=CLOUD_POINTS).tolist()
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_l2_ingest(benchmark, weighted):
+    text = cloud_text()
     want = cases()[0][0]  # the Fraction route
+    if weighted:
+        # a third column of integer weights, normalized on ingest
+        rows = text.splitlines()
+        raw = cloud_weights()
+        text = "".join(f"{row},{w}\n" for row, w in zip(rows, ["w", *raw]))
+        want = AtomicMeasure(want.points, [Fraction(w, sum(raw)) for w in raw])
+    got = benchmark.pedantic(ingest_points, args=(text, "w" if weighted else None), rounds=20)
     assert integer_state(got) == integer_state(want)
 
 

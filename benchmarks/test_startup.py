@@ -24,15 +24,20 @@ least squares (`np.polyfit`) and then from the exact integer fit
   medians 143.9, 143.3, 141.6 -> 154.1, 140.9, 144.4 ms. The interpreter's
   start spreads over 140-155 ms, so the 0.4 ms does not show here.
 The interpreter's start hides such costs, so a fourth case times `cli.main`
-inside each fresh interpreter, on that `partition` run and on the
+inside each fresh interpreter, on that `partition` run, on the
 `empirical` line of the benchmark's `empirical-ifs` workload (the
-tetrahedron, thresholds 2^0 .. 2^-10). Its table times the whole child;
+tetrahedron, thresholds 2^0 .. 2^-10) and on `spectrum --levels 4..8` over
+a 600-point cloud of 6-digit decimals, the line of its `spectrum-cloud`
+workload, whose call reads the CSV once. Its table times the whole child;
 the in-process times, in ms, are its `extra_info["cli_main_ms"]` (min,
 median, max over the rounds), which `--benchmark-json FILE` writes. In
 three runs a side on the same VM, the `empirical` call read a median of
 16.6-17.0 ms with the IFS tables built from repeated index rows and
 14.1-15.7 ms built from packed keys, while the whole child read
 189-205 ms and 198-218 ms: the interpreter's spread hides a 2 ms gain.
+The `spectrum` call, in three alternating runs a side, read a median of
+4.9-6.4 ms with the cloud read field by field and 3.2-3.8 ms with it read
+a column at a time, while the whole child read 182-226 ms and 156-190 ms.
 Each child runs in the caller's environment (its `PYTHONDONTWRITEBYTECODE`,
 its BLAS variables), with this checkout's `src/` first on its path, so the
 time covers the interpreter's own start and numpy's import as well. Run
@@ -45,6 +50,7 @@ The suite lies outside tier-1, whose `testpaths` is `tests`.
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -63,7 +69,12 @@ TETRAHEDRON = ('{"type": "ifs", "m": 3, "maps": ['
 # the child prints the seconds of its `cli.main` call after the run's output
 TIMED_MAIN = ("import sys, time\nfrom widthlab import cli\nstart = time.perf_counter()\n"
               "code = cli.main(sys.argv[1:])\nprint(time.perf_counter() - start)\nsys.exit(code)")
+# a 600-point cloud of 6-digit decimals, as perfbench's cloud.csv writes it
+_RNG = random.Random(0)
+CLOUD = "x,y\n" + "".join(f"0.{_RNG.randrange(1, 10**6):06d},0.{_RNG.randrange(1, 10**6):06d}\n"
+                          for _ in range(600))
 IN_PROCESS = {
+    "spectrum": ("cloud.csv", CLOUD, ["--levels", "4..8"], "8,1.5,-0.5750665841781613"),
     "partition": ("qc.json", QUARTER_CANTOR, ["--rho", "1", "--thresholds", "pow2:2..12"],
                   "entropy slope estimate: 0.34545454545454546"),
     "empirical": ("tetrahedron.json", TETRAHEDRON,

@@ -6,8 +6,9 @@ self-similar (IFS) measures, and products of lower-dimensional models.
 Masses are exact, and the interfaces give them as `fractions.Fraction`s;
 probabilities written as decimals in spec files parse exactly, so no
 floating-point fallback is needed. A CSV point cloud (`ingest_points`)
-accepts the fields `Fraction(str)` does, with their values; a plain decimal
-takes a fast path to the integer pair (digits, 10^decimals), and the cloud
+accepts the fields `Fraction(str)` does, with their values. It is read a
+column at a time: a column of plain decimals, the common case, becomes
+integers over one 10^K after one check of its joined digits, and the cloud
 goes to an atomic model's integer core without a `Fraction` per field. The
 model's `points` and `weights` are `Fraction` views built when first read.
 
@@ -82,6 +83,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 import threading
 import weakref
 from collections.abc import Sequence
@@ -132,6 +134,15 @@ def _common(pairs) -> tuple[list[int], int]:
     nums = [a * (den // b) for a, b in pairs]
     g = math.gcd(den, *nums)
     return ([c // g for c in nums] if g > 1 else nums), den // g
+
+
+def _first_outside(values, high=None) -> int:
+    """The index of the first of `values` outside (0, high), or outside
+    (0, inf) without `high`; len(values) if none is. `min` and `max` clear a
+    column with none in C."""
+    if min(values, default=1) > 0 and (high is None or max(values, default=0) < high):
+        return len(values)
+    return next(i for i, v in enumerate(values) if v <= 0 or high is not None and v >= high)
 
 
 def packed_keys(index: np.ndarray, level: int) -> np.ndarray:
@@ -378,8 +389,8 @@ class AtomicMeasure(MeasureModel):
     `points` and `weights` are tuples of `Fraction`s, built when first read.
 
     Both constructors, `AtomicMeasure(points, weights)` and
-    `ingest_points`, go through one integer core, `_set_atoms`, which makes
-    every check.
+    `ingest_points`, hand their atoms as exact integer columns to one core,
+    `_set_atoms`, which makes every check of their values.
 
     Finite support makes the asymptotic quantities degenerate (all box
     dimensions are 0); reports downstream flag this.
@@ -394,51 +405,62 @@ class AtomicMeasure(MeasureModel):
         if len(points) != len(weights):
             raise ValidationError("points and weights length mismatch")
         ratio = Fraction.as_integer_ratio
-        self._set_atoms((([ratio(Fraction(x)) for x in p], ratio(Fraction(w)))
-                         for p, w in zip(points, weights)), csv_rows=False)
+        atoms, error = [], None
+        try:
+            for p, w in zip(points, weights):
+                atom = [ratio(Fraction(x)) for x in p], ratio(Fraction(w))
+                if atoms and len(atom[0]) != len(atoms[0][0]):
+                    raise ValidationError("inconsistent point dimensions")
+                atoms.append(atom)
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            error = exc  # an atom that cannot be read fails after the atoms before it
+        columns = [_common(column) for column in zip(*(coords for coords, _ in atoms))]
+        self._set_atoms(columns, _common([w for _, w in atoms]), csv_rows=False, error=error)
 
-    def _set_atoms(self, atoms, csv_rows: bool) -> None:
-        """Check the atoms, each (coordinates, weight) as exact (numerator,
-        denominator) pairs with positive denominators, one at a time in
-        order, and hold them as integers over the least common denominators.
-        With `csv_rows`, atom k is CSV data row k: errors name it, and the
-        weights are normalized to total mass 1; otherwise they must sum to 1.
+    def _set_atoms(self, columns, weights, csv_rows: bool, error=None) -> None:
+        """Check N atoms and hold them as integers over the least common
+        denominators. `columns`, the m coordinate columns, and `weights` are
+        each (numerators, denominator > 0) of the N atoms. The first atom
+        with a weight <= 0 or a coordinate outside (0, 1) fails, its weight
+        checked before its coordinates in column order; then `error`, the
+        read error of atom N + 1 if there is one, is raised. With
+        `csv_rows`, atom k is CSV data row k: errors name it, and the weights
+        are normalized to total mass 1; otherwise they must sum to 1.
         """
-        pairs, weights, m = [], [], None
-        for row, (coords, weight) in enumerate(atoms, start=1):
-            if m is None:
-                m = len(coords)
-            elif len(coords) != m:
-                raise ValidationError(
-                    f"CSV row {row} has {len(coords)} coordinates, row 1 has {m}"
-                    if csv_rows else "inconsistent point dimensions")
-            if weight[0] <= 0:
-                raise ValidationError(f"non-positive weight in CSV row {row}"
+        units, den = weights
+        n = len(units)
+        bad = [_first_outside(units), *(_first_outside(c, d) for c, d in columns)]
+        row = min(bad)
+        if row < n:
+            if bad[0] == row:
+                raise ValidationError(f"non-positive weight in CSV row {row + 1}"
                                       if csv_rows else "atomic weights must be positive")
-            for a, b in coords:
-                # a / b with b > 0 lies in (0, 1) iff 0 < a < b
-                if not 0 < a < b:
-                    point = tuple(str(Fraction(*x)) for x in coords)
-                    raise ValidationError(
-                        f"coordinate {Fraction(a, b)} in CSV row {row} not inside the open unit cube"
-                        if csv_rows else f"atomic point {point} not in the open unit cube")
-            pairs += coords
-            weights.append(weight)
-        units, den = _common(weights)
+            c, d = columns[bad.index(row) - 1]
+            point = tuple(str(Fraction(a[row], b)) for a, b in columns)
+            raise ValidationError(
+                f"coordinate {Fraction(c[row], d)} in CSV row {row + 1} not inside the open unit cube"
+                if csv_rows else f"atomic point {point} not in the open unit cube")
+        if error is not None:
+            raise error
         total = sum(units)
         if csv_rows:
-            # w_i / sum(w) = u_i / sum(u)
-            units, den = _common([(u, total) for u in units])
+            # w_i / sum(w) = u_i / sum(u), reduced
+            g = math.gcd(total, *units)
+            units, den = [u // g for u in units] if g > 1 else units, total // g
         elif total != den:
             raise ValidationError(
                 f"atomic weights sum to {Fraction(total, den)}, not a probability measure"
             )
-        coords, pden = _common(pairs)
-        self.m = m
+        pden = math.lcm(*(d for _, d in columns))
+        coords = [c if d == pden else [a * (pden // d) for a in c] for c, d in columns]
+        g = math.gcd(pden, *itertools.chain.from_iterable(coords))
+        if g > 1:
+            coords, pden = [[a // g for a in c] for c in coords], pden // g
+        self.m = len(columns)
         self._den, self._units = den, _int_array(units, den)
-        self._root = tuple(range(len(units))), den
+        self._root = tuple(range(n)), den
         self._pden = pden
-        self._coords = _int_array(coords, pden).reshape(len(units), m)
+        self._coords = np.ascontiguousarray(_int_array(coords, pden).reshape(self.m, n).T)
 
     @functools.cached_property
     def points(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -902,7 +924,9 @@ def _parse_field(token: str) -> tuple[int, int] | None:
     """A CSV field as an exact rational (numerator, denominator > 0), or
     None if it is not a number. It accepts the fields `Fraction` does, after
     `strip()`, with their values. A plain decimal (ASCII digits and at most
-    one point) is read without a `Fraction`, as (digits, 10^decimals)."""
+    one point) is read without a `Fraction`, as (digits, 10^decimals).
+    `ingest_points` reads a column of plain decimals without it; this reads
+    the other columns, the first row and a ragged row, field by field."""
     text = token.strip()
     whole, _, decimals = text.partition(".")
     digits = whole + decimals
@@ -921,6 +945,29 @@ def _parse_field(token: str) -> tuple[int, int] | None:
     return value.numerator, value.denominator
 
 
+def _column(tokens) -> tuple[list[int], int] | int:
+    """A CSV column as integer numerators over one denominator, or the index
+    of its first field that is not a number. The column is plain decimals
+    when one check of all its digits passes: each field, stripped and split
+    at its first point, has digits, and they join into one ASCII digit
+    string. Each is then read by `int` over 10^K, K the most decimals of the
+    column. `_parse_field` reads any other column field by field, and one
+    whose digits pass the int digit limit."""
+    whole, _, decimals = zip(*map(str.partition, map(str.strip, tokens), itertools.repeat(".")))
+    digits = list(map(operator.add, whole, decimals))
+    joined = "".join(digits)
+    if joined.isdigit() and joined.isascii() and "" not in digits:
+        with contextlib.suppress(ValueError):  # past the int digit limit
+            nums = list(map(int, digits))
+            places = list(map(len, decimals))
+            k = max(places)
+            if min(places) < k:
+                nums = [a * 10 ** (k - p) for a, p in zip(nums, places)]
+            return nums, 10**k
+    fields = list(map(_parse_field, tokens))
+    return fields.index(None) if None in fields else _common(fields)
+
+
 def ingest_points(rows, weight_column=None, name: str = "CSV input") -> AtomicMeasure:
     """Build an atomic model from CSV rows of coordinates in (0,1).
 
@@ -928,16 +975,24 @@ def ingest_points(rows, weight_column=None, name: str = "CSV input") -> AtomicMe
     are not are a ParseError naming `name` and the offset), text, or an
     iterable of lines such as a text file; text and the first line may start
     with a byte-order mark too. A field is a number if `Fraction` accepts it
-    after `strip()`; a first row with a field that is not is a header. Plain
-    decimals, the common case, are read straight to integers, and the model
-    is built by the integer core of `AtomicMeasure` without a `Fraction`
-    per field.
+    after `strip()`; a first row with a field that is not is a header.
 
     `weight_column` may be a header name or a 0-based column index, given as
     an int or as a string of digits that names no header column (so headerless
     input can carry weights too); without it every point gets weight 1/N.
-    Weights are normalized to total mass 1. An index beyond a row's last field
-    is a ParseError.
+    Weights are normalized to total mass 1.
+
+    The rows are read whole and then a column at a time (`_column`), up to
+    the first row of another width than the first, and the integer core of
+    `AtomicMeasure` checks the values a column at a time, without a
+    `Fraction` per field. The error reported is that of the first bad row;
+    within a row, a weight column beyond its last field, then a field that
+    is not a number or has more digits than the int limit (both
+    ParseErrors), then a count of fields unlike the first row's, a weight
+    <= 0 and a coordinate outside (0, 1) (ValidationErrors). A row the CSV
+    reader cannot read, such as one with a field past
+    `csv.field_size_limit()`, is a ParseError naming `name` and the row,
+    raised if the rows before it pass.
     """
     if isinstance(rows, bytes):
         rows = _decode(rows, name)
@@ -948,19 +1003,23 @@ def ingest_points(rows, weight_column=None, name: str = "CSV input") -> AtomicMe
         rows = itertools.chain([next(lines, "").removeprefix(BOM)], lines)
     if isinstance(rows, str):
         rows = io.StringIO(rows)
-    # rows are read one at a time, and the first data row is parsed once
-    records = (row for row in csv.reader(rows) if any(map(str.strip, row)))
-    row = next(records, None)
-    if row is None:
-        raise ParseError("no data rows in CSV input")
-    first = [_parse_field(tok) for tok in row]
+    records, failure = [], None
+    try:
+        records.extend(csv.reader(rows))  # keeps the rows read before a failure
+    except (csv.Error, OSError, UnicodeError) as exc:  # the reader's or the source's
+        failure = exc  # raised where it was met: after the rows before it pass
+    # a row of blank fields is no row
+    data = list(itertools.compress(records, map(str.strip, map("".join, records))))
     header = None
-    if None in first:
-        header = [tok.strip() for tok in row]
-        row = next(records, None)
-        if row is None:
-            raise ParseError("CSV input has a header but no data rows")
-        first = [_parse_field(tok) for tok in row]
+    if data and None in map(_parse_field, data[0]):
+        header = [tok.strip() for tok in data.pop(0)]
+    n = len(data)
+    error = failure
+    if isinstance(failure, csv.Error):
+        error = ParseError(f"{name}: {failure} in CSV row {n + 1}")
+    if not n:
+        raise error or ParseError("no data rows in CSV input" if header is None
+                                  else "CSV input has a header but no data rows")
 
     widx = None
     if weight_column is not None:
@@ -971,21 +1030,42 @@ def ingest_points(rows, weight_column=None, name: str = "CSV input") -> AtomicMe
         else:
             raise ParseError(f"weight column {weight_column!r} not found in header")
 
-    def atoms():
-        # parsed as the core checks them, so each error names the first
-        # row that has one
-        for lineno, tokens in enumerate(itertools.chain([row], records), start=1):
-            if widx is not None and widx >= len(tokens):
-                raise ParseError(
-                    f"weight column {widx} is beyond the {len(tokens)} fields of CSV row {lineno}"
-                )
-            fields = first if lineno == 1 else [_parse_field(tok) for tok in tokens]
-            if None in fields:
-                tok = tokens[fields.index(None)]
-                raise ParseError(f"non-numeric field {tok!r} in CSV row {lineno}")
-            weight = (1, 1) if widx is None else fields.pop(widx)
-            yield fields, weight
-
+    width = len(data[0])
+    if widx is not None and widx >= width:
+        raise ParseError(f"weight column {widx} is beyond the {width} fields of CSV row 1")
+    lengths = list(map(len, data))
+    end = n if lengths.count(width) == n else next(
+        k for k, size in enumerate(lengths) if size != width)
+    columns = [_column(column) for column in zip(*data[:end])]
+    bad = min(((c, j) for j, c in enumerate(columns) if isinstance(c, int)), default=None)
+    if bad is None and end < n:
+        # the first ragged row fails, if no row above it does
+        tokens = data[end]
+        fields = list(map(_parse_field, tokens))
+        if widx is not None and widx >= len(tokens):
+            error = ParseError(f"weight column {widx} is beyond the {len(tokens)} fields"
+                               f" of CSV row {end + 1}")
+        elif None in fields:
+            bad = end, fields.index(None)
+        else:
+            extra = widx is not None
+            error = ValidationError(f"CSV row {end + 1} has {len(tokens) - extra} coordinates,"
+                                    f" row 1 has {width - extra}")
+    if bad is not None:
+        end, j = bad
+        token = data[end][j]
+        try:
+            Fraction(token.strip())  # fails, as it did in `_parse_field`
+        except (ValueError, ZeroDivisionError) as exc:
+            over = str(exc).startswith("Exceeds the limit")  # int's digit limit
+        error = ParseError(
+            f"field in column {j} of CSV row {end + 1} has more digits than the int limit"
+            f" of {sys.get_int_max_str_digits()}" if over
+            else f"non-numeric field {token!r} in CSV row {end + 1}")
+        columns = [_column(column) for column in zip(*data[:end])]
+    if not end:
+        raise error
+    weights = ([1] * end, 1) if widx is None else columns.pop(widx)
     model = AtomicMeasure.__new__(AtomicMeasure)
-    model._set_atoms(atoms(), csv_rows=True)
+    model._set_atoms(columns, weights, csv_rows=True, error=error)
     return model

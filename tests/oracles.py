@@ -63,6 +63,15 @@ A product's multiset as the product of its factors' `Fraction` multisets
 the finite-level spectrum computed one t at a time in Python
 (`oracle_beta`, once `spectrum._beta`) that of the batched kernel.
 
+The CSV reader that parsed a cloud field by field and checked it atom by
+atom (`oracle_ingest_points`, once `measures.ingest_points` with
+`AtomicMeasure._set_atoms`) is the reference of the reader a column at a
+time: the same integer state, or the same error, on every input but a
+field past the int digit limit (then it says "non-numeric") and a row the
+CSV reader cannot read (then `csv.Error` escapes it). The constructor
+that fed that core atom by atom (`oracle_atomic_measure`) is the reference
+of the one that hands it columns.
+
 `MoranMeasure` is a model that no family of the package gives: a
 homogeneous Moran measure whose finite-level spectra do not converge, with
 its exact finite-level curve (`moran_beta`).
@@ -73,6 +82,8 @@ gets its caps back afterwards."""
 from __future__ import annotations
 
 import bisect
+import csv
+import io
 import itertools
 import math
 import weakref
@@ -83,16 +94,17 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from widthlab import (AtomicMeasure, Bump, DyadicCube, MeasureModel, Polynomial, ProductMeasure,
-                      ResourceLimitError, SinProduct, SolverError, UniformMeasure,
+from widthlab import (AtomicMeasure, Bump, DyadicCube, MeasureModel, ParseError, Polynomial,
+                      ProductMeasure, ResourceLimitError, SinProduct, SolverError, UniformMeasure,
                       ValidationError, build_partition, lq_error, piecewise_project, root)
 from widthlab.coarse import CoarseProfile, default_alpha_grid
 from widthlab.cubes import children
 from widthlab.empirical import _lq_norm, _nodes
 from widthlab.functions import TWO_PI, monomials, multi_indices
 from widthlab import orders
-from widthlab.measures import (DEFAULT_MAX_CUBES, PACKED_KEY_BITS, LevelNodes, _check_level,
-                               _check_masses, index_array, packed_keys)
+from widthlab.measures import (BOM, DEFAULT_MAX_CUBES, PACKED_KEY_BITS, LevelNodes, _check_level,
+                               _check_masses, _common, _decode, _int_array, _parse_field,
+                               index_array, packed_keys)
 from widthlab.partition import _LEVEL_GUARD, PartitionRow
 from widthlab.probe import ProbeResult, alpha_good_cubes, sobolev_seminorm, well_separated
 from widthlab.quadrature import unit_rule, unit_rule_1d
@@ -593,6 +605,119 @@ def oracle_atomic_nodes(model, n, max_cubes=DEFAULT_MAX_CUBES):
     mass_id = np.array([ids.setdefault(groups[k], len(ids)) for k in keys], dtype=np.intp)
     return LevelNodes(index_array(keys, n, model.m), mass_id,
                       tuple(Fraction(u, model._den) for u in ids))
+
+
+def _oracle_set_atoms(model, atoms, csv_rows: bool) -> None:
+    """Check the atoms, each (coordinates, weight) as exact (numerator,
+    denominator) pairs with positive denominators, one at a time in
+    order, and hold them as integers over the least common denominators.
+    With `csv_rows`, atom k is CSV data row k: errors name it, and the
+    weights are normalized to total mass 1; otherwise they must sum to 1.
+    """
+    pairs, weights, m = [], [], None
+    for row, (coords, weight) in enumerate(atoms, start=1):
+        if m is None:
+            m = len(coords)
+        elif len(coords) != m:
+            raise ValidationError(
+                f"CSV row {row} has {len(coords)} coordinates, row 1 has {m}"
+                if csv_rows else "inconsistent point dimensions")
+        if weight[0] <= 0:
+            raise ValidationError(f"non-positive weight in CSV row {row}"
+                                  if csv_rows else "atomic weights must be positive")
+        for a, b in coords:
+            # a / b with b > 0 lies in (0, 1) iff 0 < a < b
+            if not 0 < a < b:
+                point = tuple(str(Fraction(*x)) for x in coords)
+                raise ValidationError(
+                    f"coordinate {Fraction(a, b)} in CSV row {row} not inside the open unit cube"
+                    if csv_rows else f"atomic point {point} not in the open unit cube")
+        pairs += coords
+        weights.append(weight)
+    units, den = _common(weights)
+    total = sum(units)
+    if csv_rows:
+        # w_i / sum(w) = u_i / sum(u)
+        units, den = _common([(u, total) for u in units])
+    elif total != den:
+        raise ValidationError(
+            f"atomic weights sum to {Fraction(total, den)}, not a probability measure"
+        )
+    coords, pden = _common(pairs)
+    model.m = m
+    model._den, model._units = den, _int_array(units, den)
+    model._root = tuple(range(len(units))), den
+    model._pden = pden
+    model._coords = _int_array(coords, pden).reshape(len(units), m)
+
+
+def oracle_atomic_measure(points, weights) -> AtomicMeasure:
+    # `AtomicMeasure(points, weights)`, each atom read as the core checks it
+    points, weights = list(points), list(weights)
+    if not points:
+        raise ValidationError("atomic measure needs at least one point")
+    if len(points) != len(weights):
+        raise ValidationError("points and weights length mismatch")
+    ratio = Fraction.as_integer_ratio
+    model = AtomicMeasure.__new__(AtomicMeasure)
+    _oracle_set_atoms(model, (([ratio(Fraction(x)) for x in p], ratio(Fraction(w)))
+                              for p, w in zip(points, weights)), csv_rows=False)
+    return model
+
+
+def oracle_ingest_points(rows, weight_column=None, name: str = "CSV input") -> AtomicMeasure:
+    # the reader field by field: each row parsed and checked before the next
+    # is read, so the first row with an error names it
+    if isinstance(rows, bytes):
+        rows = _decode(rows, name)
+    elif isinstance(rows, str):
+        rows = rows.removeprefix(BOM)
+    else:  # an iterable of lines: a text file keeps the mark on its first
+        lines = iter(rows)
+        rows = itertools.chain([next(lines, "").removeprefix(BOM)], lines)
+    if isinstance(rows, str):
+        rows = io.StringIO(rows)
+    # rows are read one at a time, and the first data row is parsed once
+    records = (row for row in csv.reader(rows) if any(map(str.strip, row)))
+    row = next(records, None)
+    if row is None:
+        raise ParseError("no data rows in CSV input")
+    first = [_parse_field(tok) for tok in row]
+    header = None
+    if None in first:
+        header = [tok.strip() for tok in row]
+        row = next(records, None)
+        if row is None:
+            raise ParseError("CSV input has a header but no data rows")
+        first = [_parse_field(tok) for tok in row]
+
+    widx = None
+    if weight_column is not None:
+        if header is not None and weight_column in header:
+            widx = header.index(weight_column)
+        elif str(weight_column).strip().isdecimal():
+            widx = int(weight_column)
+        else:
+            raise ParseError(f"weight column {weight_column!r} not found in header")
+
+    def atoms():
+        # parsed as the core checks them, so each error names the first
+        # row that has one
+        for lineno, tokens in enumerate(itertools.chain([row], records), start=1):
+            if widx is not None and widx >= len(tokens):
+                raise ParseError(
+                    f"weight column {widx} is beyond the {len(tokens)} fields of CSV row {lineno}"
+                )
+            fields = first if lineno == 1 else [_parse_field(tok) for tok in tokens]
+            if None in fields:
+                tok = tokens[fields.index(None)]
+                raise ParseError(f"non-numeric field {tok!r} in CSV row {lineno}")
+            weight = (1, 1) if widx is None else fields.pop(widx)
+            yield fields, weight
+
+    model = AtomicMeasure.__new__(AtomicMeasure)
+    _oracle_set_atoms(model, atoms(), csv_rows=True)
+    return model
 
 
 def oracle_table_masses(table):

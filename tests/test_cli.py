@@ -43,6 +43,7 @@ configuration, and with it the header hash, is the same on every machine.
 from __future__ import annotations
 
 import contextlib
+import csv
 import gc
 import hashlib
 import io
@@ -1018,6 +1019,23 @@ def test_measure_file_not_utf8_exits_1(name, data, offset, tmp_path, monkeypatch
     (tmp_path / name).write_bytes(data)
     assert cli.main(["validate", "--measure", name]) == cli.EX_FAIL
     assert capsys.readouterr().err == f"widthlab: {name} is not valid UTF-8: byte 0xff at offset {offset}\n"
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["x,y", "0.5,0.5", "{big},0.5"], "big.csv: field larger than field limit ({limit}) in CSV row 2"),
+    # a bad row before the one the CSV reader cannot read is reported first
+    (["x,y", "0.5,2", "{big},0.5"], "coordinate 2 in CSV row 1 not inside the open unit cube"),
+])
+def test_a_csv_field_past_the_field_size_limit_exits_1(rows, message, tmp_path, monkeypatch,
+                                                       capsys):
+    monkeypatch.chdir(tmp_path)
+    limit = csv.field_size_limit()
+    text = "\n".join(rows).format(big="0." + "1" * limit) + "\n"
+    (tmp_path / "big.csv").write_text(text)
+    argv = ["spectrum", "--measure", "big.csv", "--levels", "1..2", "--out", "out.csv"]
+    assert cli.main(argv) == cli.EX_FAIL
+    assert capsys.readouterr().err == f"widthlab: {message.format(limit=limit)}\n"
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_probe_trips_node_cap_before_the_seminorm(tmp_path, monkeypatch, capsys):

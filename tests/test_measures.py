@@ -1,6 +1,8 @@
+import csv
 import itertools
 import json
 import math
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -31,7 +33,8 @@ from widthlab.measures import (INT64_LEVELS, PACKED_KEY_BITS, MeasureModel, _par
                                packed_keys)
 
 from conftest import boundary_atomic, dyadic_ifs, ifs7, ifs_atomic_lebesgue, new_tetrahedron
-from oracles import (capped, contains, descent_positive, oracle_atomic_nodes, oracle_ifs_overlap,
+from oracles import (capped, contains, descent_positive, oracle_atomic_measure,
+                     oracle_atomic_nodes, oracle_ifs_overlap, oracle_ingest_points,
                      oracle_level_masses, oracle_levels, oracle_mass, oracle_packed_keys,
                      oracle_product_masses, oracle_table_masses, oracle_uniform_level_masses,
                      oracle_uniform_nodes, oracle_uniform_template, table_cubes)
@@ -1088,6 +1091,150 @@ def test_parse_field_past_the_int_digit_limit():
     # the digits together are not
     token = "0" * 3000 + "1." + "0" * 2999 + "1"
     assert Fraction(*_parse_field(token)) == Fraction(token)
+
+
+# fields the column read takes whole (plain decimals, a quoted one among
+# them) and fields it leaves to `_parse_field`: fractions, exponents, signs,
+# underscores, non-ASCII digits, 20 digits; then fields outside (0, 1), or
+# no number at all. Weights are drawn from the same fields.
+_CLOUD_FIELDS = st.one_of(
+    st.integers(1, 10**6 - 1).map(lambda a: f"0.{a:06d}"),
+    st.sampled_from(["0.5", ".25", " 0.75 ", '"0.125"', "0.0625", "0.5000"]),
+    st.sampled_from(["1/3", "5e-1", "+0.5", "0.2_5", "\u0660.\u0665", "0.\u06f5",
+                     "0.12345678901234567891", "2/7", ".5E0"]),
+    st.sampled_from(["0", "1", "1.0", "0.000", "2", "5.", "3", "-0.5", "-2", "0/1", "1e400",
+                     "abc", "", " ", ".", "1.2.3", "1/0", "0x1", "nan", "inf", "\u00bd",
+                     "\u00b2", "x"]),
+)
+
+
+@st.composite
+def _csv_inputs(draw):
+    """CSV input in one of the forms `ingest_points` takes, and a weight
+    column: rows of 1 to 3 fields, some ragged, blank lines among them, a
+    header or none, a byte-order mark or none."""
+    width = draw(st.integers(1, 3))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        size = width + draw(st.sampled_from([0, 0, 0, 0, 0, -1, 1])) if rows else width
+        rows.append([draw(_CLOUD_FIELDS) for _ in range(max(size, 1))])
+    names = [f"x{k}" for k in range(width - 1)] + ["w"]
+    if draw(st.booleans()):
+        rows.insert(0, draw(st.sampled_from([names, ["x", "1"], [" w ", "y"]])))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from([[], [" "], ["", ""]])))
+    text = "".join(",".join(row) + "\n" for row in rows)
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    form = draw(st.sampled_from(["str", "bytes", "lines"]))
+    source = {"str": text, "bytes": text.encode(), "lines": text.splitlines(keepends=True)}[form]
+    weight = draw(st.sampled_from([None, None, "w", "y", 0, 1, 2, "1", " 2", "9", "x9"]))
+    return source, weight
+
+
+def _ingested(read, source, weight):
+    try:
+        model = read(source, weight)
+    except Exception as exc:  # the type and message are the outcome
+        return type(exc), str(exc)
+    return _integer_state(model), model._root, model._coords.flags.c_contiguous
+
+
+@given(_csv_inputs())
+@settings(max_examples=500, deadline=None)
+def test_ingest_points_reads_as_the_field_by_field_reader(case):
+    source, weight = case
+    want = _ingested(oracle_ingest_points, source, weight)
+    assert _ingested(ingest_points, source, weight) == want
+
+
+_ATOM_VALUES = st.one_of(
+    st.fractions(0, 1, max_denominator=10**6), st.integers(1, 9).map(lambda a: Fraction(a, 10)),
+    st.sampled_from([Fraction(-1, 2), Fraction(3, 2), 1, 0.5, "1/3", "0.25", "x", None, 1e400]),
+)
+
+
+@given(st.lists(st.lists(_ATOM_VALUES, min_size=1, max_size=3), min_size=1, max_size=5),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_atomic_measure_reads_as_the_atom_by_atom_constructor(points, data):
+    # points of one or of several dimensions; weights that sum to 1, or not
+    weight = st.one_of(*[st.integers(1, 4)] * 4, st.sampled_from([0, -1]))
+    raw = data.draw(st.lists(weight, min_size=len(points), max_size=len(points)))
+    total = sum(raw) or 1
+    weights = data.draw(st.sampled_from([[Fraction(w, total) for w in raw], raw]))
+    if data.draw(st.booleans()):
+        width = len(points[0])
+        points = [p[:1] * width if len(p) != width else p for p in points]
+    want = _ingested(oracle_atomic_measure, points, weights)
+    assert _ingested(AtomicMeasure, points, weights) == want
+
+
+@pytest.mark.parametrize("text, weight, message", [
+    # the first bad row wins, whatever kind of error each row has
+    ("x,y\n0.5,0.5\n0.25,abc\n0,0.5\n", None, "non-numeric field 'abc' in CSV row 2"),
+    ("x,y\n0.5,0.5\n0,0.5\n0.25,abc\n", None,
+     "coordinate 0 in CSV row 2 not inside the open unit cube"),
+    ("x,y\n0.5,0.5\n0.25\n0.25,abc\n", None, "CSV row 2 has 1 coordinates, row 1 has 2"),
+    ("x,y\n0.5,0.5\n0.25,abc,1\n", None, "non-numeric field 'abc' in CSV row 2"),
+    ("x,w\n0.5,1\n0.25\n", "w", "weight column 1 is beyond the 1 fields of CSV row 2"),
+    ("x,w\n0.5,1\n2,1/0\n", "w", "non-numeric field '1/0' in CSV row 2"),
+    # within a row, the weight before the coordinates, and these in order
+    ("x,y,w\n0.5,0.5,1\n0,2,0\n", "w", "non-positive weight in CSV row 2"),
+    ("x,y,w\n0.5,0.5,1\n0.5,2,1\n0,0.5,1\n", "w",
+     "coordinate 2 in CSV row 2 not inside the open unit cube"),
+    # a column of plain decimals beside one read field by field
+    ("0.5,1/3\n0.25,0.5\n1.5,0.5\n", None, "coordinate 3/2 in CSV row 3 not inside the open unit cube"),
+])
+def test_ingest_points_reports_the_first_bad_row(text, weight, message):
+    with pytest.raises((ParseError, ValidationError)) as info:
+        ingest_points(text, weight)
+    assert str(info.value) == message
+    with pytest.raises(type(info.value), match="^" + re.escape(message) + "$"):
+        oracle_ingest_points(text, weight)
+
+
+def test_a_field_past_the_int_digit_limit_is_named_so():
+    # the field by field reader called it non-numeric; a field whose digits
+    # together pass the limit, but each of its parts does not, is read
+    limit = sys.get_int_max_str_digits()
+    text = "x\n0." + "1" * (limit + 700) + "\n"
+    with pytest.raises(ParseError) as info:
+        ingest_points(text)
+    assert str(info.value) == (
+        f"field in column 0 of CSV row 1 has more digits than the int limit of {limit}")
+    with pytest.raises(ParseError, match="^non-numeric field '0.1111"):
+        oracle_ingest_points(text)
+    long = "0." + "0" * (limit - 1) + "1"
+    assert ingest_points(f"x,y\n0.5,{long}\n").points == ((Fraction(1, 2), Fraction(long)),)
+
+
+def test_a_row_the_csv_reader_cannot_read_is_a_parse_error():
+    big = "0." + "1" * (csv.field_size_limit() + 1)
+    with pytest.raises(csv.Error):
+        oracle_ingest_points(f"x,y\n0.5,0.5\n{big},0.5\n")
+    cases = [
+        (f"x,y\n0.5,0.5\n{big},0.5\n", "in CSV row 2"),
+        (f"{big},0.5\n0.5,0.5\n", "in CSV row 1"),
+        (f"x,y\n{big},0.5\n", "in CSV row 1"),
+    ]
+    for text, where in cases:
+        with pytest.raises(ParseError) as info:
+            ingest_points(text, name="c.csv")
+        assert str(info.value) == (
+            f"c.csv: field larger than field limit ({csv.field_size_limit()}) {where}")
+    # a bad row before it is reported first, as before a source's own error
+    def lines(row):
+        yield from ["x,y\n", row]
+        raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+    for read in (ingest_points, oracle_ingest_points):
+        for source in (f"x,y\n0.5,2\n{big},0.5\n", lines("0.5,2\n")):
+            with pytest.raises(ValidationError) as info:
+                read(source)
+            assert str(info.value) == "coordinate 2 in CSV row 1 not inside the open unit cube"
+        with pytest.raises(UnicodeDecodeError):
+            read(lines("0.5,0.5\n"))
 
 
 # -- property tests -----------------------------------------------------------
