@@ -20,7 +20,9 @@ degree 1) on the benchmark tetrahedron:
 - `packing_probe` on Lebesgue measure on [0, 1) at level 9, alpha = 2
   (170 members, 2^15 nodes), whose bumps take their values only at the
   nodes they own, against `oracle_packing_probe`, which evaluates every
-  member's bump at every node into a dense matrix.
+  member's bump at every node into a dense matrix. Both read the bump's
+  seminorm from the same 1-D profile norms (`probe._bump_seminorm`), so
+  the pair times the family's sums alone.
 
 All four pairs must give equal results, except the probe's ||Q_n g||
 entries: its sums over the family run in another order, so they agree to

@@ -5,7 +5,7 @@ included. Start-up is the same for every subcommand, so an import that one
 subcommand skipped would only move into another one's call. What no call
 needs stays out:
 - `probe`, the packing probe of the lower bound, which only the `probe`
-  subcommand runs: `cli` imports it in that handler, and its five public
+  subcommand runs: `cli` imports it in that handler, and its four public
   names below resolve on first use, through the module `__getattr__`;
 - `numpy.polynomial`: the Gauss-Legendre rule computes numpy's `leggauss`
   itself (`quadrature.unit_rule_1d`);
@@ -95,8 +95,7 @@ from .empirical import (
 )
 from .functions import Bump, Polynomial, SinProduct, catalog, coordinate
 
-_PROBE_NAMES = ("ProbeResult", "alpha_good_cubes", "packing_probe", "sobolev_seminorm",
-                "well_separated")
+_PROBE_NAMES = ("ProbeResult", "alpha_good_cubes", "packing_probe", "well_separated")
 
 __all__ = [name for name in dir() if not name.startswith("_")] + list(_PROBE_NAMES)
 

@@ -1,11 +1,10 @@
-"""Brent's scalar root finder and bounded minimizer (Brent 1973).
+"""Brent's scalar root finder (Brent 1973).
 
 R. P. Brent, *Algorithms for Minimization without Derivatives*,
-Prentice-Hall 1973: chapter 4 (zero) and chapter 5 (localmin). The two
-functions follow, step for step, the forms in SciPy's `brentq` (C) and
-`minimize_scalar(method="bounded")`, so they return the same floats on the
-same problems; the tests check this against SciPy where it is installed.
-Unlike those, every failure is a `SolverError`.
+Prentice-Hall 1973, chapter 4 (zero). `brentq` follows, step for step, the
+form of SciPy's `brentq` (C), so it returns the same floats on the same
+problems; the tests check this against SciPy where it is installed. Unlike
+SciPy's, every failure is a `SolverError`.
 """
 from __future__ import annotations
 
@@ -15,8 +14,6 @@ from .errors import SolverError
 
 # SciPy's smallest relative tolerance for brentq, 4 * machine epsilon
 RTOL_MIN = 4 * 2.220446049250313e-16
-_SQRT_EPS = math.sqrt(2.2e-16)
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 def _value(f, x: float) -> float:
@@ -81,82 +78,3 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = RTOL_MIN,
             xcur += delta if sbis > 0 else -delta
         fcur = _value(f, xcur)
     raise SolverError(f"failed to converge after {maxiter} iterations, value is {xcur}")
-
-
-def _sign(x: float) -> int:
-    return (x > 0) - (x < 0)
-
-
-def fminbound(f, lo: float, hi: float, xatol: float = 1e-5,
-              maxiter: int = 500) -> tuple[float, float]:
-    """(x, f(x)) at a local minimum of f on [lo, hi].
-
-    Golden-section search with parabolic interpolation steps, to absolute
-    tolerance xatol in x; `maxiter` bounds the number of evaluations of f.
-    """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise SolverError("optimization bounds must be finite scalars")
-    if lo > hi:
-        raise SolverError("the lower bound exceeds the upper bound")
-    a, b = lo, hi
-    fulc = a + _GOLDEN * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = _value(f, xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic fit
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 * (_sign(xm - xf) + (xm - xf == 0))
-            else:
-                golden = True
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = _GOLDEN * e
-
-        x = xf + (_sign(rat) + (rat == 0)) * max(abs(rat), tol1)
-        fu = _value(f, x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxiter:
-            raise SolverError(f"bounded minimization used all {maxiter} evaluations")
-    return xf, fx

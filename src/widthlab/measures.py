@@ -435,11 +435,20 @@ class AtomicMeasure(MeasureModel):
             if bad[0] == row:
                 raise ValidationError(f"non-positive weight in CSV row {row + 1}"
                                       if csv_rows else "atomic weights must be positive")
-            c, d = columns[bad.index(row) - 1]
-            point = tuple(str(Fraction(a[row], b)) for a, b in columns)
-            raise ValidationError(
-                f"coordinate {Fraction(c[row], d)} in CSV row {row + 1} not inside the open unit cube"
-                if csv_rows else f"atomic point {point} not in the open unit cube")
+            axis = bad.index(row) - 1
+            c, d = columns[axis]
+            try:  # only the message that is raised is formatted
+                message = (f"coordinate {Fraction(c[row], d)} in CSV row {row + 1} not inside the"
+                           " open unit cube" if csv_rows else
+                           f"atomic point {tuple(str(Fraction(a[row], b)) for a, b in columns)}"
+                           " not in the open unit cube")
+            except ValueError:  # a number past the int digit limit is named, not printed
+                where, what = ((f"CSV row {row + 1}", "coordinate") if csv_rows
+                               else (f"atomic point {row + 1}", "point"))
+                message = (f"coordinate on axis {axis} of {where} not inside the open unit cube;"
+                           f" the {what} has more digits than the int limit of"
+                           f" {sys.get_int_max_str_digits()}")
+            raise ValidationError(message)
         if error is not None:
             raise error
         total = sum(units)
@@ -448,9 +457,12 @@ class AtomicMeasure(MeasureModel):
             g = math.gcd(total, *units)
             units, den = [u // g for u in units] if g > 1 else units, total // g
         elif total != den:
-            raise ValidationError(
-                f"atomic weights sum to {Fraction(total, den)}, not a probability measure"
-            )
+            try:
+                shown = str(Fraction(total, den))
+            except ValueError:  # past the int digit limit
+                shown = ("a number of more digits than the int limit of"
+                         f" {sys.get_int_max_str_digits()}")
+            raise ValidationError(f"atomic weights sum to {shown}, not a probability measure")
         pden = math.lcm(*(d for _, d in columns))
         coords = [c if d == pden else [a * (pden // d) for a in c] for c, d in columns]
         g = math.gcd(pden, *itertools.chain.from_iterable(coords))

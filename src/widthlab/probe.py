@@ -20,31 +20,33 @@ Only the `probe` subcommand runs this code, so `widthlab.cli` imports this
 module inside that subcommand's handler, and the package resolves its public
 names on first use: start-up does not compile it. The alpha-good cubes and
 the masses of their neighbours are read from the level's node table, not
-from the mass oracle. The Sobolev seminorm of the unit bump is a composite
-Gauss-Legendre rule over its exact partials (`Bump.partial`, up to order 4)
-or, beyond them, extrapolated finite differences; for p = inf its sup norm
-is refined by Brent's bounded minimizer (`_brent.fminbound`). Like every
-module of the package, this one holds only defs that a subcommand calls
-(the runtime reach test of `tests/test_api.py`).
+from the mass oracle. The Sobolev seminorm of the unit bump u is
+(sum over |k| = sigma of ||D^k u||_p^p)^(1/p) (Adams & Fournier, *Sobolev
+Spaces*, 2003, 3.1), the max of the ||D^k u||_inf at p = inf. The bump is a
+tensor product of one profile, so each term is a product of 1-D norms of the
+profile's derivatives: integrals by one fixed Gauss rule cut at their sign
+changes, which `_brent.brentq` finds, and sups read at the sign changes of
+the next derivative. Like every module of the package, this one holds only
+defs that a subcommand calls (the runtime reach test of `tests/test_api.py`).
 """
 from __future__ import annotations
 
-import heapq
+import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from ._brent import fminbound
+from ._brent import brentq
 from .cubes import DyadicCube, neighbors
-from .empirical import PROJECT_BLOCK_POINTS, _default_npts, _lq_norm, _nodes
+from .empirical import PROJECT_BLOCK_POINTS, _lq_norm, _nodes
 from .errors import SolverError, ValidationError
-from .functions import Bump, multi_indices
+from .functions import _EPSILON, Bump, _g_factor, _profile, _psi, multi_indices
 from .measures import MeasureModel, index_array, packed_keys
 from .orders import EmbeddingParams
-from .quadrature import unit_rule
+from .quadrature import unit_rule_1d
 
 # -- alpha-good cubes and separated families ---------------------------------
 
@@ -125,149 +127,62 @@ def well_separated(cubes, model: MeasureModel, require_dominant: bool = False
     return kept
 
 
-# -- bumps and their Sobolev seminorm ----------------------------------------
+# -- the Sobolev seminorm of the unit bump -----------------------------------
+
+# the fixed composite Gauss rule of the 1-D norms: _CELLS equal cells, each
+# cut at the sign changes of the integrand, _CELL_POINTS points per cell; the
+# sign changes are bracketed on a grid of _ROOT_GRID points
+_CELLS = 256
+_CELL_POINTS = 16
+_ROOT_GRID = 4096
+# the float evaluation of P_k keeps the seminorm within 1e-9 up to sigma = 20
+# (9e-8 at 25, 3e-5 at 30), and the seminorm overflows a float past about 44
+MAX_SIGMA = 20
 
 
-def finite_difference_partial(f, multi_index):
-    """Extrapolated central difference D^k for callables without exact partials.
-
-    The nested central difference D_h has an error expansion in even powers
-    of h, so one Richardson step (4 D_{h/2} - D_h) / 3 leaves O(h^4). The
-    step h = 2^-round(52 / (|k| + 4)) does not depend on any quadrature grid:
-    it balances that O(h^4) truncation against the rounding error
-    eps / h^|k| (eps = 2^-52) for functions that vary on the unit scale.
-    """
-    axes = []
-    for i, d in enumerate(multi_index):
-        axes.extend([i] * d)
-    axes = tuple(axes)
-    step = 2.0 ** -round(52 / (len(axes) + 4))
-
-    def diff(points, remaining, h):
-        if not remaining:
-            return np.asarray(f(points), dtype=float)
-        shift = np.zeros(points.shape[1])
-        shift[remaining[0]] = h
-        return (
-            diff(points + shift, remaining[1:], h)
-            - diff(points - shift, remaining[1:], h)
-        ) / (2.0 * h)
-
-    def dk(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return (4.0 * diff(pts, axes, step / 2) - diff(pts, axes, step)) / 3.0
-
-    return dk
+@functools.lru_cache(maxsize=None)
+def _sign_changes(order: int) -> tuple[float, ...]:
+    """The zeros of g^(order) in (-1, 1) where it changes sign: those of
+    P_order (`functions._g_factor`), bracketed on an even grid, so that no
+    grid point is the zero u = 0 of an odd order, and refined by `brentq`."""
+    grid = np.linspace(-1.0, 1.0, _ROOT_GRID)
+    vals = _g_factor(grid, order)
+    return tuple(brentq(lambda u: float(_g_factor(u, order)), grid[i], grid[i + 1])
+                 for i in np.flatnonzero(vals[:-1] * vals[1:] < 0).tolist())
 
 
-# cells whose best node composite_unit_norm refines for p = inf
-REFINED_CELLS = 4
+def _profile_norm(order: int, p: float) -> float:
+    """||phi^(order)||_p on [0, 1] for the bump's profile phi. Past order 0,
+    phi^(k) is two disjoint copies of psi^(k-1), the mollifier's derivative:
+    its integral is cut at the sign changes of psi^(k-1), where
+    |psi^(k-1)|^p is not smooth, and its sup is read at those of psi^(k).
+    The sup of phi itself is 1. The integrand is scaled to a largest value
+    of 1, so that no p-th power overflows."""
+    if math.isinf(p):
+        if not order:
+            return 1.0
+        peaks = _EPSILON * np.array(_sign_changes(order))
+        return float(np.abs(_psi(peaks, order - 1)).max())
+    lo, hi, cuts = (-_EPSILON, _EPSILON, _EPSILON * np.array(_sign_changes(order - 1))
+                    ) if order else (0.0, 1.0, ())
+    edges = np.union1d(np.linspace(lo, hi, _CELLS + 1), cuts)
+    width = np.diff(edges)[:, None]
+    x, w = unit_rule_1d(_CELL_POINTS)
+    x, w = (edges[:-1, None] + width * x).ravel(), (width * w).ravel()
+    f = np.abs(_psi(x, order - 1)) if order else _profile(x)
+    top = float(f.max())
+    return top * ((2.0 if order else 1.0) * float(np.dot(w, (f / top) ** p))) ** (1.0 / p)
 
 
-def composite_unit_norm(f, m: int, subdivisions: int, npts: int, p: float) -> float:
-    """L^p norm of f over the unit cube, composite over a 2^subdivisions grid.
-
-    For p = inf the largest |f| over the composite-rule nodes only bounds the
-    sup norm from below, so the best node of each of the REFINED_CELLS best
-    cells is refined, and the largest refined value is the result: a bounded
-    scalar search along each coordinate in turn, within one node spacing
-    (side / npts) of the node and inside the unit cube, keeps every
-    improvement. Several cells, because symmetric or near-equal peaks may put
-    the best node on the lower one; one node spacing, because a wider
-    interval spans several local maxima of a high-order derivative and the
-    search may settle on a lower one. The cells are visited one at a time,
-    so no array holds every node at once.
-    """
-    pts, wts = unit_rule(m, npts)
-    side = 0.5**subdivisions
-    acc = 0.0
-    best: list[tuple[float, int, np.ndarray]] = []  # min-heap of the best cells
-    for cell, idx in enumerate(itertools.product(range(1 << subdivisions), repeat=m)):
-        nodes = np.array(idx, dtype=float) * side + side * pts
-        vals = np.abs(np.asarray(f(nodes), dtype=float))
-        if math.isinf(p):
-            i = int(vals.argmax())
-            if vals[i] > 0:
-                heapq.heappush(best, (float(vals[i]), cell, nodes[i]))
-                if len(best) > REFINED_CELLS:
-                    heapq.heappop(best)
-        else:
-            acc += float(np.dot(wts, vals**p))
-    if not math.isinf(p):
-        return float((acc * side**m) ** (1.0 / p))
-    return max((_refine_max(f, x, side / npts, v) for v, _, x in best), default=0.0)
-
-
-def _refine_max(f, x: np.ndarray, radius: float, value: float) -> float:
-    """Coordinate-wise bounded search for a larger |f| within radius of x,
-    by Brent's bounded minimizer (Brent 1973, ch. 5) on -|f|."""
-    x = x.copy()
-    for axis in range(x.size):
-
-        def neg_abs(t):
-            y = x.copy()
-            y[axis] = t
-            return -abs(float(np.asarray(f(y[None, :]), dtype=float)[0]))
-
-        t, neg = fminbound(neg_abs, max(0.0, float(x[axis]) - radius),
-                           min(1.0, float(x[axis]) + radius))
-        if -neg > value:
-            value, x[axis] = -neg, t
-    return value
-
-
-def _gradient_magnitude(u, sigma: int, m: int):
-    """sqrt(sum over |k| = sigma of (D^k u)^2) as a vectorized callable.
-
-    Exact partials are used where u has a `partial` method that gives them
-    (`Bump` up to order 4); otherwise the extrapolated finite differences of
-    ``finite_difference_partial``, whose step does not depend on the
-    quadrature resolution.
-    """
-    partial = getattr(u, "partial", None)
-    partials = []
-    for k in multi_indices(m, sigma):
-        if sum(k) != sigma:
-            continue
-        dk = partial(k) if partial else None
-        if dk is None:
-            dk = finite_difference_partial(u, k)
-        partials.append(dk)
-
-    def grad(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        acc = np.zeros(pts.shape[0])
-        for dk in partials:
-            vals = np.asarray(dk(pts), dtype=float)
-            acc += vals * vals
-        return np.sqrt(acc)
-
-    return grad
-
-
-def sobolev_seminorm(
-    u,
-    sigma: int,
-    p: float,
-    resolution: int = 5,
-    npts: Optional[int] = None,
-    m: Optional[int] = None,
-) -> float:
-    """||u||_{L^{sigma,p}}: the L^p norm of the order-sigma gradient field.
-
-    The norm is a composite Gauss rule on a 2^resolution grid per axis (for
-    p = inf, the refined maximum of ``composite_unit_norm``). Partials come
-    from u when it has them, else from extrapolated central differences with
-    a fixed step, so ``resolution`` sets only the quadrature grid.
-    """
-    if resolution < 1:
-        raise ValidationError("resolution must be >= 1")
-    m = m or getattr(u, "m", None)
-    if m is None:
-        raise ValidationError("dimension m required for plain callables")
-    npts = npts or _default_npts(sigma)
-    grad = _gradient_magnitude(u, sigma, m)
-    return composite_unit_norm(grad, m, resolution, npts, p)
+def _bump_seminorm(m: int, sigma: int, p: float) -> float:
+    """||Bump(m)||_{sigma,p} = (sum over |k| = sigma of ||D^k Bump||_p^p)^(1/p),
+    the max of the ||D^k Bump||_inf at p = inf. The bump is a tensor product
+    of one profile, so each ||D^k Bump||_p is a product of the 1-D norms of
+    its profile's derivatives."""
+    norms = [_profile_norm(k, p) for k in range(sigma + 1)]
+    terms = [math.prod(norms[i] for i in k) for k in multi_indices(m, sigma) if sum(k) == sigma]
+    top = max(terms)
+    return top if math.isinf(p) else top * math.fsum((t / top) ** p for t in terms) ** (1.0 / p)
 
 
 # -- the probe ---------------------------------------------------------------
@@ -303,6 +218,9 @@ def packing_probe(
     """
     if math.isinf(params.q):
         raise ValidationError("packing probe needs finite q (rho = q * rho_hat)")
+    if params.sigma > MAX_SIGMA:
+        raise ValidationError(f"packing probe needs sigma <= {MAX_SIGMA}: past it the bump's"
+                              " seminorm loses digits in floats")
     good = alpha_good_cubes(model, n, params.rho, alpha)
     if not good:
         raise ValidationError(f"no alpha-good cubes at level {n}, alpha={alpha}")
@@ -311,9 +229,9 @@ def packing_probe(
         raise ValidationError(
             "well-separated family is empty after restricting supports to the cube"
         )
-    # the node table's max_cubes check is cheap; the seminorm is not (m = 3)
+    # the node table's max_cubes check comes before any other work
     index, centers, masses = _nodes(model, n + depth_offset)
-    norm_u = sobolev_seminorm(Bump(model.m), params.sigma, params.p, resolution=5)
+    norm_u = _bump_seminorm(model.m, params.sigma, params.p)
     own, who, bump = _bump_nodes(family, blocks, index, centers, depth_offset)
     size, weights, q = len(family), masses[own], params.q
 

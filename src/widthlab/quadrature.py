@@ -3,7 +3,7 @@
 The one-dimensional rule takes the floating-point operations of numpy's
 `numpy.polynomial.legendre.leggauss` one by one, so its nodes and weights
 are that function's bits, without importing `numpy.polynomial` at start-up.
-The composite norms of the packing probe are in `widthlab.probe`.
+The 1-D norms of the packing probe's bump are in `widthlab.probe`.
 """
 from __future__ import annotations
 

@@ -43,6 +43,12 @@ a cube's exact corners (`lower_corner` and `upper_corner`, once
 cube, and the closed-form partials of polynomials and sine products
 (`ExactPolynomial`, `ExactSinProduct`, once `Polynomial.partial` and
 `SinProduct.partial`), the references of the Sobolev seminorm tests.
+So did the bump's (`ExactBump`, once `Bump.partial`), and the probe's
+m-dimensional grid seminorm over exact partials (`oracle_sobolev_seminorm`,
+once `probe.sobolev_seminorm`), which the sums of products of 1-D profile
+norms replaced; those are also checked against the 50-digit mpmath value
+of the m = 1 seminorm (`mp_bump_seminorm`), from sympy's derivatives of the
+mollifier (`sympy_g_numerator`).
 The threshold check of a separation input (`check_threshold`, once the
 `validate_threshold` option of `well_separated`) left it too, and the
 default alpha grid built without a count (`oracle_default_alpha_grid`) is
@@ -83,6 +89,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import functools
 import io
 import itertools
 import math
@@ -100,13 +107,14 @@ from widthlab import (AtomicMeasure, Bump, DyadicCube, MeasureModel, ParseError,
 from widthlab.coarse import CoarseProfile, default_alpha_grid
 from widthlab.cubes import children
 from widthlab.empirical import _lq_norm, _nodes
+from widthlab import functions
 from widthlab.functions import TWO_PI, monomials, multi_indices
 from widthlab import orders
 from widthlab.measures import (BOM, DEFAULT_MAX_CUBES, PACKED_KEY_BITS, LevelNodes, _check_level,
                                _check_masses, _common, _decode, _int_array, _parse_field,
                                index_array, packed_keys)
 from widthlab.partition import _LEVEL_GUARD, PartitionRow
-from widthlab.probe import ProbeResult, alpha_good_cubes, sobolev_seminorm, well_separated
+from widthlab.probe import ProbeResult, _bump_seminorm, alpha_good_cubes, well_separated
 from widthlab.quadrature import unit_rule, unit_rule_1d
 from widthlab.spectrum import level_log_masses
 
@@ -873,6 +881,95 @@ class ExactSinProduct(SinProduct):
         return dk
 
 
+class ExactBump(Bump):
+    """The bump with its partials in closed form (once `Bump.partial`):
+    D^k is the product over the axes of the profile's k_i-th derivative,
+    which past order 0 is two copies of the mollifier's (k_i - 1)-th."""
+
+    def partial(self, multi_index):
+        def dk(pts, multi_index=tuple(multi_index)):
+            pts = np.atleast_2d(np.asarray(pts, dtype=float))
+            out = np.ones(pts.shape[0])
+            for x, d in zip(pts.T, multi_index):
+                out *= functions._profile(x) if d == 0 else (
+                    functions._psi(x - functions._PLATEAU_LO, d - 1)
+                    - functions._psi(x - functions._PLATEAU_HI, d - 1))
+            return out
+
+        return dk
+
+
+def oracle_sobolev_seminorm(u, sigma, p, resolution=5, npts=None, m=None, lp_sum=False):
+    """The grid route that the 1-D profile norms replaced (once
+    `probe.sobolev_seminorm`, without its finite differences): the L^p norm
+    over the unit cube of (sum over |k| = sigma of (D^k u)^2)^(1/2), from u's
+    exact partials, by a composite Gauss rule of 2^resolution cells per axis
+    and npts points per cell. For m = 1, and for p = 2 in any dimension, this
+    is the l^p-sum seminorm (sum over |k| = sigma of ||D^k u||_p^p)^(1/p),
+    which `lp_sum` takes instead. At p = inf it is the largest value at the
+    rule's nodes, a lower bound of the sup."""
+    m = m or u.m
+    npts = npts or max(2 * (sigma + 1), 8)
+    partials = [u.partial(k) for k in multi_indices(m, sigma) if sum(k) == sigma]
+    pts, wts = unit_rule(m, npts)
+    side = 0.5**resolution
+    acc = top = 0.0
+    for idx in itertools.product(range(1 << resolution), repeat=m):
+        nodes = np.array(idx, dtype=float) * side + side * pts
+        vals = [np.abs(np.asarray(dk(nodes), dtype=float)) for dk in partials]
+        if not lp_sum:
+            vals = [np.sqrt(sum(v**2 for v in vals))]
+        top = max(top, *(float(v.max()) for v in vals))
+        acc += math.fsum(float(np.dot(wts, v**p)) for v in vals)
+    return top if math.isinf(p) else (acc * side**m) ** (1.0 / p)
+
+
+@functools.lru_cache(maxsize=None)
+def sympy_g_numerator(j):
+    """The integer coefficients, highest power first, of P with
+    g^(j) = g P / (u^2 - 1)^(2j), g(u) = exp(1/(u^2 - 1)), from sympy's
+    derivative."""
+    import sympy as sp
+
+    u = sp.symbols("u")
+    g = sp.exp(1 / (u**2 - 1))
+    num, den = sp.fraction(sp.cancel(sp.diff(g, u, j) / g))
+    quotient, rest = sp.div(sp.Poly((u**2 - 1) ** (2 * j), u), sp.Poly(den, u))
+    assert rest.is_zero
+    return tuple(int(c) for c in (sp.Poly(num, u) * quotient).all_coeffs())
+
+
+def mp_bump_seminorm(sigma, p, dps=50):
+    """||Bump(1)||_{sigma,p} = ||phi^(sigma)||_p to `dps` digits, phi the
+    bump's profile: 2 ||psi^(sigma-1)||_p^p for the mollifier psi(x) =
+    g(x / eps) / (eps G) of radius eps = 1/8 and G the integral of g. The
+    integral is cut at the real zeros in (-1, 1) of the numerator of
+    g^(sigma-1) (mpmath's `polyroots`) when p is odd, and the sup is read
+    at those of the next derivative's."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        def real_zeros(j):
+            coeffs = [mp.mpf(c) for c in sympy_g_numerator(j)]
+            roots = mp.polyroots(coeffs, maxsteps=400, extraprec=8 * dps) if j else []
+            return sorted(mp.re(r) for r in roots
+                          if abs(mp.im(r)) < mp.mpf(10) ** -(dps - 10) and abs(mp.re(r)) < 1)
+
+        j, eps = sigma - 1, mp.mpf(1) / 8
+        coeffs = [mp.mpf(c) for c in sympy_g_numerator(j)]
+
+        def deriv(t):
+            d = t * t - 1
+            return mp.polyval(coeffs, t) * mp.exp(1 / d) / d ** (2 * j)
+
+        scale = 1 / (eps * mp.quad(lambda t: mp.exp(1 / (t * t - 1)), [-1, 0, 1])) / eps**j
+        if math.isinf(p):
+            return +(scale * max(abs(deriv(t)) for t in real_zeros(j + 1)))
+        cuts = [-1, *real_zeros(j), 1] if p % 2 else [-1, 0, 1]
+        integral = mp.quad(lambda t: abs(deriv(t)) ** p, cuts)
+        return +((2 * eps * scale**p * integral) ** (mp.mpf(1) / p))
+
+
 def contains(cube, point):
     """Strict lower bound, inclusive upper bound (half-open convention)."""
     s = cube.side
@@ -930,6 +1027,12 @@ class MappedBump:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return self.base((pts - self.lower) / self.side)
 
+    def partial(self, multi_index):
+        # the chain rule: D^k (u o phi^-1) = side^-|k| (D^k u) o phi^-1
+        dk, scale = self.base.partial(multi_index), self.side ** -sum(multi_index)
+        return lambda pts: scale * dk((np.atleast_2d(np.asarray(pts, dtype=float))
+                                       - self.lower) / self.side)
+
 
 def oracle_greedy_separation(order):
     # keep each cube, in the given order, whose interior misses the 5-fold
@@ -964,7 +1067,7 @@ def oracle_packing_probe(model, n, alpha, params, depth_offset=6, seed=0, n_rand
     _, centers, masses = _nodes(model, n + depth_offset)
     family, bump_vals = oracle_bump_matrix(family, centers)
     p, q = params.p, params.q
-    norm_u = sobolev_seminorm(Bump(model.m), params.sigma, p, resolution=5)
+    norm_u = _bump_seminorm(model.m, params.sigma, p)
 
     def sobolev_norm_of(a):
         scale = (3.0 * float(family[0].side)) ** (-params.rho_hat)

@@ -80,7 +80,7 @@ def test_public_names():
         "ingest_points", "lebesgue", "load_measure", "lower_order", "lq_error", "measures",
         "minkowski", "moment_project", "neighbors", "orders", "packing_probe", "parse_cube",
         "partition", "partition_row", "piecewise_project", "quadrature", "root", "s_b_solve",
-        "sobolev_seminorm", "spectrum", "upper_order", "well_separated", "width_exponent",
+        "spectrum", "upper_order", "well_separated", "width_exponent",
     ]
 
 

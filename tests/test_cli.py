@@ -14,6 +14,13 @@ bodies of `probe` and `probe-pinf` were captured last, when the packing probe
 began to sum over the nodes each bump owns rather than over every node: that
 moved the ||Q_n g|| entries of `operator_checks` in their last digits (by
 less than 1e-15 relative), and nothing else.
+Their `sobolev_norm`, `ratio` and `normalized_ratio` were recaptured when
+the bump's seminorm became a sum of products of 1-D profile norms, in place
+of an m-dimensional grid with finite differences past order 4: `probe`'s
+`sobolev_norm` 7.590123087343783 -> 7.590123058505921 (the grid read
+3.8e-9 low), `probe-pinf`'s 5381597942.117046 -> 82760939971.14182 (the
+order-5 differences read x15.38 low), and nothing else moved.
+`probe-m3` and `probe-lp` were captured then.
 `empirical-cloud` was captured from the release before an atomic model's
 multiset stopped reading its node table, so that a case still builds one.
 `partition-unsorted`, `partition-degenerate` and `partition-cells-cap` were
@@ -108,7 +115,8 @@ _LEBESGUE1 = {"type": "uniform", "m": 1, "support": "0:0"}
 # Input files of every case, written into its working directory: the
 # tetrahedron and quarter-Cantor models of conftest.py, Lebesgue measure on
 # [0, 1), a two-ratio IFS, the quarter-Cantor model shifted into (1/2, 1],
-# the product of quarter-Cantor and Lebesgue measure, a three-atom JSON
+# the product of quarter-Cantor and Lebesgue measure, the tetrahedron shifted
+# into (1/4, 3/4]^3, a three-atom JSON
 # spec, a weighted three-point cloud and an unweighted six-point cloud whose
 # fields take the plain-decimal, 20-digit and exponent routes of the parser.
 FILES = {
@@ -119,6 +127,8 @@ FILES = {
     "qc-shift.json": json.dumps({**_QUARTER_CANTOR,
                                  "embed_shift": {"ratio_log2": 1, "offset": [1]}}),
     "prod.json": json.dumps({"type": "product", "factors": [_QUARTER_CANTOR, _LEBESGUE1]}),
+    "tet-shift.json": json.dumps({**_TETRAHEDRON,
+                                  "embed_shift": {"ratio_log2": 2, "offset": [1, 1, 1]}}),
     "atoms.json": json.dumps({"type": "atomic", "m": 2,
                               "points": [["0.25", "0.5"], ["0.3", "0.6"], ["0.9", "1/3"]],
                               "weights": ["0.5", "0.25", "1/4"]}),
@@ -190,9 +200,16 @@ CASES = {
                         "--q", "2", "--function", "sin", "--thresholds", "pow2:0..12"],
     "probe": ["probe", "--measure", "leb1.json", "--sigma", "1", "--p", "2", "--q", "2",
               "--n", "3", "--alpha", "2.5"],
-    # the sup norm of order-5 partials: finite differences, refined by Brent's minimizer
+    # the sup norm of order-5 partials, read at the sign changes of the 6th
     "probe-pinf": ["probe", "--measure", "leb1.json", "--sigma", "5", "--p", "inf", "--q", "2",
                    "--n", "3", "--alpha", "12"],
+    # m = 3: the family's one bump fits in the unit cube only once shifted
+    "probe-m3": ["probe", "--measure", "tet-shift.json", "--sigma", "2", "--p", "2", "--q", "2",
+                 "--n", "3", "--alpha", "3"],
+    # m = 2, p = 4: the l^p-sum of the partials' norms, not the L^p norm of
+    # the l^2 gradient field
+    "probe-lp": ["probe", "--measure", "prod.json", "--sigma", "2", "--p", "4", "--q", "2",
+                 "--n", "3", "--alpha", "5"],
     "validate-csv": ["validate", "--measure", "pts.csv", "--weight-column", "w"],
     "validate-json": ["validate", "--measure", "tet.json"],
     "config": ["order", "--config", "cfg.json", "--out", "out.json"],
@@ -799,7 +816,8 @@ def _json_documents(text):
 JSON_DOCUMENTS = dict.fromkeys(
     ["coarse-stdout", "coarse-summary", "config", "config-override", "empirical-cloud",
      "empirical-linear", "empirical-product", "empirical-stdout", "empirical-verdict", "order",
-     "order-empirical", "order-product", "order-qinf", "probe", "probe-pinf"], 1)
+     "order-empirical", "order-product", "order-qinf", "probe", "probe-lp", "probe-m3",
+     "probe-pinf"], 1)
 
 
 def test_json_outputs_are_rfc_8259(golden):
@@ -1038,13 +1056,46 @@ def test_a_csv_field_past_the_field_size_limit_exits_1(rows, message, tmp_path, 
     assert not (tmp_path / "out.csv").exists()
 
 
-def test_probe_trips_node_cap_before_the_seminorm(tmp_path, monkeypatch, capsys):
-    # level 5 + 6 of the tetrahedron holds more than 2^21 positive cubes; the
-    # bump seminorm, on 2^15 composite cells in m = 3, would take minutes
-    def seminorm(*args, **kwargs):
-        raise AssertionError("sobolev_seminorm ran before the node-table cap")
+_LIMIT = sys.get_int_max_str_digits()
 
-    monkeypatch.setattr(probe, "sobolev_seminorm", seminorm)
+
+@pytest.mark.parametrize("name, text, message", [
+    ("huge.csv", "x\n0.5\n1e5000\n", "coordinate on axis 0 of CSV row 2 not inside the open"
+     f" unit cube; the coordinate has more digits than the int limit of {_LIMIT}"),
+    ("huge.csv", "x,y\n0.5,0.5\n0.25,-1e5000\n", "coordinate on axis 1 of CSV row 2 not inside"
+     f" the open unit cube; the coordinate has more digits than the int limit of {_LIMIT}"),
+    ("huge.json", json.dumps({"type": "atomic", "m": 2, "points": [["0.5", "0.5"],
+                                                                  ["0.5", "1e5000"]],
+                              "weights": ["0.5", "0.5"]}),
+     "coordinate on axis 1 of atomic point 2 not inside the open unit cube; the point has more"
+     f" digits than the int limit of {_LIMIT}"),
+    # the bad coordinate prints, its point does not
+    ("huge.json", json.dumps({"type": "atomic", "m": 2, "points": [["1e-5000", "2"]],
+                              "weights": ["1"]}),
+     "coordinate on axis 1 of atomic point 1 not inside the open unit cube; the point has more"
+     f" digits than the int limit of {_LIMIT}"),
+    ("huge.json", json.dumps({"type": "atomic", "m": 1, "points": [["0.5"]],
+                              "weights": ["1e5000"]}),
+     f"atomic weights sum to a number of more digits than the int limit of {_LIMIT}, not a"
+     " probability measure"),
+], ids=["csv", "csv-second-axis", "json", "json-point", "json-weights"])
+def test_a_coordinate_past_the_int_digit_limit_exits_1(name, text, message, tmp_path,
+                                                       monkeypatch, capsys):
+    # the message names the coordinate's place: formatting it would raise
+    # int's digit-limit ValueError out of the command line
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(text)
+    assert cli.main(["validate", "--measure", name]) == cli.EX_FAIL
+    assert capsys.readouterr().err == f"widthlab: {message}\n"
+
+
+def test_probe_trips_node_cap_before_the_seminorm(tmp_path, monkeypatch, capsys):
+    # level 5 + 6 of the tetrahedron holds more than 2^21 positive cubes: the
+    # cap trips before any other work of the probe, the seminorm included
+    def seminorm(*args, **kwargs):
+        raise AssertionError("_bump_seminorm ran before the node-table cap")
+
+    monkeypatch.setattr(probe, "_bump_seminorm", seminorm)
     monkeypatch.chdir(tmp_path)
     argv = ["probe", *_TET22, "--n", "5", "--alpha", "3"]
     assert run_cli(argv, tmp_path)["code"] == cli.EX_RESOURCE

@@ -1,6 +1,7 @@
 import contextlib
 import logging
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -33,17 +34,17 @@ from widthlab import (
 )
 from widthlab import empirical, partition, probe, quadrature
 from widthlab.functions import catalog, monomials, multi_indices
-from widthlab.probe import (alpha_good_cubes, composite_unit_norm, packing_probe,
-                            sobolev_seminorm, well_separated)
+from widthlab.probe import _bump_seminorm, alpha_good_cubes, packing_probe, well_separated
 from widthlab.quadrature import unit_rule
 
 from conftest import (boundary_atomic, dyadic_ifs, ifs_atomic_lebesgue, new_deep_ifs,
                       new_tetrahedron)
-from oracles import (ExactPolynomial, ExactSinProduct, capped, contains, descent_positive, evaluate,
-                     integrate_on_cell, lower_corner, oracle_bump_matrix, oracle_decay_rows,
-                     oracle_locate, oracle_moment_project, oracle_packed_locate,
-                     oracle_packing_probe,
-                     oracle_unit_weights, scaled_box, table_cubes, upper_corner)
+from oracles import (ExactBump, ExactPolynomial, ExactSinProduct, MappedBump, capped, contains,
+                     descent_positive, evaluate, integrate_on_cell, lower_corner,
+                     mp_bump_seminorm, oracle_bump_matrix, oracle_decay_rows, oracle_locate,
+                     oracle_moment_project, oracle_packed_locate, oracle_packing_probe,
+                     oracle_sobolev_seminorm, oracle_unit_weights, scaled_box, table_cubes,
+                     upper_corner)
 
 
 def test_polynomial_space_dim():
@@ -234,58 +235,124 @@ def test_lq_error_depth_precondition():
 
 
 def test_sobolev_seminorm_examples():
-    # exact partials, as a function's `partial` method gives them
+    # the grid oracle on exact partials, as a function's `partial` method gives them
     x = ExactPolynomial(1, {(1,): 1.0})
-    assert sobolev_seminorm(x, 1, 2.0) == pytest.approx(1.0, abs=1e-12)
-    assert sobolev_seminorm(ExactSinProduct(1), 1, 2.0) == pytest.approx(
+    assert oracle_sobolev_seminorm(x, 1, 2.0) == pytest.approx(1.0, abs=1e-12)
+    assert oracle_sobolev_seminorm(ExactSinProduct(1), 1, 2.0) == pytest.approx(
         math.sqrt(2) * math.pi, abs=1e-3
     )
-    assert sobolev_seminorm(x, 2, 2.0) == pytest.approx(0.0, abs=1e-14)
-    assert sobolev_seminorm(ExactSinProduct(1), 1, math.inf) == pytest.approx(
+    assert oracle_sobolev_seminorm(x, 2, 2.0) == pytest.approx(0.0, abs=1e-14)
+    assert oracle_sobolev_seminorm(ExactSinProduct(1), 1, math.inf) == pytest.approx(
         2 * math.pi, abs=1e-3
     )
+    # the bump's: one profile derivative at m = 1, the sum of two products at m = 2
+    assert oracle_sobolev_seminorm(ExactBump(1), 1, 2.0) == pytest.approx(
+        _bump_seminorm(1, 1, 2.0), rel=1e-8)
+    assert oracle_sobolev_seminorm(ExactBump(2), 1, 2.0, resolution=4) == pytest.approx(
+        _bump_seminorm(2, 1, 2.0), rel=1e-5)
 
 
-def test_sobolev_seminorm_fd_fallback():
-    # plain callable without exact partials
-    f = lambda pts: np.sin(2 * math.pi * np.atleast_2d(pts)[:, 0])
-    value = sobolev_seminorm(f, 1, 2.0, resolution=5, m=1)
-    assert value == pytest.approx(math.sqrt(2) * math.pi, abs=1e-3)
+# the seminorm of the parent release at sigma = 5 (its finite differences,
+# step 2^-6 against a mollifier radius of 1/8), which the 1-D norms replaced
+_GRID_SIGMA5 = {2.0: 10455755.201690596, math.inf: 39908700.55952277}
+
+
+@pytest.fixture(scope="module")
+def mp_seminorms():
+    return {(sigma, p): mp_bump_seminorm(sigma, p)
+            for sigma in range(1, 8) for p in (1.0, 2.0, 4.0, math.inf)}
+
+
+@pytest.mark.parametrize("sigma", range(1, 8))
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0, math.inf])
+def test_bump_seminorm_matches_the_50_digit_value(sigma, p, mp_seminorms):
+    exact = float(mp_seminorms[sigma, p])
+    assert _bump_seminorm(1, sigma, p) == pytest.approx(exact, rel=1e-9)
+    if sigma == 5 and p in _GRID_SIGMA5:  # the negative control
+        assert _GRID_SIGMA5[p] != pytest.approx(exact, rel=1e-9)
+
+
+def test_bump_seminorm_at_a_large_p_does_not_overflow():
+    # ||phi^(5)||_60^60 is about 1e494: each integrand is scaled to a top of 1
+    assert _bump_seminorm(1, 5, 60.0) == pytest.approx(float(mp_bump_seminorm(5, 60)), rel=1e-9)
+    assert math.isfinite(_bump_seminorm(3, 5, 60.0))
+
+
+def test_packing_probe_rejects_sigma_past_the_float_range(leb1):
+    params = EmbeddingParams(m=1, sigma=probe.MAX_SIGMA + 1, p=2.0, q=2.0)
+    with pytest.raises(ValidationError, match=f"needs sigma <= {probe.MAX_SIGMA}"):
+        packing_probe(leb1, 3, 400.0, params)
+
+
+def test_grid_oracle_converges_to_the_bump_seminorm_at_p2():
+    # for p = 2 the grid's l^2 gradient norm is the l^p-sum seminorm
+    exact = _bump_seminorm(2, 2, 2.0)
+    errors = [abs(oracle_sobolev_seminorm(ExactBump(2), 2, 2.0, resolution=r) - exact)
+              for r in (3, 4, 5)]
+    assert errors == sorted(errors, reverse=True) and errors[-1] < 1e-5 * exact
+    assert exact == pytest.approx(50.327569, abs=1e-6)
+
+
+def test_bump_seminorm_is_the_lp_sum_of_the_partials():
+    # (sum over |k| = sigma of ||D^k u||_p^p)^(1/p), each ||D^k u||_p^p the
+    # product of the profile's N_j = ||phi^(j)||_p^p: at m = 2 that is
+    # 2 N_1 N_0 for sigma = 1 and 2 N_2 N_0 + N_1^2 for sigma = 2
+    p = 4.0
+    n1, n2 = (_bump_seminorm(1, j, p) ** p for j in (1, 2))
+    n0 = _bump_seminorm(2, 1, p) ** p / (2 * n1)
+    midpoints = (np.arange(4096) + 0.5)[:, None] / 4096
+    assert n0 == pytest.approx(float(np.mean(Bump(1)(midpoints) ** p)), rel=1e-9)
+    assert _bump_seminorm(2, 2, p) ** p == pytest.approx(2 * n2 * n0 + n1**2, rel=1e-12)
+    # the brute-force grid of the same form, and 2.5 % below the L^4 norm of
+    # the l^2 gradient field, the parent's definition
+    assert _bump_seminorm(2, 2, p) == pytest.approx(66.925, abs=1e-3)
+    assert oracle_sobolev_seminorm(ExactBump(2), 2, p, lp_sum=True) == pytest.approx(
+        _bump_seminorm(2, 2, p), rel=1e-4)
+    assert oracle_sobolev_seminorm(ExactBump(2), 2, p) == pytest.approx(68.636, abs=1e-3)
+
+
+def test_probe_m3_runs_in_under_a_second():
+    # the shifted tetrahedron, whose bumps fit in the unit cube at level 3
+    tetrahedron = new_tetrahedron()
+    model = IfsMeasure(tetrahedron.maps, tetrahedron.probs, embed_shift=IfsMap(2, (1, 1, 1)))
+    params = EmbeddingParams(m=3, sigma=2, p=2.0, q=2.0)
+    start = time.perf_counter()
+    result = packing_probe(model, 3, 3.0, params)
+    assert time.perf_counter() - start < 1.0
+    assert result.family and result.operator_bound_ok
+    assert result.sobolev_norm == pytest.approx(
+        len(result.family) ** 0.5 * (3 * float(result.family[0].side)) ** -params.rho_hat
+        * _bump_seminorm(3, 2, 2.0), rel=1e-12)
 
 
 def scaling_check(u, cube, sigma, p, resolution=4):
-    """Ratio of ||u o phi_Q^{-1}||_{L^{sigma,p}(Q)} to its predicted value
-    vol(Q)^(-rho_hat/m) ||u||_{L^{sigma,p}}.
-
-    The two sides are quadratured with different composite resolutions so
-    the identity is checked rather than reproduced by construction.
-    """
-    m = cube.m
-    side = float(cube.side)
-    npts = empirical._default_npts(sigma)
-    grad = probe._gradient_magnitude(u, sigma, m)
-    # |grad_sigma (u o phi^{-1})|(x) = side^-sigma |grad_sigma u|(y) on x = phi(y),
-    # and dx = side^m dy (m/p = 0 for p = inf)
-    lhs = side ** (m / p - sigma) * composite_unit_norm(grad, m, resolution, npts, p)
-    rhs_norm = sobolev_seminorm(u, sigma, p, resolution + 1, npts + 3, m=m)
+    """Ratio of ||u o phi_Q^{-1}||_{L^{sigma,p}(Q)}, quadratured on Q from
+    u's exact partials and the chain rule (`oracle_sobolev_seminorm`), to
+    its predicted value vol(Q)^(-rho_hat/m) ||u||_{L^{sigma,p}}, with the
+    1-D profile norms on the right. At p = inf the quadrature side is the
+    largest value at its nodes, on a finer grid. The grid's l^2 gradient
+    norm is the l^p-sum seminorm for m = 1 or p = 2, the cases checked."""
+    m, side = cube.m, float(cube.side)
+    mapped = MappedBump(u, lower_corner(cube), side)
+    depth = cube.level + (10 if math.isinf(p) else resolution)
+    lhs = oracle_sobolev_seminorm(mapped, sigma, p, depth, m=m)
     rho_hat = sigma - (0.0 if math.isinf(p) else m / p)
-    rhs = (side ** m) ** (-rho_hat / m) * rhs_norm
-    return lhs / rhs
+    return lhs / ((side**m) ** (-rho_hat / m) * _bump_seminorm(m, sigma, p))
 
 
 @pytest.mark.parametrize("sigma", [1, 2])
 @pytest.mark.parametrize("p", [2.0, math.inf])
 def test_scaling_check_1d(sigma, p):
-    ratio = scaling_check(Bump(1), DyadicCube(3, (2,)), sigma, p)
+    ratio = scaling_check(ExactBump(1), DyadicCube(3, (2,)), sigma, p)
     assert ratio == pytest.approx(1.0, abs=1e-3)
 
 
 def test_scaling_check_root_cube():
-    assert scaling_check(Bump(1), root(1), 1, 2.0) == pytest.approx(1.0, abs=1e-3)
+    assert scaling_check(ExactBump(1), root(1), 1, 2.0) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_scaling_check_2d():
-    ratio = scaling_check(Bump(2), DyadicCube(1, (0, 1)), 1, 2.0, resolution=3)
+    ratio = scaling_check(ExactBump(2), DyadicCube(1, (0, 1)), 1, 2.0, resolution=3)
     assert ratio == pytest.approx(1.0, abs=1e-3)
 
 
@@ -911,13 +978,6 @@ def test_decay_experiment_builds_each_depth_once(tetrahedron, monkeypatch):
     # that its expansion reads; none repeats
     assert [n for n in builds if n in depths] == [4, 5, 6, 7]
     assert sorted(builds) == list(range(8))
-
-
-def test_sup_norm_does_not_depend_on_resolution():
-    # the finite-difference path (Bump has no exact partials of order 5): a
-    # single refined node settled on a lower local maximum at resolution 4
-    values = [sobolev_seminorm(Bump(1), 5, math.inf, resolution=r) for r in range(3, 7)]
-    assert max(values) == pytest.approx(min(values), rel=1e-6)
 
 
 @pytest.mark.parametrize("m", range(1, 5))

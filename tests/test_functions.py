@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from widthlab import Bump, ValidationError, catalog, coordinate
-from widthlab.functions import monomials, multi_indices
+from widthlab.functions import _g_deriv, _g_factor, monomials, multi_indices
 
-from oracles import ExactPolynomial, ExactSinProduct, oracle_gather_monomials, oracle_monomials
+from oracles import (ExactBump, ExactPolynomial, ExactSinProduct, oracle_gather_monomials,
+                     oracle_monomials, sympy_g_numerator)
 
 
 def test_bump_bounds_and_plateau():
@@ -36,29 +37,27 @@ def test_bump_plateau_m2():
     assert np.all(bump(pts) == 1.0)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("order", range(9))
 def test_bump_derivatives_match_differences(order):
-    bump = Bump(1)
-    dk = bump.partial((order,))
-    xs = np.array([[0.13], [0.21], [0.5], [0.79], [0.9]])
-    h = 1e-5 if order == 1 else 1e-4
-    if order == 1:
-        fd = (bump(xs + h) - bump(xs - h)) / (2 * h)
-        tol = 1e-7
-    elif order == 2:
-        fd = (bump(xs + h) - 2 * bump(xs) + bump(xs - h)) / h**2
-        tol = 1e-4
-    else:
-        fd = (
-            bump(xs + 2 * h) - 2 * bump(xs + h) + 2 * bump(xs - h) - bump(xs - 2 * h)
-        ) / (2 * h**3)
-        tol = 2e-2
-    scale = max(1.0, np.abs(fd).max())
-    assert np.abs(dk(xs) - fd).max() / scale < tol
+    # the mollifier's derivatives from the recurrence of P_k against sympy's
+    # derivative of exp(1/(u^2 - 1)), evaluated in 50-digit mpmath
+    mp, sp = pytest.importorskip("mpmath"), pytest.importorskip("sympy")
+    u = sp.symbols("u")
+    exact = sp.lambdify(u, sp.diff(sp.exp(1 / (u**2 - 1)), u, order), "mpmath")
+    us = np.array([-0.97, -0.9, -0.62, -0.31, -0.05, 0.0, 0.13, 0.5, 0.77, 0.93, 0.999])
+    with mp.workdps(50):
+        want = np.array([float(exact(mp.mpf(x))) for x in us.tolist()])
+    got = _g_deriv(np.concatenate([us, [-1.0, 1.0, 1.5]]), order)
+    assert np.all(got[-3:] == 0.0)
+    assert np.abs(got[:-3] - want).max() <= 1e-13 * np.abs(want).max()
+    # P_k itself: sympy's numerator, highest power first, at integer points
+    for x in range(-2, 3):
+        assert _g_factor(float(x), order) == sum(
+            c * x**i for i, c in enumerate(sympy_g_numerator(order)[::-1]))
 
 
 def test_bump_mixed_partial_m2():
-    bump = Bump(2)
+    bump = ExactBump(2)
     dk = bump.partial((1, 1))
     h = 1e-5
     pts = np.array([[0.2, 0.8], [0.25, 0.3]])
