@@ -104,7 +104,7 @@ from widthlab.reports import config_hash, sha256
 
 from tests.conftest import ifs7, new_tetrahedron
 from tests.oracles import (descent_positive, oracle_atomic_nodes, oracle_level_masses,
-                           oracle_table_masses, oracle_uniform_nodes)
+                           oracle_table_masses, oracle_uniform_nodes, table_masses)
 
 SEED = 0
 CLOUD_POINTS = 600
@@ -134,8 +134,9 @@ def table_positive(model, n):
 
 
 def as_cubes(n, table):
-    index, mass_id, masses = table
-    return [(DyadicCube(n, tuple(row)), masses[j]) for row, j in zip(index.tolist(), mass_id.tolist())]
+    masses = table_masses(table)
+    return [(DyadicCube(n, tuple(row)), masses[j])
+            for row, j in zip(table.index.tolist(), table.mass_id.tolist())]
 
 
 @pytest.fixture(scope="module")
@@ -162,7 +163,8 @@ def test_l2_uniform(benchmark, build):
                              rounds=20)
     want = oracle_uniform_nodes(lebesgue(2), 8)
     assert got.index.tolist() == want.index.tolist()
-    assert got.mass_id.tolist() == want.mass_id.tolist() and got.masses == want.masses
+    assert got.mass_id.tolist() == want.mass_id.tolist()
+    assert table_masses(got) == table_masses(want)
 
 
 CLOUD_LEVELS = range(4, 9)
@@ -270,6 +272,6 @@ def tetrahedron_words(n):
 def test_l2_tetrahedron_table(benchmark):
     got = benchmark.pedantic(lambda model: model.level_nodes(8),
                              setup=lambda: ((new_tetrahedron(),), {}), rounds=20)
-    nums = [int(mu * 1000**8) for mu in got.masses]
-    assert [(tuple(row), nums[j]) for row, j in zip(got.index.tolist(), got.mass_id.tolist())] \
-        == tetrahedron_words(8)
+    assert got.den == 1000**8
+    rows = zip(got.index.tolist(), got.mass_id.tolist())
+    assert [(tuple(row), got.nums[j]) for row, j in rows] == tetrahedron_words(8)

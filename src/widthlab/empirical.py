@@ -19,8 +19,8 @@ coefficients in the last bit, and the decay rows are pinned exactly.
 Quadrature nodes are the positive cubes at depth D, read from the model's
 node table (`MeasureModel.level_nodes`, built in bulk; an IFS caches each
 level, so repeated depths cost nothing): integer indices l, with centres
-(2l + 1) 2^-(D+1) rounded to float once, and masses rounded to float once per
-distinct exact mass. A node lies in its ancestor cell, a row of the table of
+(2l + 1) 2^-(D+1) rounded to float once, and masses N / den(D) rounded once
+per distinct N. A node lies in its ancestor cell, a row of the table of
 the cell's level: `MeasureModel._ancestors` gives each node's row there and
 that table's packed keys (an IFS composes its tables' parent rows, one
 gather per level, beside the keys it keeps; another model searches the
@@ -187,10 +187,10 @@ class PiecewisePolynomial:
 def _nodes(model: MeasureModel, depth: int):
     """Indices (N, m), float centres (2 index + 1) 2^-(depth+1) and float
     masses of the positive level-`depth` cubes, from the model's node table;
-    each distinct exact mass is rounded to float once."""
-    index, mass_id, masses = model.level_nodes(depth)
+    each distinct N / den(depth) is rounded once, as float(Fraction) rounds it."""
+    index, mass_id, nums, den = model.level_nodes(depth)
     centers = ((2 * index + 1) * 2.0 ** -(depth + 1)).astype(float)
-    return index, centers, np.array([float(mu) for mu in masses])[mass_id]
+    return index, centers, np.array([num / den for num in nums])[mass_id]
 
 
 def _quadrature(f, model: MeasureModel, depth: int):

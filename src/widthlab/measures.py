@@ -3,8 +3,8 @@
 Four model families are supported, all with exactly computable cube masses:
 atomic measures, normalized Lebesgue on a dyadic cube, dyadically aligned
 self-similar (IFS) measures, and products of lower-dimensional models.
-Masses are exact, and the interfaces give them as `fractions.Fraction`s;
-probabilities written as decimals in spec files parse exactly, so no
+Masses are exact: integers over one den(n) per level, `Fraction`s from
+`mass` and `level_masses`; decimals in spec files parse exactly, so no
 floating-point fallback is needed. A CSV point cloud (`ingest_points`)
 accepts the fields `Fraction(str)` does, with their values. It is read a
 column at a time: a column of plain decimals, the common case, becomes
@@ -14,15 +14,15 @@ model's `points` and `weights` are `Fraction` views built when first read.
 
 Each family builds a level's positive cubes in bulk, without the mass
 oracle, as a node table (`LevelNodes`): their indices in lexicographic order
-and, for each, an id into the level's distinct exact masses; its level view
-{N: cube count} over den(n) (`level_counts`, in integers; `level_masses`
-is its `Fraction` view for the API) is built without a table.
+and, for each, an id into the level's distinct masses, numerators N over
+den(n); its level view {N: cube count} over den(n) (`level_counts`;
+`level_masses` is its `Fraction` view for the API) is built without a table.
 An atomic model holds its coordinates and weights as integer arrays over
 two common denominators (int64 where they fit, Python ints beyond). It
 takes the exact indices ceil(x 2^n) - 1 = (c 2^n - 1) // pden of all atoms
 in one array operation, packs each atom's into one integer key and sums
 the integer weights per key: its level view counts the sums, its table
-sorts and unpacks the keys, with one `Fraction` per distinct mass. An IFS
+sorts and unpacks the keys, the distinct sums its numerators. An IFS
 table is built from the packed keys of the one above, which it keeps.
 A product pairs every row of each factor's table with every row of the
 others', its mass ids remapped through the products.
@@ -48,7 +48,7 @@ Each model keeps one store of these states (`StateStore`), expanded by the
 rule when first needed: the J_rho walks (`widthlab.partition`) expand the
 states they reach, and an IFS pushes whole levels through it, counting the
 cubes of each state in integers, for its level views, kept per level, and
-its node tables, which build one `Fraction` per distinct mass. Measured with
+its node tables, which keep the view's numerators. Measured with
 `tracemalloc` on the bench 7-map IFS pushed to level 20 (84 424 states),
 the store holds 334 bytes per state, 28.2 MB in all.
 
@@ -101,18 +101,28 @@ DEFAULT_MAX_CELLS = 1 << 20
 INT64_LEVELS = 63
 # packed level keys are int64 while level * m stays within this many bits
 PACKED_KEY_BITS = INT64_LEVELS - 1
-
-Mass = Fraction
+# the most nodes of an IFS template besides its root, as bounded by the sum of
+# ratio_log2 - 1 over the maps plus the shift's level, checked before anything
+# is built: a node takes about 1 KB and 10 us, so a template at the bound
+# loads in 0.15 s
+MAX_TEMPLATE_NODES = 1 << 14
 
 
 class LevelNodes(NamedTuple):
     """The positive level-n cubes in lexicographic index order: their integer
     indices (N, m), int64 below level INT64_LEVELS and Python ints from it on,
-    and for each cube an id into `masses`, the distinct exact masses."""
+    and for each cube an id into `nums`, the distinct masses N over `den`."""
 
     index: np.ndarray
     mass_id: np.ndarray
-    masses: tuple[Mass, ...]
+    nums: tuple[int, ...]
+    den: int
+
+
+def log2_mass(num: int, den: int) -> float:
+    """log2(num / den) from the reduced pair: finite at every level."""
+    g = math.gcd(num, den)
+    return math.log2(num // g) - math.log2(den // g)
 
 
 def index_array(rows, n: int, m: int) -> np.ndarray:
@@ -298,9 +308,7 @@ class StateStore:
                 self._expand(level, todo)
                 states, log2 = self.states[level + 1], self.log2[level + 1]
                 den = self._model._denominator(level + 1)
-                for _, num in states[len(log2):]:
-                    g = math.gcd(num, den)
-                    log2.append(math.log2(num // g) - math.log2(den // g))
+                log2 += (log2_mass(num, den) for _, num in states[len(log2):])
         return kids, self.branches[level], self.log2[level + 1]
 
 
@@ -318,7 +326,7 @@ class MeasureModel:
     max_cubes = DEFAULT_MAX_CUBES
     max_cells = DEFAULT_MAX_CELLS
 
-    def mass(self, cube: DyadicCube) -> Mass:
+    def mass(self, cube: DyadicCube) -> Fraction:
         """The exact mass of one cube: the mass oracle (layer L1), the rule
         applied one branch per level down from the root; a cube of another
         dimension lies outside the model. No code of the package calls it,
@@ -357,7 +365,7 @@ class MeasureModel:
         _check_masses(n, len(counts), self.max_cubes)
         return counts, self._denominator(n)
 
-    def level_masses(self, n: int) -> dict[Mass, int]:
+    def level_masses(self, n: int) -> dict[Fraction, int]:
         """Multiset {mass: count} over the level-n positive cubes: the level
         view as `Fraction`s, built anew; the package reads `level_counts`."""
         counts, den = self.level_counts(n)
@@ -532,8 +540,7 @@ class AtomicMeasure(MeasureModel):
         ids: dict[int, int] = {}
         mass_id = np.array([ids.setdefault(groups[k], len(ids)) for k in keys], dtype=np.intp)
         keys = np.array(keys, dtype=object if n * self.m > PACKED_KEY_BITS else np.int64)
-        return LevelNodes(_unpack(keys, n, self.m), mass_id,
-                          tuple(Fraction(u, self._den) for u in ids))
+        return LevelNodes(_unpack(keys, n, self.m), mass_id, tuple(ids), self._den)
 
 
 class _IfsMap(NamedTuple):
@@ -577,6 +584,11 @@ class IfsMeasure(MeasureModel):
             raise ValidationError("IFS needs at least one map")
         if len(maps) != len(probs):
             raise ValidationError("maps and probs length mismatch")
+        shift = 0 if embed_shift is None else embed_shift.ratio_log2
+        if sum(mp.ratio_log2 - 1 for mp in maps) + shift > MAX_TEMPLATE_NODES:
+            raise ValidationError(f"IFS template of more than {MAX_TEMPLATE_NODES} nodes: the"
+                                  " sum of ratio_log2 - 1 over the maps plus the embed_shift"
+                                  " level passes it")
         m = len(maps[0].offset)
         images = []
         for mp in maps:
@@ -598,10 +610,13 @@ class IfsMeasure(MeasureModel):
             raise ValidationError(f"IFS image cubes {images[i]} and {images[j]} overlap")
         if any(p <= 0 for p in probs):
             raise ValidationError("IFS probabilities must be positive")
-        if sum(probs) != 1:
-            raise ValidationError(
-                f"IFS probabilities sum to {sum(probs)}, not a probability vector"
-            )
+        if (total := sum(probs)) != 1:
+            try:  # only the message that is raised is formatted
+                shown = str(total)
+            except ValueError:  # past the int digit limit
+                shown = ("a number of more digits than the int limit of"
+                         f" {sys.get_int_max_str_digits()}")
+            raise ValidationError(f"IFS probabilities sum to {shown}, not a probability vector")
         if embed_shift is not None and len(embed_shift.offset) != m:
             raise ValidationError("embed_shift dimension mismatch")
         self.m = m
@@ -724,15 +739,15 @@ class IfsMeasure(MeasureModel):
             order = np.argsort(keys, kind="stable")
             keys, state, parent = keys[order], kid[edge[order]], parent[order]
         self._rows = state
-        nums, den = store.level_counts(n), self._denominator(n)
+        nums = store.level_counts(n)
         order = {num: i for i, num in enumerate(nums)}
         mass_id = np.array([order[num] for _, num in store.states[n]], dtype=np.intp)[state]
         index = _unpack(keys, n, m)
         index.flags.writeable = mass_id.flags.writeable = keys.flags.writeable = False  # shared
         self._parents.append(parent)
         self._keys.append(keys)
-        # the masses in push order, as the level view's numerators
-        return LevelNodes(index, mass_id, tuple(Fraction(num, den) for num in nums))
+        # the masses in push order, the level view's numerators
+        return LevelNodes(index, mass_id, tuple(nums), self._denominator(n))
 
 
 class UniformMeasure(IfsMeasure):
@@ -790,13 +805,14 @@ class ProductMeasure(MeasureModel):
         _check_level(n, math.prod(len(t.index) for t in tables), self.max_cubes)
         # product row r is row rows[i][r] of factor i; rows run in index order
         rows = np.indices([len(t.index) for t in tables]).reshape(len(tables), -1)
-        ids: dict[Mass, int] = {}
-        remap = [ids.setdefault(math.prod(mus), len(ids))
-                 for mus in itertools.product(*(t.masses for t in tables))]
+        ids: dict[int, int] = {}  # numerators and denominators multiply, as in level_counts
+        remap = [ids.setdefault(math.prod(nums), len(ids))
+                 for nums in itertools.product(*(t.nums for t in tables))]
         combo = np.ravel_multi_index([t.mass_id[r] for t, r in zip(tables, rows)],
-                                     [len(t.masses) for t in tables])
+                                     [len(t.nums) for t in tables])
         index = np.hstack([t.index[r] for t, r in zip(tables, rows)])
-        return LevelNodes(index, np.array(remap, dtype=np.intp)[combo], tuple(ids))
+        return LevelNodes(index, np.array(remap, dtype=np.intp)[combo], tuple(ids),
+                          math.prod(t.den for t in tables))
 
     def level_counts(self, n):
         # numerators and denominators multiply: at one level, equal masses
@@ -848,7 +864,11 @@ def _number(value, field: str) -> Fraction:
 def _integer(value, field: str) -> int:
     number = _number(value, field)
     if number.denominator != 1:
-        raise ParseError(f"measure spec field {field}: expected an integer, got {number}")
+        try:  # only the message that is raised is formatted
+            shown = str(number)
+        except ValueError:  # past the int digit limit
+            shown = f"a number of more digits than the int limit of {sys.get_int_max_str_digits()}"
+        raise ParseError(f"measure spec field {field}: expected an integer, got {shown}")
     return int(number)
 
 
@@ -921,7 +941,7 @@ def load_measure(source, name: str = "measure spec") -> MeasureModel:
         source = source.removeprefix(BOM)
     try:
         doc = json.loads(source, parse_float=Fraction, parse_int=int)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSON error, or an integer past the int digit limit
         raise ParseError(f"invalid JSON in measure spec: {exc}") from exc
     model = _model_from_dict(doc)
     m_declared = doc.get("m")

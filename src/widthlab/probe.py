@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -44,7 +43,7 @@ from .cubes import DyadicCube, neighbors
 from .empirical import PROJECT_BLOCK_POINTS, _lq_norm, _nodes
 from .errors import SolverError, ValidationError
 from .functions import _EPSILON, Bump, _g_factor, _profile, _psi, multi_indices
-from .measures import MeasureModel, index_array, packed_keys
+from .measures import MeasureModel, index_array, log2_mass, packed_keys
 from .orders import EmbeddingParams
 from .quadrature import unit_rule_1d
 
@@ -57,22 +56,20 @@ def alpha_good_cubes(model: MeasureModel, n: int, rho: float, alpha: float) -> l
     if not alpha > 0:
         raise ValidationError("alpha must be positive")
     threshold = (rho - alpha) * n
-    index, mass_id, masses = model.level_nodes(n)
-    good = np.array([math.log2(mu.numerator) - math.log2(mu.denominator) >= threshold
-                     for mu in masses], dtype=bool)
+    index, mass_id, nums, den = model.level_nodes(n)
+    good = np.array([log2_mass(num, den) >= threshold for num in nums], dtype=bool)
     return [DyadicCube(n, tuple(row)) for row in index[good[mass_id]].tolist()]
 
 
-def _table_masses(model: MeasureModel, n: int, rows) -> list[Fraction]:
-    """Exact masses of the level-n cubes of the given index rows, looked up
-    by packed key in the level's node table; a cube absent from it has mass 0."""
-    index, mass_id, masses = model.level_nodes(n)
+def _table_masses(model: MeasureModel, n: int, rows) -> list[int]:
+    """Mass numerators over den(n) of the level-n cubes of the given index rows,
+    looked up by packed key in the level's node table (0 for a cube absent)."""
+    index, mass_id, nums, _ = model.level_nodes(n)
     keys = packed_keys(index, n)  # increasing: the table is in index order
     query = packed_keys(index_array(rows, n, model.m), n)
     pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
     found = keys[pos] == query
-    return [masses[j] if hit else Fraction(0)
-            for j, hit in zip(mass_id[pos].tolist(), found.tolist())]
+    return [nums[j] if hit else 0 for j, hit in zip(mass_id[pos].tolist(), found.tolist())]
 
 
 def dominant_cubes(cubes, model: MeasureModel) -> list[DyadicCube]:

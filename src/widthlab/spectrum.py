@@ -28,7 +28,7 @@ import numpy as np
 
 from ._brent import brentq
 from .errors import SolverError, ValidationError
-from .measures import IfsMeasure, MeasureModel, ProductMeasure, UniformMeasure
+from .measures import IfsMeasure, MeasureModel, ProductMeasure, UniformMeasure, log2_mass
 
 DEFAULT_T_GRID = tuple(k / 100 for k in range(0, 151))  # k / 100 is correctly rounded
 CHUNK = 16  # grid points an empirical curve computes at a read
@@ -37,10 +37,9 @@ _POW2 = functools.partial(math.pow, 2.0)  # libm pow, as 2.0 ** x is
 
 
 def level_log_masses(model: MeasureModel, n: int) -> list[tuple[float, int]]:
-    """(log2 mass, count) over the level view, each from N / den(n) reduced."""
+    """(log2 mass, count) over the level view, each `log2_mass` of N / den(n)."""
     counts, den = model.level_counts(n)
-    return [(math.log2(num // (g := math.gcd(num, den))) - math.log2(den // g), count)
-            for num, count in counts.items()]
+    return [(log2_mass(num, den), count) for num, count in counts.items()]
 
 
 def _view(model: MeasureModel, n: int, t_grid) -> tuple[np.ndarray, np.ndarray] | None:

@@ -118,3 +118,43 @@ def dyadic_ifs(draw, dims=st.integers(1, 2)):
         shift = IfsMap(ks, tuple(draw(st.integers(0, (1 << ks) - 1)) for _ in range(m)))
     return IfsMeasure([IfsMap(c.level, c.index) for c in images],
                       [Fraction(w, sum(weights)) for w in weights], shift)
+
+
+@st.composite
+def sparse_models(draw, family: str, q: int):
+    """A model whose masses are integers over the prime q, with at most a few
+    positive cubes at every level up to 64: atoms ("atomic"), an IFS of two
+    maps of ratio 2^-32 .. 2^-40, whose second generation lies past level 63,
+    without ("ifs") or with ("ifs-shifted") an embed_shift, or the product of
+    a 1-d such IFS and 1-d atoms ("product"). Each weight is its share of q,
+    so a weight reduces to a / q and den(n) > q^n for an IFS (at q = 2^1279 - 1,
+    past 2^1024 from level 1 on, for the atoms at every level)."""
+
+    def weights(k):  # k >= 2 positive integers summing to q, each a / q reduced
+        cuts = draw(st.lists(st.integers(1, q - 1), min_size=k - 1, max_size=k - 1, unique=True))
+        bounds = [0, *sorted(cuts), q]
+        return [Fraction(b - a, q) for a, b in zip(bounds, bounds[1:])]
+
+    def atomic(m):
+        coordinate = st.fractions(0, 1, max_denominator=10**20).filter(lambda x: 0 < x < 1)
+        points = draw(st.lists(st.tuples(*[coordinate] * m), min_size=2, max_size=min(q, 4)))
+        return AtomicMeasure(points, weights(len(points)))
+
+    def ifs(m, shifted):
+        k = [draw(st.integers(32, 40)) for _ in range(2)]
+        # the first image in the lower half of the first axis, the second in the upper
+        halves = [(0, (1 << k[0] - 1) - 1), (1 << k[1] - 1, (1 << k[1]) - 1)]
+        maps = [IfsMap(ki, (draw(st.integers(*half)), *(draw(st.integers(0, (1 << ki) - 1))
+                                                         for _ in range(m - 1))))
+                for ki, half in zip(k, halves)]
+        shift = None
+        if shifted:
+            ks = draw(st.integers(1, 20))
+            shift = IfsMap(ks, tuple(draw(st.integers(0, (1 << ks) - 1)) for _ in range(m)))
+        return IfsMeasure(maps, weights(2), shift)
+
+    if family == "atomic":
+        return atomic(draw(st.integers(1, 2)))
+    if family == "product":
+        return ProductMeasure([ifs(1, draw(st.booleans())), atomic(1)])
+    return ifs(draw(st.integers(1, 2)), family == "ifs-shifted")

@@ -52,7 +52,9 @@ mollifier (`sympy_g_numerator`).
 The threshold check of a separation input (`check_threshold`, once the
 `validate_threshold` option of `well_separated`) left it too, and the
 default alpha grid built without a count (`oracle_default_alpha_grid`) is
-the reference of the counted one.
+the reference of the counted one. A node table's masses as `Fraction`s
+(`table_masses`, once the table's own `masses`) are how the tests compare
+its integer numerators over den(n) with the oracles' exact masses.
 The fitted slopes keep numpy's LAPACK least squares
 (`oracle_polyfit_slope`), which the exact integer fit replaced, and the
 exact `Fraction` slope rounded once (`oracle_exact_slope`), its reference.
@@ -343,19 +345,26 @@ def check_threshold(cubes, model):
     # O(card D_n) check of sup_{outside} mass <= inf_{inside} mass, the
     # masses read from the level's node table (a cube absent from it has
     # mass 0): no cube outside `cubes` outweighs one inside
-    index, mass_id, masses = model.level_nodes(cubes[0].level)
-    table = {tuple(row): masses[j] for row, j in zip(index.tolist(), mass_id.tolist())}
+    nodes = model.level_nodes(cubes[0].level)
+    masses = table_masses(nodes)
+    table = {tuple(row): masses[j] for row, j in zip(nodes.index.tolist(), nodes.mass_id.tolist())}
     inside = {c.index for c in cubes}
     inf_in = min(table.get(i, Fraction(0)) for i in inside)
     if any(mu > inf_in and row not in inside for row, mu in table.items()):
         raise ValidationError("threshold property violated: outside cube outweighs input")
 
 
+def table_masses(table):
+    # a node table's distinct masses as `Fraction`s, Fraction(N, den)
+    return tuple(Fraction(num, table.den) for num in table.nums)
+
+
 def table_cubes(model, n):
     # the level-n node table as (cube, mass) pairs in index order
-    index, mass_id, masses = model.level_nodes(n)
+    table = model.level_nodes(n)
+    masses = table_masses(table)
     return [(DyadicCube(n, tuple(row)), masses[j])
-            for row, j in zip(index.tolist(), mass_id.tolist())]
+            for row, j in zip(table.index.tolist(), table.mass_id.tolist())]
 
 
 def integrate_on_cell(f, cube, npts):
@@ -611,8 +620,7 @@ def oracle_atomic_nodes(model, n, max_cubes=DEFAULT_MAX_CUBES):
     keys = sorted(groups)
     ids: dict[int, int] = {}
     mass_id = np.array([ids.setdefault(groups[k], len(ids)) for k in keys], dtype=np.intp)
-    return LevelNodes(index_array(keys, n, model.m), mass_id,
-                      tuple(Fraction(u, model._den) for u in ids))
+    return LevelNodes(index_array(keys, n, model.m), mass_id, tuple(ids), model._den)
 
 
 def _oracle_set_atoms(model, atoms, csv_rows: bool) -> None:
@@ -730,8 +738,8 @@ def oracle_ingest_points(rows, weight_column=None, name: str = "CSV input") -> A
 
 def oracle_table_masses(table):
     # the multiset {mass: count} counted from a node table's mass ids
-    _, mass_id, masses = table
-    return dict(zip(masses, np.bincount(mass_id, minlength=len(masses)).tolist()))
+    return dict(zip(table_masses(table),
+                    np.bincount(table.mass_id, minlength=len(table.nums)).tolist()))
 
 
 def oracle_packed_keys(index, level):
@@ -812,8 +820,8 @@ def oracle_uniform_nodes(model, n, max_cubes=DEFAULT_MAX_CUBES):
     _check_level(n, 1 << (shift * m), max_cubes)
     grid = np.indices((1 << shift,) * m).reshape(m, -1).T
     delta = index_array([[o << shift for o in s.ancestor(min(n, s.level)).index]], n, m)
-    mu = Fraction(1, 1 << (shift * m))
-    return LevelNodes(grid.astype(delta.dtype) + delta, np.zeros(len(grid), dtype=np.intp), (mu,))
+    return LevelNodes(grid.astype(delta.dtype) + delta, np.zeros(len(grid), dtype=np.intp), (1,),
+                      1 << (shift * m))
 
 
 def oracle_ifs_overlap(images):

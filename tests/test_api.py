@@ -163,6 +163,22 @@ def test_no_def_but_the_cap_checks_takes_a_cap():
     assert takers == ["measures._check_level", "measures._check_masses"]
 
 
+def test_fractions_is_imported_only_where_exactness_decides():
+    """Exact `Fraction` arithmetic stays where it decides a result: parsing
+    specs and CSV fields, cube geometry, the width exponents, the coarse
+    grid's rho and the command line's grid tokens. The level interfaces give
+    integers over den(n), so the modules that read them (`probe`, `empirical`,
+    `spectrum`, `partition`) and every other import no `fractions`."""
+    importers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "fractions" in names:
+                importers.add(path.stem)
+    assert importers == {"measures", "cubes", "orders", "coarse", "cli"}
+
+
 def test_every_def_is_called_by_a_golden_case():
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", _TRACE, str(SRC) + os.sep, str(TESTS)],

@@ -71,9 +71,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import widthlab
-from widthlab import (ParseError, ResourceLimitError, cli, lebesgue, partition_row, probe, reports,
-                      spectrum)
-from widthlab.measures import DEFAULT_MAX_CELLS, ingest_points
+from widthlab import (ParseError, ResourceLimitError, ValidationError, cli, lebesgue,
+                      partition_row, probe, reports, spectrum)
+from widthlab.measures import DEFAULT_MAX_CELLS, MAX_TEMPLATE_NODES, ingest_points, load_measure
 
 from conftest import IFS7_MAPS
 
@@ -1057,6 +1057,16 @@ def test_a_csv_field_past_the_field_size_limit_exits_1(rows, message, tmp_path, 
 
 
 _LIMIT = sys.get_int_max_str_digits()
+_IFS1 = {"type": "ifs", "m": 1, "maps": [{"ratio_log2": 1, "offset": [0]}], "probs": [1]}
+_TEMPLATE_CAP = (f"IFS template of more than {MAX_TEMPLATE_NODES} nodes: the sum of ratio_log2"
+                 " - 1 over the maps plus the embed_shift level passes it")
+
+
+def _int_error(digits: str) -> str:
+    try:
+        int(digits)
+    except ValueError as exc:
+        return str(exc)
 
 
 @pytest.mark.parametrize("name, text, message", [
@@ -1078,15 +1088,57 @@ _LIMIT = sys.get_int_max_str_digits()
                               "weights": ["1e5000"]}),
      f"atomic weights sum to a number of more digits than the int limit of {_LIMIT}, not a"
      " probability measure"),
-], ids=["csv", "csv-second-axis", "json", "json-point", "json-weights"])
+    ("huge.json", json.dumps({**_IFS1, "probs": ["1e5000"]}), "IFS probabilities sum to a"
+     f" number of more digits than the int limit of {_LIMIT}, not a probability vector"),
+    ("huge.json", json.dumps({**_IFS1, "maps": [{"ratio_log2": "1e-5000", "offset": [0]}]}),
+     "measure spec field maps[0].ratio_log2: expected an integer, got a number of more digits"
+     f" than the int limit of {_LIMIT}"),
+    ("huge.json", json.dumps({**_IFS1, "maps": [{"ratio_log2": "1e5000", "offset": [0]}]}),
+     _TEMPLATE_CAP),
+    ("huge.json", json.dumps({**_IFS1, "embed_shift": {"ratio_log2": "1e5000", "offset": [0]}}),
+     _TEMPLATE_CAP),
+    # json reads an integer literal with int(), which refuses it
+    ("huge.json", json.dumps(_IFS1).replace('"m": 1', '"m": 1' + "0" * 5000),
+     f"invalid JSON in measure spec: {_int_error('1' + '0' * 5000)}"),
+], ids=["csv", "csv-second-axis", "json", "json-point", "json-weights", "ifs-probs",
+        "ratio-fraction", "ratio-huge", "shift-huge", "integer-literal"])
 def test_a_coordinate_past_the_int_digit_limit_exits_1(name, text, message, tmp_path,
                                                        monkeypatch, capsys):
-    # the message names the coordinate's place: formatting it would raise
-    # int's digit-limit ValueError out of the command line
+    # the message names the number's place: formatting the number would
+    # raise int's digit-limit ValueError out of the command line
     monkeypatch.chdir(tmp_path)
     (tmp_path / name).write_text(text)
     assert cli.main(["validate", "--measure", name]) == cli.EX_FAIL
     assert capsys.readouterr().err == f"widthlab: {message}\n"
+
+
+def test_a_deep_template_is_refused_before_it_is_built(tmp_path):
+    """The template's node count, the sum of ratio_log2 - 1 over the maps
+    plus the embed_shift level, is checked against MAX_TEMPLATE_NODES before
+    anything is built: ratio_log2 = 10^6, a template of a million nodes,
+    exits 1 at once, and a template at the bound loads, its root besides."""
+    def spec(k, shift=0):
+        doc = {"type": "ifs", "m": 1, "probs": ["1/3", "2/3"],
+               "maps": [{"ratio_log2": k, "offset": [0]}, {"ratio_log2": k, "offset": [1]}]}
+        return json.dumps({**doc, "embed_shift": {"ratio_log2": shift, "offset": [0]}}
+                          if shift else doc)
+
+    (tmp_path / "deep.json").write_text(spec(10**6))
+    start = time.perf_counter()
+    done = _python_m(["validate", "--measure", "deep.json"], tmp_path)
+    assert time.perf_counter() - start < 1.0
+    assert (done.returncode, done.stdout, done.stderr) == (cli.EX_FAIL, "",
+                                                           f"widthlab: {_TEMPLATE_CAP}\n")
+    # the conftest's deep IFS (ratio 2^-40), and templates at the bound and past it
+    cases = [(spec(40), True), (spec(MAX_TEMPLATE_NODES // 2 + 1), True),
+             (spec(MAX_TEMPLATE_NODES // 2 + 1, shift=1), False),
+             (spec(1, shift=MAX_TEMPLATE_NODES), True), (spec(1, MAX_TEMPLATE_NODES + 1), False)]
+    for text, loads in cases:
+        if loads:
+            assert len(load_measure(text).template) <= MAX_TEMPLATE_NODES + 1
+        else:
+            with pytest.raises(ValidationError, match=f"^{re.escape(_TEMPLATE_CAP)}$"):
+                load_measure(text)
 
 
 def test_probe_trips_node_cap_before_the_seminorm(tmp_path, monkeypatch, capsys):

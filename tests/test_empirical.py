@@ -38,7 +38,7 @@ from widthlab.probe import _bump_seminorm, alpha_good_cubes, packing_probe, well
 from widthlab.quadrature import unit_rule
 
 from conftest import (boundary_atomic, dyadic_ifs, ifs_atomic_lebesgue, new_deep_ifs,
-                      new_tetrahedron)
+                      new_tetrahedron, sparse_models)
 from oracles import (ExactBump, ExactPolynomial, ExactSinProduct, MappedBump, capped, contains,
                      descent_positive, evaluate, integrate_on_cell, lower_corner,
                      mp_bump_seminorm, oracle_bump_matrix, oracle_decay_rows, oracle_locate,
@@ -730,6 +730,35 @@ def test_locate_far_outside_at_object_depth(deep_ifs):
     got = oracle_packed_locate(approx, 64, index)
     assert got.tolist() == oracle_locate(approx, 64, index).tolist()
     assert got.tolist()[:2] == [-1, -1] and min(got.tolist()[2:]) >= 0
+
+
+def _float_masses_match(model, n):
+    # each node's float mass is its exact mass N / den(n) rounded once, as
+    # float(Fraction) rounds it, bit for bit
+    _, _, masses = empirical._nodes(model, n)
+    table = model.level_nodes(n)
+    want = [float(Fraction(table.nums[j], table.den)).hex() for j in table.mass_id.tolist()]
+    assert [mu.hex() for mu in masses.tolist()] == want
+
+
+@pytest.mark.parametrize("q", [3, 2**1279 - 1], ids=["q3", "q-mersenne-1279"])
+@pytest.mark.parametrize("family", ["atomic", "ifs", "ifs-shifted", "product"])
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_node_float_masses_round_as_fractions(family, q, data):
+    model = data.draw(sparse_models(family, q))
+    for n in (1, 3, 63):
+        _float_masses_match(model, n)
+
+
+def test_node_float_masses_round_as_fractions_below_the_normals(tetrahedron):
+    # masses near 2^-1060, subnormal floats, and past 2^-1075, which round to 0
+    tiny = IfsMeasure([IfsMap(1, (0,)), IfsMap(1, (1,))],
+                      [Fraction(1, 2**1060 + 1), Fraction(2**1060, 2**1060 + 1)])
+    for model, n in ((tiny, 1), (tiny, 2), (tetrahedron, 5), (boundary_atomic(), 20)):
+        _float_masses_match(model, n)
+    assert 0 < min(empirical._nodes(tiny, 1)[2]) < 2.0**-1022
+    assert min(empirical._nodes(tiny, 2)[2]) == 0
 
 
 def test_evaluate_non_finite_and_far_points_are_outside(located_partitions):

@@ -32,12 +32,13 @@ from widthlab import (
 from widthlab.measures import (INT64_LEVELS, PACKED_KEY_BITS, MeasureModel, _parse_field,
                                packed_keys)
 
-from conftest import boundary_atomic, dyadic_ifs, ifs7, ifs_atomic_lebesgue, new_tetrahedron
+from conftest import (boundary_atomic, dyadic_ifs, ifs7, ifs_atomic_lebesgue, new_tetrahedron,
+                      sparse_models)
 from oracles import (capped, contains, descent_positive, oracle_atomic_measure,
                      oracle_atomic_nodes, oracle_ifs_overlap, oracle_ingest_points,
                      oracle_level_masses, oracle_levels, oracle_mass, oracle_packed_keys,
                      oracle_product_masses, oracle_table_masses, oracle_uniform_level_masses,
-                     oracle_uniform_nodes, oracle_uniform_template, table_cubes)
+                     oracle_uniform_nodes, oracle_uniform_template, table_cubes, table_masses)
 
 
 def test_atomic_mass_membership():
@@ -148,10 +149,11 @@ def test_node_table_matches_descent(name, tetrahedron):
     for n in range(8):
         want = descent_positive(model, n)
         assert table_cubes(model, n) == want
-        index, mass_id, masses = model.level_nodes(n)
+        index, mass_id, nums, _ = table = model.level_nodes(n)
+        masses = table_masses(table)
         assert index.dtype == np.int64 and index.shape == (len(want), model.m)
         assert [masses[j] for j in mass_id] == [mu for _, mu in want]
-        assert len(set(masses)) == len(masses)
+        assert len(set(nums)) == len(nums)
         for cap in CAPS:
             want = _outcome(lambda: descent_positive(model, n, cap))
             assert _outcome(lambda: capped(model, model.level_nodes, n, max_cubes=cap)) == want
@@ -209,9 +211,10 @@ _coords = st.one_of(
 def test_atomic_table_holds_every_atom(atoms, n):
     total = sum(w for *_, w in atoms)
     model = AtomicMeasure([(x, y) for x, y, _ in atoms], [Fraction(w, total) for *_, w in atoms])
-    index, mass_id, masses = model.level_nodes(n)
-    cubes = [DyadicCube(n, tuple(row)) for row in index.tolist()]
-    node_masses = [masses[j] for j in mass_id]
+    table = model.level_nodes(n)
+    cubes = [DyadicCube(n, tuple(row)) for row in table.index.tolist()]
+    masses = table_masses(table)
+    node_masses = [masses[j] for j in table.mass_id]
     assert sum(node_masses) == 1
     for point in model.points:
         assert sum(contains(cube, point) for cube in cubes) == 1
@@ -228,10 +231,10 @@ def _check_atomic_units(model, depth):
     # node-table masses and the integer rule's unit sums against the
     # Fraction sums of the atoms
     for n in range(depth + 1):
-        index, mass_id, masses = model.level_nodes(n)
-        assert all(type(mu) is Fraction for mu in masses)
+        index, mass_id, nums, den = model.level_nodes(n)
+        assert all(type(num) is int for num in (*nums, den))
         for row, j in zip(index.tolist(), mass_id.tolist()):
-            assert masses[j] == oracle_mass(model, DyadicCube(n, tuple(row)))
+            assert Fraction(nums[j], den) == oracle_mass(model, DyadicCube(n, tuple(row)))
     frontier = [(root(model.m), model._root)]
     for level in range(depth):
         below = []
@@ -299,7 +302,8 @@ def test_atomic_integer_tables_match_the_descent(points, wide, raw):
         assert model._coords.dtype == object
     for n in (0, 1, 2, 62, 63, 64):  # the index dtype switches at 63
         want = descent_positive(model, n)
-        index, mass_id, masses = model.level_nodes(n)
+        index, mass_id, _, _ = table = model.level_nodes(n)
+        masses = table_masses(table)
         assert index.dtype == (np.int64 if n < 63 else object)
         assert [tuple(row) for row in index.tolist()] == [c.index for c, _ in want]
         assert [masses[j] for j in mass_id] == [mu for _, mu in want]
@@ -322,8 +326,8 @@ def test_atomic_indices_where_int64_runs_out(q):
     model = AtomicMeasure([(x, Fraction(1, q))], [1])
     for n in range(72):
         want = (math.ceil(x * 2**n) - 1, math.ceil(Fraction(1, q) * 2**n) - 1)
-        index, _, masses = model.level_nodes(n)
-        assert index.tolist() == [list(want)] and masses == (1,)
+        index, _, nums, den = model.level_nodes(n)
+        assert index.tolist() == [list(want)] and nums == (den,)
         assert model.mass(DyadicCube(n, want)) == 1
 
 
@@ -379,7 +383,8 @@ def test_atomic_grouping_matches_the_table_route(cloud):
         assert got.index.tolist() == want.index.tolist()
         assert got.mass_id.dtype == want.mass_id.dtype
         assert got.mass_id.tolist() == want.mass_id.tolist()
-        assert got.masses == want.masses and all(type(mu) is Fraction for mu in got.masses)
+        assert (got.nums, got.den) == (want.nums, want.den)
+        assert all(type(num) is int for num in (*got.nums, got.den))
         multiset = model.level_masses(n)
         assert multiset == oracle_table_masses(got)
         assert all(type(mu) is Fraction for mu in multiset)
@@ -399,7 +404,8 @@ def test_atomic_grouping_covers_wide_keys_and_dimension_zero():
         want = oracle_atomic_nodes(model, n)
         got = model.level_nodes(n)
         assert got.index.dtype == want.index.dtype and got.index.tolist() == want.index.tolist()
-        assert got.mass_id.tolist() == want.mass_id.tolist() and got.masses == want.masses
+        assert got.mass_id.tolist() == want.mass_id.tolist()
+        assert (got.nums, got.den) == (want.nums, want.den)
         assert model.level_masses(n) == oracle_table_masses(got)
     assert flat.level_masses(9) == {1: 1} and deep.level_masses(70) == {Fraction(1, 3): 3}
     assert wide.level_masses(40) == {Fraction(1, 3): 1, Fraction(2, 3): 1}
@@ -460,7 +466,7 @@ def test_uniform_is_the_ifs_of_its_half_scale_maps(support, n, cap, data):
             assert got.index.dtype == table.index.dtype
             assert got.index.tolist() == table.index.tolist()
             assert got.mass_id.tolist() == table.mass_id.tolist()
-            assert got.masses == table.masses
+            assert table_masses(got) == table_masses(table)
     # a cube anywhere at level n, and one inside the support
     anywhere = DyadicCube(n, tuple(data.draw(st.integers(0, (1 << n) - 1)) for _ in range(m)))
     shift = n - support.level
@@ -474,7 +480,8 @@ def test_uniform_is_the_ifs_of_its_half_scale_maps(support, n, cap, data):
 def test_node_table_exact_beyond_int64(deep_ifs):
     for n in (39, 40, 41, 62, 63, 64, 79, 80, 81):
         want = descent_positive(deep_ifs, n)
-        index, mass_id, masses = deep_ifs.level_nodes(n)
+        index, mass_id, _, _ = table = deep_ifs.level_nodes(n)
+        masses = table_masses(table)
         assert index.dtype == (np.int64 if n < 63 else object)
         assert [tuple(row) for row in index.tolist()] == [c.index for c, _ in want]
         assert [masses[j] for j in mass_id] == [mu for _, mu in want]
@@ -508,9 +515,7 @@ def test_template_matches_the_pullback_oracle(model, n):
     for cube, _ in want:
         for child in children(cube):
             assert model.mass(child) == oracle_mass(model, child)
-    index, mass_id, masses = model.level_nodes(n)
-    assert [(DyadicCube(n, tuple(row)), masses[j])
-            for row, j in zip(index.tolist(), mass_id.tolist())] == want
+    assert table_cubes(model, n) == want
     grouped = {}
     for _, mu in want:
         grouped[mu] = grouped.get(mu, 0) + 1
@@ -540,10 +545,9 @@ def test_key_built_tables_match_the_descent(model, with_shift, deeper, data):
     for ifs, levels in cases:
         for n in levels:
             want = descent_positive(ifs, n)
-            index, mass_id, masses = ifs.level_nodes(n)
+            index = ifs.level_nodes(n).index
             assert index.dtype == (object if n >= INT64_LEVELS else np.int64)
-            assert [(DyadicCube(n, tuple(row)), masses[j])
-                    for row, j in zip(index.tolist(), mass_id.tolist())] == want
+            assert table_cubes(ifs, n) == want
             keys = packed_keys(index, n)
             assert ifs._keys[n].dtype == keys.dtype
             assert ifs._keys[n].tolist() == keys.tolist()
@@ -584,14 +588,33 @@ def test_ifs_mass_cap_trips_at_the_requested_level_only():
 @settings(max_examples=25, deadline=None)
 def test_node_table_masses_are_the_multiset_keys(model):
     # a node table and the multiset take their masses from the store's
-    # numerators, in push order: one `Fraction` per distinct mass for both
+    # numerators, in push order: the table holds them over den(n) as integers
     for n in range(9):
-        masses = model.level_nodes(n).masses
+        table = model.level_nodes(n)
         counts, den = model.level_counts(n)
         assert counts is model._store.level_counts(n)
-        assert masses == tuple(Fraction(num, den) for num in counts)
-        assert masses == tuple(model.level_masses(n))
-        assert all(type(mu) is Fraction for mu in masses)
+        assert (table.nums, table.den) == (tuple(counts), den)
+        assert table_masses(table) == tuple(model.level_masses(n))
+        assert all(type(num) is int for num in (*table.nums, table.den))
+
+
+@pytest.mark.parametrize("q", [3, 2**1279 - 1], ids=["q3", "q-mersenne-1279"])
+@pytest.mark.parametrize("family", ["atomic", "ifs", "ifs-shifted", "product"])
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_table_numerators_over_den_are_the_oracle_masses(family, q, data):
+    """A node table holds each distinct mass as an integer N over den(n): at
+    levels 0..3 and 63..64, Fraction(N, den) is each cube's mass from its
+    family's definition, and the masses sum to 1. At q = 2^1279 - 1, den(n)
+    is past 2^1024 at every level n >= 1, where no mass is a float ratio."""
+    model = data.draw(sparse_models(family, q))
+    for n in (0, 1, 2, 3, 63, 64):
+        index, mass_id, nums, den = model.level_nodes(n)
+        assert all(type(num) is int for num in (*nums, den)) and den == model._denominator(n)
+        assert n == 0 or q == 3 or den > 2**1024
+        masses = [Fraction(nums[j], den) for j in mass_id.tolist()]
+        assert masses == [oracle_mass(model, DyadicCube(n, tuple(row))) for row in index.tolist()]
+        assert sum(masses) == 1
 
 
 def test_threads_building_node_tables_agree():
@@ -600,7 +623,7 @@ def test_threads_building_node_tables_agree():
     # the others' reads of the table below it; in each of 20 trials, every
     # thread must get a single-threaded build's tables
     def table(nodes):
-        return nodes.index.tolist(), nodes.mass_id.tolist(), nodes.masses
+        return nodes.index.tolist(), nodes.mass_id.tolist(), nodes.nums, nodes.den
 
     cold = ifs7()
     want = [table(cold.level_nodes(n)) for n in range(9)]
@@ -659,9 +682,10 @@ def test_integer_push_matches_the_fraction_push(model, with_shift):
         # the same masses, in the same id order, with the same counts
         assert list(model.level_masses(n).items()) == list(multiset.items())
         if sum(counts) <= 1 << 12:
-            _, mass_id, masses = model.level_nodes(n)
-            assert masses == tuple(multiset)
-            assert np.bincount(mass_id, minlength=len(masses)).tolist() == list(multiset.values())
+            table = model.level_nodes(n)
+            assert table_masses(table) == tuple(multiset)
+            assert (np.bincount(table.mass_id, minlength=len(table.nums)).tolist()
+                    == list(multiset.values()))
 
 
 @given(dyadic_ifs(), st.integers(0, 10), st.integers(1, 40))
@@ -917,8 +941,8 @@ def test_atomic_points_without_coordinates():
     # a row of weights only makes a model of dimension 0: one cube per level
     model = ingest_points("w\n1\n3\n", "w")
     assert model.m == 0 and model.weights == (Fraction(1, 4), Fraction(3, 4))
-    index, mass_id, masses = model.level_nodes(5)
-    assert index.shape == (1, 0) and masses == (1,)
+    index, mass_id, nums, den = model.level_nodes(5)
+    assert index.shape == (1, 0) and nums == (den,) == (4,)
     assert (*model._rule(0, *model._root), model._denominator(1)) == ([((0, 1), 4)], [()], 4)
 
 
